@@ -1,28 +1,18 @@
-"""Candidate-scan stage: legacy scan vs dense batch kernel vs pruned probe.
+"""Candidate-scan stage: legacy scan vs dense batch kernel.
 
 The matching step is the reduction's inner loop: every incoming segment is
 compared against all stored representatives sharing its structural key.  This
 benchmark times exactly that stage (via the reducer's match counters) on the
-sweep3d workload at the default scale, three ways per configuration:
+sweep3d workload at the default scale, two ways per configuration:
 
 * the legacy Python scan (``TraceReducer(batch=False)``) — the oracle;
-* the dense one-shot ``match_batch`` kernel (``batch=True, prune=False``);
-* the production pruned probe (``batch=True, prune=True``): norm-bound
-  prefilter over the cached summary column plus blocked early-exit scan.
+* the dense kernel (``batch=True``): one ``match_stats`` broadcast over the
+  bucket's row matrix, or the scalar ``match_one`` on a depth-one bucket.
 
-All three reductions must be byte-identical, every configuration's pruned
-probe must be at least as fast as the scan (the small-bucket floor), and the
+Both reductions must be byte-identical, every configuration's dense kernel
+must be at least as fast as the scan (the small-bucket floor), and the
 strict-Euclidean headline must beat the scan by 3x; all are asserted, not
-just recorded.
-
-A second stage measures how the pruned probe *scales with store depth*: a
-store-stress workload 10x the size of the base benchmark (jittered repeats
-of a few structural keys under a strict threshold, so the representative
-store grows linearly and candidate buckets run thousands of rows deep) is
-reduced at 1x/3x/10x cuts, dense vs pruned.  The pruned probe's speedup over
-the dense kernel must grow with the store size and reach at least 2x at the
-largest cut — the sublinear-matching acceptance bar.  Results land in
-``BENCH_match_kernel.json`` (``configs`` + ``store_scaling`` sections).
+just recorded.  Results land in ``BENCH_match_kernel.json``.
 """
 
 from __future__ import annotations
@@ -30,16 +20,13 @@ from __future__ import annotations
 import os
 import time
 
-import numpy as np
 from support import RESULTS_DIR, emit, run_once, write_bench_json
 
 from repro.core.candidates import MatchCounters
 from repro.core.metrics import DEFAULT_THRESHOLDS, create_metric
 from repro.core.reducer import TraceReducer
 from repro.experiments.config import build_workload, get_scale
-from repro.trace.events import Event
-from repro.trace.io import iter_reduced_rank_chunks, serialize_reduced_trace
-from repro.trace.segments import Segment
+from repro.trace.io import serialize_reduced_trace
 from repro.util.tables import format_table
 
 BENCH_PATH = RESULTS_DIR.parent / "BENCH_match_kernel.json"
@@ -71,26 +58,14 @@ HEADLINE = ("euclidean", 0.001)
 MIN_HEADLINE_SPEEDUP = 3.0
 
 #: Small-bucket floor: no configuration may be slower than the legacy scan.
-#: Shallow buckets take a single lean kernel call (no blocking, no prefilter),
-#: which is what keeps the default-threshold configs above water.
+#: The depth-one scalar kernel is what keeps the default-threshold configs
+#: (1–2 rows per call) above water.
 MIN_CONFIG_SPEEDUP = 1.0
 
-#: Store-scaling stage: cuts of the store-stress stream, as multiples of the
-#: base benchmark workload's segment count, and the required pruned-vs-dense
-#: speedup at the largest (10x) cut.
-STORE_BASE_SEGMENTS = 7936
-STORE_CUTS = (1, 3, 10)
-STORE_KEYS = 8
-STORE_EVENTS = 6
-STORE_METHOD = ("euclidean", 0.001)
-MIN_STORE_SPEEDUP = 2.0
 
-
-def _timed_reduction(
-    segmented, metric_name: str, threshold: float, *, batch: bool, prune: bool = True
-):
+def _timed_reduction(segmented, metric_name: str, threshold: float, *, batch: bool):
     counters = MatchCounters()
-    reducer = TraceReducer(create_metric(metric_name, threshold), batch=batch, prune=prune)
+    reducer = TraceReducer(create_metric(metric_name, threshold), batch=batch)
     started = time.perf_counter()
     reduced = reducer.reduce(segmented, match_counters=counters)
     total = time.perf_counter() - started
@@ -109,21 +84,14 @@ def _compare(segmented, metric_name: str, threshold: float) -> dict:
     scan_bytes, reduced, scan, scan_total = _timed_reduction(
         segmented, metric_name, threshold, batch=False
     )
-    dense_bytes, _, dense, _ = _timed_reduction(
-        segmented, metric_name, threshold, batch=True, prune=False
-    )
-    pruned_bytes, _, pruned, pruned_total = _timed_reduction(
-        segmented, metric_name, threshold, batch=True, prune=True
+    dense_bytes, _, dense, dense_total = _timed_reduction(
+        segmented, metric_name, threshold, batch=True
     )
     assert dense_bytes == scan_bytes, (
         f"dense batch matcher diverged from the legacy scan for {metric_name}({threshold})"
     )
-    assert pruned_bytes == scan_bytes, (
-        f"pruned matcher diverged from the legacy scan for {metric_name}({threshold})"
-    )
     scan_seconds = scan.seconds
     dense_seconds = dense.seconds
-    pruned_seconds = pruned.seconds
     reps = 1
     while scan_seconds < REPEAT_TARGET_SECONDS and reps < MAX_REPEATS:
         scan_seconds = min(
@@ -132,15 +100,7 @@ def _compare(segmented, metric_name: str, threshold: float) -> dict:
         )
         dense_seconds = min(
             dense_seconds,
-            _timed_reduction(
-                segmented, metric_name, threshold, batch=True, prune=False
-            )[2].seconds,
-        )
-        pruned_seconds = min(
-            pruned_seconds,
-            _timed_reduction(
-                segmented, metric_name, threshold, batch=True, prune=True
-            )[2].seconds,
+            _timed_reduction(segmented, metric_name, threshold, batch=True)[2].seconds,
         )
         reps += 1
     return {
@@ -152,90 +112,11 @@ def _compare(segmented, metric_name: str, threshold: float) -> dict:
         "timed_repeats": reps,
         "scan_match_seconds": round(scan_seconds, 6),
         "dense_match_seconds": round(dense_seconds, 6),
-        "pruned_match_seconds": round(pruned_seconds, 6),
-        "rows_pruned": pruned.rows_pruned,
-        "prune_rate": round(pruned.prune_rate, 4),
-        "blocks_evaluated": pruned.blocks_evaluated,
-        "match_speedup": round(scan_seconds / pruned_seconds, 4) if pruned_seconds else None,
-        "dense_speedup": round(scan_seconds / dense_seconds, 4) if dense_seconds else None,
+        "match_speedup": round(scan_seconds / dense_seconds, 4) if dense_seconds else None,
         "scan_total_seconds": round(scan_total, 6),
-        "pruned_total_seconds": round(pruned_total, 6),
-        "total_speedup": round(scan_total / pruned_total, 4) if pruned_total else None,
+        "dense_total_seconds": round(dense_total, 6),
+        "total_speedup": round(scan_total / dense_total, 4) if dense_total else None,
         "identical_output": True,
-    }
-
-
-def _store_stress_segments(n_segments: int, *, seed: int = 20260807) -> list[Segment]:
-    """Store-stress stream: jittered repeats of a few structural keys.
-
-    The per-event jitter is far wider than the strict match limit, so almost
-    every segment becomes a new representative and the candidate buckets grow
-    thousands of rows deep — while the jitter also spreads the row norms, the
-    regime the summary prefilter exists for.  Deterministic via ``seed``.
-    """
-    rng = np.random.default_rng(seed)
-    base = 1000.0 + 400.0 * rng.random((STORE_KEYS, STORE_EVENTS))
-    jitter = 120.0 * rng.random((n_segments, STORE_EVENTS))
-    segments = []
-    for i in range(n_segments):
-        k = i % STORE_KEYS
-        cursor = 0.0
-        events = []
-        for j in range(STORE_EVENTS):
-            duration = base[k, j] + jitter[i, j]
-            events.append(Event(name=f"op{k}_{j}", start=cursor, end=cursor + duration))
-            cursor += duration
-        segments.append(
-            Segment(context=f"loop{k}", rank=0, start=0.0, end=cursor, events=events, index=i)
-        )
-    return segments
-
-
-def _timed_segment_reduction(segments, metric_name: str, threshold: float, *, prune: bool):
-    counters = MatchCounters()
-    reducer = TraceReducer(create_metric(metric_name, threshold), batch=True, prune=prune)
-    reduced = reducer.reduce_segments(segments, match_counters=counters)
-    return b"".join(iter_reduced_rank_chunks(reduced)), reduced, counters
-
-
-def _run_store_scaling() -> dict:
-    method, threshold = STORE_METHOD
-    stream = _store_stress_segments(STORE_BASE_SEGMENTS * STORE_CUTS[-1])
-    sizes = []
-    for cut in STORE_CUTS:
-        segments = stream[: STORE_BASE_SEGMENTS * cut]
-        dense_bytes, _, dense = _timed_segment_reduction(
-            segments, method, threshold, prune=False
-        )
-        pruned_bytes, reduced, pruned = _timed_segment_reduction(
-            segments, method, threshold, prune=True
-        )
-        assert pruned_bytes == dense_bytes, (
-            f"pruned store-stress reduction diverged from the dense kernel at {cut}x"
-        )
-        sizes.append(
-            {
-                "cut": f"{cut}x",
-                "n_segments": len(segments),
-                "n_stored": len(reduced.stored),
-                "dense_match_seconds": round(dense.seconds, 6),
-                "pruned_match_seconds": round(pruned.seconds, 6),
-                "rows_pruned": pruned.rows_pruned,
-                "prune_rate": round(pruned.prune_rate, 4),
-                "blocks_evaluated": pruned.blocks_evaluated,
-                "pruned_vs_dense_speedup": round(dense.seconds / pruned.seconds, 4)
-                if pruned.seconds
-                else None,
-                "identical_output": True,
-            }
-        )
-    return {
-        "method": method,
-        "threshold": threshold,
-        "n_keys": STORE_KEYS,
-        "n_events": STORE_EVENTS,
-        "min_speedup_at_largest": MIN_STORE_SPEEDUP,
-        "sizes": sizes,
     }
 
 
@@ -258,7 +139,6 @@ def _run_comparison() -> dict:
             "min_required": MIN_HEADLINE_SPEEDUP,
         },
         "configs": entries,
-        "store_scaling": _run_store_scaling(),
     }
 
 
@@ -274,8 +154,6 @@ def test_match_kernel_speedup(benchmark):
             f"{entry['rows_per_call']:.2f}",
             f"{entry['scan_match_seconds']:.4f}",
             f"{entry['dense_match_seconds']:.4f}",
-            f"{entry['pruned_match_seconds']:.4f}",
-            f"{entry['prune_rate']:.1%}",
             f"{entry['match_speedup']:.2f}x",
         ]
         for entry in report["configs"]
@@ -283,73 +161,27 @@ def test_match_kernel_speedup(benchmark):
     emit(
         "BENCH_match_kernel",
         format_table(
-            [
-                "method",
-                "threshold",
-                "stored",
-                "rows/call",
-                "scan s",
-                "dense s",
-                "pruned s",
-                "pruned",
-                "speedup",
-            ],
+            ["method", "threshold", "stored", "rows/call", "scan s", "dense s", "speedup"],
             rows,
             title=(
-                f"candidate-scan stage: scan vs dense vs pruned — "
+                f"candidate-scan stage: scan vs dense — "
                 f"{WORKLOAD}/{SCALE} ({report['cpu_count']} cpus)"
-            ),
-        ),
-    )
-
-    scaling = report["store_scaling"]
-    scaling_rows = [
-        [
-            size["cut"],
-            size["n_segments"],
-            size["n_stored"],
-            f"{size['dense_match_seconds']:.4f}",
-            f"{size['pruned_match_seconds']:.4f}",
-            f"{size['prune_rate']:.1%}",
-            f"{size['pruned_vs_dense_speedup']:.2f}x",
-        ]
-        for size in scaling["sizes"]
-    ]
-    emit(
-        "BENCH_match_kernel_store_scaling",
-        format_table(
-            ["cut", "segments", "stored", "dense s", "pruned s", "pruned", "speedup"],
-            scaling_rows,
-            title=(
-                f"store scaling: pruned probe vs dense kernel — "
-                f"{scaling['method']}({scaling['threshold']:g}), "
-                f"{scaling['n_keys']} keys x {scaling['n_events']} events"
             ),
         ),
     )
 
     for entry in report["configs"]:
         assert entry["identical_output"]
-        assert entry["scan_match_seconds"] > 0 and entry["pruned_match_seconds"] > 0
-        # Small-bucket floor: the pruned probe must never lose to the scan,
+        assert entry["scan_match_seconds"] > 0 and entry["dense_match_seconds"] > 0
+        # Small-bucket floor: the dense kernel must never lose to the scan,
         # whatever the bucket depth profile of the configuration.
         assert entry["match_speedup"] >= MIN_CONFIG_SPEEDUP, (
-            f"{entry['method']}({entry['threshold']}) pruned matcher is slower than "
+            f"{entry['method']}({entry['threshold']}) dense kernel is slower than "
             f"the legacy scan: {entry['match_speedup']}x"
         )
-    # The acceptance bar: the pruned probe must beat the legacy scan by at
+    # The acceptance bar: the dense kernel must beat the legacy scan by at
     # least 3x on the deep-candidate-list headline configuration.
     assert report["headline"]["match_speedup"] >= MIN_HEADLINE_SPEEDUP, (
         f"headline match-kernel speedup {report['headline']['match_speedup']}x "
         f"is below the required {MIN_HEADLINE_SPEEDUP}x"
-    )
-    # Sublinear-matching bar: the pruned probe's advantage over the dense
-    # kernel must grow with the store depth and reach 2x at the 10x cut.
-    speedups = [s["pruned_vs_dense_speedup"] for s in scaling["sizes"]]
-    assert speedups == sorted(speedups), (
-        f"pruned-vs-dense speedup does not grow with store size: {speedups}"
-    )
-    assert speedups[-1] >= MIN_STORE_SPEEDUP, (
-        f"pruned-vs-dense speedup at the largest store is {speedups[-1]}x, "
-        f"below the required {MIN_STORE_SPEEDUP}x"
     )

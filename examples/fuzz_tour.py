@@ -2,7 +2,7 @@
 """Tour of the deterministic scenario fuzzer (``repro.fuzz``).
 
 The fuzzer hunts for divergences between the reduction pathways that must
-stay byte-identical: serial vs batch vs pruned matching, inline vs sharded
+stay byte-identical: scalar scan vs dense-kernel matching, inline vs sharded
 pipelines, batch vs incremental sessions (including a checkpoint/restore
 mid-stream), binary and text round trips, and the malformed-rank fallback.
 Every case is derived from a seed, so a campaign is a pure function of

@@ -6,8 +6,8 @@ the first match (Section 3.1 of the paper).  That scan is the reduction's
 inner loop, so instead of a Python loop over :class:`StoredSegment` objects
 the candidates of each key are kept in a :class:`CandidateList`: an ordered
 sequence that *also* maintains a contiguous 2-D matrix with one feature-vector
-row per representative.  A metric's ``match_batch`` kernel then evaluates all
-candidates in one NumPy broadcast and returns the first matching row.
+row per representative.  A metric's dense probe (``match_row``) then
+evaluates all candidates in one NumPy broadcast and returns the first match.
 
 Because every candidate under one structural key has the same structure, all
 rows have the same width; the matrix grows geometrically so appending a
@@ -16,28 +16,19 @@ owning metric asks for (canonical pairwise timestamps, the Minkowski layout,
 or pre-transformed wavelet coefficients) — the vectors themselves are cached
 on the :class:`StoredSegment` and invalidated when ``iter_avg`` mutates the
 stored timestamps.
-
-Alongside the matrix, the bucket maintains one scalar *pruning summary* per
-row (the metric's ``row_summary`` hook: a p-norm for the Minkowski family, a
-coefficient norm for the wavelet metrics, a max-magnitude extremum for the
-pairwise family).  The summaries feed the metrics' ``prune_mask`` necessary
-condition, so a probe can discard most of a deep bucket with O(rows) work
-before the exact kernel runs on the few survivors; the columns are kept
-consistent through append, direct-row append, eviction compaction, and
-``iter_avg`` refreshes, exactly like the scale cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.reduced import StoredSegment
 
-__all__ = ["CandidateList", "MatchCounters", "first_match_index"]
+__all__ = ["CandidateList", "InlineStore", "MatchCounters", "first_match_index"]
 
 
 def first_match_index(mask: np.ndarray) -> Optional[int]:
@@ -62,18 +53,13 @@ class MatchCounters:
     ``calls`` counts invocations of the matching step (one per segment that
     had at least one candidate), ``rows_compared`` the total candidate rows
     those calls evaluated, and ``seconds`` their accumulated wall time.
-    ``rows_pruned`` counts candidate rows the pruning prefilter discarded
-    before the exact kernel ran (a subset of ``rows_compared``), and
-    ``blocks_evaluated`` the insertion-order blocks the blocked early-exit
-    probe actually touched — together they show how much of each bucket the
-    exact kernel never had to see.
     """
 
     calls: int = 0
     rows_compared: int = 0
     seconds: float = 0.0
+    #: Inert (always 0): the benchmark contract (``bench/layers.py``) reads it.
     rows_pruned: int = 0
-    blocks_evaluated: int = 0
 
     def merged_with(self, other: "MatchCounters") -> "MatchCounters":
         """Combine counters from two reductions (used to aggregate across ranks)."""
@@ -82,18 +68,12 @@ class MatchCounters:
             rows_compared=self.rows_compared + other.rows_compared,
             seconds=self.seconds + other.seconds,
             rows_pruned=self.rows_pruned + other.rows_pruned,
-            blocks_evaluated=self.blocks_evaluated + other.blocks_evaluated,
         )
 
     @property
     def rows_per_call(self) -> float:
         """Mean candidate-list depth seen by the kernel."""
         return self.rows_compared / self.calls if self.calls else 0.0
-
-    @property
-    def prune_rate(self) -> float:
-        """Fraction of compared rows the prefilter discarded."""
-        return self.rows_pruned / self.rows_compared if self.rows_compared else 0.0
 
     def record_to(self, registry) -> None:
         """Record these counters into an ``obs`` metrics registry.
@@ -104,8 +84,6 @@ class MatchCounters:
         registry.inc("match.kernel_calls", self.calls)
         registry.inc("match.kernel_rows", self.rows_compared)
         registry.inc("match.kernel_seconds", self.seconds)
-        registry.inc("match.rows_pruned", self.rows_pruned)
-        registry.inc("match.blocks_evaluated", self.blocks_evaluated)
 
 
 class CandidateList:
@@ -119,15 +97,7 @@ class CandidateList:
     a bounded store evicts leading entries.
     """
 
-    __slots__ = (
-        "_entries",
-        "_owner",
-        "_matrix",
-        "_scales",
-        "_summaries",
-        "_built",
-        "_views",
-    )
+    __slots__ = ("_entries", "_owner", "_matrix", "_scales", "_built", "_views")
 
     #: Minimum row capacity allocated for a new matrix.
     MIN_CAPACITY = 4
@@ -137,9 +107,8 @@ class CandidateList:
         self._owner = None  # metric the matrix rows belong to
         self._matrix: Optional[np.ndarray] = None
         self._scales: Optional[np.ndarray] = None  # per-row scale cache
-        self._summaries: Optional[np.ndarray] = None  # per-row pruning summary
         self._built = 0  # entries materialized into the matrix so far
-        self._views = None  # cached (matrix[:n], scales[:n], summaries[:n])
+        self._views = None  # cached (matrix[:n], scales[:n])
 
     # -- sequence protocol (what the legacy scan path sees) -------------------
 
@@ -186,35 +155,37 @@ class CandidateList:
             and self._built == n
             and (matrix is None or row.size == matrix.shape[1])
         ):
-            if matrix is None:
-                capacity = self.MIN_CAPACITY
-                while capacity <= n:
-                    capacity *= 2
-                matrix = self._matrix = np.zeros((capacity, row.size), dtype=float)
-                if metric.row_scale is not None:
-                    self._scales = np.zeros(capacity, dtype=float)
-                if metric.row_summary is not None:
-                    self._summaries = np.zeros(capacity, dtype=float)
-            elif n >= matrix.shape[0]:
-                grown = np.zeros((matrix.shape[0] * 2, matrix.shape[1]), dtype=float)
-                grown[:n] = matrix[:n]
-                matrix = self._matrix = grown
-                if self._scales is not None:
-                    scales = np.zeros(grown.shape[0], dtype=float)
-                    scales[:n] = self._scales[:n]
-                    self._scales = scales
-                if self._summaries is not None:
-                    summaries = np.zeros(grown.shape[0], dtype=float)
-                    summaries[:n] = self._summaries[:n]
-                    self._summaries = summaries
-            matrix[n] = row
-            if self._scales is not None:
-                self._scales[n] = metric.row_scale(row)
-            if self._summaries is not None:
-                self._summaries[n] = metric.row_summary(row)
-            self._built = n + 1
+            self._write_row(row, metric, n + 1)
         self._entries.append(stored)
         self._views = None
+
+    def _write_row(self, row: np.ndarray, metric, wanted: int) -> None:
+        """Write ``row`` as the next built matrix row (and cache its scale).
+
+        The buffers are allocated on the first row with room for ``wanted``
+        rows and double whenever they fill up.
+        """
+        index = self._built
+        matrix = self._matrix
+        if matrix is None:
+            capacity = self.MIN_CAPACITY
+            while capacity < wanted:
+                capacity *= 2
+            matrix = self._matrix = np.zeros((capacity, row.size), dtype=float)
+            if metric.row_scale is not None:
+                self._scales = np.zeros(capacity, dtype=float)
+        elif index >= matrix.shape[0]:
+            grown = np.zeros((matrix.shape[0] * 2, matrix.shape[1]), dtype=float)
+            grown[:index] = matrix[:index]
+            matrix = self._matrix = grown
+            if self._scales is not None:
+                scales = np.zeros(grown.shape[0], dtype=float)
+                scales[:index] = self._scales[:index]
+                self._scales = scales
+        matrix[index] = row
+        if self._scales is not None:
+            self._scales[index] = metric.row_scale(row)
+        self._built = index + 1
 
     def trim_front(self, n: int) -> None:
         """Drop the ``n`` oldest representatives, compacting matrix rows.
@@ -233,8 +204,6 @@ class CandidateList:
                 self._matrix[:surviving] = self._matrix[n : n + surviving].copy()
                 if self._scales is not None:
                     self._scales[:surviving] = self._scales[n : n + surviving].copy()
-                if self._summaries is not None:
-                    self._summaries[:surviving] = self._summaries[n : n + surviving].copy()
             self._built = surviving
 
     def refresh(self, stored: "StoredSegment") -> None:
@@ -255,22 +224,19 @@ class CandidateList:
             self._matrix[index] = row
             if self._scales is not None:
                 self._scales[index] = self._owner.row_scale(row)
-            if self._summaries is not None:
-                self._summaries[index] = self._owner.row_summary(row)
 
     # -- pickling --------------------------------------------------------------
 
     def __getstate__(self):
-        """Checkpointable state: entries plus the built index columns.
+        """Checkpointable state: entries plus the built matrix columns.
 
-        The matrix, scale, and pruning-summary columns are trimmed to their
-        built rows (spare growth capacity is not worth shipping) and kept
-        **intact** through the round trip, so a restored bucket probes with
-        the same prefilter state it had — a session checkpoint must not
-        silently degrade to rebuild-on-first-probe.  The owner metric rides
-        along by reference; inside a session checkpoint every bucket's owner
-        is the session's one metric instance, which pickle memoization keeps
-        as a single shared object.
+        The matrix and scale columns are trimmed to their built rows (spare
+        growth capacity is not worth shipping) and kept **intact** through
+        the round trip, so a restored bucket probes without a
+        rebuild-on-first-probe.  The owner metric rides along by reference;
+        inside a session checkpoint every bucket's owner is the session's one
+        metric instance, which pickle memoization keeps as a single shared
+        object.
         """
         built = self._built
         # A zero-row matrix (possible after eviction trimmed every built row)
@@ -282,11 +248,6 @@ class CandidateList:
             "owner": self._owner,
             "matrix": self._matrix[:built].copy() if keep else None,
             "scales": self._scales[:built].copy() if keep and self._scales is not None else None,
-            "summaries": (
-                self._summaries[:built].copy()
-                if keep and self._summaries is not None
-                else None
-            ),
             "built": built if keep else 0,
         }
 
@@ -295,7 +256,6 @@ class CandidateList:
         self._owner = state["owner"]
         self._matrix = state["matrix"]
         self._scales = state["scales"]
-        self._summaries = state["summaries"]
         self._built = state["built"]
         self._views = None
 
@@ -327,27 +287,10 @@ class CandidateList:
         ``iter_avg`` mutations don't invalidate it; the views alias the
         refreshed buffer.
         """
-        views = self._views
-        if views is not None and metric is self._owner:
-            return views[0], views[1]
-        return self.matrix_scales_summaries(metric)[:2]
-
-    def matrix_scales_summaries(
-        self, metric
-    ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-        """Matrix, scale vector, and per-row pruning summaries for ``metric``.
-
-        The summary column (present when the metric declares a ``row_summary``
-        hook) carries one scalar bound per row — a norm or extremum of the row
-        — computed once at build time, exactly like the scale cache.  It feeds
-        the metric's ``prune_stats`` prefilter, which is what lets a probe
-        discard most of a deep bucket before the exact kernel runs.
-        """
         if metric is not self._owner:
             self._owner = metric
             self._matrix = None
             self._scales = None
-            self._summaries = None
             self._built = 0
             self._views = None
         elif self._views is not None:
@@ -355,38 +298,52 @@ class CandidateList:
         n = len(self._entries)
         while self._built < n:
             row = np.asarray(metric.candidate_vector(self._entries[self._built]), dtype=float)
-            matrix = self._matrix
-            if matrix is None:
-                capacity = self.MIN_CAPACITY
-                while capacity < n:
-                    capacity *= 2
-                matrix = self._matrix = np.zeros((capacity, row.size), dtype=float)
-                if metric.row_scale is not None:
-                    self._scales = np.zeros(capacity, dtype=float)
-                if metric.row_summary is not None:
-                    self._summaries = np.zeros(capacity, dtype=float)
-            elif self._built >= matrix.shape[0]:
-                grown = np.zeros((matrix.shape[0] * 2, matrix.shape[1]), dtype=float)
-                grown[: self._built] = matrix[: self._built]
-                matrix = self._matrix = grown
-                if self._scales is not None:
-                    scales = np.zeros(grown.shape[0], dtype=float)
-                    scales[: self._built] = self._scales[: self._built]
-                    self._scales = scales
-                if self._summaries is not None:
-                    summaries = np.zeros(grown.shape[0], dtype=float)
-                    summaries[: self._built] = self._summaries[: self._built]
-                    self._summaries = summaries
-            matrix[self._built] = row
-            if self._scales is not None:
-                self._scales[self._built] = metric.row_scale(row)
-            if self._summaries is not None:
-                self._summaries[self._built] = metric.row_summary(row)
-            self._built += 1
+            self._write_row(row, metric, n)
         if self._matrix is None:
             # No entries yet: an empty matrix with unknown width.
-            return np.zeros((0, 0), dtype=float), None, None
-        scales = self._scales[:n] if self._scales is not None else None
-        summaries = self._summaries[:n] if self._summaries is not None else None
-        self._views = (self._matrix[:n], scales, summaries)
+            return np.zeros((0, 0), dtype=float), None
+        self._views = (self._matrix[:n], self._scales[:n] if self._scales is not None else None)
         return self._views
+
+
+class InlineStore:
+    """The unbounded per-key candidate dictionary (the reducer's default store).
+
+    Also the storage layer of :class:`repro.pipeline.store.UnboundedStore`,
+    which subclasses it to add lookup counters — the unbounded semantics are
+    implemented exactly once.  Buckets are :class:`CandidateList`\\ s, so the
+    dense match kernel sees a contiguous row matrix per structural key; to
+    the per-candidate scan they still behave as ordered sequences.
+    """
+
+    __slots__ = ("_by_key", "_size")
+
+    def __init__(self) -> None:
+        self._by_key: dict[tuple, CandidateList] = {}
+        self._size = 0
+
+    def candidates(self, key: tuple) -> Sequence["StoredSegment"]:
+        return self._by_key.get(key, ())
+
+    def add(self, key: tuple, stored: "StoredSegment") -> None:
+        bucket = self._by_key.get(key)
+        if bucket is None:
+            bucket = self._by_key[key] = CandidateList()
+        bucket.append(stored)
+        self._size += 1
+
+    def add_built(self, key: tuple, stored: "StoredSegment", metric, row) -> None:
+        """Register a representative with its feature row already built.
+
+        Optional store hook (the columnar path discovers it via ``getattr``):
+        like :meth:`add`, but hands the bucket the probe vector that just
+        failed to match so it becomes the new matrix row without a rebuild.
+        """
+        bucket = self._by_key.get(key)
+        if bucket is None:
+            bucket = self._by_key[key] = CandidateList()
+        bucket.append_built(stored, metric, row)
+        self._size += 1
+
+    def __len__(self) -> int:
+        return self._size

@@ -20,57 +20,7 @@ from repro.trace.segments import Segment
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
     from repro.core.frames import RankFrame
 
-__all__ = [
-    "SimilarityMetric",
-    "DistanceMetric",
-    "PRUNE_REL",
-    "PRUNE_EPS",
-    "PRUNE_TINY",
-    "FIRST_BLOCK",
-    "BLOCK_GROWTH",
-    "PRUNE_MIN_ROWS",
-    "PRUNE_FALLBACK_DENOM",
-]
-
-# -- pruning soundness slack ---------------------------------------------------
-#
-# The prune prefilter compares float-computed norm bounds, so a mathematically
-# necessary condition could still reject a row the exact kernel would match if
-# rounding pushed the computed bound a few ulps past the limit.  Every
-# ``prune_stats`` therefore subtracts a conservative slack from its statistic
-# and ``prune_mask`` widens the limit multiplicatively; enlarging either only
-# keeps *more* rows, so correctness never depends on their exact values.
-
-#: Relative widening of the prune limit (covers rounding of ``t * base``).
-PRUNE_REL = 1.0 + 1e-9
-
-#: Relative slack on the norm difference, scaled by the norms' magnitudes
-#: (covers the ~n·eps accumulation error of a float norm reduction).
-PRUNE_EPS = 1e-10
-
-#: Absolute slack floor (covers subnormal underflow: squared sub-normal
-#: differences can flush to zero, making a computed distance 0 while the
-#: norms still differ by a tiny amount).
-PRUNE_TINY = 1e-140
-
-#: Blocked early-exit schedule: candidates are probed in insertion-order
-#: blocks of FIRST_BLOCK, FIRST_BLOCK*BLOCK_GROWTH, ... rows; the scan stops
-#: at the first block containing a match.  Buckets no deeper than FIRST_BLOCK
-#: bypass the machinery entirely with a single exact kernel call.
-FIRST_BLOCK = 64
-BLOCK_GROWTH = 4
-
-#: Minimum bucket depth before the summary prefilter engages.  Below this the
-#: exact kernel's row matrix is small enough that the prefilter's extra array
-#: operations cost more than the rows they would skip — the prefilter is an
-#: *asymptotic* optimisation whose win grows with store depth.
-PRUNE_MIN_ROWS = 512
-
-#: When the prefilter keeps more than 1/PRUNE_FALLBACK_DENOM of a bucket's
-#: rows (the store's summaries cluster tighter than the match limit), the
-#: survivor gather would cost more than it skips; the probe falls back to the
-#: blocked early-exit scan over the raw rows.
-PRUNE_FALLBACK_DENOM = 4
+__all__ = ["SimilarityMetric", "DistanceMetric"]
 
 
 class SimilarityMetric(ABC):
@@ -97,21 +47,13 @@ class SimilarityMetric(ABC):
         """
 
     def match_candidates(
-        self,
-        candidate: Segment,
-        candidates: Sequence[StoredSegment],
-        counters=None,
-        *,
-        prune: bool = True,
+        self, candidate: Segment, candidates: Sequence[StoredSegment]
     ) -> Optional[StoredSegment]:
         """Match against a candidate bucket, batched when the bucket allows it.
 
         The default simply delegates to :meth:`match` (the per-candidate
-        scan); :class:`DistanceMetric` overrides this to run its vectorized
-        kernels when handed a :class:`~repro.core.candidates.CandidateList`.
-        ``counters`` (a :class:`~repro.core.candidates.MatchCounters`) and
-        ``prune`` only affect the batched override; they are accepted here so
-        callers can pass them uniformly for any metric.
+        scan); :class:`DistanceMetric` overrides this to run its dense kernel
+        when handed a :class:`~repro.core.candidates.CandidateList`.
         """
         return self.match(candidate, candidates)
 
@@ -204,7 +146,7 @@ class DistanceMetric(SimilarityMetric):
     #: axis reductions and mask bookkeeping of the dense kernel, which is
     #: what keeps the batched probe ahead of the legacy scan even when every
     #: bucket holds one representative.  None (the default) means depth-one
-    #: buckets use the dense kernel like any other shallow bucket.
+    #: buckets use the dense kernel like any other bucket.
     match_one = None
 
     @abstractmethod
@@ -236,165 +178,30 @@ class DistanceMetric(SimilarityMetric):
           matrices equal the per-config results bit for bit.
         """
 
-    def match_batch(
-        self,
-        vector: np.ndarray,
-        matrix: np.ndarray,
-        row_scales: Optional[np.ndarray] = None,
-    ) -> Optional[int]:
-        """First row of ``matrix`` similar to ``vector``, or None.
+    def match_row(
+        self, vector: np.ndarray, candidates: CandidateList
+    ) -> Optional[StoredSegment]:
+        """The dense probe: one feature row against one bucket's row matrix.
 
-        The decision is :meth:`match_stats` compared against this metric's
-        own threshold; first-match semantics mirror the scan.
+        ``vector`` is the probe's :meth:`build_vector` row (a frame row on
+        the columnar path).  The decision is :meth:`match_stats` compared
+        against this metric's own threshold; the *first* matching
+        representative is returned, mirroring the scan.
         """
-        stat, base = self.match_stats(vector, matrix, row_scales)
+        matrix, scales = candidates.matrix_and_scales(self)
+        if matrix.shape[0] == 1 and self.match_one is not None:
+            # Depth-one bucket: scalar kernel on the cached row — 1-D ops
+            # beat a (1, n) axis reduction, and unlike the scan the stored
+            # vector never gets rebuilt.
+            return candidates[0] if self.match_one(vector, matrix[0]) else None
+        stat, base = self.match_stats(vector, matrix, scales)
         limits = self.threshold if base is None else self.threshold * base
-        return first_match_index(stat <= limits)
-
-    #: Optional hook: scalar pruning summary of one candidate row (a norm or
-    #: extremum), cached next to the row at matrix-build time and handed to
-    #: :meth:`prune_stats` as ``summaries``.  None (the default) disables the
-    #: pruning prefilter for the metric.
-    row_summary = None
-
-    #: Optional companion of :meth:`match_stats`: threshold-independent
-    #: ``(stat, base)`` of a *necessary* match condition computed from the
-    #: cached row summaries alone (O(rows), no matrix access).  A row can only
-    #: match at threshold ``t`` if ``stat[i] <= t * base[i]`` (``base is
-    #: None`` = unit base), so rows failing it are discarded before the exact
-    #: kernel runs — first match among survivors is provably the first match
-    #: overall.  Implementations must pre-subtract the float-soundness slack
-    #: ``(summaries + probe_summary) * PRUNE_EPS + PRUNE_TINY`` from ``stat``
-    #: so rounding can never prune a true match; the final comparison also
-    #: widens the limit by :data:`PRUNE_REL`.  None (the default) means no
-    #: prefilter.
-    prune_stats = None
-
-    def prune_mask(
-        self,
-        vector: np.ndarray,
-        summaries: np.ndarray,
-        row_scales: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Boolean survivor mask of the pruning prefilter (True = may match).
-
-        Vectorized necessary condition at this metric's own threshold; rows
-        masked False are *provably* non-matches, rows masked True still need
-        the exact kernel.
-        """
-        stat, base = self.prune_stats(vector, summaries, row_scales)
-        limit = self.threshold * PRUNE_REL
-        return stat <= (limit if base is None else limit * base)
-
-    def match_pruned(
-        self,
-        vector: np.ndarray,
-        matrix: np.ndarray,
-        row_scales: Optional[np.ndarray] = None,
-        summaries: Optional[np.ndarray] = None,
-        counters=None,
-    ) -> Optional[int]:
-        """First matching row via the pruned, blocked early-exit probe.
-
-        Byte-identical to :meth:`match_batch` (the prefilter is a necessary
-        condition and blocks are scanned in insertion order), but the exact
-        kernel only sees prefilter survivors, evaluated in geometric
-        insertion-order blocks with early exit on the first matching block.
-        Buckets no deeper than :data:`FIRST_BLOCK` take a single lean exact
-        call; the prefilter only engages on buckets of at least
-        :data:`PRUNE_MIN_ROWS` rows (below that, the exact kernel is cheaper
-        than the filter) and falls back to the raw blocked scan when it keeps
-        more than ``1/PRUNE_FALLBACK_DENOM`` of the rows.  ``counters`` (a
-        :class:`~repro.core.candidates.MatchCounters`) accumulates
-        ``rows_pruned``/``blocks_evaluated`` when given.
-        """
-        n = matrix.shape[0]
-        if n <= FIRST_BLOCK:
-            if counters is not None and n:
-                counters.blocks_evaluated += 1
-            return self.match_batch(vector, matrix, row_scales)
-        threshold = self.threshold
-        survivors = None
-        pruned = 0
-        if (
-            n >= PRUNE_MIN_ROWS
-            and summaries is not None
-            and self.prune_stats is not None
-        ):
-            # Prefilter once over the cached summary column (O(rows) scalar
-            # work, no matrix access).  When it bites, the exact kernel scans
-            # only the gathered survivor rows; when the store's summaries
-            # cluster tighter than the match limit, the gather would cost
-            # more than it skips, so the probe keeps the raw blocked scan.
-            keep = self.prune_mask(vector, summaries, row_scales)
-            kept = np.flatnonzero(keep)
-            if kept.size * PRUNE_FALLBACK_DENOM <= n:
-                survivors = kept
-                pruned = n - kept.size
-        # Blocked early-exit scan, over survivor rows when the prefilter
-        # engaged and over the raw rows otherwise.  First-match semantics
-        # hold either way: blocks follow insertion order, and pruned rows
-        # provably cannot match.
-        found = None
-        blocks = 0
-        start = 0
-        block = FIRST_BLOCK
-        total = n if survivors is None else survivors.size
-        while start < total:
-            stop = min(total, start + block)
-            blocks += 1
-            if survivors is None:
-                chunk = None
-                rows = matrix[start:stop]
-                scales = row_scales[start:stop] if row_scales is not None else None
-            else:
-                chunk = survivors[start:stop]
-                rows = matrix[chunk]
-                scales = row_scales[chunk] if row_scales is not None else None
-            stat, base = self.match_stats(vector, rows, scales)
-            limits = threshold if base is None else threshold * base
-            index = first_match_index(stat <= limits)
-            if index is not None:
-                found = start + index if chunk is None else int(chunk[index])
-                break
-            start = stop
-            block *= BLOCK_GROWTH
-        if counters is not None:
-            counters.blocks_evaluated += blocks
-            counters.rows_pruned += pruned
-        return found
+        index = first_match_index(stat <= limits)
+        return None if index is None else candidates[index]
 
     def match_candidates(
-        self,
-        candidate: Segment,
-        candidates: Sequence[StoredSegment],
-        counters=None,
-        *,
-        prune: bool = True,
+        self, candidate: Segment, candidates: Sequence[StoredSegment]
     ) -> Optional[StoredSegment]:
         if isinstance(candidates, CandidateList):
-            vector = self.build_vector(candidate)
-            if prune and len(candidates) > FIRST_BLOCK:
-                matrix, scales, summaries = candidates.matrix_scales_summaries(self)
-                index = self.match_pruned(vector, matrix, scales, summaries, counters)
-                return candidates[index] if index is not None else None
-            # Shallow buckets (the overwhelmingly common case at the paper's
-            # default thresholds) take the dense kernel inline — no summary
-            # lookups, no blocking, no extra call frames — so pruning costs
-            # them nothing and the batched probe stays ahead of the scan even
-            # at depth one.
-            matrix, scales = candidates.matrix_and_scales(self)
-            if matrix.shape[0] == 1 and self.match_one is not None:
-                # Depth-one bucket: scalar kernel on the cached row — 1-D ops
-                # beat a (1, n) axis reduction, and unlike the scan the stored
-                # vector never gets rebuilt.
-                entry = candidates[0]
-                return entry if self.match_one(vector, matrix[0]) else None
-            stat, base = self.match_stats(vector, matrix, scales)
-            mask = stat <= (self.threshold if base is None else self.threshold * base)
-            if mask.size:
-                index = mask.argmax()
-                if mask[index]:
-                    return candidates[int(index)]
-            return None
+            return self.match_row(self.build_vector(candidate), candidates)
         return self.match(candidate, candidates)

@@ -10,15 +10,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.metrics.base import PRUNE_EPS, PRUNE_TINY, DistanceMetric
+from repro.core.metrics.base import DistanceMetric
 from repro.trace.segments import Segment
 
 __all__ = ["RelDiff", "AbsDiff", "relative_differences"]
-
-
-def _max_magnitude(vector: np.ndarray) -> float:
-    """Pruning summary of one pairwise row: its largest magnitude."""
-    return float(np.abs(vector).max(initial=0.0))
 
 
 def relative_differences(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -78,24 +73,6 @@ class RelDiff(DistanceMetric):
         rel = relative_differences(matrix, vector)
         return rel.max(axis=1, initial=0.0), None
 
-    def row_summary(self, vector: np.ndarray) -> float:
-        return _max_magnitude(vector)
-
-    def prune_stats(
-        self,
-        vector: np.ndarray,
-        summaries: np.ndarray,
-        row_scales: Optional[np.ndarray] = None,
-    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        # Necessary condition from the extrema alone.  With Mx = max|x|,
-        # Mr = max|r| and (wlog) Mx >= Mr, at k* = argmax|x_k|:
-        # Mx - Mr <= |x_k*| - |r_k*| <= |x_k* - r_k*| <= t*max(|x_k*|,|r_k*|)
-        # <= t*max(Mx, Mr); so a match requires |Mx - Mr| <= t*max(Mx, Mr).
-        probe = _max_magnitude(vector)
-        stat = np.abs(summaries - probe)
-        stat -= (summaries + probe) * PRUNE_EPS + PRUNE_TINY
-        return stat, np.maximum(summaries, probe)
-
 
 class AbsDiff(DistanceMetric):
     """Absolute difference of every paired measurement against a threshold.
@@ -132,19 +109,3 @@ class AbsDiff(DistanceMetric):
         # the row within threshold"; values are finite, so max() and all()
         # decide identically.
         return np.abs(matrix - vector).max(axis=1, initial=0.0), None
-
-    def row_summary(self, vector: np.ndarray) -> float:
-        return _max_magnitude(vector)
-
-    def prune_stats(
-        self,
-        vector: np.ndarray,
-        summaries: np.ndarray,
-        row_scales: Optional[np.ndarray] = None,
-    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        # Same extremum argument with a unit base: every |x_k - r_k| <= t
-        # forces |max|x| - max|r|| <= t.
-        probe = _max_magnitude(vector)
-        stat = np.abs(summaries - probe)
-        stat -= (summaries + probe) * PRUNE_EPS + PRUNE_TINY
-        return stat, None

@@ -15,7 +15,7 @@ from typing import Hashable, Optional
 
 import numpy as np
 
-from repro.core.metrics.base import PRUNE_EPS, PRUNE_TINY, DistanceMetric
+from repro.core.metrics.base import DistanceMetric
 from repro.core.metrics.vectors import minkowski_vector
 from repro.trace.segments import Segment
 
@@ -105,31 +105,6 @@ class MinkowskiMetric(DistanceMetric):
         if row_scales is None:
             row_scales = np.abs(matrix).max(axis=1, initial=0.0)
         return distances, np.maximum(row_scales, np.abs(vector).max(initial=0.0))
-
-    def row_summary(self, vector: np.ndarray) -> float:
-        """Pruning summary of one candidate row: its own p-norm (cached)."""
-        if math.isinf(self.order):
-            return float(np.abs(vector).max(initial=0.0))
-        return float(np.power(np.power(np.abs(vector), self.order).sum(), 1.0 / self.order))
-
-    def prune_stats(
-        self,
-        vector: np.ndarray,
-        summaries: np.ndarray,
-        row_scales: Optional[np.ndarray] = None,
-    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        # Triangle inequality of the p-norm (valid for order >= 1, incl. inf):
-        # |‖x‖_p - ‖r‖_p| <= d_p(x, r), and the match limit's base
-        # max(row_scale, max|x|) is prune-side computable, so a row can only
-        # match if the norm gap already fits under the limit.
-        if self.order < 1.0:  # quasi-norms break the triangle inequality
-            return np.full(summaries.shape, -np.inf), None
-        probe = self.row_summary(vector)
-        stat = np.abs(summaries - probe)
-        stat -= (summaries + probe) * PRUNE_EPS + PRUNE_TINY
-        if row_scales is None:
-            raise ValueError("Minkowski pruning requires the cached row scales")
-        return stat, np.maximum(row_scales, np.abs(vector).max(initial=0.0))
 
 
 class Manhattan(MinkowskiMetric):

@@ -21,7 +21,7 @@ from typing import Hashable, Optional
 
 import numpy as np
 
-from repro.core.metrics.base import PRUNE_EPS, PRUNE_TINY, DistanceMetric
+from repro.core.metrics.base import DistanceMetric
 from repro.core.metrics.vectors import next_power_of_two, wavelet_vector
 from repro.trace.segments import Segment
 
@@ -155,26 +155,6 @@ class WaveletMetric(DistanceMetric):
         if row_scales is None:
             row_scales = np.abs(matrix).max(axis=1, initial=0.0)
         return distances, np.maximum(row_scales, np.abs(vector).max(initial=0.0))
-
-    def row_summary(self, vector: np.ndarray) -> float:
-        """Pruning summary of one transformed row: its Euclidean norm (cached)."""
-        return float(np.sqrt(np.square(vector).sum()))
-
-    def prune_stats(
-        self,
-        vector: np.ndarray,
-        summaries: np.ndarray,
-        row_scales: Optional[np.ndarray] = None,
-    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        # Rows hold transformed coefficients and the match distance is their
-        # Euclidean distance, so the 2-norm triangle inequality applies
-        # directly: |‖x‖₂ - ‖r‖₂| <= d₂(x, r) <= t * max(row_scale, max|x|).
-        probe = self.row_summary(vector)
-        stat = np.abs(summaries - probe)
-        stat -= (summaries + probe) * PRUNE_EPS + PRUNE_TINY
-        if row_scales is None:
-            raise ValueError("wavelet pruning requires the cached row scales")
-        return stat, np.maximum(row_scales, np.abs(vector).max(initial=0.0))
 
 
 class AvgWave(WaveletMetric):

@@ -8,24 +8,31 @@ decides whether the measurements match; on a match only the ``(segment id,
 start time)`` execution entry is recorded, otherwise the segment itself is
 stored as a new representative.
 
-The reducer consumes segments one at a time from any iterable, so it composes
-with the streaming readers in :mod:`repro.pipeline.stream` without the whole
-trace being materialized.  The candidate-list bookkeeping can be delegated to
-a pluggable representative store (see :mod:`repro.pipeline.store`) — anything
-with ``candidates(key)`` / ``add(key, stored)`` — which is how the pipeline
-bounds reducer memory; with no store the historical inline dictionary is used.
+That step is written twice, on purpose.  :class:`ReductionState` is the
+columnar core: one (rank, config) reduction stepped over
+:class:`~repro.core.frames.RankFrame` rows, materializing a segment only when
+it becomes a representative — :meth:`TraceReducer.reduce_frame`, the online
+session and the sweep engine all step it.  :meth:`TraceReducer.reduce_segments`
+is the segment-at-a-time reference that the equivalence suites, the fuzz
+oracles and the benchmark's output check compare the core against; it shares
+no loop with it.
+
+The candidate-list bookkeeping is delegated to a pluggable representative
+store (see :mod:`repro.pipeline.store`) — anything with ``candidates(key)`` /
+``add(key, stored)`` — which is how the pipeline bounds reducer memory; with
+no store an unbounded :class:`~repro.core.candidates.InlineStore` is used.
 """
 
 from __future__ import annotations
 
-import time
+from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.core.candidates import CandidateList, MatchCounters
-from repro.core.metrics.base import FIRST_BLOCK, DistanceMetric, SimilarityMetric
+from repro.core.candidates import InlineStore, MatchCounters
+from repro.core.metrics.base import DistanceMetric, SimilarityMetric
 from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
 from repro.trace.segments import Segment
 from repro.trace.trace import SegmentedRankTrace, SegmentedTrace
@@ -33,7 +40,7 @@ from repro.trace.trace import SegmentedRankTrace, SegmentedTrace
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.frames import RankFrame
 
-__all__ = ["TraceReducer", "reduce_trace", "SegmentStore"]
+__all__ = ["TraceReducer", "ReductionState", "reduce_trace", "SegmentStore"]
 
 
 class SegmentStore(Protocol):
@@ -44,48 +51,141 @@ class SegmentStore(Protocol):
     def add(self, key: tuple, stored: StoredSegment) -> None: ...
 
 
-class _InlineStore:
-    """The reducer's historical unbounded candidate dictionary.
+class ReductionState:
+    """One (rank, config) reduction in progress: the columnar match-or-store step.
 
-    Also the storage layer of :class:`repro.pipeline.store.UnboundedStore`,
-    which subclasses it to add lookup counters — the unbounded semantics are
-    implemented exactly once.  Buckets are
-    :class:`~repro.core.candidates.CandidateList`\\ s, so the batched match
-    kernels see a contiguous row matrix per structural key; to the legacy
-    scan they still behave as ordered sequences.
+    The state owns what one config keeps per rank — the metric, the
+    representative store and the continuing :class:`ReducedRankTrace` — and
+    is stepped one frame row at a time: look the row's key up
+    (:attr:`lookup`), :meth:`match` a non-empty bucket, :meth:`record` the
+    outcome.  :meth:`TraceReducer.reduce_frame` steps one state over a frame
+    (the online session continues the same store and output across frames);
+    the sweep engine steps one state per config over one shared frame.
+
+    The probe is chosen once, at construction: a distance metric over a
+    matrix-backed store (one with the ``add_built`` hook) is probed with the
+    frame's pre-built feature rows (:attr:`dense`), so only representatives
+    ever materialize; any other pairing is probed with the materialized
+    segment itself.
     """
 
-    __slots__ = ("_by_key", "_size")
+    __slots__ = (
+        "metric",
+        "reduced",
+        "store",
+        "lookup",
+        "counters",
+        "dense",
+        "_next_id",
+        "_probe",
+        "_add_built",
+        "_vector_key",
+        "_mutates",
+        "_default_on_match",
+    )
 
-    def __init__(self) -> None:
-        self._by_key: dict[tuple, CandidateList] = {}
-        self._size = 0
+    def __init__(
+        self,
+        metric: SimilarityMetric,
+        reduced: ReducedRankTrace,
+        store: SegmentStore,
+        counters: Optional[MatchCounters] = None,
+    ) -> None:
+        self.metric = metric
+        self.reduced = reduced
+        self.store = store
+        self.lookup = store.candidates  # prebound: hottest call in the loop
+        self.counters = counters
+        self._next_id = len(reduced.stored)
+        self._add_built = getattr(store, "add_built", None)
+        self.dense = isinstance(metric, DistanceMetric) and self._add_built is not None
+        self._probe = metric.match_row if self.dense else metric.match_candidates
+        self._vector_key = metric.vector_key() if self.dense else None
+        self._mutates = metric.mutates_stored
+        # When on_match is the base-class default (count the match) it runs
+        # inline, so matches never force a Segment materialization.
+        self._default_on_match = type(metric).on_match is SimilarityMetric.on_match
 
-    def candidates(self, key: tuple) -> Sequence[StoredSegment]:
-        return self._by_key.get(key, ())
+    def match(self, probe, candidates) -> Optional[StoredSegment]:
+        """First representative of a non-empty bucket that ``probe`` matches.
 
-    def add(self, key: tuple, stored: StoredSegment) -> None:
-        bucket = self._by_key.get(key)
-        if bucket is None:
-            bucket = self._by_key[key] = CandidateList()
-        bucket.append(stored)
-        self._size += 1
-
-    def add_built(self, key: tuple, stored: StoredSegment, metric, row) -> None:
-        """Register a representative with its feature row already built.
-
-        Optional store hook (the columnar path discovers it via ``getattr``):
-        like :meth:`add`, but hands the bucket the probe vector that just
-        failed to match so it becomes the new matrix row without a rebuild.
+        ``probe`` is a frame feature row when the state is :attr:`dense`,
+        else the materialized normalised segment.  With :attr:`counters` the
+        call is timed and counted.
         """
-        bucket = self._by_key.get(key)
-        if bucket is None:
-            bucket = self._by_key[key] = CandidateList()
-        bucket.append_built(stored, metric, row)
-        self._size += 1
+        counters = self.counters
+        if counters is None:
+            return self._probe(probe, candidates)
+        started = perf_counter()
+        chosen = self._probe(probe, candidates)
+        counters.seconds += perf_counter() - started
+        counters.calls += 1
+        counters.rows_compared += len(candidates)
+        return chosen
 
-    def __len__(self) -> int:
-        return self._size
+    def record(
+        self,
+        key,
+        start: float,
+        candidates,
+        chosen: Optional[StoredSegment],
+        vector: Optional[np.ndarray],
+        frame: "RankFrame",
+        index: int,
+        rel: list,
+    ) -> None:
+        """Book one frame row: a match against ``chosen``, or a new representative.
+
+        On a match, record the execution and update the chosen representative
+        (refreshing its cached rows if the metric mutates it).  Otherwise
+        store the row as a new representative; a dense probe ``vector`` seeds
+        its vector cache with a private copy (a frame row is a view that
+        would pin the whole group matrix) and is handed to the bucket so the
+        row is never recomputed.
+
+        ``rel`` is the caller's one-element cache of the row's materialized
+        normalised segment, shared by every state stepped over the row; it is
+        only filled when some state actually needs the object.
+        """
+        reduced = self.reduced
+        if chosen is not None or candidates:
+            reduced.n_possible_matches += 1
+        if chosen is not None:
+            reduced.n_matches += 1
+            reduced.execs.append((chosen.segment_id, start))
+            reduced.exec_matched.append(True)
+            if self._default_on_match:
+                chosen.count += 1
+            else:
+                relative = rel[0]
+                if relative is None:
+                    relative = rel[0] = frame.segment(index)
+                self.metric.on_match(relative, chosen)
+            if self._mutates:
+                refresh = getattr(candidates, "refresh", None)
+                if refresh is not None:
+                    refresh(chosen)
+            return
+        if self._mutates:
+            # The metric will rewrite the stored timestamps in place
+            # (iter_avg's running mean), so the representative must not be
+            # the materialized segment other states share through ``rel``.
+            to_store = frame.segment(index)
+        else:
+            to_store = rel[0]
+            if to_store is None:
+                to_store = rel[0] = frame.segment(index)
+        stored = StoredSegment(segment_id=self._next_id, segment=to_store)
+        self._next_id += 1
+        if vector is not None and not self._mutates:
+            row = np.array(vector)
+            stored.cached_vector(self._vector_key, lambda _s, _row=row: _row)
+            self._add_built(key, stored, self.metric, row)
+        else:
+            self.store.add(key, stored)
+        reduced.stored.append(stored)
+        reduced.execs.append((stored.segment_id, start))
+        reduced.exec_matched.append(False)
 
 
 class TraceReducer:
@@ -94,25 +194,23 @@ class TraceReducer:
     A reducer instance is stateless between calls; it can be reused across
     ranks and traces.
 
-    ``batch=True`` (the default) routes candidate matching through the
-    metric's vectorized kernels whenever the store's buckets carry a row
-    matrix; ``batch=False`` forces the legacy per-candidate scan.  On the
-    batched path ``prune=True`` (the default) additionally runs the blocked
-    early-exit probe with the metric's norm-bound prefilter, so the exact
-    kernel only sees prefilter survivors; ``prune=False`` keeps the dense
-    one-shot ``match_batch`` kernel.  All three produce byte-identical
-    reduced traces — the flags exist so the scan and the dense kernel can
-    serve as benchmark baselines and equivalence oracles.
+    :meth:`reduce_frame` is the production path (columnar, lazily
+    materializing, stepping a :class:`ReductionState`).
+    :meth:`reduce_segments` is the segment-at-a-time reference that the
+    equivalence suites, the fuzz oracles and the benchmark's output check
+    hold the production path to; it deliberately shares no loop with it.
+    ``batch`` only selects the reference's matcher: True (the default) runs
+    the metric's dense kernel over each bucket's row matrix, False the
+    paper's per-candidate ``metric.match`` scan — the ground truth.
     """
 
-    def __init__(self, metric: SimilarityMetric, *, batch: bool = True, prune: bool = True):
+    def __init__(self, metric: SimilarityMetric, *, batch: bool = True):
         if not isinstance(metric, SimilarityMetric):
             raise TypeError(
                 f"metric must be a SimilarityMetric, got {type(metric).__name__}"
             )
         self.metric = metric
         self.batch = bool(batch)
-        self.prune = bool(prune)
 
     # -- per-rank reduction ---------------------------------------------------
 
@@ -144,19 +242,15 @@ class TraceReducer:
         id sequence) instead of starting a fresh one.  Passing the same
         ``store`` and ``into`` across successive calls reduces a trace that
         arrives in pieces byte-identically to one batch call over the
-        concatenated stream — the contract the online reduction service
-        (:mod:`repro.service`) is built on.
+        concatenated stream.
         """
         reduced = ReducedRankTrace(rank=rank) if into is None else into
         if store is None:
-            store = _InlineStore()
+            store = InlineStore()
         next_id = len(reduced.stored)
         metric = self.metric
-        batched = self.batch
-        prune = self.prune
-        matcher = metric.match_candidates if batched else metric.match
+        matcher = metric.match_candidates if self.batch else metric.match
         mutates = metric.mutates_stored
-        perf_counter = time.perf_counter
 
         for segment in segments:
             reduced.n_segments += 1
@@ -167,16 +261,10 @@ class TraceReducer:
             if candidates:
                 reduced.n_possible_matches += 1
                 if match_counters is None:
-                    if batched:
-                        chosen = matcher(relative, candidates, prune=prune)
-                    else:
-                        chosen = matcher(relative, candidates)
+                    chosen = matcher(relative, candidates)
                 else:
                     started = perf_counter()
-                    if batched:
-                        chosen = matcher(relative, candidates, match_counters, prune=prune)
-                    else:
-                        chosen = matcher(relative, candidates)
+                    chosen = matcher(relative, candidates)
                     match_counters.seconds += perf_counter() - started
                     match_counters.calls += 1
                     match_counters.rows_compared += len(candidates)
@@ -213,180 +301,38 @@ class TraceReducer:
         Structural keys and feature vectors come straight from the frame's
         bulk passes; :class:`~repro.trace.segments.Segment` objects are only
         materialized for stored representatives (and for metrics the bulk
-        path cannot serve).  Byte-identical to :meth:`reduce_segments` over
-        the frame's decoded segments — the latter remains the oracle.
+        path cannot serve, which inspect the segment object itself).
+        Byte-identical to :meth:`reduce_segments` over the frame's decoded
+        segments.
 
-        ``into`` continues an existing :class:`ReducedRankTrace` (see
-        :meth:`reduce_segments`): the incremental form the online reduction
-        service uses to feed appended chunks through the columnar path.
+        ``into`` continues an existing :class:`ReducedRankTrace` with the
+        same ``store``: the incremental form the online reduction service
+        (:mod:`repro.service`) uses to feed appended chunks through this
+        path, byte-identically to one call over the concatenated frames.
         """
         reduced = ReducedRankTrace(rank=frame.rank) if into is None else into
         reduced.n_segments += frame.n_segments
-        if store is None:
-            store = _InlineStore()
-        if self.batch and isinstance(self.metric, DistanceMetric):
-            self._reduce_frame_vectorized(frame, reduced, store, match_counters)
-        else:
-            self._reduce_frame_scan(frame, reduced, store, match_counters)
-        return reduced
-
-    def _reduce_frame_vectorized(
-        self,
-        frame: "RankFrame",
-        reduced: ReducedRankTrace,
-        store: SegmentStore,
-        match_counters: Optional[MatchCounters],
-    ) -> None:
-        """Distance metrics: probe with pre-built vectors, materialize on store."""
-        metric = self.metric
+        state = ReductionState(
+            self.metric, reduced, InlineStore() if store is None else store, match_counters
+        )
         keys = frame.structural_keys()
-        vectors = metric.frame_vectors(frame)
         starts = frame.starts_list()
-        mutates = metric.mutates_stored
-        # When on_match is the base-class default (count the match) it runs
-        # inline, so matches never force a Segment materialization.
-        default_on_match = type(metric).on_match is SimilarityMetric.on_match
-        vector_key = metric.vector_key()
-        add_built = getattr(store, "add_built", None)
-        perf_counter = time.perf_counter
-        prune = self.prune
-        next_id = len(reduced.stored)
+        vectors = self.metric.frame_vectors(frame) if state.dense else None
+        lookup, match, record = state.lookup, state.match, state.record
 
+        rel: list = [None]  # the row's materialized segment, reset per row
+        vector = None  # the row's feature vector, when that is the probe
         for i in range(frame.n_segments):
+            if vectors is None:
+                probe = rel[0] = frame.segment(i)
+            else:
+                probe = vector = vectors[i]
+                rel[0] = None
             key = keys[i]
-            vector = vectors[i]
-            candidates = store.candidates(key)
-            chosen = None
-            if candidates:
-                reduced.n_possible_matches += 1
-                if match_counters is None:
-                    chosen = self._match_frame_row(
-                        metric, frame, i, vector, candidates, None, prune
-                    )
-                else:
-                    started = perf_counter()
-                    chosen = self._match_frame_row(
-                        metric, frame, i, vector, candidates, match_counters, prune
-                    )
-                    match_counters.seconds += perf_counter() - started
-                    match_counters.calls += 1
-                    match_counters.rows_compared += len(candidates)
-            if chosen is not None:
-                reduced.n_matches += 1
-                reduced.execs.append((chosen.segment_id, starts[i]))
-                reduced.exec_matched.append(True)
-                if default_on_match:
-                    chosen.count += 1
-                else:
-                    metric.on_match(frame.segment(i), chosen)
-                if mutates:
-                    refresh = getattr(candidates, "refresh", None)
-                    if refresh is not None:
-                        refresh(chosen)
-            else:
-                stored_segment = StoredSegment(segment_id=next_id, segment=frame.segment(i))
-                next_id += 1
-                if not mutates:
-                    # Seed the vector cache with a private copy (a frame row
-                    # is a view that would pin the whole group matrix) and
-                    # hand the row to the bucket so it is never recomputed.
-                    row = np.array(vector)
-                    stored_segment.cached_vector(vector_key, lambda _s, _row=row: _row)
-                    if add_built is not None:
-                        add_built(key, stored_segment, metric, row)
-                    else:
-                        store.add(key, stored_segment)
-                else:
-                    store.add(key, stored_segment)
-                reduced.stored.append(stored_segment)
-                reduced.execs.append((stored_segment.segment_id, starts[i]))
-                reduced.exec_matched.append(False)
-
-    @staticmethod
-    def _match_frame_row(metric, frame, i, vector, candidates, counters=None, prune=True):
-        """Batched probe of one frame row against a candidate bucket."""
-        if isinstance(candidates, CandidateList):
-            if prune and len(candidates) > FIRST_BLOCK:
-                matrix, scales, summaries = candidates.matrix_scales_summaries(metric)
-                index = metric.match_pruned(vector, matrix, scales, summaries, counters)
-                return candidates[index] if index is not None else None
-            # Shallow buckets bypass the pruning machinery entirely (see
-            # DistanceMetric.match_candidates): the dense kernel, inline.
-            matrix, scales = candidates.matrix_and_scales(metric)
-            if matrix.shape[0] == 1 and metric.match_one is not None:
-                # Depth-one fast path (see DistanceMetric.match_candidates).
-                entry = candidates[0]
-                return entry if metric.match_one(vector, matrix[0]) else None
-            stat, base = metric.match_stats(vector, matrix, scales)
-            mask = stat <= (metric.threshold if base is None else metric.threshold * base)
-            if mask.size:
-                index = mask.argmax()
-                if mask[index]:
-                    return candidates[int(index)]
-            return None
-        # A custom store without CandidateList buckets: scan semantics need
-        # the segment itself.
-        return metric.match_candidates(frame.segment(i), candidates)
-
-    def _reduce_frame_scan(
-        self,
-        frame: "RankFrame",
-        reduced: ReducedRankTrace,
-        store: SegmentStore,
-        match_counters: Optional[MatchCounters],
-    ) -> None:
-        """Scan metrics (iteration methods): materialize each segment.
-
-        These metrics inspect the segment object itself, so the frame only
-        contributes the interned structural keys; the per-segment work is
-        exactly what :meth:`reduce_segments` did.
-        """
-        metric = self.metric
-        batched = self.batch
-        prune = self.prune
-        matcher = metric.match_candidates if batched else metric.match
-        mutates = metric.mutates_stored
-        keys = frame.structural_keys()
-        starts = frame.starts_list()
-        perf_counter = time.perf_counter
-        next_id = len(reduced.stored)
-
-        for i in range(frame.n_segments):
-            relative = frame.segment(i)
-            candidates = store.candidates(keys[i])
-            chosen = None
-            if candidates:
-                reduced.n_possible_matches += 1
-                if match_counters is None:
-                    if batched:
-                        chosen = matcher(relative, candidates, prune=prune)
-                    else:
-                        chosen = matcher(relative, candidates)
-                else:
-                    started = perf_counter()
-                    if batched:
-                        chosen = matcher(relative, candidates, match_counters, prune=prune)
-                    else:
-                        chosen = matcher(relative, candidates)
-                    match_counters.seconds += perf_counter() - started
-                    match_counters.calls += 1
-                    match_counters.rows_compared += len(candidates)
-            if chosen is not None:
-                reduced.n_matches += 1
-                reduced.execs.append((chosen.segment_id, starts[i]))
-                reduced.exec_matched.append(True)
-                metric.on_match(relative, chosen)
-                if mutates:
-                    refresh = getattr(candidates, "refresh", None)
-                    if refresh is not None:
-                        refresh(chosen)
-            else:
-                stored_segment = StoredSegment(segment_id=next_id, segment=relative)
-                next_id += 1
-                store.add(keys[i], stored_segment)
-                reduced.stored.append(stored_segment)
-                reduced.execs.append((stored_segment.segment_id, starts[i]))
-                reduced.exec_matched.append(False)
+            candidates = lookup(key)
+            chosen = match(probe, candidates) if candidates else None
+            record(key, starts[i], candidates, chosen, vector, frame, i, rel)
+        return reduced
 
     # -- whole-trace reduction --------------------------------------------------
 

@@ -9,12 +9,13 @@ nobody would hand-write.  Three layers:
   patterns (stencil halos, master/worker fan-out, bursty imbalance, phase
   changes mid-run, ragged rank counts) plus adversarial families engineered
   to sit exactly at metric thresholds (probes within one ulp of the match
-  boundary), to churn bounded-store LRU eviction, to stress the pruning
-  index (near-identical norms, permuted vectors, zero vectors), and to hit
-  the malformed-rank fallback in :mod:`repro.trace.binio`.
+  boundary), to churn bounded-store LRU eviction, to stress the dense
+  kernel on deep buckets (near-identical norms, permuted vectors, zero
+  vectors), and to hit the malformed-rank fallback in
+  :mod:`repro.trace.binio`.
 * **Executor + oracles** (:mod:`repro.fuzz.executor`,
   :mod:`repro.fuzz.oracles`): every generated case runs through each
-  configured pathway pair — serial scan vs dense vs pruned matching, the
+  configured pathway pair — scalar scan vs dense-kernel matching, the
   columnar frame path, inline vs sharded pipeline, sweep grid vs per-config
   loop, batch vs incremental session with a mid-stream checkpoint/restore,
   text and ``.rpb`` round trips — and the outputs are cross-checked

@@ -20,10 +20,10 @@ Two kinds of families exist:
   within one ulp on either side of the metric's match boundary,
   ``lru_churn`` cycles more structural keys than a bounded store can hold,
   ``prune_stress`` builds a deep single-structure bucket with permuted
-  (norm-identical) vectors and zero vectors to exercise the pruning index
-  and its prefilter, and ``malformed`` emits record streams that violate
-  segmentation rules to hit the malformed-rank fallback in
-  :mod:`repro.trace.binio`.
+  (norm-identical) vectors and zero vectors to stress the dense kernel's
+  row-wise norms and first-match order, and ``malformed`` emits record
+  streams that violate segmentation rules to hit the malformed-rank fallback
+  in :mod:`repro.trace.binio`.
 
 Timestamps in *text-safe* families are multiples of 0.25 µs so the lossy
 ``"%.2f"`` text format round-trips them exactly; the ulp-precision families
@@ -529,14 +529,16 @@ def _params_lru_churn(rng: np.random.Generator) -> dict:
 
 
 def _gen_prune_stress(spec: CaseSpec) -> Trace:
-    """A deep single-structure bucket built to stress the pruning index.
+    """A deep single-structure bucket built to stress the dense kernel.
+
+    (The name is historical; case ids hash it, so it stays.)
 
     * ``depth`` distinct-timing segments of one structure grow the candidate
-      bucket past the blocked-probe and (for depth > 512) prefilter cutoffs.
-    * Permuted-duration probes have *identical* norms to a stored row — the
-      norm prefilter must keep them, the exact kernel must reject them.
+      bucket to 70–120 rows, or 560 for one draw in five.
+    * Permuted-duration probes have *identical* norms to a stored row —
+      the kernel must tell them apart row by row.
     * Zero-vector segments (no events, zero duration) and tiny-duration
-      segments push the scale-free corners of the prune bounds.
+      segments push the scale-free corners of the match limits.
     """
     p = spec.params
     depth = int(p["depth"])
@@ -565,7 +567,7 @@ def _gen_prune_stress(spec: CaseSpec) -> Trace:
 
 
 def _params_prune_stress(rng: np.random.Generator) -> dict:
-    # Deep cases engage the >512-row prefilter; shallow ones the blocked probe.
+    # One draw in five is far deeper than any paper workload's bucket.
     depth = 560 if rng.random() < 0.2 else int(rng.integers(70, 120))
     return {
         "depth": depth,

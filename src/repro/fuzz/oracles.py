@@ -1,9 +1,9 @@
 """Cross-pathway oracles: every generated case through every pathway pair.
 
-The repository keeps many implementations of the same reduction semantics —
-the scalar scan, the dense batch kernel, the pruned kernel, the columnar
-frame path, the pipeline executors, the sweep engine, the incremental
-session — all documented as byte-identical.  Each oracle here runs one
+The repository keeps several pathways through the same reduction semantics —
+the scalar scan, the dense batch kernel, the columnar frame path, the
+pipeline executors, the sweep engine, the incremental session — all
+documented as byte-identical.  Each oracle here runs one
 alternative pathway over a generated case and compares its
 :func:`~repro.trace.io.serialize_reduced_trace` bytes against the ground
 truth: a serial scalar-scan :class:`~repro.core.reducer.TraceReducer`.
@@ -127,9 +127,9 @@ class CaseContext:
             self._segmented = self.trace.segmented()
         return self._segmented
 
-    def reduce_serial(self, *, batch: bool, prune: bool, method=None, threshold=Ellipsis) -> ReducedTrace:
-        """One serial reduction over in-memory segment streams."""
-        reducer = TraceReducer(self.metric(method, threshold), batch=batch, prune=prune)
+    def reduce_serial(self, *, batch: bool, method=None, threshold=Ellipsis) -> ReducedTrace:
+        """One serial segment-at-a-time reduction over in-memory segment streams."""
+        reducer = TraceReducer(self.metric(method, threshold), batch=batch)
         segmented = self.segmented
         return reducer.reduce_streams(
             segmented.name,
@@ -141,7 +141,7 @@ class CaseContext:
     def baseline(self) -> ReducedTrace:
         """Ground truth: the scalar scan, segment-at-a-time, serial."""
         if self._baseline is None:
-            self._baseline = self.reduce_serial(batch=False, prune=False)
+            self._baseline = self.reduce_serial(batch=False)
         return self._baseline
 
     @property
@@ -176,12 +176,7 @@ class CaseContext:
 
 def oracle_dense_vs_scan(ctx: CaseContext) -> Optional[str]:
     """Vectorized dense batch kernel == scalar scan."""
-    return ctx.check(ctx.reduce_serial(batch=True, prune=False), "dense kernel")
-
-
-def oracle_pruned_vs_scan(ctx: CaseContext) -> Optional[str]:
-    """Norm-bound pruning index + blocked early-exit probe == scalar scan."""
-    return ctx.check(ctx.reduce_serial(batch=True, prune=True), "pruned kernel")
+    return ctx.check(ctx.reduce_serial(batch=True), "dense kernel")
 
 
 def oracle_frame_path(ctx: CaseContext) -> Optional[str]:
@@ -260,7 +255,6 @@ def oracle_sweep_grid(ctx: CaseContext) -> Optional[str]:
         # pay the O(n²) python scan once per grid config.
         serial = ctx.reduce_serial(
             batch=True,
-            prune=False,
             method=outcome.config.method,
             threshold=outcome.config.threshold,
         )
@@ -484,7 +478,6 @@ def oracle_malformed_fallback(ctx: CaseContext) -> Optional[str]:
 
 ORACLES: dict[str, Callable[[CaseContext], Optional[str]]] = {
     "dense_vs_scan": oracle_dense_vs_scan,
-    "pruned_vs_scan": oracle_pruned_vs_scan,
     "frame_path": oracle_frame_path,
     "pipeline_inline": oracle_pipeline_inline,
     "pipeline_shard": oracle_pipeline_shard,
@@ -501,7 +494,6 @@ ORACLE_NAMES: tuple[str, ...] = tuple(ORACLES)
 #: The equivalence matrix run on every segmentable case.
 EQUIVALENCE_ORACLES: tuple[str, ...] = (
     "dense_vs_scan",
-    "pruned_vs_scan",
     "frame_path",
     "pipeline_inline",
     "pipeline_shard",

@@ -97,11 +97,6 @@ class PipelineStats:
             ["store evictions", self.store.evictions],
             ["match kernel calls", self.match.calls],
             ["match kernel rows / call", f"{self.match.rows_per_call:.2f}"],
-            [
-                "match rows pruned",
-                f"{self.match.rows_pruned} ({self.match.prune_rate:.1%})",
-            ],
-            ["match blocks evaluated", self.match.blocks_evaluated],
             ["match kernel wall time (s)", f"{self.match.seconds:.4f}"],
         ]
         if self.merged_stored or self.merged_duplicates:

@@ -27,9 +27,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
-from repro.core.candidates import CandidateList
+from repro.core.candidates import CandidateList, InlineStore
 from repro.core.reduced import StoredSegment
-from repro.core.reducer import _InlineStore
 
 __all__ = ["StoreCounters", "RepresentativeStore", "UnboundedStore", "LRUStore", "create_store"]
 
@@ -96,22 +95,22 @@ class RepresentativeStore:
         raise NotImplementedError
 
 
-class UnboundedStore(_InlineStore, RepresentativeStore):
+class UnboundedStore(InlineStore, RepresentativeStore):
     """The historical unbounded per-key candidate dictionary, plus counters.
 
-    The storage semantics live in the reducer's :class:`_InlineStore` (the
-    serial default); this class only layers the lookup counters on top, so
-    the "byte-identical default path" behaviour has exactly one
-    implementation.
+    The storage semantics live in the core's
+    :class:`~repro.core.candidates.InlineStore` (the serial default); this
+    class only layers the lookup counters on top, so the "byte-identical
+    default path" behaviour has exactly one implementation.
     """
 
     def __init__(self) -> None:
         RepresentativeStore.__init__(self)
-        _InlineStore.__init__(self)
+        InlineStore.__init__(self)
 
     def candidates(self, key: Hashable) -> Sequence[StoredSegment]:
         # Reads the inline store's bucket dict directly rather than calling
-        # _InlineStore.candidates: this is the innermost call of every
+        # InlineStore.candidates: this is the innermost call of every
         # reduction, and the extra frame is measurable at sweep-grid scale.
         counters = self.counters
         counters.lookups += 1

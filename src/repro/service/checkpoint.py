@@ -2,7 +2,7 @@
 
 A checkpoint is one pickle payload holding the session's complete state:
 config, metric, per-rank representative stores (with their candidate-matrix
-and pruning-index columns), partially reduced outputs, open segmenters,
+columns), partially reduced outputs, open segmenters,
 chained digests, and flush watermarks.  A session restored from it — in the
 same process or a fresh one — continues **bit-identically**: the reduced
 bytes and stats of checkpoint → restore → finish equal those of an
@@ -20,7 +20,7 @@ Two properties make that work:
   portable across processes with different string-hash salts.
 
 The reducer itself is *not* pickled — it is stateless given the metric — and
-is rebuilt from the config, so checkpoints stay small and stable across
+is rebuilt from the metric, so checkpoints stay small and stable across
 reducer-internals refactors.
 """
 
@@ -43,7 +43,7 @@ __all__ = [
 
 #: Bump when the payload layout changes; restores reject other versions
 #: instead of resuming from a misread state.
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 
 def session_state(session: ReductionSession) -> bytes:
@@ -72,17 +72,14 @@ def restore_state(data: bytes) -> ReductionSession:
                 f"unsupported session checkpoint version {version!r}; "
                 f"this build reads version {STATE_VERSION}"
             )
-        config = payload["config"]
         session = ReductionSession.__new__(ReductionSession)
         session.name = payload["name"]
-        session.config = config
+        session.config = payload["config"]
         # The restored metric instance, not a fresh one: candidate lists in
         # the stores hold it as their owner, and ``iter_avg`` keeps per-run
         # state nowhere else — identity must survive the round trip.
         session.metric = payload["metric"]
-        session.reducer = TraceReducer(
-            session.metric, batch=config.batch, prune=config.prune
-        )
+        session.reducer = TraceReducer(session.metric)
         session.seq = payload["seq"]
         session.stats = payload["stats"]
         session._ranks = payload["ranks"]

@@ -17,7 +17,7 @@ content digest over everything it ingests, so a finished session knows the
 digest of the trace it saw — the key the service's result cache is indexed
 by.
 
-All state (stores with their pruning-index columns, partially-open
+All state (stores with their candidate-matrix columns, partially-open
 segmenters, digests, stats) is picklable; :mod:`repro.service.checkpoint`
 relies on that to freeze and resume sessions bit-identically.
 """
@@ -54,17 +54,12 @@ class SessionConfig:
 
     ``method``/``threshold`` select the similarity metric (paper-default
     threshold when ``None``); ``store_capacity`` bounds the representative
-    store (``None`` = unbounded); ``batch``/``prune`` pick the matching
-    implementation — all implementations are byte-identical, so only
-    ``(method, threshold, store_capacity)`` participate in the cache
-    :attr:`key`.
+    store (``None`` = unbounded).
     """
 
     method: str
     threshold: Optional[float] = None
     store_capacity: Optional[int] = None
-    batch: bool = True
-    prune: bool = True
 
     def __post_init__(self) -> None:
         create_metric(self.method, self.threshold)  # validate eagerly
@@ -216,7 +211,7 @@ class ReductionSession:
         self.name = name
         self.config = config
         self.metric = create_metric(config.method, config.threshold)
-        self.reducer = TraceReducer(self.metric, batch=config.batch, prune=config.prune)
+        self.reducer = TraceReducer(self.metric)
         self.stats = SessionStats()
         self.seq = 0
         self._ranks: dict[int, _RankState] = {}

@@ -15,8 +15,8 @@ This package evaluates an entire grid in a **single pass** over the trace:
   euclidean thresholds);
 * :mod:`repro.sweep.engine` — :class:`SweepEngine` feeds one shared segment
   stream to N independent reducer/store states, computing each family's
-  feature vector once per segment and running the batched ``match_batch``
-  kernels per config against that config's own candidate buckets;
+  feature vector once per segment and running the dense ``match_stats``
+  kernel per metric kind against the member configs' own candidate buckets;
 * :mod:`repro.sweep.results` — :class:`SweepResult`, a grid of per-config
   reduced traces plus sharing statistics, convertible to
   :class:`~repro.evaluation.runner.EvaluationResult` rows.

@@ -1,8 +1,10 @@
-"""Shared-ingest sweep engine: one columnar frame, N reducer states.
+"""Shared-ingest sweep engine: one columnar frame, N reduction states.
 
-For each rank the engine runs the paper's matching algorithm for *every*
-config of a :class:`~repro.sweep.plan.SweepPlan` simultaneously, sharing all
-the per-segment work that does not depend on the config:
+For each rank the engine steps one
+:class:`~repro.core.reducer.ReductionState` per config of a
+:class:`~repro.sweep.plan.SweepPlan` over the same frame — the match-or-store
+step itself lives in the core — sharing all the per-segment work that does
+not depend on the config:
 
 * the rank's :class:`~repro.core.frames.RankFrame` itself (``.rpb`` files
   decode straight to columns; other sources adapt through the segments→frame
@@ -11,15 +13,17 @@ the per-segment work that does not depend on the config:
   bulk passes (one vectorized subtraction and one interning sweep per rank
   instead of a ``relative_to_start()`` copy and a tuple hash per segment);
 * each feature family's feature vectors, built in one bulk frame pass and
-  used both as the ``match_batch`` probe of every member config and — via
+  used both as the dense-kernel probe of every member config and — via
   the :class:`~repro.core.reduced.StoredSegment` vector cache — as the
   candidate row when a member config stores the segment as a representative.
 
 Everything config-dependent stays private per config: the representative
 store, the :class:`~repro.core.candidates.CandidateList` buckets and their
-row matrices, the reduced-trace output, and the segment-id sequence.  The
-per-config decisions are made by the same kernels the serial reducer uses,
-in the same order, so each config's reduced trace serializes byte-identical
+row matrices, the reduced-trace output, and the segment-id sequence.  What
+the engine adds to the core step is the stacked kernel: configs of one metric
+kind probe their buckets in a single ``match_stats`` pass.  The per-config
+decisions are the ones a solo run makes, in the same order, so each config's
+reduced trace serializes byte-identical
 to a solo :class:`~repro.core.reducer.TraceReducer` run (the equivalence
 suite asserts exactly that for all nine metrics).
 
@@ -42,15 +46,10 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from repro import obs
-from repro.core.candidates import CandidateList, MatchCounters, first_match_index
-from repro.core.frames import InternedKey, RankFrame
-from repro.core.metrics.base import (
-    PRUNE_FALLBACK_DENOM,
-    PRUNE_MIN_ROWS,
-    PRUNE_REL,
-    SimilarityMetric,
-)
-from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
+from repro.core.candidates import MatchCounters, first_match_index
+from repro.core.frames import RankFrame
+from repro.core.reduced import ReducedRankTrace, ReducedTrace
+from repro.core.reducer import ReductionState
 from repro.pipeline.store import StoreCounters, create_store
 from repro.pipeline.stream import (
     SegmentSource,
@@ -63,10 +62,6 @@ from repro.sweep.results import ConfigOutcome, SweepResult
 from repro.trace.segments import Segment
 
 __all__ = ["SweepStats", "SweepEngine", "sweep_source"]
-
-#: Backwards-compatible alias: the interned structural key now lives with the
-#: columnar frame machinery (every frame hands out the same wrapper objects).
-_InternedKey = InternedKey
 
 
 @dataclass(slots=True)
@@ -130,51 +125,6 @@ class SweepStats:
         registry.inc("sweep.vector_builds", self.vector_builds)
         registry.inc("sweep.vector_builds_naive", self.vector_builds_naive)
         registry.inc("sweep.total_seconds", self.total_seconds)
-
-
-class _ConfigState:
-    """One config's private reducer state for one rank."""
-
-    __slots__ = (
-        "config",
-        "metric",
-        "threshold",
-        "vectorized",
-        "vector_key",
-        "mutates",
-        "default_on_match",
-        "store",
-        "add_built",
-        "lookup",
-        "reduced",
-        "next_id",
-        "match_counters",
-    )
-
-    def __init__(
-        self,
-        config: SweepConfig,
-        metric: SimilarityMetric,
-        vector_key,
-        rank: int,
-        store_capacity: Optional[int],
-        instrument: bool,
-    ) -> None:
-        self.config = config
-        self.metric = metric
-        self.threshold = metric.threshold
-        self.vectorized = vector_key is not None
-        self.vector_key = vector_key
-        self.mutates = metric.mutates_stored
-        # When on_match is the base-class default (count the match) it runs
-        # inline, so matches never force a Segment materialization.
-        self.default_on_match = type(metric).on_match is SimilarityMetric.on_match
-        self.store = create_store(store_capacity)
-        self.add_built = getattr(self.store, "add_built", None)
-        self.lookup = self.store.candidates  # prebound: hottest call in the loop
-        self.reduced = ReducedRankTrace(rank=rank)
-        self.next_id = 0
-        self.match_counters = MatchCounters() if instrument else None
 
 
 @dataclass(slots=True)
@@ -266,14 +216,12 @@ class SweepEngine:
         *,
         store_capacity: Optional[int] = None,
         instrument: bool = False,
-        prune: bool = True,
     ) -> None:
         if not isinstance(plan, SweepPlan):
             plan = SweepPlan(plan)
         self.plan = plan
         self.store_capacity = store_capacity
         self.instrument = instrument
-        self.prune = bool(prune)
 
     # -- per-rank reduction ------------------------------------------------------
 
@@ -294,37 +242,40 @@ class SweepEngine:
 
     def _sweep_rank(self, frame: RankFrame) -> _RankSweep:
         instrument = self.instrument
-        prune = self.prune
         capacity = self.store_capacity
         rank = frame.rank
         n_segments = frame.n_segments
         vector_builds = 0
         vector_builds_naive = 0
-        # Per family: the shared probe vectors (one bulk frame pass serves
-        # every member config) plus the member states grouped by metric
-        # *kind* (class).  Metric instances are fresh per rank, mirroring the
-        # pipeline's per-task metric copies (metrics hold no cross-rank
-        # state, but iter_avg's mutation path must never alias).  Configs of
-        # one kind share a threshold-independent ``match_stats`` kernel, so
-        # the engine evaluates each kind's stacked candidate rows in a single
-        # NumPy pass per segment and applies each config's threshold as a
-        # cheap comparison over its own slice.
-        families: list[tuple[list[_ConfigState], list, Optional[list]]] = []
+        # One reduction state per config, each with a private store and
+        # output.  Per family: the shared probe vectors (one bulk frame pass
+        # serves every member config) plus the member states grouped by
+        # metric *kind* (class).  Metric instances are fresh per rank,
+        # mirroring the pipeline's per-task metric copies (metrics hold no
+        # cross-rank state, but iter_avg's mutation path must never alias).
+        # Configs of one kind share a threshold-independent ``match_stats``
+        # kernel, so the engine evaluates each kind's stacked candidate rows
+        # in a single NumPy pass per segment and applies each config's
+        # threshold as a cheap comparison over its own slice.
+        by_config: list[tuple[SweepConfig, ReductionState]] = []
+        families: list[tuple[list[ReductionState], list, Optional[list]]] = []
         for family in self.plan.families:
-            states = [
-                _ConfigState(c, c.create(), family.vector_key, rank, capacity, instrument)
-                for c in family.configs
-            ]
-            for state in states:
-                state.reduced.n_segments = n_segments
-            by_kind: dict[type, list[_ConfigState]] = {}
+            states = []
+            for config in family.configs:
+                reduced = ReducedRankTrace(rank=rank, n_segments=n_segments)
+                state = ReductionState(
+                    config.create(),
+                    reduced,
+                    create_store(capacity),
+                    MatchCounters() if instrument else None,
+                )
+                states.append(state)
+                by_config.append((config, state))
+            by_kind: dict[type, list[ReductionState]] = {}
             vectors: Optional[list] = None
             if family.vectorized:
                 for state in states:
-                    bucket = by_kind.get(type(state.metric))
-                    if bucket is None:
-                        by_kind[type(state.metric)] = bucket = []
-                    bucket.append(state)
+                    by_kind.setdefault(type(state.metric), []).append(state)
                 # One bulk pass builds the family's probes for the whole
                 # rank; logically still one build per segment, shared by
                 # every member config.
@@ -333,7 +284,7 @@ class SweepEngine:
                 vector_builds_naive += n_segments * len(states)
             # (member states, their thresholds as a row-multiplier source)
             kinds = [
-                (kind_states, np.array([s.threshold for s in kind_states]))
+                (kind_states, np.array([s.metric.threshold for s in kind_states]))
                 for kind_states in by_kind.values()
             ]
             families.append((states, kinds, vectors))
@@ -356,19 +307,9 @@ class SweepEngine:
                     if relative is None:
                         relative = rel[0] = frame.segment(i)
                     for state in states:
-                        reduced = state.reduced
                         candidates = state.lookup(key)
-                        chosen = None
-                        if candidates:
-                            reduced.n_possible_matches += 1
-                            counters = state.match_counters
-                            started = perf_counter() if counters is not None else 0.0
-                            chosen = state.metric.match_candidates(relative, candidates)
-                            if counters is not None:
-                                counters.seconds += perf_counter() - started
-                                counters.calls += 1
-                                counters.rows_compared += len(candidates)
-                        self._record(state, key, frame, i, start, rel, candidates, chosen, None)
+                        chosen = state.match(relative, candidates) if candidates else None
+                        state.record(key, start, candidates, chosen, None, frame, i, rel)
                     continue
 
                 # One pre-built row serves every member config, both as the
@@ -381,60 +322,27 @@ class SweepEngine:
                     for state in kind_states:
                         candidates = state.lookup(key)
                         if candidates:
-                            state.reduced.n_possible_matches += 1
-                            if isinstance(candidates, CandidateList):
-                                matrix, scales, summaries = (
-                                    candidates.matrix_scales_summaries(state.metric)
-                                )
-                                participants.append(
-                                    (state, candidates, matrix, scales, summaries)
-                                )
-                            else:  # pragma: no cover - stores always bucket
-                                relative = rel[0]
-                                if relative is None:
-                                    relative = rel[0] = frame.segment(i)
-                                chosen = state.metric.match_candidates(relative, candidates)
-                                self._record(
-                                    state, key, frame, i, start, rel, candidates, chosen, vector
-                                )
+                            participants.append((state, candidates))
                         else:
-                            self._record(
-                                state, key, frame, i, start, rel, candidates, None, vector
-                            )
-                    if not participants:
-                        continue
-                    counted = perf_counter() if instrument else 0.0
+                            state.record(key, start, candidates, None, vector, frame, i, rel)
                     if len(participants) == 1:
-                        state, candidates, matrix, scales, summaries = participants[0]
-                        if prune:
-                            index = state.metric.match_pruned(
-                                vector, matrix, scales, summaries, state.match_counters
-                            )
-                        else:
-                            index = state.metric.match_batch(vector, matrix, scales)
-                        chosen = candidates[index] if index is not None else None
-                        self._record(state, key, frame, i, start, rel, candidates, chosen, vector)
-                    else:
-                        self._match_stacked(
-                            participants,
-                            kind_states,
-                            kind_thresholds,
-                            vector,
-                            prune,
-                            key,
-                            frame,
-                            i,
-                            start,
-                            rel,
+                        state, candidates = participants[0]
+                        chosen = state.match(vector, candidates)
+                        state.record(key, start, candidates, chosen, vector, frame, i, rel)
+                    elif participants:
+                        counted = perf_counter() if instrument else 0.0
+                        matches = self._match_stacked(
+                            participants, kind_states, kind_thresholds, vector
                         )
-                    if instrument:
-                        elapsed = perf_counter() - counted
-                        share = elapsed / len(participants)
-                        for state, candidates, _, _, _ in participants:
-                            counters = state.match_counters
-                            counters.seconds += share
-                            counters.calls += 1
-                            counters.rows_compared += len(candidates)
+                        if instrument:
+                            share = (perf_counter() - counted) / len(participants)
+                            for state, candidates in participants:
+                                counters = state.counters
+                                counters.seconds += share
+                                counters.calls += 1
+                                counters.rows_compared += len(candidates)
+                        for (state, candidates), chosen in zip(participants, matches):
+                            state.record(key, start, candidates, chosen, vector, frame, i, rel)
 
         result = _RankSweep(
             rank=rank,
@@ -446,172 +354,51 @@ class SweepEngine:
             vector_builds=vector_builds,
             vector_builds_naive=vector_builds_naive,
         )
-        for states, _, _ in families:
-            for state in states:
-                result.reduced[state.config.key] = state.reduced
-                result.store_counters[state.config.key] = state.store.counters
-                if state.match_counters is not None:
-                    result.match_counters[state.config.key] = state.match_counters
+        for config, state in by_config:
+            result.reduced[config.key] = state.reduced
+            result.store_counters[config.key] = state.store.counters
+            if state.counters is not None:
+                result.match_counters[config.key] = state.counters
         return result
 
+    @staticmethod
     def _match_stacked(
-        self,
         participants: list,
-        kind_states: list[_ConfigState],
+        kind_states: list[ReductionState],
         kind_thresholds: np.ndarray,
         vector: np.ndarray,
-        prune: bool,
-        key,
-        frame: RankFrame,
-        i: int,
-        start: float,
-        rel: list,
-    ) -> None:
+    ) -> list:
         """One kernel pass over several members' stacked candidate rows.
 
-        The statistics and the masks are row-wise, so each member's slice is
-        bitwise what its own solo kernel would compute; thresholds enter as
-        one repeated row-multiplier instead of a multiply per member.  With
-        pruning, the family's prefilter runs *once* over the stacked summary
-        columns — each row's prune limit carries its own member's threshold,
-        so survivors are shared across the whole threshold grid — and the
-        exact kernel only sees the surviving rows; each member's first match
-        is then recovered from the sorted matched-row indices.
+        Returns each participant's first matching representative (or None),
+        in participant order.  The statistics and the masks are row-wise, so
+        each member's slice is bitwise what its own solo kernel would
+        compute; thresholds enter as one repeated row-multiplier instead of
+        a multiply per member.
         """
-        counts = [p[2].shape[0] for p in participants]
-        stacked = np.concatenate([p[2] for p in participants])
-        if participants[0][3] is not None:
-            stacked_scales = np.concatenate([p[3] for p in participants])
+        metric = participants[0][0].metric
+        views = [candidates.matrix_and_scales(state.metric) for state, candidates in participants]
+        counts = [matrix.shape[0] for matrix, _ in views]
+        stacked = np.concatenate([matrix for matrix, _ in views])
+        if views[0][1] is not None:
+            stacked_scales = np.concatenate([scales for _, scales in views])
         else:
             stacked_scales = None
         if len(participants) == len(kind_states):
             thresholds = kind_thresholds
         else:
-            thresholds = np.array([p[0].threshold for p in participants])
+            thresholds = np.array([state.metric.threshold for state, _ in participants])
         per_row = np.repeat(thresholds, counts)
-        metric = participants[0][0].metric
-        if (
-            prune
-            and stacked.shape[0] >= PRUNE_MIN_ROWS
-            and participants[0][4] is not None
-            and metric.prune_stats is not None
-        ):
-            stacked_summaries = np.concatenate([p[4] for p in participants])
-            pstat, pbase = metric.prune_stats(vector, stacked_summaries, stacked_scales)
-            plimit = per_row * PRUNE_REL
-            keep = pstat <= (plimit if pbase is None else plimit * pbase)
-            survivors = np.flatnonzero(keep)
-            if survivors.size * PRUNE_FALLBACK_DENOM > stacked.shape[0]:
-                # The summaries cluster tighter than the grid's limits, so
-                # the gather would cost more than it skips — take the dense
-                # stacked kernel below instead (identical result either way).
-                survivors = None
-        else:
-            survivors = None
-        if survivors is not None:
-            if survivors.size:
-                rows = stacked[survivors]
-                scales = stacked_scales[survivors] if stacked_scales is not None else None
-                stat, base = metric.match_stats(vector, rows, scales)
-                limits = per_row[survivors] if base is None else per_row[survivors] * base
-                matched = survivors[stat <= limits]
-            else:
-                matched = survivors  # empty: every row pruned
-            instrument = self.instrument
-            offset = 0
-            for (state, candidates, _, _, _), count in zip(participants, counts):
-                stop = offset + count
-                # First matched global row inside this member's slice, if any
-                # (``matched`` is ascending, so this is the earliest match).
-                position = int(np.searchsorted(matched, offset))
-                if position < matched.size and matched[position] < stop:
-                    index = int(matched[position]) - offset
-                else:
-                    index = None
-                if instrument:
-                    counters = state.match_counters
-                    lo, hi = np.searchsorted(survivors, (offset, stop))
-                    counters.rows_pruned += count - int(hi - lo)
-                    counters.blocks_evaluated += 1
-                offset = stop
-                chosen = candidates[index] if index is not None else None
-                self._record(state, key, frame, i, start, rel, candidates, chosen, vector)
-            return
         stat, base = metric.match_stats(vector, stacked, stacked_scales)
         mask = stat <= (per_row if base is None else per_row * base)
+        matches = []
         offset = 0
-        for (state, candidates, _, _, _), count in zip(participants, counts):
+        for (_, candidates), count in zip(participants, counts):
             stop = offset + count
             index = first_match_index(mask[offset:stop])
             offset = stop
-            chosen = candidates[index] if index is not None else None
-            self._record(state, key, frame, i, start, rel, candidates, chosen, vector)
-
-    @staticmethod
-    def _record(
-        state: _ConfigState,
-        key,
-        frame: RankFrame,
-        index: int,
-        start: float,
-        rel: list,
-        candidates,
-        chosen: Optional[StoredSegment],
-        vector,
-    ) -> None:
-        """One config's match/store bookkeeping for one frame row.
-
-        Mirrors the tail of the serial reducer's loop exactly: record the
-        execution, update the chosen representative on a match (refreshing
-        its cached rows if the metric mutates it), or store the segment as a
-        new representative — seeding its vector cache with a private copy of
-        the family row (a frame row is a view that would pin the whole group
-        matrix) and handing the row to the bucket so it is never recomputed.
-
-        ``rel`` is the caller's one-element cache of the materialized
-        normalised segment; it is only filled when some config actually
-        needs the object.
-        """
-        reduced = state.reduced
-        if chosen is not None:
-            reduced.n_matches += 1
-            reduced.execs.append((chosen.segment_id, start))
-            reduced.exec_matched.append(True)
-            if state.default_on_match:
-                chosen.count += 1
-            else:
-                relative = rel[0]
-                if relative is None:
-                    relative = rel[0] = frame.segment(index)
-                state.metric.on_match(relative, chosen)
-            if state.mutates:
-                refresh = getattr(candidates, "refresh", None)
-                if refresh is not None:
-                    refresh(chosen)
-        else:
-            if state.mutates:
-                # This config will rewrite the stored timestamps in place
-                # (iter_avg's running mean), so it must not share the
-                # materialized segment object with the other configs.
-                to_store = frame.segment(index)
-            else:
-                to_store = rel[0]
-                if to_store is None:
-                    to_store = rel[0] = frame.segment(index)
-            stored = StoredSegment(segment_id=state.next_id, segment=to_store)
-            state.next_id += 1
-            if vector is not None and not state.mutates:
-                row = np.array(vector)
-                stored.cached_vector(state.vector_key, lambda _s, _row=row: _row)
-                if state.add_built is not None:
-                    state.add_built(key, stored, state.metric, row)
-                else:
-                    state.store.add(key, stored)
-            else:
-                state.store.add(key, stored)
-            reduced.stored.append(stored)
-            reduced.execs.append((stored.segment_id, start))
-            reduced.exec_matched.append(False)
+            matches.append(candidates[index] if index is not None else None)
+        return matches
 
     # -- whole-source reduction ----------------------------------------------------
 

@@ -51,8 +51,6 @@ class ConfigOutcome:
         }
         if self.match is not None:
             row["match_seconds"] = self.match.seconds
-            row["rows_pruned"] = self.match.rows_pruned
-            row["blocks_evaluated"] = self.match.blocks_evaluated
         return row
 
 

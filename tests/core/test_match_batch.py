@@ -1,5 +1,5 @@
 """Tests for the batched matching engine: cached vectors, candidate
-matrices, the per-family ``match_batch`` kernels, and the metric-kernel
+matrices, the per-family dense kernels, and the metric-kernel
 bugfixes (zero-clamped match limits)."""
 
 import numpy as np
@@ -169,7 +169,7 @@ class TestStoredSegmentVectorCache:
 
 @pytest.mark.parametrize("metric_cls", DISTANCE_METRICS)
 class TestKernelAgainstScan:
-    """match_batch must reproduce the legacy scan's first-match decision."""
+    """The dense probe must reproduce the legacy scan's first-match decision."""
 
     def _candidates(self):
         deltas = [300.0, 40.0, 0.7, 0.1, 200.0]

@@ -1,0 +1,220 @@
+"""An independent statement of the paper's algorithm, checked against every pathway.
+
+Every in-tree oracle shares normalisation, structural keys and metric kernels
+with its subject, so a common-mode bug is invisible to them.  The reducer
+below is written from Section 3.1 (match-or-store, first match wins) and
+Section 3.2.1 (the five distance methods) in plain Python: no NumPy, no
+frames, no interning, no class of ``repro.core``.  It reads raw
+:class:`TraceRecord` streams and does its own segmentation, normalisation,
+structural comparison and distance arithmetic.
+
+Pathways are compared on decisions — per rank ``(stored ids, execs, counts)``
+— not on serialized bytes: Python and NumPy may sum a norm in a different
+order, which can move a distance by an ulp but not a decision on these
+workloads.
+"""
+
+import math
+
+import pytest
+
+from repro.core.frames import RankFrame
+from repro.core.metrics import DEFAULT_THRESHOLDS, create_metric
+from repro.core.reducer import TraceReducer
+from repro.experiments.config import SCALES, build_workload
+from repro.service.session import ReductionSession, SessionConfig
+from repro.sweep.engine import sweep_source
+from repro.sweep.plan import SweepPlan
+from repro.trace.events import MpiCallInfo
+from repro.trace.records import RecordKind, TraceRecord
+from repro.trace.trace import RankTrace, Trace
+
+METHODS = ("relDiff", "absDiff", "manhattan", "euclidean", "chebyshev")
+
+
+# -- the reference: Section 3.1 + 3.2.1, pure Python ---------------------------
+
+
+def _segments(records):
+    """One rank's flat record stream -> [(context, start, end, [(name, mpi, start, end)])]."""
+    segments, context, seg_start, events, entered = [], None, 0.0, [], None
+    for record in records:
+        if record.kind == RecordKind.SEGMENT_BEGIN:
+            context, seg_start, events = record.name, record.timestamp, []
+        elif record.kind == RecordKind.ENTER:
+            entered = record
+        elif record.kind == RecordKind.EXIT:
+            events.append((entered.name, entered.mpi, entered.timestamp, record.timestamp))
+        else:
+            segments.append((context, seg_start, record.timestamp, events))
+    return segments
+
+
+def _similar(method, threshold, new, old):
+    """Section 3.2.1 on two normalised segments (duration, [(start, end), ...])."""
+    pairs = [(a, b) for (x, y) in zip(new[1], old[1]) for (a, b) in zip(x, y)]
+    pairs.append((new[0], old[0]))
+    if method == "absDiff":
+        return all(abs(a - b) <= threshold for a, b in pairs)
+    if method == "relDiff":
+        return all(
+            abs(a - b) / max(abs(a), abs(b)) <= threshold
+            for a, b in pairs
+            if max(abs(a), abs(b)) > 0.0
+        )
+    diffs = [abs(a - b) for a, b in pairs]
+    if method == "manhattan":
+        distance = sum(diffs)
+    elif method == "euclidean":
+        distance = math.sqrt(sum(d * d for d in diffs))
+    else:  # chebyshev
+        distance = max(diffs)
+    largest = max(max(abs(a), abs(b)) for a, b in pairs)
+    return distance <= threshold * largest
+
+
+def reference_reduce(records, method, threshold):
+    """The paper's per-rank loop; returns (stored ids, execs, counts, possible, matches)."""
+    stored = []  # [structure, normalised measurements, count], id = position
+    execs, possible, matches = [], 0, 0
+    for context, start, end, events in _segments(records):
+        structure = (context, [(name, mpi) for name, mpi, _, _ in events])
+        measured = (end - start, [(s - start, e - start) for _, _, s, e in events])
+        candidates = [i for i, entry in enumerate(stored) if entry[0] == structure]
+        possible += bool(candidates)
+        for i in candidates:
+            if _similar(method, threshold, measured, stored[i][1]):
+                stored[i][2] += 1
+                execs.append((i, start))
+                matches += 1
+                break
+        else:
+            execs.append((len(stored), start))
+            stored.append([structure, measured, 1])
+    return list(range(len(stored))), execs, [entry[2] for entry in stored], possible, matches
+
+
+# -- the pathways under test -----------------------------------------------------
+
+
+def _decisions(reduced_rank):
+    return (
+        [s.segment_id for s in reduced_rank.stored],
+        list(reduced_rank.execs),
+        [s.count for s in reduced_rank.stored],
+        reduced_rank.n_possible_matches,
+        reduced_rank.n_matches,
+    )
+
+
+def _via_reduce_segments(trace, method, threshold):
+    reducer = TraceReducer(create_metric(method, threshold), batch=False)
+    return [reducer.reduce_rank(rank) for rank in trace.segmented().ranks]
+
+
+def _via_reduce_frame(trace, method, threshold):
+    reducer = TraceReducer(create_metric(method, threshold))
+    return [
+        reducer.reduce_frame(RankFrame.from_segments(rank.rank, rank.segments))
+        for rank in trace.segmented().ranks
+    ]
+
+
+def _via_sweep(trace, method, threshold):
+    result = sweep_source(trace.segmented(), SweepPlan.single(method, threshold))
+    return result.outcomes[0].reduced.ranks
+
+
+def _via_session(trace, method, threshold):
+    session = ReductionSession(trace.name, SessionConfig(method, threshold))
+    cursors = {rank.rank: 0 for rank in trace.ranks}
+    size = 1
+    while cursors:  # ragged rank-interleaved chunks of 1, 2, ..., 7 records
+        for rank in trace.ranks:
+            at = cursors.get(rank.rank)
+            if at is None:
+                continue
+            session.append_records(rank.rank, rank.records[at : at + size])
+            cursors[rank.rank] = at + size
+            if at + size >= len(rank.records):
+                del cursors[rank.rank]
+            size = size % 7 + 1
+    return session.finish().reduced.ranks
+
+
+PATHWAYS = {
+    "reduce_segments": _via_reduce_segments,
+    "reduce_frame": _via_reduce_frame,
+    "sweep": _via_sweep,
+    "session": _via_session,
+}
+
+
+@pytest.fixture(scope="module", params=["sweep3d_8p", "late_sender"])
+def smoke_trace(request):
+    return build_workload(request.param, SCALES["smoke"]).run()
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("pathway", PATHWAYS)
+def test_pathway_agrees_with_reference(smoke_trace, method, pathway):
+    for threshold in (DEFAULT_THRESHOLDS[method], DEFAULT_THRESHOLDS[method] / 50):
+        expected = [reference_reduce(r.records, method, threshold) for r in smoke_trace.ranks]
+        got = [_decisions(r) for r in PATHWAYS[pathway](smoke_trace, method, threshold)]
+        assert got == expected, f"{pathway} diverged from the reference at {method}({threshold})"
+        assert any(matches for *_, matches in expected)  # both branches ran
+
+
+# -- a hand-written example --------------------------------------------------------
+
+
+def _hand_written_rank():
+    """Six segments; absDiff(10) must decide exactly as spelled out in the test."""
+    gather = MpiCallInfo(op="allgather", nbytes=1024)
+    gather_2k = MpiCallInfo(op="allgather", nbytes=2048)
+    shapes = [  # (absolute start, do_work end, allgather start/end, segment end, allgather params)
+        (100.0, 20.0, 21.0, 49.0, 50.0, gather),
+        (200.0, 30.0, 31.0, 49.0, 50.0, gather),
+        (300.0, 40.0, 41.0, 50.0, 51.0, gather),
+        (400.0, 17.0, 18.0, 48.0, 49.0, gather),
+        (500.0, 50.0, 51.0, 60.0, 61.0, gather),
+        (600.0, 20.0, 21.0, 49.0, 50.0, gather_2k),
+    ]
+    records = []
+    for t, work_end, ag_start, ag_end, end, mpi in shapes:
+        records += [
+            TraceRecord(RecordKind.SEGMENT_BEGIN, 0, t, "main.1"),
+            TraceRecord(RecordKind.ENTER, 0, t + 1.0, "do_work"),
+            TraceRecord(RecordKind.EXIT, 0, t + work_end, "do_work"),
+            TraceRecord(RecordKind.ENTER, 0, t + ag_start, "MPI_Allgather", mpi=mpi),
+            TraceRecord(RecordKind.EXIT, 0, t + ag_end, "MPI_Allgather"),
+            TraceRecord(RecordKind.SEGMENT_END, 0, t + end, "main.1"),
+        ]
+    return Trace(name="hand", ranks=[RankTrace(rank=0, records=records)])
+
+
+#: absDiff, threshold 10 µs, segment by segment:
+#: 1. nothing stored                                         -> store as id 0
+#: 2. vs 0: 30 vs 20 and 31 vs 21 differ by exactly 10        -> match 0 (bound is inclusive)
+#: 3. vs 0: do_work end 40 vs 20 differs by 20 > 10           -> store as id 1
+#: 4. vs 0: largest difference 3 (17 vs 20)                   -> match 0 (first match wins)
+#: 5. vs 0: 50 vs 20 differs by 30; vs 1: all exactly 10      -> match 1 (inclusive, 2 rows)
+#: 6. same events, other Allgather size: no candidate at all  -> store as id 2
+HAND_EXPECTED = (
+    [0, 1, 2],
+    [(0, 100.0), (0, 200.0), (1, 300.0), (0, 400.0), (1, 500.0), (2, 600.0)],
+    [3, 2, 1],
+    4,  # segments 2, 3, 4 and 5 had a candidate
+    3,
+)
+
+
+def test_reference_reproduces_the_hand_written_example():
+    (rank,) = _hand_written_rank().ranks
+    assert reference_reduce(rank.records, "absDiff", 10.0) == HAND_EXPECTED
+
+
+@pytest.mark.parametrize("pathway", PATHWAYS)
+def test_pathway_reproduces_the_hand_written_example(pathway):
+    (reduced,) = PATHWAYS[pathway](_hand_written_rank(), "absDiff", 10.0)
+    assert _decisions(reduced) == HAND_EXPECTED

@@ -77,7 +77,7 @@ def test_applicable_oracles_matrix():
     assert malformed == ("malformed_fallback",)
     edge = applicable_oracles(FAMILIES["threshold_edge"])
     assert "text_roundtrip" not in edge
-    assert "pruned_vs_scan" in edge
+    assert "dense_vs_scan" in edge
     full = applicable_oracles(FAMILIES["stencil"])
     assert "text_roundtrip" in full
 

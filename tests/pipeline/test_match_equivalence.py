@@ -5,7 +5,7 @@ all 9 metrics, across thresholds and workload shapes.
 The legacy scan (``TraceReducer(batch=False)``) is the oracle: it is the
 paper's algorithm as originally implemented, one candidate at a time.  The
 batched path replays the same reduction through cached representative
-vectors, per-key candidate matrices, and the metrics' ``match_batch``
+vectors, per-key candidate matrices, and the metrics' ``match_row``
 kernels — any drift in vector layout, first-match ordering, limit math, or
 cache invalidation shows up as a serialization mismatch here.
 """

@@ -1,14 +1,12 @@
-"""Pruned vs dense vs scalar-scan byte identity, on buckets deep enough that
-the pruning machinery actually engages.
+"""Dense kernel vs scalar-scan byte identity on deep candidate buckets.
 
 The randomized batch-vs-scan suite (``test_match_equivalence``) runs on
-shallow buckets, where ``match_candidates`` takes the inline dense kernel and
-the blocked/prefiltered probe never fires.  This suite builds traces whose
-representative stores grow past :data:`FIRST_BLOCK` (blocked early-exit scan)
-and past :data:`PRUNE_MIN_ROWS` (summary prefilter), then checks all three
-reducer modes — ``prune=True`` (default), ``prune=False`` (dense oracle),
-``batch=False`` (the paper's scalar scan) — produce byte-identical reduced
-traces, from the in-memory trace and from text/``.rpb`` files.
+shallow buckets.  This suite builds single-structure traces whose
+representative stores grow to a few hundred rows (``medium``) and past 512
+rows (``deep``) — an order of magnitude deeper than any paper workload's
+bucket — and checks that the dense kernel (segment-at-a-time reference and
+columnar core alike) reproduces the paper's scalar scan byte for byte, from
+the in-memory trace and from text/``.rpb`` files.
 
 Timestamps are multiples of 0.25 µs, which the two-decimal text format
 round-trips exactly, so every source holds identical float64 values and one
@@ -18,10 +16,9 @@ reference serialization covers them all.
 import numpy as np
 import pytest
 
-from repro.core.candidates import MatchCounters
+from repro.core.frames import RankFrame
 from repro.core.frametrace import FrameTrace
 from repro.core.metrics import create_metric
-from repro.core.metrics.base import FIRST_BLOCK, PRUNE_MIN_ROWS
 from repro.core.reducer import TraceReducer
 from repro.trace.events import MpiCallInfo
 from repro.trace.io import serialize_reduced_trace, write_trace
@@ -50,9 +47,8 @@ MEDIUM_CONFIGS = [
     ("iter_avg", None),
 ]
 
-#: Deep-workload configs (vectorized modes only; the O(n²) scalar scan runs
-#: on a single config to bound runtime).
-DEEP_CONFIGS = [
+#: One strict config per metric: all nine run across every source.
+ALL_METRICS = [
     ("relDiff", 0.01),
     ("absDiff", 0.1),
     ("manhattan", 0.01),
@@ -60,7 +56,13 @@ DEEP_CONFIGS = [
     ("chebyshev", 0.001),
     ("avgWave", 0.01),
     ("haarWave", 0.01),
+    ("iter_k", 10),
+    ("iter_avg", None),
 ]
+
+#: Deep-workload configs (dense kernel only; the O(n²) scalar scan runs on a
+#: single config to bound runtime).
+DEEP_CONFIGS = ALL_METRICS[:7]
 
 
 def _jittered_records(
@@ -104,91 +106,82 @@ def _pooled_trace(seed: int, n_segments: int, pool_size: int, name: str) -> Trac
 
 @pytest.fixture(scope="module")
 def medium_trace():
-    # Pool of ~3·FIRST_BLOCK patterns: the store outgrows the shallow-bucket
-    # fast path, but stays below the prefilter gate — the blocked early-exit
-    # scan is what runs.
-    return _pooled_trace(seed=42, n_segments=360, pool_size=3 * FIRST_BLOCK, name="medium")
+    # Pool of 192 patterns: the store grows to a few hundred rows.
+    return _pooled_trace(seed=42, n_segments=360, pool_size=192, name="medium")
 
 
 @pytest.fixture(scope="module")
 def deep_trace():
-    # Pool larger than PRUNE_MIN_ROWS: once enough distinct patterns are
-    # stored, every probe crosses the prefilter gate.
-    return _pooled_trace(
-        seed=43, n_segments=PRUNE_MIN_ROWS + 400, pool_size=PRUNE_MIN_ROWS + 200, name="deep"
-    )
+    # Pool of 712 patterns over 912 segments: the store passes 512 rows.
+    return _pooled_trace(seed=43, n_segments=912, pool_size=712, name="deep")
 
 
-def _reduce_bytes(trace, metric_name, threshold, *, batch=True, prune=True, counters=None):
-    reducer = TraceReducer(create_metric(metric_name, threshold), batch=batch, prune=prune)
+def _reduce_bytes(trace, metric_name, threshold, *, batch=True):
+    """Serialized reduction: segment lists take the reference, frames the core."""
+    reducer = TraceReducer(create_metric(metric_name, threshold), batch=batch)
     segmented = trace.segmented() if isinstance(trace, Trace) else trace
-    return serialize_reduced_trace(reducer.reduce(segmented, match_counters=counters))
+    return serialize_reduced_trace(reducer.reduce(segmented))
 
 
-class TestBlockedScanEquivalence:
+class TestMediumBuckets:
     @pytest.mark.parametrize("metric_name,threshold", MEDIUM_CONFIGS)
-    def test_three_modes_byte_identical(self, medium_trace, metric_name, threshold):
+    def test_dense_equals_scan(self, medium_trace, metric_name, threshold):
         scanned = _reduce_bytes(medium_trace, metric_name, threshold, batch=False)
-        dense = _reduce_bytes(medium_trace, metric_name, threshold, prune=False)
-        pruned = _reduce_bytes(medium_trace, metric_name, threshold)
-        assert dense == scanned
-        assert pruned == scanned
+        assert _reduce_bytes(medium_trace, metric_name, threshold) == scanned
 
     def test_buckets_are_deep_enough(self, medium_trace):
-        # Guard the fixture's premise: the store must outgrow FIRST_BLOCK or
-        # this suite silently degenerates into the shallow-bucket tests.
+        # Guard the fixture's premise: the store must outgrow 64 rows or this
+        # suite silently degenerates into the shallow-bucket tests.
         reduced = TraceReducer(create_metric("euclidean", 0.001)).reduce(
             medium_trace.segmented()
         )
-        assert reduced.n_stored > FIRST_BLOCK
+        assert reduced.n_stored > 64
 
 
-class TestPrefilterEquivalence:
+class TestDeepBuckets:
     @pytest.mark.parametrize("metric_name,threshold", DEEP_CONFIGS)
-    def test_pruned_matches_dense(self, deep_trace, metric_name, threshold):
-        counters = MatchCounters()
-        dense = _reduce_bytes(deep_trace, metric_name, threshold, prune=False)
-        pruned = _reduce_bytes(deep_trace, metric_name, threshold, counters=counters)
-        assert pruned == dense
-        # The prefilter must actually have engaged — otherwise this test is
-        # vacuously re-running the dense kernel.
-        assert counters.rows_pruned > 0, f"{metric_name} prefilter never engaged"
+    def test_columnar_core_equals_dense_reference(self, deep_trace, metric_name, threshold):
+        reference = _reduce_bytes(deep_trace, metric_name, threshold)
+        segmented = deep_trace.segmented()
+        frames = FrameTrace.from_frames(
+            segmented.name,
+            (RankFrame.from_segments(r.rank, r.segments) for r in segmented.ranks),
+        )
+        core = _reduce_bytes(frames, metric_name, threshold)
+        assert core == reference
 
     def test_scalar_scan_oracle(self, deep_trace):
         # One config against the O(n²) paper scan keeps the whole chain
-        # anchored: scan == dense == pruned at prefilter depth.
+        # anchored: scan == dense reference == columnar core at this depth.
         scanned = _reduce_bytes(deep_trace, "absDiff", 0.1, batch=False)
-        pruned = _reduce_bytes(deep_trace, "absDiff", 0.1)
-        assert pruned == scanned
+        assert _reduce_bytes(deep_trace, "absDiff", 0.1) == scanned
 
-    def test_store_outgrows_prefilter_gate(self, deep_trace):
+    def test_store_outgrows_512_rows(self, deep_trace):
         reduced = TraceReducer(create_metric("euclidean", 0.001)).reduce(
             deep_trace.segmented()
         )
-        assert reduced.n_stored >= PRUNE_MIN_ROWS
+        assert reduced.n_stored >= 512
 
 
 class TestAcrossSources:
     @pytest.fixture(scope="class")
-    def medium_files(self, medium_trace, tmp_path_factory):
-        root = tmp_path_factory.mktemp("prune_sources")
+    def medium_sources(self, medium_trace, tmp_path_factory):
+        root = tmp_path_factory.mktemp("deep_bucket_sources")
         text = root / "medium.txt"
         rpb = root / "medium.rpb"
         write_trace(medium_trace, text)
         write_trace(medium_trace, rpb)
-        return {"text": text, "rpb": rpb}
+        return {
+            "memory": medium_trace.segmented(),
+            "text": FrameTrace.from_file(text),
+            "rpb": FrameTrace.from_file(rpb),
+        }
 
-    @pytest.mark.parametrize("metric_name,threshold", [("euclidean", 0.001), ("absDiff", 0.1)])
-    def test_all_modes_all_sources_byte_identical(
-        self, medium_trace, medium_files, metric_name, threshold
+    @pytest.mark.parametrize("metric_name,threshold", ALL_METRICS)
+    def test_all_sources_byte_identical(
+        self, medium_trace, medium_sources, metric_name, threshold
     ):
         reference = _reduce_bytes(medium_trace, metric_name, threshold, batch=False)
-        sources = {
-            "memory": medium_trace.segmented(),
-            "text": FrameTrace.from_file(medium_files["text"]),
-            "rpb": FrameTrace.from_file(medium_files["rpb"]),
-        }
-        for label, source in sources.items():
-            for mode in ({"prune": True}, {"prune": False}, {"batch": False}):
-                got = _reduce_bytes(source, metric_name, threshold, **mode)
-                assert got == reference, f"{label} source diverged under {mode}"
+        for label, source in medium_sources.items():
+            got = _reduce_bytes(source, metric_name, threshold)
+            assert got == reference, f"{label} source diverged"

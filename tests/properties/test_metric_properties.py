@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.metrics import create_metric
 from repro.core.metrics.distance import relative_differences
 from repro.core.metrics.minkowski import minkowski_distance
 from repro.core.metrics.vectors import next_power_of_two
 from repro.core.metrics.wavelet import average_transform, haar_transform
 
-from tests.properties.strategies import pow2_vectors
+from tests.properties.strategies import iteration_segments, pow2_vectors
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 positive_floats = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -143,3 +144,31 @@ class TestNextPowerOfTwoProperties:
         assert p & (p - 1) == 0
         if n > 1:
             assert p < 2 * n
+
+
+#: Thresholds spanning never-match to always-match regimes.
+thresholds = st.floats(min_value=1e-6, max_value=1e5, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def probe_and_bucket(draw):
+    """A normalised probe plus structurally identical stored segments."""
+    segments = [s.relative_to_start() for s in draw(iteration_segments(min_segments=2))]
+    return segments[0], segments[1:]
+
+
+@pytest.mark.parametrize("metric_name", ["relDiff", "absDiff"])
+class TestMatchOne:
+    @given(data=probe_and_bucket(), threshold=thresholds)
+    @settings(max_examples=40, deadline=None)
+    def test_depth_one_kernel_matches_dense_decision(self, metric_name, data, threshold):
+        # The depth-one scalar fast path must reproduce the dense kernel's
+        # (and therefore the scan's) decision exactly.
+        probe, stored = data
+        metric = create_metric(metric_name, threshold)
+        vector = metric.build_vector(probe)
+        for segment in stored:
+            row = metric.build_vector(segment)
+            stat, base = metric.match_stats(vector, row[np.newaxis, :])
+            dense = bool(stat[0] <= (threshold if base is None else threshold * base[0]))
+            assert metric.match_one(vector, row) == dense

@@ -28,6 +28,7 @@ from repro.service import (
     save_checkpoint,
     session_state,
 )
+from repro.service.checkpoint import STATE_VERSION
 from repro.trace.io import serialize_reduced_trace
 
 
@@ -61,7 +62,7 @@ def _run_straight(config, streams):
 
 
 class TestStorePickles:
-    """Satellite: stores round-trip with the summary-index columns intact."""
+    """Satellite: stores round-trip with the candidate-matrix columns intact."""
 
     def _populated_bucket(self, store, segments):
         metric = create_metric("euclidean")
@@ -89,17 +90,13 @@ class TestStorePickles:
         assert clone.counters.misses == store.counters.misses
         bucket, bucket_clone = store.candidates("k"), clone.candidates("k")
         assert [s.segment_id for s in bucket_clone] == [s.segment_id for s in bucket]
-        # The PR 8 pruning-index columns survive: matrix rows, scales, and
-        # norm summaries equal the original's built prefix.
+        # The candidate-matrix columns survive: matrix rows and scales equal
+        # the original's built prefix.
         assert isinstance(bucket_clone, CandidateList)
         np.testing.assert_array_equal(bucket_clone._matrix, bucket._matrix[: bucket._built])
         if bucket._scales is not None:
             np.testing.assert_array_equal(
                 bucket_clone._scales, bucket._scales[: bucket._built]
-            )
-        if bucket._summaries is not None:
-            np.testing.assert_array_equal(
-                bucket_clone._summaries, bucket._summaries[: bucket._built]
             )
 
     def test_restored_bucket_keeps_growing(self, streams):
@@ -209,10 +206,13 @@ def test_checkpoint_file_round_trip(streams, tmp_path):
     )
 
 
-def test_restore_rejects_unknown_version(streams):
+@pytest.mark.parametrize("version", [999, STATE_VERSION - 1])
+def test_restore_rejects_unknown_version(streams, version):
+    # STATE_VERSION - 1: a checkpoint from before the last layout change
+    # must be refused, not resumed from a misread state.
     session = ReductionSession("t", SessionConfig("relDiff"))
     payload = pickle.loads(session_state(session))
-    payload["version"] = 999
+    payload["version"] = version
     with pytest.raises(ValueError, match="version"):
         restore_state(pickle.dumps(payload))
 
