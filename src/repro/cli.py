@@ -476,6 +476,8 @@ def _cmd_trends(workload_name: str, methods: Optional[Sequence[str]], scale) -> 
 
 
 def _cmd_pipeline(args, scale) -> str:
+    from contextlib import nullcontext
+
     from repro.evaluation.filesize import full_trace_bytes, full_trace_bytes_from_file
 
     # Validate argument values before the expensive trace generation.
@@ -506,7 +508,6 @@ def _cmd_pipeline(args, scale) -> str:
         rows_head = [
             ["trace file", f"{trace_path} ({resolve_format(trace_path).name} format)"],
         ]
-        full_bytes = full_trace_bytes_from_file(trace_path)
         segmented = None
     else:
         workload = build_workload(args.workload, scale)
@@ -518,12 +519,16 @@ def _cmd_pipeline(args, scale) -> str:
             segmented = workload.run_segmented()
         source = segmented
         rows_head = [["workload", args.workload]]
-        full_bytes = full_trace_bytes(segmented)
     pipeline_runner = ReductionPipeline(metric, config)
+    recording = obs.recording("pipeline") if args.telemetry is not None else nullcontext()
+    with recording as recorder:  # sizing the full trace is part of the recorded run
+        if segmented is None:
+            full_bytes = full_trace_bytes_from_file(source)
+        else:
+            full_bytes = full_trace_bytes(segmented)
+        result = pipeline_runner.reduce(source)
     telemetry_row = None
     if args.telemetry is not None:
-        with obs.recording("pipeline") as recorder:
-            result = pipeline_runner.reduce(source)
         payload = obs.write_chrome_trace(
             recorder,
             args.telemetry,
@@ -544,10 +549,20 @@ def _cmd_pipeline(args, scale) -> str:
             "telemetry written to",
             f"{args.telemetry} ({n_events} spans, {n_tracks} tracks)",
         ]
-    else:
-        result = pipeline_runner.reduce(source)
 
-    reduced_bytes = result.reduced.size_bytes()
+    identical = True
+    if args.verify:
+        if segmented is None:
+            segmented = read_trace(source).segmented()
+        serial = TraceReducer(create_metric(args.method, args.threshold)).reduce(segmented)
+        identical = serialize_reduced_trace(serial) == serialize_reduced_trace(result.reduced)
+    # The file written is the serialization ``size_bytes`` counts, so when it
+    # is written its byte count is the reduced size.
+    if args.output and identical:
+        reduced_bytes = write_reduced_trace(result.reduced, args.output)
+    else:
+        reduced_bytes = result.reduced.size_bytes()
+
     rows = [
         *rows_head,
         ["method", metric.describe()],
@@ -568,17 +583,11 @@ def _cmd_pipeline(args, scale) -> str:
         rows.append(["merged trace bytes", result.merged.size_bytes()])
     if telemetry_row is not None:
         rows.append(telemetry_row)
-    identical = True
     if args.verify:
-        if segmented is None:
-            segmented = read_trace(source).segmented()
-        serial = TraceReducer(create_metric(args.method, args.threshold)).reduce(segmented)
-        identical = serialize_reduced_trace(serial) == serialize_reduced_trace(result.reduced)
         rows.append(["matches serial reducer", "yes" if identical else "NO"])
     if args.output:
         if identical:
-            written = write_reduced_trace(result.reduced, args.output)
-            rows.append(["written to", f"{args.output} ({written} bytes)"])
+            rows.append(["written to", f"{args.output} ({reduced_bytes} bytes)"])
         else:
             rows.append(["written to", "(skipped: verification failed)"])
     subject = args.workload if args.trace is None else args.trace

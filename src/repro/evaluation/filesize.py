@@ -9,16 +9,18 @@ trace files on disk two size notions exist:
 * the **text-equivalent size** (:func:`full_trace_bytes_from_file`) — what the
   trace *would* occupy in the paper's record-per-line format, which is the
   baseline every reduced trace is measured against.  For text files the two
-  coincide; for ``.rpb`` files the text-equivalent size keeps the criterion
-  comparable across storage formats.
+  coincide; for ``.rpb`` files it is computed from the column blocks by the
+  text format's own length rules (:class:`repro.trace.io.ColumnTextSizer`),
+  which keeps the criterion comparable across storage formats.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+from repro import obs
 from repro.core.reduced import ReducedTrace
-from repro.trace.io import format_record, segmented_trace_size_bytes
+from repro.trace.io import segmented_trace_size_bytes
 from repro.trace.trace import SegmentedTrace
 
 __all__ = [
@@ -42,23 +44,20 @@ def trace_file_size_bytes(path: str | Path) -> int:
 def full_trace_bytes_from_file(path: str | Path) -> int:
     """Text-equivalent size of a trace file in either storage format.
 
-    For text files (canonical ``write_trace`` output: one record per line,
-    no extra whitespace) the file *is* the text serialization, so the answer
-    is the file size — no parse needed.  Other formats are streamed rank by
-    rank (never materializing the trace), summing the record-per-line UTF-8
-    byte cost, so a ``.rpb`` file reports the same full-trace baseline its
-    text twin would.
+    Each format answers for itself (``TraceFormat.text_bytes``): a text file
+    (canonical ``write_trace`` output: one record per line, no extra
+    whitespace) *is* the text serialization, so its answer is the file size;
+    an ``.rpb`` file sums the record-per-line UTF-8 byte cost over its
+    columns, and reports the same full-trace baseline its text twin would.
     """
     from repro.trace.formats import resolve_format
 
     path = Path(path)
     fmt = resolve_format(path)
-    if fmt.name == "text":
-        return path.stat().st_size
-    total = 0
-    for _, records in fmt.rank_streams(path):
-        for record in records:
-            total += len(format_record(record).encode("utf-8")) + 1  # newline
+    ranks = len(fmt.rank_ids(path)) if fmt.is_indexed else None
+    with obs.span("filesize.text_bytes", format=fmt.name, ranks=ranks):
+        total = fmt.text_bytes(path)
+        obs.counter("filesize.bytes", total)
     return total
 
 

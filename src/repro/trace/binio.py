@@ -20,9 +20,15 @@ File layout::
     [magic "RPB1"] [rank block 0] ... [rank block N-1] [footer JSON]
     [footer offset: uint64 LE] [tail magic "RPBX"]
 
-Each rank block is a fixed sequence of arrays written with :func:`numpy.save`
-(no pickling), so the format is self-describing at the array level and reads
-back with :func:`numpy.load`.
+Each rank block is a fixed sequence of nine arrays written with
+:func:`numpy.save` (no pickling), so the format is self-describing at the
+array level.  Readers fetch a block with one ``read`` and walk its ``.npy``
+members in place (:func:`_block_arrays`); whatever is wrong with a block —
+bad member magic, unsupported ``.npy`` version, unparsable or object-dtype
+header, a shape that claims more bytes than the block holds, trailing bytes,
+a column of the wrong type or length, a string id or kind code out of range —
+surfaces as :class:`RpbFormatError`.  Decoded columns are read-only views of
+the block's bytes.
 
 Timestamps are ``float64`` end to end: unlike the text format, which
 quantizes to two decimals on write, a binary write→read round-trip is exact.
@@ -36,8 +42,11 @@ objects at all.
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import struct
+import tokenize
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -48,6 +57,7 @@ import numpy as np
 from repro import obs
 from repro.core.frames import RankFrame
 from repro.trace.events import Event, MpiCallInfo
+from repro.trace.io import ColumnTextSizer
 from repro.trace.records import RecordKind, TraceRecord
 from repro.trace.segments import Segment, iter_segments
 from repro.trace.trace import RankTrace, Trace
@@ -66,6 +76,7 @@ __all__ = [
     "iter_rank_record_streams_rpb",
     "read_trace_rpb",
     "write_trace_rpb",
+    "text_bytes",
 ]
 
 RPB_SUFFIX = ".rpb"
@@ -75,8 +86,10 @@ _TAIL_MAGIC = b"RPBX"
 _TAIL = struct.Struct("<Q4s")  # footer offset + tail magic
 _VERSION = 1
 
-#: Bit assignments of the MPI field-presence mask.
+#: Bit assignments of the MPI field-presence mask; the value columns of
+#: ``mpi_vals`` are in the same order.
 _HAS_ROOT, _HAS_PEER, _HAS_SOURCE, _HAS_TAG = 1, 2, 4, 8
+_FIELD_BITS = np.array([_HAS_ROOT, _HAS_PEER, _HAS_SOURCE, _HAS_TAG], dtype=np.uint8)
 
 #: RecordKind by integer value (values are 0..3 in definition order).
 _KIND_BY_VALUE = tuple(RecordKind)
@@ -150,10 +163,6 @@ def _save(handle: BinaryIO, values, dtype) -> None:
     np.save(handle, np.asarray(values, dtype=dtype), allow_pickle=False)
 
 
-def _load(handle: BinaryIO) -> np.ndarray:
-    return np.load(handle, allow_pickle=False)
-
-
 class RpbTraceWriter:
     """Incremental ``.rpb`` writer: one rank block at a time, footer on close.
 
@@ -167,13 +176,14 @@ class RpbTraceWriter:
         self._handle: Optional[BinaryIO] = self._path.open("wb")
         self._handle.write(_MAGIC)
         self._entries: list[RpbRankEntry] = []
+        self._ranks: set[int] = set()
         self._strings = _StringTable()
 
     def write_rank(self, rank: int, records: Iterable[TraceRecord]) -> int:
         """Encode one rank's records as a column block; returns the record count."""
         if self._handle is None:
             raise ValueError("writer is closed")
-        if any(entry.rank == rank for entry in self._entries):
+        if rank in self._ranks:
             raise ValueError(f"rank {rank} was already written to {self._path}")
         string_id = self._strings.id
         kinds: list[int] = []
@@ -227,6 +237,7 @@ class RpbTraceWriter:
         self._entries.append(
             RpbRankEntry(rank=rank, offset=offset, length=length, n_records=len(kinds))
         )
+        self._ranks.add(rank)
         return len(kinds)
 
     def close(self) -> None:
@@ -417,26 +428,114 @@ class _RankColumns:
         return tuple(table), row_ids
 
 
+_NPY_MAGIC = b"\x93NUMPY"
+#: ``.npy`` format version -> (byte width of the header-length field, NumPy's header parser).
+_NPY_VERSIONS = {
+    (1, 0): (2, np.lib.format.read_array_header_1_0),
+    (2, 0): (4, np.lib.format.read_array_header_2_0),
+}
+
+#: The nine members of a rank block, in file order: field, dtype, dimensions.
+_MEMBERS = (
+    ("kind", np.dtype(np.uint8), 1),
+    ("time", np.dtype(np.float64), 1),
+    ("name", np.dtype(np.uint32), 1),
+    ("mpi_pos", np.dtype(np.int64), 1),
+    ("mpi_op", np.dtype(np.uint32), 1),
+    ("mpi_mask", np.dtype(np.uint8), 1),
+    ("mpi_vals", np.dtype(np.int64), 2),
+    ("mpi_nbytes", np.dtype(np.int64), 1),
+    ("mpi_comm", np.dtype(np.uint32), 1),
+)
+
+
+@lru_cache(maxsize=256)
+def _npy_header(version: tuple[int, int], header: bytes) -> tuple[tuple[int, ...], bool, np.dtype]:
+    """Parse one ``.npy`` header (length field included) with NumPy's own parser.
+
+    A file holds a handful of distinct headers (one per column type and
+    length) but nine per rank, so the parse is cached on the header bytes.
+    """
+    return _NPY_VERSIONS[version][1](io.BytesIO(header))
+
+
+def _block_arrays(block: bytes, n_members: int) -> list[np.ndarray]:
+    """Walk the ``.npy`` members of one rank block, returning views of ``block``.
+
+    What :func:`numpy.load` with ``allow_pickle=False`` would return for each
+    member, without a file seek, header ``literal_eval`` and copy per array.
+    """
+    arrays = []
+    pos = 0
+    for member in range(n_members):
+        prefix_end = pos + len(_NPY_MAGIC) + 2
+        if block[pos : pos + len(_NPY_MAGIC)] != _NPY_MAGIC or prefix_end > len(block):
+            raise RpbFormatError(f"array {member} does not start with the .npy magic")
+        version = (block[prefix_end - 2], block[prefix_end - 1])
+        if version not in _NPY_VERSIONS:
+            raise RpbFormatError(f"array {member} has unsupported .npy version {version}")
+        length_end = prefix_end + _NPY_VERSIONS[version][0]
+        data_start = length_end + int.from_bytes(block[prefix_end:length_end], "little")
+        if data_start > len(block):
+            raise RpbFormatError(f"array {member} header runs past the end of the block")
+        try:
+            shape, fortran_order, dtype = _npy_header(version, block[prefix_end:data_start])
+        except (ValueError, tokenize.TokenError) as error:  # both escape NumPy's parser
+            raise RpbFormatError(f"array {member} has a corrupt .npy header: {error}") from error
+        if dtype.hasobject:
+            raise RpbFormatError(f"array {member} has an object dtype")
+        count = math.prod(shape)
+        if min(shape, default=0) < 0 or count * dtype.itemsize > len(block) - data_start:
+            raise RpbFormatError(
+                f"array {member} claims shape {shape} of {dtype}, more than the block holds"
+            )
+        try:
+            array = np.frombuffer(block, dtype=dtype, count=count, offset=data_start)
+        except ValueError as error:
+            raise RpbFormatError(f"array {member} cannot be decoded: {error}") from error
+        arrays.append(array.reshape(shape[::-1]).T if fortran_order else array.reshape(shape))
+        pos = data_start + array.nbytes
+    if pos != len(block):
+        raise RpbFormatError(f"{len(block) - pos} trailing bytes after array {n_members - 1}")
+    return arrays
+
+
 def _load_columns(handle: BinaryIO, entry: RpbRankEntry, strings: tuple[str, ...]) -> _RankColumns:
-    handle.seek(entry.offset)
-    columns = _RankColumns(
-        rank=entry.rank,
-        kind=_load(handle),
-        time=_load(handle),
-        name=_load(handle),
-        mpi_pos=_load(handle),
-        mpi_op=_load(handle),
-        mpi_mask=_load(handle),
-        mpi_vals=_load(handle),
-        mpi_nbytes=_load(handle),
-        mpi_comm=_load(handle),
-        strings=strings,
-    )
-    if len(columns.kind) != entry.n_records:
-        raise RpbFormatError(
-            f"rank {entry.rank} block holds {len(columns.kind)} records, "
-            f"index says {entry.n_records}"
-        )
+    """Read and validate one rank block; every defect is an :class:`RpbFormatError`."""
+    try:
+        if entry.offset < len(_MAGIC) or entry.length < 0:
+            raise RpbFormatError(f"byte range {entry.offset}+{entry.length} is out of range")
+        handle.seek(entry.offset)
+        block = handle.read(entry.length)
+        if len(block) != entry.length:
+            raise RpbFormatError(f"block is cut short ({len(block)} of {entry.length} bytes)")
+        fields = {}
+        for array, (field, dtype, ndim) in zip(_block_arrays(block, len(_MEMBERS)), _MEMBERS):
+            if (array.dtype.kind, array.dtype.itemsize, array.ndim) != (dtype.kind, dtype.itemsize, ndim):
+                raise RpbFormatError(
+                    f"column {field} is {array.ndim}-d {array.dtype}, expected {ndim}-d {dtype}"
+                )
+            fields[field] = array
+        columns = _RankColumns(rank=entry.rank, strings=strings, **fields)
+        n_records, n_mpi = len(columns.kind), len(columns.mpi_pos)
+        if n_records != entry.n_records:
+            raise RpbFormatError(f"block holds {n_records} records, index says {entry.n_records}")
+        if len(columns.time) != n_records or len(columns.name) != n_records:
+            raise RpbFormatError("record columns differ in length")
+        if columns.mpi_vals.shape != (n_mpi, len(_FIELD_BITS)) or any(
+            len(column) != n_mpi
+            for column in (columns.mpi_op, columns.mpi_mask, columns.mpi_nbytes, columns.mpi_comm)
+        ):
+            raise RpbFormatError("MPI columns differ in length")
+        if n_records and int(columns.kind.max()) > _KIND_SEGMENT_END:
+            raise RpbFormatError(f"unknown record kind code {int(columns.kind.max())}")
+        for ids in (columns.name, columns.mpi_op, columns.mpi_comm):
+            if len(ids) and int(ids.max()) >= len(strings):
+                raise RpbFormatError(
+                    f"string id {int(ids.max())} outside the {len(strings)}-entry string table"
+                )
+    except RpbFormatError as error:
+        raise RpbFormatError(f"rank {entry.rank} block: {error}") from error
     return columns
 
 
@@ -456,11 +555,8 @@ def _records_from_columns(columns: _RankColumns) -> Iterator[TraceRecord]:
     times = columns.time.tolist()
     names = columns.name.tolist()
     for position in range(len(kinds)):
-        kind = kinds[position]
-        if kind > _KIND_SEGMENT_END:
-            raise RpbFormatError(f"unknown record kind code {kind}")
         yield TraceRecord(
-            kind=_KIND_BY_VALUE[kind],
+            kind=_KIND_BY_VALUE[kinds[position]],
             rank=rank,
             timestamp=times[position],
             name=strings[names[position]],
@@ -486,7 +582,6 @@ def _segments_from_columns(columns: _RankColumns) -> Iterator[Segment]:
 
 
 def _columns_well_formed(
-    kinds: np.ndarray,
     names: np.ndarray,
     begin_pos: np.ndarray,
     end_pos: np.ndarray,
@@ -501,8 +596,6 @@ def _columns_well_formed(
     segment.  On False the caller re-runs the record-by-record state machine,
     which raises the precise :class:`SegmentationError`.
     """
-    if kinds.size and int(kinds.max()) > _KIND_SEGMENT_END:
-        return False
     if len(begin_pos) != len(end_pos) or len(enter_pos) != len(exit_pos):
         return False
     if len(begin_pos):
@@ -543,7 +636,7 @@ def _segments_from_columns_fast(columns: _RankColumns) -> Optional[list[Segment]
     else:
         event_seg = np.empty(0, dtype=np.int64)
     if not _columns_well_formed(
-        kinds, columns.name, begin_pos, end_pos, enter_pos, exit_pos, event_seg
+        columns.name, begin_pos, end_pos, enter_pos, exit_pos, event_seg
     ):
         return None
 
@@ -621,7 +714,7 @@ def _frame_from_columns(columns: _RankColumns) -> RankFrame:
     else:
         event_seg = np.empty(0, dtype=np.int64)
     if not _columns_well_formed(
-        kinds, columns.name, begin_pos, end_pos, enter_pos, exit_pos, event_seg
+        columns.name, begin_pos, end_pos, enter_pos, exit_pos, event_seg
     ):
         return RankFrame.from_segments(columns.rank, _segments_from_columns(columns))
 
@@ -664,6 +757,30 @@ def rank_frame(path: str | Path, rank: int) -> RankFrame:
     path = Path(path)
     with obs.span("columnar.decode", rank=rank, source="rpb"):
         return _frame_from_columns(_read_rank_columns(path, rank))
+
+
+def text_bytes(path: str | Path) -> int:
+    """Bytes the file's records occupy in the text format, from its columns.
+
+    One rank block at a time (memory is bounded by the largest rank); no
+    record objects are built.  Equals the size of the file's text twin.
+    """
+    path = Path(path)
+    index = read_index(path)
+    sizer = ColumnTextSizer(index.strings)
+    total = 0
+    with path.open("rb") as handle:
+        for entry in index.entries:
+            columns = _load_columns(handle, entry, index.strings)
+            total += sizer.records(entry.rank, columns.kind, columns.time, columns.name)
+            total += sizer.mpi(
+                columns.mpi_op,
+                (columns.mpi_mask[:, None] & _FIELD_BITS) != 0,
+                columns.mpi_vals,
+                columns.mpi_nbytes,
+                columns.mpi_comm,
+            )
+    return total
 
 
 def iter_rank_record_streams_rpb(

@@ -3,8 +3,9 @@
 Every trace file API in this package goes through one registry.  A
 :class:`TraceFormat` bundles the operations a storage format must provide
 (whole-trace read/write, an incremental per-rank writer, forward rank
-streams) plus the optional random-access operations that only indexed
-formats have (rank ids from the index, per-rank record/segment decoders).
+streams, the text-equivalent size) plus the optional random-access
+operations that only indexed formats have (rank ids from the index,
+per-rank record/segment decoders).
 
 Two formats are registered:
 
@@ -78,6 +79,8 @@ class TraceFormat:
     read: Callable[..., Trace]
     open_writer: Callable[[Path], TraceWriter]
     rank_streams: Callable[[Path], Iterator[Tuple[int, Iterator[TraceRecord]]]]
+    #: Bytes the file's records occupy in the text format (§4.3.1's denominator).
+    text_bytes: Callable[[Path], int]
     rank_ids: Optional[Callable[[Path], list[int]]] = None
     rank_records: Optional[Callable[[Path, int], Iterator[TraceRecord]]] = None
     rank_segments: Optional[Callable[[Path, int], Iterator[Segment]]] = None
@@ -197,6 +200,7 @@ register_format(
         read=textio.read_trace_text,
         open_writer=textio.TextTraceWriter,
         rank_streams=textio.iter_rank_record_streams_text,
+        text_bytes=textio.text_trace_bytes,
     )
 )
 
@@ -209,6 +213,7 @@ register_format(
         read=binio.read_trace_rpb,
         open_writer=binio.RpbTraceWriter,
         rank_streams=binio.iter_rank_record_streams_rpb,
+        text_bytes=binio.text_bytes,
         rank_ids=binio.rank_ids,
         rank_records=binio.iter_rank_records,
         rank_segments=binio.iter_rank_segments,

@@ -28,8 +28,11 @@ from __future__ import annotations
 
 import io as _io
 import itertools
+import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.trace.events import Event, MpiCallInfo
 from repro.trace.records import RecordKind, TraceRecord
@@ -44,6 +47,7 @@ from repro.trace.trace import SegmentedTrace, Trace
 __all__ = [
     "format_record",
     "parse_record",
+    "ColumnTextSizer",
     "serialize_records",
     "serialize_segment",
     "serialize_exec_entry",
@@ -52,6 +56,7 @@ __all__ = [
     "reduced_trace_size_bytes",
     "write_trace",
     "write_trace_text",
+    "text_trace_bytes",
     "TextTraceWriter",
     "read_trace",
     "read_trace_text",
@@ -67,18 +72,21 @@ __all__ = [
 ]
 
 _TS_FMT = "{:.2f}"
+#: Labels of the optional integer MPI attributes, in the order they are written.
+_MPI_LABELS = ("root", "peer", "src", "tag")
+_DEFAULT_COMM = "world"  # not written
 
 
 def _format_mpi(mpi: MpiCallInfo | None) -> str:
     if mpi is None:
         return ""
     parts = [mpi.op]
-    for label, value in (("root", mpi.root), ("peer", mpi.peer), ("src", mpi.source), ("tag", mpi.tag)):
+    for label, value in zip(_MPI_LABELS, (mpi.root, mpi.peer, mpi.source, mpi.tag)):
         if value is not None:
             parts.append(f"{label}={value}")
     if mpi.nbytes:
         parts.append(f"bytes={mpi.nbytes}")
-    if mpi.comm != "world":
+    if mpi.comm != _DEFAULT_COMM:
         parts.append(f"comm={mpi.comm}")
     return " " + " ".join(parts)
 
@@ -109,6 +117,99 @@ def format_record(record: TraceRecord) -> str:
     """Format one record as a single trace-file line (no newline)."""
     ts = _TS_FMT.format(record.timestamp)
     return f"{record.kind.name} {record.rank} {ts} {record.name}{_format_mpi(record.mpi)}"
+
+
+def _timestamp_digit_gains() -> np.ndarray:
+    """The doubles at which ``_TS_FMT`` output gains an integer digit.
+
+    Entry ``k - 1`` is the smallest double that formats with ``k + 1`` integer
+    digits — the first at or above ``10**k - 0.005``, settled by asking the
+    format itself — for ``k`` = 1 … 15 (the last is ``1e15``, where doubles are
+    0.125 apart).
+    """
+    gains = []
+    for k in range(1, 16):
+        gain = 10.0**k - 0.005
+        while len(_TS_FMT.format(gain)) < k + 4:
+            gain = math.nextafter(gain, math.inf)
+        while len(_TS_FMT.format(math.nextafter(gain, 0.0))) == k + 4:
+            gain = math.nextafter(gain, 0.0)
+        gains.append(gain)
+    return np.array(gains)
+
+
+_TS_DIGIT_GAINS = _timestamp_digit_gains()
+_KIND_NAME_BYTES = np.array([len(kind.name) for kind in RecordKind])  # by kind value
+_MPI_LABEL_BYTES = np.array([len(f" {label}=") for label in _MPI_LABELS])
+_POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
+
+
+def _timestamps_text_bytes(times: np.ndarray) -> int:
+    """``sum(len(_TS_FMT.format(t)) for t in times)``."""
+    # Negative, -0.0, NaN, infinite and >= 1e15: ask the format itself.
+    odd = ~(times >= 0.0) | (times >= _TS_DIGIT_GAINS[-1]) | np.signbit(times)
+    total = 0
+    if odd.any():
+        total = sum(len(_TS_FMT.format(t)) for t in times[odd].tolist())
+        times = times[~odd]
+    # One integer digit per gain passed, plus the first and ".dd".
+    return total + int(np.searchsorted(_TS_DIGIT_GAINS, times, side="right").sum()) + 4 * len(times)
+
+
+def _int_text_bytes(values: np.ndarray) -> np.ndarray:
+    """``len(str(v))`` of each ``int64`` value."""
+    # abs(INT64_MIN) wraps to itself, which as uint64 is the right magnitude.
+    magnitude = np.abs(values).astype(np.uint64)
+    return np.searchsorted(_POWERS_OF_TEN, magnitude, side="right") + 1 + (values < 0)
+
+
+class ColumnTextSizer:
+    """Byte cost of records in the text format, computed from record columns.
+
+    The length rules of :func:`format_record` and :func:`_format_mpi`, applied
+    to whole columns: what ``len((format_record(r) + "\\n").encode("utf-8"))``
+    sums to over the records the columns describe, without building one.
+    ``strings`` is the table the name, op and communicator id columns index.
+    """
+
+    def __init__(self, strings: Sequence[str]) -> None:
+        self._string_bytes = np.array([len(s.encode("utf-8")) for s in strings], dtype=np.int64)
+        self._comm_written = np.array([s != _DEFAULT_COMM for s in strings], dtype=bool)
+
+    def records(self, rank: int, kinds: np.ndarray, times: np.ndarray, names: np.ndarray) -> int:
+        """Bytes of ``KIND rank timestamp name\\n`` over one rank's records."""
+        return (
+            int(_KIND_NAME_BYTES[kinds].sum())
+            + len(kinds) * (len(str(rank)) + len("   \n"))  # three separators, newline
+            + _timestamps_text_bytes(times)
+            + int(self._string_bytes[names].sum())
+        )
+
+    def mpi(
+        self,
+        ops: np.ndarray,
+        present: np.ndarray,
+        values: np.ndarray,
+        nbytes: np.ndarray,
+        comms: np.ndarray,
+    ) -> int:
+        """Bytes of the MPI suffixes of the records that carry MPI parameters.
+
+        ``present`` and ``values`` have one column per label of
+        ``_MPI_LABELS``: whether the attribute is set, and its value.
+        """
+        sized = nbytes != 0
+        comm_written = self._comm_written[comms]
+        return (
+            len(ops)
+            + int(self._string_bytes[ops].sum())
+            + int((present * _MPI_LABEL_BYTES).sum())
+            + int(_int_text_bytes(values[present]).sum())
+            + int(sized.sum()) * len(" bytes=")
+            + int(_int_text_bytes(nbytes[sized]).sum())
+            + int(comm_written.sum()) * len(" comm=")
+            + int(self._string_bytes[comms[comm_written]].sum())
+        )
 
 
 def parse_record(line: str) -> TraceRecord:
@@ -227,6 +328,11 @@ def write_trace(trace: Trace, path: str | Path, format: str | None = None) -> No
     from repro.trace.formats import resolve_format  # deferred: formats imports us
 
     resolve_format(path, format).write(trace, Path(path))
+
+
+def text_trace_bytes(path: str | Path) -> int:
+    """Text size of a text trace: the file is its own text serialization."""
+    return Path(path).stat().st_size
 
 
 def write_trace_text(trace: Trace, path: str | Path) -> None:

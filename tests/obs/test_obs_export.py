@@ -129,6 +129,29 @@ def test_write_load_report_roundtrip(tmp_path, small_late_sender_trace):
     assert "pipeline.run" in report
 
 
+def test_pipeline_trace_run_attributes_the_sizing_pass(tmp_path, capsys):
+    # ``pipeline --trace F.rpb`` sizes the full trace before it reduces; the
+    # pass must sit inside the recording, under its own span and counter.
+    from repro.benchmarks_ats import late_sender
+    from repro.cli import main
+    from repro.trace.io import write_trace
+
+    trace = late_sender(nprocs=4, iterations=3, seed=2).run()
+    rpb, text, telemetry = tmp_path / "t.rpb", tmp_path / "t.txt", tmp_path / "telemetry.json"
+    write_trace(trace, rpb)
+    write_trace(trace, text)
+    assert main(["pipeline", "--trace", str(rpb), "--executor", "serial",
+                 "--telemetry", str(telemetry)]) == 0
+    capsys.readouterr()
+    payload = obs.load_trace(telemetry)
+    (sizing,) = [e for e in payload["traceEvents"] if e.get("name") == "filesize.text_bytes"]
+    assert sizing["ph"] == "X"
+    assert sizing["args"] == {"format": "rpb", "ranks": 4}
+    run = obs.MetricsSnapshot.from_json(payload["otherData"]["metrics"]["run"])
+    assert run.scalar("filesize.bytes") == text.stat().st_size
+    assert "filesize.text_bytes" in obs.render_report(telemetry)
+
+
 def test_span_coverage_on_synthetic_payloads():
     def payload(*intervals):
         return {

@@ -90,6 +90,14 @@ class TestCommands:
         assert code == 0
         assert target.exists()
         assert target.read_text().startswith("SEG ")
+        # The reduced size reported is the size of the file just written.
+        size = target.stat().st_size
+        assert f"reduced trace bytes {size}" in " ".join(out.split())
+        assert f"({size} bytes)" in out
+        _, unwritten = run_cli(
+            capsys, "--scale", "smoke", "pipeline", "late_sender", "--executor", "serial",
+        )
+        assert f"reduced trace bytes {size}" in " ".join(unwritten.split())
 
     def test_pipeline_save_trace_and_trace_ingest(self, capsys, tmp_path):
         saved = tmp_path / "full.rpb"
@@ -252,6 +260,8 @@ class TestCommands:
         # The known-divergent reduction must not be written.
         assert not target.exists()
         assert "skipped: verification failed" in captured.out
+        # Nothing was written, so the size still comes from the serializer.
+        assert "reduced trace bytes" in captured.out
 
     def test_pipeline_telemetry_export_and_report(self, capsys, tmp_path):
         saved = tmp_path / "full.rpb"

@@ -1,8 +1,11 @@
 """Tests for the columnar binary trace format (``.rpb``)."""
 
+import io
+import json
 import math
 import struct
 
+import numpy as np
 import pytest
 
 from repro.benchmarks_ats import late_sender
@@ -11,6 +14,16 @@ from repro.trace.events import MpiCallInfo
 from repro.trace.records import RecordKind, TraceRecord
 from repro.trace.segments import SegmentationError, iter_segments
 from repro.trace.trace import RankTrace, Trace
+
+from tests.trace.rpb_files import (
+    block_bytes,
+    npy_bytes,
+    npy_member,
+    read_blocks,
+    rewrite_block,
+    split_members,
+    write_rpb,
+)
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +191,21 @@ class TestWriterValidation:
             binio.read_trace_rpb(path)
 
 
+def _array(member: bytes) -> np.ndarray:
+    return np.load(io.BytesIO(member), allow_pickle=False)
+
+
+def _in_member(member_index, replacement):
+    """Block damage that replaces one ``.npy`` member by ``replacement(member)``."""
+
+    def damage(block):
+        members = split_members(block)
+        members[member_index] = replacement(members[member_index])
+        return b"".join(members)
+
+    return damage
+
+
 class TestCorruptFiles:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "not.rpb"
@@ -197,6 +225,135 @@ class TestCorruptFiles:
         rpb_path.write_bytes(bytes(data))
         with pytest.raises(binio.RpbFormatError, match="footer offset"):
             binio.read_index(rpb_path)
+
+    # -- damage inside one rank block, under a footer that stays valid --------
+
+    #: Every way into a rank block.
+    READERS = {
+        "rank_frame": lambda path, rank: binio.rank_frame(path, rank),
+        "iter_rank_segments": lambda path, rank: list(binio.iter_rank_segments(path, rank)),
+        "iter_rank_records": lambda path, rank: list(binio.iter_rank_records(path, rank)),
+        "read_trace_rpb": lambda path, rank: binio.read_trace_rpb(path),
+        "text_bytes": lambda path, rank: binio.text_bytes(path),
+    }
+
+    #: damage to rank 2's block -> what the error must say.
+    DAMAGE = {
+        "flipped member magic": (_in_member(2, lambda m: m[:1] + bytes([m[1] ^ 0x20]) + m[2:]), "magic"),
+        "unsupported npy version": (_in_member(4, lambda m: m[:6] + bytes([3, 0]) + m[8:]), "version"),
+        # A float64 column claiming a million entries over the payload it has.
+        "shape larger than block": (
+            _in_member(1, lambda m: npy_member("<f8", (1_000_000,), _array(m).tobytes())),
+            "more than the block holds",
+        ),
+        "corrupt header text": (_in_member(0, lambda m: m[:10] + b"{'descr': }" + m[21:]), "header"),
+        "object dtype": (
+            _in_member(1, lambda m: npy_member("|O", _array(m).shape, _array(m).tobytes())),
+            "object dtype",
+        ),
+        "block cut short": (lambda block: block[:-5], "more than the block holds"),
+        "trailing bytes": (lambda block: block + b"\0\0\0", "trailing bytes"),
+        "tenth member": (lambda block: block + npy_bytes(np.zeros(2)), "trailing bytes"),
+        "wrong column type": (_in_member(2, lambda m: npy_bytes(_array(m).astype(np.float32))), "column name"),
+        "mpi columns disagree": (_in_member(7, lambda m: npy_bytes(np.zeros(1, dtype=np.int64))), "MPI columns"),
+    }
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("case", DAMAGE)
+    def test_damaged_block_is_a_format_error(self, case, reader, rpb_path):
+        damage, message = self.DAMAGE[case]
+        rewrite_block(rpb_path, 2, damage)
+        with pytest.raises(binio.RpbFormatError, match=f"rank 2 block.*{message}"):
+            self.READERS[reader](rpb_path, 2)
+        if reader not in ("read_trace_rpb", "text_bytes"):  # the other ranks still decode
+            self.READERS[reader](rpb_path, 1)
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_record_count_mismatch(self, reader, rpb_path):
+        blocks, _ = read_blocks(rpb_path)
+        rewrite_block(rpb_path, 2, lambda block: block, n_records=blocks[2][1] + 1)
+        with pytest.raises(binio.RpbFormatError, match="rank 2 block.*index says"):
+            self.READERS[reader](rpb_path, 2)
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("offset, length", [(-4, 10), (0, 10), (4, -1), (4, 10**9)])
+    def test_byte_range_outside_the_file(self, offset, length, reader, rpb_path):
+        # The one case that needs a lying footer: the range is the damage.
+        data = rpb_path.read_bytes()
+        footer_offset = struct.unpack("<Q", data[-12:-4])[0]
+        footer = json.loads(data[footer_offset:-12])
+        footer["ranks"][2][1:3] = [offset, length]
+        rpb_path.write_bytes(
+            data[:footer_offset] + json.dumps(footer).encode() + data[-12:]
+        )
+        with pytest.raises(binio.RpbFormatError, match="rank 2 block"):
+            self.READERS[reader](rpb_path, 2)
+
+
+class TestBlockWalk:
+    """One read + a walk over the members returns what nine ``np.load`` calls did."""
+
+    @staticmethod
+    def _mpi_heavy(rank, n):
+        records = [TraceRecord(kind=RecordKind.SEGMENT_BEGIN, rank=rank, timestamp=0.0, name="s")]
+        for i in range(n):
+            mpi = MpiCallInfo(op="sendrecv", peer=i % 3, source=i % 5, tag=i, nbytes=8 * i, comm="world" if i % 2 else "row")
+            records.append(TraceRecord(kind=RecordKind.ENTER, rank=rank, timestamp=1.0 + i, name="MPI_Sendrecv", mpi=mpi))
+            records.append(TraceRecord(kind=RecordKind.EXIT, rank=rank, timestamp=1.5 + i, name="MPI_Sendrecv"))
+        records.append(TraceRecord(kind=RecordKind.SEGMENT_END, rank=rank, timestamp=2.0 + n, name="s"))
+        return records
+
+    @pytest.fixture()
+    def mixed_path(self, tmp_path):
+        path = tmp_path / "mixed.rpb"
+        with binio.RpbTraceWriter(path) as writer:
+            writer.write_rank(0, [])
+            writer.write_rank(1, [TraceRecord(kind=RecordKind.SEGMENT_BEGIN, rank=1, timestamp=0.5, name="only")])
+            writer.write_rank(2, self._mpi_heavy(2, 300))
+        return path
+
+    def test_arrays_equal_np_load(self, mixed_path):
+        blocks, _ = read_blocks(mixed_path)
+        for rank, n_records, block in blocks:
+            walked = binio._block_arrays(block, 9)
+            handle = io.BytesIO(block)
+            for array in walked:
+                loaded = np.load(handle, allow_pickle=False)
+                assert array.dtype == loaded.dtype
+                assert array.shape == loaded.shape
+                assert np.array_equal(array, loaded)
+            assert len(walked[0]) == n_records
+            assert walked[6].shape == (len(walked[3]), 4)
+
+    def test_version_2_and_fortran_order_members(self):
+        values = np.arange(12, dtype=np.int64).reshape(3, 4)
+        fortran = io.BytesIO()
+        np.save(fortran, np.asfortranarray(values))
+        v2 = npy_member("<i8", (12,), values.tobytes(), version=(2, 0))
+        first, second = binio._block_arrays(fortran.getvalue() + v2, 2)
+        assert np.array_equal(first, values) and first.shape == (3, 4)
+        assert np.array_equal(second, values.ravel())
+
+    def test_columns_are_read_only_and_readers_do_not_write(self, mixed_path):
+        with mixed_path.open("rb") as handle:
+            index = binio.read_index(mixed_path)
+            columns = binio._load_columns(handle, index.entry_for(2), index.strings)
+        assert not columns.time.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            columns.time[0] = 1.0
+        frame = binio.rank_frame(mixed_path, 2)
+        segments = list(binio.iter_rank_segments(mixed_path, 2))
+        assert frame.n_segments == len(segments) == 1
+        assert frame.starts.flags.writeable  # frames own their arrays
+
+    def test_duplicate_rank_check_survives_many_ranks(self, tmp_path):
+        with binio.RpbTraceWriter(tmp_path / "many.rpb") as writer:
+            for rank in range(300):
+                writer.write_rank(rank, [])
+            for rank in (0, 150, 299):
+                with pytest.raises(ValueError, match=f"rank {rank} was already written"):
+                    writer.write_rank(rank, [])
+        assert binio.rank_ids(tmp_path / "many.rpb") == list(range(300))
 
 
 class TestIndexCacheFreshness:
