@@ -28,7 +28,13 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.reduced import StoredSegment
 
-__all__ = ["CandidateList", "InlineStore", "MatchCounters", "first_match_index"]
+__all__ = [
+    "BATCH_STORES",
+    "CandidateList",
+    "InlineStore",
+    "MatchCounters",
+    "first_match_index",
+]
 
 
 def first_match_index(mask: np.ndarray) -> Optional[int]:
@@ -50,9 +56,11 @@ def first_match_index(mask: np.ndarray) -> Optional[int]:
 class MatchCounters:
     """Instrumentation of the match-kernel stage of one reduction.
 
-    ``calls`` counts invocations of the matching step (one per segment that
-    had at least one candidate), ``rows_compared`` the total candidate rows
-    those calls evaluated, and ``seconds`` their accumulated wall time.
+    ``calls`` counts kernel invocations, ``rows_compared`` the probe ×
+    representative pairs those invocations evaluated, and ``seconds`` their
+    accumulated wall time.  The per-row step makes one invocation per segment
+    that had a candidate; the batch step makes one per structural key with a
+    non-empty bucket plus one per new representative, over no more pairs.
     """
 
     calls: int = 0
@@ -72,7 +80,7 @@ class MatchCounters:
 
     @property
     def rows_per_call(self) -> float:
-        """Mean candidate-list depth seen by the kernel."""
+        """Mean pairs evaluated per kernel invocation."""
         return self.rows_compared / self.calls if self.calls else 0.0
 
     def record_to(self, registry) -> None:
@@ -345,5 +353,20 @@ class InlineStore:
         bucket.append_built(stored, metric, row)
         self._size += 1
 
+    def bucket(self, key: tuple) -> Optional[CandidateList]:
+        """The key's bucket without counting a lookup (the batch step's probe)."""
+        return self._by_key.get(key)
+
+    def count_lookups(self, hits: int, misses: int) -> None:
+        """Book the lookups the batch step resolved in bulk (no-op: nothing counts here)."""
+
     def __len__(self) -> int:
         return self._size
+
+
+#: Store classes the reducer's batch step may serve, by *exact* type.  The
+#: step reads ``bucket()`` and books ``count_lookups()`` in place of calling
+#: ``candidates()`` per row, so a subclass that filters or counts in
+#: ``candidates``/``add``/``add_built`` is not covered by its parent's entry:
+#: it keeps the per-row step until it adds itself here.
+BATCH_STORES: set = {InlineStore}

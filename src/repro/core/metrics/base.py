@@ -133,8 +133,9 @@ class DistanceMetric(SimilarityMetric):
             return frame.pairwise_vectors()
         return [self.build_vector(frame.segment(i)) for i in range(frame.n_segments)]
 
-    #: Optional hook: scalar scale of one candidate row, cached next to the
-    #: row at matrix-build time and handed to :meth:`match_stats` as
+    #: Optional hook ``row_scale(rows)``: the scale of one candidate row — or,
+    #: reducing over the last axis, of each row of a stack — cached next to
+    #: the row at matrix-build time and handed to :meth:`match_stats` as
     #: ``row_scales``.  None (the default) means the metric's limit does not
     #: depend on a per-row statistic, so no scale vector is maintained.
     row_scale = None
@@ -168,14 +169,22 @@ class DistanceMetric(SimilarityMetric):
         hook.  Implementations evaluate every row in one NumPy broadcast
         using only row-wise operations and must reproduce :meth:`similar`'s
         decision for each row exactly, so batched and scanned reductions stay
-        byte-identical.  Two hard requirements let the sweep engine share one
-        call across a whole threshold grid:
+        byte-identical.  Four hard requirements let the reducer's batch step
+        (:meth:`~repro.core.reducer.ReductionState.match_batch`) resolve many
+        probes per call:
 
         * the result must not depend on :attr:`threshold` (only the final
           ``stat <= t * base`` comparison does);
-        * row ``i``'s results must not depend on the other rows, so
-          statistics computed over several configs' stacked candidate
-          matrices equal the per-config results bit for bit.
+        * row ``i``'s results must not depend on the other rows;
+        * the reduction runs over the *last* axis, so a stack of probes
+          shaped ``(p, 1, n)`` broadcasts against ``matrix`` to ``(p, rows)``
+          results whose row ``k`` is bitwise the 1-D call on probe ``k``;
+        * probe and row are interchangeable: ``match_stats(matrix[j], probes,
+          probe_scales)`` is bitwise column ``j`` of that result.
+
+        The reducer probes the last two once per metric class; a kernel that
+        does not meet them (one still reducing over ``axis=1``, say) keeps
+        the per-row step, which only makes the 1-D call.
         """
 
     def match_row(

@@ -71,7 +71,7 @@ class RelDiff(DistanceMetric):
         # (the values are finite and non-negative), so each row's decision is
         # bit-identical to the scalar scan.
         rel = relative_differences(matrix, vector)
-        return rel.max(axis=1, initial=0.0), None
+        return rel.max(axis=-1, initial=0.0), None
 
 
 class AbsDiff(DistanceMetric):
@@ -108,4 +108,4 @@ class AbsDiff(DistanceMetric):
         # "Every pair within threshold" == "largest absolute difference of
         # the row within threshold"; values are finite, so max() and all()
         # decide identically.
-        return np.abs(matrix - vector).max(axis=1, initial=0.0), None
+        return np.abs(matrix - vector).max(axis=-1, initial=0.0), None

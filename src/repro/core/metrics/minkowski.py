@@ -80,9 +80,9 @@ class MinkowskiMetric(DistanceMetric):
     def build_vector(self, segment: Segment) -> np.ndarray:
         return minkowski_vector(segment)
 
-    def row_scale(self, vector: np.ndarray) -> float:
-        """Largest measurement magnitude of one candidate row (cached)."""
-        return float(np.abs(vector).max(initial=0.0))
+    def row_scale(self, rows: np.ndarray):
+        """Largest measurement magnitude of one row, or of each row of a stack."""
+        return np.abs(rows).max(axis=-1, initial=0.0)
 
     def frame_vectors(self, frame):
         if type(self).build_vector is MinkowskiMetric.build_vector:
@@ -97,14 +97,14 @@ class MinkowskiMetric(DistanceMetric):
     ) -> tuple[np.ndarray, Optional[np.ndarray]]:
         diff = np.abs(matrix - vector)
         if math.isinf(self.order):
-            distances = diff.max(axis=1, initial=0.0)
+            distances = diff.max(axis=-1, initial=0.0)
         else:
             # Row-wise Minkowski norm; the power/sum/power sequence mirrors
             # minkowski_distance so per-row results match the scan exactly.
-            distances = np.power(np.power(diff, self.order).sum(axis=1), 1.0 / self.order)
+            distances = np.power(np.power(diff, self.order).sum(axis=-1), 1.0 / self.order)
         if row_scales is None:
-            row_scales = np.abs(matrix).max(axis=1, initial=0.0)
-        return distances, np.maximum(row_scales, np.abs(vector).max(initial=0.0))
+            row_scales = self.row_scale(matrix)
+        return distances, np.maximum(row_scales, self.row_scale(vector))
 
 
 class Manhattan(MinkowskiMetric):

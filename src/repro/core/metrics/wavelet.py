@@ -128,9 +128,9 @@ class WaveletMetric(DistanceMetric):
     def build_vector(self, segment: Segment) -> np.ndarray:
         return self.transformed(segment)
 
-    def row_scale(self, vector: np.ndarray) -> float:
-        """Largest coefficient magnitude of one transformed row (cached)."""
-        return float(np.abs(vector).max(initial=0.0))
+    def row_scale(self, rows: np.ndarray):
+        """Largest coefficient magnitude of one transformed row, or of each row of a stack."""
+        return np.abs(rows).max(axis=-1, initial=0.0)
 
     def frame_vectors(self, frame):
         # The bulk path re-derives the pyramid scale from the transform
@@ -151,10 +151,10 @@ class WaveletMetric(DistanceMetric):
         matrix: np.ndarray,
         row_scales: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        distances = np.sqrt(np.square(matrix - vector).sum(axis=1))
+        distances = np.sqrt(np.square(matrix - vector).sum(axis=-1))
         if row_scales is None:
-            row_scales = np.abs(matrix).max(axis=1, initial=0.0)
-        return distances, np.maximum(row_scales, np.abs(vector).max(initial=0.0))
+            row_scales = self.row_scale(matrix)
+        return distances, np.maximum(row_scales, self.row_scale(vector))
 
 
 class AvgWave(WaveletMetric):

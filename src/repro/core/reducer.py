@@ -9,13 +9,17 @@ start time)`` execution entry is recorded, otherwise the segment itself is
 stored as a new representative.
 
 That step is written twice, on purpose.  :class:`ReductionState` is the
-columnar core: one (rank, config) reduction stepped over
-:class:`~repro.core.frames.RankFrame` rows, materializing a segment only when
-it becomes a representative — :meth:`TraceReducer.reduce_frame`, the online
-session and the sweep engine all step it.  :meth:`TraceReducer.reduce_segments`
-is the segment-at-a-time reference that the equivalence suites, the fuzz
-oracles and the benchmark's output check compare the core against; it shares
-no loop with it.
+columnar core: one (rank, config) reduction stepped over a
+:class:`~repro.core.frames.RankFrame`, materializing a segment only when it
+becomes a representative — :meth:`TraceReducer.reduce_frame`, the online
+session and the sweep engine all step it.  The core has two steps with one
+outcome: the per-row ``match``/``record`` step, and its exact batch form
+:meth:`ReductionState.match_batch`, which resolves a whole frame per
+structural key in ``O(keys + new representatives)`` kernel calls; a state
+takes the batch step whenever :attr:`ReductionState.batchable` holds.
+:meth:`TraceReducer.reduce_segments` is the segment-at-a-time reference that
+the equivalence suites, the fuzz oracles and the benchmark's output check
+compare the core against; it shares no loop with it.
 
 The candidate-list bookkeeping is delegated to a pluggable representative
 store (see :mod:`repro.pipeline.store`) — anything with ``candidates(key)`` /
@@ -31,7 +35,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.candidates import InlineStore, MatchCounters
+from repro.core.candidates import BATCH_STORES, InlineStore, MatchCounters
 from repro.core.metrics.base import DistanceMetric, SimilarityMetric
 from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
 from repro.trace.segments import Segment
@@ -40,7 +44,51 @@ from repro.trace.trace import SegmentedRankTrace, SegmentedTrace
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.frames import RankFrame
 
-__all__ = ["TraceReducer", "ReductionState", "reduce_trace", "SegmentStore"]
+__all__ = ["TraceReducer", "ReductionState", "KeyBatches", "reduce_trace", "SegmentStore"]
+
+#: Element budget of one broadcast kernel call of the batch step: probes are
+#: blocked so ``probes × representatives × width`` stays under it, which keeps
+#: the kernel's temporaries cache-sized however deep the bucket is.
+_BLOCK_ELEMENTS = 1 << 16
+
+#: Per metric class: does its kernel serve the batch step's call shapes?
+_BROADCASTS: dict = {}
+
+
+def _kernel_broadcasts(metric: DistanceMetric) -> bool:
+    """Whether ``metric``'s kernel serves the two call shapes the batch step adds.
+
+    Probed once per metric class, on a stack whose three extents all differ:
+    probes ``(p, 1, n)`` against a ``(rows, n)`` matrix must give ``(p, rows)``
+    results whose rows equal the 1-D calls and whose columns equal the
+    swapped-role calls (see :meth:`DistanceMetric.match_stats`).  A kernel
+    written to the older contract — reducing over ``axis=1``, a scalar-only
+    ``row_scale``, a limit relative to the stored row alone — fails or raises
+    here, and its states keep the per-row step.
+    """
+    cls = type(metric)
+    if cls not in _BROADCASTS:
+        try:
+            _BROADCASTS[cls] = _probe_kernel(metric)
+        except Exception:  # noqa: BLE001 - whatever it raised, it is not this contract
+            _BROADCASTS[cls] = False
+    return _BROADCASTS[cls]
+
+
+def _probe_kernel(metric: DistanceMetric) -> bool:
+    width = np.arange(1.0, 6.0)
+    probes, matrix = np.outer([1.0, 1.01, 3.0], width), np.outer([1.0, 2.0], width)
+    scale = metric.row_scale or (lambda rows: None)
+
+    def stats(vector, rows, shape):
+        # Statistic and limit base as one array; a result of another shape raises.
+        stat, base = metric.match_stats(vector, rows, scale(rows))
+        return np.stack([stat, np.broadcast_to(1.0 if base is None else base, shape)])
+
+    both = stats(probes[:, None, :], matrix, (3, 2))
+    return all(
+        np.array_equal(both[:, i], stats(probes[i], matrix, (2,))) for i in range(3)
+    ) and all(np.array_equal(both[:, :, j], stats(matrix[j], probes, (3,))) for j in range(2))
 
 
 class SegmentStore(Protocol):
@@ -49,6 +97,29 @@ class SegmentStore(Protocol):
     def candidates(self, key: tuple) -> Sequence[StoredSegment]: ...
 
     def add(self, key: tuple, stored: StoredSegment) -> None: ...
+
+
+class KeyBatches:
+    """A frame's rows grouped by interned structural key, first appearance first.
+
+    The config-independent half of the batch step, built once per (frame,
+    feature family) and shared by every state stepped over it.  Each entry of
+    :attr:`groups` is ``(key, rows, probes)``: the ascending frame row indices
+    that carry ``key`` and their feature vectors stacked into one matrix.
+    """
+
+    __slots__ = ("frame", "vectors", "groups")
+
+    def __init__(self, frame: "RankFrame", vectors: Sequence[np.ndarray]) -> None:
+        by_key: dict = {}
+        for i, key in enumerate(frame.structural_keys()):
+            by_key.setdefault(key, []).append(i)
+        self.frame = frame
+        self.vectors = vectors
+        self.groups = [
+            (key, np.array(rows), np.array([vectors[i] for i in rows]))
+            for key, rows in by_key.items()
+        ]
 
 
 class ReductionState:
@@ -67,6 +138,21 @@ class ReductionState:
     frame's pre-built feature rows (:attr:`dense`), so only representatives
     ever materialize; any other pairing is probed with the materialized
     segment itself.
+
+    So is the step.  :attr:`batchable` is the predicate: the state is dense,
+    the metric neither mutates stored segments nor overrides ``on_match``,
+    its kernel serves the broadcast call shapes (:func:`_kernel_broadcasts`),
+    and the store is, by exact type, one of
+    :data:`~repro.core.candidates.BATCH_STORES` — the unbounded
+    :class:`~repro.core.candidates.InlineStore` and its counting
+    ``UnboundedStore``.  Then a decision depends only on the representatives
+    that precede the row under its own key, and :meth:`match_batch` resolves
+    a whole frame key by key.  ``iter_avg`` rewrites a representative on
+    every match, a custom ``on_match`` must see each segment, a bounded store
+    evicts by the order of its hits — each makes a later decision depend on
+    every earlier one — and a store subclass may filter or count in the
+    ``candidates`` call the batch step skips, so those states keep the
+    per-row step.
     """
 
     __slots__ = (
@@ -76,6 +162,7 @@ class ReductionState:
         "lookup",
         "counters",
         "dense",
+        "batchable",
         "_next_id",
         "_probe",
         "_add_built",
@@ -105,6 +192,13 @@ class ReductionState:
         # When on_match is the base-class default (count the match) it runs
         # inline, so matches never force a Segment materialization.
         self._default_on_match = type(metric).on_match is SimilarityMetric.on_match
+        self.batchable = (
+            self.dense
+            and not self._mutates
+            and self._default_on_match
+            and type(store) in BATCH_STORES
+            and _kernel_broadcasts(metric)
+        )
 
     def match(self, probe, candidates) -> Optional[StoredSegment]:
         """First representative of a non-empty bucket that ``probe`` matches.
@@ -175,7 +269,15 @@ class ReductionState:
             to_store = rel[0]
             if to_store is None:
                 to_store = rel[0] = frame.segment(index)
-        stored = StoredSegment(segment_id=self._next_id, segment=to_store)
+        stored = self._store_new(key, to_store, vector)
+        reduced.execs.append((stored.segment_id, start))
+        reduced.exec_matched.append(False)
+
+    def _store_new(
+        self, key, segment: Segment, vector: Optional[np.ndarray], count: int = 1
+    ) -> StoredSegment:
+        """Store ``segment`` as the next representative, standing for ``count`` executions."""
+        stored = StoredSegment(segment_id=self._next_id, segment=segment, count=count)
         self._next_id += 1
         if vector is not None and not self._mutates:
             row = np.array(vector)
@@ -183,9 +285,101 @@ class ReductionState:
             self._add_built(key, stored, self.metric, row)
         else:
             self.store.add(key, stored)
-        reduced.stored.append(stored)
-        reduced.execs.append((stored.segment_id, start))
-        reduced.exec_matched.append(False)
+        self.reduced.stored.append(stored)
+        return stored
+
+    def match_batch(self, batches: KeyBatches, shared: Optional[dict] = None) -> None:
+        """Match-or-store every row of ``batches.frame``: the exact batch step.
+
+        Only for a :attr:`batchable` state.  Per structural key, in the order
+        the per-row step would meet them:
+
+        1. a bucket that already holds representatives (a session chunk)
+           takes one broadcast kernel call, blocked over the probes, that
+           gives every probe its first matching *existing* representative —
+           representatives created later sit behind those, so they cannot
+           change it;
+        2. the residue is resolved by *leader rounds*: the earliest unresolved
+           probe has failed every representative that precedes it, so it is a
+           new representative; one kernel call compares it with the later
+           unresolved probes, and those it matches resolve to it — it is
+           their first match, since they failed every earlier one.
+
+        Then everything is booked in segment order, so new representatives
+        take the ids, and the buckets the order, that the per-row step gives
+        them.  ``shared`` caches materialized segments by frame row across
+        the states stepped over one frame (the sweep's configs).
+        """
+        frame, vectors = batches.frame, batches.vectors
+        metric, store, reduced, counters = self.metric, self.store, self.reduced, self.counters
+        kernel, threshold, row_scale = metric.match_stats, metric.threshold, metric.row_scale
+        n = frame.n_segments
+        first_id = self._next_id
+        ids = np.empty(n, dtype=np.int64)  # each row's representative id
+        leader = np.full(n, -1, dtype=np.int64)  # or, until ids exist, its new one's row
+        misses = 0
+
+        def compare(vector, matrix, scales):
+            started = perf_counter()
+            stat, base = kernel(vector, matrix, scales)
+            mask = stat <= (threshold if base is None else threshold * base)
+            if counters is not None:
+                counters.seconds += perf_counter() - started
+                counters.calls += 1
+                counters.rows_compared += mask.size
+            return mask
+
+        for key, rows, probes in batches.groups:
+            bucket = store.bucket(key)
+            if bucket:
+                matrix, scales = bucket.matrix_and_scales(metric)
+                block = max(1, _BLOCK_ELEMENTS // matrix.size)
+                first = np.empty(len(rows), dtype=np.intp)
+                for lo in range(0, len(rows), block):
+                    mask = compare(probes[lo : lo + block, None, :], matrix, scales)
+                    first[lo : lo + block] = np.where(mask.any(axis=1), mask.argmax(axis=1), -1)
+                found = first >= 0
+                ids[rows[found]] = [bucket[j].segment_id for j in first[found].tolist()]
+                rows, probes = rows[~found], probes[~found]
+            else:
+                misses += 1
+            scales = None if row_scale is None else row_scale(probes)
+            while rows.size:
+                lead, vector = rows[0], probes[0]
+                leader[lead] = lead
+                rows, probes = rows[1:], probes[1:]
+                if scales is not None:
+                    scales = scales[1:]
+                if not rows.size:
+                    break
+                mask = compare(vector, probes, scales)
+                if mask.any():
+                    leader[rows[mask]] = lead
+                    keep = ~mask
+                    rows, probes = rows[keep], probes[keep]
+                    if scales is not None:
+                        scales = scales[keep]
+
+        is_new = leader == np.arange(n)
+        new_rows = np.flatnonzero(is_new)  # segment order, across keys
+        resolved = leader >= 0
+        ids[resolved] = first_id + np.searchsorted(new_rows, leader[resolved])
+        reduced.execs.extend(zip(ids.tolist(), frame.starts_list()))
+        reduced.exec_matched.extend((~is_new).tolist())
+        reduced.n_matches += n - len(new_rows)
+        reduced.n_possible_matches += n - misses
+        store.count_lookups(n - misses, misses)
+        counts = np.bincount(ids, minlength=first_id)
+        for sid in np.flatnonzero(counts[:first_id]).tolist():
+            reduced.stored[sid].count += int(counts[sid])
+        if shared is None:
+            shared = {}
+        keys = frame.structural_keys()
+        for row, count in zip(new_rows.tolist(), counts[first_id:].tolist()):
+            segment = shared.get(row)
+            if segment is None:
+                segment = shared[row] = frame.segment(row)
+            self._store_new(keys[row], segment, vectors[row], count)
 
 
 class TraceReducer:
@@ -302,8 +496,9 @@ class TraceReducer:
         bulk passes; :class:`~repro.trace.segments.Segment` objects are only
         materialized for stored representatives (and for metrics the bulk
         path cannot serve, which inspect the segment object itself).
-        Byte-identical to :meth:`reduce_segments` over the frame's decoded
-        segments.
+        A :attr:`~ReductionState.batchable` state takes the batch step, any
+        other the per-row step; either way the result is byte-identical to
+        :meth:`reduce_segments` over the frame's decoded segments.
 
         ``into`` continues an existing :class:`ReducedRankTrace` with the
         same ``store``: the incremental form the online reduction service
@@ -315,9 +510,12 @@ class TraceReducer:
         state = ReductionState(
             self.metric, reduced, InlineStore() if store is None else store, match_counters
         )
+        vectors = self.metric.frame_vectors(frame) if state.dense else None
+        if state.batchable:
+            state.match_batch(KeyBatches(frame, vectors))
+            return reduced
         keys = frame.structural_keys()
         starts = frame.starts_list()
-        vectors = self.metric.frame_vectors(frame) if state.dense else None
         lookup, match, record = state.lookup, state.match, state.record
 
         rel: list = [None]  # the row's materialized segment, reset per row

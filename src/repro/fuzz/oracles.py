@@ -30,6 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.core.frames import RankFrame
 from repro.core.metrics import create_metric
 from repro.core.reducer import TraceReducer
 from repro.core.reconstruct import reconstruct
@@ -37,7 +38,7 @@ from repro.core.reduced import ReducedTrace
 from repro.evaluation.approximation import timestamp_errors
 from repro.fuzz.generators import DISTANCE_METRICS, CaseConfig
 from repro.pipeline.engine import PipelineConfig, ReductionPipeline
-from repro.pipeline.store import create_store
+from repro.pipeline.store import LRUStore, create_store
 from repro.service.cache import source_digest
 from repro.service.checkpoint import restore_state, session_state
 from repro.service.session import ReductionSession, SessionConfig
@@ -179,12 +180,8 @@ def oracle_dense_vs_scan(ctx: CaseContext) -> Optional[str]:
     return ctx.check(ctx.reduce_serial(batch=True), "dense kernel")
 
 
-def oracle_frame_path(ctx: CaseContext) -> Optional[str]:
-    """Columnar ``reduce_frame`` (lazy materialization) == scalar scan."""
-    from repro.core.frames import RankFrame
-
+def _reduce_frames(ctx: CaseContext, store_factory: Callable) -> ReducedTrace:
     reducer = TraceReducer(ctx.metric())
-    store_factory = ctx.store_factory()
     reduced = ReducedTrace(
         name=ctx.segmented.name,
         method=reducer.metric.name,
@@ -193,7 +190,29 @@ def oracle_frame_path(ctx: CaseContext) -> Optional[str]:
     for rank_trace in ctx.segmented.ranks:
         frame = RankFrame.from_segments(rank_trace.rank, rank_trace.segments)
         reduced.ranks.append(reducer.reduce_frame(frame, store=store_factory()))
-    return ctx.check(reduced, "frame path")
+    return reduced
+
+
+def oracle_frame_path(ctx: CaseContext) -> Optional[str]:
+    """Columnar ``reduce_frame`` (lazy materialization) == scalar scan.
+
+    On the case's own store: the batch step for a distance metric on an
+    unbounded store, the per-row step otherwise.
+    """
+    return ctx.check(_reduce_frames(ctx, ctx.store_factory()), "frame path")
+
+
+def oracle_frame_per_row(ctx: CaseContext) -> Optional[str]:
+    """``reduce_frame`` forced onto the per-row step == scalar scan.
+
+    A bounded store is never batchable; one with room for every segment
+    never evicts, so it must reproduce the unbounded ground truth — the
+    other branch of the predicate :func:`oracle_frame_path` takes.
+    """
+    if ctx.config.store_capacity is not None:
+        raise OracleSkip("a bounded case's frame_path already takes the per-row step")
+    capacity = 1 + sum(len(rank.segments) for rank in ctx.segmented.ranks)
+    return ctx.check(_reduce_frames(ctx, lambda: LRUStore(capacity)), "per-row frame path")
 
 
 # --------------------------------------------------------------------------
@@ -479,6 +498,7 @@ def oracle_malformed_fallback(ctx: CaseContext) -> Optional[str]:
 ORACLES: dict[str, Callable[[CaseContext], Optional[str]]] = {
     "dense_vs_scan": oracle_dense_vs_scan,
     "frame_path": oracle_frame_path,
+    "frame_per_row": oracle_frame_per_row,
     "pipeline_inline": oracle_pipeline_inline,
     "pipeline_shard": oracle_pipeline_shard,
     "sweep_grid": oracle_sweep_grid,
@@ -495,6 +515,7 @@ ORACLE_NAMES: tuple[str, ...] = tuple(ORACLES)
 EQUIVALENCE_ORACLES: tuple[str, ...] = (
     "dense_vs_scan",
     "frame_path",
+    "frame_per_row",
     "pipeline_inline",
     "pipeline_shard",
     "sweep_grid",

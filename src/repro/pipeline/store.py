@@ -27,7 +27,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
-from repro.core.candidates import CandidateList, InlineStore
+from repro.core.candidates import BATCH_STORES, CandidateList, InlineStore
 from repro.core.reduced import StoredSegment
 
 __all__ = ["StoreCounters", "RepresentativeStore", "UnboundedStore", "LRUStore", "create_store"]
@@ -121,6 +121,12 @@ class UnboundedStore(InlineStore, RepresentativeStore):
         counters.misses += 1
         return _EMPTY
 
+    def count_lookups(self, hits: int, misses: int) -> None:
+        counters = self.counters
+        counters.lookups += hits + misses
+        counters.hits += hits
+        counters.misses += misses
+
     def __getstate__(self):
         """Explicit checkpoint state (buckets, size, counters).
 
@@ -136,6 +142,10 @@ class UnboundedStore(InlineStore, RepresentativeStore):
         self.counters = state["counters"]
         self._by_key = state["by_key"]
         self._size = state["size"]
+
+
+# Its ``candidates`` only counts, and ``count_lookups`` books the same totals.
+BATCH_STORES.add(UnboundedStore)
 
 
 class LRUStore(RepresentativeStore):

@@ -19,13 +19,16 @@ not depend on the config:
 
 Everything config-dependent stays private per config: the representative
 store, the :class:`~repro.core.candidates.CandidateList` buckets and their
-row matrices, the reduced-trace output, and the segment-id sequence.  What
-the engine adds to the core step is the stacked kernel: configs of one metric
-kind probe their buckets in a single ``match_stats`` pass.  The per-config
-decisions are the ones a solo run makes, in the same order, so each config's
-reduced trace serializes byte-identical
-to a solo :class:`~repro.core.reducer.TraceReducer` run (the equivalence
-suite asserts exactly that for all nine metrics).
+row matrices, the reduced-trace output, and the segment-id sequence.  A
+vectorized family whose states are all
+:attr:`~repro.core.reducer.ReductionState.batchable` is resolved by the
+core's batch step, one config at a time over one shared
+:class:`~repro.core.reducer.KeyBatches` grouping of the family's vectors;
+scan-only families and bounded stores take the core's per-row step.  Either
+way the per-config decisions are the ones a solo run makes, in the same
+order, so each config's reduced trace serializes byte-identical to a solo
+:class:`~repro.core.reducer.TraceReducer` run (the equivalence suite asserts
+exactly that for all nine metrics).
 
 :class:`~repro.trace.segments.Segment` objects materialize lazily: a frame
 row becomes a segment only when some config needs the object itself — to
@@ -43,13 +46,11 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-import numpy as np
-
 from repro import obs
-from repro.core.candidates import MatchCounters, first_match_index
+from repro.core.candidates import MatchCounters
 from repro.core.frames import RankFrame
 from repro.core.reduced import ReducedRankTrace, ReducedTrace
-from repro.core.reducer import ReductionState
+from repro.core.reducer import KeyBatches, ReductionState
 from repro.pipeline.store import StoreCounters, create_store
 from repro.pipeline.stream import (
     SegmentSource,
@@ -248,17 +249,12 @@ class SweepEngine:
         vector_builds = 0
         vector_builds_naive = 0
         # One reduction state per config, each with a private store and
-        # output.  Per family: the shared probe vectors (one bulk frame pass
-        # serves every member config) plus the member states grouped by
-        # metric *kind* (class).  Metric instances are fresh per rank,
-        # mirroring the pipeline's per-task metric copies (metrics hold no
-        # cross-rank state, but iter_avg's mutation path must never alias).
-        # Configs of one kind share a threshold-independent ``match_stats``
-        # kernel, so the engine evaluates each kind's stacked candidate rows
-        # in a single NumPy pass per segment and applies each config's
-        # threshold as a cheap comparison over its own slice.
+        # output, plus each family's shared probe vectors (one bulk frame
+        # pass serves every member config).  Metric instances are fresh per
+        # rank, mirroring the pipeline's per-task metric copies (metrics hold
+        # no cross-rank state, but iter_avg's mutation path must never alias).
         by_config: list[tuple[SweepConfig, ReductionState]] = []
-        families: list[tuple[list[ReductionState], list, Optional[list]]] = []
+        families: list[tuple[list[ReductionState], Optional[list]]] = []
         for family in self.plan.families:
             states = []
             for config in family.configs:
@@ -271,78 +267,53 @@ class SweepEngine:
                 )
                 states.append(state)
                 by_config.append((config, state))
-            by_kind: dict[type, list[ReductionState]] = {}
             vectors: Optional[list] = None
             if family.vectorized:
-                for state in states:
-                    by_kind.setdefault(type(state.metric), []).append(state)
-                # One bulk pass builds the family's probes for the whole
-                # rank; logically still one build per segment, shared by
-                # every member config.
+                # Logically still one build per segment, shared by every
+                # member config.
                 vectors = states[0].metric.frame_vectors(frame)
                 vector_builds += n_segments
                 vector_builds_naive += n_segments * len(states)
-            # (member states, their thresholds as a row-multiplier source)
-            kinds = [
-                (kind_states, np.array([s.metric.threshold for s in kind_states]))
-                for kind_states in by_kind.values()
-            ]
-            families.append((states, kinds, vectors))
+            families.append((states, vectors))
 
+        # A family whose states all take the batch step is resolved config by
+        # config over one shared grouping of its probe vectors; ``shared`` is
+        # the grid-wide cache of materialized segments, so a row that several
+        # configs store is still built once.
+        shared: dict[int, Segment] = {}
+        stepped = []
+        for states, vectors in families:
+            if vectors is not None and all(state.batchable for state in states):
+                batches = KeyBatches(frame, vectors)
+                for state in states:
+                    state.match_batch(batches, shared)
+            else:
+                stepped.append((states, vectors))
+
+        # Scan-only families (the iteration methods inspect the segment
+        # object itself) and bounded stores keep the per-row step.
         keys = frame.structural_keys()
         starts = frame.starts_list()
-        perf_counter = time.perf_counter
-
-        for i in range(n_segments):
+        for i in range(n_segments) if stepped else ():
             key = keys[i]
             start = starts[i]
             # One-element cache of the segment's materialized normalised
             # form, shared by every config that needs the object itself.
-            rel: list = [None]
-            for states, kinds, vectors in families:
+            rel: list = [shared.get(i)]
+            for states, vectors in stepped:
                 if vectors is None:
-                    # Scan-only family (iteration methods): no shared vector,
-                    # and the metrics inspect the segment object itself.
-                    relative = rel[0]
-                    if relative is None:
-                        relative = rel[0] = frame.segment(i)
-                    for state in states:
-                        candidates = state.lookup(key)
-                        chosen = state.match(relative, candidates) if candidates else None
-                        state.record(key, start, candidates, chosen, None, frame, i, rel)
-                    continue
-
-                # One pre-built row serves every member config, both as the
-                # match probe and as the stored candidate's cached row.
-                vector = vectors[i]
-                for kind_states, kind_thresholds in kinds:
-                    # Gather each member's candidates; members with none
-                    # store immediately, the rest join the stacked kernel.
-                    participants = []
-                    for state in kind_states:
-                        candidates = state.lookup(key)
-                        if candidates:
-                            participants.append((state, candidates))
-                        else:
-                            state.record(key, start, candidates, None, vector, frame, i, rel)
-                    if len(participants) == 1:
-                        state, candidates = participants[0]
-                        chosen = state.match(vector, candidates)
-                        state.record(key, start, candidates, chosen, vector, frame, i, rel)
-                    elif participants:
-                        counted = perf_counter() if instrument else 0.0
-                        matches = self._match_stacked(
-                            participants, kind_states, kind_thresholds, vector
-                        )
-                        if instrument:
-                            share = (perf_counter() - counted) / len(participants)
-                            for state, candidates in participants:
-                                counters = state.counters
-                                counters.seconds += share
-                                counters.calls += 1
-                                counters.rows_compared += len(candidates)
-                        for (state, candidates), chosen in zip(participants, matches):
-                            state.record(key, start, candidates, chosen, vector, frame, i, rel)
+                    probe = rel[0]
+                    if probe is None:
+                        probe = rel[0] = frame.segment(i)
+                    vector = None
+                else:
+                    # One pre-built row serves every member config, both as
+                    # the match probe and as the stored candidate's cached row.
+                    probe = vector = vectors[i]
+                for state in states:
+                    candidates = state.lookup(key)
+                    chosen = state.match(probe, candidates) if candidates else None
+                    state.record(key, start, candidates, chosen, vector, frame, i, rel)
 
         result = _RankSweep(
             rank=rank,
@@ -360,45 +331,6 @@ class SweepEngine:
             if state.counters is not None:
                 result.match_counters[config.key] = state.counters
         return result
-
-    @staticmethod
-    def _match_stacked(
-        participants: list,
-        kind_states: list[ReductionState],
-        kind_thresholds: np.ndarray,
-        vector: np.ndarray,
-    ) -> list:
-        """One kernel pass over several members' stacked candidate rows.
-
-        Returns each participant's first matching representative (or None),
-        in participant order.  The statistics and the masks are row-wise, so
-        each member's slice is bitwise what its own solo kernel would
-        compute; thresholds enter as one repeated row-multiplier instead of
-        a multiply per member.
-        """
-        metric = participants[0][0].metric
-        views = [candidates.matrix_and_scales(state.metric) for state, candidates in participants]
-        counts = [matrix.shape[0] for matrix, _ in views]
-        stacked = np.concatenate([matrix for matrix, _ in views])
-        if views[0][1] is not None:
-            stacked_scales = np.concatenate([scales for _, scales in views])
-        else:
-            stacked_scales = None
-        if len(participants) == len(kind_states):
-            thresholds = kind_thresholds
-        else:
-            thresholds = np.array([state.metric.threshold for state, _ in participants])
-        per_row = np.repeat(thresholds, counts)
-        stat, base = metric.match_stats(vector, stacked, stacked_scales)
-        mask = stat <= (per_row if base is None else per_row * base)
-        matches = []
-        offset = 0
-        for (_, candidates), count in zip(participants, counts):
-            stop = offset + count
-            index = first_match_index(mask[offset:stop])
-            offset = stop
-            matches.append(candidates[index] if index is not None else None)
-        return matches
 
     # -- whole-source reduction ----------------------------------------------------
 

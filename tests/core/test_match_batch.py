@@ -1,19 +1,30 @@
 """Tests for the batched matching engine: cached vectors, candidate
-matrices, the per-family dense kernels, and the metric-kernel
-bugfixes (zero-clamped match limits)."""
+matrices, the per-family dense kernels, the metric-kernel bugfixes
+(zero-clamped match limits), and the reducer's key-batched step (its
+kernels' broadcast forms, its predicate, its exactness)."""
+
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from repro.core.candidates import CandidateList, MatchCounters, first_match_index
-from repro.core.metrics import METRIC_CLASSES, create_metric
-from repro.core.metrics.distance import AbsDiff, RelDiff
+from repro.core.candidates import CandidateList, InlineStore, MatchCounters, first_match_index
+from repro.core.frames import RankFrame
+from repro.core.metrics import DEFAULT_THRESHOLDS, METRIC_CLASSES, create_metric
+from repro.core.metrics.distance import AbsDiff, RelDiff, relative_differences
 from repro.core.metrics.minkowski import Chebyshev, Euclidean, Manhattan
 from repro.core.metrics.wavelet import AvgWave, HaarWave
-from repro.core.reduced import StoredSegment
-from repro.core.reducer import TraceReducer
+from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
+from repro.core import reducer as reducer_module
+from repro.core.reducer import KeyBatches, ReductionState, TraceReducer
+from repro.fuzz.executor import plan_cases
+from repro.fuzz.generators import generate_case
+from repro.pipeline.store import LRUStore, UnboundedStore
+from repro.trace.io import serialize_reduced_trace
 
 from tests.conftest import make_segment
+from tests.properties.strategies import interleaved_segments
 
 DISTANCE_METRICS = [RelDiff, AbsDiff, Manhattan, Euclidean, Chebyshev, AvgWave, HaarWave]
 
@@ -278,3 +289,321 @@ class TestEveryMetricHasBatchSupport:
         # Must not raise for any of the 9 metrics, batched bucket or not.
         metric.match_candidates(_jittered(0.05), bucket)
         metric.match_candidates(_jittered(0.05), [bucket[0]])
+
+
+# -- the batch step: kernels, predicate, exactness ----------------------------------
+
+DISTANCE_NAMES = [cls.name for cls in DISTANCE_METRICS]
+#: default, strict (default / 50) and zero: mostly matches, mostly leaders, exact repeats only.
+THRESHOLD_KINDS = {"default": 1.0, "strict": 1 / 50, "zero": 0.0}
+
+
+def _bytes(metric, ranks):
+    reduced = ReducedTrace(name="t", method=metric.name, threshold=metric.threshold, ranks=ranks)
+    return serialize_reduced_trace(reduced)
+
+
+def _scan(metric, segments, store=None):
+    """The ground truth: the paper's per-candidate scan, segment at a time."""
+    return TraceReducer(metric, batch=False).reduce_segments(segments, store=store)
+
+
+def _chunked(metric, segments, cuts, store):
+    """``reduce_frame`` over ``segments`` cut at ``cuts``, continued through ``into=``."""
+    reducer, reduced = TraceReducer(metric), None
+    for lo, hi in zip((0, *cuts), (*cuts, len(segments))):
+        frame = RankFrame.from_segments(0, segments[lo:hi])
+        reduced = reducer.reduce_frame(frame, store=store, into=reduced)
+    return reduced
+
+
+def _per_row(metric, segments, store, counters=None, cuts=()):
+    """The core's per-row step on any state, batchable or not, chunked like :func:`_chunked`."""
+    reduced = ReducedRankTrace(rank=0)
+    for lo, hi in zip((0, *cuts), (*cuts, len(segments))):
+        frame = RankFrame.from_segments(0, segments[lo:hi])
+        reduced.n_segments += frame.n_segments
+        state = ReductionState(metric, reduced, store, counters)
+        keys, starts = frame.structural_keys(), frame.starts_list()
+        vectors = metric.frame_vectors(frame)
+        for i in range(frame.n_segments):
+            candidates = state.lookup(keys[i])
+            chosen = state.match(vectors[i], candidates) if candidates else None
+            state.record(keys[i], starts[i], candidates, chosen, vectors[i], frame, i, [None])
+    return reduced
+
+
+class TestBroadcastKernels:
+    """The two call shapes the batch step adds are bitwise the 1-D call."""
+
+    @pytest.mark.parametrize("metric_cls", DISTANCE_METRICS)
+    def test_probe_stack_and_swapped_roles_are_bitwise_the_row_call(self, metric_cls):
+        metric = metric_cls(0.2)
+        rng = np.random.default_rng(7)
+        for width in range(1, 130):  # crosses every pairwise-summation block edge
+            probes = rng.normal(scale=50.0, size=(5, width))
+            matrix = rng.normal(scale=50.0, size=(4, width))
+            probes[2] = matrix[1]  # an exact repeat
+            probes[3] = 0.0
+            matrix[3] = 0.0  # all-zero rows on both sides
+            scales = None if metric.row_scale is None else metric.row_scale(matrix)
+            pscales = None if metric.row_scale is None else metric.row_scale(probes)
+            stat, base = metric.match_stats(probes[:, None, :], matrix, scales)
+            assert stat.shape == (5, 4)
+            for i, probe in enumerate(probes):
+                row_stat, row_base = metric.match_stats(probe, matrix, scales)
+                assert stat[i].tobytes() == row_stat.tobytes(), (metric.name, width, i)
+                if base is not None:
+                    assert base[i].tobytes() == row_base.tobytes(), (metric.name, width, i)
+            for j, row in enumerate(matrix):
+                col_stat, col_base = metric.match_stats(row, probes, pscales)
+                assert stat[:, j].tobytes() == col_stat.tobytes(), (metric.name, width, j)
+                if base is not None:
+                    assert base[:, j].tobytes() == col_base.tobytes(), (metric.name, width, j)
+
+    @pytest.mark.parametrize("metric_cls", [Manhattan, Euclidean, Chebyshev, AvgWave, HaarWave])
+    def test_row_scale_serves_a_row_and_a_stack(self, metric_cls):
+        metric = metric_cls(0.2)
+        rows = np.array([[1.0, -7.0, 3.0], [0.0, 0.0, 0.0]])
+        assert metric.row_scale(rows).tolist() == [7.0, 0.0]
+        assert metric.row_scale(rows[0]) == 7.0
+
+
+class _CountingRelDiff(RelDiff):
+    """Overrides ``on_match``: must see every matched segment, so cannot batch."""
+
+    def __init__(self, threshold):
+        super().__init__(threshold)
+        self.seen = 0
+
+    def on_match(self, candidate, chosen):
+        self.seen += 1
+        super().on_match(candidate, chosen)
+
+
+class _ListStore:
+    """Duck-typed store: plain lists, no ``add_built`` hook, so never dense."""
+
+    def __init__(self):
+        self.by_key = {}
+
+    def candidates(self, key):
+        return self.by_key.get(key, ())
+
+    def add(self, key, stored):
+        self.by_key.setdefault(key, []).append(stored)
+
+
+class _FilteringStore(UnboundedStore):
+    """Hides every other lookup's bucket: only the per-row step calls ``candidates``."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def candidates(self, key):
+        self.calls += 1
+        return super().candidates(key) if self.calls % 2 else ()
+
+
+class _LegacyKernelRelDiff(RelDiff):
+    """A kernel written to the older contract: reduces over ``axis=1``."""
+
+    def match_stats(self, vector, matrix, row_scales=None):
+        return relative_differences(matrix, vector).max(axis=1, initial=0.0), None
+
+
+class _AsymmetricAbsDiff(AbsDiff):
+    """Limit relative to the stored row alone: probe and row are not interchangeable."""
+
+    match_one = None
+
+    def similar(self, new_ts, stored_ts, new_segment, stored_segment):
+        limit = self.threshold * np.abs(stored_ts).max(initial=0.0)
+        return bool(np.abs(new_ts - stored_ts).max(initial=0.0) <= limit)
+
+    def match_stats(self, vector, matrix, row_scales=None):
+        return (
+            np.abs(matrix - vector).max(axis=-1, initial=0.0),
+            np.abs(matrix).max(axis=-1, initial=0.0),
+        )
+
+
+def _mixed_rank():
+    """Two interleaved keys with repeats, near repeats and strangers."""
+    deltas = [0.0, 0.1, 30.0, 0.0, 0.2, 30.1, 60.0, 0.1]
+    return [
+        _jittered(d, context="a" if i % 3 else "b").shifted(100.0 * i)
+        for i, d in enumerate(deltas)
+    ]
+
+
+class TestPredicate:
+    @pytest.mark.parametrize("name", DISTANCE_NAMES)
+    @pytest.mark.parametrize("store_cls", [InlineStore, UnboundedStore])
+    def test_distance_metric_on_unbounded_store_batches(self, name, store_cls):
+        state = ReductionState(create_metric(name), ReducedRankTrace(rank=0), store_cls())
+        assert state.dense and state.batchable
+
+    @pytest.mark.parametrize(
+        "make_metric, make_store",
+        [
+            (lambda: create_metric("iter_avg"), UnboundedStore),
+            (lambda: create_metric("iter_k", 2), UnboundedStore),
+            (lambda: _CountingRelDiff(0.8), UnboundedStore),
+            (lambda: RelDiff(0.8), _ListStore),
+            (lambda: RelDiff(0.8), lambda: LRUStore(1000)),
+            (lambda: RelDiff(0.8), _FilteringStore),
+            (lambda: _LegacyKernelRelDiff(0.8), UnboundedStore),
+            (lambda: _AsymmetricAbsDiff(0.05), UnboundedStore),
+        ],
+        ids=[
+            "iter_avg",
+            "iter_k",
+            "on_match_override",
+            "no_add_built",
+            "lru_store",
+            "store_subclass",
+            "axis1_kernel",
+            "asymmetric_kernel",
+        ],
+    )
+    def test_everything_else_takes_the_per_row_step(self, make_metric, make_store):
+        segments = _mixed_rank()
+        state = ReductionState(make_metric(), ReducedRankTrace(rank=0), make_store())
+        assert not state.batchable
+        counters = MatchCounters()
+        metric = make_metric()
+        frame = RankFrame.from_segments(0, segments)
+        reduced = TraceReducer(metric).reduce_frame(
+            frame, store=make_store(), match_counters=counters
+        )
+        # One kernel invocation per segment that had a candidate: the per-row step.
+        assert counters.calls == reduced.n_possible_matches > 0
+        scanned = _scan(make_metric(), segments, make_store())
+        assert _bytes(metric, [reduced]) == _bytes(metric, [scanned])
+        if isinstance(metric, _CountingRelDiff):
+            assert metric.seen == reduced.n_matches > 0
+
+    def test_older_contract_kernels_stay_exact_where_batching_would_not_be(self):
+        # Forcing the batch step on either input gives other bytes (checked by
+        # hand): stage 1 misreads the axis=1 kernel's (p, n) mask, and stage 2
+        # swaps the roles the asymmetric limit depends on.
+        def scaled(s):
+            return make_segment("c", [("f", s, 20 * s), ("g", 25 * s, 40 * s)], end=50 * s)
+
+        grown = [scaled(1.0), scaled(1.5).shifted(100.0), scaled(1.0).shifted(200.0)]
+        mixed = _mixed_rank() * 2
+        for make_metric, segments, cuts in [
+            (lambda: _LegacyKernelRelDiff(0.8), mixed, (3,)),
+            (lambda: _LegacyKernelRelDiff(0.1), mixed, (8,)),
+            (lambda: _AsymmetricAbsDiff(0.4), grown, ()),
+        ]:
+            metric = make_metric()
+            reduced = _chunked(metric, segments, cuts, UnboundedStore())
+            assert _bytes(metric, [reduced]) == _bytes(metric, [_scan(make_metric(), segments)])
+        assert [sid for sid, _ in reduced.execs] == [0, 1, 0]
+
+    def test_batch_step_makes_fewer_calls_over_no_more_pairs(self):
+        segments = _mixed_rank() * 4
+        batch, per_row = MatchCounters(), MatchCounters()
+        frame = RankFrame.from_segments(0, segments)
+        reduced = TraceReducer(RelDiff(0.1)).reduce_frame(frame, match_counters=batch)
+        stepped = _per_row(RelDiff(0.1), segments, LRUStore(1000), per_row)
+        assert _bytes(RelDiff(0.1), [reduced]) == _bytes(RelDiff(0.1), [stepped])
+        assert per_row.calls == stepped.n_possible_matches
+        assert batch.calls <= len(reduced.stored) < per_row.calls
+        assert batch.calls <= batch.rows_compared <= per_row.rows_compared
+
+
+class TestBatchExactness:
+    def test_first_match_wins_in_both_stages(self):
+        # At absDiff(10) the jitters 0 and 18 are strangers and 9 matches both:
+        # it must take the earlier, as a later leader's probe (no cut, cut
+        # after 1) and against an existing bucket (cut after 2, cut twice).
+        segments = [_jittered(d).shifted(100.0 * i) for i, d in enumerate((0.0, 18.0, 9.0, 9.0))]
+        for cuts in [(), (1,), (2,), (1, 2), (3,)]:
+            reduced = _chunked(AbsDiff(10.0), segments, cuts, UnboundedStore())
+            assert [sid for sid, _ in reduced.execs] == [0, 1, 0, 0], cuts
+            assert [s.count for s in reduced.stored] == [3, 1], cuts
+
+    @pytest.mark.parametrize("budget", [1, 40, 1 << 16])
+    def test_probe_blocking_does_not_change_the_outcome(self, monkeypatch, budget):
+        # One probe per kernel call, a ragged block, and everything in one call.
+        monkeypatch.setattr(reducer_module, "_BLOCK_ELEMENTS", budget)
+        segments = [s.shifted(1000.0 * i) for i in range(3) for s in _mixed_rank()]
+        counters = MatchCounters()
+        metric = Euclidean(0.001)
+        reducer, store = TraceReducer(metric), UnboundedStore()
+        head = reducer.reduce_frame(RankFrame.from_segments(0, segments[:8]), store=store)
+        tail = RankFrame.from_segments(0, segments[8:])
+        # Every tail row repeats a head row: no leader rounds, so per key
+        # ceil(probes / block) calls against the bucket the head left.
+        expected_calls = 0
+        for key, rows, _ in KeyBatches(tail, metric.frame_vectors(tail)).groups:
+            block = max(1, budget // store.bucket(key).matrix(metric).size)
+            expected_calls += -(-len(rows) // block)
+        reduced = reducer.reduce_frame(tail, store=store, into=head, match_counters=counters)
+        assert _bytes(metric, [reduced]) == _bytes(metric, [_scan(Euclidean(0.001), segments)])
+        assert counters.calls == expected_calls == {1: 16, 40: 7, 1 << 16: 2}[budget]
+
+    @pytest.mark.parametrize("kind", THRESHOLD_KINDS)
+    @pytest.mark.parametrize("name", DISTANCE_NAMES)
+    @given(segments=interleaved_segments())
+    @settings(max_examples=12, deadline=None)
+    def test_batch_equals_scan_whole_and_at_every_cut(self, name, kind, segments):
+        threshold = DEFAULT_THRESHOLDS[name] * THRESHOLD_KINDS[kind]
+        expected_rank = _scan(create_metric(name, threshold), segments)
+        expected = _bytes(create_metric(name, threshold), [expected_rank])
+        n = len(segments)
+        # Whole, cut once at every boundary (stage 1 against a bucket of any
+        # depth, down to a one-row chunk behind n - 1 rows), and row by row.
+        for cuts in [(), *((k,) for k in range(1, n)), tuple(range(1, n))]:
+            metric = create_metric(name, threshold)
+            store = UnboundedStore()
+            reduced = _chunked(metric, segments, cuts, store)
+            assert _bytes(metric, [reduced]) == expected, (name, threshold, cuts)
+            assert [s.count for s in reduced.stored] == [s.count for s in expected_rank.stored]
+            assert reduced.n_matches == expected_rank.n_matches
+            assert reduced.n_possible_matches == expected_rank.n_possible_matches
+            assert store.counters.lookups == n
+            assert store.counters.hits == reduced.n_possible_matches
+
+    @pytest.mark.parametrize("name", DISTANCE_NAMES)
+    @given(segments=interleaved_segments(min_segments=2))
+    @settings(max_examples=12, deadline=None)
+    def test_store_pickles_as_the_per_row_step_leaves_it(self, name, segments):
+        # Bucket order, matrix rows, cached scales and counters, byte for byte.
+        threshold = DEFAULT_THRESHOLDS[name] / 50
+        cuts = (len(segments) // 2,)
+        batch_store, row_store = UnboundedStore(), UnboundedStore()
+        batch = _chunked(create_metric(name, threshold), segments, cuts, batch_store)
+        stepped = _per_row(create_metric(name, threshold), segments, row_store, cuts=cuts)
+        assert pickle.dumps(batch_store) == pickle.dumps(row_store)
+        assert pickle.dumps(batch) == pickle.dumps(stepped)
+
+
+class TestFuzzFamiliesReplayed:
+    """The two adversarial kernel families, straight through the batch step."""
+
+    @pytest.mark.parametrize("family", ["threshold_edge", "prune_stress"])
+    def test_batch_equals_scan(self, family):
+        for case in plan_cases(11, 6, families=[family]):
+            trace = generate_case(case.spec).segmented()
+            method, threshold = case.config.method, case.config.threshold
+            if method not in DISTANCE_NAMES:
+                continue
+            metric = create_metric(method, threshold)
+            expected = _bytes(
+                metric, [_scan(create_metric(method, threshold), r.segments) for r in trace.ranks]
+            )
+            whole = [
+                TraceReducer(metric).reduce_frame(RankFrame.from_segments(r.rank, r.segments))
+                for r in trace.ranks
+            ]
+            assert _bytes(metric, whole) == expected, case.describe()
+            halves = [
+                _chunked(metric, r.segments, (len(r.segments) // 2,), UnboundedStore())
+                for r in trace.ranks
+            ]
+            assert _bytes(metric, halves) == expected, case.describe()

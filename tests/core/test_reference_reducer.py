@@ -218,3 +218,63 @@ def test_reference_reproduces_the_hand_written_example():
 def test_pathway_reproduces_the_hand_written_example(pathway):
     (reduced,) = PATHWAYS[pathway](_hand_written_rank(), "absDiff", 10.0)
     assert _decisions(reduced) == HAND_EXPECTED
+
+
+# -- a hand-written example with two interleaved structures ------------------------
+
+
+def _interleaved_rank():
+    """Eight segments alternating ``main.1`` and ``solve.1``; absDiff(10) again."""
+    gather = MpiCallInfo(op="allgather", nbytes=1024)
+    records = []
+    for i, length in enumerate([20.0, 30.0, 40.0, 35.0, 30.0, 60.0, 45.0, 52.0]):
+        t = 100.0 * (i + 1)
+        if i % 2 == 0:  # main.1: do_work ends at `length`, Allgather fills the rest
+            records += [
+                TraceRecord(RecordKind.SEGMENT_BEGIN, 0, t, "main.1"),
+                TraceRecord(RecordKind.ENTER, 0, t + 1.0, "do_work"),
+                TraceRecord(RecordKind.EXIT, 0, t + length, "do_work"),
+                TraceRecord(RecordKind.ENTER, 0, t + length + 1.0, "MPI_Allgather", mpi=gather),
+                TraceRecord(RecordKind.EXIT, 0, t + 49.0, "MPI_Allgather"),
+                TraceRecord(RecordKind.SEGMENT_END, 0, t + 50.0, "main.1"),
+            ]
+        else:  # solve.1: one event that ends at `length`
+            records += [
+                TraceRecord(RecordKind.SEGMENT_BEGIN, 0, t, "solve.1"),
+                TraceRecord(RecordKind.ENTER, 0, t + 1.0, "solve"),
+                TraceRecord(RecordKind.EXIT, 0, t + length, "solve"),
+                TraceRecord(RecordKind.SEGMENT_END, 0, t + length + 1.0, "solve.1"),
+            ]
+    return Trace(name="interleaved", ranks=[RankTrace(rank=0, records=records)])
+
+
+#: absDiff, threshold 10 µs.  Ids follow *segment* order across the two
+#: structures, which a reducer that resolves one structure at a time has to
+#: get right: main.1 owns ids 0 and 2, solve.1 ids 1 and 3.
+#: 1. main.1  work 20: nothing stored                         -> store as id 0
+#: 2. solve.1 30: nothing stored under this structure         -> store as id 1
+#: 3. main.1  work 40: vs 0 differs by 20                     -> store as id 2
+#: 4. solve.1 35: vs 1 differs by 5                           -> match 1
+#: 5. main.1  work 30: vs 0 exactly 10, vs 2 exactly 10       -> match 0 (first match wins)
+#: 6. solve.1 60: vs 1 differs by 30                          -> store as id 3
+#: 7. main.1  work 45: vs 0 differs by 25; vs 2 by 5          -> match 2
+#: 8. solve.1 52: vs 1 differs by 22; vs 3 by 8               -> match 3
+INTERLEAVED_EXPECTED = (
+    [0, 1, 2, 3],
+    [(0, 100.0), (1, 200.0), (2, 300.0), (1, 400.0),
+     (0, 500.0), (3, 600.0), (2, 700.0), (3, 800.0)],
+    [2, 2, 2, 2],
+    6,  # every segment but the first of each structure had a candidate
+    4,
+)
+
+
+def test_reference_reproduces_the_interleaved_example():
+    (rank,) = _interleaved_rank().ranks
+    assert reference_reduce(rank.records, "absDiff", 10.0) == INTERLEAVED_EXPECTED
+
+
+@pytest.mark.parametrize("pathway", PATHWAYS)
+def test_pathway_reproduces_the_interleaved_example(pathway):
+    (reduced,) = PATHWAYS[pathway](_interleaved_rank(), "absDiff", 10.0)
+    assert _decisions(reduced) == INTERLEAVED_EXPECTED

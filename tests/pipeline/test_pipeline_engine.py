@@ -204,8 +204,23 @@ class TestStats:
         assert stats.store.lookups == stats.n_segments
         assert stats.store.hits == stats.n_possible_matches
         assert stats.stage_seconds.get("reduce", 0.0) >= 0.0
-        assert stats.match.calls == stats.n_possible_matches
-        assert stats.match.rows_compared >= stats.match.calls
+        # Kernel invocations, not segments: the batch step makes at most one
+        # call per (rank, key) group plus one per new representative, over no
+        # more pairs than the per-row step (forced here by a bounded store
+        # that never evicts) evaluates on the same input.
+        groups = {
+            (rank.rank, segment.relative_to_start().structure())
+            for rank in small_late_sender_trace.ranks
+            for segment in rank.segments
+        }
+        assert 0 < stats.match.calls <= stats.n_stored + len(groups)
+        per_row = reduce_pipeline(
+            small_late_sender_trace,
+            create_metric("relDiff"),
+            PipelineConfig(executor="serial", store_capacity=10**6),
+        ).stats
+        assert per_row.match.calls == per_row.n_possible_matches == stats.n_possible_matches
+        assert stats.match.calls <= stats.match.rows_compared <= per_row.match.rows_compared
         assert stats.match.seconds >= 0.0
 
     def test_match_rate_matches_degree_of_matching(self, small_late_sender_trace):
