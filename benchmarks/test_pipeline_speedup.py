@@ -1,12 +1,20 @@
-"""Serial vs parallel reduction wall time (the pipeline subsystem's bench).
+"""What the pool buys, against an honest base (the pipeline subsystem's bench).
 
-Times the plain serial :class:`TraceReducer` against the streaming parallel
-:class:`ReductionPipeline` on a multi-rank workload at the smoke and default
-scales, verifies the outputs are byte-identical, and writes the measurements
-to ``BENCH_pipeline.json`` at the repository root (plus the usual
-``results/`` table).
+Times three reductions of one multi-rank workload at the smoke and default
+scales — the segment-at-a-time :class:`TraceReducer` (the byte-identity
+oracle), the pipeline's ``serial`` executor (the columnar path, no pool), and
+the pipeline's process pool — verifies all three outputs are byte-identical,
+and writes the measurements to ``BENCH_pipeline.json`` at the repository root
+(plus the usual ``results/`` table).  Two ratios, kept apart:
 
-Speedup is hardware-dependent — a process pool cannot beat the serial path on
+``columnar_speedup``
+    scan ÷ serial executor: what the columnar frame path buys in one process.
+``pool_speedup``
+    serial executor ÷ pool: what the pool buys on top — the definition
+    ``bench/layers.py`` uses for ``pipeline.pool_speedup``.  Dividing the
+    scan by the pool instead credits the pool with the columnar path's gain.
+
+Both are hardware-dependent — a process pool cannot beat the serial path on
 a single-CPU runner — so the recorded ``cpu_count`` is part of the result and
 the test only *asserts* equivalence, never a minimum speedup.
 """
@@ -42,25 +50,32 @@ def _compare_at_scale(scale_name: str) -> dict:
     scale = get_scale(scale_name)
     segmented = build_workload(WORKLOAD, scale).run_segmented()
     workers = os.cpu_count() or 1
-    config = PipelineConfig(executor="process", workers=workers)
+    pool = PipelineConfig(executor="process", workers=workers)
+    serial = PipelineConfig(executor="serial")
 
-    serial_seconds, serial_bytes = _time_reduction(
+    scan_seconds, scan_bytes = _time_reduction(
         segmented, lambda t: TraceReducer(create_metric(METHOD)).reduce(t)
     )
-    parallel_seconds, parallel_bytes = _time_reduction(
+    serial_seconds, serial_bytes = _time_reduction(
         segmented,
-        lambda t: ReductionPipeline(create_metric(METHOD), config).reduce(t).reduced,
+        lambda t: ReductionPipeline(create_metric(METHOD), serial).reduce(t).reduced,
     )
-    assert parallel_bytes == serial_bytes, "pipeline output diverged from serial reducer"
+    pool_seconds, pool_bytes = _time_reduction(
+        segmented,
+        lambda t: ReductionPipeline(create_metric(METHOD), pool).reduce(t).reduced,
+    )
+    assert serial_bytes == scan_bytes, "serial executor diverged from the scan reducer"
+    assert pool_bytes == scan_bytes, "process pool diverged from the scan reducer"
     return {
         "scale": scale_name,
         "n_ranks": segmented.nprocs,
         "n_segments": segmented.num_segments,
-        "executor": config.executor,
         "workers": workers,
-        "serial_seconds": round(serial_seconds, 6),
-        "parallel_seconds": round(parallel_seconds, 6),
-        "speedup": round(serial_seconds / parallel_seconds, 4) if parallel_seconds else None,
+        "scan_seconds": round(scan_seconds, 6),
+        "serial_executor_seconds": round(serial_seconds, 6),
+        "pool_seconds": round(pool_seconds, 6),
+        "columnar_speedup": round(scan_seconds / serial_seconds, 4),
+        "pool_speedup": round(serial_seconds / pool_seconds, 4),
         "identical_output": True,
     }
 
@@ -83,23 +98,28 @@ def test_pipeline_speedup(benchmark):
             entry["scale"],
             entry["n_ranks"],
             entry["n_segments"],
-            f"{entry['serial_seconds']:.4f}",
-            f"{entry['parallel_seconds']:.4f}",
-            f"{entry['speedup']:.2f}x",
+            f"{entry['scan_seconds']:.4f}",
+            f"{entry['serial_executor_seconds']:.4f}",
+            f"{entry['pool_seconds']:.4f}",
+            f"{entry['columnar_speedup']:.2f}x",
+            f"{entry['pool_speedup']:.2f}x",
         ]
         for entry in report["scales"].values()
     ]
     emit(
         "BENCH_pipeline",
         format_table(
-            ["scale", "ranks", "segments", "serial s", "parallel s", "speedup"],
+            ["scale", "ranks", "segments", "scan s", "serial s", "pool s",
+             "columnar (scan/serial)", "pool (serial/pool)"],
             rows,
             title=(
-                f"serial vs parallel reduction — {WORKLOAD}/{METHOD} "
-                f"(process pool, {report['cpu_count']} cpus)"
+                f"scan reducer vs serial executor vs process pool — {WORKLOAD}/{METHOD} "
+                f"({report['cpu_count']} cpus)"
             ),
         ),
     )
     for entry in report["scales"].values():
         assert entry["identical_output"]
-        assert entry["serial_seconds"] > 0 and entry["parallel_seconds"] > 0
+        assert min(
+            entry["scan_seconds"], entry["serial_executor_seconds"], entry["pool_seconds"]
+        ) > 0

@@ -54,8 +54,10 @@ from repro.experiments.formatting import (
 from repro.experiments.thresholds import threshold_study_rows
 from repro.experiments.trend_tables import trend_table
 from repro.pipeline.engine import EXECUTORS, PipelineConfig, ReductionPipeline
+from repro.pipeline.store import create_store
+from repro.pipeline.stream import rank_segment_streams, source_name
 from repro.trace.formats import convert_trace, format_names, resolve_format
-from repro.trace.io import read_trace, serialize_reduced_trace, write_reduced_trace, write_trace
+from repro.trace.io import serialize_reduced_trace, write_reduced_trace, write_trace
 from repro.util.tables import format_table
 
 __all__ = ["main", "build_parser"]
@@ -79,6 +81,20 @@ class _VerificationFailed(Exception):
     def __init__(self, report: str, message: str = "pipeline output does not match the serial reducer"):
         super().__init__(message)
         self.report = report
+
+
+def _matches_serial_reducer(metric, streams, store_capacity, reduced_traces) -> bool:
+    """``--verify``: are these the segment-at-a-time reducer's bytes?
+
+    ``streams`` are the ``(rank, segments)`` pairs the command reduced.  The
+    oracle runs under the command's own store bound — unbounded, it would
+    "fail" every run whose ``--store-capacity`` binds.
+    """
+    oracle = TraceReducer(metric).reduce_streams(
+        "oracle", streams, store_factory=lambda: create_store(store_capacity)
+    )
+    want = serialize_reduced_trace(oracle)
+    return all(serialize_reduced_trace(reduced) == want for reduced in reduced_traces)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -552,10 +568,12 @@ def _cmd_pipeline(args, scale) -> str:
 
     identical = True
     if args.verify:
-        if segmented is None:
-            segmented = read_trace(source).segmented()
-        serial = TraceReducer(create_metric(args.method, args.threshold)).reduce(segmented)
-        identical = serialize_reduced_trace(serial) == serialize_reduced_trace(result.reduced)
+        identical = _matches_serial_reducer(
+            create_metric(args.method, args.threshold),
+            rank_segment_streams(source),
+            args.store_capacity,
+            [result.reduced],
+        )
     # The file written is the serialization ``size_bytes`` counts, so when it
     # is written its byte count is the reduced size.
     if args.output and identical:
@@ -685,19 +703,15 @@ def _cmd_sweep(args, scale) -> str:
 
     identical = True
     if args.verify and sweep_result is not None:
-        from repro.pipeline.store import create_store
-
-        for outcome in sweep_result:
-            # The oracle must run under the same store bound as the sweep,
-            # or a binding --store-capacity would "fail" verification.
-            serial = TraceReducer(outcome.config.create()).reduce_streams(
-                prepared.name,
-                ((r.rank, r.segments) for r in prepared.segmented.ranks),
-                store_factory=lambda: create_store(args.store_capacity),
+        identical = all(
+            _matches_serial_reducer(
+                outcome.config.create(),
+                rank_segment_streams(prepared.segmented),
+                args.store_capacity,
+                [outcome.reduced],
             )
-            if serialize_reduced_trace(outcome.reduced) != serialize_reduced_trace(serial):
-                identical = False
-                break
+            for outcome in sweep_result
+        )
 
     if args.json:
         payload = {
@@ -775,7 +789,6 @@ def _cmd_serve(args, scale) -> str:
     import asyncio
     from pathlib import Path
 
-    from repro.pipeline.stream import rank_segment_streams, source_name
     from repro.service import ReductionService, SessionConfig
     from repro.trace.io import DeltaWriter
 
@@ -901,19 +914,11 @@ def _cmd_serve(args, scale) -> str:
 
     identical = True
     if args.verify:
-        from repro.trace.trace import SegmentedRankTrace, SegmentedTrace
-
-        segmented = SegmentedTrace(
-            name=trace_name,
-            ranks=[
-                SegmentedRankTrace(rank=rank, segments=segments)
-                for rank, segments in stream
-            ],
-        )
-        serial = TraceReducer(create_metric(args.method, args.threshold)).reduce(segmented)
-        want = serialize_reduced_trace(serial)
-        identical = all(
-            serialize_reduced_trace(result.reduced) == want for result in results
+        identical = _matches_serial_reducer(
+            create_metric(args.method, args.threshold),
+            stream,
+            args.store_capacity,
+            [result.reduced for result in results],
         )
         rows.append(["matches serial reducer", "yes" if identical else "NO"])
 

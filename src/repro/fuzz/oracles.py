@@ -239,6 +239,28 @@ def oracle_pipeline_shard(ctx: CaseContext) -> Optional[str]:
     return ctx.check(result.reduced, "shard pipeline")
 
 
+def oracle_pipeline_payload(ctx: CaseContext) -> Optional[str]:
+    """Pickled-frame dispatch over the trace and its text file == scalar scan.
+
+    The only route an in-memory trace or a forward-only file takes through a
+    pool.  The text leg runs only where the two-decimal text format carries
+    the case's timestamps exactly — elsewhere the file is a different trace.
+    """
+    config = PipelineConfig(
+        executor="thread", workers=2, store_capacity=ctx.config.store_capacity
+    )
+    sources = [("payload pipeline", ctx.segmented)]
+    reread = read_trace(ctx.text_path, name=ctx.trace.name)
+    if all(o.records == b.records for o, b in zip(ctx.trace.ranks, reread.ranks)):
+        sources.append(("payload pipeline (text file)", ctx.text_path))
+    for label, source in sources:
+        result = ReductionPipeline(ctx.metric(), config).reduce(source, name=ctx.trace.name)
+        divergence = ctx.check(result.reduced, label)
+        if divergence:
+            return divergence
+    return None
+
+
 # --------------------------------------------------------------------------
 # Sweep oracle
 
@@ -501,6 +523,7 @@ ORACLES: dict[str, Callable[[CaseContext], Optional[str]]] = {
     "frame_per_row": oracle_frame_per_row,
     "pipeline_inline": oracle_pipeline_inline,
     "pipeline_shard": oracle_pipeline_shard,
+    "pipeline_payload": oracle_pipeline_payload,
     "sweep_grid": oracle_sweep_grid,
     "session_checkpoint": oracle_session_checkpoint,
     "rpb_roundtrip": oracle_rpb_roundtrip,
@@ -518,6 +541,7 @@ EQUIVALENCE_ORACLES: tuple[str, ...] = (
     "frame_per_row",
     "pipeline_inline",
     "pipeline_shard",
+    "pipeline_payload",
     "sweep_grid",
     "session_checkpoint",
     "rpb_roundtrip",

@@ -35,6 +35,7 @@ from repro.obs.trace import (
     observe,
     recording,
     span,
+    task_recording,
 )
 
 __all__ = [
@@ -47,6 +48,7 @@ __all__ = [
     "disable",
     "recording",
     "local_recording",
+    "task_recording",
     "Recorder",
     "RecorderSnapshot",
     "SpanRecord",

@@ -23,8 +23,8 @@ Two activation scopes exist:
   **globally** for the process — the main-process scope the CLI uses;
 * :func:`local_recording` installs a recorder for the **current thread
   only** — the scope pool tasks use, so thread-pool workers can each capture
-  a private recorder without racing on the global, and fork()ed process
-  workers shadow the (orphaned, copy-on-write) recorder they inherited.
+  a private recorder without racing on the global, and process workers
+  started as a copy of the parent shadow the orphaned recorder they inherited.
 
 Worker recorders travel back to the parent as :class:`RecorderSnapshot`
 values piggybacked on the existing task result tuples; the parent recorder
@@ -56,6 +56,7 @@ __all__ = [
     "disable",
     "recording",
     "local_recording",
+    "task_recording",
 ]
 
 
@@ -313,8 +314,8 @@ def local_recording(recorder: Recorder):
     """Make ``recorder`` the active sink for the current thread only.
 
     This is the pool-task scope: thread workers each capture privately
-    without touching the global, and fork()ed process workers shadow the
-    orphaned parent recorder they inherited copy-on-write.
+    without touching the global, and process workers started as a copy of
+    the parent shadow the orphaned recorder they inherited.
     """
     previous = getattr(_LOCAL, "recorder", None)
     _LOCAL.recorder = recorder
@@ -322,3 +323,20 @@ def local_recording(recorder: Recorder):
         yield recorder
     finally:
         _LOCAL.recorder = previous
+
+
+@contextmanager
+def task_recording(capture: bool):
+    """The telemetry scope of one pool task: a private recorder, or ``None``.
+
+    With ``capture`` the task records into a fresh ``worker`` recorder under
+    :func:`local_recording`, and the task ships ``recorder.snapshot()`` back
+    on its result.  Without it no recorder is created: spans land on the
+    ambient recorder (the serial path runs tasks in the recording process)
+    or nowhere.
+    """
+    if not capture:
+        yield None
+        return
+    with local_recording(Recorder(label="worker")) as recorder:
+        yield recorder

@@ -45,8 +45,8 @@ class PipelineStats:
     #: engine auto-downgraded a one-worker pool to the serial path.
     requested_executor: str = ""
     #: How rank tasks reached the workers: ``inline`` (serial), ``shard``
-    #: ((path, rank) tasks against an indexed file), ``fork`` (copy-on-write
-    #: in-memory trace), or ``payload`` (pickled segment lists).
+    #: ((path, rank) tasks against an indexed file), or ``payload`` (pickled
+    #: columnar frames).
     dispatch: str = ""
 
     def __post_init__(self) -> None:

@@ -1,9 +1,14 @@
-"""Streaming ingestion: uniform per-rank segment streams from any source.
+"""Streaming ingestion: uniform per-rank streams from any source.
 
-The pipeline engine consumes ``(rank, segment iterator)`` pairs.  This module
-produces them from the places a trace can live:
+The pipeline and sweep engines consume ``(rank, RankFrame)`` pairs
+(:func:`rank_frame_streams`); the segment-at-a-time oracle and the online
+service consume ``(rank, segment iterator)`` pairs
+(:func:`rank_segment_streams`).  This module produces both from the places a
+trace can live:
 
-* an in-memory :class:`~repro.trace.trace.SegmentedTrace` (already segmented);
+* an in-memory :class:`~repro.trace.trace.SegmentedTrace` (already segmented)
+  or :class:`~repro.core.frametrace.FrameTrace` (already columnar — its
+  frames are handed over as they are);
 * an in-memory raw :class:`~repro.trace.trace.Trace` (segmented lazily);
 * a **text** trace file on disk (parsed *and* segmented lazily, line by line,
   via the chunked readers in :mod:`repro.trace.io` — the whole trace is never
@@ -11,12 +16,12 @@ produces them from the places a trace can live:
 * an **indexed** trace file (``.rpb``): each rank decodes independently from
   its byte range, so streams may be consumed in any order — and a worker
   process can open the file itself and decode exactly one rank
-  (:func:`shard_segment_stream`), which is how the engine ships
-  ``(path, rank)`` shard tasks instead of pickled rank payloads.
+  (:func:`shard_frame`), which is how the engine ships ``(path, rank)`` shard
+  tasks instead of pickled rank payloads.
 
-Segments are produced one at a time, so a consumer that also processes them
-one at a time (the serial executor path) runs in memory bounded by the
-largest single segment plus the representative store.
+Ranks are produced one at a time, so a consumer that also processes them one
+at a time (the serial executor path) runs in memory bounded by the largest
+single rank plus the representative store.
 """
 
 from __future__ import annotations
@@ -126,8 +131,7 @@ def rank_segment_streams(
     if isinstance(source, (SegmentedTrace, FrameTrace)):
         for rank_trace in source.ranks:
             # Already materialized (or materializable on access for frame
-            # traces): yield the list itself so consumers that need a
-            # sequence (the pooled engine path) need not copy it.
+            # traces): yield the list itself, no copy.
             yield rank_trace.rank, rank_trace.segments
     elif isinstance(source, Trace):
         for rank_trace in source.ranks:

@@ -187,17 +187,15 @@ def _sweep_shard_task(
     """
     plan = SweepPlan([SweepConfig(method, threshold) for method, threshold in specs])
     engine = SweepEngine(plan, store_capacity=store_capacity, instrument=instrument)
-    if not capture:
-        return engine.sweep_rank(rank, shard_frame(path, rank))
-    recorder = obs.Recorder(label="worker")
-    with obs.local_recording(recorder):
+    with obs.task_recording(capture) as recorder:
         result = engine.sweep_rank(rank, shard_frame(path, rank))
-    registry = recorder.registry
-    registry.inc("ingest.segments", result.n_segments)
-    registry.inc("columnar.materialized", result.segments_materialized)
-    registry.inc("sweep.vector_builds", result.vector_builds)
-    registry.inc("sweep.vector_builds_naive", result.vector_builds_naive)
-    result.snapshot = recorder.snapshot()
+    if recorder is not None:
+        registry = recorder.registry
+        registry.inc("ingest.segments", result.n_segments)
+        registry.inc("columnar.materialized", result.segments_materialized)
+        registry.inc("sweep.vector_builds", result.vector_builds)
+        registry.inc("sweep.vector_builds_naive", result.vector_builds_naive)
+        result.snapshot = recorder.snapshot()
     return result
 
 

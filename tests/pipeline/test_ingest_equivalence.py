@@ -121,6 +121,48 @@ class TestShardDispatch:
         assert stats.downgraded
 
 
+SOURCE_KINDS = ("segmented", "trace", "frames", "text", "rpb")
+
+
+@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+@pytest.mark.parametrize("kind", SOURCE_KINDS)
+class TestEverySourceEveryExecutor:
+    """Source kind × executor: the bytes are the segment-at-a-time oracle's,
+    and each source takes the one dispatch shape its kind forces."""
+
+    # iter_avg mutates its stored representatives, so it would also catch a
+    # pooled path that lets two ranks share one.
+    @pytest.mark.parametrize("metric_name", ["euclidean", "iter_avg"])
+    def test_bytes_and_dispatch(self, trace, trace_files, kind, executor, metric_name):
+        from repro.core.frametrace import FrameTrace
+        from repro.core.reducer import TraceReducer
+        from repro.pipeline.stream import rank_segment_streams
+
+        source = {
+            "segmented": lambda: trace.segmented(),
+            "trace": lambda: trace,
+            "frames": lambda: FrameTrace.from_file(trace_files["rpb_exact"], name=trace.name),
+            "text": lambda: trace_files["text"],
+            "rpb": lambda: trace_files["rpb_exact"],
+        }[kind]()
+        # The text file quantizes timestamps, so its oracle reads the file.
+        oracle_source = trace_files["text"] if kind == "text" else trace
+        oracle = TraceReducer(create_metric(metric_name)).reduce_streams(
+            "t", rank_segment_streams(oracle_source)
+        )
+        result = reduce_pipeline(
+            source,
+            create_metric(metric_name),
+            PipelineConfig(executor=executor, workers=2),
+            name="t",
+        )
+        assert serialize_reduced_trace(result.reduced) == serialize_reduced_trace(oracle)
+        if executor == "serial":
+            assert result.stats.dispatch == "inline"
+        else:
+            assert result.stats.dispatch == ("shard" if kind == "rpb" else "payload")
+
+
 class TestEvaluationFromFiles:
     def test_criteria_identical_across_formats(self, trace, trace_files):
         from repro.evaluation.runner import PreparedWorkload, evaluate_method

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.metrics import create_metric
 from repro.core.reducer import TraceReducer
+from repro.pipeline import engine
 from repro.pipeline.engine import PipelineConfig, ReductionPipeline, reduce_pipeline
 from repro.pipeline.stats import PipelineStats, time_stage
 from repro.trace.io import serialize_reduced_trace, write_trace
@@ -50,11 +51,14 @@ class TestEngineOutput:
         assert result.reduced.name == small_late_sender_trace.name
         assert result.reduced.method == metric_name
 
-    def test_rank_order_is_deterministic(self, small_dynlb_trace, executor):
+    def test_rank_order_is_deterministic(self, small_dynlb_trace, executor, monkeypatch):
+        # A 2-task window over 4 ranks: the loop must collect the oldest
+        # result before it submits the third task, and still return rank order.
+        monkeypatch.setattr(engine, "_IN_FLIGHT_PER_WORKER", 1)
         result = reduce_pipeline(
             small_dynlb_trace,
             create_metric("relDiff"),
-            PipelineConfig(executor=executor, workers=2, max_pending=2),
+            PipelineConfig(executor=executor, workers=2),
         )
         assert [r.rank for r in result.reduced.ranks] == [0, 1, 2, 3]
 
@@ -75,7 +79,7 @@ class TestEngineOutput:
         assert from_file.reduced.name == "trace"
 
     def test_pickling_pool_path_matches_serial_on_files(self, tmp_path):
-        """File sources can't be fork-shared, so this exercises payload pickling."""
+        """A forward-only text file reaches process workers as pickled frames."""
         from repro.benchmarks_ats import late_sender
 
         raw = late_sender(nprocs=4, iterations=6, seed=3).run()
@@ -87,7 +91,32 @@ class TestEngineOutput:
         pooled = reduce_pipeline(
             path, create_metric("relDiff"), PipelineConfig(executor="process", workers=2)
         )
+        assert pooled.stats.dispatch == "payload"
         assert serialize_reduced_trace(pooled.reduced) == serialize_reduced_trace(serial.reduced)
+
+    @pytest.mark.parametrize("pooled", ["thread", "process"])
+    def test_pooled_frame_trace_ships_its_frames(self, tmp_path, pooled):
+        """A ``FrameTrace`` goes to the pool as the frames it already holds:
+        dispatch materializes no segment, so the count is the serial run's."""
+        from repro.benchmarks_ats import late_sender
+        from repro.core.frametrace import FrameTrace
+
+        path = tmp_path / "trace.rpb"
+        write_trace(late_sender(nprocs=4, iterations=6, seed=3).run(), path)
+        serial = reduce_pipeline(
+            FrameTrace.from_file(path), create_metric("relDiff"), PipelineConfig(executor="serial")
+        )
+        source = FrameTrace.from_file(path)
+        result = reduce_pipeline(
+            source, create_metric("relDiff"), PipelineConfig(executor=pooled, workers=2)
+        )
+        assert result.stats.dispatch == "payload"
+        assert serialize_reduced_trace(result.reduced) == serialize_reduced_trace(serial.reduced)
+        assert result.stats.segments_materialized == serial.stats.segments_materialized
+        assert result.stats.segments_materialized == result.reduced.n_stored < source.num_segments
+        # Process workers materialize on their own copies; threads share the
+        # source's frames.  Either way no rank was rebuilt from segments.
+        assert source.materialized == (0 if pooled == "process" else result.reduced.n_stored)
 
     def test_merge_stage(self, small_late_sender_trace):
         result = reduce_pipeline(

@@ -244,14 +244,14 @@ class TestCommands:
         assert excinfo.value.code == 2
         assert "workers must be >= 1" in capsys.readouterr().err
 
-    def test_pipeline_verify_mismatch_exits_nonzero(self, capsys, tmp_path):
-        # A capacity-1 store evicts representatives that iter_avg would have
-        # matched, so the bounded output legitimately diverges from serial.
+    def test_pipeline_verify_mismatch_exits_nonzero(self, capsys, tmp_path, monkeypatch):
+        # The oracle runs under the command's own store bound, so no flag
+        # combination diverges from it: the mismatch is injected.
+        monkeypatch.setattr("repro.cli._matches_serial_reducer", lambda *args: False)
         target = tmp_path / "diverged.txt"
         code = main(
             ["--scale", "smoke", "pipeline", "sweep3d_8p", "--method", "iter_avg",
-             "--executor", "serial", "--store-capacity", "1", "--verify",
-             "--output", str(target)]
+             "--executor", "serial", "--verify", "--output", str(target)]
         )
         captured = capsys.readouterr()
         assert code == 1
@@ -262,6 +262,18 @@ class TestCommands:
         assert "skipped: verification failed" in captured.out
         # Nothing was written, so the size still comes from the serializer.
         assert "reduced trace bytes" in captured.out
+
+    @pytest.mark.parametrize("command", ["pipeline", "serve"])
+    def test_verify_with_bounded_store_uses_bounded_oracle(self, capsys, command):
+        # euclidean at 0.001 stores nearly every segment, so a one-entry store
+        # evicts constantly: an unbounded oracle would read as a mismatch.
+        argv = ["--scale", "smoke", command, "sweep3d_8p", "--method", "euclidean",
+                "--threshold", "0.001", "--store-capacity", "1", "--verify"]
+        if command == "pipeline":
+            argv += ["--executor", "serial"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert "matches serial reducer yes" in " ".join(out.split())
 
     def test_pipeline_telemetry_export_and_report(self, capsys, tmp_path):
         saved = tmp_path / "full.rpb"
