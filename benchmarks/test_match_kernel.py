@@ -1,18 +1,21 @@
-"""Candidate-scan stage: legacy scan vs dense batch kernel.
+"""Candidate-match stage: the scalar reference vs the columnar core.
 
 The matching step is the reduction's inner loop: every incoming segment is
 compared against all stored representatives sharing its structural key.  This
 benchmark times exactly that stage (via the reducer's match counters) on the
 sweep3d workload at the default scale, two ways per configuration:
 
-* the legacy Python scan (``TraceReducer(batch=False)``) — the oracle;
-* the dense kernel (``batch=True``): one ``match_stats`` broadcast over the
-  bucket's row matrix, or the scalar ``match_one`` on a depth-one bucket.
+* the scalar reference (``TraceReducer.reduce_streams``: the paper's
+  per-candidate ``metric.match`` scan, segment at a time) — the oracle and
+  the base of every ratio here;
+* the columnar core (``TraceReducer.reduce`` over frames adapted once): the
+  batch step's ``match_stats`` broadcasts per structural key.
 
-Both reductions must be byte-identical, every configuration's dense kernel
-must be at least as fast as the scan (the small-bucket floor), and the
-strict-Euclidean headline must beat the scan by 3x; all are asserted, not
-just recorded.  Results land in ``BENCH_match_kernel.json``.
+Both reductions must be byte-identical, every configuration's core match
+stage must be at least as fast as the reference's (the small-bucket floor),
+and the strict-Euclidean headline must beat it by 3x; all are asserted, not
+just recorded.  Every row is the minimum of at least three timed repeats.
+Results land in ``BENCH_match_kernel.json``.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ import os
 import time
 
 from support import RESULTS_DIR, emit, run_once, write_bench_json
+from tests.support import reference_reduce
 
 from repro.core.candidates import MatchCounters
+from repro.core.frametrace import FrameTrace
 from repro.core.metrics import DEFAULT_THRESHOLDS, create_metric
 from repro.core.reducer import TraceReducer
 from repro.experiments.config import build_workload, get_scale
@@ -53,54 +58,60 @@ CONFIGS: tuple[tuple[str, float], ...] = (
 )
 
 #: The acceptance configuration: strict Euclidean produces the deepest
-#: candidate lists of the sweep, i.e. the regime the batch kernel exists for.
+#: candidate lists of the sweep, i.e. the regime the dense kernel exists for.
 HEADLINE = ("euclidean", 0.001)
 MIN_HEADLINE_SPEEDUP = 3.0
 
-#: Small-bucket floor: no configuration may be slower than the legacy scan.
-#: The depth-one scalar kernel is what keeps the default-threshold configs
-#: (1–2 rows per call) above water.
+#: Small-bucket floor: no configuration's core may be slower than the
+#: reference's scan, however shallow its buckets (1–2 rows per call at the
+#: default thresholds).
 MIN_CONFIG_SPEEDUP = 1.0
 
 
-def _timed_reduction(segmented, metric_name: str, threshold: float, *, batch: bool):
+def _timed_reduction(trace, metric_name: str, threshold: float, *, core: bool):
+    """One timed reduction: the core over ``trace``'s frames, or the reference's scan."""
     counters = MatchCounters()
-    reducer = TraceReducer(create_metric(metric_name, threshold), batch=batch)
+    metric = create_metric(metric_name, threshold)
     started = time.perf_counter()
-    reduced = reducer.reduce(segmented, match_counters=counters)
+    if core:
+        reduced = TraceReducer(metric).reduce(trace, match_counters=counters)
+    else:
+        reduced = reference_reduce(metric, trace, match_counters=counters)
     total = time.perf_counter() - started
     return serialize_reduced_trace(reduced), reduced, counters, total
 
 
-#: Configurations whose match stage is this cheap get extra timed repetitions,
-#: with the *minimum* across reps used for the speedup (the timeit estimator:
-#: the fastest rep is the one least disturbed by scheduler and cache noise,
-#: which on a tens-of-milliseconds stage can swing single runs by 20%).
+#: Every row takes the *minimum* of at least ``MIN_REPEATS`` timed repeats
+#: (the timeit estimator: the fastest rep is the one least disturbed by
+#: scheduler and cache noise, which on a tens-of-milliseconds stage can swing
+#: single runs by 20%); configurations whose reference scan is this cheap
+#: get up to ``MAX_REPEATS``.
 REPEAT_TARGET_SECONDS = 0.25
+MIN_REPEATS = 3
 MAX_REPEATS = 5
 
 
-def _compare(segmented, metric_name: str, threshold: float) -> dict:
+def _compare(segmented, frames, metric_name: str, threshold: float) -> dict:
     scan_bytes, reduced, scan, scan_total = _timed_reduction(
-        segmented, metric_name, threshold, batch=False
+        segmented, metric_name, threshold, core=False
     )
     dense_bytes, _, dense, dense_total = _timed_reduction(
-        segmented, metric_name, threshold, batch=True
+        frames, metric_name, threshold, core=True
     )
     assert dense_bytes == scan_bytes, (
-        f"dense batch matcher diverged from the legacy scan for {metric_name}({threshold})"
+        f"the columnar core diverged from the scalar reference for {metric_name}({threshold})"
     )
     scan_seconds = scan.seconds
     dense_seconds = dense.seconds
     reps = 1
-    while scan_seconds < REPEAT_TARGET_SECONDS and reps < MAX_REPEATS:
+    while reps < MIN_REPEATS or (scan_seconds < REPEAT_TARGET_SECONDS and reps < MAX_REPEATS):
         scan_seconds = min(
             scan_seconds,
-            _timed_reduction(segmented, metric_name, threshold, batch=False)[2].seconds,
+            _timed_reduction(segmented, metric_name, threshold, core=False)[2].seconds,
         )
         dense_seconds = min(
             dense_seconds,
-            _timed_reduction(segmented, metric_name, threshold, batch=True)[2].seconds,
+            _timed_reduction(frames, metric_name, threshold, core=True)[2].seconds,
         )
         reps += 1
     return {
@@ -122,7 +133,10 @@ def _compare(segmented, metric_name: str, threshold: float) -> dict:
 
 def _run_comparison() -> dict:
     segmented = build_workload(WORKLOAD, get_scale(SCALE)).run_segmented()
-    entries = [_compare(segmented, method, threshold) for method, threshold in CONFIGS]
+    frames = FrameTrace.from_segmented(segmented)
+    entries = [
+        _compare(segmented, frames, method, threshold) for method, threshold in CONFIGS
+    ]
     headline = next(
         e for e in entries if (e["method"], e["threshold"]) == HEADLINE
     )
@@ -164,7 +178,7 @@ def test_match_kernel_speedup(benchmark):
             ["method", "threshold", "stored", "rows/call", "scan s", "dense s", "speedup"],
             rows,
             title=(
-                f"candidate-scan stage: scan vs dense — "
+                f"candidate-match stage: scalar reference vs columnar core — "
                 f"{WORKLOAD}/{SCALE} ({report['cpu_count']} cpus)"
             ),
         ),
@@ -173,13 +187,14 @@ def test_match_kernel_speedup(benchmark):
     for entry in report["configs"]:
         assert entry["identical_output"]
         assert entry["scan_match_seconds"] > 0 and entry["dense_match_seconds"] > 0
-        # Small-bucket floor: the dense kernel must never lose to the scan,
+        assert entry["timed_repeats"] >= MIN_REPEATS
+        # Small-bucket floor: the core must never lose to the reference's scan,
         # whatever the bucket depth profile of the configuration.
         assert entry["match_speedup"] >= MIN_CONFIG_SPEEDUP, (
-            f"{entry['method']}({entry['threshold']}) dense kernel is slower than "
-            f"the legacy scan: {entry['match_speedup']}x"
+            f"{entry['method']}({entry['threshold']}) core match stage is slower than "
+            f"the scalar reference's: {entry['match_speedup']}x"
         )
-    # The acceptance bar: the dense kernel must beat the legacy scan by at
+    # The acceptance bar: the core must beat the scalar reference by at
     # least 3x on the deep-candidate-list headline configuration.
     assert report["headline"]["match_speedup"] >= MIN_HEADLINE_SPEEDUP, (
         f"headline match-kernel speedup {report['headline']['match_speedup']}x "

@@ -1,14 +1,16 @@
 """What the pool buys, against an honest base (the pipeline subsystem's bench).
 
 Times three reductions of one multi-rank workload at the smoke and default
-scales — the segment-at-a-time :class:`TraceReducer` (the byte-identity
-oracle), the pipeline's ``serial`` executor (the columnar path, no pool), and
+scales — the scalar segment-at-a-time reference
+(``TraceReducer.reduce_streams``, the byte-identity oracle, called
+explicitly), the pipeline's ``serial`` executor (the columnar path, no pool), and
 the pipeline's process pool — verifies all three outputs are byte-identical,
 and writes the measurements to ``BENCH_pipeline.json`` at the repository root
 (plus the usual ``results/`` table).  Two ratios, kept apart:
 
 ``columnar_speedup``
-    scan ÷ serial executor: what the columnar frame path buys in one process.
+    scan ÷ serial executor: frames vs segment-at-a-time — what the columnar
+    core buys in one process over the paper's scalar scan.
 ``pool_speedup``
     serial executor ÷ pool: what the pool buys on top — the definition
     ``bench/layers.py`` uses for ``pipeline.pool_speedup``.  Dividing the
@@ -25,9 +27,9 @@ import os
 import time
 
 from support import RESULTS_DIR, emit, run_once, write_bench_json
+from tests.support import reference_reduce
 
 from repro.core.metrics import create_metric
-from repro.core.reducer import TraceReducer
 from repro.experiments.config import build_workload, get_scale
 from repro.pipeline.engine import PipelineConfig, ReductionPipeline
 from repro.trace.io import serialize_reduced_trace
@@ -54,7 +56,7 @@ def _compare_at_scale(scale_name: str) -> dict:
     serial = PipelineConfig(executor="serial")
 
     scan_seconds, scan_bytes = _time_reduction(
-        segmented, lambda t: TraceReducer(create_metric(METHOD)).reduce(t)
+        segmented, lambda t: reference_reduce(create_metric(METHOD), t)
     )
     serial_seconds, serial_bytes = _time_reduction(
         segmented,

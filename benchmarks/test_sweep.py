@@ -1,30 +1,38 @@
-"""Sweep engine vs naive per-config loop on a full threshold grid.
+"""Sweep engine vs per-config loops on a full threshold grid.
 
 Reduces sweep3d_32p under the complete euclidean + manhattan threshold grids
-(12 configs — one shared Minkowski feature family) two ways:
+(12 configs — one shared Minkowski feature family) three ways:
 
-* **naive** — the historical schedule: one independent serial
-  :class:`TraceReducer` pass per config, re-normalising every segment and
-  recomputing its feature vector once per config;
+* **naive** — the historical schedule: one independent pass of the scalar
+  segment-at-a-time reference (``TraceReducer.reduce_streams``) per config,
+  re-normalising every segment and scanning its candidates one at a time;
+* **core loop** — the product called twelve times: the trace adapted to
+  frames once, then one ``TraceReducer.reduce`` per config over the shared
+  frames (keys and family vectors cached on them after the first config);
 * **sweep** — the :mod:`repro.sweep` engine: one shared pass, segments
   normalised and keyed once, the family vector computed once per segment for
   all 12 configs, matching via the batched kernels per config.
 
-Both schedules must produce byte-identical reduced traces per config, and
-the evaluation rows derived from them must agree field for field; the sweep
-is asserted to be at least 3x faster.  The ratio is schedule-bound, not
-pool- or hardware-bound (both sides run serially in one process), so it is
-meaningful on a single-CPU CI runner.  Measurements go to
+All schedules must produce byte-identical reduced traces per config, and
+the evaluation rows derived from them must agree field for field.  Two
+ratios, each naming its base: ``speedup`` = naive ÷ sweep, asserted >= 3x;
+``core_loop_speedup`` = core loop ÷ sweep — what the sweep engine saves over
+calling the product once per config — asserted >= 1x.  Both are
+schedule-bound, not pool- or hardware-bound (every side runs serially in one
+process), so they are meaningful on a single-CPU CI runner.  Measurements go to
 ``BENCH_sweep.json`` at the repository root (plus the usual ``results/``
 table).
 """
 
 from __future__ import annotations
 
+import gc
 import time
 
 from support import RESULTS_DIR, emit, run_once, write_bench_json
+from tests.support import reference_reduce
 
+from repro.core.frametrace import FrameTrace
 from repro.core.reducer import TraceReducer
 from repro.evaluation.runner import PreparedWorkload, result_from_reduced
 from repro.experiments.config import build_workload, get_scale
@@ -36,24 +44,57 @@ BENCH_PATH = RESULTS_DIR.parent / "BENCH_sweep.json"
 
 WORKLOAD = "sweep3d_32p"  # 32 ranks; the heaviest multi-rank workload
 METHODS = ("euclidean", "manhattan")  # full paper grids; one shared family
-MIN_HEADLINE_SPEEDUP = 3.0
+MIN_HEADLINE_SPEEDUP = 3.0  # naive (scalar reference) loop / sweep
+MIN_CORE_LOOP_SPEEDUP = 1.0  # per-config product loop over shared frames / sweep
+
+
+#: The two sub-second schedules take the minimum of this many timed runs,
+#: interleaved so a slow minute on a shared box slows both.
+TIMED_RUNS = 3
+
+
+def _timed(schedule):
+    """``(seconds, result)`` of one run with the collector paused, as ``timeit`` does.
+
+    Both schedules allocate tens of thousands of segments; whether a full
+    collection lands inside one depends on how large the process's heap
+    already is (tier-1 runs this after fifty other benchmarks), which moved
+    the loop ÷ sweep ratio between 0.85x and 1.8x on identical code.
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        started = time.perf_counter()
+        result = schedule()
+        return time.perf_counter() - started, result
+    finally:
+        gc.enable()
 
 
 def _measure_scale(scale_name: str, plan: SweepPlan) -> dict:
     scale = get_scale(scale_name)
     segmented = build_workload(WORKLOAD, scale).run_segmented()
 
-    started = time.perf_counter()
-    naive = [TraceReducer(config.create()).reduce(segmented) for config in plan]
-    naive_seconds = time.perf_counter() - started
+    def naive_loop():
+        return [reference_reduce(config.create(), segmented) for config in plan]
 
-    started = time.perf_counter()
-    swept = SweepEngine(plan).sweep(segmented)
-    sweep_seconds = time.perf_counter() - started
+    def product_loop():  # adapts once per run, like the sweep below
+        frames = FrameTrace.from_segmented(segmented)
+        return [TraceReducer(config.create()).reduce(frames) for config in plan]
+
+    naive_seconds, naive = _timed(naive_loop)
+    core_loop_seconds = sweep_seconds = float("inf")
+    for _ in range(TIMED_RUNS):
+        seconds, core_loop = _timed(product_loop)
+        core_loop_seconds = min(core_loop_seconds, seconds)
+        seconds, swept = _timed(lambda: SweepEngine(plan).sweep(segmented))
+        sweep_seconds = min(sweep_seconds, seconds)
 
     identical = all(
-        serialize_reduced_trace(outcome.reduced) == serialize_reduced_trace(reference)
-        for outcome, reference in zip(swept, naive)
+        serialize_reduced_trace(outcome.reduced)
+        == serialize_reduced_trace(looped)
+        == serialize_reduced_trace(reference)
+        for outcome, looped, reference in zip(swept, core_loop, naive, strict=True)
     )
 
     # The evaluation rows the figure suite consumes must agree too.  Both
@@ -79,8 +120,12 @@ def _measure_scale(scale_name: str, plan: SweepPlan) -> dict:
         "vector_builds_saved": swept.stats.vector_builds_saved,
         "sharing_factor": round(swept.stats.sharing_factor, 4),
         "naive_seconds": round(naive_seconds, 6),
+        "core_loop_seconds": round(core_loop_seconds, 6),
         "sweep_seconds": round(sweep_seconds, 6),
         "speedup": round(naive_seconds / sweep_seconds, 4) if sweep_seconds else None,
+        "core_loop_speedup": round(core_loop_seconds / sweep_seconds, 4)
+        if sweep_seconds
+        else None,
         "identical_output": identical,
         "evaluation_rows_equal": rows_equal,
     }
@@ -94,6 +139,7 @@ def _run_comparison() -> dict:
         "n_configs": plan.n_configs,
         "n_families": plan.n_families,
         "min_headline_speedup": MIN_HEADLINE_SPEEDUP,
+        "min_core_loop_speedup": MIN_CORE_LOOP_SPEEDUP,
         "scales": {name: _measure_scale(name, plan) for name in ("smoke", "default")},
     }
 
@@ -109,18 +155,21 @@ def test_sweep_speedup(benchmark):
             entry["n_segments"],
             f"{entry['sharing_factor']:.1f}x",
             f"{entry['naive_seconds']:.4f}",
+            f"{entry['core_loop_seconds']:.4f}",
             f"{entry['sweep_seconds']:.4f}",
             f"{entry['speedup']:.2f}x",
+            f"{entry['core_loop_speedup']:.2f}x",
         ]
         for entry in report["scales"].values()
     ]
     emit(
         "BENCH_sweep",
         format_table(
-            ["scale", "ranks", "segments", "sharing", "naive s", "sweep s", "speedup"],
+            ["scale", "ranks", "segments", "sharing", "naive s", "core loop s", "sweep s",
+             "naive/sweep", "core loop/sweep"],
             rows,
             title=(
-                f"threshold-grid sweep: shared-ingest engine vs per-config loop — "
+                f"threshold-grid sweep: shared-ingest engine vs per-config loops — "
                 f"{WORKLOAD}, {report['n_configs']} configs"
             ),
         ),
@@ -135,5 +184,9 @@ def test_sweep_speedup(benchmark):
     headline = report["scales"]["default"]
     assert headline["speedup"] >= MIN_HEADLINE_SPEEDUP, (
         f"the sweep engine must be >= {MIN_HEADLINE_SPEEDUP}x faster than the "
-        f"per-config serial loop, measured {headline['speedup']:.2f}x"
+        f"per-config scalar reference loop, measured {headline['speedup']:.2f}x"
+    )
+    assert headline["core_loop_speedup"] >= MIN_CORE_LOOP_SPEEDUP, (
+        f"the sweep engine must not lose to {report['n_configs']} product calls over "
+        f"shared frames, measured {headline['core_loop_speedup']:.2f}x"
     )

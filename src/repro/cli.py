@@ -175,7 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--threshold", type=float, default=None, help="method threshold (default: paper's best)"
     )
     pipeline.add_argument(
-        "--executor", choices=EXECUTORS, default="process", help="worker pool flavour"
+        "--executor",
+        choices=EXECUTORS,
+        default="serial",
+        help="how ranks are reduced: in this process (default; the fastest "
+        "measured on every input) or through a thread/process pool",
     )
     pipeline.add_argument(
         "--workers", type=int, default=None, help="pool size (default: cpu count)"
@@ -244,16 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: each method's paper threshold-study values)",
     )
     sweep.add_argument(
-        "--backend",
-        choices=("sweep", "serial"),
-        default="sweep",
-        help="shared-ingest sweep engine or the serial per-config oracle loop",
-    )
-    sweep.add_argument(
         "--executor",
         choices=EXECUTORS,
-        default="process",
-        help="pool flavour for indexed file sources (ignored otherwise)",
+        default="serial",
+        help="in this process (default) or a thread/process pool over "
+        "(rank x family) tasks of an indexed file source (ignored otherwise)",
     )
     sweep.add_argument(
         "--workers", type=int, default=None, help="pool size (default: cpu count)"
@@ -633,13 +632,6 @@ def _cmd_sweep(args, scale) -> str:
             raise ValueError("give either a workload or --trace FILE, not both")
         if args.trace is None and args.workload is None:
             raise ValueError("a workload name or --trace FILE is required")
-        if args.backend == "serial" and args.verify:
-            raise ValueError(
-                "--verify compares the sweep engine against the serial oracle; "
-                "it does not apply to --backend serial"
-            )
-        if args.backend == "serial" and args.store_capacity is not None:
-            raise ValueError("--store-capacity applies to the sweep backend only")
         config = PipelineConfig(
             executor=args.executor,
             workers=args.workers,
@@ -664,16 +656,8 @@ def _cmd_sweep(args, scale) -> str:
 
     recording = obs.recording("sweep") if args.telemetry is not None else nullcontext()
     with recording as recorder:
-        if args.backend == "serial":
-            from repro.evaluation.runner import evaluate_grid
-
-            results = evaluate_grid(
-                prepared, plan, keep_comparison=False, backend="serial"
-            )
-            sweep_result = None
-        else:
-            sweep_result = sweep_pipeline(source, plan, config, name=prepared.name)
-            results = sweep_result.evaluation_results(prepared)
+        sweep_result = sweep_pipeline(source, plan, config, name=prepared.name)
+        results = sweep_result.evaluation_results(prepared)
 
     telemetry_note = None
     if args.telemetry is not None:
@@ -683,9 +667,8 @@ def _cmd_sweep(args, scale) -> str:
             metadata={
                 "command": "sweep",
                 "subject": subject,
-                "backend": args.backend,
                 "configs": plan.n_configs,
-                "dispatch": sweep_result.stats.dispatch if sweep_result is not None else "serial",
+                "dispatch": sweep_result.stats.dispatch,
                 "workers": config.workers,
             },
         )
@@ -702,7 +685,7 @@ def _cmd_sweep(args, scale) -> str:
         telemetry_note = f"{args.telemetry} ({n_events} spans, {n_tracks} tracks)"
 
     identical = True
-    if args.verify and sweep_result is not None:
+    if args.verify:
         identical = all(
             _matches_serial_reducer(
                 outcome.config.create(),
@@ -716,7 +699,6 @@ def _cmd_sweep(args, scale) -> str:
     if args.json:
         payload = {
             "subject": subject,
-            "backend": args.backend,
             "configs": [
                 {
                     "method": r.method,
@@ -731,19 +713,18 @@ def _cmd_sweep(args, scale) -> str:
                 for r in results
             ],
         }
-        if sweep_result is not None:
-            stats = sweep_result.stats
-            payload["stats"] = {
-                "n_configs": stats.n_configs,
-                "n_families": stats.n_families,
-                "dispatch": stats.dispatch,
-                "n_ranks": stats.n_ranks,
-                "n_segments": stats.n_segments,
-                "vector_builds": stats.vector_builds,
-                "vector_builds_saved": stats.vector_builds_saved,
-                "sharing_factor": stats.sharing_factor,
-                "total_seconds": stats.total_seconds,
-            }
+        stats = sweep_result.stats
+        payload["stats"] = {
+            "n_configs": stats.n_configs,
+            "n_families": stats.n_families,
+            "dispatch": stats.dispatch,
+            "n_ranks": stats.n_ranks,
+            "n_segments": stats.n_segments,
+            "vector_builds": stats.vector_builds,
+            "vector_builds_saved": stats.vector_builds_saved,
+            "sharing_factor": stats.sharing_factor,
+            "total_seconds": stats.total_seconds,
+        }
         if args.verify:
             payload["matches_serial_oracle"] = identical
         if telemetry_note is not None:
@@ -767,15 +748,12 @@ def _cmd_sweep(args, scale) -> str:
             grid_rows,
             title=f"sweep grid — {subject}",
         )
-        if sweep_result is not None:
-            stats_rows = sweep_result.stats.rows()
-            if args.verify:
-                stats_rows.append(
-                    ["matches serial oracle", "yes" if identical else "NO"]
-                )
-            report += "\n\n" + format_table(
-                ["property", "value"], stats_rows, title="shared-ingest stats"
-            )
+        stats_rows = sweep_result.stats.rows()
+        if args.verify:
+            stats_rows.append(["matches serial oracle", "yes" if identical else "NO"])
+        report += "\n\n" + format_table(
+            ["property", "value"], stats_rows, title="shared-ingest stats"
+        )
         if telemetry_note is not None:
             report += f"\n\ntelemetry written to {telemetry_note}"
     if not identical:

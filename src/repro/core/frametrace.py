@@ -169,7 +169,8 @@ class FrameTrace:
 
     Built by :meth:`from_file` (``.rpb`` ranks decode straight to frames;
     forward-only text streams adapt through
-    :meth:`RankFrame.from_segments`) or :meth:`from_frames`.  The reducers
+    :meth:`RankFrame.from_segments`), :meth:`from_segmented` or
+    :meth:`from_frames`.  The reducers
     and the pipeline/sweep ingestion recognise it and take their columnar
     paths; everything else reads it through the ``SegmentedTrace`` protocol.
     """
@@ -183,6 +184,14 @@ class FrameTrace:
     @classmethod
     def from_frames(cls, name: str, frames: Iterable[RankFrame]) -> "FrameTrace":
         return cls(name, (FrameRankTrace(frame) for frame in frames))
+
+    @classmethod
+    def from_segmented(cls, trace) -> "FrameTrace":
+        """Adapt an in-memory :class:`~repro.trace.trace.SegmentedTrace`, rank by rank."""
+        return cls.from_frames(
+            trace.name,
+            (RankFrame.from_segments(rank.rank, rank.segments) for rank in trace.ranks),
+        )
 
     @classmethod
     def from_file(cls, path, name: Optional[str] = None) -> "FrameTrace":

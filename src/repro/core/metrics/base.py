@@ -46,17 +46,6 @@ class SimilarityMetric(ABC):
         return the *first* match, mirroring the paper's algorithm.
         """
 
-    def match_candidates(
-        self, candidate: Segment, candidates: Sequence[StoredSegment]
-    ) -> Optional[StoredSegment]:
-        """Match against a candidate bucket, batched when the bucket allows it.
-
-        The default simply delegates to :meth:`match` (the per-candidate
-        scan); :class:`DistanceMetric` overrides this to run its dense kernel
-        when handed a :class:`~repro.core.candidates.CandidateList`.
-        """
-        return self.match(candidate, candidates)
-
     def on_match(self, candidate: Segment, chosen: StoredSegment) -> None:
         """Hook invoked after a successful match (default: count it)."""
         chosen.count += 1
@@ -207,10 +196,3 @@ class DistanceMetric(SimilarityMetric):
         limits = self.threshold if base is None else self.threshold * base
         index = first_match_index(stat <= limits)
         return None if index is None else candidates[index]
-
-    def match_candidates(
-        self, candidate: Segment, candidates: Sequence[StoredSegment]
-    ) -> Optional[StoredSegment]:
-        if isinstance(candidates, CandidateList):
-            return self.match_row(self.build_vector(candidate), candidates)
-        return self.match(candidate, candidates)

@@ -8,18 +8,24 @@ decides whether the measurements match; on a match only the ``(segment id,
 start time)`` execution entry is recorded, otherwise the segment itself is
 stored as a new representative.
 
-That step is written twice, on purpose.  :class:`ReductionState` is the
-columnar core: one (rank, config) reduction stepped over a
+That step is written twice, on purpose: the core and the scalar reference.
+
+:class:`ReductionState` is the columnar core, the only way the product
+reduces: one (rank, config) reduction stepped over a
 :class:`~repro.core.frames.RankFrame`, materializing a segment only when it
-becomes a representative — :meth:`TraceReducer.reduce_frame`, the online
-session and the sweep engine all step it.  The core has two steps with one
-outcome: the per-row ``match``/``record`` step, and its exact batch form
-:meth:`ReductionState.match_batch`, which resolves a whole frame per
+becomes a representative — :meth:`TraceReducer.reduce_frame` (and through it
+:meth:`TraceReducer.reduce`, the evaluation runner and the pipeline), the
+online session and the sweep engine all step it.  The core has two steps
+with one outcome: the per-row ``match``/``record`` step, and its exact batch
+form :meth:`ReductionState.match_batch`, which resolves a whole frame per
 structural key in ``O(keys + new representatives)`` kernel calls; a state
 takes the batch step whenever :attr:`ReductionState.batchable` holds.
-:meth:`TraceReducer.reduce_segments` is the segment-at-a-time reference that
-the equivalence suites, the fuzz oracles and the benchmark's output check
-compare the core against; it shares no loop with it.
+
+:meth:`TraceReducer.reduce_segments` is the reference and nothing else: the
+paper's loop over :class:`~repro.trace.segments.Segment` objects, calling
+the metric's scalar ``match`` scan for every segment.  The equivalence
+suites, the fuzz oracles, ``--verify`` and the benchmark's output check hold
+the core to its bytes; it shares no loop and no kernel with the core.
 
 The candidate-list bookkeeping is delegated to a pluggable representative
 store (see :mod:`repro.pipeline.store`) — anything with ``candidates(key)`` /
@@ -36,13 +42,14 @@ import numpy as np
 
 from repro import obs
 from repro.core.candidates import BATCH_STORES, InlineStore, MatchCounters
+from repro.core.frames import RankFrame
 from repro.core.metrics.base import DistanceMetric, SimilarityMetric
 from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
 from repro.trace.segments import Segment
-from repro.trace.trace import SegmentedRankTrace, SegmentedTrace
+from repro.trace.trace import SegmentedTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.frames import RankFrame
+    from repro.core.frametrace import FrameTrace
 
 __all__ = ["TraceReducer", "ReductionState", "KeyBatches", "reduce_trace", "SegmentStore"]
 
@@ -110,7 +117,7 @@ class KeyBatches:
 
     __slots__ = ("frame", "vectors", "groups")
 
-    def __init__(self, frame: "RankFrame", vectors: Sequence[np.ndarray]) -> None:
+    def __init__(self, frame: RankFrame, vectors: Sequence[np.ndarray]) -> None:
         by_key: dict = {}
         for i, key in enumerate(frame.structural_keys()):
             by_key.setdefault(key, []).append(i)
@@ -186,7 +193,7 @@ class ReductionState:
         self._next_id = len(reduced.stored)
         self._add_built = getattr(store, "add_built", None)
         self.dense = isinstance(metric, DistanceMetric) and self._add_built is not None
-        self._probe = metric.match_row if self.dense else metric.match_candidates
+        self._probe = metric.match_row if self.dense else metric.match
         self._vector_key = metric.vector_key() if self.dense else None
         self._mutates = metric.mutates_stored
         # When on_match is the base-class default (count the match) it runs
@@ -224,7 +231,7 @@ class ReductionState:
         candidates,
         chosen: Optional[StoredSegment],
         vector: Optional[np.ndarray],
-        frame: "RankFrame",
+        frame: RankFrame,
         index: int,
         rel: list,
     ) -> None:
@@ -388,31 +395,23 @@ class TraceReducer:
     A reducer instance is stateless between calls; it can be reused across
     ranks and traces.
 
-    :meth:`reduce_frame` is the production path (columnar, lazily
-    materializing, stepping a :class:`ReductionState`).
-    :meth:`reduce_segments` is the segment-at-a-time reference that the
+    :meth:`reduce_frame` is the product's one reduction (columnar, lazily
+    materializing, stepping a :class:`ReductionState`); :meth:`reduce` runs
+    it over every rank of a trace.  :meth:`reduce_segments` /
+    :meth:`reduce_streams` are the scalar reference — the paper's
+    per-candidate ``metric.match`` scan, segment at a time — that the
     equivalence suites, the fuzz oracles and the benchmark's output check
-    hold the production path to; it deliberately shares no loop with it.
-    ``batch`` only selects the reference's matcher: True (the default) runs
-    the metric's dense kernel over each bucket's row matrix, False the
-    paper's per-candidate ``metric.match`` scan — the ground truth.
+    hold the product to; it deliberately shares no loop with it.
     """
 
-    def __init__(self, metric: SimilarityMetric, *, batch: bool = True):
+    def __init__(self, metric: SimilarityMetric):
         if not isinstance(metric, SimilarityMetric):
             raise TypeError(
                 f"metric must be a SimilarityMetric, got {type(metric).__name__}"
             )
         self.metric = metric
-        self.batch = bool(batch)
 
-    # -- per-rank reduction ---------------------------------------------------
-
-    def reduce_rank(
-        self, rank_trace: SegmentedRankTrace, *, store: Optional[SegmentStore] = None
-    ) -> ReducedRankTrace:
-        """Reduce one rank's segment list."""
-        return self.reduce_segments(rank_trace.segments, rank=rank_trace.rank, store=store)
+    # -- the scalar reference ---------------------------------------------------
 
     def reduce_segments(
         self,
@@ -423,7 +422,7 @@ class TraceReducer:
         match_counters: Optional[MatchCounters] = None,
         into: Optional[ReducedRankTrace] = None,
     ) -> ReducedRankTrace:
-        """Reduce a segment stream (list, generator, or any iterable).
+        """The reference: reduce a segment stream with the scalar ``match`` scan.
 
         Segments are consumed one at a time; memory is bounded by the
         representative store, not the input length.  When ``match_counters``
@@ -443,8 +442,7 @@ class TraceReducer:
             store = InlineStore()
         next_id = len(reduced.stored)
         metric = self.metric
-        matcher = metric.match_candidates if self.batch else metric.match
-        mutates = metric.mutates_stored
+        matcher = metric.match
 
         for segment in segments:
             reduced.n_segments += 1
@@ -467,10 +465,6 @@ class TraceReducer:
                 reduced.execs.append((chosen.segment_id, segment.start))
                 reduced.exec_matched.append(True)
                 metric.on_match(relative, chosen)
-                if mutates:
-                    refresh = getattr(candidates, "refresh", None)
-                    if refresh is not None:
-                        refresh(chosen)
             else:
                 stored_segment = StoredSegment(segment_id=next_id, segment=relative)
                 next_id += 1
@@ -484,7 +478,7 @@ class TraceReducer:
 
     def reduce_frame(
         self,
-        frame: "RankFrame",
+        frame: RankFrame,
         *,
         store: Optional[SegmentStore] = None,
         match_counters: Optional[MatchCounters] = None,
@@ -535,15 +529,16 @@ class TraceReducer:
     # -- whole-trace reduction --------------------------------------------------
 
     def reduce(
-        self, trace: SegmentedTrace, *, match_counters: Optional[MatchCounters] = None
+        self,
+        trace: "SegmentedTrace | FrameTrace",
+        *,
+        match_counters: Optional[MatchCounters] = None,
     ) -> ReducedTrace:
         """Reduce every rank of ``trace`` independently (intra-process reduction).
 
-        Frame-backed ranks (a :class:`~repro.core.frametrace.FrameTrace`)
-        route through :meth:`reduce_frame`, so their segments are never
-        materialized just to be re-normalised; segment-list ranks take
-        :meth:`reduce_segments` as before.  Both produce byte-identical
-        reduced traces.
+        Every rank goes through :meth:`reduce_frame`: a frame-backed rank (a
+        :class:`~repro.core.frametrace.FrameTrace`) hands its frame over, a
+        segment-list rank is adapted by :meth:`RankFrame.from_segments` first.
         """
         reduced = ReducedTrace(
             name=trace.name,
@@ -551,22 +546,13 @@ class TraceReducer:
             threshold=self.metric.threshold,
         )
         for rank_trace in trace.ranks:
-            frame = getattr(rank_trace, "frame", None)
             # Span per rank, not per segment: the segment loop is the match
             # kernel's hot path and must stay telemetry-free.
             with obs.span("rank.reduce", rank=rank_trace.rank):
-                if frame is not None:
-                    reduced.ranks.append(
-                        self.reduce_frame(frame, match_counters=match_counters)
-                    )
-                else:
-                    reduced.ranks.append(
-                        self.reduce_segments(
-                            rank_trace.segments,
-                            rank=rank_trace.rank,
-                            match_counters=match_counters,
-                        )
-                    )
+                frame = getattr(rank_trace, "frame", None)
+                if frame is None:
+                    frame = RankFrame.from_segments(rank_trace.rank, rank_trace.segments)
+                reduced.ranks.append(self.reduce_frame(frame, match_counters=match_counters))
         return reduced
 
     def reduce_streams(

@@ -1,10 +1,10 @@
 """Study runner: the full evaluation pipeline for one workload.
 
 ``evaluate_workload`` simulates a workload once, then applies any number of
-(method, threshold) combinations to the same segmented trace, producing one
+(method, threshold) combinations to the same trace, producing one
 :class:`EvaluationResult` per combination with all four criteria filled in.
-The expensive artefacts (the segmented full trace, its serialized size, and
-its diagnosis report) are computed once and shared.
+The expensive artefacts (the full trace as columnar frames, its serialized
+size, and its diagnosis report) are computed once and shared.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.core.metrics.base import SimilarityMetric
 from repro.core.reconstruct import reconstruct
 from repro.core.reduced import ReducedTrace
 from repro.core.reducer import TraceReducer
-from repro.pipeline.engine import PipelineConfig, ReductionPipeline
+from repro.pipeline.engine import PipelineConfig
 from repro.evaluation.approximation import approximation_distance
 from repro.evaluation.filesize import full_trace_bytes, full_trace_bytes_from_file
 from repro.evaluation.trends import retains_trends
@@ -71,10 +71,16 @@ class EvaluationResult:
 
 @dataclass(slots=True)
 class PreparedWorkload:
-    """A workload's shared evaluation artefacts (simulate + segment + analyze once)."""
+    """A workload's shared evaluation artefacts (simulate + segment + analyze once).
+
+    ``segmented`` is the full trace as columnar frames, whichever constructor
+    built it: every reduction and every criterion of a study reads the same
+    frames, and segment objects are only materialized for stored
+    representatives.
+    """
 
     name: str
-    segmented: SegmentedTrace | FrameTrace
+    segmented: FrameTrace
     full_bytes: int
     full_report: DiagnosisReport
     workload: Optional[Workload] = None
@@ -88,11 +94,13 @@ class PreparedWorkload:
     def from_segmented(
         cls, name: str, segmented: SegmentedTrace, workload: Optional[Workload] = None
     ) -> "PreparedWorkload":
+        """Prepare an in-memory segmented trace, adapted to frames once."""
+        trace = FrameTrace.from_segmented(segmented)
         return cls(
             name=name,
-            segmented=segmented,
+            segmented=trace,
             full_bytes=full_trace_bytes(segmented),
-            full_report=analyze(segmented),
+            full_report=analyze(trace),
             workload=workload,
         )
 
@@ -128,37 +136,10 @@ def evaluate_method(
     *,
     comparison_options: Optional[ComparisonOptions] = None,
     keep_comparison: bool = True,
-    backend: str = "serial",
-    pipeline_config: Optional[PipelineConfig] = None,
-    pipeline_source=None,
 ) -> EvaluationResult:
-    """Run one similarity metric over a prepared workload.
-
-    ``backend="serial"`` reduces with the plain :class:`TraceReducer`;
-    ``backend="pipeline"`` routes the reduction through the streaming
-    parallel pipeline (``pipeline_config`` selects executor/workers/store).
-    Both backends produce identical criteria — the pipeline's ordering is
-    deterministic and its default store is unbounded.
-
-    ``pipeline_source`` (pipeline backend only) makes the pipeline ingest a
-    trace file directly — text or indexed binary, with binary sources
-    dispatched as ``(path, rank)`` shards to pool workers — instead of the
-    in-memory segmented trace.  The file must hold the same trace the
-    prepared workload was built from (e.g. via ``PreparedWorkload.from_file``
-    on the same path); the criteria are still computed against
-    ``prepared.segmented``.
-    """
-    if backend == "serial":
-        if pipeline_source is not None:
-            raise ValueError("pipeline_source requires backend='pipeline'")
-        with obs.span("evaluate.reduce", method=metric.name, backend=backend):
-            reduced: ReducedTrace = TraceReducer(metric).reduce(prepared.segmented)
-    elif backend == "pipeline":
-        source = prepared.segmented if pipeline_source is None else pipeline_source
-        with obs.span("evaluate.reduce", method=metric.name, backend=backend):
-            reduced = ReductionPipeline(metric, pipeline_config).reduce(source).reduced
-    else:
-        raise ValueError(f"backend must be 'serial' or 'pipeline', got {backend!r}")
+    """Run one similarity metric over a prepared workload."""
+    with obs.span("evaluate.reduce", method=metric.name):
+        reduced: ReducedTrace = TraceReducer(metric).reduce(prepared.segmented)
     return result_from_reduced(
         prepared,
         reduced,
@@ -176,9 +157,9 @@ def result_from_reduced(
 ) -> EvaluationResult:
     """All four criteria for one already-computed reduced trace.
 
-    This is the (backend-independent) second half of :func:`evaluate_method`;
-    the sweep engine calls it per grid config, so a sweep row and a serial
-    row are produced by the same code.
+    This is the second half of :func:`evaluate_method`; the sweep engine
+    calls it per grid config, so a sweep row and a serial row are produced
+    by the same code.
     """
     with obs.span("evaluate.criteria", method=reduced.method):
         reconstructed = reconstruct(reduced)
@@ -226,9 +207,11 @@ def evaluate_grid(
     one pass over the segments for the entire grid, feature vectors computed
     once per family.  With ``pipeline_source`` naming an indexed (``.rpb``)
     trace file and a pooled ``pipeline_config``, the sweep is parallelised
-    over (rank-shard × feature-family) tasks.  ``backend="serial"`` is the
-    oracle: one independent :func:`evaluate_method` pass per config.  Both
-    produce identical rows, in plan order.
+    over (rank-shard × feature-family) tasks.  ``backend="serial"`` is one
+    independent :func:`evaluate_method` pass per config — the per-config
+    loop the sweep tests and the benchmark's sweep reference compare the
+    engine with; no command selects it.  Both produce identical rows, in
+    plan order.
     """
     from repro.sweep.plan import SweepPlan
 
@@ -264,29 +247,19 @@ def evaluate_workload(
     methods: Iterable[str | SimilarityMetric | tuple[str, float]],
     *,
     comparison_options: Optional[ComparisonOptions] = None,
-    backend: str = "serial",
-    pipeline_config: Optional[PipelineConfig] = None,
 ) -> list[EvaluationResult]:
     """Evaluate several methods on one workload.
 
     ``methods`` may contain metric names (paper default thresholds), metric
-    instances, or ``(name, threshold)`` pairs.  ``backend``/``pipeline_config``
-    are forwarded to :func:`evaluate_method`.
+    instances, or ``(name, threshold)`` pairs.
     """
     prepared = PreparedWorkload.from_workload(workload)
-    results = []
-    for spec in methods:
-        metric = _resolve_metric(spec)
-        results.append(
-            evaluate_method(
-                prepared,
-                metric,
-                comparison_options=comparison_options,
-                backend=backend,
-                pipeline_config=pipeline_config,
-            )
+    return [
+        evaluate_method(
+            prepared, _resolve_metric(spec), comparison_options=comparison_options
         )
-    return results
+        for spec in methods
+    ]
 
 
 def _resolve_metric(spec: str | SimilarityMetric | tuple[str, float]) -> SimilarityMetric:

@@ -4,11 +4,9 @@ Every method is run with the best threshold found by the threshold study
 (Section 5.1): relDiff 0.8, absDiff 1000 µs, Manhattan 0.4, Euclidean 0.2,
 Chebyshev 0.2, iter_k 10, avgWave 0.2, haarWave 0.2, plus iter_avg.
 
-By default all methods of one workload are reduced in a **single shared
-pass** through the sweep engine (one segment stream, feature vectors shared
-within each family — e.g. the three Minkowski methods); ``backend="serial"``
-keeps the historical per-method loop as the oracle.  Both produce identical
-results.
+All methods of one workload are reduced in a **single shared pass** through
+the sweep engine (one set of frames, feature vectors shared within each
+family — e.g. the three Minkowski methods).
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from repro.analysis.patterns import EXECUTION_TIME, LATE_SENDER, WAIT_AT_NXN
 from repro.core.metrics import METRIC_NAMES, create_metric
 from repro.core.reconstruct import reconstruct
 from repro.core.reducer import TraceReducer
-from repro.evaluation.runner import EvaluationResult, evaluate_grid, evaluate_method
+from repro.evaluation.runner import EvaluationResult, evaluate_grid
 from repro.experiments.config import (
     ALL_WORKLOAD_NAMES,
     ExperimentScale,
@@ -44,34 +42,21 @@ def comparative_study(
     methods: Optional[Sequence[str]] = None,
     *,
     scale: ExperimentScale | str | None = None,
-    backend: str = "sweep",
 ) -> list[EvaluationResult]:
-    """Evaluate every method at its default threshold on every workload.
-
-    ``backend="sweep"`` (the default) reduces all methods of one workload in
-    a single shared segment pass; ``backend="serial"`` runs the historical
-    one-method-at-a-time oracle loop.
-    """
+    """Evaluate every method at its default threshold on every workload."""
     scale = scale if isinstance(scale, ExperimentScale) else get_scale(scale)
     workloads = tuple(workloads) if workloads is not None else ALL_WORKLOAD_NAMES
     methods = tuple(methods) if methods is not None else METRIC_NAMES
-    if backend == "serial":
-        results: list[EvaluationResult] = []
-        for name in workloads:
-            prepared = prepared_workload(name, scale)
-            for method in methods:
-                results.append(evaluate_method(prepared, create_metric(method)))
-        return results
     from repro.sweep.plan import SweepConfig, SweepPlan
 
     # One config per *distinct* method; repeated names in ``methods`` re-use
-    # the same row, mirroring the serial loop's one-result-per-entry shape.
+    # the same row, so the result keeps one entry per requested method.
     keys = [(method, create_metric(method).threshold) for method in methods]
     plan = SweepPlan(SweepConfig(m, t) for m, t in dict.fromkeys(keys))
     results = []
     for name in workloads:
         prepared = prepared_workload(name, scale)
-        rows = evaluate_grid(prepared, plan, keep_comparison=True, backend=backend)
+        rows = evaluate_grid(prepared, plan, keep_comparison=True)
         by_key = {config.key: row for config, row in zip(plan.configs, rows)}
         results.extend(by_key[key] for key in keys)
     return results

@@ -4,11 +4,9 @@ For each method, the matching threshold is swept over the paper's values and
 the file-size and approximation-distance criteria are recorded for every
 workload — the data behind the per-method appendix figures.
 
-The sweep runs through the shared-ingest sweep engine by default: per
-workload, every threshold is evaluated in a **single pass** over the
-segments, with the method's feature vectors computed once per segment for
-the whole grid.  ``backend="serial"`` keeps the historical one-pass-per-
-threshold loop as the oracle; both backends produce identical rows.
+The sweep runs through the shared-ingest sweep engine: per workload, every
+threshold is evaluated in a **single pass** over the segments, with the
+method's feature vectors computed once per segment for the whole grid.
 """
 
 from __future__ import annotations
@@ -34,13 +32,10 @@ def threshold_study(
     thresholds: Optional[Sequence[float]] = None,
     *,
     scale: ExperimentScale | str | None = None,
-    backend: str = "sweep",
 ) -> dict[str, list[EvaluationResult]]:
     """Sweep a method's threshold over every workload.
 
     Returns ``{workload name: [result per threshold, in threshold order]}``.
-    ``backend`` selects the shared-ingest sweep engine (``"sweep"``, the
-    default) or the serial per-threshold oracle loop (``"serial"``).
     """
     if method == "iter_avg":
         raise ValueError("iter_avg takes no threshold and is not part of the threshold study")
@@ -59,7 +54,7 @@ def threshold_study(
     results: dict[str, list[EvaluationResult]] = {}
     for name in workloads:
         prepared = prepared_workload(name, scale)
-        rows = evaluate_grid(prepared, plan, keep_comparison=False, backend=backend)
+        rows = evaluate_grid(prepared, plan, keep_comparison=False)
         by_key = {config.key: row for config, row in zip(plan.configs, rows)}
         results[name] = [by_key[(method, float(t))] for t in thresholds]
     return results

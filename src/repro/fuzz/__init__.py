@@ -15,8 +15,8 @@ nobody would hand-write.  Three layers:
   :mod:`repro.trace.binio`.
 * **Executor + oracles** (:mod:`repro.fuzz.executor`,
   :mod:`repro.fuzz.oracles`): every generated case runs through each
-  configured pathway pair — scalar scan vs dense-kernel matching, the
-  columnar frame path, inline vs sharded pipeline, sweep grid vs per-config
+  configured pathway pair — the scalar reference scan vs the columnar frame
+  path (batch and per-row step), inline vs sharded pipeline, sweep grid vs per-config
   loop, batch vs incremental session with a mid-stream checkpoint/restore,
   text and ``.rpb`` round trips — and the outputs are cross-checked
   byte-for-byte, with the metric's own similarity bound replayed on the

@@ -1,8 +1,8 @@
 """Cross-pathway oracles: every generated case through every pathway pair.
 
 The repository keeps several pathways through the same reduction semantics —
-the scalar scan, the dense batch kernel, the columnar frame path, the
-pipeline executors, the sweep engine, the incremental session — all
+the scalar reference scan, the columnar frame path (batch and per-row step),
+the pipeline executors, the sweep engine, the incremental session — all
 documented as byte-identical.  Each oracle here runs one
 alternative pathway over a generated case and compares its
 :func:`~repro.trace.io.serialize_reduced_trace` bytes against the ground
@@ -128,11 +128,11 @@ class CaseContext:
             self._segmented = self.trace.segmented()
         return self._segmented
 
-    def reduce_serial(self, *, batch: bool, method=None, threshold=Ellipsis) -> ReducedTrace:
-        """One serial segment-at-a-time reduction over in-memory segment streams."""
-        reducer = TraceReducer(self.metric(method, threshold), batch=batch)
-        segmented = self.segmented
-        return reducer.reduce_streams(
+    def reduce_serial(self, segmented=None, *, method=None, threshold=Ellipsis) -> ReducedTrace:
+        """The scalar reference over ``segmented`` (default: the case's own trace)."""
+        if segmented is None:
+            segmented = self.segmented
+        return TraceReducer(self.metric(method, threshold)).reduce_streams(
             segmented.name,
             ((r.rank, r.segments) for r in segmented.ranks),
             store_factory=self.store_factory(),
@@ -142,7 +142,7 @@ class CaseContext:
     def baseline(self) -> ReducedTrace:
         """Ground truth: the scalar scan, segment-at-a-time, serial."""
         if self._baseline is None:
-            self._baseline = self.reduce_serial(batch=False)
+            self._baseline = self.reduce_serial()
         return self._baseline
 
     @property
@@ -173,11 +173,6 @@ class CaseContext:
 
 # --------------------------------------------------------------------------
 # Matching-kernel oracles
-
-
-def oracle_dense_vs_scan(ctx: CaseContext) -> Optional[str]:
-    """Vectorized dense batch kernel == scalar scan."""
-    return ctx.check(ctx.reduce_serial(batch=True), "dense kernel")
 
 
 def _reduce_frames(ctx: CaseContext, store_factory: Callable) -> ReducedTrace:
@@ -291,16 +286,16 @@ def oracle_sweep_grid(ctx: CaseContext) -> Optional[str]:
         name=ctx.trace.name,
     )
     for outcome in result:
-        # The per-config comparator uses the dense kernel (itself pinned to
-        # the scalar scan by dense_vs_scan) — a deep case would otherwise
-        # pay the O(n²) python scan once per grid config.
-        serial = ctx.reduce_serial(
-            batch=True,
-            method=outcome.config.method,
-            threshold=outcome.config.threshold,
-        )
+        if outcome.config.key == plan.configs[0].key:  # the case's own config: the baseline
+            expected = ctx.baseline_bytes
+        else:
+            expected = serialize_reduced_trace(
+                ctx.reduce_serial(
+                    method=outcome.config.method, threshold=outcome.config.threshold
+                )
+            )
         divergence = _first_divergence(
-            serialize_reduced_trace(serial),
+            expected,
             serialize_reduced_trace(outcome.reduced),
             f"sweep config {outcome.config.describe()}",
         )
@@ -381,14 +376,7 @@ def oracle_rpb_roundtrip(ctx: CaseContext) -> Optional[str]:
             return f"rpb round trip: rank {orig.rank} records changed"
     if reread.nprocs != ctx.trace.nprocs:
         return f"rpb round trip: {ctx.trace.nprocs} ranks in, {reread.nprocs} out"
-    reducer = TraceReducer(ctx.metric())
-    segmented = reread.segmented()
-    reduced = reducer.reduce_streams(
-        segmented.name,
-        ((r.rank, r.segments) for r in segmented.ranks),
-        store_factory=ctx.store_factory(),
-    )
-    return ctx.check(reduced, "rpb round trip")
+    return ctx.check(ctx.reduce_serial(reread.segmented()), "rpb round trip")
 
 
 def oracle_text_roundtrip(ctx: CaseContext) -> Optional[str]:
@@ -408,14 +396,7 @@ def oracle_text_roundtrip(ctx: CaseContext) -> Optional[str]:
     convert_trace(rpb2, text2)
     if ctx.text_path.read_bytes() != text2.read_bytes():
         return "text round trip: text→rpb→text changed the text serialization"
-    reducer = TraceReducer(ctx.metric())
-    segmented = reread.segmented()
-    reduced = reducer.reduce_streams(
-        segmented.name,
-        ((r.rank, r.segments) for r in segmented.ranks),
-        store_factory=ctx.store_factory(),
-    )
-    return ctx.check(reduced, "text round trip")
+    return ctx.check(ctx.reduce_serial(reread.segmented()), "text round trip")
 
 
 # --------------------------------------------------------------------------
@@ -518,7 +499,6 @@ def oracle_malformed_fallback(ctx: CaseContext) -> Optional[str]:
 
 
 ORACLES: dict[str, Callable[[CaseContext], Optional[str]]] = {
-    "dense_vs_scan": oracle_dense_vs_scan,
     "frame_path": oracle_frame_path,
     "frame_per_row": oracle_frame_per_row,
     "pipeline_inline": oracle_pipeline_inline,
@@ -536,7 +516,6 @@ ORACLE_NAMES: tuple[str, ...] = tuple(ORACLES)
 
 #: The equivalence matrix run on every segmentable case.
 EQUIVALENCE_ORACLES: tuple[str, ...] = (
-    "dense_vs_scan",
     "frame_path",
     "frame_per_row",
     "pipeline_inline",

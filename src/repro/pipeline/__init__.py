@@ -14,7 +14,7 @@ Quick use::
 
     result = reduce_pipeline(trace, create_metric("relDiff"),
                              PipelineConfig(executor="process", workers=8))
-    result.reduced   # byte-identical to TraceReducer(metric).reduce(trace)
+    result.reduced   # same core, same bytes as TraceReducer(metric).reduce(trace)
     result.stats     # throughput, match rate, per-stage wall time
 """
 

@@ -5,8 +5,9 @@ Intra-process reduction (Section 3.1) is embarrassingly parallel across ranks
 reduction task per rank to a :mod:`concurrent.futures` pool and reassembles
 the per-rank results **in rank-stream order**.  Because the per-rank algorithm
 is untouched and ordering is restored deterministically, the pipeline's output
-serializes byte-identically to the serial :class:`~repro.core.reducer.TraceReducer`
-path (the equivalence tests assert exactly that, for every similarity metric).
+serializes byte-identically to the scalar reference
+(:meth:`~repro.core.reducer.TraceReducer.reduce_streams`; the equivalence
+tests assert exactly that, for every similarity metric).
 
 Executors
 ---------
@@ -14,14 +15,16 @@ Executors
     No pool: each rank's frame is reduced in the caller's process, one rank
     at a time.  Memory is bounded by the largest rank's column arrays plus
     the representative store; it is also the fastest mode on every workload
-    measured so far (ROADMAP, "One reduction core").
+    measured so far (ROADMAP, "The pool earns its code, or goes"), and the
+    CLI's default.
 ``thread``
     A :class:`~concurrent.futures.ThreadPoolExecutor`.  The match kernels
     are NumPy, but the per-rank bookkeeping around them holds the
     interpreter lock, so this is mainly the in-process pool the tests and
     the fuzz oracles run the pooled code on.
 ``process``
-    A :class:`~concurrent.futures.ProcessPoolExecutor` (the default).  Each
+    A :class:`~concurrent.futures.ProcessPoolExecutor` (what a default
+    :class:`PipelineConfig` selects).  Each
     worker builds its own representative store, so metric state never crosses
     rank boundaries — the same isolation the serial path provides.
 
@@ -38,13 +41,14 @@ Task dispatch (recorded in ``PipelineStats.dispatch``)
     files): each rank's columnar frame is built here and pickled to a worker
     (column arrays pack far tighter than segment-object lists).
 
-Both pooled shapes run the one task function (:func:`_reduce_rank_task`)
+Both pooled shapes run the one task function (:func:`_rank_task`)
 through the one submit/collect loop (:func:`_run_pool_tasks`), which
 :func:`sweep_pipeline` shares.  Whatever the dispatch mode, every rank
 reaches the reducer as a :class:`~repro.core.frames.RankFrame` — ``.rpb``
 ranks decode straight to columns, text and in-memory sources adapt through
 ``RankFrame.from_segments`` — so all executors run the one columnar code
-path, with the segment-at-a-time reducer kept as the byte-identity oracle.
+path, with the scalar segment-at-a-time reference kept as the
+byte-identity oracle.
 """
 
 from __future__ import annotations
@@ -151,7 +155,7 @@ RankTaskResult = tuple[
 ]
 
 
-def _reduce_rank_task(
+def _rank_task(
     metric: SimilarityMetric,
     shard: Union[RankFrame, tuple[str, int]],
     store_capacity: Optional[int],
@@ -287,7 +291,7 @@ class ReductionPipeline:
                     # In the caller's process, so task spans land directly on
                     # the ambient recorder — no capture/snapshot round-trip.
                     results = [
-                        _reduce_rank_task(self.metric, frame, config.store_capacity)
+                        _rank_task(self.metric, frame, config.store_capacity)
                         for _, frame in rank_frame_streams(source)
                     ]
                 else:
@@ -299,7 +303,7 @@ class ReductionPipeline:
                     results = _run_pool_tasks(
                         executor,
                         workers if n_ranks is None else min(workers, n_ranks),
-                        _reduce_rank_task,
+                        _rank_task,
                         (
                             (self.metric, shard, config.store_capacity, capture)
                             for shard in shards

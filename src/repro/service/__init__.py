@@ -18,9 +18,10 @@ ROADMAP:
 * :mod:`repro.service.cache` — content-digest result cache so identical
   (trace digest, config) requests are answered without re-reduction.
 
-The incremental path is byte-identical to the batch
-:class:`~repro.core.reducer.TraceReducer`, which remains the oracle
-(``tests/service/test_session_equivalence.py``).
+The incremental path steps the same core as the batch
+:meth:`~repro.core.reducer.TraceReducer.reduce` and is byte-identical to the
+scalar reference (:meth:`~repro.core.reducer.TraceReducer.reduce_streams`),
+which remains the oracle (``tests/service/test_session_equivalence.py``).
 """
 
 from repro.service.cache import ResultCache, source_digest

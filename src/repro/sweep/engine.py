@@ -27,8 +27,8 @@ core's batch step, one config at a time over one shared
 scan-only families and bounded stores take the core's per-row step.  Either
 way the per-config decisions are the ones a solo run makes, in the same
 order, so each config's reduced trace serializes byte-identical to a solo
-:class:`~repro.core.reducer.TraceReducer` run (the equivalence suite asserts
-exactly that for all nine metrics).
+:meth:`~repro.core.reducer.TraceReducer.reduce` and to the scalar reference
+(the equivalence suite asserts exactly that for all nine metrics).
 
 :class:`~repro.trace.segments.Segment` objects materialize lazily: a frame
 row becomes a segment only when some config needs the object itself — to

@@ -112,8 +112,8 @@ class SweepResult:
         so a row here equals the row ``evaluate_method`` would produce for the
         same config (the equivalence tests assert field-for-field equality).
         """
-        # Imported lazily: evaluation.runner imports the sweep engine for its
-        # grid backend, so a module-level import here would be circular.
+        # Imported lazily: evaluation.runner imports the sweep engine for
+        # evaluate_grid, so a module-level import here would be circular.
         from repro.evaluation.runner import result_from_reduced
 
         return [

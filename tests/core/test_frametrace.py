@@ -16,6 +16,8 @@ from repro.core.metrics import METRIC_NAMES, create_metric
 from repro.core.reducer import TraceReducer
 from repro.trace.io import serialize_reduced_trace, write_trace
 
+from tests.support import reference_reduce
+
 
 @pytest.fixture(scope="module")
 def segmented():
@@ -93,11 +95,13 @@ class TestReadProtocol:
 class TestReduction:
     @pytest.mark.parametrize("metric_name", METRIC_NAMES)
     def test_reduce_byte_identical(self, segmented, frame_trace, metric_name):
-        reference = TraceReducer(create_metric(metric_name)).reduce(segmented)
-        frame_backed = TraceReducer(create_metric(metric_name)).reduce(frame_trace)
-        assert serialize_reduced_trace(frame_backed) == serialize_reduced_trace(
-            reference
+        reference = serialize_reduced_trace(
+            reference_reduce(create_metric(metric_name), segmented)
         )
+        # Frame-backed ranks hand their frame over; segment-list ranks are adapted.
+        for trace in (frame_trace, segmented):
+            reduced = TraceReducer(create_metric(metric_name)).reduce(trace)
+            assert serialize_reduced_trace(reduced) == reference
 
     def test_distance_reduction_stays_lazy(self, segmented):
         trace = FrameTrace.from_frames(

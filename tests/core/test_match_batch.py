@@ -33,6 +33,11 @@ def _stored(segment, sid=0):
     return StoredSegment(segment_id=sid, segment=segment)
 
 
+def _dense(metric, candidate, bucket):
+    """The dense probe as the core makes it: the segment's feature row against the bucket."""
+    return metric.match_row(metric.build_vector(candidate), bucket)
+
+
 def _jittered(delta, context="c"):
     return make_segment(
         context,
@@ -195,14 +200,14 @@ class TestKernelAgainstScan:
         for entry in entries:
             bucket.append(entry)
         scanned = metric.match(candidate, entries)
-        batched = metric.match_candidates(candidate, bucket)
+        batched = _dense(metric, candidate, bucket)
         assert scanned is batched
 
     def test_no_match_returns_none(self, metric_cls):
         metric = metric_cls(1e-12)
         bucket = CandidateList()
         bucket.append(_stored(_jittered(250.0)))
-        assert metric.match_candidates(_jittered(0.0), bucket) is None
+        assert _dense(metric, _jittered(0.0), bucket) is None
 
 
 class TestZeroClampedLimitsFixed:
@@ -230,7 +235,7 @@ class TestZeroClampedLimitsFixed:
         stored = _stored(b)
         bucket = CandidateList()
         bucket.append(stored)
-        assert metric.match_candidates(a, bucket) is metric.match(a, [stored])
+        assert _dense(metric, a, bucket) is metric.match(a, [stored])
 
     def test_wavelet_non_positive_coefficients_can_match(self):
         class NegatedAvgWave(AvgWave):
@@ -245,7 +250,7 @@ class TestZeroClampedLimitsFixed:
         assert metric.match(a, [_stored(b)]) is not None
         bucket = CandidateList()
         bucket.append(_stored(b))
-        assert metric.match_candidates(a, bucket) is not None
+        assert _dense(metric, a, bucket) is not None
 
     def test_paper_worked_examples_still_hold(self, paper_segments):
         """The magnitude fix must not change the paper's worked-example results."""
@@ -280,15 +285,16 @@ class TestMatchCounters:
         assert counters.seconds >= 0.0
 
 
-class TestEveryMetricHasBatchSupport:
+class TestEveryMetricScansACandidateList:
     @pytest.mark.parametrize("name", sorted(METRIC_CLASSES))
-    def test_match_candidates_works_on_candidate_list(self, name):
+    def test_scan_reads_a_bucket_like_a_list(self, name):
+        """The core's non-dense probe is ``metric.match`` on the store's bucket."""
         metric = create_metric(name)
         bucket = CandidateList()
         bucket.append(_stored(_jittered(0.0)))
-        # Must not raise for any of the 9 metrics, batched bucket or not.
-        metric.match_candidates(_jittered(0.05), bucket)
-        metric.match_candidates(_jittered(0.05), [bucket[0]])
+        assert metric.match(_jittered(0.05), bucket) is metric.match(
+            _jittered(0.05), [bucket[0]]
+        )
 
 
 # -- the batch step: kernels, predicate, exactness ----------------------------------
@@ -305,7 +311,7 @@ def _bytes(metric, ranks):
 
 def _scan(metric, segments, store=None):
     """The ground truth: the paper's per-candidate scan, segment at a time."""
-    return TraceReducer(metric, batch=False).reduce_segments(segments, store=store)
+    return TraceReducer(metric).reduce_segments(segments, store=store)
 
 
 def _chunked(metric, segments, cuts, store):

@@ -108,8 +108,11 @@ def _decisions(reduced_rank):
 
 
 def _via_reduce_segments(trace, method, threshold):
-    reducer = TraceReducer(create_metric(method, threshold), batch=False)
-    return [reducer.reduce_rank(rank) for rank in trace.segmented().ranks]
+    reducer = TraceReducer(create_metric(method, threshold))
+    return [
+        reducer.reduce_segments(rank.segments, rank=rank.rank)
+        for rank in trace.segmented().ranks
+    ]
 
 
 def _via_reduce_frame(trace, method, threshold):

@@ -24,6 +24,14 @@ class TestPreparedWorkload:
         assert prepared.full_report.nprocs == 4
         assert prepared.segmented.num_segments > 0
 
+    def test_evaluation_never_rebuilds_segments_to_reduce(self):
+        """A simulated workload is adapted to frames once; only representatives materialize."""
+        fresh = PreparedWorkload.from_workload(late_sender(nprocs=4, iterations=8, seed=2))
+        assert fresh.segmented.materialized == 0
+        result = evaluate_method(fresh, create_metric("euclidean"))
+        assert fresh.segmented.materialized == result.n_stored
+        assert 0 < result.n_stored < result.n_segments
+
 
 class TestEvaluateMethod:
     def test_result_fields(self, prepared):

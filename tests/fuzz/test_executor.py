@@ -61,7 +61,7 @@ def test_one_round_covers_the_full_oracle_matrix(one_round_results):
     for result in one_round_results:
         ran.update(o.name for o in result.outcomes if o.status != "skip")
     assert ran == set(ORACLE_NAMES)
-    assert len(ORACLE_NAMES) == 12 and {"pipeline_shard", "pipeline_payload"} <= ran
+    assert len(ORACLE_NAMES) == 11 and {"pipeline_shard", "pipeline_payload"} <= ran
 
 
 def test_rerun_reproduces_outcomes(one_round_results):
@@ -78,7 +78,7 @@ def test_applicable_oracles_matrix():
     assert malformed == ("malformed_fallback",)
     edge = applicable_oracles(FAMILIES["threshold_edge"])
     assert "text_roundtrip" not in edge
-    assert "dense_vs_scan" in edge
+    assert {"frame_path", "frame_per_row"} <= set(edge)
     full = applicable_oracles(FAMILIES["stencil"])
     assert "text_roundtrip" in full
 
@@ -88,7 +88,7 @@ def test_run_fuzz_report_shape(tmp_path):
     assert report.planned == 3
     assert len(report.results) == 3
     assert report.ok and not report.saved
-    assert report.oracle_coverage["dense_vs_scan"] == 3
+    assert report.oracle_coverage["frame_path"] == 3
 
 
 def test_time_budget_truncates_but_never_alters(monkeypatch):
@@ -112,7 +112,7 @@ def test_a_divergence_is_persisted_shrunk_and_replayable(tmp_path, monkeypatch):
         outcomes = real_run_oracles(trace, config, workdir, names, seed=seed)
         return [
             type(o)(o.name, "fail", "injected divergence")
-            if o.name == "dense_vs_scan"
+            if o.name == "frame_path"
             else o
             for o in outcomes
         ]
@@ -127,7 +127,7 @@ def test_a_divergence_is_persisted_shrunk_and_replayable(tmp_path, monkeypatch):
     assert len(report.saved) == 1
 
     case = CaseDB(tmp_path).load(report.saved[0])
-    assert case.oracles == ["dense_vs_scan"]
+    assert case.oracles == ["frame_path"]
     assert case.shrunk
     assert case.divergence == "injected divergence"
     # The shrunk case still "fails" under the same (patched) check.

@@ -1,12 +1,13 @@
-"""Dense kernel vs scalar-scan byte identity on deep candidate buckets.
+"""Columnar core vs scalar-scan byte identity on deep candidate buckets.
 
-The randomized batch-vs-scan suite (``test_match_equivalence``) runs on
+The randomized core-vs-scan suite (``test_match_equivalence``) runs on
 shallow buckets.  This suite builds single-structure traces whose
 representative stores grow to a few hundred rows (``medium``) and past 512
 rows (``deep``) — an order of magnitude deeper than any paper workload's
-bucket — and checks that the dense kernel (segment-at-a-time reference and
-columnar core alike) reproduces the paper's scalar scan byte for byte, from
-the in-memory trace and from text/``.rpb`` files.
+bucket — and checks that the columnar core (``TraceReducer.reduce``: the
+batch step's blocked broadcast calls and leader rounds, the per-row step's
+dense probe) reproduces the paper's scalar scan byte for byte, from the
+in-memory trace and from text/``.rpb`` files.
 
 Timestamps are multiples of 0.25 µs, which the two-decimal text format
 round-trips exactly, so every source holds identical float64 values and one
@@ -16,7 +17,6 @@ reference serialization covers them all.
 import numpy as np
 import pytest
 
-from repro.core.frames import RankFrame
 from repro.core.frametrace import FrameTrace
 from repro.core.metrics import create_metric
 from repro.core.reducer import TraceReducer
@@ -24,6 +24,8 @@ from repro.trace.events import MpiCallInfo
 from repro.trace.io import serialize_reduced_trace, write_trace
 from repro.trace.records import RecordKind, TraceRecord
 from repro.trace.trace import RankTrace, Trace
+
+from tests.support import reference_reduce
 
 #: (metric, threshold) grid for the medium workload: strict settings match
 #: only exact duplicates, loose ones also accept near misses, so both the
@@ -60,8 +62,7 @@ ALL_METRICS = [
     ("iter_avg", None),
 ]
 
-#: Deep-workload configs (dense kernel only; the O(n²) scalar scan runs on a
-#: single config to bound runtime).
+#: Deep-workload configs: the seven distance metrics (the ones with a kernel).
 DEEP_CONFIGS = ALL_METRICS[:7]
 
 
@@ -72,7 +73,7 @@ def _jittered_records(
 
     Drawing measurement patterns from a finite pool makes exact repeats occur
     at controllable depth — matches land deep inside the bucket, where the
-    blocked scan and the prefilter must preserve first-match order.  All
+    blocked broadcast calls must preserve first-match order.  All
     timestamps are multiples of 0.25 µs (see module docstring).
     """
     pool = rng.integers(1, 33, size=(pool_size, 7))
@@ -116,18 +117,24 @@ def deep_trace():
     return _pooled_trace(seed=43, n_segments=912, pool_size=712, name="deep")
 
 
-def _reduce_bytes(trace, metric_name, threshold, *, batch=True):
-    """Serialized reduction: segment lists take the reference, frames the core."""
-    reducer = TraceReducer(create_metric(metric_name, threshold), batch=batch)
+def _core_bytes(trace, metric_name, threshold):
+    """Serialized product reduction: the columnar core over the source's frames."""
     segmented = trace.segmented() if isinstance(trace, Trace) else trace
+    reducer = TraceReducer(create_metric(metric_name, threshold))
     return serialize_reduced_trace(reducer.reduce(segmented))
+
+
+def _scan_bytes(trace, metric_name, threshold):
+    """Serialized scalar reference: the paper's O(n²) per-candidate scan."""
+    reduced = reference_reduce(create_metric(metric_name, threshold), trace.segmented())
+    return serialize_reduced_trace(reduced)
 
 
 class TestMediumBuckets:
     @pytest.mark.parametrize("metric_name,threshold", MEDIUM_CONFIGS)
-    def test_dense_equals_scan(self, medium_trace, metric_name, threshold):
-        scanned = _reduce_bytes(medium_trace, metric_name, threshold, batch=False)
-        assert _reduce_bytes(medium_trace, metric_name, threshold) == scanned
+    def test_core_equals_scan(self, medium_trace, metric_name, threshold):
+        scanned = _scan_bytes(medium_trace, metric_name, threshold)
+        assert _core_bytes(medium_trace, metric_name, threshold) == scanned
 
     def test_buckets_are_deep_enough(self, medium_trace):
         # Guard the fixture's premise: the store must outgrow 64 rows or this
@@ -140,21 +147,9 @@ class TestMediumBuckets:
 
 class TestDeepBuckets:
     @pytest.mark.parametrize("metric_name,threshold", DEEP_CONFIGS)
-    def test_columnar_core_equals_dense_reference(self, deep_trace, metric_name, threshold):
-        reference = _reduce_bytes(deep_trace, metric_name, threshold)
-        segmented = deep_trace.segmented()
-        frames = FrameTrace.from_frames(
-            segmented.name,
-            (RankFrame.from_segments(r.rank, r.segments) for r in segmented.ranks),
-        )
-        core = _reduce_bytes(frames, metric_name, threshold)
-        assert core == reference
-
-    def test_scalar_scan_oracle(self, deep_trace):
-        # One config against the O(n²) paper scan keeps the whole chain
-        # anchored: scan == dense reference == columnar core at this depth.
-        scanned = _reduce_bytes(deep_trace, "absDiff", 0.1, batch=False)
-        assert _reduce_bytes(deep_trace, "absDiff", 0.1) == scanned
+    def test_columnar_core_equals_scalar_scan(self, deep_trace, metric_name, threshold):
+        scanned = _scan_bytes(deep_trace, metric_name, threshold)
+        assert _core_bytes(deep_trace, metric_name, threshold) == scanned
 
     def test_store_outgrows_512_rows(self, deep_trace):
         reduced = TraceReducer(create_metric("euclidean", 0.001)).reduce(
@@ -181,7 +176,7 @@ class TestAcrossSources:
     def test_all_sources_byte_identical(
         self, medium_trace, medium_sources, metric_name, threshold
     ):
-        reference = _reduce_bytes(medium_trace, metric_name, threshold, batch=False)
+        reference = _scan_bytes(medium_trace, metric_name, threshold)
         for label, source in medium_sources.items():
-            got = _reduce_bytes(source, metric_name, threshold)
+            got = _core_bytes(source, metric_name, threshold)
             assert got == reference, f"{label} source diverged"

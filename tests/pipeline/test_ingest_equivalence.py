@@ -187,30 +187,24 @@ class TestEvaluationFromFiles:
             assert prepared.segmented.materialized == result.n_stored
             assert prepared.segmented.materialized < prepared.segmented.num_segments
 
-    def test_pipeline_source_shard_backend(self, trace_files):
-        from repro.evaluation.runner import PreparedWorkload, evaluate_method
+    def test_sharded_pipeline_reduction_gives_the_same_criteria(self, trace_files):
+        from repro.evaluation.runner import (
+            PreparedWorkload,
+            evaluate_method,
+            result_from_reduced,
+        )
+        from repro.pipeline.engine import ReductionPipeline
 
         prepared = PreparedWorkload.from_file(trace_files["rpb_converted"])
         serial = evaluate_method(prepared, create_metric("relDiff"), keep_comparison=False)
-        sharded = evaluate_method(
+        pipeline = ReductionPipeline(
+            create_metric("relDiff"), PipelineConfig(executor="process", workers=2)
+        )
+        sharded = result_from_reduced(
             prepared,
-            create_metric("relDiff"),
+            pipeline.reduce(trace_files["rpb_converted"]).reduced,
             keep_comparison=False,
-            backend="pipeline",
-            pipeline_config=PipelineConfig(executor="process", workers=2),
-            pipeline_source=trace_files["rpb_converted"],
         )
         assert sharded.pct_file_size == serial.pct_file_size
         assert sharded.degree_of_matching == serial.degree_of_matching
         assert sharded.reduced_bytes == serial.reduced_bytes
-
-    def test_pipeline_source_requires_pipeline_backend(self, trace_files):
-        from repro.evaluation.runner import PreparedWorkload, evaluate_method
-
-        prepared = PreparedWorkload.from_file(trace_files["text"])
-        with pytest.raises(ValueError, match="pipeline_source"):
-            evaluate_method(
-                prepared,
-                create_metric("relDiff"),
-                pipeline_source=trace_files["text"],
-            )

@@ -1,18 +1,21 @@
-"""Randomized batch-vs-scan equivalence: the batched matching engine must
-produce byte-identical reduced traces to the legacy per-candidate scan for
-all 9 metrics, across thresholds and workload shapes.
+"""Randomized core-vs-scan equivalence: the columnar core must produce
+byte-identical reduced traces to the scalar per-candidate scan for all 9
+metrics, across thresholds and workload shapes.
 
-The legacy scan (``TraceReducer(batch=False)``) is the oracle: it is the
-paper's algorithm as originally implemented, one candidate at a time.  The
-batched path replays the same reduction through cached representative
-vectors, per-key candidate matrices, and the metrics' ``match_row``
-kernels — any drift in vector layout, first-match ordering, limit math, or
-cache invalidation shows up as a serialization mismatch here.
+The scalar reference (``TraceReducer.reduce_segments``, through
+``tests.support.reference_reduce``) is the oracle: it is the paper's
+algorithm as originally implemented, one candidate at a time.  The core
+(``TraceReducer.reduce`` = ``reduce_frame`` over ``RankFrame.from_segments``)
+replays the same reduction through bulk feature rows, per-key candidate
+matrices, and the metrics' ``match_stats`` / ``match_row`` kernels — any
+drift in vector layout, first-match ordering, limit math, or cache
+invalidation shows up as a serialization mismatch here.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.frames import RankFrame
 from repro.core.metrics import DEFAULT_THRESHOLDS, METRIC_NAMES, create_metric
 from repro.core.metrics.distance import AbsDiff
 from repro.core.reducer import TraceReducer
@@ -21,6 +24,7 @@ from repro.trace.io import serialize_reduced_trace
 from repro.trace.trace import SegmentedRankTrace, SegmentedTrace
 
 from tests.conftest import make_segment
+from tests.support import reference_reduce
 
 #: Per-metric threshold sweep: the paper default plus a strict and a loose
 #: setting, to cover high-, mid-, and low-match-rate regimes.
@@ -78,20 +82,14 @@ def random_trace(request):
 class TestBatchScanEquivalence:
     def test_byte_identical_across_thresholds(self, random_trace, metric_name):
         for threshold in THRESHOLDS[metric_name]:
-            scanned = TraceReducer(
-                create_metric(metric_name, threshold), batch=False
-            ).reduce(random_trace)
-            batched = TraceReducer(
-                create_metric(metric_name, threshold), batch=True
-            ).reduce(random_trace)
+            scanned = reference_reduce(create_metric(metric_name, threshold), random_trace)
+            batched = TraceReducer(create_metric(metric_name, threshold)).reduce(random_trace)
             assert serialize_reduced_trace(batched) == serialize_reduced_trace(scanned), (
                 f"{metric_name}({threshold}) batched output diverged from the scan"
             )
 
     def test_pipeline_default_path_matches_scan(self, random_trace, metric_name):
-        scanned = TraceReducer(
-            create_metric(metric_name), batch=False
-        ).reduce(random_trace)
+        scanned = reference_reduce(create_metric(metric_name), random_trace)
         piped = reduce_pipeline(
             random_trace, create_metric(metric_name), PipelineConfig(executor="serial")
         )
@@ -103,14 +101,14 @@ class TestIterAvgInvalidation:
     candidate-matrix rows must be refreshed, not served stale."""
 
     def test_iter_avg_batch_equals_scan(self, random_trace):
-        scanned = TraceReducer(create_metric("iter_avg"), batch=False).reduce(random_trace)
-        batched = TraceReducer(create_metric("iter_avg"), batch=True).reduce(random_trace)
+        scanned = reference_reduce(create_metric("iter_avg"), random_trace)
+        batched = TraceReducer(create_metric("iter_avg")).reduce(random_trace)
         assert serialize_reduced_trace(batched) == serialize_reduced_trace(scanned)
 
     def test_mutating_distance_metric_refreshes_matrix_rows(self, random_trace):
         """A distance metric that averages on match (iter_avg-style mutation
-        on the batched matrix path) must stay byte-identical to the scan —
-        this fails if stale cached rows survive update_mean."""
+        on the core's per-row matrix path) must stay byte-identical to the
+        scan — this fails if stale cached rows survive update_mean."""
 
         class AveragingAbsDiff(AbsDiff):
             name = "absDiffAvg"
@@ -119,12 +117,9 @@ class TestIterAvgInvalidation:
             def on_match(self, candidate, chosen):
                 chosen.update_mean(candidate.timestamps())
 
-        def run(batch):
-            return serialize_reduced_trace(
-                TraceReducer(AveragingAbsDiff(25.0), batch=batch).reduce(random_trace)
-            )
-
-        assert run(True) == run(False)
+        core = TraceReducer(AveragingAbsDiff(25.0)).reduce(random_trace)
+        scanned = reference_reduce(AveragingAbsDiff(25.0), random_trace)
+        assert serialize_reduced_trace(core) == serialize_reduced_trace(scanned)
 
     def test_update_mean_invalidates_between_matches(self):
         """Two consecutive candidates folded into one representative: the
@@ -144,8 +139,10 @@ class TestIterAvgInvalidation:
             # if the cached row went stale the decision would differ.
             make_segment("c", [("f", 1.0, 17.0)], end=27.0, index=2),
         ]
-        scanned = TraceReducer(AveragingAbsDiff(5.0), batch=False).reduce_segments(segments)
-        batched = TraceReducer(AveragingAbsDiff(5.0), batch=True).reduce_segments(segments)
+        scanned = TraceReducer(AveragingAbsDiff(5.0)).reduce_segments(segments)
+        batched = TraceReducer(AveragingAbsDiff(5.0)).reduce_frame(
+            RankFrame.from_segments(0, segments)
+        )
         assert scanned.n_matches == batched.n_matches
         assert [s.segment_id for s in scanned.stored] == [s.segment_id for s in batched.stored]
         np.testing.assert_allclose(

@@ -9,6 +9,8 @@ from repro.pipeline.engine import PipelineConfig, ReductionPipeline, reduce_pipe
 from repro.pipeline.stats import PipelineStats, time_stage
 from repro.trace.io import serialize_reduced_trace, write_trace
 
+from tests.support import reference_reduce
+
 
 @pytest.fixture(params=["serial", "thread", "process"])
 def executor(request):
@@ -41,7 +43,7 @@ class TestConfig:
 class TestEngineOutput:
     def test_identical_to_serial_reducer(self, small_late_sender_trace, executor):
         metric_name = "euclidean"
-        serial = TraceReducer(create_metric(metric_name)).reduce(small_late_sender_trace)
+        serial = reference_reduce(create_metric(metric_name), small_late_sender_trace)
         result = reduce_pipeline(
             small_late_sender_trace,
             create_metric(metric_name),

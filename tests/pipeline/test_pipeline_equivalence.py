@@ -9,9 +9,11 @@ approximation distance, retention of trends).
 import pytest
 
 from repro.core.metrics import METRIC_NAMES, create_metric
-from repro.evaluation.runner import PreparedWorkload, evaluate_method
-from repro.pipeline.engine import PipelineConfig
+from repro.evaluation.runner import PreparedWorkload, evaluate_method, result_from_reduced
+from repro.pipeline.engine import PipelineConfig, ReductionPipeline, reduce_pipeline
 from repro.trace.io import serialize_reduced_trace
+
+from tests.support import RESULT_FIELDS, reference_reduce
 
 
 @pytest.fixture(scope="module")
@@ -19,13 +21,19 @@ def prepared(small_late_sender_trace):
     return PreparedWorkload.from_segmented("late_sender", small_late_sender_trace)
 
 
+def _pipeline_criteria(prepared, metric_name, executor):
+    pipeline = ReductionPipeline(
+        create_metric(metric_name), PipelineConfig(executor=executor, workers=2)
+    )
+    return result_from_reduced(
+        prepared, pipeline.reduce(prepared.segmented).reduced, keep_comparison=False
+    )
+
+
 @pytest.mark.parametrize("metric_name", METRIC_NAMES)
 class TestEveryMetric:
     def test_serialization_identical(self, small_late_sender_trace, metric_name):
-        from repro.core.reducer import TraceReducer
-        from repro.pipeline.engine import reduce_pipeline
-
-        serial = TraceReducer(create_metric(metric_name)).reduce(small_late_sender_trace)
+        serial = reference_reduce(create_metric(metric_name), small_late_sender_trace)
         parallel = reduce_pipeline(
             small_late_sender_trace,
             create_metric(metric_name),
@@ -33,37 +41,23 @@ class TestEveryMetric:
         ).reduced
         assert serialize_reduced_trace(parallel) == serialize_reduced_trace(serial)
 
-    def test_all_criteria_identical(self, prepared, metric_name):
+    def test_all_criteria_identical(self, prepared, small_late_sender_trace, metric_name):
+        """Criteria of the reference's reduced trace == evaluate_method's == the pipeline's."""
+        expected = result_from_reduced(
+            prepared,
+            reference_reduce(create_metric(metric_name), small_late_sender_trace),
+            keep_comparison=False,
+        )
         serial = evaluate_method(prepared, create_metric(metric_name), keep_comparison=False)
-        pipeline = evaluate_method(
-            prepared,
-            create_metric(metric_name),
-            keep_comparison=False,
-            backend="pipeline",
-            pipeline_config=PipelineConfig(executor="thread", workers=2),
-        )
-        assert pipeline.pct_file_size == serial.pct_file_size
-        assert pipeline.degree_of_matching == serial.degree_of_matching
-        assert pipeline.approx_distance_us == serial.approx_distance_us
-        assert pipeline.trends_retained == serial.trends_retained
-        assert pipeline.reduced_bytes == serial.reduced_bytes
-        assert pipeline.n_segments == serial.n_segments
-        assert pipeline.n_stored == serial.n_stored
+        pipeline = _pipeline_criteria(prepared, metric_name, "thread")
+        for name in RESULT_FIELDS:
+            assert getattr(serial, name) == getattr(expected, name), name
+            assert getattr(pipeline, name) == getattr(expected, name), name
 
 
-class TestBackendValidation:
-    def test_unknown_backend_rejected(self, prepared):
-        with pytest.raises(ValueError, match="backend"):
-            evaluate_method(prepared, create_metric("relDiff"), backend="quantum")
-
-    def test_process_backend_matches_too(self, prepared):
+class TestProcessPool:
+    def test_process_pool_matches_too(self, prepared):
         serial = evaluate_method(prepared, create_metric("relDiff"), keep_comparison=False)
-        pipeline = evaluate_method(
-            prepared,
-            create_metric("relDiff"),
-            keep_comparison=False,
-            backend="pipeline",
-            pipeline_config=PipelineConfig(executor="process", workers=2),
-        )
+        pipeline = _pipeline_criteria(prepared, "relDiff", "process")
         assert pipeline.pct_file_size == serial.pct_file_size
         assert pipeline.degree_of_matching == serial.degree_of_matching

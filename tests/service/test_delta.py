@@ -4,7 +4,6 @@ import pytest
 
 from repro.benchmarks_ats import late_sender
 from repro.core.metrics import create_metric
-from repro.core.reducer import TraceReducer
 from repro.pipeline.stream import rank_segment_streams
 from repro.service import ReductionSession, SessionConfig
 from repro.trace.io import (
@@ -15,6 +14,8 @@ from repro.trace.io import (
     serialize_reduced_trace,
     serialize_segment,
 )
+
+from tests.support import reference_reduce
 
 
 @pytest.fixture(scope="module")
@@ -92,9 +93,7 @@ class TestDeltaReconstruction:
         # *latest* state of ids that later appear in UPD) and every EXEC
         # entry reproduces the batch reduced trace byte-for-byte.
         deltas, result = _session_deltas(trace, SessionConfig(metric_name))
-        want = serialize_reduced_trace(
-            TraceReducer(create_metric(metric_name)).reduce(trace)
-        )
+        want = serialize_reduced_trace(reference_reduce(create_metric(metric_name), trace))
         assert serialize_reduced_trace(result.reduced) == want
 
         latest = {}  # (rank, sid) -> StoredSegment, last state wins

@@ -12,11 +12,12 @@ import pytest
 
 from repro.benchmarks_ats import late_sender
 from repro.core.metrics import create_metric
-from repro.core.reducer import TraceReducer
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.stream import rank_segment_streams
 from repro.service import ReductionService, ResultCache, SessionConfig
 from repro.trace.io import serialize_reduced_trace
+
+from tests.support import reference_reduce
 
 
 @pytest.fixture(scope="module")
@@ -32,21 +33,13 @@ def streams(trace):
 @pytest.fixture(scope="module")
 def oracle_bytes(trace):
     config = SessionConfig("relDiff", store_capacity=16)
-    reducer = TraceReducer(create_metric(config.method, config.threshold))
     from repro.pipeline.store import create_store
-    from repro.core.reduced import ReducedTrace
 
-    reduced = ReducedTrace(
-        name=trace.name, method=config.method, threshold=reducer.metric.threshold
+    reduced = reference_reduce(
+        create_metric(config.method, config.threshold),
+        trace,
+        store_factory=lambda: create_store(config.store_capacity),
     )
-    for rank_trace in trace.ranks:
-        reduced.ranks.append(
-            reducer.reduce_segments(
-                (s for s in rank_trace.segments),
-                rank=rank_trace.rank,
-                store=create_store(config.store_capacity),
-            )
-        )
     return serialize_reduced_trace(reduced)
 
 

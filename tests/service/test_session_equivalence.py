@@ -3,7 +3,7 @@
 The acceptance bar for the online service: for every similarity method,
 feeding a trace through a :class:`ReductionSession` — segment by segment, in
 ragged per-rank chunks, or as raw records — produces exactly the reduced
-bytes of the one-shot batch :class:`TraceReducer`, from every source kind
+bytes of the one-shot scalar reference reducer, from every source kind
 (in-memory, text file, ``.rpb`` file).
 """
 
@@ -11,11 +11,12 @@ import pytest
 
 from repro.benchmarks_ats import late_sender
 from repro.core.metrics import METRIC_NAMES, create_metric
-from repro.core.reducer import TraceReducer
 from repro.pipeline.stream import rank_segment_streams
 from repro.service import ReductionSession, SessionConfig, source_digest
 from repro.trace.formats import convert_trace
 from repro.trace.io import read_trace, serialize_reduced_trace, write_trace
+
+from tests.support import reference_reduce
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +38,7 @@ def _oracle_bytes(source, metric_name):
     if not hasattr(source, "ranks"):
         source = read_trace(source)
     segmented = source.segmented() if hasattr(source, "segmented") else source
-    reduced = TraceReducer(create_metric(metric_name)).reduce(segmented)
-    return serialize_reduced_trace(reduced)
+    return serialize_reduced_trace(reference_reduce(create_metric(metric_name), segmented))
 
 
 def _session_bytes(source, metric_name, chunks):

@@ -2,7 +2,7 @@
 
 The acceptance bar for the sweep engine: for each config of a grid, the
 reduced trace must serialize **byte-identical** to running that config alone
-through the serial :class:`~repro.core.reducer.TraceReducer` oracle —
+through the scalar reference reducer (``tests.support.reference_reduce``) —
 whether the grid is swept over an in-memory trace, an indexed ``.rpb`` file
 streamed inline, or ``.rpb`` (rank × family) shard tasks on a pool — and the
 evaluation rows must equal the serial path field for field.
@@ -11,11 +11,18 @@ evaluation rows must equal the serial path field for field.
 import pytest
 
 from repro.core.metrics import METRIC_NAMES, THRESHOLD_STUDY, create_metric
-from repro.core.reducer import TraceReducer
-from repro.evaluation.runner import PreparedWorkload, evaluate_grid
-from repro.pipeline.engine import PipelineConfig, reduce_pipeline, sweep_pipeline
+from repro.evaluation.runner import (
+    PreparedWorkload,
+    evaluate_grid,
+    evaluate_method,
+    result_from_reduced,
+)
+from repro.pipeline.engine import PipelineConfig, sweep_pipeline
+from repro.pipeline.store import create_store
 from repro.sweep import SweepEngine, SweepPlan
 from repro.trace.io import serialize_reduced_trace, write_trace
+
+from tests.support import RESULT_FIELDS, reference_reduce
 
 
 #: Every metric with a small threshold grid: two thresholds per threshold
@@ -57,7 +64,7 @@ def plan():
 
 
 def _oracle_bytes(segmented, config):
-    return serialize_reduced_trace(TraceReducer(config.create()).reduce(segmented))
+    return serialize_reduced_trace(reference_reduce(config.create(), segmented))
 
 
 class TestInMemoryEquivalence:
@@ -126,19 +133,19 @@ class TestFileSourceEquivalence:
 
 
 class TestBoundedStoreEquivalence:
-    def test_matches_bounded_pipeline_per_config(self, segmented):
-        """With a store bound, the oracle is the (equally bounded) pipeline."""
+    def test_matches_bounded_reference_per_config(self, segmented):
+        """With a store bound, the oracle is the (equally bounded) reference."""
         plan = SweepPlan.from_grid(["euclidean", "iter_k"], thresholds_per_method={
             "euclidean": (0.1, 0.4), "iter_k": (2,),
         })
         capacity = 3
         result = SweepEngine(plan, store_capacity=capacity).sweep(segmented)
         for outcome in result:
-            reference = reduce_pipeline(
-                segmented,
+            reference = reference_reduce(
                 outcome.config.create(),
-                PipelineConfig(executor="serial", store_capacity=capacity),
-            ).reduced
+                segmented,
+                store_factory=lambda: create_store(capacity),
+            )
             assert serialize_reduced_trace(outcome.reduced) == serialize_reduced_trace(
                 reference
             )
@@ -149,20 +156,18 @@ class TestEvaluationRows:
     def prepared(self, segmented):
         return PreparedWorkload.from_segmented("late_sender", segmented)
 
-    def test_grid_rows_equal_serial_rows(self, prepared, plan):
+    def test_grid_rows_equal_reference_rows(self, prepared, segmented, plan):
+        """Sweep rows == per-config loop rows == criteria of the reference's bytes."""
         sweep_rows = evaluate_grid(prepared, plan, backend="sweep")
         serial_rows = evaluate_grid(prepared, plan, backend="serial")
         assert len(sweep_rows) == len(serial_rows) == plan.n_configs
-        for got, want in zip(sweep_rows, serial_rows):
-            assert got.method == want.method
-            assert got.threshold == want.threshold
-            assert got.pct_file_size == want.pct_file_size
-            assert got.degree_of_matching == want.degree_of_matching
-            assert got.approx_distance_us == want.approx_distance_us
-            assert got.trends_retained == want.trends_retained
-            assert got.reduced_bytes == want.reduced_bytes
-            assert got.n_segments == want.n_segments
-            assert got.n_stored == want.n_stored
+        for config, swept, serial in zip(plan.configs, sweep_rows, serial_rows):
+            want = result_from_reduced(
+                prepared, reference_reduce(config.create(), segmented), keep_comparison=False
+            )
+            for name in RESULT_FIELDS:
+                assert getattr(swept, name) == getattr(want, name), (config.key, name)
+                assert getattr(serial, name) == getattr(want, name), (config.key, name)
 
     def test_grid_rows_from_rpb_shards_equal_serial_rows(
         self, prepared, rpb_file, plan
@@ -188,18 +193,23 @@ class TestEvaluationRows:
             evaluate_grid(prepared, plan, backend="serial", pipeline_source=rpb_file)
 
 
-class TestStudyBackends:
-    """The experiment drivers produce identical studies through either backend."""
+class TestStudies:
+    """The experiment drivers' shared pass equals one independent pass per config."""
 
-    def test_threshold_study_backends_agree(self):
+    def test_threshold_study_agrees_with_the_per_config_loop(self):
+        from repro.experiments.config import prepared_workload
         from repro.experiments.thresholds import threshold_study
 
-        kwargs = dict(
-            workloads=("late_sender",), thresholds=(10.0, 1e4), scale="smoke"
+        thresholds = (10.0, 1e4)
+        swept = threshold_study(
+            "absDiff", workloads=("late_sender",), thresholds=thresholds, scale="smoke"
         )
-        swept = threshold_study("absDiff", **kwargs)
-        serial = threshold_study("absDiff", backend="serial", **kwargs)
-        for got, want in zip(swept["late_sender"], serial["late_sender"]):
+        serial = evaluate_grid(
+            prepared_workload("late_sender", "smoke"),
+            [("absDiff", t) for t in thresholds],
+            backend="serial",
+        )
+        for got, want in zip(swept["late_sender"], serial, strict=True):
             assert got.threshold == want.threshold
             assert got.pct_file_size == want.pct_file_size
             assert got.approx_distance_us == want.approx_distance_us
@@ -226,16 +236,16 @@ class TestStudyBackends:
         )
         assert [r.method for r in results] == ["relDiff", "relDiff", "iter_avg"]
 
-    def test_comparative_study_backends_agree(self):
+    def test_comparative_study_agrees_with_the_per_method_loop(self):
         from repro.experiments.comparative import comparative_study
+        from repro.experiments.config import prepared_workload
 
         methods = ("relDiff", "euclidean", "iter_avg")
         swept = comparative_study(("late_sender",), methods, scale="smoke")
-        serial = comparative_study(
-            ("late_sender",), methods, scale="smoke", backend="serial"
-        )
+        prepared = prepared_workload("late_sender", "smoke")
+        serial = [evaluate_method(prepared, create_metric(method)) for method in methods]
         assert [r.method for r in swept] == list(methods)
-        for got, want in zip(swept, serial):
+        for got, want in zip(swept, serial, strict=True):
             assert got.method == want.method
             assert got.pct_file_size == want.pct_file_size
             assert got.degree_of_matching == want.degree_of_matching

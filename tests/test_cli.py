@@ -149,14 +149,19 @@ class TestCommands:
         assert payload["stats"]["n_configs"] == 1
         assert payload["stats"]["dispatch"] == "inline"
 
-    def test_sweep_serial_backend(self, capsys):
-        code, out = run_cli(
-            capsys, "--scale", "smoke", "sweep", "late_sender",
-            "--methods", "iter_avg", "--backend", "serial",
-        )
-        assert code == 0
-        assert "iter_avg" in out
-        assert "shared-ingest stats" not in out  # no sweep stats on the oracle path
+    def test_sweep_backend_flag_is_gone(self, capsys):
+        # One path: the per-config loop is the test oracle, not a CLI mode.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--scale", "smoke", "sweep", "late_sender",
+                  "--methods", "iter_avg", "--backend", "serial"])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pipeline", "sweep"])
+    def test_executor_defaults_to_serial(self, command):
+        # The measured winner on every input (BENCH_pipeline.json pool_speedup < 1).
+        args = build_parser().parse_args([command, "late_sender"])
+        assert args.executor == "serial"
 
     def test_sweep_rpb_trace_uses_shard_dispatch(self, capsys, tmp_path):
         saved = tmp_path / "full.rpb"
@@ -185,19 +190,6 @@ class TestCommands:
         )
         assert code == 0
         assert "matches serial oracle yes" in " ".join(out.split())
-
-    def test_sweep_serial_backend_rejects_verify_and_capacity(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--scale", "smoke", "sweep", "late_sender",
-                  "--methods", "relDiff", "--backend", "serial", "--verify"])
-        assert excinfo.value.code == 2
-        assert "does not apply" in capsys.readouterr().err
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--scale", "smoke", "sweep", "late_sender",
-                  "--methods", "relDiff", "--backend", "serial",
-                  "--store-capacity", "5"])
-        assert excinfo.value.code == 2
-        assert "sweep backend only" in capsys.readouterr().err
 
     def test_sweep_trace_and_workload_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit):
@@ -285,7 +277,7 @@ class TestCommands:
         telemetry = tmp_path / "telemetry.json"
         code, out = run_cli(
             capsys, "pipeline", "--trace", str(saved),
-            "--workers", "4", "--telemetry", str(telemetry),
+            "--executor", "process", "--workers", "4", "--telemetry", str(telemetry),
         )
         assert code == 0
         assert "telemetry written to" in out
