@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from typing import Optional, Sequence
 
 from repro import obs
@@ -95,6 +96,30 @@ def _matches_serial_reducer(metric, streams, store_capacity, reduced_traces) -> 
     )
     want = serialize_reduced_trace(oracle)
     return all(serialize_reduced_trace(reduced) == want for reduced in reduced_traces)
+
+
+@contextmanager
+def _telemetry(path: Optional[str], command: str, config: Optional[PipelineConfig] = None):
+    """``--telemetry PATH``: record the enclosed block and export it to ``path``.
+
+    Yields the export's metadata dict — seeded with the command name and,
+    for a pooled command, the resolved worker count of its ``config`` — for
+    the block to fill with what the run resolved.  After the block the
+    ``"PATH (N spans, M tracks)"`` note is under the dict's ``"note"`` key;
+    without ``path`` nothing is recorded and the key stays absent.
+    """
+    meta: dict = {"command": command}
+    if config is not None:
+        meta["workers"] = config.resolved_workers()
+    if path is None:
+        yield meta
+        return
+    with obs.recording(command) as recorder:
+        yield meta
+    payload = obs.write_chrome_trace(recorder, path, metadata=meta)
+    spans = [e for e in payload["traceEvents"] if e.get("ph") == "X"]
+    tracks = {(e["pid"], e["tid"]) for e in spans}
+    meta["note"] = f"{path} ({len(spans)} spans, {len(tracks)} tracks)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -491,8 +516,6 @@ def _cmd_trends(workload_name: str, methods: Optional[Sequence[str]], scale) -> 
 
 
 def _cmd_pipeline(args, scale) -> str:
-    from contextlib import nullcontext
-
     from repro.evaluation.filesize import full_trace_bytes, full_trace_bytes_from_file
 
     # Validate argument values before the expensive trace generation.
@@ -535,35 +558,19 @@ def _cmd_pipeline(args, scale) -> str:
         source = segmented
         rows_head = [["workload", args.workload]]
     pipeline_runner = ReductionPipeline(metric, config)
-    recording = obs.recording("pipeline") if args.telemetry is not None else nullcontext()
-    with recording as recorder:  # sizing the full trace is part of the recorded run
+    with _telemetry(args.telemetry, "pipeline", config) as telemetry:
+        # Sizing the full trace is part of the recorded run.
         if segmented is None:
             full_bytes = full_trace_bytes_from_file(source)
         else:
             full_bytes = full_trace_bytes(segmented)
         result = pipeline_runner.reduce(source)
-    telemetry_row = None
-    if args.telemetry is not None:
-        payload = obs.write_chrome_trace(
-            recorder,
-            args.telemetry,
-            metadata={
-                "command": "pipeline",
-                "subject": args.workload if args.trace is None else args.trace,
-                "method": metric.describe(),
-                "executor": result.stats.executor,
-                "dispatch": result.stats.dispatch,
-                "workers": result.stats.workers,
-            },
+        telemetry.update(
+            subject=args.workload if args.trace is None else args.trace,
+            method=metric.describe(),
+            executor=result.stats.executor,
+            dispatch=result.stats.dispatch,
         )
-        n_events = sum(1 for e in payload["traceEvents"] if e.get("ph") == "X")
-        n_tracks = len(
-            {(e["pid"], e["tid"]) for e in payload["traceEvents"] if e.get("ph") == "X"}
-        )
-        telemetry_row = [
-            "telemetry written to",
-            f"{args.telemetry} ({n_events} spans, {n_tracks} tracks)",
-        ]
 
     identical = True
     if args.verify:
@@ -598,8 +605,8 @@ def _cmd_pipeline(args, scale) -> str:
         )
     if result.merged is not None:
         rows.append(["merged trace bytes", result.merged.size_bytes()])
-    if telemetry_row is not None:
-        rows.append(telemetry_row)
+    if "note" in telemetry:
+        rows.append(["telemetry written to", telemetry["note"]])
     if args.verify:
         rows.append(["matches serial reducer", "yes" if identical else "NO"])
     if args.output:
@@ -652,37 +659,15 @@ def _cmd_sweep(args, scale) -> str:
         source = prepared.segmented
         subject = f"{args.workload} (scale={scale.name})"
 
-    from contextlib import nullcontext
-
-    recording = obs.recording("sweep") if args.telemetry is not None else nullcontext()
-    with recording as recorder:
+    with _telemetry(args.telemetry, "sweep", config) as telemetry:
         sweep_result = sweep_pipeline(source, plan, config, name=prepared.name)
         results = sweep_result.evaluation_results(prepared)
-
-    telemetry_note = None
-    if args.telemetry is not None:
-        telemetry_payload = obs.write_chrome_trace(
-            recorder,
-            args.telemetry,
-            metadata={
-                "command": "sweep",
-                "subject": subject,
-                "configs": plan.n_configs,
-                "dispatch": sweep_result.stats.dispatch,
-                "workers": config.workers,
-            },
+        telemetry.update(
+            subject=subject,
+            configs=plan.n_configs,
+            dispatch=sweep_result.stats.dispatch,
         )
-        n_events = sum(
-            1 for e in telemetry_payload["traceEvents"] if e.get("ph") == "X"
-        )
-        n_tracks = len(
-            {
-                (e["pid"], e["tid"])
-                for e in telemetry_payload["traceEvents"]
-                if e.get("ph") == "X"
-            }
-        )
-        telemetry_note = f"{args.telemetry} ({n_events} spans, {n_tracks} tracks)"
+    telemetry_note = telemetry.get("note")
 
     identical = True
     if args.verify:
@@ -840,30 +825,16 @@ def _cmd_serve(args, scale) -> str:
         await service.close()
         return service, results, submits
 
-    def run(delta_writer):
-        return asyncio.run(drive(delta_writer))
-
-    telemetry_row = None
     delta_writer = DeltaWriter(args.deltas) if args.deltas is not None else None
     try:
-        if args.telemetry is not None:
-            with obs.recording("serve") as recorder:
-                service, results, submits = run(delta_writer)
-                service.stats.record_to(recorder.registry)
-            payload = obs.write_chrome_trace(
-                recorder,
-                args.telemetry,
-                metadata={
-                    "command": "serve",
-                    "subject": subject,
-                    "method": config.describe(),
-                    "sessions": args.sessions,
-                },
+        with _telemetry(args.telemetry, "serve") as telemetry:
+            service, results, submits = asyncio.run(drive(delta_writer))
+            recorder = obs.current_recorder()
+            if recorder is not None:
+                service.stats.record(recorder.registry, "service")
+            telemetry.update(
+                subject=subject, method=config.describe(), sessions=args.sessions
             )
-            n_events = sum(1 for e in payload["traceEvents"] if e.get("ph") == "X")
-            telemetry_row = ["telemetry written to", f"{args.telemetry} ({n_events} spans)"]
-        else:
-            service, results, submits = run(delta_writer)
     finally:
         if delta_writer is not None:
             delta_writer.close()
@@ -887,8 +858,8 @@ def _cmd_serve(args, scale) -> str:
             ["delta log", f"{args.deltas} ({delta_writer.deltas_written} deltas, "
              f"{delta_writer.bytes_written} bytes)"]
         )
-    if telemetry_row is not None:
-        rows.append(telemetry_row)
+    if "note" in telemetry:
+        rows.append(["telemetry written to", telemetry["note"]])
 
     identical = True
     if args.verify:

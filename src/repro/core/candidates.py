@@ -25,6 +25,8 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
+from repro.obs.metrics import AdditiveCounts
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.reduced import StoredSegment
 
@@ -53,7 +55,7 @@ def first_match_index(mask: np.ndarray) -> Optional[int]:
 
 
 @dataclass(slots=True)
-class MatchCounters:
+class MatchCounters(AdditiveCounts):
     """Instrumentation of the match-kernel stage of one reduction.
 
     ``calls`` counts kernel invocations, ``rows_compared`` the probe ×
@@ -69,29 +71,10 @@ class MatchCounters:
     #: Inert (always 0): the benchmark contract (``bench/layers.py``) reads it.
     rows_pruned: int = 0
 
-    def merged_with(self, other: "MatchCounters") -> "MatchCounters":
-        """Combine counters from two reductions (used to aggregate across ranks)."""
-        return MatchCounters(
-            calls=self.calls + other.calls,
-            rows_compared=self.rows_compared + other.rows_compared,
-            seconds=self.seconds + other.seconds,
-            rows_pruned=self.rows_pruned + other.rows_pruned,
-        )
-
     @property
     def rows_per_call(self) -> float:
         """Mean pairs evaluated per kernel invocation."""
         return self.rows_compared / self.calls if self.calls else 0.0
-
-    def record_to(self, registry) -> None:
-        """Record these counters into an ``obs`` metrics registry.
-
-        The registry is a parameter (rather than an import) so the core stays
-        telemetry-agnostic; callers pick run-global or worker-local capture.
-        """
-        registry.inc("match.kernel_calls", self.calls)
-        registry.inc("match.kernel_rows", self.rows_compared)
-        registry.inc("match.kernel_seconds", self.seconds)
 
 
 class CandidateList:

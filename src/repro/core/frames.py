@@ -473,7 +473,7 @@ class RankFrame:
 
         Deliberately unspanned: materializations happen per stored
         representative inside the reduction loop, and telemetry stays at
-        rank/stage granularity (the ``columnar.materialized`` counter carries
+        rank/stage granularity (the ``segments_materialized`` counters carry
         the per-segment tally; :meth:`segments` spans its bulk pass).
         """
         contexts, rel_ends, offsets, names, ev_starts, ev_ends, ev_mpi, indices = (

@@ -1,22 +1,22 @@
 """Typed metrics registry: named counters, gauges, and histograms.
 
-The repo's instrumentation grew up as a patchwork of ad-hoc dataclasses —
+The hot paths accumulate into plain dataclasses —
 :class:`~repro.pipeline.store.StoreCounters`,
-:class:`~repro.core.candidates.MatchCounters`, the sweep sharing stats — each
-with its own ``merged_with``.  This module is the common substrate they all
-record into: a :class:`MetricsRegistry` of named instruments with a **typed,
-deterministic** snapshot/merge protocol, so per-worker registries taken in
-different processes (or threads) aggregate to the same totals regardless of
-completion order.
+:class:`~repro.core.candidates.MatchCounters`, the pipeline, sweep and service
+stats.  :class:`Counts` is their common base: it publishes them, under their
+field names (:class:`AdditiveCounts` also sums them field by field), into a
+:class:`MetricsRegistry` of named instruments with a **typed, deterministic**
+snapshot/merge protocol, so per-worker registries taken in different processes
+(or threads) aggregate to the same totals regardless of completion order.
 
 Instrument kinds
 ----------------
 ``counter``
     Monotonic accumulator (int or float).  Merge adds.  The canonical kind
-    for event counts (``ingest.segments``, ``store.evictions``,
-    ``match.kernel_rows``) and for accumulated wall time in seconds.
+    for event counts (``pipeline.n_segments``, ``pipeline.store_evictions``,
+    ``pipeline.match_rows_compared``) and for accumulated wall time in seconds.
 ``gauge``
-    A last-known level (``store.size``, ``pipeline.workers``).  Merge takes
+    A last-known level (``pipeline.workers``, ``service.peak_active``).  Merge takes
     the **max** — the only order-independent choice that keeps "high water
     mark" semantics when worker snapshots arrive in nondeterministic order.
 ``histogram``
@@ -31,10 +31,12 @@ granularity, with totals recorded once per run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional, Union
 
 __all__ = [
+    "Counts",
+    "AdditiveCounts",
     "Counter",
     "Gauge",
     "Histogram",
@@ -45,6 +47,45 @@ __all__ = [
 ]
 
 Number = Union[int, float]
+
+
+class Counts:
+    """Base of the count dataclasses: the field name *is* the metric name."""
+
+    __slots__ = ()
+
+    #: Numeric fields that are levels, not counts: published as gauges.
+    GAUGES: frozenset = frozenset()
+
+    def record(self, registry: "MetricsRegistry", prefix: str) -> None:
+        """Publish every numeric field into ``registry`` as ``<prefix>.<field>``.
+
+        A nested ``Counts`` field publishes its counts as
+        ``<prefix>.<field>_<its field>``; a field that is not a number (a
+        name, a per-stage dict) is no metric.
+        """
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            name = f"{prefix}.{spec.name}"
+            if isinstance(value, Counts):
+                for inner in fields(value):
+                    registry.inc(f"{name}_{inner.name}", getattr(value, inner.name))
+            elif spec.name in self.GAUGES:
+                registry.set_gauge(name, value)
+            elif isinstance(value, (int, float)):
+                registry.inc(name, value)
+
+
+class AdditiveCounts(Counts):
+    """Counts whose every field is a number that sums across ranks or tasks."""
+
+    __slots__ = ()
+
+    def merged_with(self, other):
+        """The field-wise sum of two counts."""
+        return type(self)(
+            *(getattr(self, spec.name) + getattr(other, spec.name) for spec in fields(self))
+        )
 
 
 class Counter:

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -68,7 +67,7 @@ from repro.core.frames import RankFrame
 from repro.core.metrics.base import SimilarityMetric
 from repro.core.reduced import ReducedRankTrace, ReducedTrace
 from repro.core.reducer import TraceReducer
-from repro.pipeline.stats import PipelineStats, time_stage
+from repro.pipeline.stats import PipelineStats, RankCounts, StageClock
 from repro.pipeline.store import StoreCounters, create_store
 from repro.pipeline.stream import (
     SegmentSource,
@@ -172,11 +171,11 @@ def _rank_task(
     Module-level so process pools can pickle it; the pickled ``metric`` gives
     every rank a private metric instance, mirroring serial semantics (metrics
     hold no cross-rank state).  With ``capture=True`` the task records its
-    spans and per-rank metrics into a private recorder — shadowing any
-    inherited or thread-shared ambient one — and returns the snapshot as the
-    final element.  The parent keeps those per-worker registries separate
-    from the run totals (recorded once from the final stats), so nothing is
-    double-counted.
+    spans into a private recorder — shadowing any inherited or thread-shared
+    ambient one — publishes its rank's :class:`RankCounts` there under the
+    names the parent publishes the run's, and returns the snapshot as the
+    final element.  The parent keeps the per-worker registries apart from
+    its own, so nothing is double-counted and the two must agree.
     """
     with obs.task_recording(capture) as recorder:
         if isinstance(shard, RankFrame):
@@ -193,13 +192,9 @@ def _rank_task(
             )
     snapshot = None
     if recorder is not None:
-        registry = recorder.registry
-        registry.inc("ingest.segments", reduced.n_segments)
-        registry.inc("columnar.materialized", frame.materialized)
-        registry.inc("reduce.stored", len(reduced.stored))
-        registry.inc("reduce.matches", reduced.n_matches)
-        store.counters.record_to(registry)
-        match_counters.record_to(registry)
+        counts = RankCounts()
+        counts.add_rank(reduced, store.counters, match_counters, frame.materialized)
+        counts.record(recorder.registry, "pipeline")
         snapshot = recorder.snapshot()
     return reduced, store.counters, match_counters, frame.materialized, snapshot
 
@@ -281,12 +276,11 @@ class ReductionPipeline:
             requested_executor=config.executor,
             dispatch=dispatch,
         )
-        started = time.perf_counter()
+        clock = StageClock("pipeline")
+        recorder = clock.recorder
 
-        with obs.span(
-            "pipeline.run", executor=executor, dispatch=dispatch, workers=workers
-        ):
-            with time_stage(stats, "reduce"):
+        with clock.span("run", executor=executor, dispatch=dispatch, workers=workers):
+            with clock.span("reduce"):
                 if dispatch == "inline":
                     # In the caller's process, so task spans land directly on
                     # the ambient recorder — no capture/snapshot round-trip.
@@ -298,7 +292,7 @@ class ReductionPipeline:
                     if dispatch == "shard":
                         shards: Iterable = [(str(source), rank) for rank in shard_ranks]
                     else:
-                        shards = self._payload_frames(source, stats)
+                        shards = self._payload_frames(source, clock)
                     capture = obs.enabled()
                     results = _run_pool_tasks(
                         executor,
@@ -309,18 +303,11 @@ class ReductionPipeline:
                             for shard in shards
                         ),
                     )
-            # Payload frames are built inside the reduce stage; report the
-            # two disjointly so the per-stage numbers add up to the total.
-            if "ingest" in stats.stage_seconds:
-                stats.stage_seconds["reduce"] -= stats.stage_seconds["ingest"]
 
-            recorder = obs.current_recorder()
             ranks: list[ReducedRankTrace] = []
             for reduced_rank, counters, match_counters, n_materialized, snapshot in results:
                 ranks.append(reduced_rank)
-                stats.store = stats.store.merged_with(counters)
-                stats.match = stats.match.merged_with(match_counters)
-                stats.segments_materialized += n_materialized
+                stats.add_rank(reduced_rank, counters, match_counters, n_materialized)
                 if recorder is not None:
                     recorder.absorb(snapshot)
 
@@ -333,34 +320,35 @@ class ReductionPipeline:
 
             merged: Optional[MergedReducedTrace] = None
             if config.merge:
-                with time_stage(stats, "merge"), obs.span("pipeline.merge"):
+                with clock.span("merge"):
                     merged = merge_reduced_trace(reduced)
                 stats.merged_stored = merged.n_stored
                 stats.merged_duplicates = merged.n_duplicates
 
-        stats.nprocs = reduced.nprocs
-        stats.n_segments = reduced.n_segments
-        stats.n_stored = reduced.n_stored
-        stats.n_matches = reduced.n_matches
-        stats.n_possible_matches = reduced.n_possible_matches
-        stats.total_seconds = time.perf_counter() - started
+        seconds = clock.seconds()
+        stats.total_seconds = seconds.pop("run")
+        # Payload frames are built inside the reduce stage; report the two
+        # disjointly so the per-stage numbers add up to the total.
+        if "ingest" in seconds:
+            seconds["reduce"] -= seconds["ingest"]
+        stats.stage_seconds = seconds
         if recorder is not None:
-            stats.record_to(recorder.registry)
+            stats.record(recorder.registry, "pipeline")
         return PipelineResult(reduced=reduced, stats=stats, merged=merged)
 
     @staticmethod
-    def _payload_frames(source: SegmentSource, stats: PipelineStats) -> Iterator[RankFrame]:
+    def _payload_frames(source: SegmentSource, clock: StageClock) -> Iterator[RankFrame]:
         """The frames of a source only this process can read, built one by one.
 
         A generator, so the pool loop's in-flight window bounds how many
         ranks' column arrays exist at once; each frame is built (a no-op for
-        a source that already holds frames) under the ``ingest`` stage timer
-        and a ``dispatch.materialize`` span.
+        a source that already holds frames) under a ``pipeline.ingest`` span,
+        the ``ingest`` stage's clock.
         """
         capture = obs.enabled()
         streams = rank_frame_streams(source)
         while True:
-            with time_stage(stats, "ingest"), obs.span("dispatch.materialize"):
+            with clock.span("ingest"):
                 rank_frame = next(streams, None)
             if rank_frame is None:
                 return
@@ -393,7 +381,6 @@ def sweep_pipeline(
     config: Optional[PipelineConfig] = None,
     *,
     name: Optional[str] = None,
-    instrument: bool = False,
 ):
     """Run a whole sweep grid over ``source``, parallelising where possible.
 
@@ -426,9 +413,7 @@ def sweep_pipeline(
     if not isinstance(plan, SweepPlan):
         plan = SweepPlan(plan)
     config = config or PipelineConfig()
-    engine = SweepEngine(
-        plan, store_capacity=config.store_capacity, instrument=instrument
-    )
+    engine = SweepEngine(plan, store_capacity=config.store_capacity)
     shard_ranks = indexed_source_ranks(source)
     workers = config.resolved_workers()
     if (
@@ -439,7 +424,6 @@ def sweep_pipeline(
     ):
         return engine.sweep(source, name=name)
 
-    started = time.perf_counter()
     path = str(Path(source))
     groups = [
         tuple(c.key for c in family.configs) for family in plan.families
@@ -447,23 +431,23 @@ def sweep_pipeline(
     capture = obs.enabled()
     # Rank-major, so each rank's family groups come back adjacent.
     calls = [
-        (group, path, rank, config.store_capacity, instrument, capture)
+        (group, path, rank, config.store_capacity, capture)
         for rank in shard_ranks
         for group in groups
     ]
     workers = min(workers, len(calls))
-    with obs.span(
-        "sweep.run", dispatch="shard", configs=plan.n_configs, workers=workers
-    ):
+
+    def pooled_rank_sweeps() -> list:
         parts = _run_pool_tasks(config.executor, workers, _sweep_shard_task, calls)
         recorder = obs.current_recorder()
         if recorder is not None:
             for part in parts:
                 recorder.absorb(part.snapshot)
-        rank_sweeps = [
+        return [
             merge_rank_groups(parts[at : at + len(groups)])
             for at in range(0, len(parts), len(groups))
         ]
-        return engine._assemble(
-            name or source_name(source), rank_sweeps, started, dispatch="shard"
-        )
+
+    return engine._run(
+        name or source_name(source), "shard", pooled_rank_sweeps, workers=workers
+    )

@@ -1,32 +1,62 @@
 """Pipeline instrumentation: per-stage wall time, throughput, match rate.
 
-Every pipeline run produces one :class:`PipelineStats`.  Stage timings are
-accumulated with :func:`time_stage`; counters are filled in by the engine from
-the per-rank reduction results and store counters.  ``rows()`` renders the
-stats as (property, value) pairs for the CLI's table formatter.
+Every pipeline run produces one :class:`PipelineStats`.  Its counts are
+folded in rank by rank (:meth:`RankCounts.add_rank`); its stage timings are
+read back from the run's own stage spans (:class:`StageClock`).  ``rows()``
+renders the stats as (property, value) pairs for the CLI's table formatter.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from repro import obs
 from repro.core.candidates import MatchCounters
+from repro.core.reduced import ReducedRankTrace
+from repro.obs.metrics import Counts
 from repro.pipeline.store import StoreCounters
 
-__all__ = ["PipelineStats", "time_stage"]
+__all__ = ["StageClock", "RankCounts", "PipelineStats"]
 
-#: Stage keys in reporting order.
-STAGES = ("ingest", "reduce", "merge")
+
+class StageClock:
+    """The stage spans one run opens — its only clocks — and their seconds.
+
+    The spans go to the ambient recorder or, with telemetry off, to a
+    throwaway one (per-rank sites keep the no-op ``obs.span``);
+    :meth:`seconds` reads back the spans this clock opened and no others,
+    whatever else was recorded next to them.
+    """
+
+    def __init__(self, prefix: str) -> None:
+        self.recorder = obs.current_recorder()
+        self._sink = self.recorder or obs.Recorder()
+        self._prefix = prefix
+        self._mark = len(self._sink.spans)
+        self._opened: list = []
+
+    def span(self, stage: str, **attrs):
+        """A ``<prefix>.<stage>`` span; a stage may be entered more than once."""
+        span = self._sink.span(f"{self._prefix}.{stage}", **attrs)
+        self._opened.append((stage, span))
+        return span
+
+    def seconds(self) -> dict[str, float]:
+        """Wall seconds of the closed spans, by stage, in completion order."""
+        stage_of = {span.span_id: stage for stage, span in self._opened}
+        seconds: dict[str, float] = {}
+        for record in self._sink.spans[self._mark :]:
+            stage = stage_of.get(record.span_id)
+            if stage is not None:
+                seconds[stage] = seconds.get(stage, 0.0) + record.duration_ns / 1e9
+        return seconds
 
 
 @dataclass(slots=True)
-class PipelineStats:
-    """Instrumentation of one pipeline run."""
+class RankCounts(Counts):
+    """What reducing ranks counted, additive over ranks: a pool task publishes
+    its one rank's and the parent the run's, so the two sides must agree."""
 
-    executor: str
-    workers: int
     nprocs: int = 0
     n_segments: int = 0
     n_stored: int = 0
@@ -35,12 +65,40 @@ class PipelineStats:
     #: ``Segment`` objects actually built on the columnar path — the
     #: lazy-materialization saving is ``n_segments - segments_materialized``.
     segments_materialized: int = 0
-    merged_stored: int = 0
-    merged_duplicates: int = 0
-    stage_seconds: dict = field(default_factory=dict)
-    total_seconds: float = 0.0
     store: StoreCounters = field(default_factory=StoreCounters)
     match: MatchCounters = field(default_factory=MatchCounters)
+
+    def add_rank(
+        self,
+        reduced: ReducedRankTrace,
+        store: StoreCounters,
+        match: MatchCounters,
+        materialized: int,
+    ) -> None:
+        """Fold one reduced rank's counts in."""
+        self.nprocs += 1
+        self.n_segments += reduced.n_segments
+        self.n_stored += len(reduced.stored)
+        self.n_matches += reduced.n_matches
+        self.n_possible_matches += reduced.n_possible_matches
+        self.segments_materialized += materialized
+        self.store = self.store.merged_with(store)
+        self.match = self.match.merged_with(match)
+
+
+@dataclass(slots=True)
+class PipelineStats(RankCounts):
+    """Instrumentation of one pipeline run."""
+
+    GAUGES = frozenset({"workers"})
+
+    executor: str = "serial"
+    workers: int = 1
+    merged_stored: int = 0
+    merged_duplicates: int = 0
+    #: Seconds per stage (``ingest``, ``reduce``, ``merge``) the run went through.
+    stage_seconds: dict = field(default_factory=dict)
+    total_seconds: float = 0.0
     #: Executor named in the config; differs from ``executor`` when the
     #: engine auto-downgraded a one-worker pool to the serial path.
     requested_executor: str = ""
@@ -102,43 +160,8 @@ class PipelineStats:
         if self.merged_stored or self.merged_duplicates:
             rows.append(["merged representatives", self.merged_stored])
             rows.append(["cross-rank duplicates", self.merged_duplicates])
-        for stage in STAGES:
-            if stage in self.stage_seconds:
-                rows.append([f"{stage} wall time (s)", f"{self.stage_seconds[stage]:.4f}"])
+        for stage, seconds in self.stage_seconds.items():
+            rows.append([f"{stage} wall time (s)", f"{seconds:.4f}"])
         rows.append(["total wall time (s)", f"{self.total_seconds:.4f}"])
         rows.append(["segments / second", f"{self.segments_per_second:,.0f}"])
         return rows
-
-    def record_to(self, registry) -> None:
-        """Record this run's totals into an ``obs`` metrics registry.
-
-        Called once per run by the engine, so the registry holds the same
-        totals ``rows()`` renders — the stats object becomes a view over the
-        run's metrics rather than a competing source of truth.
-        """
-        registry.set_gauge("pipeline.workers", self.workers)
-        registry.set_gauge("pipeline.ranks", self.nprocs)
-        registry.inc("pipeline.segments", self.n_segments)
-        registry.inc("columnar.materialized", self.segments_materialized)
-        registry.inc("pipeline.stored", self.n_stored)
-        registry.inc("pipeline.matches", self.n_matches)
-        registry.inc("pipeline.possible_matches", self.n_possible_matches)
-        if self.merged_stored or self.merged_duplicates:
-            registry.inc("merge.stored", self.merged_stored)
-            registry.inc("merge.duplicates", self.merged_duplicates)
-        for stage, seconds in self.stage_seconds.items():
-            registry.inc(f"stage.{stage}.seconds", seconds)
-        registry.inc("pipeline.total_seconds", self.total_seconds)
-        self.store.record_to(registry)
-        self.match.record_to(registry)
-
-
-@contextmanager
-def time_stage(stats: PipelineStats, stage: str):
-    """Accumulate the wall time of the enclosed block into ``stats``."""
-    started = time.perf_counter()
-    try:
-        yield
-    finally:
-        elapsed = time.perf_counter() - started
-        stats.stage_seconds[stage] = stats.stage_seconds.get(stage, 0.0) + elapsed

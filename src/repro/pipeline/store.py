@@ -29,6 +29,7 @@ from typing import Hashable, Sequence
 
 from repro.core.candidates import BATCH_STORES, CandidateList, InlineStore
 from repro.core.reduced import StoredSegment
+from repro.obs.metrics import AdditiveCounts
 
 __all__ = ["StoreCounters", "RepresentativeStore", "UnboundedStore", "LRUStore", "create_store"]
 
@@ -36,7 +37,7 @@ _EMPTY: tuple[StoredSegment, ...] = ()
 
 
 @dataclass(slots=True)
-class StoreCounters:
+class StoreCounters(AdditiveCounts):
     """Lookup/eviction counters of one representative store."""
 
     lookups: int = 0
@@ -44,31 +45,10 @@ class StoreCounters:
     misses: int = 0
     evictions: int = 0
 
-    def merged_with(self, other: "StoreCounters") -> "StoreCounters":
-        """Combine counters from two stores (used to aggregate across ranks)."""
-        return StoreCounters(
-            lookups=self.lookups + other.lookups,
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            evictions=self.evictions + other.evictions,
-        )
-
     @property
     def hit_rate(self) -> float:
         """Hits / lookups; 1.0 when nothing was looked up."""
         return self.hits / self.lookups if self.lookups else 1.0
-
-    def record_to(self, registry) -> None:
-        """Record these counters into an ``obs`` metrics registry.
-
-        Takes the registry as a parameter so this module stays free of any
-        telemetry import — callers pick the registry (run-global or a
-        worker-local capture).
-        """
-        registry.inc("store.lookups", self.lookups)
-        registry.inc("store.hits", self.hits)
-        registry.inc("store.misses", self.misses)
-        registry.inc("store.evictions", self.evictions)
 
 
 class RepresentativeStore:

@@ -23,6 +23,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional
 
+from repro.obs.metrics import Counts
+
 if TYPE_CHECKING:  # import cycle guard only; these are annotations
     from repro.pipeline.stream import SegmentSource
     from repro.trace.segments import Segment
@@ -106,7 +108,7 @@ def source_digest(source: "SegmentSource") -> str:
 
 
 @dataclass(slots=True)
-class CacheCounters:
+class CacheCounters(Counts):
     """Hit/miss/eviction counters of one result cache."""
 
     hits: int = 0
@@ -118,12 +120,6 @@ class CacheCounters:
     def hit_rate(self) -> float:
         lookups = self.hits + self.misses
         return self.hits / lookups if lookups else 0.0
-
-    def record_to(self, registry) -> None:
-        registry.inc("service.cache_hits", self.hits)
-        registry.inc("service.cache_misses", self.misses)
-        registry.inc("service.cache_insertions", self.insertions)
-        registry.inc("service.cache_evictions", self.evictions)
 
 
 class ResultCache:

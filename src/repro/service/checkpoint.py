@@ -26,7 +26,9 @@ reducer-internals refactors.
 
 from __future__ import annotations
 
+import os
 import pickle
+import tempfile
 from pathlib import Path
 
 from repro import obs
@@ -37,6 +39,7 @@ __all__ = [
     "STATE_VERSION",
     "session_state",
     "restore_state",
+    "write_checkpoint_bytes",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -87,10 +90,31 @@ def restore_state(data: bytes) -> ReductionSession:
     return session
 
 
+def write_checkpoint_bytes(path: str | Path, data: bytes) -> None:
+    """Put ``data`` under ``path`` whole or not at all.
+
+    The bytes go to a temporary file in the same directory, are flushed and
+    fsynced, and only then renamed over ``path``: a write that fails or a
+    process that dies part-way leaves the previous checkpoint (if any)
+    intact under the final name, never a torn one.
+    """
+    path = Path(path)
+    fd, temp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
 def save_checkpoint(session: ReductionSession, path: str | Path) -> int:
     """Write a session checkpoint file; returns bytes written."""
     data = session_state(session)
-    Path(path).write_bytes(data)
+    write_checkpoint_bytes(path, data)
     return len(data)
 
 

@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import asyncio
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
 from repro import obs
-from repro.service.cache import ResultCache, source_digest
-from repro.service.checkpoint import restore_state, session_state
+from repro.obs.metrics import Counts
+from repro.service.cache import CacheCounters, ResultCache, source_digest
+from repro.service.checkpoint import restore_state, session_state, write_checkpoint_bytes
 from repro.service.session import (
     ReductionDelta,
     ReductionSession,
@@ -48,13 +49,18 @@ __all__ = ["ServiceStats", "SessionHandle", "SubmitResult", "ReductionService"]
 
 
 @dataclass(slots=True)
-class ServiceStats:
-    """Service-wide counters, surfaced through the ``repro.obs`` registry."""
+class ServiceStats(Counts):
+    """Service-wide counters, published as ``service.<field>``.
+
+    Gauges carry the high-water marks (what budgets bound); counters carry
+    lifetime totals.  ``cache`` is the result cache's own counter object, not
+    a copy, so hits and misses are counted once.
+    """
+
+    GAUGES = frozenset({"peak_active", "peak_resident", "peak_resident_representatives"})
 
     sessions_opened: int = 0
     sessions_finished: int = 0
-    sessions_active: int = 0
-    sessions_resident: int = 0
     peak_active: int = 0
     peak_resident: int = 0
     peak_resident_representatives: int = 0
@@ -64,31 +70,17 @@ class ServiceStats:
     deltas_emitted: int = 0
     evicted_to_checkpoint: int = 0
     restored_from_checkpoint: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
+    cache: CacheCounters = field(default_factory=CacheCounters)
 
-    def record_to(self, registry) -> None:
-        """Record these counters into an ``obs`` metrics registry.
+    @property
+    def sessions_active(self) -> int:
+        """Sessions open now: the level ``peak_active`` is the high-water mark of."""
+        return self.sessions_opened - self.sessions_finished
 
-        Gauges carry the high-water marks (what budgets bound); counters
-        carry lifetime totals.  ``repro-trace report`` renders every
-        registry metric, so everything here shows up there unchanged.
-        """
-        registry.inc("service.sessions_opened", self.sessions_opened)
-        registry.inc("service.sessions_finished", self.sessions_finished)
-        registry.set_gauge("service.sessions_active", self.peak_active)
-        registry.set_gauge("service.sessions_resident", self.peak_resident)
-        registry.set_gauge(
-            "service.resident_representatives", self.peak_resident_representatives
-        )
-        registry.inc("service.appends", self.appends)
-        registry.inc("service.segments", self.segments)
-        registry.inc("service.flushes", self.flushes)
-        registry.inc("service.deltas_emitted", self.deltas_emitted)
-        registry.inc("service.evicted_to_checkpoint", self.evicted_to_checkpoint)
-        registry.inc("service.restored_from_checkpoint", self.restored_from_checkpoint)
-        registry.inc("service.cache_hits", self.cache_hits)
-        registry.inc("service.cache_misses", self.cache_misses)
+    @property
+    def sessions_resident(self) -> int:
+        """Open sessions held in memory now, not evicted to a checkpoint."""
+        return self.sessions_active - self.evicted_to_checkpoint + self.restored_from_checkpoint
 
     def rows(self) -> list[tuple[str, int]]:
         """(label, value) pairs for human-readable summaries (CLI tables)."""
@@ -104,8 +96,8 @@ class ServiceStats:
             ("deltas emitted", self.deltas_emitted),
             ("evicted to checkpoint", self.evicted_to_checkpoint),
             ("restored from checkpoint", self.restored_from_checkpoint),
-            ("cache hits", self.cache_hits),
-            ("cache misses", self.cache_misses),
+            ("cache hits", self.cache.hits),
+            ("cache misses", self.cache.misses),
         ]
 
 
@@ -325,7 +317,7 @@ class ReductionService:
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         if self.checkpoint_dir is not None:
             self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        self.stats = ServiceStats()
+        self.stats = ServiceStats(cache=self.cache.counters)
         self._tenants: dict[str, _Tenant] = {}
         self._submit_seq = 0
 
@@ -353,8 +345,6 @@ class ReductionService:
         tenant_state.sessions[key] = managed
         stats = self.stats
         stats.sessions_opened += 1
-        stats.sessions_active += 1
-        stats.sessions_resident += 1
         stats.peak_active = max(stats.peak_active, stats.sessions_active)
         stats.peak_resident = max(stats.peak_resident, stats.sessions_resident)
         return SessionHandle(self, managed)
@@ -411,11 +401,9 @@ class ReductionService:
             digest = source_digest(source)
             payload = self.cache.get(digest, config.key)
             if payload is not None:
-                self.stats.cache_hits += 1
                 return SubmitResult(
                     digest=digest, config_key=config.key, payload=payload, cache_hit=True
                 )
-            self.stats.cache_misses += 1
             self._submit_seq += 1
             name = f"{source_name(source)}#{self._submit_seq}"
             handle = await self.open_session(tenant, name, config)
@@ -482,7 +470,6 @@ class ReductionService:
         managed.worker = asyncio.create_task(managed._run())
         stats = self.stats
         stats.restored_from_checkpoint += 1
-        stats.sessions_resident += 1
         stats.peak_resident = max(stats.peak_resident, stats.sessions_resident)
 
     def _evict(self, managed: _ManagedSession) -> None:
@@ -490,7 +477,7 @@ class ReductionService:
             data = session_state(managed.session)
             if self.checkpoint_dir is not None:
                 path = self.checkpoint_dir / f"{managed.tenant}-{abs(hash(managed.key)):x}.ckpt"
-                path.write_bytes(data)
+                write_checkpoint_bytes(path, data)
                 managed.checkpoint = ("file", path)
             else:
                 managed.checkpoint = ("mem", data)
@@ -499,7 +486,6 @@ class ReductionService:
             managed.worker.cancel()
             managed.worker = None
         self.stats.evicted_to_checkpoint += 1
-        self.stats.sessions_resident -= 1
 
     def _after_command(self, managed: _ManagedSession, kind: str, result) -> None:
         """Bookkeeping after a worker executed one command."""
@@ -532,8 +518,6 @@ class ReductionService:
             tenant_state.sessions.pop(managed.key, None)
         stats = self.stats
         stats.sessions_finished += 1
-        stats.sessions_active -= 1
-        stats.sessions_resident -= 1
         session = managed.session
         if session is not None:
             self.cache.put(

@@ -42,16 +42,16 @@ never write to it.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterable, Optional, Union
 
 from repro import obs
-from repro.core.candidates import MatchCounters
 from repro.core.frames import RankFrame
 from repro.core.reduced import ReducedRankTrace, ReducedTrace
 from repro.core.reducer import KeyBatches, ReductionState
-from repro.pipeline.store import StoreCounters, create_store
+from repro.obs.metrics import AdditiveCounts, Counts
+from repro.pipeline.stats import StageClock
+from repro.pipeline.store import create_store
 from repro.pipeline.stream import (
     SegmentSource,
     rank_frame_streams,
@@ -62,12 +62,27 @@ from repro.sweep.plan import SweepConfig, SweepPlan
 from repro.sweep.results import ConfigOutcome, SweepResult
 from repro.trace.segments import Segment
 
-__all__ = ["SweepStats", "SweepEngine", "sweep_source"]
+__all__ = ["SweepWork", "SweepStats", "SweepEngine", "sweep_source"]
 
 
 @dataclass(slots=True)
-class SweepStats:
+class SweepWork(AdditiveCounts):
+    """The :class:`SweepStats` fields that sum over (rank × family group) tasks.
+
+    A pool task publishes its own and the parent the run's, under the same
+    field names, so the workers' merged totals equal the run's.
+    """
+
+    segments_materialized: int = 0
+    vector_builds: int = 0
+    vector_builds_naive: int = 0
+
+
+@dataclass(slots=True)
+class SweepStats(Counts):
     """Instrumentation of one sweep run (whole grid, all ranks)."""
+
+    GAUGES = frozenset({"n_configs", "n_families", "n_ranks"})
 
     n_configs: int = 0
     n_families: int = 0
@@ -116,17 +131,6 @@ class SweepStats:
             ["sweep wall time (s)", f"{self.total_seconds:.4f}"],
         ]
 
-    def record_to(self, registry) -> None:
-        """Record this sweep's totals into an ``obs`` metrics registry."""
-        registry.set_gauge("sweep.configs", self.n_configs)
-        registry.set_gauge("sweep.families", self.n_families)
-        registry.set_gauge("sweep.ranks", self.n_ranks)
-        registry.inc("sweep.segments", self.n_segments)
-        registry.inc("columnar.materialized", self.segments_materialized)
-        registry.inc("sweep.vector_builds", self.vector_builds)
-        registry.inc("sweep.vector_builds_naive", self.vector_builds_naive)
-        registry.inc("sweep.total_seconds", self.total_seconds)
-
 
 @dataclass(slots=True)
 class _RankSweep:
@@ -134,13 +138,8 @@ class _RankSweep:
 
     rank: int
     reduced: dict[tuple, ReducedRankTrace]
-    store_counters: dict[tuple, StoreCounters]
-    match_counters: dict[tuple, MatchCounters]
-    n_segments: int = 0
-    #: ``Segment`` objects lazily materialized from the rank's frame.
-    segments_materialized: int = 0
-    vector_builds: int = 0
-    vector_builds_naive: int = 0
+    n_segments: int
+    work: SweepWork
     #: Worker telemetry snapshot when the task ran in capture mode.
     snapshot: Optional[obs.RecorderSnapshot] = None
 
@@ -161,11 +160,7 @@ def merge_rank_groups(parts: list[_RankSweep]) -> _RankSweep:
         if part.rank != merged.rank:
             raise ValueError(f"cannot merge ranks {merged.rank} and {part.rank}")
         merged.reduced.update(part.reduced)
-        merged.store_counters.update(part.store_counters)
-        merged.match_counters.update(part.match_counters)
-        merged.segments_materialized += part.segments_materialized
-        merged.vector_builds += part.vector_builds
-        merged.vector_builds_naive += part.vector_builds_naive
+        merged.work = merged.work.merged_with(part.work)
     return merged
 
 
@@ -174,7 +169,6 @@ def _sweep_shard_task(
     path: str,
     rank: int,
     store_capacity: Optional[int],
-    instrument: bool,
     capture: bool = False,
 ) -> _RankSweep:
     """One pool task of a sharded sweep: (rank shard × config group).
@@ -183,18 +177,15 @@ def _sweep_shard_task(
     pairs; the worker opens the indexed file, decodes only the rank's byte
     range into a columnar frame, and runs the group's configs over it in one
     shared pass.  With ``capture=True`` the task records into a private
-    recorder and ships the snapshot back on the result.
+    recorder, publishes its :class:`SweepWork` there under the names the
+    parent publishes the run's, and ships the snapshot back on the result.
     """
     plan = SweepPlan([SweepConfig(method, threshold) for method, threshold in specs])
-    engine = SweepEngine(plan, store_capacity=store_capacity, instrument=instrument)
+    engine = SweepEngine(plan, store_capacity=store_capacity)
     with obs.task_recording(capture) as recorder:
         result = engine.sweep_rank(rank, shard_frame(path, rank))
     if recorder is not None:
-        registry = recorder.registry
-        registry.inc("ingest.segments", result.n_segments)
-        registry.inc("columnar.materialized", result.segments_materialized)
-        registry.inc("sweep.vector_builds", result.vector_builds)
-        registry.inc("sweep.vector_builds_naive", result.vector_builds_naive)
+        result.work.record(recorder.registry, "sweep")
         result.snapshot = recorder.snapshot()
     return result
 
@@ -204,23 +195,14 @@ class SweepEngine:
 
     ``store_capacity`` bounds every config's per-rank representative store
     (``None`` keeps the unbounded byte-identical default, exactly as in the
-    pipeline).  ``instrument=True`` additionally times the match stage per
-    config (one timer pair per config per candidate segment — measurable
-    overhead, so it is off by default).
+    pipeline).
     """
 
-    def __init__(
-        self,
-        plan: SweepPlan,
-        *,
-        store_capacity: Optional[int] = None,
-        instrument: bool = False,
-    ) -> None:
+    def __init__(self, plan: SweepPlan, *, store_capacity: Optional[int] = None) -> None:
         if not isinstance(plan, SweepPlan):
             plan = SweepPlan(plan)
         self.plan = plan
         self.store_capacity = store_capacity
-        self.instrument = instrument
 
     # -- per-rank reduction ------------------------------------------------------
 
@@ -240,7 +222,6 @@ class SweepEngine:
             return self._sweep_rank(frame)
 
     def _sweep_rank(self, frame: RankFrame) -> _RankSweep:
-        instrument = self.instrument
         capacity = self.store_capacity
         rank = frame.rank
         n_segments = frame.n_segments
@@ -257,12 +238,7 @@ class SweepEngine:
             states = []
             for config in family.configs:
                 reduced = ReducedRankTrace(rank=rank, n_segments=n_segments)
-                state = ReductionState(
-                    config.create(),
-                    reduced,
-                    create_store(capacity),
-                    MatchCounters() if instrument else None,
-                )
+                state = ReductionState(config.create(), reduced, create_store(capacity))
                 states.append(state)
                 by_config.append((config, state))
             vectors: Optional[list] = None
@@ -316,40 +292,49 @@ class SweepEngine:
         result = _RankSweep(
             rank=rank,
             reduced={},
-            store_counters={},
-            match_counters={},
             n_segments=n_segments,
-            segments_materialized=frame.materialized,
-            vector_builds=vector_builds,
-            vector_builds_naive=vector_builds_naive,
+            work=SweepWork(frame.materialized, vector_builds, vector_builds_naive),
         )
         for config, state in by_config:
             result.reduced[config.key] = state.reduced
-            result.store_counters[config.key] = state.store.counters
-            if state.counters is not None:
-                result.match_counters[config.key] = state.counters
         return result
 
     # -- whole-source reduction ----------------------------------------------------
 
     def sweep(self, source: SegmentSource, *, name: Optional[str] = None) -> SweepResult:
         """One shared pass over every rank of ``source``, for the whole grid."""
-        started = time.perf_counter()
-        name = name or source_name(source)
-        with obs.span("sweep.run", dispatch="inline", configs=self.plan.n_configs):
-            rank_sweeps = [
+        return self._run(
+            name or source_name(source),
+            "inline",
+            lambda: [
                 self.sweep_rank(rank, frame)
                 for rank, frame in rank_frame_streams(source)
-            ]
-            return self._assemble(name, rank_sweeps, started, dispatch="inline")
+            ],
+        )
 
-    def _assemble(
+    def _run(
         self,
         name: str,
-        rank_sweeps: list[_RankSweep],
-        started: float,
-        *,
         dispatch: str,
+        rank_sweeps: Callable[[], list[_RankSweep]],
+        **attrs,
+    ) -> SweepResult:
+        """One sweep run under its ``sweep.run`` span, timed from that span.
+
+        ``rank_sweeps`` produces the per-rank sweeps however ``dispatch``
+        says — in this process, or as pool tasks (:func:`sweep_pipeline`).
+        """
+        clock = StageClock("sweep")
+        with clock.span("run", dispatch=dispatch, configs=self.plan.n_configs, **attrs):
+            result = self._assemble(name, rank_sweeps(), dispatch)
+        stats = result.stats
+        stats.total_seconds = clock.seconds()["run"]
+        if clock.recorder is not None:
+            stats.record(clock.recorder.registry, "sweep")
+        return result
+
+    def _assemble(
+        self, name: str, rank_sweeps: list[_RankSweep], dispatch: str
     ) -> SweepResult:
         """Reassemble per-rank sweeps (in rank-stream order) into the grid."""
         outcomes: list[ConfigOutcome] = []
@@ -358,30 +343,20 @@ class SweepEngine:
             reduced = ReducedTrace(
                 name=name, method=metric.name, threshold=metric.threshold
             )
-            store = StoreCounters()
-            match: Optional[MatchCounters] = MatchCounters() if self.instrument else None
             for rank_sweep in rank_sweeps:
                 reduced.ranks.append(rank_sweep.reduced[config.key])
-                store = store.merged_with(rank_sweep.store_counters[config.key])
-                if match is not None and config.key in rank_sweep.match_counters:
-                    match = match.merged_with(rank_sweep.match_counters[config.key])
-            outcomes.append(
-                ConfigOutcome(config=config, reduced=reduced, store=store, match=match)
-            )
+            outcomes.append(ConfigOutcome(config=config, reduced=reduced))
+        work = SweepWork()
+        for rank_sweep in rank_sweeps:
+            work = work.merged_with(rank_sweep.work)
         stats = SweepStats(
             n_configs=self.plan.n_configs,
             n_families=self.plan.n_families,
             n_ranks=len(rank_sweeps),
             n_segments=sum(r.n_segments for r in rank_sweeps),
-            segments_materialized=sum(r.segments_materialized for r in rank_sweeps),
-            vector_builds=sum(r.vector_builds for r in rank_sweeps),
-            vector_builds_naive=sum(r.vector_builds_naive for r in rank_sweeps),
-            total_seconds=time.perf_counter() - started,
             dispatch=dispatch,
+            **asdict(work),
         )
-        recorder = obs.current_recorder()
-        if recorder is not None:
-            stats.record_to(recorder.registry)
         return SweepResult(name=name, outcomes=outcomes, stats=stats)
 
 
@@ -390,10 +365,7 @@ def sweep_source(
     plan: SweepPlan | Iterable,
     *,
     store_capacity: Optional[int] = None,
-    instrument: bool = False,
     name: Optional[str] = None,
 ) -> SweepResult:
     """Convenience wrapper: ``SweepEngine(plan).sweep(source)``."""
-    return SweepEngine(
-        plan, store_capacity=store_capacity, instrument=instrument
-    ).sweep(source, name=name)
+    return SweepEngine(plan, store_capacity=store_capacity).sweep(source, name=name)

@@ -1,8 +1,8 @@
 """Sweep results: the per-config grid one sweep run produced.
 
 A :class:`SweepResult` holds one :class:`ConfigOutcome` per config of the
-plan, in plan order: the config, its reduced trace (byte-identical to a solo
-serial reduction), and its store/match instrumentation.  The grid converts to
+plan, in plan order: the config and its reduced trace (byte-identical to a
+solo serial reduction).  The grid converts to
 :class:`~repro.evaluation.runner.EvaluationResult` rows — % file size,
 degree of matching, approximation distance, retention of trends — via
 :meth:`SweepResult.evaluation_results`, which reuses the exact criteria code
@@ -11,12 +11,10 @@ of the serial evaluation path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.core.candidates import MatchCounters
 from repro.core.reduced import ReducedTrace
-from repro.pipeline.store import StoreCounters
 from repro.sweep.plan import SweepConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -30,18 +28,15 @@ _MISSING = object()
 
 @dataclass(slots=True)
 class ConfigOutcome:
-    """One config's share of a sweep: its reduced trace plus instrumentation."""
+    """One config's share of a sweep: the config and its reduced trace."""
 
     config: SweepConfig
     reduced: ReducedTrace
-    store: StoreCounters = field(default_factory=StoreCounters)
-    #: Match-stage timing; only populated by instrumented sweeps.
-    match: Optional[MatchCounters] = None
 
     def row(self) -> dict:
         """Reduction-level summary row (no evaluation criteria)."""
         reduced = self.reduced
-        row = {
+        return {
             "method": self.config.method,
             "threshold": self.config.threshold,
             "n_segments": reduced.n_segments,
@@ -49,9 +44,6 @@ class ConfigOutcome:
             "degree_of_matching": reduced.degree_of_matching(),
             "reduced_bytes": reduced.size_bytes(),
         }
-        if self.match is not None:
-            row["match_seconds"] = self.match.seconds
-        return row
 
 
 @dataclass(slots=True)

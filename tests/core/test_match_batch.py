@@ -263,13 +263,6 @@ class TestZeroClampedLimitsFixed:
 
 
 class TestMatchCounters:
-    def test_merged_with(self):
-        a = MatchCounters(calls=2, rows_compared=10, seconds=0.5)
-        b = MatchCounters(calls=3, rows_compared=5, seconds=0.25)
-        merged = a.merged_with(b)
-        assert (merged.calls, merged.rows_compared) == (5, 15)
-        assert merged.seconds == pytest.approx(0.75)
-
     def test_rows_per_call(self):
         assert MatchCounters().rows_per_call == 0.0
         assert MatchCounters(calls=4, rows_compared=10).rows_per_call == 2.5
@@ -520,6 +513,16 @@ class TestPredicate:
         assert per_row.calls == stepped.n_possible_matches
         assert batch.calls <= len(reduced.stored) < per_row.calls
         assert batch.calls <= batch.rows_compared <= per_row.rows_compared
+
+    def test_batch_step_reads_the_clock_only_for_a_counter(self, monkeypatch):
+        reads = []
+        monkeypatch.setattr(reducer_module, "perf_counter", lambda: reads.append(1) or 0.0)
+        frame = RankFrame.from_segments(0, _mixed_rank() * 4)
+        TraceReducer(RelDiff(0.1)).reduce_frame(frame)
+        assert not reads
+        counters = MatchCounters()
+        TraceReducer(RelDiff(0.1)).reduce_frame(frame, match_counters=counters)
+        assert len(reads) == 2 * counters.calls > 0
 
 
 class TestBatchExactness:

@@ -77,32 +77,81 @@ def test_process_run_has_worker_tracks_and_coverage(process_payload):
     assert obs.span_coverage(payload) >= 0.95
 
 
-def test_worker_metric_merge_matches_across_executors(small_late_sender_trace):
-    """Process and thread pools aggregate to identical worker totals."""
-    by_executor = {}
-    for executor in ("process", "thread"):
-        recorder, result = _recorded_run(small_late_sender_trace, executor)
-        merged = recorder.worker_metrics()
-        assert len(recorder.absorbed) == len(result.reduced.ranks)
-        assert merged.scalar("ingest.segments") == result.stats.n_segments
-        assert merged.scalar("reduce.stored") == sum(
-            len(rank.stored) for rank in result.reduced.ranks
-        )
-        by_executor[executor] = {
-            name: value
-            for name, value in merged.values.items()
-            if not name.endswith("seconds")  # wall time differs run to run
-        }
-    assert by_executor["process"] == by_executor["thread"]
+@pytest.fixture(scope="module")
+def rpb_file(tmp_path_factory):
+    from repro.benchmarks_ats import late_sender
+    from repro.trace.io import write_trace
+
+    path = tmp_path_factory.mktemp("obs") / "trace.rpb"
+    write_trace(late_sender(nprocs=4, iterations=6, seed=3).run(), path)
+    return path
 
 
-def test_run_metrics_recorded_once_in_parent(small_late_sender_trace):
-    recorder, result = _recorded_run(small_late_sender_trace, "process")
+def _assert_workers_agree_with_run(recorder) -> set:
+    """The invariant of a pooled telemetry file: one name per count, and for
+    every count the workers publish, their merged total is the run's."""
+    run = recorder.registry.snapshot().values
+    workers = recorder.worker_metrics().values
+    counted = {name for name, value in workers.items() if value.kind == "counter"}
+    assert counted, "the pool tasks published no counts"
+    assert counted <= set(run), f"missing from the run side: {counted - set(run)}"
+    for name in counted:
+        assert run[name] == workers[name], name
+    return counted
+
+
+@pytest.mark.parametrize(
+    "source, dispatch", [("rpb_file", "shard"), ("small_late_sender_trace", "payload")]
+)
+@pytest.mark.parametrize("executor", ["process", "thread"])
+def test_pooled_pipeline_workers_agree_with_run(request, source, dispatch, executor):
+    recorder, result = _recorded_run(request.getfixturevalue(source), executor)
+    stats = result.stats
+    assert stats.dispatch == dispatch
+    assert len(recorder.absorbed) == stats.nprocs
+    counted = _assert_workers_agree_with_run(recorder)
+    # Every count that is additive over ranks is on both sides ...
     run = recorder.registry.snapshot()
-    # Run totals come from the stats object exactly once — not once per worker.
-    assert run.scalar("pipeline.segments") == result.stats.n_segments
-    assert run.scalar("pipeline.matches") == result.stats.n_matches
-    assert run.get("pipeline.workers").value == result.stats.workers
+    for name, value in [
+        ("pipeline.nprocs", stats.nprocs),
+        ("pipeline.n_segments", stats.n_segments),
+        ("pipeline.n_stored", stats.n_stored),
+        ("pipeline.n_matches", stats.n_matches),
+        ("pipeline.segments_materialized", stats.segments_materialized),
+        ("pipeline.store_lookups", stats.store.lookups),
+        ("pipeline.match_calls", stats.match.calls),
+    ]:
+        assert name in counted
+        assert run.scalar(name) == value
+    # ... and what only the parent knows is on the run side alone.
+    assert run.get("pipeline.workers").value == stats.workers
+    assert "pipeline.workers" not in recorder.worker_metrics().values
+
+
+def test_pooled_sweep_workers_agree_with_run(rpb_file):
+    from repro.pipeline.engine import sweep_pipeline
+    from repro.sweep.plan import SweepPlan
+
+    # Two feature families, so every rank is swept by two pool tasks.
+    plan = SweepPlan.from_grid(["relDiff", "euclidean"], [0.2, 0.8])
+    with obs.recording("sweep") as recorder:
+        result = sweep_pipeline(
+            rpb_file, plan, PipelineConfig(executor="process", workers=2)
+        )
+    stats = result.stats
+    assert stats.dispatch == "shard" and stats.n_families == 2
+    assert len(recorder.absorbed) == stats.n_ranks * stats.n_families
+    counted = _assert_workers_agree_with_run(recorder)
+    assert counted == {
+        "sweep.segments_materialized",
+        "sweep.vector_builds",
+        "sweep.vector_builds_naive",
+    }
+    run = recorder.registry.snapshot()
+    assert run.scalar("sweep.vector_builds") == stats.vector_builds
+    # Segments are ingested once per rank however many tasks sweep it, so
+    # the count is not additive over tasks and only the run publishes it.
+    assert run.scalar("sweep.n_segments") == stats.n_segments
 
 
 def test_telemetry_does_not_change_reduction_output(small_late_sender_trace):

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import pickle
+from dataclasses import dataclass, field
 
 import pytest
 
+from repro.core.candidates import MatchCounters
 from repro.obs import MetricsRegistry, MetricsSnapshot, MetricValue, merge_snapshots
+from repro.obs.metrics import AdditiveCounts, Counts
+from repro.pipeline.store import StoreCounters
 
 
 def test_counter_accumulates():
@@ -128,3 +132,79 @@ def test_scalar_defaults_for_missing_names():
     assert not snapshot
     assert snapshot.scalar("absent") == 0
     assert snapshot.scalar("absent", default=-1) == -1
+
+
+# -- the additive-counts base -------------------------------------------------
+
+
+@dataclass(slots=True)
+class _Inner(AdditiveCounts):
+    hits: int = 0
+    seconds: float = 0.0
+
+
+@dataclass(slots=True)
+class _Outer(Counts):
+    GAUGES = frozenset({"level"})
+
+    events: int = 0
+    level: int = 0
+    inner: _Inner = field(default_factory=_Inner)
+    label: str = "x"
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (
+            MatchCounters(calls=2, rows_compared=10, seconds=0.5),
+            MatchCounters(calls=3, rows_compared=5, seconds=0.25, rows_pruned=1),
+        ),
+        (
+            StoreCounters(lookups=3, hits=2, misses=1, evictions=0),
+            StoreCounters(lookups=5, hits=1, misses=4, evictions=2),
+        ),
+        (_Inner(hits=1, seconds=0.5), _Inner(hits=2, seconds=0.25)),
+    ],
+)
+def test_counts_merge_and_publish_field_by_field(a, b):
+    merged = a.merged_with(b)
+    assert type(merged) is type(a)
+    names = list(type(a).__dataclass_fields__)
+    for name in names:
+        assert getattr(merged, name) == getattr(a, name) + getattr(b, name)
+    # Merging builds a new object; the operands keep their counts.
+    assert merged is not a and getattr(a, names[0]) != getattr(merged, names[0])
+
+    registry = MetricsRegistry()
+    merged.record(registry, "layer")
+    snapshot = registry.snapshot().values
+    # The field name is the metric name: one counter per field, nothing else.
+    assert sorted(snapshot) == sorted(f"layer.{name}" for name in names)
+    for name in names:
+        assert snapshot[f"layer.{name}"].kind == "counter"
+        assert snapshot[f"layer.{name}"].value == getattr(merged, name)
+
+
+def test_counts_nested_gauge_and_non_numeric_fields():
+    a = _Outer(events=2, level=3, inner=_Inner(hits=1, seconds=0.5))
+    # A class with levels or names in it publishes, but does not sum.
+    assert not hasattr(a, "merged_with")
+
+    registry = MetricsRegistry()
+    a.record(registry, "outer")
+    snapshot = registry.snapshot().values
+    # Nested counts publish as <prefix>.<field>_<its field>, levels as
+    # gauges, and a field that is not a number is not a metric.
+    assert sorted(snapshot) == [
+        "outer.events",
+        "outer.inner_hits",
+        "outer.inner_seconds",
+        "outer.level",
+    ]
+    assert snapshot["outer.level"].kind == "gauge"
+    assert snapshot["outer.inner_hits"].value == 1
+    # Publishing twice accumulates counters and overwrites gauges.
+    a.record(registry, "outer")
+    assert registry.counter("outer.events").get() == 4
+    assert registry.gauge("outer.level").get() == 3

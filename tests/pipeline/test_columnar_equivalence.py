@@ -203,7 +203,7 @@ class TestLazyMaterializationStats:
             )
         labels = [row[0] for row in result.stats.rows()]
         assert "segments materialized (lazy)" in labels
-        counter = recorder.registry.counter("columnar.materialized")
+        counter = recorder.registry.counter("pipeline.segments_materialized")
         assert counter.get() == result.stats.segments_materialized
 
     def test_sweep_stats_rows_and_registry(self, rpb_path):
@@ -218,6 +218,6 @@ class TestLazyMaterializationStats:
         assert "segments materialized (lazy)" in labels
         assert 0 < stats.segments_materialized < stats.n_segments
         assert (
-            recorder.registry.counter("columnar.materialized").get()
+            recorder.registry.counter("sweep.segments_materialized").get()
             == stats.segments_materialized
         )

@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro import obs
 from repro.core.metrics import create_metric
 from repro.core.reducer import TraceReducer
 from repro.pipeline import engine
 from repro.pipeline.engine import PipelineConfig, ReductionPipeline, reduce_pipeline
-from repro.pipeline.stats import PipelineStats, time_stage
+from repro.pipeline.stats import StageClock
 from repro.trace.io import serialize_reduced_trace, write_trace
 
 from tests.support import reference_reduce
@@ -268,13 +269,51 @@ class TestStats:
         assert ["ranks", 4] in rows
         assert any(row[0] == "segments / second" for row in rows)
 
-    def test_time_stage_accumulates(self):
-        stats = PipelineStats(executor="serial", workers=1)
-        with time_stage(stats, "ingest"):
-            pass
-        with time_stage(stats, "ingest"):
-            pass
-        assert stats.stage_seconds["ingest"] >= 0.0
+    def test_stage_seconds_are_the_recorded_spans(self, small_late_sender_trace):
+        """Each reported stage has one clock: the span the run recorded for it."""
+        # A pooled in-memory run with --merge goes through every stage.
+        config = PipelineConfig(executor="thread", workers=2, merge=True)
+        with obs.recording("test") as recorder:
+            stats = reduce_pipeline(
+                small_late_sender_trace, create_metric("relDiff"), config
+            ).stats
+        spans: dict = {}
+        for record in recorder.spans:
+            spans[record.name] = spans.get(record.name, 0.0) + record.duration_ns / 1e9
+        assert list(stats.stage_seconds) == ["ingest", "reduce", "merge"]
+        assert stats.total_seconds == pytest.approx(spans["pipeline.run"])
+        assert stats.stage_seconds["merge"] == pytest.approx(spans["pipeline.merge"])
+        assert stats.stage_seconds["ingest"] == pytest.approx(spans["pipeline.ingest"])
+        # Payload frames are built inside the reduce stage; the two are
+        # reported disjointly.
+        assert stats.stage_seconds["reduce"] == pytest.approx(
+            spans["pipeline.reduce"] - spans["pipeline.ingest"]
+        )
+
+    def test_stage_clock_reads_only_the_spans_it_opened(self):
+        with obs.recording("test") as recorder:
+            clock = StageClock("pipeline")
+            with clock.span("run"):
+                # Someone else's span on the same recorder, named like a stage.
+                with recorder.span("pipeline.reduce"):
+                    pass
+                for _ in range(2):
+                    with clock.span("ingest"):
+                        pass
+        ingest = [s.duration_ns for s in recorder.spans if s.name == "pipeline.ingest"]
+        seconds = clock.seconds()
+        assert list(seconds) == ["ingest", "run"]
+        assert len(ingest) == 2 and seconds["ingest"] == pytest.approx(sum(ingest) / 1e9)
+
+    def test_stage_seconds_populated_with_telemetry_off(self, small_late_sender_trace):
+        assert not obs.enabled()
+        stats = reduce_pipeline(
+            small_late_sender_trace,
+            create_metric("relDiff"),
+            PipelineConfig(executor="serial", merge=True),
+        ).stats
+        assert list(stats.stage_seconds) == ["reduce", "merge"]
+        assert 0.0 < stats.stage_seconds["reduce"] <= stats.total_seconds
 
     def test_empty_run(self):
         from repro.trace.trace import SegmentedTrace

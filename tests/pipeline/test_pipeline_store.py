@@ -87,12 +87,6 @@ class TestLRUStore:
 
 
 class TestCounters:
-    def test_merged_with(self):
-        a = StoreCounters(lookups=3, hits=2, misses=1, evictions=0)
-        b = StoreCounters(lookups=5, hits=1, misses=4, evictions=2)
-        merged = a.merged_with(b)
-        assert (merged.lookups, merged.hits, merged.misses, merged.evictions) == (8, 3, 5, 2)
-
     def test_hit_rate(self):
         assert StoreCounters().hit_rate == 1.0
         assert StoreCounters(lookups=4, hits=1).hit_rate == 0.25

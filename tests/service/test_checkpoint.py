@@ -206,6 +206,38 @@ def test_checkpoint_file_round_trip(streams, tmp_path):
     )
 
 
+def test_failed_write_leaves_previous_checkpoint_intact(streams, tmp_path, monkeypatch):
+    """A write that dies part-way never tears the file under the final name."""
+    import io
+
+    from repro.service import checkpoint
+
+    session = ReductionSession("t", SessionConfig("relDiff"))
+    for rank, segments in streams.items():
+        session.append_segments(rank, segments[:4])
+    path = tmp_path / "session.ckpt"
+    save_checkpoint(session, path)
+    before = path.read_bytes()
+    for rank, segments in streams.items():
+        session.append_segments(rank, segments[4:])
+    assert session_state(session) != before
+
+    class DiskFillsUp(io.FileIO):
+        def write(self, data):
+            super().write(data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(checkpoint.os, "fdopen", DiskFillsUp)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(session, path)
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["session.ckpt"]
+    # The survivor is a whole checkpoint: it restores and finishes.
+    assert load_checkpoint(path).finish().reduced.n_segments == 4 * len(streams)
+
+
 @pytest.mark.parametrize("version", [999, STATE_VERSION - 1])
 def test_restore_rejects_unknown_version(streams, version):
     # STATE_VERSION - 1: a checkpoint from before the last layout change

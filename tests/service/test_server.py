@@ -223,8 +223,8 @@ class TestDigestCache:
         assert not first.cache_hit and first.reduced is not None
         assert second.cache_hit and other.cache_hit  # cache is content-keyed
         assert first.payload == second.payload == other.payload
-        assert stats.cache_hits == 2 and stats.cache_misses == 1
-        assert stats.cache_hits > 0  # the acceptance counter
+        assert stats.cache.hits == 2 and stats.cache.misses == 1
+        assert stats.cache.hits > 0  # the acceptance counter
 
     def test_config_changes_miss_the_cache(self, trace):
         async def main():
@@ -239,7 +239,7 @@ class TestDigestCache:
 
         other, stats = asyncio.run(main())
         assert not other.cache_hit
-        assert stats.cache_misses == 2
+        assert stats.cache.misses == 2
 
     def test_session_finish_populates_cache_for_submit(self, trace, streams):
         async def main():
@@ -254,7 +254,7 @@ class TestDigestCache:
 
         repeat, stats = asyncio.run(main())
         assert repeat.cache_hit
-        assert stats.cache_hits == 1 and stats.cache_misses == 0
+        assert stats.cache.hits == 1 and stats.cache.misses == 0
 
     def test_cache_byte_bound_evicts(self, trace):
         async def main():
@@ -310,21 +310,30 @@ class TestLifecycleErrors:
         assert result.reduced.n_segments == 2
 
 
-def test_stats_record_to_registry(trace):
+def test_stats_read_the_caches_own_counters(trace):
     async def main():
         service = ReductionService()
         config = SessionConfig("relDiff")
         await service.submit("acme", trace, config)
         await service.submit("acme", trace, config)
-        return service.stats
+        return service
 
-    stats = asyncio.run(main())
+    service = asyncio.run(main())
+    stats = service.stats
+    # Hits and misses are counted once, by the cache; the stats read them.
+    assert stats.cache is service.cache.counters
+    assert (stats.cache.hits, stats.cache.misses) == (1, 1)
     registry = MetricsRegistry()
-    stats.record_to(registry)
+    stats.record(registry, "service")
     snapshot = registry.snapshot().values
     assert snapshot["service.cache_hits"].value == 1
+    assert snapshot["service.cache_insertions"].value == 1
     assert snapshot["service.sessions_opened"].value == 1
     assert snapshot["service.appends"].value > 0
     assert snapshot["service.segments"].value > 0
-    assert snapshot["service.sessions_active"].kind == "gauge"
+    assert snapshot["service.peak_active"].kind == "gauge"
+    assert snapshot["service.peak_active"].value == 1
+    # The levels behind the peaks are properties, not published fields.
+    assert (stats.sessions_active, stats.sessions_resident) == (0, 0)
+    assert "service.sessions_active" not in snapshot
     assert snapshot["service.evicted_to_checkpoint"].value == 0

@@ -321,12 +321,11 @@ class TestCommands:
         assert code == 0
         payload = json.loads(out)  # --json output must stay valid JSON
         assert str(json_telemetry) in payload["telemetry"]
-        names = {
-            e["name"]
-            for e in json.loads(json_telemetry.read_text())["traceEvents"]
-            if e.get("ph") == "X"
-        }
+        exported = json.loads(json_telemetry.read_text())
+        names = {e["name"] for e in exported["traceEvents"] if e.get("ph") == "X"}
         assert {"sweep.run", "sweep.rank"} <= names
+        # --workers was defaulted: the file holds the resolved count, not null.
+        assert exported["otherData"]["metadata"]["workers"] == 1
 
     def test_report_missing_file_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -366,10 +365,12 @@ class TestServe:
         assert "1 cache hits" in flat
 
     def test_serve_telemetry_report_shows_service_counters(self, capsys, tmp_path):
+        import json
+
         telemetry = tmp_path / "serve.json"
         code, _ = run_cli(
             capsys, "--scale", "smoke", "serve", "late_sender",
-            "--sessions", "2", "--telemetry", str(telemetry),
+            "--sessions", "2", "--repeat", "2", "--telemetry", str(telemetry),
         )
         assert code == 0
         code, out = run_cli(capsys, "report", str(telemetry))
@@ -377,6 +378,12 @@ class TestServe:
         assert "service.append" in out
         assert "service.sessions_opened" in out
         assert "service.deltas_emitted" in out
+        # The result cache's own counters, published once under the service.
+        run = json.loads(telemetry.read_text())["otherData"]["metrics"]["run"]
+        assert run["service.cache_hits"]["value"] == 2
+        assert run["service.cache_misses"]["value"] == 0
+        assert run["service.cache_insertions"]["value"] == 2
+        assert run["service.cache_evictions"]["value"] == 0
 
     def test_serve_trace_and_workload_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit):
