@@ -1,26 +1,30 @@
 """Frame-backed traces: the evaluation read protocol over columnar frames.
 
-:class:`FrameTrace` exposes a set of decoded :class:`~repro.core.frames.RankFrame`
+:class:`FrameTrace` exposes a set of :class:`~repro.core.frames.RankFrame`
 columns through the same read surface as
-:class:`~repro.trace.trace.SegmentedTrace`, so the evaluation criteria —
-EXPERT analysis, approximation distance, trend retention — and the reducers
-consume a trace file without ever rebuilding its
+:class:`~repro.trace.trace.SegmentedTrace`.  It is what a trace file decodes
+to, what an in-memory trace is adapted to once, and what
+:func:`~repro.core.reconstruct.reconstruct` returns — so the reducers and all
+the evaluation criteria work on columns and never rebuild
 :class:`~repro.trace.segments.Segment` objects:
 
-* :meth:`FrameRankTrace.timestamps` fills the criterion's flat per-rank
-  timestamp layout with three strided column assignments (pure copies of the
-  decoded float64 values, so the array is bitwise identical to the
-  segment-walk form);
-* :meth:`FrameRankTrace.events` yields absolute :class:`~repro.trace.events.Event`
-  objects straight from the flattened event columns (event order inside a
-  frame *is* execution order), which is all the EXPERT analyzer reads;
+* the EXPERT analyzer (:mod:`repro.analysis.expert`) reads ``rank.frame``'s
+  event columns directly;
+* :meth:`FrameRankTrace.timestamps` fills the distance criterion's flat
+  per-rank timestamp layout with three strided column assignments (pure
+  copies of the float64 values, so the array is bitwise identical to the
+  segment-walk form), once per rank;
 * :meth:`FrameTrace.duration` is a column ``max``.
 
-The only consumers that still need segment objects are oracles and scan
-metrics; for them :attr:`FrameRankTrace.segments` lazily materializes the
-*absolute* segments from the columns — counted in
+Two object views remain for the consumers that want objects.
+:meth:`FrameRankTrace.events` yields absolute
+:class:`~repro.trace.events.Event` objects straight from the flattened event
+columns (event order inside a frame *is* execution order); its one caller in
+``src/`` is :func:`repro.analysis.profile.flat_profile`.
+:attr:`FrameRankTrace.segments` lazily materializes the *absolute* segments
+for oracles, scan metrics, tests and examples — counted in
 :attr:`RankFrame.materialized` like every other materialization, so the
-evaluation equivalence tests can assert how rarely that happens.
+evaluation tests can assert that no criterion comes through here.
 """
 
 from __future__ import annotations
@@ -40,11 +44,12 @@ __all__ = ["FrameRankTrace", "FrameTrace"]
 class FrameRankTrace:
     """One rank of a frame-backed trace, readable like ``SegmentedRankTrace``."""
 
-    __slots__ = ("frame", "_segments")
+    __slots__ = ("frame", "_segments", "_timestamps")
 
     def __init__(self, frame: RankFrame) -> None:
         self.frame = frame
         self._segments: Optional[list[Segment]] = None
+        self._timestamps: Optional[np.ndarray] = None
 
     @property
     def rank(self) -> int:
@@ -93,7 +98,18 @@ class FrameRankTrace:
         event), which turns the whole walk into three vectorized copies of
         the decoded columns — bitwise identical to the scalar walk because
         no arithmetic touches the values themselves.
+
+        Built once per rank and returned read-only: the frame's columns never
+        change, and a threshold study compares the same original trace
+        against every config's reconstruction.
         """
+        out = self._timestamps
+        if out is None:
+            out = self._timestamps = self._build_timestamps()
+            out.flags.writeable = False
+        return out
+
+    def _build_timestamps(self) -> np.ndarray:
         frame = self.frame
         n = frame.n_segments
         out = np.empty(2 * n + 2 * frame.n_events, dtype=float)

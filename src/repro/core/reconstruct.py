@@ -6,9 +6,22 @@ result has exactly the same structure as the original trace (same segments,
 same events, same MPI parameters) but approximated timestamps — which is what
 the approximation-distance and trend-retention criteria quantify.
 
+The replay is columnar.  A rank's stored representatives (tens of segments)
+are adapted once to a :class:`~repro.core.frames.RankFrame`; the execution
+list (thousands of entries) becomes a row array into it, and the rebuilt
+rank is a gather: name / MPI / context ids by one fancy index, timestamps as
+``representative column[gather] + execution start`` — the same IEEE-754 add a
+per-event ``start + offset`` performs, so every value is bit-identical to
+shifting the representative's objects one execution at a time (the reference
+the tests keep, ``tests/criteria_reference.py``).  No ``Segment`` or ``Event``
+is built per execution; the returned
+:class:`~repro.core.frametrace.FrameTrace` materializes ``.segments`` only
+for a caller that asks.
+
 For the ``iter_k`` method the paper (footnote 1) fills executions beyond the
 k collected copies with the *last* collected segment; the mean of the k
-collected copies is available as an alternative fill-in policy.
+collected copies is available as an alternative fill-in policy, whose mean
+representatives join the frame as extra rows.
 """
 
 from __future__ import annotations
@@ -17,9 +30,10 @@ from typing import Literal
 
 import numpy as np
 
+from repro.core.frames import RankFrame
+from repro.core.frametrace import FrameRankTrace, FrameTrace
 from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
 from repro.trace.segments import Segment
-from repro.trace.trace import SegmentedRankTrace, SegmentedTrace
 
 __all__ = ["reconstruct", "reconstruct_rank"]
 
@@ -54,42 +68,65 @@ def _mean_segment(group: list[StoredSegment]) -> Segment:
 
 def reconstruct_rank(
     reduced: ReducedRankTrace, *, iter_k_fill: IterKFill = "last"
-) -> SegmentedRankTrace:
-    """Reconstruct one rank's approximate segment list."""
+) -> FrameRankTrace:
+    """Reconstruct one rank's approximate trace as a frame-backed rank."""
     if iter_k_fill not in ("last", "mean"):
         raise ValueError(f"iter_k_fill must be 'last' or 'mean', got {iter_k_fill!r}")
-    by_id = reduced.stored_by_id()
+    representatives = [stored.segment for stored in reduced.stored]
+    row_of_id = {stored.segment_id: row for row, stored in enumerate(reduced.stored)}
+    try:
+        rows = np.fromiter(
+            (row_of_id[segment_id] for segment_id, _ in reduced.execs),
+            dtype=np.int64,
+            count=len(reduced.execs),
+        )
+    except KeyError as exc:
+        raise KeyError(
+            f"execution entry references unknown segment id {exc.args[0]} on rank {reduced.rank}"
+        ) from None
 
-    # Pre-compute mean representatives per structural group when requested.
-    mean_by_id: dict[int, Segment] = {}
     if iter_k_fill == "mean":
+        # One mean representative per structural group, as an extra row; a
+        # matched execution of the group's last collected copy replays it.
         groups: dict[tuple, list[StoredSegment]] = {}
         for stored in reduced.stored:
             groups.setdefault(stored.segment.structure(), []).append(stored)
+        fill_row = np.arange(len(representatives), dtype=np.int64)
         for group in groups.values():
-            mean_by_id[group[-1].segment_id] = _mean_segment(group)
+            fill_row[row_of_id[group[-1].segment_id]] = len(representatives)
+            representatives.append(_mean_segment(group))
+        matched = np.asarray(reduced.exec_matched, dtype=bool)
+        rows = np.where(matched, fill_row[rows], rows)
 
-    segments: list[Segment] = []
-    for index, ((segment_id, start), was_match) in enumerate(
-        zip(reduced.execs, reduced.exec_matched)
-    ):
-        stored = by_id.get(segment_id)
-        if stored is None:
-            raise KeyError(
-                f"execution entry references unknown segment id {segment_id} on rank {reduced.rank}"
-            )
-        representative = stored.segment
-        if was_match and iter_k_fill == "mean" and segment_id in mean_by_id:
-            representative = mean_by_id[segment_id]
-        rebuilt = representative.shifted(start).with_rank(reduced.rank)
-        rebuilt.index = index
-        segments.append(rebuilt)
-    return SegmentedRankTrace(rank=reduced.rank, segments=segments)
+    stored_frame = RankFrame.from_segments(reduced.rank, representatives)
+    starts = np.asarray([start for _, start in reduced.execs], dtype=np.float64)
+    counts = np.diff(stored_frame.ev_offsets)[rows]
+    ev_offsets = np.concatenate(([0], np.cumsum(counts)))
+    # Event j of execution i is the representative's event
+    # ``stored_frame.ev_offsets[rows[i]] + (j - ev_offsets[i])``.
+    gather = np.repeat(stored_frame.ev_offsets[:-1][rows] - ev_offsets[:-1], counts)
+    gather += np.arange(len(gather), dtype=np.int64)
+    ev_shift = np.repeat(starts, counts)
+    return FrameRankTrace(
+        RankFrame(
+            rank=reduced.rank,
+            contexts=stored_frame.contexts[rows],
+            starts=stored_frame.starts[rows] + starts,
+            ends=stored_frame.ends[rows] + starts,
+            ev_offsets=ev_offsets,
+            ev_names=stored_frame.ev_names[gather],
+            ev_starts=stored_frame.ev_starts[gather] + ev_shift,
+            ev_ends=stored_frame.ev_ends[gather] + ev_shift,
+            ev_mpi=stored_frame.ev_mpi[gather],
+            strings=stored_frame.strings,
+            mpi_table=stored_frame.mpi_table,
+        )
+    )
 
 
-def reconstruct(reduced: ReducedTrace, *, iter_k_fill: IterKFill = "last") -> SegmentedTrace:
+def reconstruct(reduced: ReducedTrace, *, iter_k_fill: IterKFill = "last") -> FrameTrace:
     """Reconstruct the approximate full trace for every rank."""
-    return SegmentedTrace(
-        name=reduced.name,
-        ranks=[reconstruct_rank(rank, iter_k_fill=iter_k_fill) for rank in reduced.ranks],
+    return FrameTrace(
+        reduced.name,
+        (reconstruct_rank(rank, iter_k_fill=iter_k_fill) for rank in reduced.ranks),
     )

@@ -162,16 +162,20 @@ def result_from_reduced(
     by the same code.
     """
     with obs.span("evaluate.criteria", method=reduced.method):
-        reconstructed = reconstruct(reduced)
-        reduced_bytes = reduced.size_bytes()
+        with obs.span("criteria.reconstruct"):
+            reconstructed = reconstruct(reduced)
+        with obs.span("criteria.size"):
+            reduced_bytes = reduced.size_bytes()
         pct = 100.0 * reduced_bytes / prepared.full_bytes if prepared.full_bytes else 100.0
-        distance = approximation_distance(prepared.segmented, reconstructed)
-        comparison = retains_trends(
-            prepared.segmented,
-            reconstructed,
-            full_report=prepared.full_report,
-            options=comparison_options,
-        )
+        with obs.span("criteria.distance"):
+            distance = approximation_distance(prepared.segmented, reconstructed)
+        with obs.span("criteria.trends"):
+            comparison = retains_trends(
+                prepared.segmented,
+                reconstructed,
+                full_report=prepared.full_report,
+                options=comparison_options,
+            )
     return EvaluationResult(
         workload=prepared.name,
         method=reduced.method,

@@ -4,12 +4,16 @@ import pytest
 
 from repro.benchmarks_ats import late_sender
 from repro.core.metrics import METRIC_NAMES, create_metric
+from repro.evaluation import runner
 from repro.evaluation.runner import (
     EvaluationResult,
     PreparedWorkload,
+    evaluate_grid,
     evaluate_method,
     evaluate_workload,
 )
+from repro.sweep.plan import SweepPlan
+from repro.trace.io import write_trace
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +89,39 @@ class TestEvaluateWorkload:
         workload = late_sender(nprocs=4, iterations=6, seed=2)
         results = evaluate_workload(workload, ["relDiff", "absDiff"])
         assert results[0].full_bytes == results[1].full_bytes
+
+
+class TestCriteriaStayColumnar:
+    def test_grid_builds_no_segment_for_any_criterion(self, tmp_path, monkeypatch):
+        """Twelve configs, four criteria each: not one ``Segment`` or ``Event`` is built.
+
+        The sweep decodes the file itself, so the prepared trace serves the
+        criteria only; every reconstructed trace is captured on its way out
+        of ``reconstruct``.
+        """
+        path = tmp_path / "late_sender.rpb"
+        write_trace(late_sender(nprocs=4, iterations=8, seed=2).run(), path)
+        prepared = PreparedWorkload.from_file(path)
+        reconstructed = []
+
+        def capturing(reduced):
+            reconstructed.append(reconstruct(reduced))
+            return reconstructed[-1]
+
+        reconstruct = runner.reconstruct
+        monkeypatch.setattr(runner, "reconstruct", capturing)
+        plan = SweepPlan.from_grid(("euclidean", "manhattan"))
+        results = evaluate_grid(prepared, plan, pipeline_source=path)
+
+        assert len(results) == len(reconstructed) == 12
+        assert prepared.segmented.materialized == 0
+        assert [trace.materialized for trace in reconstructed] == [0] * 12
+        assert any(result.approx_distance_us > 0.0 for result in results)
+
+    def test_original_timestamps_are_laid_out_once(self, prepared):
+        """The distance criterion's original side is memoised on the frame-backed rank."""
+        rank = prepared.segmented.ranks[1]
+        first = rank.timestamps()
+        evaluate_method(prepared, create_metric("relDiff"))
+        assert rank.timestamps() is first
+        assert not first.flags.writeable

@@ -200,6 +200,35 @@ def test_pipeline_trace_run_attributes_the_sizing_pass(tmp_path, capsys):
     assert "filesize.text_bytes" in obs.render_report(telemetry)
 
 
+def test_sweep_run_splits_the_criteria_span_per_config(tmp_path, capsys):
+    # ``sweep --telemetry`` must say which criterion is slow: each config's
+    # ``evaluate.criteria`` span holds the four criteria as children, once.
+    from repro.cli import main
+
+    telemetry = tmp_path / "telemetry.json"
+    assert main(["--scale", "smoke", "sweep", "late_sender", "--methods", "euclidean",
+                 "iter_avg", "--telemetry", str(telemetry)]) == 0
+    capsys.readouterr()
+    names = [e["name"] for e in obs.load_trace(telemetry)["traceEvents"] if e.get("ph") == "X"]
+    assert names.count("evaluate.criteria") == 7  # euclidean's six study thresholds + iter_avg
+    for child in ("criteria.reconstruct", "criteria.size", "criteria.distance", "criteria.trends"):
+        assert names.count(child) == 7
+    assert "criteria.trends" in obs.render_report(telemetry)
+
+
+def test_criteria_children_nest_under_their_config(small_late_sender_trace):
+    from repro.evaluation.runner import PreparedWorkload, evaluate_method
+
+    prepared = PreparedWorkload.from_segmented("late_sender", small_late_sender_trace)
+    with obs.recording("evaluate") as recorder:
+        evaluate_method(prepared, create_metric("relDiff"))
+    (parent,) = [span for span in recorder.spans if span.name == "evaluate.criteria"]
+    children = [span.name for span in recorder.spans if span.parent_id == parent.span_id]
+    assert children == [
+        "criteria.reconstruct", "criteria.size", "criteria.distance", "criteria.trends"
+    ]
+
+
 def test_span_coverage_on_synthetic_payloads():
     def payload(*intervals):
         return {
