@@ -1,27 +1,41 @@
-"""Batched candidate matching: per-key candidate lists backed by row matrices.
+"""Where representatives are stored: the per-key buckets and the one store.
 
 The matching algorithm compares every incoming segment against all stored
 representatives that share its structural key, in insertion order, returning
 the first match (Section 3.1 of the paper).  That scan is the reduction's
-inner loop, so instead of a Python loop over :class:`StoredSegment` objects
-the candidates of each key are kept in a :class:`CandidateList`: an ordered
-sequence that *also* maintains a contiguous 2-D matrix with one feature-vector
-row per representative.  A metric's dense probe (``match_row``) then
-evaluates all candidates in one NumPy broadcast and returns the first match.
+inner loop, so the candidates of each key are kept in a
+:class:`CandidateList`: an ordered sequence of
+:class:`~repro.core.reduced.StoredSegment` that, for a dense reduction, also
+holds a contiguous 2-D matrix with one feature-vector row per representative.
+A metric's dense probe (``match_row``) and the batch step evaluate all
+candidates in one NumPy broadcast and take the first match.
+
+A representative is stored once: the reducer hands
+:meth:`RepresentativeStore.add` the segment together with the feature row
+that just failed to match (and the metric's ``row_scale`` of it), and the
+bucket writes both at that moment.  Nothing is built later, so a bucket holds
+no metric and a row per entry or no rows at all (the scan-only metrics and a
+metric that mutates its representatives, whose rows would go stale).
 
 Because every candidate under one structural key has the same structure, all
 rows have the same width; the matrix grows geometrically so appending a
-representative is amortised O(row).  Rows hold whatever vector layout the
-owning metric asks for (canonical pairwise timestamps, the Minkowski layout,
-or pre-transformed wavelet coefficients) — the vectors themselves are cached
-on the :class:`StoredSegment` and invalidated when ``iter_avg`` mutates the
-stored timestamps.
+representative is amortised O(row).
+
+:class:`RepresentativeStore` is the only store: the per-key dictionary of
+buckets, unbounded by default and, given a ``capacity``, bounded with
+least-recently-used eviction at structural-key granularity.  Eviction never
+removes a representative from the *output* (segments already emitted stay
+emitted; the reduced trace remains valid); it only removes it from the
+match-candidate set, so later executions of an evicted pattern store a fresh
+representative instead of matching.  A bounded store therefore trades a
+little compression for a hard memory ceiling.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -31,10 +45,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.reduced import StoredSegment
 
 __all__ = [
-    "BATCH_STORES",
     "CandidateList",
-    "InlineStore",
     "MatchCounters",
+    "RepresentativeStore",
+    "StoreCounters",
     "first_match_index",
 ]
 
@@ -77,31 +91,43 @@ class MatchCounters(AdditiveCounts):
         return self.rows_compared / self.calls if self.calls else 0.0
 
 
+@dataclass(slots=True)
+class StoreCounters(AdditiveCounts):
+    """Lookup/eviction counters of one representative store."""
+
+    lookups: int = 0
+    hits: int = 0
+    misses: int = 0
+    evictions: int = 0
+
+    @property
+    def hit_rate(self) -> float:
+        """Hits / lookups; 1.0 when nothing was looked up."""
+        return self.hits / self.lookups if self.lookups else 1.0
+
+
 class CandidateList:
     """Ordered stored-representative bucket with a contiguous row matrix.
 
-    Behaves as a sequence of :class:`StoredSegment` (the interface the legacy
-    scan and the iteration metrics use) while lazily maintaining, for one
-    owning metric, a 2-D float matrix whose row ``i`` is the metric's feature
-    vector of entry ``i``.  The matrix is built on first use, extended
-    incrementally as representatives are appended, and compacted in place when
-    a bounded store evicts leading entries.
+    Behaves as a sequence of :class:`StoredSegment` (the interface the scan
+    and the iteration metrics use).  When its representatives are appended
+    with their feature rows, row ``i`` of the matrix is the row of entry
+    ``i`` — written at append time, compacted in place when a bounded store
+    evicts leading entries.
     """
 
-    __slots__ = ("_entries", "_owner", "_matrix", "_scales", "_built", "_views")
+    __slots__ = ("_entries", "_matrix", "_scales", "_views")
 
     #: Minimum row capacity allocated for a new matrix.
     MIN_CAPACITY = 4
 
     def __init__(self) -> None:
         self._entries: list["StoredSegment"] = []
-        self._owner = None  # metric the matrix rows belong to
-        self._matrix: Optional[np.ndarray] = None
-        self._scales: Optional[np.ndarray] = None  # per-row scale cache
-        self._built = 0  # entries materialized into the matrix so far
+        self._matrix: Optional[np.ndarray] = None  # first len(_entries) rows are live
+        self._scales: Optional[np.ndarray] = None  # per-row scale, when the metric has one
         self._views = None  # cached (matrix[:n], scales[:n])
 
-    # -- sequence protocol (what the legacy scan path sees) -------------------
+    # -- sequence protocol (what the scan sees) --------------------------------
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -116,240 +142,227 @@ class CandidateList:
         return self._entries[index]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<CandidateList {len(self._entries)} entries, {self._built} rows built>"
+        rows = "no" if self._matrix is None else "with"
+        return f"<CandidateList {len(self._entries)} entries, {rows} rows>"
 
     # -- mutation --------------------------------------------------------------
 
-    def append(self, stored: "StoredSegment") -> None:
-        """Register a new representative (its matrix row is built lazily)."""
-        self._entries.append(stored)
-        self._views = None
+    def append(
+        self,
+        stored: "StoredSegment",
+        row: Optional[np.ndarray] = None,
+        scale: Optional[float] = None,
+    ) -> None:
+        """Register a new representative, with its feature row when it has one.
 
-    def append_built(self, stored: "StoredSegment", metric, row: np.ndarray) -> None:
-        """Register a representative whose feature row is already built.
-
-        The columnar path probes each incoming segment with a pre-built
-        vector; when the segment becomes a new representative that same
-        vector *is* its matrix row, so it is written into the bucket directly
-        instead of being recomputed at the next probe.  The direct write only
-        happens when this bucket's matrix already belongs to ``metric``, has
-        no lazy backlog, and (once allocated) the row width matches; any
-        other state falls back to the plain lazy append, which stays cheap
-        because the caller seeds the vector on the stored segment's cache.
+        ``row`` is the probe vector that just failed to match — it *is* the
+        representative's matrix row — and ``scale`` the metric's
+        ``row_scale`` of it (None for a metric without the hook).  The
+        buffers are allocated on the first row and double whenever they fill
+        up.  A bucket holds a row per entry or none: mixing the two would
+        leave the dense probe comparing against a row that was never written.
         """
-        n = len(self._entries)
+        index = len(self._entries)
         matrix = self._matrix
-        if self._owner is None and not n:
-            self._owner = metric
-        if (
-            metric is self._owner
-            and self._built == n
-            and (matrix is None or row.size == matrix.shape[1])
-        ):
-            self._write_row(row, metric, n + 1)
-        self._entries.append(stored)
-        self._views = None
-
-    def _write_row(self, row: np.ndarray, metric, wanted: int) -> None:
-        """Write ``row`` as the next built matrix row (and cache its scale).
-
-        The buffers are allocated on the first row with room for ``wanted``
-        rows and double whenever they fill up.
-        """
-        index = self._built
-        matrix = self._matrix
-        if matrix is None:
-            capacity = self.MIN_CAPACITY
-            while capacity < wanted:
-                capacity *= 2
-            matrix = self._matrix = np.zeros((capacity, row.size), dtype=float)
-            if metric.row_scale is not None:
-                self._scales = np.zeros(capacity, dtype=float)
-        elif index >= matrix.shape[0]:
-            grown = np.zeros((matrix.shape[0] * 2, matrix.shape[1]), dtype=float)
-            grown[:index] = matrix[:index]
-            matrix = self._matrix = grown
+        if index and (row is None) != (matrix is None):
+            raise ValueError("a bucket's representatives all carry a feature row, or none does")
+        if row is not None:
+            if matrix is None:
+                matrix = self._matrix = np.zeros((self.MIN_CAPACITY, row.size), dtype=float)
+                if scale is not None:
+                    self._scales = np.zeros(self.MIN_CAPACITY, dtype=float)
+            elif index >= matrix.shape[0]:
+                grown = np.zeros((matrix.shape[0] * 2, matrix.shape[1]), dtype=float)
+                grown[:index] = matrix[:index]
+                matrix = self._matrix = grown
+                if self._scales is not None:
+                    scales = np.zeros(grown.shape[0], dtype=float)
+                    scales[:index] = self._scales[:index]
+                    self._scales = scales
+            matrix[index] = row
             if self._scales is not None:
-                scales = np.zeros(grown.shape[0], dtype=float)
-                scales[:index] = self._scales[:index]
-                self._scales = scales
-        matrix[index] = row
-        if self._scales is not None:
-            self._scales[index] = metric.row_scale(row)
-        self._built = index + 1
+                self._scales[index] = scale
+        self._entries.append(stored)
+        self._views = None
 
     def trim_front(self, n: int) -> None:
         """Drop the ``n`` oldest representatives, compacting matrix rows.
 
-        Used by bounded stores' eviction: the surviving rows are shifted to
-        the front of the existing buffer, so the matrix never reallocates on
-        eviction and insertion order is preserved.
+        Used by the bounded store's eviction: the surviving rows are shifted
+        to the front of the existing buffer, so the matrix never reallocates
+        on eviction and insertion order is preserved.
         """
         if n <= 0:
             return
         del self._entries[:n]
         self._views = None
-        if self._matrix is not None:
-            surviving = max(0, self._built - n)
-            if surviving:
-                self._matrix[:surviving] = self._matrix[n : n + surviving].copy()
-                if self._scales is not None:
-                    self._scales[:surviving] = self._scales[n : n + surviving].copy()
-            self._built = surviving
-
-    def refresh(self, stored: "StoredSegment") -> None:
-        """Rebuild the matrix row of a mutated representative.
-
-        Called after a metric with ``mutates_stored`` (``iter_avg``) updates a
-        stored segment's timestamps; the segment's own vector cache has been
-        invalidated by then, so the row is recomputed from fresh values.
-        """
-        if self._owner is None:
-            return
-        try:
-            index = self._entries.index(stored)
-        except ValueError:
-            return
-        if index < self._built:
-            row = np.asarray(self._owner.candidate_vector(stored), dtype=float)
-            self._matrix[index] = row
+        surviving = len(self._entries)
+        if self._matrix is not None and surviving:
+            self._matrix[:surviving] = self._matrix[n : n + surviving].copy()
             if self._scales is not None:
-                self._scales[index] = self._owner.row_scale(row)
+                self._scales[:surviving] = self._scales[n : n + surviving].copy()
 
     # -- pickling --------------------------------------------------------------
 
     def __getstate__(self):
-        """Checkpointable state: entries plus the built matrix columns.
+        """Checkpointable state: entries plus their matrix and scale rows.
 
-        The matrix and scale columns are trimmed to their built rows (spare
-        growth capacity is not worth shipping) and kept **intact** through
-        the round trip, so a restored bucket probes without a
-        rebuild-on-first-probe.  The owner metric rides along by reference;
-        inside a session checkpoint every bucket's owner is the session's one
-        metric instance, which pickle memoization keeps as a single shared
-        object.
+        The columns are trimmed to their live rows (spare growth capacity is
+        not worth shipping) and kept **intact** through the round trip, so a
+        restored bucket probes exactly as the original would.
         """
-        built = self._built
-        # A zero-row matrix (possible after eviction trimmed every built row)
-        # is stored as None: restoring a 0-capacity buffer would break the
-        # doubling growth rule, and an empty matrix carries no information.
-        keep = built > 0 and self._matrix is not None
+        n = len(self._entries)
+        # A zero-row matrix (eviction trimmed every entry) is stored as None:
+        # restoring a 0-capacity buffer would break the doubling growth rule,
+        # and an empty matrix carries no information.
+        keep = n > 0 and self._matrix is not None
         return {
             "entries": self._entries,
-            "owner": self._owner,
-            "matrix": self._matrix[:built].copy() if keep else None,
-            "scales": self._scales[:built].copy() if keep and self._scales is not None else None,
-            "built": built if keep else 0,
+            "matrix": self._matrix[:n].copy() if keep else None,
+            "scales": self._scales[:n].copy() if keep and self._scales is not None else None,
         }
 
     def __setstate__(self, state):
         self._entries = state["entries"]
-        self._owner = state["owner"]
         self._matrix = state["matrix"]
         self._scales = state["scales"]
-        self._built = state["built"]
         self._views = None
 
     # -- the matrix ------------------------------------------------------------
 
-    def matrix(self, metric) -> np.ndarray:
-        """Feature-vector matrix for ``metric``: one row per representative.
-
-        ``metric`` must provide ``candidate_vector(stored) -> 1-D ndarray``
-        (see :class:`repro.core.metrics.base.DistanceMetric`).  The matrix is
-        owned by one metric at a time; a different metric triggers a full
-        rebuild (in practice each reduction run uses a single metric).
-        """
-        return self.matrix_and_scales(metric)[0]
-
-    def matrix_and_scales(self, metric) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """Like :meth:`matrix`, plus the cached per-row scale vector.
+    def matrix_and_scales(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """The feature rows of this bucket's entries and their cached scales.
 
         Metrics whose match limit scales with each candidate's largest
         measurement magnitude (Minkowski, wavelet) declare a ``row_scale``
-        hook; its value is computed once per row at build time and cached, so
-        the kernel doesn't recompute ``abs(matrix).max(axis=1)`` on every
-        incoming segment.  Metrics without the hook get None.
+        hook; its value is stored next to the row, so the kernel doesn't
+        recompute ``abs(matrix).max(axis=1)`` on every incoming segment.
+        Metrics without the hook get None.
 
         The result pair is memoized until the bucket's rows change (append,
-        eviction, owner switch): in steady state — a probe per incoming
-        segment, few new representatives — this is a plain attribute read on
-        the reduction's hottest path.  In-place row refreshes after
-        ``iter_avg`` mutations don't invalidate it; the views alias the
-        refreshed buffer.
+        eviction): in steady state — a probe per incoming segment, few new
+        representatives — this is a plain attribute read on the reduction's
+        hottest path.
         """
-        if metric is not self._owner:
-            self._owner = metric
-            self._matrix = None
-            self._scales = None
-            self._built = 0
-            self._views = None
-        elif self._views is not None:
-            return self._views
-        n = len(self._entries)
-        while self._built < n:
-            row = np.asarray(metric.candidate_vector(self._entries[self._built]), dtype=float)
-            self._write_row(row, metric, n)
-        if self._matrix is None:
-            # No entries yet: an empty matrix with unknown width.
-            return np.zeros((0, 0), dtype=float), None
-        self._views = (self._matrix[:n], self._scales[:n] if self._scales is not None else None)
-        return self._views
+        views = self._views
+        if views is None:
+            n = len(self._entries)
+            scales = self._scales
+            views = self._views = (self._matrix[:n], None if scales is None else scales[:n])
+        return views
 
 
-class InlineStore:
-    """The unbounded per-key candidate dictionary (the reducer's default store).
+_EMPTY: tuple = ()
 
-    Also the storage layer of :class:`repro.pipeline.store.UnboundedStore`,
-    which subclasses it to add lookup counters — the unbounded semantics are
-    implemented exactly once.  Buckets are :class:`CandidateList`\\ s, so the
-    dense match kernel sees a contiguous row matrix per structural key; to
-    the per-candidate scan they still behave as ordered sequences.
+
+class RepresentativeStore:
+    """The per-key candidate buckets behind the reducer — the one store.
+
+    ``candidates(key)`` returns the representatives that share the key's
+    structure (possibly empty) and counts the lookup; ``add(key, stored)``
+    registers a new representative under the key.  Each key's bucket stays in
+    insertion order — the paper's algorithm matches against representatives
+    in the order they were first stored.
+
+    With ``capacity=None`` (the default) nothing is ever evicted.  Otherwise
+    at most ``capacity`` representatives are retained: recency is tracked per
+    structural key (a lookup hit or an insertion touches the key), and when
+    an insertion pushes the total over ``capacity``, whole
+    least-recently-used key buckets are evicted until the store fits again.
+    When everything lives under a single key (homogeneous traces — the hot
+    path a bound exists for), the oldest representatives of that bucket are
+    trimmed instead, so the capacity is a hard ceiling either way.
     """
 
-    __slots__ = ("_by_key", "_size")
-
-    def __init__(self) -> None:
-        self._by_key: dict[tuple, CandidateList] = {}
+    def __init__(self, capacity: Optional[int] = None) -> None:
+        if capacity is not None:
+            if capacity < 1:
+                raise ValueError(f"store capacity must be >= 1, got {capacity}")
+            capacity = int(capacity)
+        self.capacity = capacity
+        self.counters = StoreCounters()
+        # Recency order is only kept (and paid for) when there is a bound.
+        self._by_key: dict[Hashable, CandidateList] = {} if capacity is None else OrderedDict()
         self._size = 0
 
-    def candidates(self, key: tuple) -> Sequence["StoredSegment"]:
-        return self._by_key.get(key, ())
+    def candidates(self, key: Hashable) -> Sequence["StoredSegment"]:
+        counters = self.counters
+        counters.lookups += 1
+        found = self._by_key.get(key)
+        if found:
+            if self.capacity is not None:
+                self._by_key.move_to_end(key)
+            counters.hits += 1
+            return found
+        counters.misses += 1
+        return _EMPTY
 
-    def add(self, key: tuple, stored: "StoredSegment") -> None:
+    def add(
+        self,
+        key: Hashable,
+        stored: "StoredSegment",
+        row: Optional[np.ndarray] = None,
+        scale: Optional[float] = None,
+    ) -> None:
+        """Store a representative under ``key`` (see :meth:`CandidateList.append`)."""
         bucket = self._by_key.get(key)
         if bucket is None:
             bucket = self._by_key[key] = CandidateList()
-        bucket.append(stored)
+        bucket.append(stored, row, scale)
         self._size += 1
+        if self.capacity is not None:
+            self._by_key.move_to_end(key)
+            self._evict_over_capacity(bucket)
 
-    def add_built(self, key: tuple, stored: "StoredSegment", metric, row) -> None:
-        """Register a representative with its feature row already built.
+    def _evict_over_capacity(self, bucket: CandidateList) -> None:
+        while self._size > self.capacity:
+            if len(self._by_key) > 1:
+                _, evicted = self._by_key.popitem(last=False)
+                self._size -= len(evicted)
+                self.counters.evictions += len(evicted)
+            else:
+                # Everything lives under one structural key (the homogeneous
+                # hot path); trim its oldest representatives so the capacity
+                # really is a hard ceiling.  trim_front also compacts the
+                # bucket's matrix rows in place, keeping them contiguous.
+                excess = self._size - self.capacity
+                bucket.trim_front(excess)
+                self._size -= excess
+                self.counters.evictions += excess
 
-        Optional store hook (the columnar path discovers it via ``getattr``):
-        like :meth:`add`, but hands the bucket the probe vector that just
-        failed to match so it becomes the new matrix row without a rebuild.
-        """
-        bucket = self._by_key.get(key)
-        if bucket is None:
-            bucket = self._by_key[key] = CandidateList()
-        bucket.append_built(stored, metric, row)
-        self._size += 1
-
-    def bucket(self, key: tuple) -> Optional[CandidateList]:
+    def bucket(self, key: Hashable) -> Optional[CandidateList]:
         """The key's bucket without counting a lookup (the batch step's probe)."""
         return self._by_key.get(key)
 
     def count_lookups(self, hits: int, misses: int) -> None:
-        """Book the lookups the batch step resolved in bulk (no-op: nothing counts here)."""
+        """Book the lookups the batch step resolved in bulk."""
+        counters = self.counters
+        counters.lookups += hits + misses
+        counters.hits += hits
+        counters.misses += misses
 
     def __len__(self) -> int:
+        """Number of representatives currently retained as match candidates."""
         return self._size
 
+    def __getstate__(self):
+        """Explicit checkpoint state: capacity, (recency-ordered) buckets, counters.
 
-#: Store classes the reducer's batch step may serve, by *exact* type.  The
-#: step reads ``bucket()`` and books ``count_lookups()`` in place of calling
-#: ``candidates()`` per row, so a subclass that filters or counts in
-#: ``candidates``/``add``/``add_built`` is not covered by its parent's entry:
-#: it keeps the per-row step until it adds itself here.
-BATCH_STORES: set = {InlineStore}
+        Spelled out (rather than relying on the default protocol) so
+        the session checkpoint format is stable against refactors of the
+        class layout; bucket keys are rehashed on restore by dict
+        reconstruction, which is what makes checkpoints portable across
+        processes with different string-hash salts.
+        """
+        return {
+            "capacity": self.capacity,
+            "by_key": self._by_key,
+            "size": self._size,
+            "counters": self.counters,
+        }
+
+    def __setstate__(self, state):
+        self.capacity = state["capacity"]
+        self.counters = state["counters"]
+        self._by_key = state["by_key"]
+        self._size = state["size"]

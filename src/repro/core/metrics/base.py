@@ -33,7 +33,9 @@ class SimilarityMetric(ABC):
     threshold: Optional[float] = None
 
     #: True when :meth:`on_match` mutates the chosen representative's
-    #: timestamps (``iter_avg``); the reducer then refreshes cached rows.
+    #: timestamps (``iter_avg``).  The reducer then gives the metric a private
+    #: copy of every segment it stores and never keeps feature rows of them —
+    #: they would go stale — so such a metric is always probed by :meth:`match`.
     mutates_stored: bool = False
 
     @abstractmethod
@@ -95,20 +97,16 @@ class DistanceMetric(SimilarityMetric):
     # -- batched matching ------------------------------------------------------
 
     def vector_key(self) -> Hashable:
-        """Cache key of this metric's vector layout on :class:`StoredSegment`.
+        """Name of this metric's vector layout: the sweep's feature-family key.
 
         Metrics sharing a layout (e.g. relDiff and absDiff, which both use
-        the canonical pairwise vector) share cached vectors.
+        the canonical pairwise vector) share one bulk vector pass per frame.
         """
         return "pairwise"
 
     def build_vector(self, segment: Segment) -> np.ndarray:
         """This metric's feature vector of one (normalised) segment."""
         return np.asarray(segment.timestamps(), dtype=float)
-
-    def candidate_vector(self, stored: StoredSegment) -> np.ndarray:
-        """Feature vector of a stored representative, memoized on the segment."""
-        return stored.cached_vector(self.vector_key(), self.build_vector)
 
     def frame_vectors(self, frame: "RankFrame") -> list[np.ndarray]:
         """Every segment's feature vector, built in bulk from a columnar frame.
@@ -123,21 +121,11 @@ class DistanceMetric(SimilarityMetric):
         return [self.build_vector(frame.segment(i)) for i in range(frame.n_segments)]
 
     #: Optional hook ``row_scale(rows)``: the scale of one candidate row — or,
-    #: reducing over the last axis, of each row of a stack — cached next to
-    #: the row at matrix-build time and handed to :meth:`match_stats` as
+    #: reducing over the last axis, of each row of a stack — stored next to
+    #: the row with the representative and handed to :meth:`match_stats` as
     #: ``row_scales``.  None (the default) means the metric's limit does not
     #: depend on a per-row statistic, so no scale vector is maintained.
     row_scale = None
-
-    #: Optional scalar kernel ``match_one(vector, row) -> bool``: decides one
-    #: probe against one cached feature row with 1-D operations, reproducing
-    #: :meth:`similar`'s decision exactly.  Metrics that define it get a
-    #: depth-one fast path — a single-candidate bucket skips the ``(1, n)``
-    #: axis reductions and mask bookkeeping of the dense kernel, which is
-    #: what keeps the batched probe ahead of the legacy scan even when every
-    #: bucket holds one representative.  None (the default) means depth-one
-    #: buckets use the dense kernel like any other bucket.
-    match_one = None
 
     @abstractmethod
     def match_stats(
@@ -186,12 +174,7 @@ class DistanceMetric(SimilarityMetric):
         against this metric's own threshold; the *first* matching
         representative is returned, mirroring the scan.
         """
-        matrix, scales = candidates.matrix_and_scales(self)
-        if matrix.shape[0] == 1 and self.match_one is not None:
-            # Depth-one bucket: scalar kernel on the cached row — 1-D ops
-            # beat a (1, n) axis reduction, and unlike the scan the stored
-            # vector never gets rebuilt.
-            return candidates[0] if self.match_one(vector, matrix[0]) else None
+        matrix, scales = candidates.matrix_and_scales()
         stat, base = self.match_stats(vector, matrix, scales)
         limits = self.threshold if base is None else self.threshold * base
         index = first_match_index(stat <= limits)

@@ -53,12 +53,6 @@ class RelDiff(DistanceMetric):
         rel = relative_differences(new_ts, stored_ts)
         return bool(np.all(rel <= self.threshold))
 
-    def match_one(self, vector: np.ndarray, row: np.ndarray) -> bool:
-        # max(rel) <= t decides identically to all(rel <= t): the values are
-        # finite and non-negative (see match_stats).
-        rel = relative_differences(vector, row)
-        return rel.max(initial=0.0) <= self.threshold
-
     def match_stats(
         self,
         vector: np.ndarray,
@@ -92,12 +86,6 @@ class AbsDiff(DistanceMetric):
         stored_segment: Segment,
     ) -> bool:
         return bool(np.all(np.abs(new_ts - stored_ts) <= self.threshold))
-
-    def match_one(self, vector: np.ndarray, row: np.ndarray) -> bool:
-        # max(|d|) <= t decides identically to all(|d| <= t) on finite values;
-        # the ndarray.max method skips the np.all dispatch wrapper, which is
-        # most of a depth-one probe's kernel cost.
-        return np.abs(row - vector).max(initial=0.0) <= self.threshold
 
     def match_stats(
         self,

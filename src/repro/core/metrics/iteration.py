@@ -51,7 +51,7 @@ class IterAvg(SimilarityMetric):
     name = "iter_avg"
 
     #: on_match folds the candidate into the stored running mean, mutating the
-    #: representative's timestamps — cached candidate rows must be refreshed.
+    #: representative's timestamps.
     mutates_stored = True
 
     def __init__(self) -> None:

@@ -8,7 +8,7 @@ the evaluation criteria (degree of matching).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -27,47 +27,24 @@ class StoredSegment:
     executions this representative stands for; ``iter_avg`` additionally keeps
     the running mean of the timestamps in the representative itself.
 
-    Representatives additionally memoize the feature vectors the distance
-    metrics derive from the segment (canonical pairwise layout, Minkowski
-    layout, transformed wavelet coefficients), keyed by the metric's cache
-    key.  The cache is invalidated whenever the stored timestamps mutate
-    (``iter_avg``'s running mean) and is never pickled — workers rebuild
-    vectors locally, so cached arrays don't inflate result payloads.
+    Its pickled state is the compact ``(id, segment, count)`` triple: pool
+    workers ship every representative back to the parent, so the state must
+    not grow with the class.
     """
 
     segment_id: int
     segment: Segment
     count: int = 1
-    _vectors: Optional[dict] = field(default=None, repr=False, compare=False)
 
     def timestamps(self) -> np.ndarray:
         """Relative timestamp vector in the canonical segment layout."""
         return np.asarray(self.segment.timestamps(), dtype=float)
 
-    def cached_vector(
-        self, key: Hashable, build: Callable[[Segment], np.ndarray]
-    ) -> np.ndarray:
-        """Feature vector built by ``build(segment)``, memoized under ``key``."""
-        cache = self._vectors
-        if cache is None:
-            cache = self._vectors = {}
-        vector = cache.get(key)
-        if vector is None:
-            vector = cache[key] = build(self.segment)
-        return vector
-
-    def invalidate_vectors(self) -> None:
-        """Drop memoized feature vectors (the stored timestamps changed)."""
-        self._vectors = None
-
     def __getstate__(self):
-        # The vector cache is derived data; rebuilding is cheaper than
-        # shipping ndarrays across process-pool pickle boundaries.
         return (self.segment_id, self.segment, self.count)
 
     def __setstate__(self, state):
         self.segment_id, self.segment, self.count = state
-        self._vectors = None
 
     def update_mean(self, new_timestamps: np.ndarray) -> None:
         """Fold one more execution into the running mean of the timestamps.
@@ -97,7 +74,6 @@ class StoredSegment:
             event.start = float(values[2 * i])
             event.end = float(values[2 * i + 1])
         self.segment.end = float(values[-1])
-        self.invalidate_vectors()
 
 
 @dataclass(slots=True)

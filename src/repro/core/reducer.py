@@ -13,11 +13,13 @@ That step is written twice, on purpose: the core and the scalar reference.
 :class:`ReductionState` is the columnar core, the only way the product
 reduces: one (rank, config) reduction stepped over a
 :class:`~repro.core.frames.RankFrame`, materializing a segment only when it
-becomes a representative — :meth:`TraceReducer.reduce_frame` (and through it
-:meth:`TraceReducer.reduce`, the evaluation runner and the pipeline), the
-online session and the sweep engine all step it.  The core has two steps
-with one outcome: the per-row ``match``/``record`` step, and its exact batch
-form :meth:`ReductionState.match_batch`, which resolves a whole frame per
+becomes a representative.  :func:`step_frame` is the one loop that steps
+states over a frame — :meth:`TraceReducer.reduce_frame` (and through it
+:meth:`TraceReducer.reduce`, the evaluation runner, the pipeline and the
+online session) calls it with one state, the sweep engine with its whole
+grid.  The core has two steps with one outcome: the per-row
+``match``/``record`` step, and its exact batch form
+:meth:`ReductionState.match_batch`, which resolves a whole frame per
 structural key in ``O(keys + new representatives)`` kernel calls; a state
 takes the batch step whenever :attr:`ReductionState.batchable` holds.
 
@@ -27,21 +29,21 @@ the metric's scalar ``match`` scan for every segment.  The equivalence
 suites, the fuzz oracles, ``--verify`` and the benchmark's output check hold
 the core to its bytes; it shares no loop and no kernel with the core.
 
-The candidate-list bookkeeping is delegated to a pluggable representative
-store (see :mod:`repro.pipeline.store`) — anything with ``candidates(key)`` /
-``add(key, stored)`` — which is how the pipeline bounds reducer memory; with
-no store an unbounded :class:`~repro.core.candidates.InlineStore` is used.
+Representatives live in a
+:class:`~repro.core.candidates.RepresentativeStore`, one per (rank, config):
+unbounded by default, bounded by its ``capacity`` when the pipeline caps
+reducer memory.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, Iterable, Optional, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.core.candidates import BATCH_STORES, InlineStore, MatchCounters
+from repro.core.candidates import MatchCounters, RepresentativeStore
 from repro.core.frames import RankFrame
 from repro.core.metrics.base import DistanceMetric, SimilarityMetric
 from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
@@ -51,7 +53,7 @@ from repro.trace.trace import SegmentedTrace
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.frametrace import FrameTrace
 
-__all__ = ["TraceReducer", "ReductionState", "KeyBatches", "reduce_trace", "SegmentStore"]
+__all__ = ["TraceReducer", "ReductionState", "KeyBatches", "step_frame", "reduce_trace"]
 
 #: Element budget of one broadcast kernel call of the batch step: probes are
 #: blocked so ``probes × representatives × width`` stays under it, which keeps
@@ -98,14 +100,6 @@ def _probe_kernel(metric: DistanceMetric) -> bool:
     ) and all(np.array_equal(both[:, :, j], stats(matrix[j], probes, (3,))) for j in range(2))
 
 
-class SegmentStore(Protocol):
-    """What the reducer needs from a representative store (duck-typed)."""
-
-    def candidates(self, key: tuple) -> Sequence[StoredSegment]: ...
-
-    def add(self, key: tuple, stored: StoredSegment) -> None: ...
-
-
 class KeyBatches:
     """A frame's rows grouped by interned structural key, first appearance first.
 
@@ -136,30 +130,28 @@ class ReductionState:
     representative store and the continuing :class:`ReducedRankTrace` — and
     is stepped one frame row at a time: look the row's key up
     (:attr:`lookup`), :meth:`match` a non-empty bucket, :meth:`record` the
-    outcome.  :meth:`TraceReducer.reduce_frame` steps one state over a frame
-    (the online session continues the same store and output across frames);
-    the sweep engine steps one state per config over one shared frame.
+    outcome.  :func:`step_frame` does the stepping (the online session
+    continues the same store and output across frames; the sweep engine
+    steps one state per config over one shared frame).
 
-    The probe is chosen once, at construction: a distance metric over a
-    matrix-backed store (one with the ``add_built`` hook) is probed with the
-    frame's pre-built feature rows (:attr:`dense`), so only representatives
-    ever materialize; any other pairing is probed with the materialized
-    segment itself.
+    The probe is chosen once, at construction: a distance metric that leaves
+    its representatives alone is probed with the frame's pre-built feature
+    rows (:attr:`dense`) against the rows its bucket stored, so only
+    representatives ever materialize; any other metric — the iteration
+    methods, a distance metric that rewrites what it stored — is probed with
+    the materialized segment itself through its exact ``match`` scan.
 
     So is the step.  :attr:`batchable` is the predicate: the state is dense,
-    the metric neither mutates stored segments nor overrides ``on_match``,
-    its kernel serves the broadcast call shapes (:func:`_kernel_broadcasts`),
-    and the store is, by exact type, one of
-    :data:`~repro.core.candidates.BATCH_STORES` — the unbounded
-    :class:`~repro.core.candidates.InlineStore` and its counting
-    ``UnboundedStore``.  Then a decision depends only on the representatives
-    that precede the row under its own key, and :meth:`match_batch` resolves
-    a whole frame key by key.  ``iter_avg`` rewrites a representative on
-    every match, a custom ``on_match`` must see each segment, a bounded store
-    evicts by the order of its hits — each makes a later decision depend on
-    every earlier one — and a store subclass may filter or count in the
-    ``candidates`` call the batch step skips, so those states keep the
-    per-row step.
+    the metric does not override ``on_match``, its kernel serves the
+    broadcast call shapes (:func:`_kernel_broadcasts`), and the store is an
+    unbounded :class:`~repro.core.candidates.RepresentativeStore` by exact
+    type.  Then a decision depends only on the representatives that precede
+    the row under its own key, and :meth:`match_batch` resolves a whole frame
+    key by key.  ``iter_avg`` rewrites a representative on every match, a
+    custom ``on_match`` must see each segment, a bounded store evicts by the
+    order of its hits — each makes a later decision depend on every earlier
+    one — and a store subclass may filter or count in the ``candidates`` call
+    the batch step skips, so those states keep the per-row step.
     """
 
     __slots__ = (
@@ -172,8 +164,6 @@ class ReductionState:
         "batchable",
         "_next_id",
         "_probe",
-        "_add_built",
-        "_vector_key",
         "_mutates",
         "_default_on_match",
     )
@@ -182,7 +172,7 @@ class ReductionState:
         self,
         metric: SimilarityMetric,
         reduced: ReducedRankTrace,
-        store: SegmentStore,
+        store: RepresentativeStore,
         counters: Optional[MatchCounters] = None,
     ) -> None:
         self.metric = metric
@@ -191,19 +181,19 @@ class ReductionState:
         self.lookup = store.candidates  # prebound: hottest call in the loop
         self.counters = counters
         self._next_id = len(reduced.stored)
-        self._add_built = getattr(store, "add_built", None)
-        self.dense = isinstance(metric, DistanceMetric) and self._add_built is not None
-        self._probe = metric.match_row if self.dense else metric.match
-        self._vector_key = metric.vector_key() if self.dense else None
         self._mutates = metric.mutates_stored
+        self.dense = isinstance(metric, DistanceMetric) and not self._mutates
+        self._probe = metric.match_row if self.dense else metric.match
         # When on_match is the base-class default (count the match) it runs
         # inline, so matches never force a Segment materialization.
         self._default_on_match = type(metric).on_match is SimilarityMetric.on_match
         self.batchable = (
             self.dense
-            and not self._mutates
             and self._default_on_match
-            and type(store) in BATCH_STORES
+            # Exact type: a subclass may filter or count in ``candidates``,
+            # which the batch step does not call.
+            and type(store) is RepresentativeStore
+            and store.capacity is None
             and _kernel_broadcasts(metric)
         )
 
@@ -237,12 +227,10 @@ class ReductionState:
     ) -> None:
         """Book one frame row: a match against ``chosen``, or a new representative.
 
-        On a match, record the execution and update the chosen representative
-        (refreshing its cached rows if the metric mutates it).  Otherwise
-        store the row as a new representative; a dense probe ``vector`` seeds
-        its vector cache with a private copy (a frame row is a view that
-        would pin the whole group matrix) and is handed to the bucket so the
-        row is never recomputed.
+        On a match, record the execution and update the chosen
+        representative.  Otherwise store the row as a new representative; a
+        dense probe ``vector`` goes into the bucket with it, as its matrix
+        row.
 
         ``rel`` is the caller's one-element cache of the row's materialized
         normalised segment, shared by every state stepped over the row; it is
@@ -262,10 +250,6 @@ class ReductionState:
                 if relative is None:
                     relative = rel[0] = frame.segment(index)
                 self.metric.on_match(relative, chosen)
-            if self._mutates:
-                refresh = getattr(candidates, "refresh", None)
-                if refresh is not None:
-                    refresh(chosen)
             return
         if self._mutates:
             # The metric will rewrite the stored timestamps in place
@@ -286,16 +270,15 @@ class ReductionState:
         """Store ``segment`` as the next representative, standing for ``count`` executions."""
         stored = StoredSegment(segment_id=self._next_id, segment=segment, count=count)
         self._next_id += 1
-        if vector is not None and not self._mutates:
-            row = np.array(vector)
-            stored.cached_vector(self._vector_key, lambda _s, _row=row: _row)
-            self._add_built(key, stored, self.metric, row)
-        else:
+        if vector is None:
             self.store.add(key, stored)
+        else:
+            scale = self.metric.row_scale  # a vector means a dense state: a distance metric
+            self.store.add(key, stored, vector, None if scale is None else scale(vector))
         self.reduced.stored.append(stored)
         return stored
 
-    def match_batch(self, batches: KeyBatches, shared: Optional[dict] = None) -> None:
+    def match_batch(self, batches: KeyBatches, shared: dict) -> None:
         """Match-or-store every row of ``batches.frame``: the exact batch step.
 
         Only for a :attr:`batchable` state.  Per structural key, in the order
@@ -340,7 +323,7 @@ class ReductionState:
         for key, rows, probes in batches.groups:
             bucket = store.bucket(key)
             if bucket:
-                matrix, scales = bucket.matrix_and_scales(metric)
+                matrix, scales = bucket.matrix_and_scales()
                 block = max(1, _BLOCK_ELEMENTS // matrix.size)
                 first = np.empty(len(rows), dtype=np.intp)
                 for lo in range(0, len(rows), block):
@@ -380,14 +363,67 @@ class ReductionState:
         counts = np.bincount(ids, minlength=first_id)
         for sid in np.flatnonzero(counts[:first_id]).tolist():
             reduced.stored[sid].count += int(counts[sid])
-        if shared is None:
-            shared = {}
         keys = frame.structural_keys()
         for row, count in zip(new_rows.tolist(), counts[first_id:].tolist()):
             segment = shared.get(row)
             if segment is None:
                 segment = shared[row] = frame.segment(row)
             self._store_new(keys[row], segment, vectors[row], count)
+
+
+def step_frame(
+    frame: RankFrame,
+    groups: Sequence[tuple[Sequence[ReductionState], Optional[Sequence[np.ndarray]]]],
+) -> None:
+    """Match-or-store every row of ``frame`` in every state: the one frame driver.
+
+    Each entry of ``groups`` is ``(states, vectors)``: states probed alike —
+    with ``vectors``, their metrics' common feature row per frame row (they
+    are all :attr:`~ReductionState.dense`), or with the materialized segment
+    when ``vectors`` is None.
+
+    A vectorized group whose states are all
+    :attr:`~ReductionState.batchable` is resolved by the batch step, state by
+    state over one shared :class:`KeyBatches` grouping; every other group
+    takes the per-row step, all of them inside one pass over the rows.
+    Either way each state makes the decisions a solo run makes, in the same
+    order.
+    """
+    # Materialized segments by frame row, across everything stepped over the
+    # frame: a row that several states store is still built once.
+    shared: dict[int, Segment] = {}
+    stepped = []
+    for states, vectors in groups:
+        if vectors is not None and all(state.batchable for state in states):
+            batches = KeyBatches(frame, vectors)
+            for state in states:
+                state.match_batch(batches, shared)
+        else:
+            stepped.append((states, vectors))
+    if not stepped:
+        return
+    keys = frame.structural_keys()
+    starts = frame.starts_list()
+    for i in range(frame.n_segments):
+        key = keys[i]
+        start = starts[i]
+        # One-element cache of the row's materialized normalised segment,
+        # shared by every state that needs the object itself.
+        rel: list = [shared.get(i)]
+        for states, vectors in stepped:
+            if vectors is None:
+                probe = rel[0]
+                if probe is None:
+                    probe = rel[0] = frame.segment(i)
+                vector = None
+            else:
+                # One pre-built row serves every member state, both as the
+                # match probe and as the matrix row of a new representative.
+                probe = vector = vectors[i]
+            for state in states:
+                candidates = state.lookup(key)
+                chosen = state.match(probe, candidates) if candidates else None
+                state.record(key, start, candidates, chosen, vector, frame, i, rel)
 
 
 class TraceReducer:
@@ -419,7 +455,7 @@ class TraceReducer:
         segments: Iterable[Segment],
         *,
         rank: int = 0,
-        store: Optional[SegmentStore] = None,
+        store: Optional[RepresentativeStore] = None,
         match_counters: Optional[MatchCounters] = None,
         into: Optional[ReducedRankTrace] = None,
     ) -> ReducedRankTrace:
@@ -440,7 +476,7 @@ class TraceReducer:
         """
         reduced = ReducedRankTrace(rank=rank) if into is None else into
         if store is None:
-            store = InlineStore()
+            store = RepresentativeStore()
         next_id = len(reduced.stored)
         metric = self.metric
         matcher = metric.match
@@ -481,7 +517,7 @@ class TraceReducer:
         self,
         frame: RankFrame,
         *,
-        store: Optional[SegmentStore] = None,
+        store: Optional[RepresentativeStore] = None,
         match_counters: Optional[MatchCounters] = None,
         into: Optional[ReducedRankTrace] = None,
     ) -> ReducedRankTrace:
@@ -503,28 +539,9 @@ class TraceReducer:
         reduced = ReducedRankTrace(rank=frame.rank) if into is None else into
         reduced.n_segments += frame.n_segments
         state = ReductionState(
-            self.metric, reduced, InlineStore() if store is None else store, match_counters
+            self.metric, reduced, RepresentativeStore() if store is None else store, match_counters
         )
-        vectors = self.metric.frame_vectors(frame) if state.dense else None
-        if state.batchable:
-            state.match_batch(KeyBatches(frame, vectors))
-            return reduced
-        keys = frame.structural_keys()
-        starts = frame.starts_list()
-        lookup, match, record = state.lookup, state.match, state.record
-
-        rel: list = [None]  # the row's materialized segment, reset per row
-        vector = None  # the row's feature vector, when that is the probe
-        for i in range(frame.n_segments):
-            if vectors is None:
-                probe = rel[0] = frame.segment(i)
-            else:
-                probe = vector = vectors[i]
-                rel[0] = None
-            key = keys[i]
-            candidates = lookup(key)
-            chosen = match(probe, candidates) if candidates else None
-            record(key, starts[i], candidates, chosen, vector, frame, i, rel)
+        step_frame(frame, [([state], self.metric.frame_vectors(frame) if state.dense else None)])
         return reduced
 
     # -- whole-trace reduction --------------------------------------------------
@@ -567,8 +584,8 @@ class TraceReducer:
         """Reduce ``(rank, segment stream)`` pairs serially, in stream order.
 
         ``store_factory`` builds one representative store per rank (e.g.
-        ``lambda: LRUStore(1000)``); with None each rank gets the unbounded
-        inline dictionary.
+        ``lambda: RepresentativeStore(1000)``); with None each rank gets an
+        unbounded one.
         """
         reduced = ReducedTrace(
             name=name,

@@ -38,7 +38,7 @@ from repro.core.reduced import ReducedTrace
 from repro.evaluation.approximation import timestamp_errors
 from repro.fuzz.generators import DISTANCE_METRICS, CaseConfig
 from repro.pipeline.engine import PipelineConfig, ReductionPipeline
-from repro.pipeline.store import LRUStore, create_store
+from repro.pipeline.store import create_store
 from repro.service.cache import source_digest
 from repro.service.checkpoint import restore_state, session_state
 from repro.service.session import ReductionSession, SessionConfig
@@ -207,7 +207,7 @@ def oracle_frame_per_row(ctx: CaseContext) -> Optional[str]:
     if ctx.config.store_capacity is not None:
         raise OracleSkip("a bounded case's frame_path already takes the per-row step")
     capacity = 1 + sum(len(rank.segments) for rank in ctx.segmented.ranks)
-    return ctx.check(_reduce_frames(ctx, lambda: LRUStore(capacity)), "per-row frame path")
+    return ctx.check(_reduce_frames(ctx, lambda: create_store(capacity)), "per-row frame path")
 
 
 # --------------------------------------------------------------------------

@@ -321,22 +321,3 @@ class MetricsRegistry:
             else:
                 values[name] = MetricValue(kind=metric.kind, value=metric.value)
         return MetricsSnapshot(values=values)
-
-    def merge_snapshot(self, snapshot: MetricsSnapshot) -> None:
-        """Fold a snapshot's totals into this registry (counters add, etc.)."""
-        for name, value in snapshot.values.items():
-            if value.kind == "counter":
-                self.counter(name).inc(value.value)
-            elif value.kind == "gauge":
-                gauge = self.gauge(name)
-                gauge.set(max(gauge.value, value.value))
-            else:
-                histogram = self.histogram(name)
-                histogram.count += value.count
-                histogram.total += value.total
-                for bound in (value.min,):
-                    if bound is not None and (histogram.min is None or bound < histogram.min):
-                        histogram.min = bound
-                for bound in (value.max,):
-                    if bound is not None and (histogram.max is None or bound > histogram.max):
-                        histogram.max = bound

@@ -27,7 +27,7 @@ from repro.pipeline.engine import (
     sweep_pipeline,
 )
 from repro.pipeline.stats import PipelineStats
-from repro.pipeline.store import LRUStore, RepresentativeStore, StoreCounters, UnboundedStore, create_store
+from repro.pipeline.store import RepresentativeStore, StoreCounters, create_store
 from repro.pipeline.stream import rank_segment_streams, source_name
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
     "sweep_pipeline",
     "PipelineStats",
     "RepresentativeStore",
-    "UnboundedStore",
-    "LRUStore",
     "StoreCounters",
     "create_store",
     "rank_segment_streams",

@@ -103,18 +103,19 @@ class PipelineConfig:
     Attributes
     ----------
     executor:
-        ``"serial"``, ``"thread"``, or ``"process"`` (see module docstring).
+        ``"serial"`` (the default, and the measured winner on every workload
+        so far), ``"thread"``, or ``"process"`` (see module docstring).
     workers:
         Pool size; ``None`` means ``os.cpu_count()`` (ignored by ``serial``).
     store_capacity:
-        Bound on representatives kept per rank (:class:`~repro.pipeline.store.LRUStore`);
+        Bound on representatives kept per rank (the store's ``capacity``);
         ``None`` keeps the unbounded, byte-identical default.
     merge:
         Run the inter-process merge (cross-rank representative dedup) as a
         final stage.
     """
 
-    executor: str = "process"
+    executor: str = "serial"
     workers: Optional[int] = None
     store_capacity: Optional[int] = None
     merge: bool = False

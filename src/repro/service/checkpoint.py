@@ -14,10 +14,11 @@ Two properties make that work:
   object sharing — a representative referenced by both the store and the
   already-emitted output is one object after restore too, which matters for
   ``iter_avg`` (matches mutate stored timestamps) and for count updates.
-* Keys and candidate state rehash/rebuild on restore
-  (:class:`~repro.core.frames.InternedKey` re-derives its cached hash;
-  candidate matrices re-grow from their trimmed copies), so checkpoints are
-  portable across processes with different string-hash salts.
+* Keys rehash on restore (:class:`~repro.core.frames.InternedKey` re-derives
+  its cached hash; the stores' bucket dictionaries are rebuilt from their
+  items), so checkpoints are portable across processes with different
+  string-hash salts.  Candidate matrices come back as the trimmed copies of
+  their live rows and keep doubling from there.
 
 The reducer itself is *not* pickled — it is stateless given the metric — and
 is rebuilt from the metric, so checkpoints stay small and stable across
@@ -46,7 +47,7 @@ __all__ = [
 
 #: Bump when the payload layout changes; restores reject other versions
 #: instead of resuming from a misread state.
-STATE_VERSION = 2
+STATE_VERSION = 3
 
 
 def session_state(session: ReductionSession) -> bytes:
@@ -78,9 +79,8 @@ def restore_state(data: bytes) -> ReductionSession:
         session = ReductionSession.__new__(ReductionSession)
         session.name = payload["name"]
         session.config = payload["config"]
-        # The restored metric instance, not a fresh one: candidate lists in
-        # the stores hold it as their owner, and ``iter_avg`` keeps per-run
-        # state nowhere else — identity must survive the round trip.
+        # The restored metric instance, not a fresh one: a metric may keep
+        # per-run state (a counting ``on_match``), which must survive too.
         session.metric = payload["metric"]
         session.reducer = TraceReducer(session.metric)
         session.seq = payload["seq"]

@@ -1,10 +1,11 @@
 """Shared-ingest sweep engine: one columnar frame, N reduction states.
 
-For each rank the engine steps one
+For each rank the engine builds one
 :class:`~repro.core.reducer.ReductionState` per config of a
-:class:`~repro.sweep.plan.SweepPlan` over the same frame — the match-or-store
-step itself lives in the core — sharing all the per-segment work that does
-not depend on the config:
+:class:`~repro.sweep.plan.SweepPlan` and hands the whole grid to the core's
+frame driver (:func:`~repro.core.reducer.step_frame`) — the match-or-store
+step and the loop that drives it live in the core — sharing all the
+per-segment work that does not depend on the config:
 
 * the rank's :class:`~repro.core.frames.RankFrame` itself (``.rpb`` files
   decode straight to columns; other sources adapt through the segments→frame
@@ -13,19 +14,18 @@ not depend on the config:
   bulk passes (one vectorized subtraction and one interning sweep per rank
   instead of a ``relative_to_start()`` copy and a tuple hash per segment);
 * each feature family's feature vectors, built in one bulk frame pass and
-  used both as the dense-kernel probe of every member config and — via
-  the :class:`~repro.core.reduced.StoredSegment` vector cache — as the
-  candidate row when a member config stores the segment as a representative.
+  used both as the dense-kernel probe of every member config and as the
+  matrix row a member config's bucket writes when it stores the segment as a
+  representative.
 
 Everything config-dependent stays private per config: the representative
 store, the :class:`~repro.core.candidates.CandidateList` buckets and their
-row matrices, the reduced-trace output, and the segment-id sequence.  A
-vectorized family whose states are all
-:attr:`~repro.core.reducer.ReductionState.batchable` is resolved by the
-core's batch step, one config at a time over one shared
-:class:`~repro.core.reducer.KeyBatches` grouping of the family's vectors;
-scan-only families and bounded stores take the core's per-row step.  Either
-way the per-config decisions are the ones a solo run makes, in the same
+row matrices, the reduced-trace output, and the segment-id sequence.  The
+driver resolves a vectorized family whose states are all
+:attr:`~repro.core.reducer.ReductionState.batchable` by the batch step, one
+config at a time over one shared :class:`~repro.core.reducer.KeyBatches`
+grouping of the family's vectors; scan-only families and bounded stores take
+the per-row step.  Either way the per-config decisions are the ones a solo run makes, in the same
 order, so each config's reduced trace serializes byte-identical to a solo
 :meth:`~repro.core.reducer.TraceReducer.reduce` and to the scalar reference
 (the equivalence suite asserts exactly that for all nine metrics).
@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Optional, Union
 from repro import obs
 from repro.core.frames import RankFrame
 from repro.core.reduced import ReducedRankTrace, ReducedTrace
-from repro.core.reducer import KeyBatches, ReductionState
+from repro.core.reducer import ReductionState, step_frame
 from repro.obs.metrics import AdditiveCounts, Counts
 from repro.pipeline.stats import StageClock
 from repro.pipeline.store import create_store
@@ -250,44 +250,7 @@ class SweepEngine:
                 vector_builds_naive += n_segments * len(states)
             families.append((states, vectors))
 
-        # A family whose states all take the batch step is resolved config by
-        # config over one shared grouping of its probe vectors; ``shared`` is
-        # the grid-wide cache of materialized segments, so a row that several
-        # configs store is still built once.
-        shared: dict[int, Segment] = {}
-        stepped = []
-        for states, vectors in families:
-            if vectors is not None and all(state.batchable for state in states):
-                batches = KeyBatches(frame, vectors)
-                for state in states:
-                    state.match_batch(batches, shared)
-            else:
-                stepped.append((states, vectors))
-
-        # Scan-only families (the iteration methods inspect the segment
-        # object itself) and bounded stores keep the per-row step.
-        keys = frame.structural_keys()
-        starts = frame.starts_list()
-        for i in range(n_segments) if stepped else ():
-            key = keys[i]
-            start = starts[i]
-            # One-element cache of the segment's materialized normalised
-            # form, shared by every config that needs the object itself.
-            rel: list = [shared.get(i)]
-            for states, vectors in stepped:
-                if vectors is None:
-                    probe = rel[0]
-                    if probe is None:
-                        probe = rel[0] = frame.segment(i)
-                    vector = None
-                else:
-                    # One pre-built row serves every member config, both as
-                    # the match probe and as the stored candidate's cached row.
-                    probe = vector = vectors[i]
-                for state in states:
-                    candidates = state.lookup(key)
-                    chosen = state.match(probe, candidates) if candidates else None
-                    state.record(key, start, candidates, chosen, vector, frame, i, rel)
+        step_frame(frame, families)
 
         result = _RankSweep(
             rank=rank,

@@ -6,9 +6,9 @@ grouping into :class:`FeatureFamily`\\ s: configs whose metrics derive the
 *same* feature vector from any given segment, so the sweep engine computes
 that vector once per segment per family instead of once per config.
 
-The family key is the metric's ``vector_key()`` — the same key the
-:class:`~repro.core.reduced.StoredSegment` vector cache uses — so grouping
-can never merge configs with different vector layouts: relDiff/absDiff share
+The family key is the metric's ``vector_key()``, the name of its vector
+layout, so grouping can never merge configs with different layouts:
+relDiff/absDiff share
 the canonical pairwise layout, the three Minkowski variants share the
 Minkowski layout, and each wavelet transform (and padding ablation) is its
 own family because the rows hold transformed coefficients.  Methods without

@@ -47,6 +47,7 @@ import json
 import math
 import struct
 import tokenize
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -323,13 +324,30 @@ def _read_index(path: Path) -> RpbIndex:
             footer = json.loads(handle.read(size - _TAIL.size - footer_offset))
         except ValueError as error:
             raise RpbFormatError(f"{path} has a corrupt footer: {error}") from error
-    entries = tuple(
-        RpbRankEntry(rank=r, offset=o, length=l, n_records=n)
-        for r, o, l, n in footer["ranks"]
-    )
-    return RpbIndex(
-        version=footer["version"], entries=entries, strings=tuple(footer["strings"])
-    )
+    try:
+        return _index_from_footer(footer)
+    except RpbFormatError as error:
+        raise RpbFormatError(f"{path} has a corrupt footer: {error}") from error
+
+
+def _index_from_footer(footer) -> RpbIndex:
+    """Check the parsed footer's shape: damaged JSON is often still JSON."""
+    if not isinstance(footer, dict) or set(footer) != {"version", "ranks", "strings"}:
+        raise RpbFormatError("not an object with exactly version, ranks and strings")
+    version, ranks, strings = footer["version"], footer["ranks"], footer["strings"]
+    if version != _VERSION:
+        raise RpbFormatError(f"unsupported format version {version!r}")
+    if not isinstance(ranks, list) or not all(
+        isinstance(row, list) and len(row) == 4 and all(type(v) is int for v in row)
+        for row in ranks
+    ):
+        raise RpbFormatError("ranks is not a list of [rank, offset, length, n_records] integers")
+    if len({row[0] for row in ranks}) != len(ranks):
+        raise RpbFormatError("a rank is listed twice")
+    if not isinstance(strings, list) or not all(isinstance(value, str) for value in strings):
+        raise RpbFormatError("strings is not a list of strings")
+    entries = tuple(RpbRankEntry(rank=r, offset=o, length=l, n_records=n) for r, o, l, n in ranks)
+    return RpbIndex(version=version, entries=entries, strings=tuple(strings))
 
 
 def rank_ids(path: str | Path) -> list[int]:
@@ -491,9 +509,10 @@ def _block_arrays(block: bytes, n_members: int) -> list[np.ndarray]:
             )
         try:
             array = np.frombuffer(block, dtype=dtype, count=count, offset=data_start)
+            # Inside the try: a sub-array dtype yields more items than ``shape`` holds.
+            arrays.append(array.reshape(shape[::-1]).T if fortran_order else array.reshape(shape))
         except ValueError as error:
             raise RpbFormatError(f"array {member} cannot be decoded: {error}") from error
-        arrays.append(array.reshape(shape[::-1]).T if fortran_order else array.reshape(shape))
         pos = data_start + array.nbytes
     if pos != len(block):
         raise RpbFormatError(f"{len(block) - pos} trailing bytes after array {n_members - 1}")
@@ -539,6 +558,26 @@ def _load_columns(handle: BinaryIO, entry: RpbRankEntry, strings: tuple[str, ...
     return columns
 
 
+@contextmanager
+def _block_values(path: Path, rank: int) -> Iterator[None]:
+    """Report the value checks of objects built from a rank block as format errors.
+
+    The format has no checksum, so a damaged byte can pass every shape check
+    of :func:`_load_columns` and only be caught when the block's values are
+    put into :class:`MpiCallInfo`, :class:`TraceRecord` or :class:`Event`
+    (a string-table byte that spells no MPI operation, an MPI row pointing at
+    an EXIT record).  A stream that decodes but breaks the segmentation rules
+    still raises :class:`~repro.trace.segments.SegmentationError`, as it
+    would from any other source.
+    """
+    try:
+        yield
+    except RpbFormatError:
+        raise
+    except ValueError as error:
+        raise RpbFormatError(f"{path}: rank {rank} block holds an invalid trace: {error}") from error
+
+
 def _read_rank_columns(path: Path, rank: int, index: Optional[RpbIndex] = None) -> _RankColumns:
     with obs.span("rpb.decode_columns", rank=rank):
         index = index or read_index(path)
@@ -566,8 +605,10 @@ def _records_from_columns(columns: _RankColumns) -> Iterator[TraceRecord]:
 
 def iter_rank_records(path: str | Path, rank: int) -> Iterator[TraceRecord]:
     """Decode one rank's records via the footer index (random access)."""
-    columns = _read_rank_columns(Path(path), rank)
-    yield from _records_from_columns(columns)
+    path = Path(path)
+    columns = _read_rank_columns(path, rank)
+    with _block_values(path, rank):
+        yield from _records_from_columns(columns)
 
 
 def _segments_from_columns(columns: _RankColumns) -> Iterator[Segment]:
@@ -687,11 +728,12 @@ def iter_rank_segments(path: str | Path, rank: int) -> Iterator[Segment]:
     vectorized decoder; malformed ranks fall back to the record-by-record
     state machine so the error matches what the text path would raise.
     """
-    columns = _read_rank_columns(Path(path), rank)
-    segments = _segments_from_columns_fast(columns)
-    if segments is None:
-        yield from _segments_from_columns(columns)
-    else:
+    path = Path(path)
+    columns = _read_rank_columns(path, rank)
+    with _block_values(path, rank):
+        segments = _segments_from_columns_fast(columns)
+        if segments is None:
+            segments = _segments_from_columns(columns)  # lazy: raises while iterated
         yield from segments
 
 
@@ -755,7 +797,7 @@ def rank_frame(path: str | Path, rank: int) -> RankFrame:
     path (and the byte-identity oracle).
     """
     path = Path(path)
-    with obs.span("columnar.decode", rank=rank, source="rpb"):
+    with obs.span("columnar.decode", rank=rank, source="rpb"), _block_values(path, rank):
         return _frame_from_columns(_read_rank_columns(path, rank))
 
 
@@ -811,11 +853,11 @@ def _read_trace_rpb(path: Path, name: str | None) -> Trace:
     with path.open("rb") as handle:
         for entry in index.entries:
             columns = _load_columns(handle, entry, index.strings)
-            by_rank[entry.rank] = RankTrace(
-                rank=entry.rank, records=list(_records_from_columns(columns))
-            )
+            with _block_values(path, entry.rank):
+                records = list(_records_from_columns(columns))
+            by_rank[entry.rank] = RankTrace(rank=entry.rank, records=records)
     nprocs = max(by_rank) + 1
     missing = [r for r in range(nprocs) if r not in by_rank]
     if missing:
-        raise ValueError(f"trace file {path} is missing ranks {missing}")
+        raise RpbFormatError(f"trace file {path} is missing ranks {missing}")
     return Trace(name=name or path.stem, ranks=[by_rank[r] for r in range(nprocs)])

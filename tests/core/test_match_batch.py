@@ -1,5 +1,5 @@
-"""Tests for the batched matching engine: cached vectors, candidate
-matrices, the per-family dense kernels, the metric-kernel bugfixes
+"""Tests for the batched matching engine: candidate matrices written at
+store time, the per-family dense kernels, the metric-kernel bugfixes
 (zero-clamped match limits), and the reducer's key-batched step (its
 kernels' broadcast forms, its predicate, its exactness)."""
 
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core.candidates import CandidateList, InlineStore, MatchCounters, first_match_index
+from repro.core.candidates import CandidateList, MatchCounters, first_match_index
 from repro.core.frames import RankFrame
 from repro.core.metrics import DEFAULT_THRESHOLDS, METRIC_CLASSES, create_metric
 from repro.core.metrics.distance import AbsDiff, RelDiff, relative_differences
@@ -20,7 +20,7 @@ from repro.core import reducer as reducer_module
 from repro.core.reducer import KeyBatches, ReductionState, TraceReducer
 from repro.fuzz.executor import plan_cases
 from repro.fuzz.generators import generate_case
-from repro.pipeline.store import LRUStore, UnboundedStore
+from repro.pipeline.store import RepresentativeStore, create_store
 from repro.trace.io import serialize_reduced_trace
 
 from tests.conftest import make_segment
@@ -31,6 +31,19 @@ DISTANCE_METRICS = [RelDiff, AbsDiff, Manhattan, Euclidean, Chebyshev, AvgWave, 
 
 def _stored(segment, sid=0):
     return StoredSegment(segment_id=sid, segment=segment)
+
+
+def _append(bucket, metric, stored):
+    """Store ``stored`` with its feature row and scale, as a dense state does."""
+    row = metric.build_vector(stored.segment)
+    bucket.append(stored, row, None if metric.row_scale is None else metric.row_scale(row))
+
+
+def _bucket(metric, entries):
+    bucket = CandidateList()
+    for entry in entries:
+        _append(bucket, metric, entry)
+    return bucket
 
 
 def _dense(metric, candidate, bucket):
@@ -71,12 +84,10 @@ class TestCandidateList:
         assert bucket[-1] is entries[2]
 
     def test_matrix_rows_follow_insertion_order(self):
-        metric = AbsDiff(1.0)
-        bucket = CandidateList()
         deltas = [0.0, 3.0, 7.0]
-        for i, d in enumerate(deltas):
-            bucket.append(_stored(_jittered(d), sid=i))
-        matrix = bucket.matrix(metric)
+        bucket = _bucket(AbsDiff(1.0), [_stored(_jittered(d), sid=i) for i, d in enumerate(deltas)])
+        matrix, scales = bucket.matrix_and_scales()
+        assert scales is None
         assert matrix.shape == (3, 5)
         for row, delta in zip(matrix, deltas):
             np.testing.assert_allclose(
@@ -87,100 +98,46 @@ class TestCandidateList:
         metric = AbsDiff(1.0)
         bucket = CandidateList()
         for i in range(CandidateList.MIN_CAPACITY + 3):
-            bucket.append(_stored(_jittered(float(i)), sid=i))
-            matrix = bucket.matrix(metric)
+            _append(bucket, metric, _stored(_jittered(float(i)), sid=i))
+            matrix, _ = bucket.matrix_and_scales()
             assert matrix.shape[0] == i + 1
             # The backing buffer only ever doubles.
             assert bucket._matrix.shape[0] in (4, 8, 16)
             np.testing.assert_allclose(matrix[i][0], 1.0 + i)
 
     def test_trim_front_compacts_rows(self):
-        metric = AbsDiff(1.0)
-        bucket = CandidateList()
-        for i in range(5):
-            bucket.append(_stored(_jittered(float(i)), sid=i))
-        bucket.matrix(metric)
+        bucket = _bucket(AbsDiff(1.0), [_stored(_jittered(float(i)), sid=i) for i in range(5)])
         bucket.trim_front(2)
         assert [s.segment_id for s in bucket] == [2, 3, 4]
-        matrix = bucket.matrix(metric)
+        matrix, _ = bucket.matrix_and_scales()
         assert matrix.shape == (3, 5)
         np.testing.assert_allclose(matrix[:, 0], [3.0, 4.0, 5.0])
 
     def test_trim_front_compacts_row_scales(self):
-        metric = Euclidean(0.2)
-        bucket = CandidateList()
-        for i in range(4):
-            bucket.append(_stored(_jittered(float(i)), sid=i))
-        _, scales = bucket.matrix_and_scales(metric)
+        bucket = _bucket(Euclidean(0.2), [_stored(_jittered(float(i)), sid=i) for i in range(4)])
         bucket.trim_front(2)
-        _, scales = bucket.matrix_and_scales(metric)
+        _, scales = bucket.matrix_and_scales()
         np.testing.assert_allclose(scales, [52.0, 53.0])
 
-    def test_different_metric_rebuilds_matrix(self):
-        bucket = CandidateList()
-        bucket.append(_stored(_jittered(0.0)))
-        pairwise = bucket.matrix(AbsDiff(1.0))
-        minkowski = bucket.matrix(Euclidean(0.2))
-        assert pairwise.shape[1] == 5
-        assert minkowski.shape[1] == 5
-        # Minkowski layout leads with the segment duration.
-        assert minkowski[0, 0] == pytest.approx(50.0)
-        assert pairwise[0, 0] == pytest.approx(1.0)
-
-    def test_refresh_rebuilds_mutated_row(self):
-        metric = AbsDiff(1.0)
-        bucket = CandidateList()
-        stored = _stored(_jittered(0.0))
-        bucket.append(stored)
-        before = bucket.matrix(metric).copy()
-        stored.update_mean(np.asarray([3.0, 22.0, 27.0, 42.0, 52.0]))
-        bucket.refresh(stored)
-        after = bucket.matrix(metric)
-        assert not np.allclose(before, after)
-        np.testing.assert_allclose(after[0], stored.timestamps())
-
-    def test_refresh_without_matrix_is_noop(self):
-        bucket = CandidateList()
-        stored = _stored(_jittered(0.0))
-        bucket.append(stored)
-        bucket.refresh(stored)  # no matrix built yet; must not raise
-
-
-class TestStoredSegmentVectorCache:
-    def test_cached_vector_memoized(self):
-        stored = _stored(_jittered(0.0))
-        calls = []
-
-        def build(segment):
-            calls.append(segment)
-            return np.asarray(segment.timestamps())
-
-        first = stored.cached_vector("k", build)
-        second = stored.cached_vector("k", build)
-        assert first is second
-        assert len(calls) == 1
-
-    def test_update_mean_invalidates_cache(self):
+    def test_trimmed_to_empty_then_refilled(self):
         metric = Euclidean(0.2)
-        stored = _stored(_jittered(0.0))
-        before = metric.candidate_vector(stored)
-        stored.update_mean(np.asarray([3.0, 22.0, 27.0, 42.0, 52.0]))
-        after = metric.candidate_vector(stored)
-        assert before is not after
-        assert not np.allclose(before, after)
-        # Duration leads the Minkowski layout: mean of 50 and 52.
-        assert after[0] == pytest.approx(51.0)
+        bucket = _bucket(metric, [_stored(_jittered(float(i)), sid=i) for i in range(3)])
+        bucket.trim_front(3)
+        assert not bucket
+        _append(bucket, metric, _stored(_jittered(9.0), sid=9))
+        matrix, scales = bucket.matrix_and_scales()
+        assert matrix.shape == (1, 5) and matrix[0, 0] == pytest.approx(59.0)
+        assert scales.tolist() == [59.0]
 
-    def test_pickle_drops_cache(self):
-        import pickle
-
-        metric = AvgWave(0.2)
-        stored = _stored(_jittered(0.0))
-        metric.candidate_vector(stored)
-        clone = pickle.loads(pickle.dumps(stored))
-        assert clone._vectors is None
-        assert clone.segment_id == stored.segment_id
-        np.testing.assert_allclose(clone.timestamps(), stored.timestamps())
+    def test_rows_for_every_entry_or_for_none(self):
+        metric = AbsDiff(1.0)
+        with_rows = _bucket(metric, [_stored(_jittered(0.0))])
+        with pytest.raises(ValueError, match="feature row"):
+            with_rows.append(_stored(_jittered(1.0), sid=1))
+        without = CandidateList()
+        without.append(_stored(_jittered(0.0)))
+        with pytest.raises(ValueError, match="feature row"):
+            _append(without, metric, _stored(_jittered(1.0), sid=1))
 
 
 @pytest.mark.parametrize("metric_cls", DISTANCE_METRICS)
@@ -196,17 +153,13 @@ class TestKernelAgainstScan:
         metric = metric_cls(threshold if metric_cls is not AbsDiff else threshold * 1000)
         candidate = _jittered(0.0)
         entries = self._candidates()
-        bucket = CandidateList()
-        for entry in entries:
-            bucket.append(entry)
         scanned = metric.match(candidate, entries)
-        batched = _dense(metric, candidate, bucket)
+        batched = _dense(metric, candidate, _bucket(metric, entries))
         assert scanned is batched
 
     def test_no_match_returns_none(self, metric_cls):
         metric = metric_cls(1e-12)
-        bucket = CandidateList()
-        bucket.append(_stored(_jittered(250.0)))
+        bucket = _bucket(metric, [_stored(_jittered(250.0))])
         assert _dense(metric, _jittered(0.0), bucket) is None
 
 
@@ -233,9 +186,7 @@ class TestZeroClampedLimitsFixed:
         a, b = self._negative_pair()
         metric = metric_cls(0.2)
         stored = _stored(b)
-        bucket = CandidateList()
-        bucket.append(stored)
-        assert _dense(metric, a, bucket) is metric.match(a, [stored])
+        assert _dense(metric, a, _bucket(metric, [stored])) is metric.match(a, [stored])
 
     def test_wavelet_non_positive_coefficients_can_match(self):
         class NegatedAvgWave(AvgWave):
@@ -248,9 +199,7 @@ class TestZeroClampedLimitsFixed:
         metric = NegatedAvgWave(0.2)
         assert metric.transformed(a).max() < 0.0
         assert metric.match(a, [_stored(b)]) is not None
-        bucket = CandidateList()
-        bucket.append(_stored(b))
-        assert _dense(metric, a, bucket) is not None
+        assert _dense(metric, a, _bucket(metric, [_stored(b)])) is not None
 
     def test_paper_worked_examples_still_hold(self, paper_segments):
         """The magnitude fix must not change the paper's worked-example results."""
@@ -380,20 +329,7 @@ class _CountingRelDiff(RelDiff):
         super().on_match(candidate, chosen)
 
 
-class _ListStore:
-    """Duck-typed store: plain lists, no ``add_built`` hook, so never dense."""
-
-    def __init__(self):
-        self.by_key = {}
-
-    def candidates(self, key):
-        return self.by_key.get(key, ())
-
-    def add(self, key, stored):
-        self.by_key.setdefault(key, []).append(stored)
-
-
-class _FilteringStore(UnboundedStore):
+class _FilteringStore(RepresentativeStore):
     """Hides every other lookup's bucket: only the per-row step calls ``candidates``."""
 
     def __init__(self):
@@ -414,8 +350,6 @@ class _LegacyKernelRelDiff(RelDiff):
 
 class _AsymmetricAbsDiff(AbsDiff):
     """Limit relative to the stored row alone: probe and row are not interchangeable."""
-
-    match_one = None
 
     def similar(self, new_ts, stored_ts, new_segment, stored_segment):
         limit = self.threshold * np.abs(stored_ts).max(initial=0.0)
@@ -439,29 +373,26 @@ def _mixed_rank():
 
 class TestPredicate:
     @pytest.mark.parametrize("name", DISTANCE_NAMES)
-    @pytest.mark.parametrize("store_cls", [InlineStore, UnboundedStore])
-    def test_distance_metric_on_unbounded_store_batches(self, name, store_cls):
-        state = ReductionState(create_metric(name), ReducedRankTrace(rank=0), store_cls())
+    def test_distance_metric_on_unbounded_store_batches(self, name):
+        state = ReductionState(create_metric(name), ReducedRankTrace(rank=0), create_store())
         assert state.dense and state.batchable
 
     @pytest.mark.parametrize(
         "make_metric, make_store",
         [
-            (lambda: create_metric("iter_avg"), UnboundedStore),
-            (lambda: create_metric("iter_k", 2), UnboundedStore),
-            (lambda: _CountingRelDiff(0.8), UnboundedStore),
-            (lambda: RelDiff(0.8), _ListStore),
-            (lambda: RelDiff(0.8), lambda: LRUStore(1000)),
+            (lambda: create_metric("iter_avg"), create_store),
+            (lambda: create_metric("iter_k", 2), create_store),
+            (lambda: _CountingRelDiff(0.8), create_store),
+            (lambda: RelDiff(0.8), lambda: create_store(1000)),
             (lambda: RelDiff(0.8), _FilteringStore),
-            (lambda: _LegacyKernelRelDiff(0.8), UnboundedStore),
-            (lambda: _AsymmetricAbsDiff(0.05), UnboundedStore),
+            (lambda: _LegacyKernelRelDiff(0.8), create_store),
+            (lambda: _AsymmetricAbsDiff(0.05), create_store),
         ],
         ids=[
             "iter_avg",
             "iter_k",
             "on_match_override",
-            "no_add_built",
-            "lru_store",
+            "bounded_store",
             "store_subclass",
             "axis1_kernel",
             "asymmetric_kernel",
@@ -499,7 +430,7 @@ class TestPredicate:
             (lambda: _AsymmetricAbsDiff(0.4), grown, ()),
         ]:
             metric = make_metric()
-            reduced = _chunked(metric, segments, cuts, UnboundedStore())
+            reduced = _chunked(metric, segments, cuts, create_store())
             assert _bytes(metric, [reduced]) == _bytes(metric, [_scan(make_metric(), segments)])
         assert [sid for sid, _ in reduced.execs] == [0, 1, 0]
 
@@ -508,7 +439,7 @@ class TestPredicate:
         batch, per_row = MatchCounters(), MatchCounters()
         frame = RankFrame.from_segments(0, segments)
         reduced = TraceReducer(RelDiff(0.1)).reduce_frame(frame, match_counters=batch)
-        stepped = _per_row(RelDiff(0.1), segments, LRUStore(1000), per_row)
+        stepped = _per_row(RelDiff(0.1), segments, create_store(1000), per_row)
         assert _bytes(RelDiff(0.1), [reduced]) == _bytes(RelDiff(0.1), [stepped])
         assert per_row.calls == stepped.n_possible_matches
         assert batch.calls <= len(reduced.stored) < per_row.calls
@@ -525,6 +456,41 @@ class TestPredicate:
         assert len(reads) == 2 * counters.calls > 0
 
 
+class TestRowsAreWrittenWhenStored:
+    @pytest.mark.parametrize("cuts", [(), (5, 6, 17)], ids=["whole", "chunked"])
+    @pytest.mark.parametrize("capacity", [None, 8])
+    @pytest.mark.parametrize("name", sorted(METRIC_CLASSES))
+    def test_every_dense_bucket_is_fully_built(self, name, capacity, cuts):
+        """Nothing restores a missing row on demand, so none may ever be missing."""
+        # Three keys, mostly strangers at a strict threshold, every fifth a repeat.
+        segments = [
+            _jittered(3.0 * (i - i % 5), context="abc"[i % 3]).shifted(100.0 * i)
+            for i in range(30)
+        ]
+        strict = name in DISTANCE_NAMES  # the iteration methods keep their defaults
+        metric = create_metric(name, DEFAULT_THRESHOLDS[name] / 50 if strict else None)
+        store = create_store(capacity)
+        reduced = _chunked(metric, segments, cuts, store)
+        dense = ReductionState(metric, reduced, store).dense
+        assert dense == (name in DISTANCE_NAMES)
+        buckets = list(store._by_key.values())
+        assert sum(len(bucket) for bucket in buckets) == len(store) > 0
+        for bucket in buckets:
+            if not dense:
+                assert bucket._matrix is None and bucket._scales is None
+                continue
+            matrix, scales = bucket.matrix_and_scales()
+            assert len(matrix) == len(bucket) > 0
+            assert (scales is None) == (metric.row_scale is None)
+            for i, entry in enumerate(bucket):
+                row = metric.build_vector(entry.segment)
+                assert matrix[i].tobytes() == row.tobytes(), (name, capacity, cuts, i)
+                if scales is not None:
+                    assert scales[i] == metric.row_scale(row)
+        if capacity is not None and dense:
+            assert store.counters.evictions > 0  # rows survived trimming and bucket eviction
+
+
 class TestBatchExactness:
     def test_first_match_wins_in_both_stages(self):
         # At absDiff(10) the jitters 0 and 18 are strangers and 9 matches both:
@@ -532,7 +498,7 @@ class TestBatchExactness:
         # after 1) and against an existing bucket (cut after 2, cut twice).
         segments = [_jittered(d).shifted(100.0 * i) for i, d in enumerate((0.0, 18.0, 9.0, 9.0))]
         for cuts in [(), (1,), (2,), (1, 2), (3,)]:
-            reduced = _chunked(AbsDiff(10.0), segments, cuts, UnboundedStore())
+            reduced = _chunked(AbsDiff(10.0), segments, cuts, create_store())
             assert [sid for sid, _ in reduced.execs] == [0, 1, 0, 0], cuts
             assert [s.count for s in reduced.stored] == [3, 1], cuts
 
@@ -543,14 +509,14 @@ class TestBatchExactness:
         segments = [s.shifted(1000.0 * i) for i in range(3) for s in _mixed_rank()]
         counters = MatchCounters()
         metric = Euclidean(0.001)
-        reducer, store = TraceReducer(metric), UnboundedStore()
+        reducer, store = TraceReducer(metric), create_store()
         head = reducer.reduce_frame(RankFrame.from_segments(0, segments[:8]), store=store)
         tail = RankFrame.from_segments(0, segments[8:])
         # Every tail row repeats a head row: no leader rounds, so per key
         # ceil(probes / block) calls against the bucket the head left.
         expected_calls = 0
         for key, rows, _ in KeyBatches(tail, metric.frame_vectors(tail)).groups:
-            block = max(1, budget // store.bucket(key).matrix(metric).size)
+            block = max(1, budget // store.bucket(key).matrix_and_scales()[0].size)
             expected_calls += -(-len(rows) // block)
         reduced = reducer.reduce_frame(tail, store=store, into=head, match_counters=counters)
         assert _bytes(metric, [reduced]) == _bytes(metric, [_scan(Euclidean(0.001), segments)])
@@ -569,7 +535,7 @@ class TestBatchExactness:
         # depth, down to a one-row chunk behind n - 1 rows), and row by row.
         for cuts in [(), *((k,) for k in range(1, n)), tuple(range(1, n))]:
             metric = create_metric(name, threshold)
-            store = UnboundedStore()
+            store = create_store()
             reduced = _chunked(metric, segments, cuts, store)
             assert _bytes(metric, [reduced]) == expected, (name, threshold, cuts)
             assert [s.count for s in reduced.stored] == [s.count for s in expected_rank.stored]
@@ -585,7 +551,7 @@ class TestBatchExactness:
         # Bucket order, matrix rows, cached scales and counters, byte for byte.
         threshold = DEFAULT_THRESHOLDS[name] / 50
         cuts = (len(segments) // 2,)
-        batch_store, row_store = UnboundedStore(), UnboundedStore()
+        batch_store, row_store = create_store(), create_store()
         batch = _chunked(create_metric(name, threshold), segments, cuts, batch_store)
         stepped = _per_row(create_metric(name, threshold), segments, row_store, cuts=cuts)
         assert pickle.dumps(batch_store) == pickle.dumps(row_store)
@@ -612,7 +578,7 @@ class TestFuzzFamiliesReplayed:
             ]
             assert _bytes(metric, whole) == expected, case.describe()
             halves = [
-                _chunked(metric, r.segments, (len(r.segments) // 2,), UnboundedStore())
+                _chunked(metric, r.segments, (len(r.segments) // 2,), create_store())
                 for r in trace.ranks
             ]
             assert _bytes(metric, halves) == expected, case.describe()

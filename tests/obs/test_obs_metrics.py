@@ -99,18 +99,6 @@ def test_merge_kind_mismatch_raises():
         counter.merged_with(gauge)
 
 
-def test_registry_merge_snapshot_back_in():
-    worker = MetricsRegistry()
-    worker.inc("reduce.matches", 9)
-    worker.observe("dispatch.payload_bytes", 123)
-
-    parent = MetricsRegistry()
-    parent.inc("reduce.matches", 1)
-    parent.merge_snapshot(worker.snapshot())
-    assert parent.counter("reduce.matches").get() == 10
-    assert parent.histogram("dispatch.payload_bytes").max == 123
-
-
 def test_json_roundtrip_preserves_snapshot():
     registry = MetricsRegistry()
     registry.inc("pipeline.segments", 40)

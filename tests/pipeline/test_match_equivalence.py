@@ -97,8 +97,8 @@ class TestBatchScanEquivalence:
 
 
 class TestIterAvgInvalidation:
-    """iter_avg mutates stored timestamps via update_mean; cached vectors and
-    candidate-matrix rows must be refreshed, not served stale."""
+    """iter_avg mutates stored timestamps via update_mean: a metric that does
+    so is judged by its exact scan, never against rows that went stale."""
 
     def test_iter_avg_batch_equals_scan(self, random_trace):
         scanned = reference_reduce(create_metric("iter_avg"), random_trace)
@@ -106,9 +106,9 @@ class TestIterAvgInvalidation:
         assert serialize_reduced_trace(batched) == serialize_reduced_trace(scanned)
 
     def test_mutating_distance_metric_refreshes_matrix_rows(self, random_trace):
-        """A distance metric that averages on match (iter_avg-style mutation
-        on the core's per-row matrix path) must stay byte-identical to the
-        scan — this fails if stale cached rows survive update_mean."""
+        """A distance metric that averages on match (iter_avg-style mutation)
+        must stay byte-identical to the scan — this fails if the core probes
+        it against feature rows written before update_mean."""
 
         class AveragingAbsDiff(AbsDiff):
             name = "absDiffAvg"

@@ -21,7 +21,7 @@ def executor(request):
 class TestConfig:
     def test_defaults(self):
         config = PipelineConfig()
-        assert config.executor == "process"
+        assert config.executor == "serial"
         assert config.store_capacity is None
         assert not config.merge
 

@@ -158,12 +158,12 @@ def probe_and_bucket(draw):
 
 
 @pytest.mark.parametrize("metric_name", ["relDiff", "absDiff"])
-class TestMatchOne:
+class TestDepthOneBucket:
     @given(data=probe_and_bucket(), threshold=thresholds)
     @settings(max_examples=40, deadline=None)
-    def test_depth_one_kernel_matches_dense_decision(self, metric_name, data, threshold):
-        # The depth-one scalar fast path must reproduce the dense kernel's
-        # (and therefore the scan's) decision exactly.
+    def test_dense_kernel_on_one_row_matches_scan_decision(self, metric_name, data, threshold):
+        # A one-representative bucket takes the dense kernel like any other;
+        # its (1, n) reduction must decide exactly as the scan's ``similar``.
         probe, stored = data
         metric = create_metric(metric_name, threshold)
         vector = metric.build_vector(probe)
@@ -171,4 +171,4 @@ class TestMatchOne:
             row = metric.build_vector(segment)
             stat, base = metric.match_stats(vector, row[np.newaxis, :])
             dense = bool(stat[0] <= (threshold if base is None else threshold * base[0]))
-            assert metric.match_one(vector, row) == dense
+            assert metric.similar(vector, row, probe, segment) == dense

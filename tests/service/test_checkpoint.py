@@ -1,7 +1,7 @@
 """Checkpoint/restore: a resumed session continues bit-identically.
 
 Covers the pickle satellites (stores and candidate lists round-trip with
-their PR 8 summary-index columns intact) and the end-to-end guarantee:
+their matrix and scale columns intact) and the end-to-end guarantee:
 checkpoint mid-trace, restore — in this process or a freshly spawned one —
 finish, and the reduced bytes, digest, and stats equal an uninterrupted
 run's, including when bounded-store evictions happen on both sides of the
@@ -18,7 +18,7 @@ from repro.benchmarks_ats import late_sender
 from repro.core.candidates import CandidateList
 from repro.core.metrics import METRIC_NAMES, create_metric
 from repro.core.reduced import StoredSegment
-from repro.pipeline.store import LRUStore, UnboundedStore
+from repro.pipeline.store import create_store
 from repro.pipeline.stream import rank_segment_streams
 from repro.service import (
     ReductionSession,
@@ -64,24 +64,18 @@ def _run_straight(config, streams):
 class TestStorePickles:
     """Satellite: stores round-trip with the candidate-matrix columns intact."""
 
-    def _populated_bucket(self, store, segments):
+    def _populate(self, store, segments, first_id=0):
+        # ``segments`` share one structure (the fixture's iteration bodies).
         metric = create_metric("euclidean")
-        for i, segment in enumerate(segments):
+        for i, segment in enumerate(segments, first_id):
             relative = segment.relative_to_start()
-            key = "k"
-            stored = StoredSegment(segment_id=i, segment=relative)
-            vector = np.asarray(relative.timestamps(), dtype=float)
-            if hasattr(store, "add_built"):
-                store.add_built(key, stored, metric, vector)
-            else:
-                store.add(key, stored)
-        return metric
+            row = metric.build_vector(relative)
+            store.add("k", StoredSegment(segment_id=i, segment=relative), row, metric.row_scale(row))
 
-    @pytest.mark.parametrize("make", [UnboundedStore, lambda: LRUStore(64)])
-    def test_round_trip_preserves_columns_and_counters(self, streams, make):
-        store = make()
-        segments = streams[0][:6]
-        self._populated_bucket(store, segments)
+    @pytest.mark.parametrize("capacity", [None, 64])
+    def test_round_trip_preserves_columns_and_counters(self, streams, capacity):
+        store = create_store(capacity)
+        self._populate(store, streams[0][1:7])
         store.candidates("k")
         store.candidates("missing")
         clone = pickle.loads(pickle.dumps(store))
@@ -90,40 +84,43 @@ class TestStorePickles:
         assert clone.counters.misses == store.counters.misses
         bucket, bucket_clone = store.candidates("k"), clone.candidates("k")
         assert [s.segment_id for s in bucket_clone] == [s.segment_id for s in bucket]
-        # The candidate-matrix columns survive: matrix rows and scales equal
-        # the original's built prefix.
+        # The candidate-matrix columns survive, trimmed to their live rows.
         assert isinstance(bucket_clone, CandidateList)
-        np.testing.assert_array_equal(bucket_clone._matrix, bucket._matrix[: bucket._built])
-        if bucket._scales is not None:
-            np.testing.assert_array_equal(
-                bucket_clone._scales, bucket._scales[: bucket._built]
-            )
+        np.testing.assert_array_equal(bucket_clone._matrix, bucket._matrix[:6])
+        np.testing.assert_array_equal(bucket_clone._scales, bucket._scales[:6])
 
     def test_restored_bucket_keeps_growing(self, streams):
         # The growth rule doubles the matrix row count; a restored bucket
-        # must re-grow cleanly from its trimmed copy (including the
-        # zero-rows-into-None normalization for unbuilt buckets).
-        store = LRUStore(64)
-        metric = self._populated_bucket(store, streams[0][:3])
+        # must grow cleanly from its trimmed copy.
+        store = create_store(64)
+        self._populate(store, streams[0][1:4])
         clone = pickle.loads(pickle.dumps(store))
-        for i, segment in enumerate(streams[0][3:9]):
-            relative = segment.relative_to_start()
-            clone.add_built(
-                "k",
-                StoredSegment(segment_id=100 + i, segment=relative),
-                metric,
-                np.asarray(relative.timestamps(), dtype=float),
-            )
-        assert len(clone.candidates("k")) == 9
+        self._populate(clone, streams[0][4:9], first_id=100)
+        bucket = clone.candidates("k")
+        assert len(bucket) == 8
+        matrix, scales = bucket.matrix_and_scales()
+        assert len(matrix) == len(scales) == 8
+
+    def test_emptied_bucket_round_trips_without_a_zero_row_matrix(self, streams):
+        # Eviction can trim every row of a bucket; a 0-capacity buffer would
+        # break the doubling growth rule, so it is pickled as no matrix.
+        bucket = CandidateList()
+        relative = streams[0][0].relative_to_start()
+        bucket.append(StoredSegment(segment_id=0, segment=relative), np.arange(3.0), 2.0)
+        bucket.trim_front(1)
+        clone = pickle.loads(pickle.dumps(bucket))
+        assert len(clone) == 0 and clone._matrix is None and clone._scales is None
+        clone.append(StoredSegment(segment_id=1, segment=relative), np.arange(3.0), 2.0)
+        assert clone.matrix_and_scales()[0].tolist() == [[0.0, 1.0, 2.0]]
 
     def test_empty_candidate_list_round_trip(self):
         bucket = CandidateList()
         clone = pickle.loads(pickle.dumps(bucket))
         assert len(clone) == 0
-        assert clone._matrix is None and clone._built == 0
+        assert clone._matrix is None
 
     def test_lru_recency_order_survives(self, streams):
-        store = LRUStore(64)
+        store = create_store(64)
         for i, key in enumerate(("a", "b", "c")):
             store.add(key, StoredSegment(segment_id=i, segment=streams[0][i].relative_to_start()))
         store.candidates("a")  # touch: order becomes b, c, a
@@ -238,10 +235,12 @@ def test_failed_write_leaves_previous_checkpoint_intact(streams, tmp_path, monke
     assert load_checkpoint(path).finish().reduced.n_segments == 4 * len(streams)
 
 
-@pytest.mark.parametrize("version", [999, STATE_VERSION - 1])
+@pytest.mark.parametrize("version", [999, 2])
 def test_restore_rejects_unknown_version(streams, version):
-    # STATE_VERSION - 1: a checkpoint from before the last layout change
-    # must be refused, not resumed from a misread state.
+    # Version 2: a checkpoint from before the last layout change (buckets
+    # pickled their owner metric and a built-row count) must be refused, not
+    # resumed from a misread state.
+    assert STATE_VERSION == 3
     session = ReductionSession("t", SessionConfig("relDiff"))
     payload = pickle.loads(session_state(session))
     payload["version"] = version
