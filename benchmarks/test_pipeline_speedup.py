@@ -16,9 +16,17 @@ and writes the measurements to ``BENCH_pipeline.json`` at the repository root
     ``bench/layers.py`` uses for ``pipeline.pool_speedup``.  Dividing the
     scan by the pool instead credits the pool with the columnar path's gain.
 
-Both are hardware-dependent — a process pool cannot beat the serial path on
-a single-CPU runner — so the recorded ``cpu_count`` is part of the result and
-the test only *asserts* equivalence, never a minimum speedup.
+A third table, the ``.rpb`` row, is the route the CLI takes with ``--output``:
+the default-scale workload written to a temporary ``.rpb`` file and reduced
+file → file by :meth:`ReductionPipeline.write`, on the ``serial`` executor and
+on a process pool of 1, 2, … ``os.cpu_count()`` workers (1 auto-downgrades to
+serial) — ``pool_speedup`` per worker count, the worker-scaling curve of
+byte-balanced shard batches.
+
+All are hardware-dependent — a process pool cannot beat the serial path on
+a single-CPU runner, nor on an input that reduces faster than two workers
+fork — so the recorded ``cpu_count`` is part of the result and the test only
+*asserts* equivalence, never a minimum speedup.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from tests.support import reference_reduce
 from repro.core.metrics import create_metric
 from repro.experiments.config import build_workload, get_scale
 from repro.pipeline.engine import PipelineConfig, ReductionPipeline
-from repro.trace.io import serialize_reduced_trace
+from repro.trace.io import serialize_reduced_trace, write_trace
 from repro.util.tables import format_table
 
 BENCH_PATH = RESULTS_DIR.parent / "BENCH_pipeline.json"
@@ -82,17 +90,50 @@ def _compare_at_scale(scale_name: str) -> dict:
     }
 
 
-def _run_comparison() -> dict:
+def _rpb_curve(scale_name: str, workdir) -> dict:
+    """File → file ``write()`` of the workload's ``.rpb``: serial, then 1..cpu_count workers."""
+    trace = build_workload(WORKLOAD, get_scale(scale_name)).run()
+    path, out = workdir / "workload.rpb", workdir / "reduced.out"
+    write_trace(trace, path)
+    expected = serialize_reduced_trace(reference_reduce(create_metric(METHOD), trace.segmented()))
+
+    def timed_write(config: PipelineConfig) -> float:
+        started = time.perf_counter()
+        ReductionPipeline(create_metric(METHOD), config).write(path, out)
+        elapsed = time.perf_counter() - started
+        assert out.read_bytes() == expected, f"{config} diverged from the scan reducer"
+        return elapsed
+
+    serial_seconds = timed_write(PipelineConfig(executor="serial"))
+    pool = {}
+    for workers in range(1, (os.cpu_count() or 1) + 1):
+        seconds = timed_write(PipelineConfig(executor="process", workers=workers))
+        pool[str(workers)] = {
+            "seconds": round(seconds, 6),
+            "pool_speedup": round(serial_seconds / seconds, 4),
+        }
+    return {
+        "scale": scale_name,
+        "input_bytes": path.stat().st_size,
+        "reduced_bytes": len(expected),
+        "serial_write_seconds": round(serial_seconds, 6),
+        "pool_write": pool,
+        "identical_output": True,
+    }
+
+
+def _run_comparison(workdir) -> dict:
     return {
         "workload": WORKLOAD,
         "method": METHOD,
         "cpu_count": os.cpu_count() or 1,
         "scales": {name: _compare_at_scale(name) for name in ("smoke", "default")},
+        "rpb": _rpb_curve("default", workdir),
     }
 
 
-def test_pipeline_speedup(benchmark):
-    report = run_once(benchmark, _run_comparison)
+def test_pipeline_speedup(benchmark, tmp_path):
+    report = run_once(benchmark, lambda: _run_comparison(tmp_path))
     write_bench_json(BENCH_PATH, report)
 
     rows = [
@@ -108,6 +149,7 @@ def test_pipeline_speedup(benchmark):
         ]
         for entry in report["scales"].values()
     ]
+    rpb = report["rpb"]
     emit(
         "BENCH_pipeline",
         format_table(
@@ -118,8 +160,22 @@ def test_pipeline_speedup(benchmark):
                 f"scan reducer vs serial executor vs process pool — {WORKLOAD}/{METHOD} "
                 f"({report['cpu_count']} cpus)"
             ),
+        )
+        + "\n\n"
+        + format_table(
+            ["workers", "write s", "pool (serial/pool)"],
+            [["serial", f"{rpb['serial_write_seconds']:.4f}", "1.00x"]]
+            + [
+                [workers, f"{entry['seconds']:.4f}", f"{entry['pool_speedup']:.2f}x"]
+                for workers, entry in rpb["pool_write"].items()
+            ],
+            title=(
+                f".rpb file -> reduced file by write() — {rpb['scale']} scale, "
+                f"{rpb['input_bytes']} bytes in, {rpb['reduced_bytes']} out"
+            ),
         ),
     )
+    assert rpb["identical_output"]
     for entry in report["scales"].values():
         assert entry["identical_output"]
         assert min(

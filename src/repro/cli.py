@@ -16,8 +16,8 @@ pipeline without writing any Python:
 * ``repro-trace sweep <workload>``           — evaluate a whole method ×
   threshold grid in one shared-ingest pass (table or ``--json`` report with
   per-config criteria and vector-sharing stats); ``--trace FILE`` sweeps a
-  trace file instead, with ``.rpb`` grids fanned out as (rank × family)
-  pool tasks
+  trace file instead, with ``.rpb`` grids fanned out as (rank batch ×
+  family) pool tasks
 * ``repro-trace serve <workload>``           — drive the online reduction
   service: concurrent incremental sessions with per-tenant budgets and
   eviction-to-checkpoint, flush-delta logging (``--deltas``), and repeat
@@ -203,8 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=EXECUTORS,
         default="serial",
-        help="how ranks are reduced: in this process (default; the fastest "
-        "measured on every input) or through a thread/process pool",
+        help="how ranks are reduced: in this process (default) or through a "
+        "thread/process pool; a process pool pays off on large indexed "
+        "(.rpb) files on two or more cores",
     )
     pipeline.add_argument(
         "--workers", type=int, default=None, help="pool size (default: cpu count)"
@@ -277,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=EXECUTORS,
         default="serial",
         help="in this process (default) or a thread/process pool over "
-        "(rank x family) tasks of an indexed file source (ignored otherwise)",
+        "(rank batch x family) tasks of an indexed file source (ignored otherwise)",
     )
     sweep.add_argument(
         "--workers", type=int, default=None, help="pool size (default: cpu count)"
@@ -564,12 +565,19 @@ def _cmd_pipeline(args, scale) -> str:
             full_bytes = full_trace_bytes_from_file(source)
         else:
             full_bytes = full_trace_bytes(segmented)
-        result = pipeline_runner.reduce(source)
+        # Only --verify (which must not write on failure) and --merge need
+        # the reduced trace as objects; otherwise it streams into the file.
+        result = None
+        if args.output and not (args.verify or args.merge):
+            reduced_bytes, stats = pipeline_runner.write(source, args.output)
+        else:
+            result = pipeline_runner.reduce(source)
+            stats = result.stats
         telemetry.update(
             subject=args.workload if args.trace is None else args.trace,
             method=metric.describe(),
-            executor=result.stats.executor,
-            dispatch=result.stats.dispatch,
+            executor=stats.executor,
+            dispatch=stats.dispatch,
         )
 
     identical = True
@@ -582,15 +590,16 @@ def _cmd_pipeline(args, scale) -> str:
         )
     # The file written is the serialization ``size_bytes`` counts, so when it
     # is written its byte count is the reduced size.
-    if args.output and identical:
-        reduced_bytes = write_reduced_trace(result.reduced, args.output)
-    else:
-        reduced_bytes = result.reduced.size_bytes()
+    if result is not None:
+        if args.output and identical:
+            reduced_bytes = write_reduced_trace(result.reduced, args.output)
+        else:
+            reduced_bytes = result.reduced.size_bytes()
 
     rows = [
         *rows_head,
         ["method", metric.describe()],
-        *result.stats.rows(),
+        *stats.rows(),
         ["full trace bytes", full_bytes],
         ["reduced trace bytes", reduced_bytes],
         ["% file size", f"{100.0 * reduced_bytes / full_bytes:.2f}" if full_bytes else "-"],
@@ -603,7 +612,7 @@ def _cmd_pipeline(args, scale) -> str:
             ["trace written to", f"{saved} ({saved.stat().st_size} bytes, "
              f"{resolve_format(saved).name} format)"]
         )
-    if result.merged is not None:
+    if result is not None and result.merged is not None:
         rows.append(["merged trace bytes", result.merged.size_bytes()])
     if "note" in telemetry:
         rows.append(["telemetry written to", telemetry["note"]])

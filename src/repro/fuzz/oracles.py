@@ -2,7 +2,8 @@
 
 The repository keeps several pathways through the same reduction semantics —
 the scalar reference scan, the columnar frame path (batch and per-row step),
-the pipeline executors, the sweep engine, the incremental session — all
+the pipeline executors (objects back, or bytes streamed to a file), the
+sweep engine, the incremental session — all
 documented as byte-identical.  Each oracle here runs one
 alternative pathway over a generated case and compares its
 :func:`~repro.trace.io.serialize_reduced_trace` bytes against the ground
@@ -256,6 +257,23 @@ def oracle_pipeline_payload(ctx: CaseContext) -> Optional[str]:
     return None
 
 
+def oracle_pipeline_streamed(ctx: CaseContext) -> Optional[str]:
+    """Pooled ``write()`` over ``.rpb`` — the file's bytes == scalar scan's.
+
+    The only route on which tasks return serialized ranks and the parent
+    appends them in rank order, never holding a reduced trace.
+    """
+    config = PipelineConfig(
+        executor="thread", workers=2, store_capacity=ctx.config.store_capacity
+    )
+    path = ctx.workdir / "streamed.reduced"
+    written, _ = ReductionPipeline(ctx.metric(), config).write(ctx.rpb_path, path)
+    data = path.read_bytes()
+    if written != len(data):
+        return f"streamed pipeline: reported {written} bytes, wrote {len(data)}"
+    return _first_divergence(ctx.baseline_bytes, data, "streamed pipeline")
+
+
 # --------------------------------------------------------------------------
 # Sweep oracle
 
@@ -504,6 +522,7 @@ ORACLES: dict[str, Callable[[CaseContext], Optional[str]]] = {
     "pipeline_inline": oracle_pipeline_inline,
     "pipeline_shard": oracle_pipeline_shard,
     "pipeline_payload": oracle_pipeline_payload,
+    "pipeline_streamed": oracle_pipeline_streamed,
     "sweep_grid": oracle_sweep_grid,
     "session_checkpoint": oracle_session_checkpoint,
     "rpb_roundtrip": oracle_rpb_roundtrip,
@@ -521,6 +540,7 @@ EQUIVALENCE_ORACLES: tuple[str, ...] = (
     "pipeline_inline",
     "pipeline_shard",
     "pipeline_payload",
+    "pipeline_streamed",
     "sweep_grid",
     "session_checkpoint",
     "rpb_roundtrip",

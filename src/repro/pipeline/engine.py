@@ -1,11 +1,12 @@
 """Parallel reduction engine: fan per-rank reduction out over a worker pool.
 
 Intra-process reduction (Section 3.1) is embarrassingly parallel across ranks
-— each rank's representative table is private — so the engine dispatches one
-reduction task per rank to a :mod:`concurrent.futures` pool and reassembles
-the per-rank results **in rank-stream order**.  Because the per-rank algorithm
-is untouched and ordering is restored deterministically, the pipeline's output
-serializes byte-identically to the scalar reference
+— each rank's representative table is private — so the engine cuts the ranks
+into batches, dispatches one reduction task per batch to a
+:mod:`concurrent.futures` pool and reassembles the per-rank results **in
+rank-stream order**.  Because the per-rank algorithm is untouched and
+ordering is restored deterministically, the pipeline's output serializes
+byte-identically to the scalar reference
 (:meth:`~repro.core.reducer.TraceReducer.reduce_streams`; the equivalence
 tests assert exactly that, for every similarity metric).
 
@@ -14,41 +15,50 @@ Executors
 ``serial``
     No pool: each rank's frame is reduced in the caller's process, one rank
     at a time.  Memory is bounded by the largest rank's column arrays plus
-    the representative store; it is also the fastest mode on every workload
-    measured so far (ROADMAP, "The pool earns its code, or goes"), and the
-    CLI's default.
+    the representative store.  The default: it has no start-up cost, so it
+    wins on inputs that reduce in under ~0.2 s (an in-memory 32-rank Sweep3D)
+    and on forward-only sources, whose frames a pool must pickle.
 ``thread``
     A :class:`~concurrent.futures.ThreadPoolExecutor`.  The match kernels
     are NumPy, but the per-rank bookkeeping around them holds the
-    interpreter lock, so this is mainly the in-process pool the tests and
-    the fuzz oracles run the pooled code on.
+    interpreter lock, so this is the in-process pool the tests and the fuzz
+    oracles run the pooled code on, not a way to go faster.
 ``process``
-    A :class:`~concurrent.futures.ProcessPoolExecutor` (what a default
-    :class:`PipelineConfig` selects).  Each
-    worker builds its own representative store, so metric state never crosses
-    rank boundaries — the same isolation the serial path provides.
+    A :class:`~concurrent.futures.ProcessPoolExecutor`.  Each rank gets its
+    own representative store inside its worker, so metric state never
+    crosses rank boundaries — the same isolation the serial path provides.
+    On indexed files it beats ``serial`` from two cores up once the input is
+    big enough to pay for the fork (ROADMAP, "The pool earns its code":
+    1024-rank ATS file → file, 2 workers, 0.52 s serial vs 0.29 s).
 
 Task dispatch (recorded in ``PipelineStats.dispatch``)
 ------------------------------------------------------
 ``inline``
-    The serial path: no pool, frames reduced in place.
+    The serial path: no pool, one-frame batches reduced in place.
 ``shard``
-    Indexed file sources (``.rpb``): pooled workers receive ``(path, rank)``
-    shard tasks and each opens the file and decodes only its rank's byte
-    range — ingestion parallelises and no rank payload is ever pickled.
+    Indexed file sources (``.rpb``): the ranks are cut, by the block lengths
+    in the file's footer, into ``BATCHES_PER_WORKER × workers`` contiguous
+    batches of near-equal bytes; pooled workers receive ``(path, ranks)``
+    and each opens the file and decodes only its ranks' byte ranges —
+    ingestion parallelises and no rank payload is ever pickled.
 ``payload``
     Sources only this process can read (in-memory traces, forward-only text
     files): each rank's columnar frame is built here and pickled to a worker
-    (column arrays pack far tighter than segment-object lists).
+    as a one-frame batch (column arrays pack far tighter than segment-object
+    lists).
 
-Both pooled shapes run the one task function (:func:`_rank_task`)
-through the one submit/collect loop (:func:`_run_pool_tasks`), which
-:func:`sweep_pipeline` shares.  Whatever the dispatch mode, every rank
-reaches the reducer as a :class:`~repro.core.frames.RankFrame` — ``.rpb``
-ranks decode straight to columns, text and in-memory sources adapt through
+Every shape runs the one batch loop (:func:`_reduce_batch`), the pooled ones
+as the one pool task (:func:`_rank_task`) through the one submit/collect loop
+(:func:`_run_pool_tasks`), which :func:`sweep_pipeline` shares.  Whatever the
+dispatch mode, every rank reaches the reducer as a
+:class:`~repro.core.frames.RankFrame` — ``.rpb`` ranks decode straight to
+columns, text and in-memory sources adapt through
 ``RankFrame.from_segments`` — so all executors run the one columnar code
-path, with the scalar segment-at-a-time reference kept as the
-byte-identity oracle.
+path, with the scalar segment-at-a-time reference kept as the byte-identity
+oracle.  :meth:`ReductionPipeline.write` asks the tasks for
+serialized ranks instead of objects and appends them to a file as they are
+collected; :meth:`ReductionPipeline.reduce` keeps the objects for callers
+that go on to merge, verify or evaluate them.
 """
 
 from __future__ import annotations
@@ -63,19 +73,19 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 
 from repro import obs
 from repro.core.candidates import MatchCounters
-from repro.core.frames import RankFrame
 from repro.core.metrics.base import SimilarityMetric
 from repro.core.reduced import ReducedRankTrace, ReducedTrace
 from repro.core.reducer import TraceReducer
 from repro.pipeline.stats import PipelineStats, RankCounts, StageClock
-from repro.pipeline.store import StoreCounters, create_store
+from repro.pipeline.store import create_store
 from repro.pipeline.stream import (
+    RankBatch,
     SegmentSource,
     indexed_source_ranks,
-    rank_frame_streams,
-    shard_frame,
+    rank_batches,
     source_name,
 )
+from repro.trace.io import atomic_output, iter_reduced_rank_chunks
 from repro.trace.merge import MergedReducedTrace, merge_reduced_trace
 
 __all__ = [
@@ -88,11 +98,17 @@ __all__ = [
 
 EXECUTORS = ("serial", "thread", "process")
 
-#: Tasks in flight per pool worker.  The bound keeps a many-rank ``payload``
-#: run from holding every rank's frame at once; it must still leave
-#: ``ProcessPoolExecutor``'s call queue full, which 2 per worker did not
-#: (1024 short shard tasks ran 15% slower) and 8 per worker does (parity
-#: with submitting everything up front).
+#: Shard batches cut per pool worker.  One per worker would be least
+#: dispatch, but block bytes only approximate work (a rank that stores every
+#: segment costs more per byte than one that matches them all), so a few
+#: spare batches let the faster worker take the slack; 1024-rank ATS wall
+#: clock is flat from 2 to 64 batches on 2 workers.
+BATCHES_PER_WORKER = 4
+
+#: Tasks in flight per pool worker.  Shard batches all fit; the bound is for
+#: ``payload`` runs, whose every task carries a rank's frame, so that a
+#: many-rank source never has all its frames built at once — and for
+#: :meth:`ReductionPipeline.write`, which holds only the results in flight.
 _IN_FLIGHT_PER_WORKER = 8
 
 
@@ -103,8 +119,9 @@ class PipelineConfig:
     Attributes
     ----------
     executor:
-        ``"serial"`` (the default, and the measured winner on every workload
-        so far), ``"thread"``, or ``"process"`` (see module docstring).
+        ``"serial"`` (the default), ``"thread"``, or ``"process"`` — which
+        is faster depends on the source and its size; see the module
+        docstring.
     workers:
         Pool size; ``None`` means ``os.cpu_count()`` (ignored by ``serial``).
     store_capacity:
@@ -145,89 +162,144 @@ class PipelineResult:
     merged: Optional[MergedReducedTrace] = None
 
 
-#: What every rank task returns: the reduced rank, its store and match
-#: counters, the number of ``Segment`` objects the columnar path actually
-#: materialized, and — in telemetry capture mode — the worker's recorder
-#: snapshot (``None`` otherwise), piggybacked so no extra IPC round-trip is
-#: needed.
-RankTaskResult = tuple[
-    ReducedRankTrace, StoreCounters, MatchCounters, int, Optional[obs.RecorderSnapshot]
+def _reduce_batch(
+    metric: SimilarityMetric,
+    batch: RankBatch,
+    store_capacity: Optional[int],
+    serialize: bool,
+    counts: RankCounts,
+) -> Union[list[ReducedRankTrace], bytes]:
+    """Reduce a batch's ranks in order, each with its own store, counting into ``counts``.
+
+    Returns the reduced ranks, or with ``serialize`` the bytes
+    :func:`~repro.trace.io.iter_reduced_rank_chunks` gives them, joined —
+    what :meth:`ReductionPipeline.write` appends to its file.
+    """
+    reducer = TraceReducer(metric)
+    outputs: list = []
+    with obs.span("shard.batch", ranks=len(batch.ranks), bytes=batch.n_bytes):
+        for frame in batch.iter_frames():
+            store = create_store(store_capacity)
+            match_counters = MatchCounters()
+            with obs.span("rank.reduce", rank=frame.rank):
+                reduced = reducer.reduce_frame(
+                    frame, store=store, match_counters=match_counters
+                )
+            counts.add_rank(reduced, store.counters, match_counters, frame.materialized)
+            # Serialized rank by rank, so a batch holds its bytes, not its objects.
+            outputs.append(b"".join(iter_reduced_rank_chunks(reduced)) if serialize else reduced)
+    return b"".join(outputs) if serialize else outputs
+
+
+#: What a pool task returns: its batch's output, the batch's counts, and — in
+#: telemetry capture mode — the worker's recorder snapshot (``None``
+#: otherwise), piggybacked so no extra IPC round-trip is needed.
+BatchResult = tuple[
+    Union[list[ReducedRankTrace], bytes], RankCounts, Optional[obs.RecorderSnapshot]
 ]
 
 
 def _rank_task(
     metric: SimilarityMetric,
-    shard: Union[RankFrame, tuple[str, int]],
+    batch: RankBatch,
     store_capacity: Optional[int],
-    capture: bool = False,
-) -> RankTaskResult:
-    """The one rank task: reduce a single rank with its own store.
+    serialize: bool,
+    capture: bool,
+) -> BatchResult:
+    """The one pool task: :func:`_reduce_batch` in a worker.
 
-    ``shard`` is either shape a rank takes on its way to a worker: the
-    :class:`RankFrame` itself (``inline`` and ``payload`` dispatch), or the
-    ``(path, rank)`` of an indexed file, which the worker opens to decode
-    only that rank's byte range — under a ``shard.decode`` span, so a
-    recorded timeline separates decode from match time per shard.
+    A ``shard`` batch names ranks of an indexed file, which the worker opens
+    and decodes one rank at a time; a ``payload`` batch carries its frame.
+    With ``serialize`` the parent gets bytes to append instead of objects it
+    would unpickle only to serialize.
 
     Module-level so process pools can pickle it; the pickled ``metric`` gives
-    every rank a private metric instance, mirroring serial semantics (metrics
+    every task a private metric instance, mirroring serial semantics (metrics
     hold no cross-rank state).  With ``capture=True`` the task records its
     spans into a private recorder — shadowing any inherited or thread-shared
-    ambient one — publishes its rank's :class:`RankCounts` there under the
+    ambient one — publishes its batch's :class:`RankCounts` there under the
     names the parent publishes the run's, and returns the snapshot as the
     final element.  The parent keeps the per-worker registries apart from
     its own, so nothing is double-counted and the two must agree.
     """
+    counts = RankCounts()
     with obs.task_recording(capture) as recorder:
-        if isinstance(shard, RankFrame):
-            frame = shard
-        else:
-            path, rank = shard
-            with obs.span("shard.decode", rank=rank):
-                frame = shard_frame(path, rank)
-        store = create_store(store_capacity)
-        match_counters = MatchCounters()
-        with obs.span("rank.reduce", rank=frame.rank):
-            reduced = TraceReducer(metric).reduce_frame(
-                frame, store=store, match_counters=match_counters
-            )
+        output = _reduce_batch(metric, batch, store_capacity, serialize, counts)
     snapshot = None
     if recorder is not None:
-        counts = RankCounts()
-        counts.add_rank(reduced, store.counters, match_counters, frame.materialized)
         counts.record(recorder.registry, "pipeline")
         snapshot = recorder.snapshot()
-    return reduced, store.counters, match_counters, frame.materialized, snapshot
+    return output, counts, snapshot
 
 
 def _run_pool_tasks(
     executor: str, workers: int, task: Callable, calls: Iterable[tuple]
-) -> list:
-    """Run ``task(*call)`` for every call on a pool; results in submission order.
+) -> Iterator:
+    """Run ``task(*call)`` for every call on a pool; yield results in submission order.
 
     The one submit/collect loop behind every pooled run.  At most
     ``_IN_FLIGHT_PER_WORKER * workers`` calls are in flight: once the window
-    is full the oldest result is collected before the next call is submitted,
+    is full the oldest result is yielded before the next call is submitted,
     so ``calls`` may be a generator that builds each call's payload only when
-    it is about to be shipped.  A failed task — including a process worker
-    that died (``BrokenProcessPool``) — raises here from its ``result()``;
-    no partial result list is returned.
+    it is about to be shipped, and the consumer may drop each result once it
+    has used it.  A failed task — including a process worker that died
+    (``BrokenProcessPool``) — raises here from its ``result()``.
     """
     pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
     window = _IN_FLIGHT_PER_WORKER * workers
     pending: deque = deque()
-    results = []
     with pool_cls(max_workers=workers) as pool:
         for call in calls:
             if len(pending) >= window:
-                results.append(pending.popleft().result())
+                yield pending.popleft().result()
             pending.append(pool.submit(task, *call))
-        results.extend(future.result() for future in pending)
-    return results
+        while pending:
+            yield pending.popleft().result()
+
+
+@dataclass(slots=True)
+class _Run:
+    """One pipeline run in progress: what :meth:`ReductionPipeline._start` decided."""
+
+    stats: PipelineStats
+    clock: StageClock
+    batches: Iterable[RankBatch]
+    #: Pool size actually started: never more workers than ranks.
+    pool_workers: int
+
+    def span(self):
+        stats = self.stats
+        return self.clock.span(
+            "run", executor=stats.executor, dispatch=stats.dispatch, workers=stats.workers
+        )
+
+    def finish(self) -> None:
+        """Read the closed stage spans back into the stats and publish them."""
+        stats = self.stats
+        seconds = self.clock.seconds()
+        stats.total_seconds = seconds.pop("run")
+        # Payload frames are built inside the reduce stage; report the two
+        # disjointly so the per-stage numbers add up to the total.
+        if "ingest" in seconds:
+            seconds["reduce"] -= seconds["ingest"]
+        stats.stage_seconds = seconds
+        if self.clock.recorder is not None:
+            stats.record(self.clock.recorder.registry, "pipeline")
 
 
 class ReductionPipeline:
-    """Streaming, parallel intra-process reduction with instrumentation."""
+    """Streaming, parallel intra-process reduction with instrumentation.
+
+    :meth:`reduce` returns the reduced trace as objects, :meth:`write` puts
+    its serialization in a file without building them; both go through the
+    same tasks in the same order and report the same stats.
+
+    A pooled executor whose effective worker count is 1 is auto-downgraded
+    to the serial path: a one-worker pool reduces rank-by-rank anyway, so
+    it can only add pool startup and IPC overhead (single-CPU runs showed
+    0.80x "speedups").  The downgrade is recorded in the stats
+    (``requested_executor`` vs ``executor``) and never changes output.
+    """
 
     def __init__(self, metric: SimilarityMetric, config: Optional[PipelineConfig] = None):
         if not isinstance(metric, SimilarityMetric):
@@ -238,13 +310,58 @@ class ReductionPipeline:
         self.config = config or PipelineConfig()
 
     def reduce(self, source: SegmentSource, *, name: Optional[str] = None) -> PipelineResult:
-        """Reduce any segment source (trace, segmented trace, or file path).
+        """Reduce any segment source (trace, segmented trace, or file path)."""
+        run = self._start(source)
+        stats = run.stats
+        with run.span():
+            ranks: list[ReducedRankTrace] = []
+            for reduced_ranks in self._outputs(run, serialize=False):
+                ranks.extend(reduced_ranks)
 
-        A pooled executor whose effective worker count is 1 is auto-downgraded
-        to the serial path: a one-worker pool reduces rank-by-rank anyway, so
-        it can only add pool startup and IPC overhead (single-CPU runs showed
-        0.80x "speedups").  The downgrade is recorded in the stats
-        (``requested_executor`` vs ``executor``) and never changes output.
+            reduced = ReducedTrace(
+                name=name or source_name(source),
+                method=self.metric.name,
+                threshold=self.metric.threshold,
+                ranks=ranks,
+            )
+
+            merged: Optional[MergedReducedTrace] = None
+            if self.config.merge:
+                with run.clock.span("merge"):
+                    merged = merge_reduced_trace(reduced)
+                stats.merged_stored = merged.n_stored
+                stats.merged_duplicates = merged.n_duplicates
+
+        run.finish()
+        return PipelineResult(reduced=reduced, stats=stats, merged=merged)
+
+    def write(self, source: SegmentSource, path: str | Path) -> tuple[int, PipelineStats]:
+        """Reduce ``source`` straight into the file ``path``; returns (bytes written, stats).
+
+        The file holds ``serialize_reduced_trace(self.reduce(source).reduced)``
+        byte for byte, but no reduced trace is assembled: every task returns
+        its ranks already serialized and the bytes are appended in rank order
+        as the tasks are collected — rank by rank on the ``serial`` executor
+        — so at most the pool's in-flight window of the output is held at
+        once, and the ``reduce`` stage's seconds include the appends.  The
+        file is an :func:`~repro.trace.io.atomic_output`: a run that fails
+        leaves ``path`` as it was.  ``config.merge`` needs the objects and
+        does not apply.
+        """
+        run = self._start(source)
+        written = 0
+        with run.span(), atomic_output(path) as handle:
+            for data in self._outputs(run, serialize=True):
+                written += handle.write(data)
+        run.finish()
+        return written, run.stats
+
+    def _start(self, source: SegmentSource) -> _Run:
+        """Decide executor and dispatch for ``source`` and cut its tasks.
+
+        Dispatch mode is a function of the executor and source alone, so it
+        is decided up front and the stats carry it from construction — the
+        telemetry attribute is never an empty string, even mid-run.
         """
         config = self.config
         workers = config.resolved_workers()
@@ -262,107 +379,78 @@ class ReductionPipeline:
         if workers == 1 or (n_ranks is not None and n_ranks <= 1):
             # One effective worker *or* one rank to reduce.
             executor = "serial"
-        # Dispatch mode is a function of the executor and source alone, so it
-        # is decided up front and the stats carry it from construction — the
-        # telemetry attribute is never an empty string, even mid-run.
+        clock = StageClock("pipeline")
         if executor == "serial":
             dispatch = "inline"
+            batches = rank_batches(source)
         elif shard_ranks is not None:
             dispatch = "shard"
+            batches = rank_batches(source, BATCHES_PER_WORKER * workers)
         else:
             dispatch = "payload"
+            batches = self._ingested(rank_batches(source), clock)
         stats = PipelineStats(
             executor=executor,
             workers=workers,
             requested_executor=config.executor,
             dispatch=dispatch,
         )
-        clock = StageClock("pipeline")
-        recorder = clock.recorder
+        pool_workers = workers if n_ranks is None else min(workers, n_ranks)
+        return _Run(stats, clock, batches, pool_workers)
 
-        with clock.span("run", executor=executor, dispatch=dispatch, workers=workers):
-            with clock.span("reduce"):
-                if dispatch == "inline":
-                    # In the caller's process, so task spans land directly on
-                    # the ambient recorder — no capture/snapshot round-trip.
-                    results = [
-                        _rank_task(self.metric, frame, config.store_capacity)
-                        for _, frame in rank_frame_streams(source)
-                    ]
-                else:
-                    if dispatch == "shard":
-                        shards: Iterable = [(str(source), rank) for rank in shard_ranks]
-                    else:
-                        shards = self._payload_frames(source, clock)
-                    capture = obs.enabled()
-                    results = _run_pool_tasks(
-                        executor,
-                        workers if n_ranks is None else min(workers, n_ranks),
-                        _rank_task,
-                        (
-                            (self.metric, shard, config.store_capacity, capture)
-                            for shard in shards
-                        ),
-                    )
+    def _outputs(
+        self, run: _Run, serialize: bool
+    ) -> Iterator[Union[list[ReducedRankTrace], bytes]]:
+        """Reduce every batch under the ``reduce`` stage; yield outputs in rank order.
 
-            ranks: list[ReducedRankTrace] = []
-            for reduced_rank, counters, match_counters, n_materialized, snapshot in results:
-                ranks.append(reduced_rank)
-                stats.add_rank(reduced_rank, counters, match_counters, n_materialized)
-                if recorder is not None:
-                    recorder.absorb(snapshot)
-
-            reduced = ReducedTrace(
-                name=name or source_name(source),
-                method=self.metric.name,
-                threshold=self.metric.threshold,
-                ranks=ranks,
+        The run's stats hold a batch's counts by the time its output is
+        yielded, and the recorder its worker's snapshot.
+        """
+        stats, clock = run.stats, run.clock
+        store_capacity = self.config.store_capacity
+        with clock.span("reduce"):
+            if stats.dispatch == "inline":
+                # In the caller's process: spans land directly on the ambient
+                # recorder and counts in the run's stats, no round-trip.
+                for batch in run.batches:
+                    yield _reduce_batch(self.metric, batch, store_capacity, serialize, stats)
+                return
+            capture = obs.enabled()
+            calls = (
+                (self.metric, batch, store_capacity, serialize, capture)
+                for batch in run.batches
             )
-
-            merged: Optional[MergedReducedTrace] = None
-            if config.merge:
-                with clock.span("merge"):
-                    merged = merge_reduced_trace(reduced)
-                stats.merged_stored = merged.n_stored
-                stats.merged_duplicates = merged.n_duplicates
-
-        seconds = clock.seconds()
-        stats.total_seconds = seconds.pop("run")
-        # Payload frames are built inside the reduce stage; report the two
-        # disjointly so the per-stage numbers add up to the total.
-        if "ingest" in seconds:
-            seconds["reduce"] -= seconds["ingest"]
-        stats.stage_seconds = seconds
-        if recorder is not None:
-            stats.record(recorder.registry, "pipeline")
-        return PipelineResult(reduced=reduced, stats=stats, merged=merged)
+            for output, counts, snapshot in _run_pool_tasks(
+                stats.executor, run.pool_workers, _rank_task, calls
+            ):
+                stats.add(counts)
+                if clock.recorder is not None:
+                    clock.recorder.absorb(snapshot)
+                yield output
 
     @staticmethod
-    def _payload_frames(source: SegmentSource, clock: StageClock) -> Iterator[RankFrame]:
-        """The frames of a source only this process can read, built one by one.
+    def _ingested(batches: Iterator[RankBatch], clock: StageClock) -> Iterator[RankBatch]:
+        """``payload`` batches, each frame built under the ``ingest`` stage's clock.
 
         A generator, so the pool loop's in-flight window bounds how many
         ranks' column arrays exist at once; each frame is built (a no-op for
-        a source that already holds frames) under a ``pipeline.ingest`` span,
-        the ``ingest`` stage's clock.
+        a source that already holds frames) under a ``pipeline.ingest`` span.
         """
         capture = obs.enabled()
-        streams = rank_frame_streams(source)
         while True:
             with clock.span("ingest"):
-                rank_frame = next(streams, None)
-            if rank_frame is None:
+                batch = next(batches, None)
+            if batch is None:
                 return
-            frame = rank_frame[1]
             if capture:
                 # The serialized task size is the cost this dispatch mode
                 # pays per rank; measuring it re-pickles, so the histogram is
                 # only fed when telemetry is on.
                 obs.observe(
                     "dispatch.payload_bytes",
-                    len(pickle.dumps(frame, pickle.HIGHEST_PROTOCOL)),
+                    len(pickle.dumps(batch, pickle.HIGHEST_PROTOCOL)),
                 )
-            yield frame
+            yield batch
 
 
 def reduce_pipeline(
@@ -386,10 +474,11 @@ def sweep_pipeline(
     """Run a whole sweep grid over ``source``, parallelising where possible.
 
     For indexed (``.rpb``) file sources and a pooled executor, the grid is
-    fanned out as **(rank-shard × feature-family)** tasks: each pool worker
-    opens the file, decodes exactly one rank's byte range, and runs one
-    family's configs over it in a single shared pass — so ingestion *and*
-    the grid parallelise, task payloads carry only a path, a rank id, and
+    fanned out as **(rank-batch × feature-family)** tasks over the batches
+    :meth:`ReductionPipeline.reduce` would cut: each pool worker opens the
+    file, decodes its batch's byte ranges one rank at a time, and runs one
+    family's configs over each in a single shared pass — so ingestion *and*
+    the grid parallelise, task payloads carry only a path, rank ids, and
     (method, threshold) pairs, and vector sharing is preserved inside every
     task (configs of different families share no vectors anyway).
 
@@ -406,7 +495,7 @@ def sweep_pipeline(
     """
     from repro.sweep.engine import (
         SweepEngine,
-        _sweep_shard_task,
+        _sweep_batch_task,
         merge_rank_groups,
     )
     from repro.sweep.plan import SweepPlan
@@ -425,28 +514,32 @@ def sweep_pipeline(
     ):
         return engine.sweep(source, name=name)
 
-    path = str(Path(source))
     groups = [
         tuple(c.key for c in family.configs) for family in plan.families
     ]
     capture = obs.enabled()
-    # Rank-major, so each rank's family groups come back adjacent.
+    # Batch-major, so each batch's family groups come back adjacent.
     calls = [
-        (group, path, rank, config.store_capacity, capture)
-        for rank in shard_ranks
+        (group, batch, config.store_capacity, capture)
+        for batch in rank_batches(source, BATCHES_PER_WORKER * workers)
         for group in groups
     ]
     workers = min(workers, len(calls))
 
     def pooled_rank_sweeps() -> list:
-        parts = _run_pool_tasks(config.executor, workers, _sweep_shard_task, calls)
         recorder = obs.current_recorder()
-        if recorder is not None:
-            for part in parts:
-                recorder.absorb(part.snapshot)
+        parts = []
+        for rank_sweeps, snapshot in _run_pool_tasks(
+            config.executor, workers, _sweep_batch_task, calls
+        ):
+            parts.append(rank_sweeps)
+            if recorder is not None:
+                recorder.absorb(snapshot)
+        # One batch's groups hold the same ranks in the same order.
         return [
-            merge_rank_groups(parts[at : at + len(groups)])
+            merge_rank_groups(list(rank_parts))
             for at in range(0, len(parts), len(groups))
+            for rank_parts in zip(*parts[at : at + len(groups)])
         ]
 
     return engine._run(

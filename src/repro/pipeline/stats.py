@@ -1,14 +1,15 @@
 """Pipeline instrumentation: per-stage wall time, throughput, match rate.
 
 Every pipeline run produces one :class:`PipelineStats`.  Its counts are
-folded in rank by rank (:meth:`RankCounts.add_rank`); its stage timings are
+folded in rank by rank inside a task (:meth:`RankCounts.add_rank`) and task
+by task in the parent (:meth:`RankCounts.add`); its stage timings are
 read back from the run's own stage spans (:class:`StageClock`).  ``rows()``
 renders the stats as (property, value) pairs for the CLI's table formatter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro import obs
 from repro.core.candidates import MatchCounters
@@ -54,8 +55,8 @@ class StageClock:
 
 @dataclass(slots=True)
 class RankCounts(Counts):
-    """What reducing ranks counted, additive over ranks: a pool task publishes
-    its one rank's and the parent the run's, so the two sides must agree."""
+    """What reducing ranks counted, additive over ranks: a task publishes its
+    batch's and the parent the run's, so the two sides must agree."""
 
     nprocs: int = 0
     n_segments: int = 0
@@ -85,6 +86,13 @@ class RankCounts(Counts):
         self.store = self.store.merged_with(store)
         self.match = self.match.merged_with(match)
 
+    def add(self, other: "RankCounts") -> None:
+        """Fold another task's counts in."""
+        for spec in fields(RankCounts):
+            mine, theirs = getattr(self, spec.name), getattr(other, spec.name)
+            merged = mine.merged_with(theirs) if isinstance(mine, Counts) else mine + theirs
+            setattr(self, spec.name, merged)
+
 
 @dataclass(slots=True)
 class PipelineStats(RankCounts):
@@ -103,7 +111,7 @@ class PipelineStats(RankCounts):
     #: engine auto-downgraded a one-worker pool to the serial path.
     requested_executor: str = ""
     #: How rank tasks reached the workers: ``inline`` (serial), ``shard``
-    #: ((path, rank) tasks against an indexed file), or ``payload`` (pickled
+    #: ((path, ranks) batches of an indexed file), or ``payload`` (pickled
     #: columnar frames).
     dispatch: str = ""
 

@@ -15,9 +15,14 @@ trace can live:
   materialized, but streams must be consumed in file order);
 * an **indexed** trace file (``.rpb``): each rank decodes independently from
   its byte range, so streams may be consumed in any order — and a worker
-  process can open the file itself and decode exactly one rank
-  (:func:`shard_frame`), which is how the engine ships ``(path, rank)`` shard
-  tasks instead of pickled rank payloads.
+  process can open the file itself and decode exactly the ranks it was
+  handed (:func:`shard_frame`), which is how the engine ships
+  ``(path, ranks)`` shard batches instead of pickled rank payloads.
+
+Pooled work is cut here too: :func:`rank_batches` turns a source into
+:class:`RankBatch` objects — for an indexed file, a few contiguous runs of
+ranks of near-equal block bytes (:func:`cut_by_bytes`, from the footer index
+alone); for everything else one batch per rank, holding the rank's frame.
 
 Ranks are produced one at a time, so a consumer that also processes them one
 at a time (the serial executor path) runs in memory bounded by the largest
@@ -26,9 +31,11 @@ single rank plus the representative store.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
+from repro import obs
 from repro.core.frames import RankFrame
 from repro.core.frametrace import FrameTrace
 from repro.trace.formats import resolve_format
@@ -43,6 +50,9 @@ __all__ = [
     "indexed_source_ranks",
     "shard_segment_stream",
     "shard_frame",
+    "RankBatch",
+    "cut_by_bytes",
+    "rank_batches",
 ]
 
 #: Anything the pipeline can ingest.
@@ -67,8 +77,8 @@ def indexed_source_ranks(source: SegmentSource) -> Optional[list[int]]:
 def shard_segment_stream(path: str | Path, rank: int) -> Iterator[Segment]:
     """Decode one rank of an indexed trace file straight to segments.
 
-    This is the unit of work a ``(path, rank)`` shard task performs inside a
-    pool worker: open the file, seek to the rank's byte range, decode.
+    What a pool worker does for each rank of a ``(path, ranks)`` shard batch
+    on the segment path: open the file, seek to the rank's byte range, decode.
     """
     fmt = resolve_format(path)
     if fmt.rank_segments is None:
@@ -82,8 +92,8 @@ def shard_segment_stream(path: str | Path, rank: int) -> Iterator[Segment]:
 def shard_frame(path: str | Path, rank: int) -> RankFrame:
     """Decode one rank of an indexed trace file into a columnar frame.
 
-    The columnar counterpart of :func:`shard_segment_stream` — what a
-    ``(path, rank)`` shard task runs inside a pool worker on the frame path.
+    The columnar counterpart of :func:`shard_segment_stream` — what a pool
+    worker runs for each rank of a ``(path, ranks)`` shard batch.
     Formats without a native frame decoder fall back through their segment
     decoder and the segments→frame adapter.
     """
@@ -91,6 +101,88 @@ def shard_frame(path: str | Path, rank: int) -> RankFrame:
     if fmt.rank_frame is not None:
         return fmt.rank_frame(Path(path), rank)
     return RankFrame.from_segments(rank, shard_segment_stream(path, rank))
+
+
+@dataclass(frozen=True, slots=True)
+class RankBatch:
+    """Contiguous ranks of one source: the unit of work one reduction task takes.
+
+    Either the ranks of an indexed file, which whoever runs the task decodes
+    itself (``path`` set; ``n_bytes`` is their block bytes in the file), or
+    frames this process already built (``frames`` set, ``n_bytes`` 0).
+    """
+
+    ranks: tuple[int, ...]
+    path: Optional[str] = None
+    n_bytes: int = 0
+    frames: tuple[RankFrame, ...] = ()
+
+    def iter_frames(self) -> Iterator[RankFrame]:
+        """The batch's frames in rank order, decoded one at a time.
+
+        Each decode runs under a ``shard.decode`` span, so a recorded
+        timeline separates decode from match time per rank.
+        """
+        if self.path is None:
+            yield from self.frames
+            return
+        for rank in self.ranks:
+            with obs.span("shard.decode", rank=rank):
+                frame = shard_frame(self.path, rank)
+            yield frame
+
+
+def cut_by_bytes(lengths: Sequence[int], n_batches: int) -> list[range]:
+    """Cut ``len(lengths)`` items, in order, into runs of near-equal bytes.
+
+    The bytes are divided into ``n_batches`` slots of ``target = ceil(total /
+    n_batches)`` and an item goes with the slot its first byte falls in: the
+    runs are contiguous, none is empty, there are at most ``n_batches``, and
+    a run without its last item is shorter than the target — an item bigger
+    than the target ends its run.  Lengths come from a file's footer:
+    anything below one byte weighs one, so a damaged index still cuts (and
+    fails where it is decoded).
+    """
+    if n_batches < 1:
+        raise ValueError(f"n_batches must be >= 1, got {n_batches}")
+    weights = [max(1, length) for length in lengths]
+    target = -(-sum(weights) // n_batches)
+    runs: list[range] = []
+    start = slot = before = 0
+    for at, weight in enumerate(weights):
+        if before // target != slot:
+            runs.append(range(start, at))
+            start, slot = at, before // target
+        before += weight
+    if weights:
+        runs.append(range(start, len(weights)))
+    return runs
+
+
+def rank_batches(
+    source: SegmentSource, n_batches: Optional[int] = None
+) -> Iterator[RankBatch]:
+    """The reduction tasks of a source, in rank order.
+
+    With ``n_batches``, an indexed file is cut by its footer's block lengths
+    into at most that many ``(path, ranks)`` batches of near-equal bytes
+    (:func:`cut_by_bytes`) and nothing is decoded here.  Any other source —
+    and every source without ``n_batches`` — yields one batch per rank
+    holding the rank's frame, built only when the iterator reaches it.
+    """
+    ranks = indexed_source_ranks(source) if n_batches is not None else None
+    if ranks is None:
+        for rank, frame in rank_frame_streams(source):
+            yield RankBatch(ranks=(rank,), frames=(frame,))
+        return
+    path = Path(source)
+    lengths = resolve_format(path).rank_bytes(path)
+    for run in cut_by_bytes(lengths, n_batches):
+        yield RankBatch(
+            ranks=tuple(ranks[run.start : run.stop]),
+            path=str(path),
+            n_bytes=sum(lengths[run.start : run.stop]),
+        )
 
 
 def rank_frame_streams(source: SegmentSource) -> Iterator[Tuple[int, RankFrame]]:

@@ -53,9 +53,9 @@ from repro.obs.metrics import AdditiveCounts, Counts
 from repro.pipeline.stats import StageClock
 from repro.pipeline.store import create_store
 from repro.pipeline.stream import (
+    RankBatch,
     SegmentSource,
     rank_frame_streams,
-    shard_frame,
     source_name,
 )
 from repro.sweep.plan import SweepConfig, SweepPlan
@@ -67,7 +67,7 @@ __all__ = ["SweepWork", "SweepStats", "SweepEngine", "sweep_source"]
 
 @dataclass(slots=True)
 class SweepWork(AdditiveCounts):
-    """The :class:`SweepStats` fields that sum over (rank × family group) tasks.
+    """The :class:`SweepStats` fields that sum over (rank batch × family group) tasks.
 
     A pool task publishes its own and the parent the run's, under the same
     field names, so the workers' merged totals equal the run's.
@@ -98,7 +98,7 @@ class SweepStats(Counts):
     vector_builds_naive: int = 0
     total_seconds: float = 0.0
     #: How the grid reached the reducer states: ``inline`` (one shared frame
-    #: in this process) or ``shard`` ((rank × family) pool tasks).
+    #: in this process) or ``shard`` ((rank batch × family) pool tasks).
     dispatch: str = "inline"
 
     @property
@@ -140,15 +140,13 @@ class _RankSweep:
     reduced: dict[tuple, ReducedRankTrace]
     n_segments: int
     work: SweepWork
-    #: Worker telemetry snapshot when the task ran in capture mode.
-    snapshot: Optional[obs.RecorderSnapshot] = None
 
 
 def merge_rank_groups(parts: list[_RankSweep]) -> _RankSweep:
     """Merge one rank's per-family-group sweeps into a single rank sweep.
 
-    Used by the sharded dispatch, where each (rank × family group) pool task
-    re-decodes the rank's frame independently: config outcomes are disjoint
+    Used by the sharded dispatch, where each (rank batch × family group) pool
+    task re-decodes its ranks' frames independently: config outcomes are disjoint
     across groups, every group saw the same segments (so the segment count is
     taken once, not summed), and the work counters — vector builds and lazy
     materializations, both real work done per group — add up.
@@ -164,30 +162,37 @@ def merge_rank_groups(parts: list[_RankSweep]) -> _RankSweep:
     return merged
 
 
-def _sweep_shard_task(
+def _sweep_batch_task(
     specs: tuple[tuple, ...],
-    path: str,
-    rank: int,
+    batch: RankBatch,
     store_capacity: Optional[int],
     capture: bool = False,
-) -> _RankSweep:
-    """One pool task of a sharded sweep: (rank shard × config group).
+) -> tuple[list[_RankSweep], Optional[obs.RecorderSnapshot]]:
+    """One pool task of a sharded sweep: (rank batch × config group).
 
-    The payload is just a file path, a rank id, and (method, threshold)
-    pairs; the worker opens the indexed file, decodes only the rank's byte
-    range into a columnar frame, and runs the group's configs over it in one
-    shared pass.  With ``capture=True`` the task records into a private
-    recorder, publishes its :class:`SweepWork` there under the names the
-    parent publishes the run's, and ships the snapshot back on the result.
+    The payload is just a file path, rank ids, and (method, threshold)
+    pairs; the worker opens the indexed file, decodes the batch's byte
+    ranges into columnar frames one rank at a time, and runs the group's
+    configs over each in one shared pass.  With ``capture=True`` the task
+    records into a private recorder, publishes its :class:`SweepWork` there
+    under the names the parent publishes the run's, and ships the snapshot
+    back beside the rank sweeps.
     """
     plan = SweepPlan([SweepConfig(method, threshold) for method, threshold in specs])
     engine = SweepEngine(plan, store_capacity=store_capacity)
     with obs.task_recording(capture) as recorder:
-        result = engine.sweep_rank(rank, shard_frame(path, rank))
+        with obs.span("shard.batch", ranks=len(batch.ranks), bytes=batch.n_bytes):
+            rank_sweeps = [
+                engine.sweep_rank(frame.rank, frame) for frame in batch.iter_frames()
+            ]
+    snapshot = None
     if recorder is not None:
-        result.work.record(recorder.registry, "sweep")
-        result.snapshot = recorder.snapshot()
-    return result
+        work = SweepWork()
+        for rank_sweep in rank_sweeps:
+            work = work.merged_with(rank_sweep.work)
+        work.record(recorder.registry, "sweep")
+        snapshot = recorder.snapshot()
+    return rank_sweeps, snapshot
 
 
 class SweepEngine:

@@ -71,6 +71,7 @@ __all__ = [
     "RpbTraceWriter",
     "read_index",
     "rank_ids",
+    "rank_bytes",
     "rank_frame",
     "iter_rank_records",
     "iter_rank_segments",
@@ -353,6 +354,11 @@ def _index_from_footer(footer) -> RpbIndex:
 def rank_ids(path: str | Path) -> list[int]:
     """Ranks present in the file, in block (write) order."""
     return read_index(path).ranks
+
+
+def rank_bytes(path: str | Path) -> list[int]:
+    """Byte length of each rank's block, in :func:`rank_ids` order (footer only)."""
+    return [entry.length for entry in read_index(path).entries]
 
 
 @dataclass(slots=True)

@@ -16,8 +16,8 @@ Two formats are registered:
 ``rpb``
     The columnar binary format of :mod:`repro.trace.binio` (``.rpb``).
     Indexed: any rank can be decoded independently, which is what lets the
-    pipeline ship ``(path, rank)`` shard tasks to workers instead of pickled
-    rank payloads.
+    pipeline ship ``(path, ranks)`` shard batches — cut by the index's block
+    lengths — to workers instead of pickled rank payloads.
 
 :func:`convert_trace` streams one format into the other rank by rank, so
 conversion memory is bounded by the largest single rank.
@@ -67,8 +67,8 @@ class TraceWriter(Protocol):
 class TraceFormat:
     """One registered trace storage format.
 
-    ``rank_ids`` / ``rank_records`` / ``rank_segments`` are ``None`` for
-    forward-only formats; their presence is what marks a format as
+    ``rank_ids`` / ``rank_bytes`` / ``rank_records`` / ``rank_segments`` are
+    ``None`` for forward-only formats; their presence is what marks a format as
     random-access (``is_indexed``).
     """
 
@@ -82,6 +82,9 @@ class TraceFormat:
     #: Bytes the file's records occupy in the text format (§4.3.1's denominator).
     text_bytes: Callable[[Path], int]
     rank_ids: Optional[Callable[[Path], list[int]]] = None
+    #: Bytes each rank's block occupies in the file, in ``rank_ids`` order,
+    #: from the index alone — what the pipeline balances pooled work by.
+    rank_bytes: Optional[Callable[[Path], list[int]]] = None
     rank_records: Optional[Callable[[Path, int], Iterator[TraceRecord]]] = None
     rank_segments: Optional[Callable[[Path, int], Iterator[Segment]]] = None
     #: Decode one rank straight into a columnar ``RankFrame`` (no Segment
@@ -215,6 +218,7 @@ register_format(
         rank_streams=binio.iter_rank_record_streams_rpb,
         text_bytes=binio.text_bytes,
         rank_ids=binio.rank_ids,
+        rank_bytes=binio.rank_bytes,
         rank_records=binio.iter_rank_records,
         rank_segments=binio.iter_rank_segments,
         rank_frame=binio.rank_frame,

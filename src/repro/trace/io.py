@@ -29,8 +29,10 @@ from __future__ import annotations
 import io as _io
 import itertools
 import math
+import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,6 +67,7 @@ __all__ = [
     "iter_rank_record_streams_text",
     "iter_reduced_rank_chunks",
     "serialize_reduced_trace",
+    "atomic_output",
     "write_reduced_trace",
     "iter_delta_chunks",
     "serialize_delta",
@@ -462,19 +465,43 @@ def serialize_reduced_trace(reduced: "ReducedTrace") -> bytes:
     )
 
 
+@contextmanager
+def atomic_output(path: str | Path) -> Iterator[BinaryIO]:
+    """Open a binary file that appears under ``path`` whole or not at all.
+
+    The handle writes to a temporary file beside ``path`` that is renamed
+    over it when the block ends; if the block raises, the temporary file is
+    removed and whatever ``path`` held before is untouched.  A target that
+    exists and is no regular file (a device, a pipe) has nothing to keep
+    intact and must not be replaced, so it is written in place.
+    """
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        with path.open("wb") as handle:
+            yield handle
+        return
+    temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with temp.open("wb") as handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def write_reduced_trace(reduced: "ReducedTrace", path: str | Path) -> int:
     """Write a reduced trace to ``path`` incrementally; returns bytes written.
 
     The streaming counterpart of building :func:`serialize_reduced_trace` in
     memory: chunks go straight to the file handle, one stored segment or
-    execution entry at a time.
+    execution entry at a time.  The file is an :func:`atomic_output`.
     """
     from repro import obs
 
-    path = Path(path)
     written = 0
     with obs.span("reduced.write", path=str(path)):
-        with path.open("wb") as handle:
+        with atomic_output(path) as handle:
             for rank in reduced.ranks:
                 for chunk in iter_reduced_rank_chunks(rank):
                     handle.write(chunk)

@@ -61,7 +61,8 @@ def test_one_round_covers_the_full_oracle_matrix(one_round_results):
     for result in one_round_results:
         ran.update(o.name for o in result.outcomes if o.status != "skip")
     assert ran == set(ORACLE_NAMES)
-    assert len(ORACLE_NAMES) == 11 and {"pipeline_shard", "pipeline_payload"} <= ran
+    assert len(ORACLE_NAMES) == 12
+    assert {"pipeline_shard", "pipeline_payload", "pipeline_streamed"} <= ran
 
 
 def test_rerun_reproduces_outcomes(one_round_results):

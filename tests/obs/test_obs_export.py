@@ -108,7 +108,8 @@ def test_pooled_pipeline_workers_agree_with_run(request, source, dispatch, execu
     recorder, result = _recorded_run(request.getfixturevalue(source), executor)
     stats = result.stats
     assert stats.dispatch == dispatch
-    assert len(recorder.absorbed) == stats.nprocs
+    # One snapshot per task: 4 ranks are 4 batches at 2 workers, or 4 frames.
+    assert len(recorder.absorbed) == stats.nprocs == 4
     counted = _assert_workers_agree_with_run(recorder)
     # Every count that is additive over ranks is on both sides ...
     run = recorder.registry.snapshot()

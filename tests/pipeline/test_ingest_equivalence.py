@@ -8,7 +8,7 @@ whether it ingests
 * the text file written from it, or
 * the binary (``.rpb``) file converted from that text file,
 
-and binary file sources must reach pool workers as ``(path, rank)`` shard
+and binary file sources must reach pool workers as ``(path, ranks)`` shard
 tasks, never as pickled rank payloads.
 
 Two reference chains are used because the text format quantizes timestamps

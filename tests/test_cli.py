@@ -99,6 +99,30 @@ class TestCommands:
         )
         assert f"reduced trace bytes {size}" in " ".join(unwritten.split())
 
+    @pytest.mark.parametrize("store_capacity", [None, "2"])
+    def test_pipeline_output_is_the_same_file_on_every_route(self, capsys, tmp_path, store_capacity):
+        """``--output`` alone streams through ``write()``; ``--verify`` and
+        ``--merge`` reduce to objects first.  Same bytes, every executor."""
+        saved = tmp_path / "full.rpb"
+        base = ["--scale", "smoke", "pipeline"]
+        tail = ["--method", "euclidean"]
+        if store_capacity:
+            tail += ["--store-capacity", store_capacity]
+        assert run_cli(capsys, *base, "sweep3d_8p", "--save-trace", str(saved), *tail)[0] == 0
+        written = set()
+        for executor in ("serial", "thread", "process"):
+            for extra in ([], ["--verify"], ["--merge"]):
+                target = tmp_path / f"{executor}{''.join(extra)}.out"
+                code, out = run_cli(
+                    capsys, *base, "--trace", str(saved), "--executor", executor,
+                    "--workers", "2", "--output", str(target), *extra, *tail,
+                )
+                assert code == 0
+                assert f"({target.stat().st_size} bytes)" in out
+                assert ("merged trace bytes" in out) == (extra == ["--merge"])
+                written.add(target.read_bytes())
+        assert len(written) == 1 and written.pop().startswith(b"SEG ")
+
     def test_pipeline_save_trace_and_trace_ingest(self, capsys, tmp_path):
         saved = tmp_path / "full.rpb"
         code, out = run_cli(

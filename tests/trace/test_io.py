@@ -1,10 +1,13 @@
 """Tests for trace serialization and file-size accounting."""
 
+import os
+
 import pytest
 
 from repro.benchmarks_ats import late_sender
 from repro.trace.events import MpiCallInfo
 from repro.trace.io import (
+    atomic_output,
     format_record,
     iter_reduced_rank_chunks,
     parse_record,
@@ -223,3 +226,24 @@ class TestStreamingReducedWriter:
         path = tmp_path / "empty.txt"
         assert write_reduced_trace(empty, path) == 0
         assert path.read_bytes() == b""
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, reduced, monkeypatch):
+        path = tmp_path / "reduced.txt"
+        path.write_bytes(b"previous run")
+
+        def chunks_then_error(rank):
+            yield b"half a rank"
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("repro.trace.io.iter_reduced_rank_chunks", chunks_then_error)
+        with pytest.raises(OSError, match="No space left"):
+            write_reduced_trace(reduced, path)
+        assert path.read_bytes() == b"previous run"
+        assert [p.name for p in tmp_path.iterdir()] == ["reduced.txt"]
+
+    def test_atomic_output_writes_a_device_in_place(self, tmp_path):
+        # Nothing to keep intact, and a rename would replace the device node.
+        with atomic_output("/dev/null") as handle:
+            handle.write(b"discarded")
+        assert not os.path.isfile("/dev/null")
+        assert not [p for p in os.listdir("/dev") if p.startswith("null.")]
