@@ -11,9 +11,11 @@ A metric's dense probe (``match_row``) and the batch step evaluate all
 candidates in one NumPy broadcast and take the first match.
 
 A representative is stored once: the reducer hands
-:meth:`RepresentativeStore.add` the segment together with the feature row
-that just failed to match (and the metric's ``row_scale`` of it), and the
-bucket writes both at that moment.  Nothing is built later, so a bucket holds
+:meth:`RepresentativeStore.add` the representative — for a dense reduction
+still the ``(frame, row)`` it is, no object — together with the feature row
+that just failed to match (and the metric's ``row_scale`` of it, which the
+batch step's leader round already holds), and the bucket writes both at
+that moment.  Nothing is built later, so a bucket holds
 no metric and a row per entry or no rows at all (the scan-only metrics and a
 metric that mutates its representatives, whose rows would go stale).
 

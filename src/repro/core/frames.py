@@ -18,8 +18,12 @@ algorithm derives per segment is then computed **in bulk** over the columns:
   vectorizes in a handful of NumPy calls.
 
 ``Segment`` objects are only *materialized* — built back from the columns —
-lazily, for stored representatives, mutation-bearing metrics, and
-reduced-trace output; :attr:`RankFrame.materialized` counts how few that is.
+for the metrics that probe with the object (the iteration methods, a metric
+that rewrites what it stored) and for a caller that reads a representative's
+``.segment``: a dense reduction books its representatives as ``(frame, row)``
+and writes, sizes and reconstructs them from the columns, so
+:attr:`RankFrame.materialized` stays 0 through it, and the time-order check
+construction made on the way is :meth:`RankFrame.check_time_order`.
 ``.rpb`` files decode straight into frames (:func:`repro.trace.binio.rank_frame`);
 text and in-memory sources adapt through :meth:`RankFrame.from_segments`, so
 every engine runs one code path.  The segment-at-a-time
@@ -36,7 +40,7 @@ from repro import obs
 from repro.trace.events import Event, MpiCallInfo
 from repro.trace.segments import Segment
 
-__all__ = ["InternedKey", "RankFrame", "pyramid_rows"]
+__all__ = ["InternedKey", "RankFrame", "gather_events", "pyramid_rows"]
 
 
 class InternedKey:
@@ -101,6 +105,19 @@ def pyramid_rows(matrix: np.ndarray, scale: float) -> np.ndarray:
     return np.concatenate([current] + details[::-1], axis=1)
 
 
+def gather_events(ev_offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Segments ``rows`` laid end to end: their prefix array, and each event's source row.
+
+    Event ``j`` of gathered segment ``i`` is source event
+    ``ev_offsets[rows[i]] + (j - offsets[i])``.
+    """
+    counts = np.diff(ev_offsets)[rows]
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    gather = np.repeat(ev_offsets[:-1][rows] - offsets[:-1], counts)
+    gather += np.arange(len(gather), dtype=np.int64)
+    return offsets, gather
+
+
 def _next_power_of_two(n: int) -> int:
     if n <= 1:
         return 1
@@ -142,10 +159,12 @@ class RankFrame:
         "mpi_table",
         "indices",
         "materialized",
+        "invalid",
         "_keys",
         "_rel",
         "_rows",
         "_lists",
+        "__weakref__",
     )
 
     def __init__(
@@ -176,9 +195,12 @@ class RankFrame:
         self.strings = tuple(strings)
         self.mpi_table = tuple(mpi_table)
         self.indices = indices
-        #: Segment objects built back from the columns so far (lazy-path win:
-        #: stays far below ``n_segments`` for the distance metrics).
+        #: Segment objects built back from the columns so far (0 through a
+        #: dense reduction, ``n_segments`` through an iteration method).
         self.materialized = 0
+        #: Builds the error :meth:`check_time_order` raises from its message;
+        #: a decoder that knows where the frame came from says so here.
+        self.invalid = ValueError
         self._keys: Optional[list[InternedKey]] = None
         self._rel = None
         self._rows: dict = {}
@@ -290,8 +312,8 @@ class RankFrame:
 
     # -- bulk normalisation ----------------------------------------------------
 
-    def _relative(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Relative (normalised) event/boundary timestamps, computed in bulk.
+    def relative_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Relative (normalised) event starts, event ends and segment ends, in bulk.
 
         ``a - b`` is IEEE-defined as ``a + (-b)``, so these equal the scalar
         ``relative_to_start()`` results (``e.start + offset`` with
@@ -307,6 +329,56 @@ class RankFrame:
                 self.ends - self.starts,
             )
         return rel
+
+    def check_time_order(self) -> None:
+        """Reject an event that exits before it enters, a segment that ends before it begins.
+
+        The checks ``Event`` and ``Segment`` construction make when a row is
+        materialized, for every row at once: whether a reduction accepts a
+        frame must not depend on which rows it happens to build.  Raises
+        :attr:`invalid` with the constructor's text for the first offending
+        row; NaN compares false here as it does there.
+        """
+        rel_ev_starts, rel_ev_ends, rel_ends = self.relative_columns()
+        bad_event, bad_segment = rel_ev_ends < rel_ev_starts, rel_ends < 0.0
+        if bad_event.any():
+            event = int(bad_event.argmax())
+            row = int(np.searchsorted(self.ev_offsets, event, side="right")) - 1
+            if not bad_segment[:row].any():  # the row's events are built before the row
+                raise self.invalid(
+                    f"event {self.strings[self.ev_names[event]]!r} has end "
+                    f"({float(rel_ev_ends[event])}) before start ({float(rel_ev_starts[event])})"
+                )
+        if bad_segment.any():
+            row = int(bad_segment.argmax())
+            raise self.invalid(
+                f"segment {self.strings[self.contexts[row]]!r} has end "
+                f"({float(rel_ends[row])}) before start (0.0)"
+            )
+
+    def take(self, rows: np.ndarray) -> "RankFrame":
+        """Segments ``rows`` in their normalised form, as a frame of their own.
+
+        Row ``i`` holds what :meth:`from_segments` makes of
+        ``self.segment(rows[i])``, bit for bit, gathered from the columns with
+        no object built; the string and MPI tables are shared.
+        """
+        rel_ev_starts, rel_ev_ends, rel_ends = self.relative_columns()
+        ev_offsets, gather = gather_events(self.ev_offsets, rows)
+        return RankFrame(
+            rank=self.rank,
+            contexts=self.contexts[rows],
+            starts=np.zeros(len(rows)),
+            ends=rel_ends[rows],
+            ev_offsets=ev_offsets,
+            ev_names=self.ev_names[gather],
+            ev_starts=rel_ev_starts[gather],
+            ev_ends=rel_ev_ends[gather],
+            ev_mpi=self.ev_mpi[gather],
+            strings=self.strings,
+            mpi_table=self.mpi_table,
+            indices=rows if self.indices is None else self.indices[rows],
+        )
 
     # -- vectorized structural keying ------------------------------------------
 
@@ -393,10 +465,10 @@ class RankFrame:
         2-D allocation filled by strided assignment; the returned list holds
         row views in segment order.  Values are bitwise identical to the
         per-segment builders in :mod:`repro.core.metrics.vectors` because the
-        relative timestamps already are (see :meth:`_relative`) and layout
+        relative timestamps already are (see :meth:`relative_columns`) and layout
         assembly only moves them.
         """
-        rel_ev_starts, rel_ev_ends, rel_ends = self._relative()
+        rel_ev_starts, rel_ev_ends, rel_ends = self.relative_columns()
         counts = np.diff(self.ev_offsets)
         rows: list[Optional[np.ndarray]] = [None] * self.n_segments
         for k in np.unique(counts).tolist():
@@ -450,7 +522,7 @@ class RankFrame:
         """
         lists = self._lists
         if lists is None:
-            rel_ev_starts, rel_ev_ends, rel_ends = self._relative()
+            rel_ev_starts, rel_ev_ends, rel_ends = self.relative_columns()
             lists = self._lists = (
                 self.contexts.tolist(),
                 rel_ends.tolist(),

@@ -7,7 +7,9 @@ same events, same MPI parameters) but approximated timestamps — which is what
 the approximation-distance and trend-retention criteria quantify.
 
 The replay is columnar.  A rank's stored representatives (tens of segments)
-are adapted once to a :class:`~repro.core.frames.RankFrame`; the execution
+become one :class:`~repro.core.frames.RankFrame` — gathered from the frame
+they are still rows of (:meth:`RankFrame.take`, after a dense reduction), else
+adapted once from their objects; the execution
 list (thousands of entries) becomes a row array into it, and the rebuilt
 rank is a gather: name / MPI / context ids by one fancy index, timestamps as
 ``representative column[gather] + execution start`` — the same IEEE-754 add a
@@ -30,7 +32,7 @@ from typing import Literal
 
 import numpy as np
 
-from repro.core.frames import RankFrame
+from repro.core.frames import RankFrame, gather_events
 from repro.core.frametrace import FrameRankTrace, FrameTrace
 from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
 from repro.trace.segments import Segment
@@ -72,7 +74,6 @@ def reconstruct_rank(
     """Reconstruct one rank's approximate trace as a frame-backed rank."""
     if iter_k_fill not in ("last", "mean"):
         raise ValueError(f"iter_k_fill must be 'last' or 'mean', got {iter_k_fill!r}")
-    representatives = [stored.segment for stored in reduced.stored]
     row_of_id = {stored.segment_id: row for row, stored in enumerate(reduced.stored)}
     try:
         rows = np.fromiter(
@@ -85,28 +86,34 @@ def reconstruct_rank(
             f"execution entry references unknown segment id {exc.args[0]} on rank {reduced.rank}"
         ) from None
 
-    if iter_k_fill == "mean":
-        # One mean representative per structural group, as an extra row; a
-        # matched execution of the group's last collected copy replays it.
-        groups: dict[tuple, list[StoredSegment]] = {}
-        for stored in reduced.stored:
-            groups.setdefault(stored.segment.structure(), []).append(stored)
-        fill_row = np.arange(len(representatives), dtype=np.int64)
-        for group in groups.values():
-            fill_row[row_of_id[group[-1].segment_id]] = len(representatives)
-            representatives.append(_mean_segment(group))
-        matched = np.asarray(reduced.exec_matched, dtype=bool)
-        rows = np.where(matched, fill_row[rows], rows)
+    origins = [stored.origin for stored in reduced.stored]
+    source = origins[0][0] if origins and origins[0] is not None else None
+    if (
+        iter_k_fill == "last"
+        and source is not None
+        and all(origin is not None and origin[0] is source for origin in origins)
+    ):
+        # Every representative is still a row of one frame: gather them.
+        stored_frame = source.take(np.array([row for _, row in origins]))
+    else:
+        representatives = [stored.segment for stored in reduced.stored]
+        if iter_k_fill == "mean":
+            # One mean representative per structural group, as an extra row; a
+            # matched execution of the group's last collected copy replays it.
+            groups: dict[tuple, list[StoredSegment]] = {}
+            for stored in reduced.stored:
+                groups.setdefault(stored.segment.structure(), []).append(stored)
+            fill_row = np.arange(len(representatives), dtype=np.int64)
+            for group in groups.values():
+                fill_row[row_of_id[group[-1].segment_id]] = len(representatives)
+                representatives.append(_mean_segment(group))
+            matched = np.asarray(reduced.exec_matched, dtype=bool)
+            rows = np.where(matched, fill_row[rows], rows)
+        stored_frame = RankFrame.from_segments(reduced.rank, representatives)
 
-    stored_frame = RankFrame.from_segments(reduced.rank, representatives)
     starts = np.asarray([start for _, start in reduced.execs], dtype=np.float64)
-    counts = np.diff(stored_frame.ev_offsets)[rows]
-    ev_offsets = np.concatenate(([0], np.cumsum(counts)))
-    # Event j of execution i is the representative's event
-    # ``stored_frame.ev_offsets[rows[i]] + (j - ev_offsets[i])``.
-    gather = np.repeat(stored_frame.ev_offsets[:-1][rows] - ev_offsets[:-1], counts)
-    gather += np.arange(len(gather), dtype=np.int64)
-    ev_shift = np.repeat(starts, counts)
+    ev_offsets, gather = gather_events(stored_frame.ev_offsets, rows)
+    ev_shift = np.repeat(starts, np.diff(ev_offsets))
     return FrameRankTrace(
         RankFrame(
             rank=reduced.rank,

@@ -8,17 +8,19 @@ the evaluation criteria (degree of matching).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
-from repro.trace.io import reduced_trace_size_bytes
+from repro.trace.io import iter_reduced_rank_chunks
 from repro.trace.segments import Segment
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.frames import RankFrame
 
 __all__ = ["StoredSegment", "ReducedRankTrace", "ReducedTrace"]
 
 
-@dataclass(slots=True)
 class StoredSegment:
     """One representative segment retained in the reduced trace.
 
@@ -27,14 +29,52 @@ class StoredSegment:
     executions this representative stands for; ``iter_avg`` additionally keeps
     the running mean of the timestamps in the representative itself.
 
+    A dense reduction books a representative as its ``origin`` — the
+    ``(frame, row)`` it is — and the serializer and the reconstruction read
+    the frame's columns.  :attr:`segment` builds the :class:`Segment` on first
+    read and drops the origin: a reader gets the object the scalar reference
+    stores, and the frame is pinned only until then.
+
     Its pickled state is the compact ``(id, segment, count)`` triple: pool
     workers ship every representative back to the parent, so the state must
     not grow with the class.
     """
 
-    segment_id: int
-    segment: Segment
-    count: int = 1
+    __slots__ = ("segment_id", "count", "origin", "_segment")
+
+    def __init__(
+        self,
+        segment_id: int,
+        segment: Optional[Segment] = None,
+        count: int = 1,
+        *,
+        origin: Optional[tuple["RankFrame", int]] = None,
+    ) -> None:
+        self.segment_id = segment_id
+        self.count = count
+        #: ``(frame, row)`` while the representative is still a frame row, else None.
+        self.origin = origin
+        self._segment = segment
+
+    @property
+    def segment(self) -> Segment:
+        segment = self._segment
+        if segment is None:
+            frame, row = self.origin
+            segment = self._segment = frame.segment(row)
+            self.origin = None
+        return segment
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StoredSegment):
+            return NotImplemented
+        return self.__getstate__() == other.__getstate__()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        what = f"segment={self._segment!r}" if self.origin is None else f"row={self.origin[1]}"
+        return f"StoredSegment(segment_id={self.segment_id}, {what}, count={self.count})"
 
     def timestamps(self) -> np.ndarray:
         """Relative timestamp vector in the canonical segment layout."""
@@ -44,7 +84,8 @@ class StoredSegment:
         return (self.segment_id, self.segment, self.count)
 
     def __setstate__(self, state):
-        self.segment_id, self.segment, self.count = state
+        self.segment_id, self._segment, self.count = state
+        self.origin = None
 
     def update_mean(self, new_timestamps: np.ndarray) -> None:
         """Fold one more execution into the running mean of the timestamps.
@@ -110,10 +151,8 @@ class ReducedRankTrace:
         return {s.segment_id: s for s in self.stored}
 
     def size_bytes(self) -> int:
-        """Serialized size of this rank's reduced trace."""
-        return reduced_trace_size_bytes(
-            ((s.segment_id, s.segment) for s in self.stored), self.execs
-        )
+        """Serialized size of this rank's reduced trace: the length of its chunks."""
+        return sum(map(len, iter_reduced_rank_chunks(self)))
 
 
 @dataclass(slots=True)

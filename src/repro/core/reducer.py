@@ -12,12 +12,15 @@ That step is written twice, on purpose: the core and the scalar reference.
 
 :class:`ReductionState` is the columnar core, the only way the product
 reduces: one (rank, config) reduction stepped over a
-:class:`~repro.core.frames.RankFrame`, materializing a segment only when it
-becomes a representative.  :func:`step_frame` is the one loop that steps
-states over a frame — :meth:`TraceReducer.reduce_frame` (and through it
-:meth:`TraceReducer.reduce`, the evaluation runner, the pipeline and the
-online session) calls it with one state, the sweep engine with its whole
-grid.  The core has two steps with one outcome: the per-row
+:class:`~repro.core.frames.RankFrame`.  A dense state (the distance and
+wavelet methods) builds no :class:`~repro.trace.segments.Segment`: a new
+representative is booked as the ``(frame, row)`` it is, and only a state that
+probes with the object (the iteration methods, a metric that rewrites what it
+stored, a custom ``on_match``) materializes rows.  :func:`step_frame` is the
+one loop that steps states over a frame — :meth:`TraceReducer.reduce_frame`
+(and through it :meth:`TraceReducer.reduce`, the evaluation runner, the
+pipeline and the online session) calls it with one state, the sweep engine
+with its whole grid.  The core has two steps with one outcome: the per-row
 ``match``/``record`` step, and its exact batch form
 :meth:`ReductionState.match_batch`, which resolves a whole frame per
 structural key in ``O(keys + new representatives)`` kernel calls; a state
@@ -37,6 +40,7 @@ reducer memory.
 
 from __future__ import annotations
 
+from itertools import repeat
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
@@ -136,10 +140,11 @@ class ReductionState:
 
     The probe is chosen once, at construction: a distance metric that leaves
     its representatives alone is probed with the frame's pre-built feature
-    rows (:attr:`dense`) against the rows its bucket stored, so only
-    representatives ever materialize; any other metric — the iteration
-    methods, a distance metric that rewrites what it stored — is probed with
-    the materialized segment itself through its exact ``match`` scan.
+    rows (:attr:`dense`) against the rows its bucket stored, and stores a new
+    representative as its ``(frame, row)``, so nothing materializes; any other
+    metric — the iteration methods, a distance metric that rewrites what it
+    stored — is probed with the materialized segment itself through its
+    exact ``match`` scan and stores that object.
 
     So is the step.  :attr:`batchable` is the predicate: the state is dense,
     the metric does not override ``on_match``, its kernel serves the
@@ -251,34 +256,40 @@ class ReductionState:
                     relative = rel[0] = frame.segment(index)
                 self.metric.on_match(relative, chosen)
             return
-        if self._mutates:
-            # The metric will rewrite the stored timestamps in place
-            # (iter_avg's running mean), so the representative must not be
-            # the materialized segment other states share through ``rel``.
-            to_store = frame.segment(index)
+        if self.dense:
+            # The row itself, with the probe that just failed to match as its
+            # matrix row and the metric's ``row_scale`` of it.
+            scale = self.metric.row_scale
+            stored = StoredSegment(self._next_id, origin=(frame, index))
+            self._store_new(key, stored, vector, None if scale is None else scale(vector))
         else:
-            to_store = rel[0]
-            if to_store is None:
-                to_store = rel[0] = frame.segment(index)
-        stored = self._store_new(key, to_store, vector)
+            if self._mutates:
+                # The metric will rewrite the stored timestamps in place
+                # (iter_avg's running mean), so the representative must not
+                # be the materialized segment other states share through ``rel``.
+                segment = frame.segment(index)
+            else:
+                segment = rel[0]
+                if segment is None:
+                    segment = rel[0] = frame.segment(index)
+            stored = StoredSegment(self._next_id, segment)
+            self._store_new(key, stored)
         reduced.execs.append((stored.segment_id, start))
         reduced.exec_matched.append(False)
 
     def _store_new(
-        self, key, segment: Segment, vector: Optional[np.ndarray], count: int = 1
-    ) -> StoredSegment:
-        """Store ``segment`` as the next representative, standing for ``count`` executions."""
-        stored = StoredSegment(segment_id=self._next_id, segment=segment, count=count)
+        self,
+        key,
+        stored: StoredSegment,
+        vector: Optional[np.ndarray] = None,
+        scale: Optional[float] = None,
+    ) -> None:
+        """Store ``stored``, built with :attr:`_next_id`, as the next representative."""
         self._next_id += 1
-        if vector is None:
-            self.store.add(key, stored)
-        else:
-            scale = self.metric.row_scale  # a vector means a dense state: a distance metric
-            self.store.add(key, stored, vector, None if scale is None else scale(vector))
+        self.store.add(key, stored, vector, scale)
         self.reduced.stored.append(stored)
-        return stored
 
-    def match_batch(self, batches: KeyBatches, shared: dict) -> None:
+    def match_batch(self, batches: KeyBatches) -> None:
         """Match-or-store every row of ``batches.frame``: the exact batch step.
 
         Only for a :attr:`batchable` state.  Per structural key, in the order
@@ -297,8 +308,8 @@ class ReductionState:
 
         Then everything is booked in segment order, so new representatives
         take the ids, and the buckets the order, that the per-row step gives
-        them.  ``shared`` caches materialized segments by frame row across
-        the states stepped over one frame (the sweep's configs).
+        them — each as its ``(frame, row)``, with the scale its leader round
+        computed.
         """
         frame, vectors = batches.frame, batches.vectors
         metric, store, reduced, counters = self.metric, self.store, self.reduced, self.counters
@@ -307,6 +318,7 @@ class ReductionState:
         first_id = self._next_id
         ids = np.empty(n, dtype=np.int64)  # each row's representative id
         leader = np.full(n, -1, dtype=np.int64)  # or, until ids exist, its new one's row
+        scale_of = None if row_scale is None else np.empty(n)  # each unresolved row's scale
         misses = 0
 
         def compare(vector, matrix, scales):
@@ -334,7 +346,9 @@ class ReductionState:
                 rows, probes = rows[~found], probes[~found]
             else:
                 misses += 1
-            scales = None if row_scale is None else row_scale(probes)
+            scales = None
+            if row_scale is not None:
+                scales = scale_of[rows] = row_scale(probes)
             while rows.size:
                 lead, vector = rows[0], probes[0]
                 leader[lead] = lead
@@ -364,11 +378,10 @@ class ReductionState:
         for sid in np.flatnonzero(counts[:first_id]).tolist():
             reduced.stored[sid].count += int(counts[sid])
         keys = frame.structural_keys()
-        for row, count in zip(new_rows.tolist(), counts[first_id:].tolist()):
-            segment = shared.get(row)
-            if segment is None:
-                segment = shared[row] = frame.segment(row)
-            self._store_new(keys[row], segment, vectors[row], count)
+        new_scales = repeat(None) if scale_of is None else scale_of[new_rows].tolist()
+        for row, count, scale in zip(new_rows.tolist(), counts[first_id:].tolist(), new_scales):
+            stored = StoredSegment(self._next_id, count=count, origin=(frame, row))
+            self._store_new(keys[row], stored, vectors[row], scale)
 
 
 def step_frame(
@@ -387,17 +400,17 @@ def step_frame(
     state over one shared :class:`KeyBatches` grouping; every other group
     takes the per-row step, all of them inside one pass over the rows.
     Either way each state makes the decisions a solo run makes, in the same
-    order.
+    order.  The frame's time order is checked first, every row of it
+    (:meth:`RankFrame.check_time_order`): no step may build the objects whose
+    construction used to check it.
     """
-    # Materialized segments by frame row, across everything stepped over the
-    # frame: a row that several states store is still built once.
-    shared: dict[int, Segment] = {}
+    frame.check_time_order()
     stepped = []
     for states, vectors in groups:
         if vectors is not None and all(state.batchable for state in states):
             batches = KeyBatches(frame, vectors)
             for state in states:
-                state.match_batch(batches, shared)
+                state.match_batch(batches)
         else:
             stepped.append((states, vectors))
     if not stepped:
@@ -409,7 +422,7 @@ def step_frame(
         start = starts[i]
         # One-element cache of the row's materialized normalised segment,
         # shared by every state that needs the object itself.
-        rel: list = [shared.get(i)]
+        rel: list = [None]
         for states, vectors in stepped:
             if vectors is None:
                 probe = rel[0]
@@ -432,9 +445,9 @@ class TraceReducer:
     A reducer instance is stateless between calls; it can be reused across
     ranks and traces.
 
-    :meth:`reduce_frame` is the product's one reduction (columnar, lazily
-    materializing, stepping a :class:`ReductionState`); :meth:`reduce` runs
-    it over every rank of a trace.  :meth:`reduce_segments` /
+    :meth:`reduce_frame` is the product's one reduction (columnar, stepping a
+    :class:`ReductionState`); :meth:`reduce` runs it over every rank of a
+    trace.  :meth:`reduce_segments` /
     :meth:`reduce_streams` are the scalar reference — the paper's
     per-candidate ``metric.match`` scan, segment at a time — that the
     equivalence suites, the fuzz oracles and the benchmark's output check
@@ -521,12 +534,13 @@ class TraceReducer:
         match_counters: Optional[MatchCounters] = None,
         into: Optional[ReducedRankTrace] = None,
     ) -> ReducedRankTrace:
-        """Reduce one rank's columnar frame — the lazy-materialization path.
+        """Reduce one rank's columnar frame.
 
         Structural keys and feature vectors come straight from the frame's
         bulk passes; :class:`~repro.trace.segments.Segment` objects are only
-        materialized for stored representatives (and for metrics the bulk
-        path cannot serve, which inspect the segment object itself).
+        materialized for the metrics the bulk path cannot serve, which
+        inspect the segment object itself — a dense state's representatives
+        stay ``(frame, row)`` until someone reads their ``.segment``.
         A :attr:`~ReductionState.batchable` state takes the batch step, any
         other the per-row step; either way the result is byte-identical to
         :meth:`reduce_segments` over the frame's decoded segments.

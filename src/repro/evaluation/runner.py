@@ -75,8 +75,8 @@ class PreparedWorkload:
 
     ``segmented`` is the full trace as columnar frames, whichever constructor
     built it: every reduction and every criterion of a study reads the same
-    frames, and segment objects are only materialized for stored
-    representatives.
+    frames, and segment objects are only materialized for the methods that
+    probe with them (the iteration methods).
     """
 
     name: str
@@ -115,8 +115,8 @@ class PreparedWorkload:
         The file decodes straight into columnar frames
         (:class:`~repro.core.frametrace.FrameTrace`): the full-trace analysis
         and the criteria read the columns directly, the reducers take their
-        frame paths, and ``full_bytes`` streams off the file — segment
-        objects are only materialized for stored representatives.
+        frame paths, and ``full_bytes`` streams off the file — no segment
+        object is built unless a method probes with it.
         """
         from pathlib import Path
 

@@ -63,8 +63,10 @@ class RankCounts(Counts):
     n_stored: int = 0
     n_matches: int = 0
     n_possible_matches: int = 0
-    #: ``Segment`` objects actually built on the columnar path — the
-    #: lazy-materialization saving is ``n_segments - segments_materialized``.
+    #: ``Segment`` objects the reduction built from frame rows: 0 for a dense
+    #: method (its representatives stay rows), ``n_segments`` for a method
+    #: that probes with the object.  Reading a representative's ``.segment``
+    #: afterwards is the reader's materialization, not counted here.
     segments_materialized: int = 0
     store: StoreCounters = field(default_factory=StoreCounters)
     match: MatchCounters = field(default_factory=MatchCounters)

@@ -31,13 +31,15 @@ order, so each config's reduced trace serializes byte-identical to a solo
 (the equivalence suite asserts exactly that for all nine metrics).
 
 :class:`~repro.trace.segments.Segment` objects materialize lazily: a frame
-row becomes a segment only when some config needs the object itself — to
-store it as a representative, to run a scan-only metric (the iteration
-methods), or to feed a non-default ``on_match``.  Configs whose metric
-mutates its stored representatives (``iter_avg``) get a private materialized
-copy of each segment they store; all other configs share one materialized
-segment per input segment, which is safe because matching and serialization
-never write to it.
+row becomes a segment only when some config needs the object itself — to run
+a scan-only metric (the iteration methods) or to feed a non-default
+``on_match``.  A dense config stores a representative as the ``(frame, row)``
+it is, so a grid of distance methods builds no object at all, and its
+``size`` / ``reconstruct`` criteria read the same columns.  Configs whose
+metric mutates its stored representatives (``iter_avg``) get a private
+materialized copy of each segment they store; the other object-probing
+configs share one materialized segment per input segment, which is safe
+because matching and serialization never write to it.
 """
 
 from __future__ import annotations
@@ -88,8 +90,9 @@ class SweepStats(Counts):
     n_families: int = 0
     n_ranks: int = 0
     n_segments: int = 0
-    #: ``Segment`` objects actually built on the columnar path — the
-    #: lazy-materialization saving is ``n_segments - segments_materialized``.
+    #: ``Segment`` objects the sweep built from frame rows: 0 for a grid of
+    #: dense methods (representatives stay rows), ``n_segments`` per rank once
+    #: a config probes with the object.
     segments_materialized: int = 0
     #: Feature-vector computations actually performed (per segment × family).
     vector_builds: int = 0

@@ -804,7 +804,13 @@ def rank_frame(path: str | Path, rank: int) -> RankFrame:
     """
     path = Path(path)
     with obs.span("columnar.decode", rank=rank, source="rpb"), _block_values(path, rank):
-        return _frame_from_columns(_read_rank_columns(path, rank))
+        frame = _frame_from_columns(_read_rank_columns(path, rank))
+    # The time-order check runs where the frame is reduced; it reports as the
+    # value checks of :func:`_block_values` do.
+    frame.invalid = lambda message: RpbFormatError(
+        f"{path}: rank {rank} block holds an invalid trace: {message}"
+    )
+    return frame
 
 
 def text_bytes(path: str | Path) -> int:

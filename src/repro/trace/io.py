@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.trace.events import Event, MpiCallInfo
+from repro.trace.events import Event, MpiCallInfo, validate_name
 from repro.trace.records import RecordKind, TraceRecord
 from repro.trace.segments import Segment
 
@@ -244,6 +244,10 @@ def serialize_segment(segment: Segment, segment_id: int | None = None) -> bytes:
     them); absolute segments serialize fine too, the size is what matters.
     """
     sid = segment.index if segment_id is None else segment_id
+    return _segment_text(segment, sid).encode("utf-8")
+
+
+def _segment_text(segment: Segment, sid: int) -> str:
     lines = [
         f"SEG {sid} {segment.context} {_TS_FMT.format(segment.end - segment.start)}"
     ]
@@ -252,7 +256,7 @@ def serialize_segment(segment: Segment, segment_id: int | None = None) -> bytes:
             f"EV {event.name} {_TS_FMT.format(event.start)} {_TS_FMT.format(event.end)}"
             f"{_format_mpi(event.mpi)}"
         )
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return "\n".join(lines) + "\n"
 
 
 def serialize_exec_entry(segment_id: int, start: float) -> bytes:
@@ -440,18 +444,70 @@ def iter_rank_record_streams_text(
         yield rank, records
 
 
-def iter_reduced_rank_chunks(reduced_rank: "ReducedRankTrace") -> Iterator[bytes]:
-    """Serialize one reduced rank as a stream of small byte chunks.
+#: ``str.format`` templates of stored segments by structural key: all of
+#: :func:`serialize_segment`'s text but the id and the timestamps, so a name
+#: is validated and an MPI suffix formatted once per structure, not once per
+#: event.  A pure memo shared by the ranks, configs and runs of a process;
+#: cleared when full, so a long-lived service cannot grow it.
+_SEGMENT_TEMPLATES: dict = {}
+_SEGMENT_TEMPLATES_CAP = 1 << 12
+_LITERAL_BRACES = str.maketrans({"{": "{{", "}": "}}"})
 
-    Chunk granularity is one stored segment or one execution entry, so
-    writers never hold more than one segment's serialization in memory.  The
-    concatenated chunks are exactly the bytes counted by
-    :meth:`ReducedRankTrace.size_bytes`.
+
+def _segment_template(key) -> str:
+    """The template of the segments whose ``structure()`` is ``key.value``."""
+    template = _SEGMENT_TEMPLATES.get(key)
+    if template is None:
+        context, events = key.value
+        validate_name(context, "segment context")
+        lines = [f"SEG {{}} {context.translate(_LITERAL_BRACES)} {{:.2f}}\n"]
+        for name, mpi in events:
+            validate_name(name, "event name")
+            suffix = _format_mpi(None if mpi is None else MpiCallInfo(*mpi))
+            name, suffix = name.translate(_LITERAL_BRACES), suffix.translate(_LITERAL_BRACES)
+            lines.append(f"EV {name} {{:.2f}} {{:.2f}}{suffix}\n")
+        if len(_SEGMENT_TEMPLATES) >= _SEGMENT_TEMPLATES_CAP:
+            _SEGMENT_TEMPLATES.clear()
+        template = _SEGMENT_TEMPLATES[key] = "".join(lines)
+    return template
+
+
+def iter_reduced_rank_chunks(reduced_rank: "ReducedRankTrace") -> Iterator[bytes]:
+    """Serialize one reduced rank: its stored segments, then its execution entries.
+
+    The single definition of a reduced rank's bytes — what
+    :func:`serialize_segment` gives each representative and
+    :func:`serialize_exec_entry` each execution, in order.  A representative
+    that is still a frame row (``stored.origin``, a dense reduction) is
+    written from the frame's relative columns with no object built: one
+    template per structure (:func:`_segment_template`), one ``format`` call
+    per representative over a slice of the frame's interleaved event
+    timestamps.  Two chunks at most, so a writer holds one rank's text; their
+    lengths are :meth:`ReducedRankTrace.size_bytes`.
     """
+    pieces: list[str] = []
+    frame = None
     for stored in reduced_rank.stored:
-        yield serialize_segment(stored.segment, segment_id=stored.segment_id)
-    for segment_id, start in reduced_rank.execs:
-        yield serialize_exec_entry(segment_id, start)
+        origin = stored.origin
+        if origin is None:
+            pieces.append(_segment_text(stored.segment, stored.segment_id))
+            continue
+        if origin[0] is not frame:
+            frame = origin[0]
+            keys = frame.structural_keys()
+            rel_ev_starts, rel_ev_ends, rel_ends = frame.relative_columns()
+            pairs = np.empty(2 * len(rel_ev_starts))
+            pairs[0::2], pairs[1::2] = rel_ev_starts, rel_ev_ends
+            # Transient scalar mirrors, for ``format``: nothing is kept on the frame.
+            pairs, ends, bounds = pairs.tolist(), rel_ends.tolist(), (2 * frame.ev_offsets).tolist()
+        row = origin[1]
+        timestamps = pairs[bounds[row] : bounds[row + 1]]
+        pieces.append(_segment_template(keys[row]).format(stored.segment_id, ends[row], *timestamps))
+    if pieces:
+        yield "".join(pieces).encode("utf-8")
+    if reduced_rank.execs:
+        lines = itertools.starmap("EXEC {} {:.2f}\n".format, reduced_rank.execs)
+        yield "".join(lines).encode("utf-8")
 
 
 def serialize_reduced_trace(reduced: "ReducedTrace") -> bytes:
@@ -494,8 +550,8 @@ def write_reduced_trace(reduced: "ReducedTrace", path: str | Path) -> int:
     """Write a reduced trace to ``path`` incrementally; returns bytes written.
 
     The streaming counterpart of building :func:`serialize_reduced_trace` in
-    memory: chunks go straight to the file handle, one stored segment or
-    execution entry at a time.  The file is an :func:`atomic_output`.
+    memory: chunks go straight to the file handle, a rank's stored segments
+    or its execution entries at a time.  The file is an :func:`atomic_output`.
     """
     from repro import obs
 

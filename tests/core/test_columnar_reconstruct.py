@@ -10,6 +10,8 @@ the same IEEE-754 operation the object shift performs.
 import numpy as np
 import pytest
 
+from repro.core.candidates import RepresentativeStore
+from repro.core.frames import RankFrame
 from repro.core.frametrace import FrameRankTrace, FrameTrace
 from repro.core.metrics import METRIC_NAMES, create_metric
 from repro.core.metrics.distance import AbsDiff
@@ -51,6 +53,49 @@ def test_every_workload_method_and_fill_policy(workload):
             assert rebuilt.duration() == reference.duration()
             for rebuilt_rank, reference_rank in zip(rebuilt.ranks, reference.ranks):
                 assert_same_rank(rebuilt_rank, reference_rank)
+
+
+class TestRowBackedRepresentatives:
+    """A dense reduction's representatives are rows of its frame: the replay gathers
+    them from the columns (``RankFrame.take``) and builds no object."""
+
+    def segments(self):
+        return build_workload("sweep3d_8p", "smoke").run_segmented().ranks[3].segments
+
+    @pytest.mark.parametrize("method", [m for m in METRIC_NAMES if not m.startswith("iter")])
+    def test_replay_reads_the_frame_and_materializes_nothing(self, method):
+        frame = RankFrame.from_segments(3, self.segments())
+        reduced = TraceReducer(create_metric(method)).reduce_frame(frame)
+        rebuilt = reconstruct_rank(reduced)
+        assert frame.materialized == 0
+        assert all(stored.origin == (frame, stored.origin[1]) for stored in reduced.stored)
+        assert_same_rank(rebuilt, reference_reconstruct_rank(reduced))
+
+    def test_mean_fill_takes_the_object_adapter(self):
+        frame = RankFrame.from_segments(3, self.segments())
+        reduced = TraceReducer(create_metric("euclidean")).reduce_frame(frame)
+        rebuilt = reconstruct_rank(reduced, iter_k_fill="mean")
+        assert frame.materialized == len(reduced.stored)
+        assert all(stored.origin is None for stored in reduced.stored)
+        assert_same_rank(rebuilt, reference_reconstruct_rank(reduced, iter_k_fill="mean"))
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_rank_continued_over_two_frames(self, read_first):
+        """A session's rank: representatives of two chunk frames, the first chunk's
+        possibly read as objects already (a delta was serialized in between)."""
+        segments = self.segments()
+        cut = len(segments) // 2
+        reducer, store = TraceReducer(create_metric("euclidean", 0.001)), RepresentativeStore()
+        first, second = (
+            RankFrame.from_segments(3, part) for part in (segments[:cut], segments[cut:])
+        )
+        reduced = reducer.reduce_frame(first, store=store)
+        if read_first:
+            assert all(stored.segment is not None for stored in reduced.stored)
+        reducer.reduce_frame(second, store=store, into=reduced)
+        assert {stored.origin[0] for stored in reduced.stored if stored.origin} >= {second}
+        whole = reducer.reduce_frame(RankFrame.from_segments(3, segments))
+        assert_same_rank(reconstruct_rank(reduced), reference_reconstruct_rank(whole))
 
 
 class TestHandBuilt:

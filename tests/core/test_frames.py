@@ -82,6 +82,22 @@ class TestMaterialization:
         frame.starts_list()
         assert frame.materialized == 0
 
+    def test_take_is_the_normalised_rows_as_a_frame(self, small_late_sender_trace):
+        """``take(rows)`` gathers what ``from_segments`` makes of the materialized rows,
+        bit for bit, keeps their keys and emission indices, and builds no object."""
+        rank_trace = small_late_sender_trace.ranks[1]
+        frame = RankFrame.from_segments(rank_trace.rank, rank_trace.segments[::-1])  # indices descend
+        keys = frame.structural_keys()
+        rows = np.array([4, 0, 4, frame.n_segments - 1])
+        taken = frame.take(rows)
+        assert frame.materialized == taken.materialized == 0
+        adapted = RankFrame.from_segments(frame.rank, [frame.segment(row) for row in rows])
+        for column in ("starts", "ends", "ev_offsets", "ev_starts", "ev_ends", "indices"):
+            assert getattr(taken, column).tobytes() == getattr(adapted, column).tobytes(), column
+        assert taken.segments() == adapted.segments()
+        assert [key.value for key in taken.structural_keys()] == [keys[row].value for row in rows]
+        assert frame.take(np.array([], dtype=np.int64)).n_segments == 0
+
     def test_lazy_stream_equals_materialized_list(self):
         """Frames built from a forward-only generator match list-built ones.
 

@@ -112,8 +112,18 @@ class TestReduction:
             ),
         )
         reduced = TraceReducer(create_metric("euclidean")).reduce(trace)
-        assert trace.materialized == reduced.n_stored
-        assert trace.materialized < trace.num_segments
+        assert 0 < reduced.n_stored < trace.num_segments
+        assert trace.materialized == 0  # representatives stay rows of their frames
+        reduced.size_bytes()
+        assert trace.materialized == 0  # and are sized from the columns
+        expected = reference_reduce(create_metric("euclidean"), segmented)
+        assert [rank.stored for rank in reduced.ranks] == [rank.stored for rank in expected.ranks]
+        assert trace.materialized == reduced.n_stored  # reading ``.segment`` is what builds one
+
+    def test_iteration_reduction_materializes_every_segment(self, frame_trace):
+        before = frame_trace.materialized
+        TraceReducer(create_metric("iter_k")).reduce(frame_trace)
+        assert frame_trace.materialized == before + frame_trace.num_segments
 
 
 class TestFromFile:

@@ -29,12 +29,15 @@ class TestPreparedWorkload:
         assert prepared.segmented.num_segments > 0
 
     def test_evaluation_never_rebuilds_segments_to_reduce(self):
-        """A simulated workload is adapted to frames once; only representatives materialize."""
+        """A simulated workload is adapted to frames once; a dense method and its four
+        criteria build no segment, an iteration method one per segment as before."""
         fresh = PreparedWorkload.from_workload(late_sender(nprocs=4, iterations=8, seed=2))
         assert fresh.segmented.materialized == 0
         result = evaluate_method(fresh, create_metric("euclidean"))
-        assert fresh.segmented.materialized == result.n_stored
+        assert fresh.segmented.materialized == 0
         assert 0 < result.n_stored < result.n_segments
+        evaluate_method(fresh, create_metric("iter_k"))
+        assert fresh.segmented.materialized == result.n_segments
 
 
 class TestEvaluateMethod:

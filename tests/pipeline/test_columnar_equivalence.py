@@ -18,7 +18,12 @@ from repro.benchmarks_ats import late_sender
 from repro.core.metrics import METRIC_NAMES, create_metric
 from repro.core.reduced import ReducedTrace
 from repro.core.reducer import TraceReducer
-from repro.pipeline.engine import PipelineConfig, reduce_pipeline, sweep_pipeline
+from repro.pipeline.engine import (
+    PipelineConfig,
+    ReductionPipeline,
+    reduce_pipeline,
+    sweep_pipeline,
+)
 from repro.pipeline.stream import rank_frame_streams, rank_segment_streams
 from repro.sweep.engine import sweep_source
 from repro.sweep.plan import SweepConfig
@@ -176,16 +181,25 @@ class TestLazyStreamFrames:
 
 
 class TestLazyMaterializationStats:
-    def test_distance_metric_materializes_only_representatives(self, rpb_path):
-        result = reduce_pipeline(
-            str(rpb_path), create_metric("relDiff"), PipelineConfig(executor="serial")
+    @pytest.mark.parametrize("method", DISTANCE_METHODS)
+    def test_dense_method_materializes_nothing(self, rpb_path, tmp_path, method):
+        """A dense reduction builds no ``Segment``, through ``reduce()`` and ``write()``
+        alike; a representative read afterwards is the scalar reference's object."""
+        config = PipelineConfig(executor="serial")
+        result = reduce_pipeline(str(rpb_path), create_metric(method), config)
+        _, written = ReductionPipeline(create_metric(method), config).write(
+            str(rpb_path), tmp_path / "reduced.txt"
         )
-        stats = result.stats
-        n_stored = sum(len(rank.stored) for rank in result.reduced.ranks)
-        # default on_match never touches the segment object, so only stored
-        # representatives are materialized
-        assert stats.segments_materialized == n_stored
-        assert 0 < stats.segments_materialized < stats.n_segments
+        assert result.stats.segments_materialized == written.segments_materialized == 0
+        assert 0 < result.stats.n_stored == written.n_stored < result.stats.n_segments
+        assert result.reduced.size_bytes() == (tmp_path / "reduced.txt").stat().st_size
+        reference = TraceReducer(create_metric(method)).reduce_streams(
+            "trace", rank_segment_streams(str(rpb_path))
+        )
+        for rank, expected in zip(result.reduced.ranks, reference.ranks):
+            assert all(stored.origin is not None for stored in rank.stored)  # sizing built none
+            assert rank.stored == expected.stored  # reads every ``.segment``
+            assert all(stored.origin is None for stored in rank.stored)
 
     def test_scan_metric_materializes_everything(self, rpb_path):
         result = reduce_pipeline(
@@ -216,8 +230,12 @@ class TestLazyMaterializationStats:
         stats = result.stats
         labels = [row[0] for row in stats.rows()]
         assert "segments materialized (lazy)" in labels
-        assert 0 < stats.segments_materialized < stats.n_segments
-        assert (
-            recorder.registry.counter("sweep.segments_materialized").get()
-            == stats.segments_materialized
-        )
+        assert stats.segments_materialized == 0 < stats.n_segments
+        assert recorder.registry.counter("sweep.segments_materialized").get() == 0
+
+    def test_sweep_materializes_for_the_iteration_methods_only(self, rpb_path):
+        """Dense configs build nothing beside an object-probing one: the count is its alone."""
+        dense = [SweepConfig(name, create_metric(name).threshold) for name in DISTANCE_METHODS]
+        result = sweep_source(str(rpb_path), dense + [SweepConfig("iter_k", None)])
+        assert result.stats.segments_materialized == result.stats.n_segments
+        assert sweep_source(str(rpb_path), dense).stats.segments_materialized == 0

@@ -181,11 +181,11 @@ class TestEvaluationFromFiles:
             b.approx_distance_us,
         )
         # The whole evaluation ran on the columns: preparation (analysis +
-        # full size), reduction, and the criteria materialized segments only
-        # for the stored representatives — nothing else.
+        # full size), the dense reduction, and the four criteria built no
+        # segment at all.
         for prepared, result in ((prepared_text, a), (prepared_rpb, b)):
-            assert prepared.segmented.materialized == result.n_stored
-            assert prepared.segmented.materialized < prepared.segmented.num_segments
+            assert 0 < result.n_stored < prepared.segmented.num_segments
+            assert prepared.segmented.materialized == 0
 
     def test_sharded_pipeline_reduction_gives_the_same_criteria(self, trace_files):
         from repro.evaluation.runner import (
