@@ -9,10 +9,11 @@ with the benchmark programs (APART-style and Sweep3D) the paper evaluates on.
 
 Quick start
 -----------
->>> from repro import benchmarks_ats, evaluation
+>>> from repro import benchmarks_ats, create_metric, evaluate_method
+>>> from repro.evaluation.runner import PreparedWorkload
 >>> workload = benchmarks_ats.late_sender(nprocs=4, iterations=10)
->>> results = evaluation.evaluate_workload(workload, ["avgWave", "iter_avg"])
->>> [r.method for r in results]
+>>> prepared = PreparedWorkload.from_workload(workload)
+>>> [evaluate_method(prepared, create_metric(m)).method for m in ("avgWave", "iter_avg")]
 ['avgWave', 'iter_avg']
 
 The public API is organised in subpackages:
@@ -33,7 +34,7 @@ The public API is organised in subpackages:
 from repro import analysis, benchmarks_ats, core, evaluation, experiments, simulator, sweep3d, trace
 from repro.core import DEFAULT_THRESHOLDS, METRIC_NAMES, create_metric, reduce_trace, reconstruct
 from repro.core.reducer import TraceReducer
-from repro.evaluation import evaluate_method, evaluate_workload
+from repro.evaluation import evaluate_method
 
 __version__ = "1.0.0"
 
@@ -54,5 +55,4 @@ __all__ = [
     "reduce_trace",
     "reconstruct",
     "evaluate_method",
-    "evaluate_workload",
 ]

@@ -1,7 +1,8 @@
 """Inefficiency patterns and their severity definitions.
 
 Each pattern mirrors the corresponding KOJAK/EXPERT wait state.  For every
-pattern instance we compute two values per affected rank:
+pattern instance the analyzer (:mod:`repro.analysis.expert`) computes two
+values per affected rank:
 
 * ``waiting`` — the KOJAK severity: non-negative waiting time in µs;
 * ``signed`` — the same quantity without clamping at zero.  On a full trace
@@ -11,8 +12,6 @@ pattern instance we compute two values per affected rank:
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 __all__ = [
     "LATE_SENDER",
@@ -24,7 +23,6 @@ __all__ = [
     "EXECUTION_TIME",
     "WAIT_METRICS",
     "METRIC_ABBREVIATIONS",
-    "PatternContribution",
 ]
 
 #: Receiver blocked in a receive because the sender had not reached the send.
@@ -57,67 +55,3 @@ METRIC_ABBREVIATIONS: dict[str, str] = {
     WAIT_AT_NXN: "NN",
     EXECUTION_TIME: "T",
 }
-
-
-@dataclass(frozen=True, slots=True)
-class PatternContribution:
-    """One pattern instance's contribution to the severity matrix."""
-
-    metric: str
-    location: str
-    rank: int
-    waiting: float
-    signed: float
-
-    @staticmethod
-    def from_signed(metric: str, location: str, rank: int, signed: float) -> "PatternContribution":
-        return PatternContribution(
-            metric=metric,
-            location=location,
-            rank=rank,
-            waiting=max(0.0, signed),
-            signed=signed,
-        )
-
-
-def late_sender_contribution(
-    location: str, receiver_rank: int, recv_enter: float, send_enter: float
-) -> PatternContribution:
-    """Late Sender: receiver waited ``send enter − receive enter`` µs."""
-    return PatternContribution.from_signed(
-        LATE_SENDER, location, receiver_rank, send_enter - recv_enter
-    )
-
-
-def late_receiver_contribution(
-    location: str, sender_rank: int, send_enter: float, recv_enter: float
-) -> PatternContribution:
-    """Late Receiver: synchronous sender waited ``receive enter − send enter`` µs."""
-    return PatternContribution.from_signed(
-        LATE_RECEIVER, location, sender_rank, recv_enter - send_enter
-    )
-
-
-def late_broadcast_contribution(
-    location: str, receiver_rank: int, receiver_enter: float, root_enter: float
-) -> PatternContribution:
-    """Late Broadcast: fan-out receiver waited ``root enter − own enter`` µs."""
-    return PatternContribution.from_signed(
-        LATE_BROADCAST, location, receiver_rank, root_enter - receiver_enter
-    )
-
-
-def early_gather_contribution(
-    location: str, root_rank: int, root_enter: float, last_sender_enter: float
-) -> PatternContribution:
-    """Early Gather/Reduce: root waited ``last sender enter − root enter`` µs."""
-    return PatternContribution.from_signed(
-        EARLY_GATHER, location, root_rank, last_sender_enter - root_enter
-    )
-
-
-def nxn_wait_contribution(
-    metric: str, location: str, rank: int, own_enter: float, last_other_enter: float
-) -> PatternContribution:
-    """Wait at Barrier / Wait at N×N: waited ``last other enter − own enter`` µs."""
-    return PatternContribution.from_signed(metric, location, rank, last_other_enter - own_enter)

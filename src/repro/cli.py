@@ -32,6 +32,8 @@ All commands accept ``--scale {smoke,default,paper}`` (default: the
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from contextlib import contextmanager
 from typing import Optional, Sequence
@@ -62,6 +64,11 @@ from repro.trace.io import serialize_reduced_trace, write_reduced_trace, write_t
 from repro.util.tables import format_table
 
 __all__ = ["main", "build_parser"]
+
+#: ``--executor`` values.  ``PipelineConfig`` also takes ``"thread"``: the fuzz
+#: oracles and the tests run the pooled code on it in-process; it is not a way
+#: to go faster, so no command offers it.
+_CLI_EXECUTORS = tuple(e for e in EXECUTORS if e != "thread")
 
 
 class _UsageError(Exception):
@@ -96,6 +103,18 @@ def _matches_serial_reducer(metric, streams, store_capacity, reduced_traces) -> 
     )
     want = serialize_reduced_trace(oracle)
     return all(serialize_reduced_trace(reduced) == want for reduced in reduced_traces)
+
+
+def _check_output_paths(*paths: Optional[str]) -> None:
+    """Raise now the ``OSError`` that opening an output path would raise after the run."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(os.path.dirname(path) or "."):
+            code = errno.ENOENT
+        else:
+            continue
+        raise OSError(code, os.strerror(code), path)
 
 
 @contextmanager
@@ -201,11 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pipeline.add_argument(
         "--executor",
-        choices=EXECUTORS,
+        choices=_CLI_EXECUTORS,
         default="serial",
         help="how ranks are reduced: in this process (default) or through a "
-        "thread/process pool; a process pool pays off on large indexed "
-        "(.rpb) files on two or more cores",
+        "process pool, which pays off on large indexed (.rpb) files on two "
+        "or more cores",
     )
     pipeline.add_argument(
         "--workers", type=int, default=None, help="pool size (default: cpu count)"
@@ -275,9 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--executor",
-        choices=EXECUTORS,
+        choices=_CLI_EXECUTORS,
         default="serial",
-        help="in this process (default) or a thread/process pool over "
+        help="in this process (default) or a process pool over "
         "(rank batch x family) tasks of an indexed file source (ignored otherwise)",
     )
     sweep.add_argument(
@@ -536,6 +555,7 @@ def _cmd_pipeline(args, scale) -> str:
             raise ValueError("--save-trace only applies when simulating a workload")
     except ValueError as error:
         raise _UsageError(str(error)) from error
+    _check_output_paths(args.save_trace, args.output, args.telemetry)
 
     if args.trace is not None:
         from pathlib import Path
@@ -655,6 +675,7 @@ def _cmd_sweep(args, scale) -> str:
         )
     except ValueError as error:
         raise _UsageError(str(error)) from error
+    _check_output_paths(args.telemetry)
 
     if args.trace is not None:
         trace_path = Path(args.trace)
@@ -784,6 +805,7 @@ def _cmd_serve(args, scale) -> str:
             raise ValueError(f"--repeat must be >= 0, got {args.repeat}")
     except ValueError as error:
         raise _UsageError(str(error)) from error
+    _check_output_paths(args.deltas, args.telemetry)
 
     if args.trace is not None:
         trace_path = Path(args.trace)
@@ -1035,6 +1057,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as error:
         parser.error(str(error))
         return 2  # pragma: no cover - parser.error raises SystemExit
+    except OSError as error:
+        if error.filename is None:
+            raise
+        parser.error(f"{error.filename}: {error.strerror}")
     except _VerificationFailed as failure:
         print(failure.report)
         print(f"error: {failure}", file=sys.stderr)

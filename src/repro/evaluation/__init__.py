@@ -20,7 +20,6 @@ from repro.evaluation.runner import (
     EvaluationResult,
     evaluate_grid,
     evaluate_method,
-    evaluate_workload,
 )
 
 __all__ = [
@@ -32,5 +31,4 @@ __all__ = [
     "EvaluationResult",
     "evaluate_grid",
     "evaluate_method",
-    "evaluate_workload",
 ]

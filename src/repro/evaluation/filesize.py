@@ -2,16 +2,12 @@
 
 The criterion compares the *same serialization* of both representations, so
 the ratio measures what the reduction saves, not a formatting artefact.  For
-trace files on disk two size notions exist:
-
-* the **on-disk size** (:func:`trace_file_size_bytes`) — whatever the storage
-  format costs, text or columnar binary;
-* the **text-equivalent size** (:func:`full_trace_bytes_from_file`) — what the
-  trace *would* occupy in the paper's record-per-line format, which is the
-  baseline every reduced trace is measured against.  For text files the two
-  coincide; for ``.rpb`` files it is computed from the column blocks by the
-  text format's own length rules (:class:`repro.trace.io.ColumnTextSizer`),
-  which keeps the criterion comparable across storage formats.
+a trace file on disk the baseline is therefore not its on-disk size but its
+**text-equivalent size** (:func:`full_trace_bytes_from_file`) — what the
+trace *would* occupy in the paper's record-per-line format.  For text files
+the two coincide; for ``.rpb`` files it is computed from the column blocks by
+the text format's own length rules (:class:`repro.trace.io.ColumnTextSizer`),
+which keeps the criterion comparable across storage formats.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from repro.trace.trace import SegmentedTrace
 __all__ = [
     "percent_file_size",
     "full_trace_bytes",
-    "trace_file_size_bytes",
     "full_trace_bytes_from_file",
 ]
 
@@ -34,11 +29,6 @@ __all__ = [
 def full_trace_bytes(full: SegmentedTrace) -> int:
     """Serialized size of the full trace in bytes."""
     return segmented_trace_size_bytes(full)
-
-
-def trace_file_size_bytes(path: str | Path) -> int:
-    """On-disk size of a trace file, whatever its storage format."""
-    return Path(path).stat().st_size
 
 
 def full_trace_bytes_from_file(path: str | Path) -> int:

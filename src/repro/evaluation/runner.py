@@ -1,16 +1,17 @@
 """Study runner: the full evaluation pipeline for one workload.
 
-``evaluate_workload`` simulates a workload once, then applies any number of
-(method, threshold) combinations to the same trace, producing one
-:class:`EvaluationResult` per combination with all four criteria filled in.
-The expensive artefacts (the full trace as columnar frames, its serialized
-size, and its diagnosis report) are computed once and shared.
+A :class:`PreparedWorkload` simulates a workload once; ``evaluate_method`` and
+``evaluate_grid`` then apply any number of (method, threshold) combinations to
+the same trace, producing one :class:`EvaluationResult` per combination with
+all four criteria filled in.  The expensive artefacts (the full trace as
+columnar frames, its serialized size, and its diagnosis report) are computed
+once and shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from repro import obs
 from repro.analysis.compare import ComparisonOptions, TrendComparison
@@ -18,12 +19,10 @@ from repro.analysis.expert import analyze
 from repro.analysis.report import DiagnosisReport
 from repro.benchmarks_ats.base import Workload
 from repro.core.frametrace import FrameTrace
-from repro.core.metrics import create_metric
 from repro.core.metrics.base import SimilarityMetric
 from repro.core.reconstruct import reconstruct
 from repro.core.reduced import ReducedTrace
 from repro.core.reducer import TraceReducer
-from repro.pipeline.engine import PipelineConfig
 from repro.evaluation.approximation import approximation_distance
 from repro.evaluation.filesize import full_trace_bytes, full_trace_bytes_from_file
 from repro.evaluation.trends import retains_trends
@@ -33,7 +32,6 @@ __all__ = [
     "EvaluationResult",
     "evaluate_method",
     "evaluate_grid",
-    "evaluate_workload",
     "result_from_reduced",
     "PreparedWorkload",
 ]
@@ -199,8 +197,6 @@ def evaluate_grid(
     comparison_options: Optional[ComparisonOptions] = None,
     keep_comparison: bool = False,
     backend: str = "sweep",
-    pipeline_config: Optional[PipelineConfig] = None,
-    pipeline_source=None,
 ) -> list[EvaluationResult]:
     """Evaluate a whole config grid on one prepared workload.
 
@@ -209,21 +205,18 @@ def evaluate_grid(
 
     ``backend="sweep"`` (the default) runs the shared-ingest sweep engine:
     one pass over the segments for the entire grid, feature vectors computed
-    once per family.  With ``pipeline_source`` naming an indexed (``.rpb``)
-    trace file and a pooled ``pipeline_config``, the sweep is parallelised
-    over (rank-shard × feature-family) tasks.  ``backend="serial"`` is one
-    independent :func:`evaluate_method` pass per config — the per-config
-    loop the sweep tests and the benchmark's sweep reference compare the
-    engine with; no command selects it.  Both produce identical rows, in
-    plan order.
+    once per family (to fan a file's grid out over a pool, call
+    :func:`repro.pipeline.engine.sweep_pipeline`, as the CLI does).
+    ``backend="serial"`` is one independent :func:`evaluate_method` pass per
+    config — the per-config loop the sweep tests and the benchmark's sweep
+    reference compare the engine with; no command selects it.  Both produce
+    identical rows, in plan order.
     """
     from repro.sweep.plan import SweepPlan
 
     if not isinstance(plan, SweepPlan):
         plan = SweepPlan(plan)
     if backend == "serial":
-        if pipeline_source is not None:
-            raise ValueError("pipeline_source requires backend='sweep'")
         return [
             evaluate_method(
                 prepared,
@@ -237,44 +230,9 @@ def evaluate_grid(
         raise ValueError(f"backend must be 'serial' or 'sweep', got {backend!r}")
     from repro.pipeline.engine import sweep_pipeline
 
-    source = prepared.segmented if pipeline_source is None else pipeline_source
-    result = sweep_pipeline(source, plan, pipeline_config, name=prepared.name)
+    result = sweep_pipeline(prepared.segmented, plan, name=prepared.name)
     return result.evaluation_results(
         prepared,
         comparison_options=comparison_options,
         keep_comparison=keep_comparison,
-    )
-
-
-def evaluate_workload(
-    workload: Workload,
-    methods: Iterable[str | SimilarityMetric | tuple[str, float]],
-    *,
-    comparison_options: Optional[ComparisonOptions] = None,
-) -> list[EvaluationResult]:
-    """Evaluate several methods on one workload.
-
-    ``methods`` may contain metric names (paper default thresholds), metric
-    instances, or ``(name, threshold)`` pairs.
-    """
-    prepared = PreparedWorkload.from_workload(workload)
-    return [
-        evaluate_method(
-            prepared, _resolve_metric(spec), comparison_options=comparison_options
-        )
-        for spec in methods
-    ]
-
-
-def _resolve_metric(spec: str | SimilarityMetric | tuple[str, float]) -> SimilarityMetric:
-    if isinstance(spec, SimilarityMetric):
-        return spec
-    if isinstance(spec, str):
-        return create_metric(spec)
-    if isinstance(spec, tuple) and len(spec) == 2:
-        name, threshold = spec
-        return create_metric(name, threshold)
-    raise TypeError(
-        "method specification must be a metric name, a SimilarityMetric, or a "
-        f"(name, threshold) pair; got {spec!r}"
     )

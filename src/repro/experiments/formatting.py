@@ -10,7 +10,6 @@ from repro.util.tables import format_matrix, format_table
 __all__ = [
     "format_comparative_results",
     "format_rows",
-    "format_threshold_rows",
     "format_trend_table",
 ]
 
@@ -39,11 +38,6 @@ def format_comparative_results(
     ]
     rows = [r.as_row() for r in results]
     return format_table(headers, rows, title=title)
-
-
-def format_threshold_rows(rows: Sequence[Mapping[str, object]], *, title: Optional[str] = None) -> str:
-    """Render threshold-study rows grouped by workload."""
-    return format_rows(rows, title=title)
 
 
 def format_trend_table(

@@ -19,7 +19,7 @@ from repro.experiments.config import (
     prepared_workload,
 )
 
-__all__ = ["TREND_TABLE_INDEX", "trend_table", "trend_table_rows"]
+__all__ = ["TREND_TABLE_INDEX", "trend_table"]
 
 #: Paper table number -> workload, in the order the appendix lists them.
 TREND_TABLE_INDEX: dict[int, str] = {
@@ -79,28 +79,3 @@ def trend_table(
             cells[float(threshold)] = result.trends_retained
         table[method] = cells
     return table
-
-
-def trend_table_rows(
-    workload_name: str,
-    methods: Optional[Sequence[str]] = None,
-    *,
-    thresholds_per_method: Optional[dict[str, Sequence[float]]] = None,
-    scale: ExperimentScale | str | None = None,
-) -> list[dict]:
-    """Flat rows (workload, method, threshold, retained)."""
-    rows = []
-    table = trend_table(
-        workload_name, methods, thresholds_per_method=thresholds_per_method, scale=scale
-    )
-    for method, cells in table.items():
-        for threshold, retained in cells.items():
-            rows.append(
-                {
-                    "workload": workload_name,
-                    "method": method,
-                    "threshold": threshold,
-                    "retained": retained,
-                }
-            )
-    return rows

@@ -28,8 +28,6 @@ from repro.obs.trace import (
     SpanRecord,
     counter,
     current_recorder,
-    disable,
-    enable,
     enabled,
     local_recording,
     observe,
@@ -44,8 +42,6 @@ __all__ = [
     "observe",
     "enabled",
     "current_recorder",
-    "enable",
-    "disable",
     "recording",
     "local_recording",
     "task_recording",

@@ -114,7 +114,10 @@ def write_chrome_trace(
 
 def load_trace(path: str | Path) -> dict:
     """Read an exported telemetry file back into its payload dict."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict) or not isinstance(payload.get("traceEvents"), list):
+        raise ValueError("no traceEvents list")
+    return payload
 
 
 def _duration_events(payload: dict) -> list[dict]:

@@ -19,8 +19,8 @@ nesting work across threads), and its keyword attributes.
 
 Two activation scopes exist:
 
-* :func:`enable` / :func:`disable` / :func:`recording` install a recorder
-  **globally** for the process — the main-process scope the CLI uses;
+* :func:`recording` installs a recorder **globally** for the process, for
+  the enclosed block — the main-process scope the CLI uses;
 * :func:`local_recording` installs a recorder for the **current thread
   only** — the scope pool tasks use, so thread-pool workers can each capture
   a private recorder without racing on the global, and process workers
@@ -52,8 +52,6 @@ __all__ = [
     "observe",
     "enabled",
     "current_recorder",
-    "enable",
-    "disable",
     "recording",
     "local_recording",
     "task_recording",
@@ -277,23 +275,6 @@ def observe(name: str, value) -> None:
     recorder = current_recorder()
     if recorder is not None:
         recorder.registry.observe(name, value)
-
-
-def enable(recorder: Optional[Recorder] = None) -> Recorder:
-    """Install ``recorder`` (or a fresh one) as the process-global sink."""
-    global _GLOBAL
-    if recorder is None:
-        recorder = Recorder()
-    _GLOBAL = recorder
-    return recorder
-
-
-def disable() -> Optional[Recorder]:
-    """Remove the process-global recorder; returns what was installed."""
-    global _GLOBAL
-    recorder = _GLOBAL
-    _GLOBAL = None
-    return recorder
 
 
 @contextmanager

@@ -17,12 +17,15 @@ Executors
     at a time.  Memory is bounded by the largest rank's column arrays plus
     the representative store.  The default: it has no start-up cost, so it
     wins on inputs that reduce in under ~0.2 s (an in-memory 32-rank Sweep3D)
-    and on forward-only sources, whose frames a pool must pickle.
+    and on most forward-only sources, whose frames a pool must pickle (the
+    measured exception is a strict distance method on a text file: 2.9 MB at
+    euclidean 0.001, ``write()`` 1.10 s serial → 0.85 s on two workers).
 ``thread``
     A :class:`~concurrent.futures.ThreadPoolExecutor`.  The match kernels
     are NumPy, but the per-rank bookkeeping around them holds the
     interpreter lock, so this is the in-process pool the tests and the fuzz
-    oracles run the pooled code on, not a way to go faster.
+    oracles run the pooled code on, not a way to go faster: a
+    :class:`PipelineConfig` value that no ``--executor`` flag offers.
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor`.  Each rank gets its
     own representative store inside its worker, so metric state never

@@ -16,7 +16,7 @@ trace can live:
 * an **indexed** trace file (``.rpb``): each rank decodes independently from
   its byte range, so streams may be consumed in any order — and a worker
   process can open the file itself and decode exactly the ranks it was
-  handed (:func:`shard_frame`), which is how the engine ships
+  handed (:meth:`RankBatch.iter_frames`), which is how the engine ships
   ``(path, ranks)`` shard batches instead of pickled rank payloads.
 
 Pooled work is cut here too: :func:`rank_batches` turns a source into
@@ -48,8 +48,6 @@ __all__ = [
     "rank_frame_streams",
     "source_name",
     "indexed_source_ranks",
-    "shard_segment_stream",
-    "shard_frame",
     "RankBatch",
     "cut_by_bytes",
     "rank_batches",
@@ -62,45 +60,17 @@ SegmentSource = Union[SegmentedTrace, FrameTrace, Trace, str, Path]
 def indexed_source_ranks(source: SegmentSource) -> Optional[list[int]]:
     """Rank ids of an indexed (random-access) file source, else ``None``.
 
-    ``None`` means the source is in-memory or a forward-only file; a list
-    means every listed rank can be decoded independently via
-    :func:`shard_segment_stream`.
+    ``None`` means the source is in-memory, a forward-only file, or an
+    indexed format without a frame decoder (it is read like a forward-only
+    one); a list means every listed rank can be decoded independently by the
+    format's ``rank_frame``, which is what :meth:`RankBatch.iter_frames` does.
     """
     if not isinstance(source, (str, Path)):
         return None
     fmt = resolve_format(source)
-    if fmt.rank_ids is None:
+    if fmt.rank_ids is None or fmt.rank_frame is None:
         return None
     return fmt.rank_ids(Path(source))
-
-
-def shard_segment_stream(path: str | Path, rank: int) -> Iterator[Segment]:
-    """Decode one rank of an indexed trace file straight to segments.
-
-    What a pool worker does for each rank of a ``(path, ranks)`` shard batch
-    on the segment path: open the file, seek to the rank's byte range, decode.
-    """
-    fmt = resolve_format(path)
-    if fmt.rank_segments is None:
-        raise ValueError(
-            f"trace format {fmt.name!r} is not indexed; {path} cannot be "
-            "decoded rank-by-rank"
-        )
-    return fmt.rank_segments(Path(path), rank)
-
-
-def shard_frame(path: str | Path, rank: int) -> RankFrame:
-    """Decode one rank of an indexed trace file into a columnar frame.
-
-    The columnar counterpart of :func:`shard_segment_stream` — what a pool
-    worker runs for each rank of a ``(path, ranks)`` shard batch.
-    Formats without a native frame decoder fall back through their segment
-    decoder and the segments→frame adapter.
-    """
-    fmt = resolve_format(path)
-    if fmt.rank_frame is not None:
-        return fmt.rank_frame(Path(path), rank)
-    return RankFrame.from_segments(rank, shard_segment_stream(path, rank))
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,15 +90,19 @@ class RankBatch:
     def iter_frames(self) -> Iterator[RankFrame]:
         """The batch's frames in rank order, decoded one at a time.
 
-        Each decode runs under a ``shard.decode`` span, so a recorded
-        timeline separates decode from match time per rank.
+        What a pool worker runs for a ``(path, ranks)`` batch: open the file,
+        seek to each rank's byte range, decode.  Each decode runs under a
+        ``shard.decode`` span, so a recorded timeline separates decode from
+        match time per rank.
         """
         if self.path is None:
             yield from self.frames
             return
+        path = Path(self.path)
+        rank_frame = resolve_format(path).rank_frame
         for rank in self.ranks:
             with obs.span("shard.decode", rank=rank):
-                frame = shard_frame(self.path, rank)
+                frame = rank_frame(path, rank)
             yield frame
 
 

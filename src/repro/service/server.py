@@ -349,19 +349,6 @@ class ReductionService:
         stats.peak_resident = max(stats.peak_resident, stats.sessions_resident)
         return SessionHandle(self, managed)
 
-    def session_handle(self, tenant: str, name: str, config: SessionConfig | str) -> SessionHandle:
-        """Handle of an already-open session (resident or checkpointed)."""
-        if isinstance(config, str):
-            config = SessionConfig(method=config)
-        tenant_state = self._tenants.get(tenant)
-        managed = tenant_state.sessions.get((name, config.key)) if tenant_state else None
-        if managed is None:
-            raise KeyError(
-                f"tenant {tenant!r} has no open session {name!r} "
-                f"with config {config.describe()}"
-            )
-        return SessionHandle(self, managed)
-
     async def close(self) -> None:
         """Cancel all workers and drop all sessions (open ones are lost)."""
         workers = []

@@ -56,10 +56,6 @@ class MachineModel:
         """Local cost of an eager (standard-mode) send: overhead + injection."""
         return self.mpi_overhead + nbytes / self.bandwidth
 
-    def recv_copy_cost(self, nbytes: int) -> float:
-        """Local cost of delivering a matched message into the receive buffer."""
-        return self.mpi_overhead + nbytes / self.bandwidth
-
     def collective_cost(self, nprocs: int, nbytes: int) -> float:
         """Cost of a collective once every participant has arrived."""
         if nprocs < 1:

@@ -207,14 +207,6 @@ class SweepPlan:
     def n_families(self) -> int:
         return len(self.families)
 
-    @property
-    def n_shared_configs(self) -> int:
-        """Configs living in vectorized families (candidates for sharing)."""
-        return sum(f.n_configs for f in self.families if f.vectorized)
-
-    def config_keys(self) -> list[tuple]:
-        return [c.key for c in self.configs]
-
     def describe(self) -> str:
         lines = [f"sweep plan: {self.n_configs} configs in {self.n_families} families"]
         lines += [f"  {family.describe()}" for family in self.families]

@@ -12,7 +12,7 @@ of the serial evaluation path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator
 
 from repro.core.reduced import ReducedTrace
 from repro.sweep.plan import SweepConfig
@@ -23,8 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ConfigOutcome", "SweepResult"]
 
-_MISSING = object()
-
 
 @dataclass(slots=True)
 class ConfigOutcome:
@@ -32,18 +30,6 @@ class ConfigOutcome:
 
     config: SweepConfig
     reduced: ReducedTrace
-
-    def row(self) -> dict:
-        """Reduction-level summary row (no evaluation criteria)."""
-        reduced = self.reduced
-        return {
-            "method": self.config.method,
-            "threshold": self.config.threshold,
-            "n_segments": reduced.n_segments,
-            "n_stored": reduced.n_stored,
-            "degree_of_matching": reduced.degree_of_matching(),
-            "reduced_bytes": reduced.size_bytes(),
-        }
 
 
 @dataclass(slots=True)
@@ -63,33 +49,6 @@ class SweepResult:
     @property
     def configs(self) -> list[SweepConfig]:
         return [o.config for o in self.outcomes]
-
-    def outcome_for(
-        self, method: str, threshold: Optional[float] = _MISSING
-    ) -> ConfigOutcome:
-        """Look an outcome up by method (and threshold, when ambiguous)."""
-        matches = [
-            o
-            for o in self.outcomes
-            if o.config.method == method
-            and (threshold is _MISSING or o.config.threshold == threshold)
-        ]
-        if not matches:
-            raise KeyError(f"no sweep outcome for {method!r} / {threshold!r}")
-        if len(matches) > 1:
-            raise KeyError(
-                f"{len(matches)} outcomes for method {method!r}; pass a threshold"
-            )
-        return matches[0]
-
-    def reduced_for(
-        self, method: str, threshold: Optional[float] = _MISSING
-    ) -> ReducedTrace:
-        return self.outcome_for(method, threshold).reduced
-
-    def rows(self) -> list[dict]:
-        """Reduction-level rows for the whole grid, in plan order."""
-        return [o.row() for o in self.outcomes]
 
     def evaluation_results(
         self,

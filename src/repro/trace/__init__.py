@@ -21,7 +21,6 @@ from repro.trace.io import (
     reduced_trace_size_bytes,
     serialize_records,
     serialize_segment,
-    trace_size_bytes,
     write_trace,
 )
 from repro.trace.formats import (
@@ -33,7 +32,6 @@ from repro.trace.formats import (
     resolve_format,
     trace_format,
 )
-from repro.trace.merge import merge_records
 
 __all__ = [
     "Event",
@@ -52,7 +50,6 @@ __all__ = [
     "Trace",
     "serialize_records",
     "serialize_segment",
-    "trace_size_bytes",
     "reduced_trace_size_bytes",
     "read_trace",
     "write_trace",
@@ -63,5 +60,4 @@ __all__ = [
     "format_names",
     "resolve_format",
     "trace_format",
-    "merge_records",
 ]

@@ -47,7 +47,7 @@ import json
 import math
 import struct
 import tokenize
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -58,7 +58,7 @@ import numpy as np
 from repro import obs
 from repro.core.frames import RankFrame
 from repro.trace.events import Event, MpiCallInfo
-from repro.trace.io import ColumnTextSizer
+from repro.trace.io import ColumnTextSizer, atomic_output
 from repro.trace.records import RecordKind, TraceRecord
 from repro.trace.segments import Segment, iter_segments
 from repro.trace.trace import RankTrace, Trace
@@ -170,12 +170,18 @@ class RpbTraceWriter:
 
     Ranks may be written in any order but each rank only once; memory is
     bounded by the largest single rank (the columns are buffered as Python
-    lists until the block is flushed).
+    lists until the block is flushed).  The file is an
+    :func:`~repro.trace.io.atomic_output`: it appears under ``path`` once the
+    footer is written, so ``path`` may be the file the records are being read
+    from, and a writer that fails leaves what ``path`` held.
     """
 
     def __init__(self, path: str | Path):
         self._path = Path(path)
-        self._handle: Optional[BinaryIO] = self._path.open("wb")
+        self._output = ExitStack()
+        self._handle: Optional[BinaryIO] = self._output.enter_context(
+            atomic_output(self._path)
+        )
         self._handle.write(_MAGIC)
         self._entries: list[RpbRankEntry] = []
         self._ranks: set[int] = set()
@@ -255,10 +261,10 @@ class RpbTraceWriter:
             ],
             "strings": self._strings.strings,
         }
-        self._handle.write(json.dumps(footer, separators=(",", ":")).encode("utf-8"))
-        self._handle.write(_TAIL.pack(footer_offset, _TAIL_MAGIC))
-        self._handle.close()
-        self._handle = None
+        handle, self._handle = self._handle, None
+        with self._output:
+            handle.write(json.dumps(footer, separators=(",", ":")).encode("utf-8"))
+            handle.write(_TAIL.pack(footer_offset, _TAIL_MAGIC))
 
     def __enter__(self) -> "RpbTraceWriter":
         return self
@@ -266,9 +272,9 @@ class RpbTraceWriter:
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is None:
             self.close()
-        elif self._handle is not None:
-            self._handle.close()
+        else:
             self._handle = None
+            self._output.__exit__(exc_type, exc, tb)
 
 
 def write_trace_rpb(trace: Trace, path: str | Path) -> None:
@@ -666,12 +672,12 @@ def _columns_well_formed(
     return True
 
 
-def _segments_from_columns_fast(columns: _RankColumns) -> Optional[list[Segment]]:
-    """Array-at-a-time segment construction; ``None`` if the rank is malformed.
+def _marker_split(columns: _RankColumns) -> Optional[tuple[np.ndarray, ...]]:
+    """Split one rank's records by kind; ``None`` if the rank is malformed.
 
-    Splits the record stream into marker/event position arrays with NumPy,
-    validates the segmentation rules wholesale, then builds all events and
-    segments in two list comprehensions — no per-record interpreter loop.
+    Returns the positions of the BEGIN, END, ENTER and EXIT records and, per
+    ENTER, the index of the segment it falls in — validated wholesale
+    (:func:`_columns_well_formed`).
     """
     kinds = columns.kind
     begin_pos = np.flatnonzero(kinds == _KIND_SEGMENT_BEGIN)
@@ -686,6 +692,20 @@ def _segments_from_columns_fast(columns: _RankColumns) -> Optional[list[Segment]
         columns.name, begin_pos, end_pos, enter_pos, exit_pos, event_seg
     ):
         return None
+    return begin_pos, end_pos, enter_pos, exit_pos, event_seg
+
+
+def _segments_from_columns_fast(columns: _RankColumns) -> Optional[list[Segment]]:
+    """Array-at-a-time segment construction; ``None`` if the rank is malformed.
+
+    Splits the record stream into marker/event position arrays with NumPy
+    (:func:`_marker_split`), then builds all events and segments in two list
+    comprehensions — no per-record interpreter loop.
+    """
+    split = _marker_split(columns)
+    if split is None:
+        return None
+    begin_pos, end_pos, enter_pos, exit_pos, event_seg = split
 
     rank = columns.rank
     strings = columns.strings
@@ -752,19 +772,10 @@ def _frame_from_columns(columns: _RankColumns) -> RankFrame:
     are built.  A malformed rank falls back through the record-by-record
     state machine (raising the precise error) and the segments→frame adapter.
     """
-    kinds = columns.kind
-    begin_pos = np.flatnonzero(kinds == _KIND_SEGMENT_BEGIN)
-    end_pos = np.flatnonzero(kinds == _KIND_SEGMENT_END)
-    enter_pos = np.flatnonzero(kinds == _KIND_ENTER)
-    exit_pos = np.flatnonzero(kinds == _KIND_EXIT)
-    if len(enter_pos) and len(begin_pos):
-        event_seg = np.searchsorted(begin_pos, enter_pos, side="right") - 1
-    else:
-        event_seg = np.empty(0, dtype=np.int64)
-    if not _columns_well_formed(
-        columns.name, begin_pos, end_pos, enter_pos, exit_pos, event_seg
-    ):
+    split = _marker_split(columns)
+    if split is None:
         return RankFrame.from_segments(columns.rank, _segments_from_columns(columns))
+    begin_pos, end_pos, enter_pos, exit_pos, event_seg = split
 
     ev_mpi = np.full(len(enter_pos), -1, dtype=np.int64)
     mpi_table: tuple[MpiCallInfo, ...] = ()

@@ -88,8 +88,9 @@ class TraceFormat:
     rank_records: Optional[Callable[[Path, int], Iterator[TraceRecord]]] = None
     rank_segments: Optional[Callable[[Path, int], Iterator[Segment]]] = None
     #: Decode one rank straight into a columnar ``RankFrame`` (no Segment
-    #: objects); only formats whose on-disk layout is already columnar
-    #: provide it — others reach the frame path via the segments adapter.
+    #: objects).  An indexed format without it is still read, rank by rank
+    #: through ``RankFrame.from_segments``, but pooled work is not cut from
+    #: its index: ``(path, ranks)`` batches need this decoder.
     rank_frame: Optional[Callable[[Path, int], "RankFrame"]] = None
 
     @property
@@ -172,12 +173,16 @@ def convert_trace(
     survive exactly as stored: converting text→rpb preserves the text file's
     (two-decimal) timestamps bit-for-bit, and rpb→rpb or rpb→text re-encodes
     the binary ``float64`` timestamps (text output quantizes, as always).
+    ``dest`` appears whole when the last rank is written (both writers are
+    atomic outputs), so it may be ``source`` itself, and a conversion that
+    fails leaves what ``dest`` held.
     """
     source, dest = Path(source), Path(dest)
     src_fmt = resolve_format(source, from_format)
     dst_fmt = resolve_format(dest, to_format)
     n_ranks = 0
     n_records = 0
+    source_bytes = source.stat().st_size  # before the writer closes: dest may be source
     with dst_fmt.open_writer(dest) as writer:
         for rank, records in src_fmt.rank_streams(source):
             n_records += writer.write_rank(rank, records)
@@ -189,7 +194,7 @@ def convert_trace(
         dest_format=dst_fmt.name,
         n_ranks=n_ranks,
         n_records=n_records,
-        source_bytes=source.stat().st_size,
+        source_bytes=source_bytes,
         dest_bytes=dest.stat().st_size,
     )
 

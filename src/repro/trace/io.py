@@ -17,11 +17,11 @@ quantization makes a text write→read round trip lossy below 0.01
 microseconds; the columnar binary format (:mod:`repro.trace.binio`) round-trips
 ``float64`` timestamps exactly.
 
-This module owns the **text** format.  The public :func:`write_trace`,
-:func:`read_trace`, and :func:`iter_rank_record_streams` dispatch on the file
-extension through the format registry (:mod:`repro.trace.formats`), so
-``.rpb`` paths transparently use the binary format; the ``*_text`` variants
-are the text implementations the registry binds.
+This module owns the **text** format.  The public :func:`write_trace` and
+:func:`read_trace` dispatch on the file extension through the format registry
+(:mod:`repro.trace.formats`), so ``.rpb`` paths transparently use the binary
+format; the ``*_text`` variants are the text implementations the registry
+binds.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import io as _io
 import itertools
 import math
 import os
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence
 
@@ -53,7 +53,6 @@ __all__ = [
     "serialize_records",
     "serialize_segment",
     "serialize_exec_entry",
-    "trace_size_bytes",
     "segmented_trace_size_bytes",
     "reduced_trace_size_bytes",
     "write_trace",
@@ -63,7 +62,6 @@ __all__ = [
     "read_trace",
     "read_trace_text",
     "iter_trace_records",
-    "iter_rank_record_streams",
     "iter_rank_record_streams_text",
     "iter_reduced_rank_chunks",
     "serialize_reduced_trace",
@@ -264,11 +262,6 @@ def serialize_exec_entry(segment_id: int, start: float) -> bytes:
     return f"EXEC {segment_id} {_TS_FMT.format(start)}\n".encode("utf-8")
 
 
-def trace_size_bytes(trace: Trace) -> int:
-    """Size in bytes of the full (raw-record) trace serialization."""
-    return sum(len(serialize_records(rank.records)) for rank in trace.ranks)
-
-
 def segmented_trace_size_bytes(trace: SegmentedTrace) -> int:
     """Size in bytes of a segmented full trace, serialized as records.
 
@@ -344,8 +337,7 @@ def text_trace_bytes(path: str | Path) -> int:
 
 def write_trace_text(trace: Trace, path: str | Path) -> None:
     """Write a raw trace as text (one file, ranks concatenated in order)."""
-    path = Path(path)
-    with path.open("wb") as handle:
+    with atomic_output(path) as handle:
         for rank_trace in trace.ranks:
             handle.write(serialize_records(rank_trace.records))
 
@@ -355,11 +347,15 @@ class TextTraceWriter:
 
     The text format has no index, so runs appear in write order and each rank
     may be written only once (matching what the forward-pass reader accepts).
+    The file is an :func:`atomic_output`: it appears under ``path`` on a clean
+    :meth:`close`, so ``path`` may be the file the records are being read
+    from, and a writer that fails leaves what ``path`` held.
     """
 
     def __init__(self, path: str | Path):
         self._path = Path(path)
-        self._handle = self._path.open("wb")
+        self._output = ExitStack()
+        self._handle = self._output.enter_context(atomic_output(self._path))
         self._seen: set[int] = set()
 
     def write_rank(self, rank: int, records: Iterable[TraceRecord]) -> int:
@@ -380,15 +376,14 @@ class TextTraceWriter:
         return count
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self.__exit__(None, None, None)
 
     def __enter__(self) -> "TextTraceWriter":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        self._handle = None
+        self._output.__exit__(exc_type, exc, tb)
 
 
 def iter_trace_records(path: str | Path) -> Iterator[TraceRecord]:
@@ -404,21 +399,6 @@ def iter_trace_records(path: str | Path) -> Iterator[TraceRecord]:
             if not line:
                 continue
             yield parse_record(line)
-
-
-def iter_rank_record_streams(
-    path: str | Path, format: str | None = None
-) -> Iterator[tuple[int, Iterator[TraceRecord]]]:
-    """Yield ``(rank, record iterator)`` pairs from a trace file, lazily.
-
-    Dispatches on the file extension (or explicit ``format`` name): text
-    files are read in a single forward pass (each rank's iterator must be
-    consumed before advancing), indexed binary files decode each rank
-    independently.
-    """
-    from repro.trace.formats import resolve_format  # deferred: formats imports us
-
-    return resolve_format(path, format).rank_streams(Path(path))
 
 
 def iter_rank_record_streams_text(

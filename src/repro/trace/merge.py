@@ -1,58 +1,19 @@
-"""Merging per-rank record streams into a single, time-ordered stream.
+"""The inter-process merge stage: cross-rank representative deduplication.
 
 The paper collects per-task traces separately and merges them into a single
 application trace for analysis.  Intra-process reduction happens *before* the
-merge; this module exists so the full pipeline (collect per rank → reduce per
-rank → merge → analyze) can be exercised end to end.
+merge; this module is the merge of the reduced traces (``pipeline --merge``).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
-
-from repro.trace.records import TraceRecord
-from repro.trace.trace import Trace
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # runtime import happens inside merge_reduced_trace (cycle)
     from repro.core.reduced import ReducedTrace, StoredSegment
 
-__all__ = ["merge_records", "merge_trace", "MergedReducedTrace", "merge_reduced_trace"]
-
-
-def merge_records(streams: Sequence[Sequence[TraceRecord]]) -> list[TraceRecord]:
-    """Merge per-rank record streams into one stream ordered by timestamp.
-
-    Each input stream must already be sorted by timestamp (rank-local clocks
-    are monotonic, so tracer output always is).  Ties are broken by rank and
-    then by original position, which keeps the merge deterministic.
-    """
-    def keyed(stream_index: int, stream: Sequence[TraceRecord]):
-        for position, record in enumerate(stream):
-            yield (record.timestamp, record.rank, position), record
-
-    merged = heapq.merge(*(keyed(i, s) for i, s in enumerate(streams)), key=lambda kv: kv[0])
-    out: list[TraceRecord] = []
-    previous_by_rank: dict[int, float] = {}
-    for _, record in merged:
-        last = previous_by_rank.get(record.rank)
-        if last is not None and record.timestamp < last:
-            raise ValueError(
-                f"rank {record.rank} record stream is not sorted: "
-                f"{record.timestamp} after {last}"
-            )
-        previous_by_rank[record.rank] = record.timestamp
-        out.append(record)
-    return out
-
-
-def merge_trace(trace: Trace) -> list[TraceRecord]:
-    """Merge all ranks of ``trace`` into one time-ordered record stream."""
-    return merge_records([rank.records for rank in trace.ranks])
-
-
-# -- inter-process reduction (merge stage) -------------------------------------
+__all__ = ["MergedReducedTrace", "merge_reduced_trace"]
 
 
 @dataclass(slots=True)

@@ -5,23 +5,20 @@ other subpackage can rely on them without import cycles.
 """
 
 from repro.util.rng import derive_seed, rng_for
-from repro.util.stats import percentile, summarize
+from repro.util.stats import percentile
 from repro.util.validation import (
     check_non_negative,
     check_positive,
     check_probability,
     check_rank,
-    check_type,
 )
 
 __all__ = [
     "derive_seed",
     "rng_for",
     "percentile",
-    "summarize",
     "check_non_negative",
     "check_positive",
     "check_probability",
     "check_rank",
-    "check_type",
 ]

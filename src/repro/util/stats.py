@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["percentile", "summarize", "Summary", "pearson", "spearman", "coefficient_of_variation"]
+__all__ = ["percentile", "pearson", "coefficient_of_variation"]
 
 
 def percentile(values: Iterable[float], q: float) -> float:
@@ -22,49 +21,6 @@ def percentile(values: Iterable[float], q: float) -> float:
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile q must be in [0, 100], got {q}")
     return float(np.percentile(arr, q))
-
-
-@dataclass(frozen=True, slots=True)
-class Summary:
-    """Five-number-ish summary of a sample."""
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-    p50: float
-    p90: float
-    p99: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "std": self.std,
-            "min": self.minimum,
-            "max": self.maximum,
-            "p50": self.p50,
-            "p90": self.p90,
-            "p99": self.p99,
-        }
-
-
-def summarize(values: Iterable[float]) -> Summary:
-    """Return a :class:`Summary` of ``values`` (empty input gives all zeros)."""
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
-    if arr.size == 0:
-        return Summary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    return Summary(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std()),
-        minimum=float(arr.min()),
-        maximum=float(arr.max()),
-        p50=float(np.percentile(arr, 50)),
-        p90=float(np.percentile(arr, 90)),
-        p99=float(np.percentile(arr, 99)),
-    )
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -87,32 +43,6 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     if sx == 0.0 or sy == 0.0:
         return 0.0
     return float(np.corrcoef(ax, ay)[0, 1])
-
-
-def spearman(x: Sequence[float], y: Sequence[float]) -> float:
-    """Spearman rank correlation built on :func:`pearson` of the ranks."""
-    ax = np.asarray(x, dtype=float)
-    ay = np.asarray(y, dtype=float)
-    if ax.shape != ay.shape:
-        raise ValueError("spearman requires equal-length inputs")
-    if ax.size < 2:
-        return 1.0
-    rx = _rankdata(ax)
-    ry = _rankdata(ay)
-    return pearson(rx, ry)
-
-
-def _rankdata(a: np.ndarray) -> np.ndarray:
-    """Average ranks (ties share the mean rank), 1-based like scipy.stats.rankdata."""
-    order = np.argsort(a, kind="stable")
-    ranks = np.empty(a.size, dtype=float)
-    ranks[order] = np.arange(1, a.size + 1, dtype=float)
-    # average ties
-    unique_vals, inverse, counts = np.unique(a, return_inverse=True, return_counts=True)
-    sums = np.zeros(unique_vals.size)
-    np.add.at(sums, inverse, ranks)
-    ranks = sums[inverse] / counts[inverse]
-    return ranks
 
 
 def coefficient_of_variation(values: Sequence[float]) -> float:

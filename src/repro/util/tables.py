@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-__all__ = ["format_table", "format_series", "format_matrix"]
+__all__ = ["format_table", "format_matrix"]
 
 
 def _fmt(value: object, float_fmt: str) -> str:
@@ -44,22 +44,6 @@ def format_table(
     for row in str_rows:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def format_series(
-    x_label: str,
-    x_values: Sequence[object],
-    series: Mapping[str, Sequence[float]],
-    *,
-    float_fmt: str = ".3g",
-    title: str | None = None,
-) -> str:
-    """Render one x column plus one column per named series (a "figure" as text)."""
-    headers = [x_label, *series.keys()]
-    rows = []
-    for i, x in enumerate(x_values):
-        rows.append([x, *(values[i] for values in series.values())])
-    return format_table(headers, rows, float_fmt=float_fmt, title=title)
 
 
 def format_matrix(

@@ -7,14 +7,11 @@ simulator or reducer, where the failure mode would be far harder to diagnose.
 
 from __future__ import annotations
 
-from typing import Any
-
 __all__ = [
     "check_positive",
     "check_non_negative",
     "check_probability",
     "check_rank",
-    "check_type",
 ]
 
 
@@ -46,15 +43,3 @@ def check_rank(rank: int, nprocs: int) -> int:
     if not 0 <= rank < nprocs:
         raise ValueError(f"rank {rank} out of range for {nprocs} processes")
     return rank
-
-
-def check_type(name: str, value: Any, expected: type | tuple[type, ...]) -> Any:
-    """Require ``isinstance(value, expected)``."""
-    if not isinstance(value, expected):
-        expected_name = (
-            expected.__name__
-            if isinstance(expected, type)
-            else " or ".join(t.__name__ for t in expected)
-        )
-        raise TypeError(f"{name} must be {expected_name}, got {type(value).__name__}")
-    return value

@@ -11,6 +11,9 @@ from repro.analysis.patterns import (
     WAIT_AT_BARRIER,
     WAIT_AT_NXN,
     WAIT_METRICS,
+)
+
+from tests.criteria_reference import (
     PatternContribution,
     early_gather_contribution,
     late_broadcast_contribution,

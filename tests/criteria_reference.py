@@ -8,8 +8,8 @@ share no code with their subjects:
 * :func:`reference_reconstruct` replays every ``segmentExecs`` entry by
   shifting the stored representative's ``Segment``/``Event`` objects;
 * :func:`reference_analyze` walks ``Event`` objects rank by rank, queues the
-  MPI calls in dicts of lists, and adds one scalar
-  ``repro.analysis.patterns`` contribution at a time with
+  MPI calls in dicts of lists, and adds one scalar pattern contribution (the
+  ``*_contribution`` severity formulas below) at a time with
   ``DiagnosisReport.add`` (neither of which the columnar analyzer calls).
 
 ``tests/core/test_columnar_reconstruct.py`` and
@@ -26,15 +26,13 @@ import numpy as np
 
 from repro.analysis.expert import AnalysisError
 from repro.analysis.patterns import (
+    EARLY_GATHER,
     EXECUTION_TIME,
+    LATE_BROADCAST,
+    LATE_RECEIVER,
+    LATE_SENDER,
     WAIT_AT_BARRIER,
     WAIT_AT_NXN,
-    PatternContribution,
-    early_gather_contribution,
-    late_broadcast_contribution,
-    late_receiver_contribution,
-    late_sender_contribution,
-    nxn_wait_contribution,
 )
 from repro.analysis.report import DiagnosisReport
 from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
@@ -115,6 +113,73 @@ def reference_reconstruct(reduced: ReducedTrace, *, iter_k_fill: IterKFill = "la
         name=reduced.name,
         ranks=[reference_reconstruct_rank(rank, iter_k_fill=iter_k_fill) for rank in reduced.ranks],
     )
+
+
+# -- analysis: the scalar severity formulas ----------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class PatternContribution:
+    """One pattern instance's contribution to the severity matrix."""
+
+    metric: str
+    location: str
+    rank: int
+    waiting: float
+    signed: float
+
+    @staticmethod
+    def from_signed(metric: str, location: str, rank: int, signed: float) -> "PatternContribution":
+        return PatternContribution(
+            metric=metric,
+            location=location,
+            rank=rank,
+            waiting=max(0.0, signed),
+            signed=signed,
+        )
+
+
+def late_sender_contribution(
+    location: str, receiver_rank: int, recv_enter: float, send_enter: float
+) -> PatternContribution:
+    """Late Sender: receiver waited ``send enter − receive enter`` µs."""
+    return PatternContribution.from_signed(
+        LATE_SENDER, location, receiver_rank, send_enter - recv_enter
+    )
+
+
+def late_receiver_contribution(
+    location: str, sender_rank: int, send_enter: float, recv_enter: float
+) -> PatternContribution:
+    """Late Receiver: synchronous sender waited ``receive enter − send enter`` µs."""
+    return PatternContribution.from_signed(
+        LATE_RECEIVER, location, sender_rank, recv_enter - send_enter
+    )
+
+
+def late_broadcast_contribution(
+    location: str, receiver_rank: int, receiver_enter: float, root_enter: float
+) -> PatternContribution:
+    """Late Broadcast: fan-out receiver waited ``root enter − own enter`` µs."""
+    return PatternContribution.from_signed(
+        LATE_BROADCAST, location, receiver_rank, root_enter - receiver_enter
+    )
+
+
+def early_gather_contribution(
+    location: str, root_rank: int, root_enter: float, last_sender_enter: float
+) -> PatternContribution:
+    """Early Gather/Reduce: root waited ``last sender enter − root enter`` µs."""
+    return PatternContribution.from_signed(
+        EARLY_GATHER, location, root_rank, last_sender_enter - root_enter
+    )
+
+
+def nxn_wait_contribution(
+    metric: str, location: str, rank: int, own_enter: float, last_other_enter: float
+) -> PatternContribution:
+    """Wait at Barrier / Wait at N×N: waited ``last other enter − own enter`` µs."""
+    return PatternContribution.from_signed(metric, location, rank, last_other_enter - own_enter)
 
 
 # -- analysis: the event walk ------------------------------------------------------

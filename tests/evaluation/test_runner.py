@@ -3,15 +3,14 @@
 import pytest
 
 from repro.benchmarks_ats import late_sender
-from repro.core.metrics import METRIC_NAMES, create_metric
+from repro.core.metrics import create_metric
 from repro.evaluation import runner
 from repro.evaluation.runner import (
     EvaluationResult,
     PreparedWorkload,
-    evaluate_grid,
     evaluate_method,
-    evaluate_workload,
 )
+from repro.pipeline.engine import sweep_pipeline
 from repro.sweep.plan import SweepPlan
 from repro.trace.io import write_trace
 
@@ -68,32 +67,6 @@ class TestEvaluateMethod:
         assert row[2] == "-"
 
 
-class TestEvaluateWorkload:
-    def test_all_methods(self):
-        workload = late_sender(nprocs=4, iterations=6, seed=2)
-        results = evaluate_workload(workload, METRIC_NAMES)
-        assert [r.method for r in results] == list(METRIC_NAMES)
-
-    def test_method_spec_forms(self):
-        workload = late_sender(nprocs=4, iterations=6, seed=2)
-        results = evaluate_workload(
-            workload, ["relDiff", ("absDiff", 50.0), create_metric("iter_k", 2)]
-        )
-        assert results[0].threshold == 0.8
-        assert results[1].threshold == 50.0
-        assert results[2].threshold == 2
-
-    def test_invalid_spec_rejected(self):
-        workload = late_sender(nprocs=4, iterations=4, seed=2)
-        with pytest.raises(TypeError):
-            evaluate_workload(workload, [42])
-
-    def test_shared_full_trace_across_methods(self):
-        workload = late_sender(nprocs=4, iterations=6, seed=2)
-        results = evaluate_workload(workload, ["relDiff", "absDiff"])
-        assert results[0].full_bytes == results[1].full_bytes
-
-
 class TestCriteriaStayColumnar:
     def test_grid_builds_no_segment_for_any_criterion(self, tmp_path, monkeypatch):
         """Twelve configs, four criteria each: not one ``Segment`` or ``Event`` is built.
@@ -114,7 +87,7 @@ class TestCriteriaStayColumnar:
         reconstruct = runner.reconstruct
         monkeypatch.setattr(runner, "reconstruct", capturing)
         plan = SweepPlan.from_grid(("euclidean", "manhattan"))
-        results = evaluate_grid(prepared, plan, pipeline_source=path)
+        results = sweep_pipeline(path, plan, name=prepared.name).evaluation_results(prepared)
 
         assert len(results) == len(reconstructed) == 12
         assert prepared.segmented.materialized == 0

@@ -17,7 +17,7 @@ from repro.experiments.formatting import (
     format_trend_table,
 )
 from repro.experiments.thresholds import threshold_study, threshold_study_rows
-from repro.experiments.trend_tables import TREND_TABLE_INDEX, trend_table, trend_table_rows
+from repro.experiments.trend_tables import TREND_TABLE_INDEX, trend_table
 
 SMALL_WORKLOADS = ("late_sender", "dyn_load_balance")
 FEW_METHODS = ("relDiff", "avgWave", "iter_avg")
@@ -121,14 +121,7 @@ class TestTrendTables:
         assert set(table["iter_avg"]) == {None}
         assert all(isinstance(v, bool) for cells in table.values() for v in cells.values())
 
-    def test_rows_and_formatting(self):
-        rows = trend_table_rows(
-            "late_sender",
-            methods=("absDiff",),
-            thresholds_per_method={"absDiff": (1e3,)},
-            scale="smoke",
-        )
-        assert rows[0]["workload"] == "late_sender"
+    def test_formatting(self):
         table = trend_table(
             "late_sender",
             methods=("absDiff",),

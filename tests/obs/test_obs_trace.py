@@ -146,16 +146,3 @@ def test_recorder_snapshot_round_trips_through_pickle():
     assert snapshot.n_spans == 1
     assert snapshot.spans[0].name == "shard.decode"
     assert snapshot.metrics.scalar("reduce.stored") == 4
-
-
-def test_enable_disable_install_and_remove_the_global_recorder():
-    recorder = obs.enable()
-    try:
-        assert obs.enabled()
-        with obs.span("stage"):
-            pass
-    finally:
-        removed = obs.disable()
-    assert removed is recorder
-    assert not obs.enabled()
-    assert [r.name for r in recorder.spans] == ["stage"]

@@ -6,10 +6,9 @@ from repro.benchmarks_ats import late_sender
 from repro.pipeline.stream import (
     indexed_source_ranks,
     rank_segment_streams,
-    shard_segment_stream,
     source_name,
 )
-from repro.trace.io import iter_rank_record_streams, iter_trace_records, write_trace
+from repro.trace.io import iter_rank_record_streams_text, iter_trace_records, write_trace
 from repro.trace.records import RecordKind, TraceRecord
 from repro.trace.segments import SegmentationError, iter_segments, segment_rank_records
 
@@ -68,7 +67,7 @@ class TestFileStreams:
         path = tmp_path / "t.txt"
         write_trace(trace, path)
         seen = []
-        for rank, records in iter_rank_record_streams(path):
+        for rank, records in iter_rank_record_streams_text(path):
             count = sum(1 for _ in records)
             seen.append((rank, count))
         assert [rank for rank, _ in seen] == [0, 1, 2, 3]
@@ -82,7 +81,7 @@ class TestFileStreams:
             "SEGMENT_BEGIN 0 2.00 a\nSEGMENT_END 0 3.00 a\n"
         )
         with pytest.raises(ValueError, match="interleaves rank 0"):
-            for _, records in iter_rank_record_streams(path):
+            for _, records in iter_rank_record_streams_text(path):
                 for _ in records:
                     pass
 
@@ -149,16 +148,27 @@ class TestIndexedSources:
         assert indexed_source_ranks(text) is None
         assert indexed_source_ranks(trace) is None
 
-    def test_shard_segment_stream_matches_reference(self, rpb_path):
-        trace, path = rpb_path
-        reference = segment_rank_records(trace.ranks[2].records)
-        shard = list(shard_segment_stream(path, 2))
-        assert len(shard) == len(reference)
-        assert [s.timestamps() for s in shard] == [s.timestamps() for s in reference]
+    def test_indexed_format_without_frame_decoder_is_not_sharded(
+        self, monkeypatch, rpb_path
+    ):
+        # ``TraceFormat.rank_frame`` is optional: without it no (path, ranks)
+        # batch is cut (a worker could not decode it), the frames are built
+        # here through the segments adapter instead.
+        import dataclasses
 
-    def test_shard_segment_stream_rejects_text(self, tmp_path):
-        trace, _ = _records()
-        text = tmp_path / "t.txt"
-        write_trace(trace, text)
-        with pytest.raises(ValueError, match="not indexed"):
-            shard_segment_stream(text, 0)
+        from repro.pipeline import stream
+        from repro.trace.formats import resolve_format
+
+        _, path = rpb_path
+        expected = [
+            frame.segments() for _, frame in stream.rank_frame_streams(path)
+        ]
+        bare = dataclasses.replace(resolve_format(path), rank_frame=None)
+        monkeypatch.setattr(stream, "resolve_format", lambda _path: bare)
+        assert indexed_source_ranks(path) is None
+        batches = list(stream.rank_batches(path, n_batches=2))
+        assert [b.path for b in batches] == [None] * 4
+        got = [f.segments() for b in batches for f in b.iter_frames()]
+        assert [[s.timestamps() for s in r] for r in got] == [
+            [s.timestamps() for s in r] for r in expected
+        ]

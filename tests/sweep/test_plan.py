@@ -41,7 +41,7 @@ class TestSweepConfig:
 class TestPlanConstruction:
     def test_specs_accept_names_pairs_and_metrics(self):
         plan = SweepPlan(["iter_avg", ("relDiff", 0.8), create_metric("euclidean", 0.2)])
-        assert plan.config_keys() == [
+        assert [c.key for c in plan.configs] == [
             ("iter_avg", None),
             ("relDiff", 0.8),
             ("euclidean", 0.2),
@@ -49,7 +49,7 @@ class TestPlanConstruction:
 
     def test_duplicates_dropped_order_kept(self):
         plan = SweepPlan([("relDiff", 0.8), ("absDiff", 10.0), ("relDiff", 0.8)])
-        assert plan.config_keys() == [("relDiff", 0.8), ("absDiff", 10.0)]
+        assert [c.key for c in plan.configs] == [("relDiff", 0.8), ("absDiff", 10.0)]
 
     def test_empty_plan_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -63,7 +63,7 @@ class TestPlanConstruction:
 
     def test_from_grid_same_thresholds_for_all(self):
         plan = SweepPlan.from_grid(["euclidean", "manhattan"], [0.1, 0.2])
-        assert plan.config_keys() == [
+        assert [c.key for c in plan.configs] == [
             ("euclidean", 0.1),
             ("euclidean", 0.2),
             ("manhattan", 0.1),
@@ -72,11 +72,11 @@ class TestPlanConstruction:
 
     def test_from_grid_defaults_to_paper_study_values(self):
         plan = SweepPlan.from_grid(["relDiff"])
-        assert [t for _, t in plan.config_keys()] == list(THRESHOLD_STUDY["relDiff"])
+        assert [c.threshold for c in plan.configs] == list(THRESHOLD_STUDY["relDiff"])
 
     def test_from_grid_iter_avg_contributes_single_config(self):
         plan = SweepPlan.from_grid(["iter_avg", "relDiff"], [0.8])
-        assert plan.config_keys() == [("iter_avg", None), ("relDiff", 0.8)]
+        assert [c.key for c in plan.configs] == [("iter_avg", None), ("relDiff", 0.8)]
 
     def test_single(self):
         plan = SweepPlan.single("chebyshev", 0.2)
@@ -109,7 +109,7 @@ class TestFamilyGrouping:
             list(METRIC_NAMES), [0.2, 0.4], thresholds_per_method={"iter_k": (1, 10)}
         )
         from_families = [c for f in plan.families for c in f.configs]
-        assert sorted(c.key for c in from_families) == sorted(plan.config_keys())
+        assert sorted(c.key for c in from_families) == sorted(c.key for c in plan.configs)
 
     def test_describe_mentions_every_config(self):
         plan = SweepPlan.from_grid(["euclidean"], [0.1, 0.2])

@@ -79,7 +79,7 @@ class TestInMemoryEquivalence:
 
     def test_outcomes_in_plan_order(self, segmented, plan):
         result = SweepEngine(plan).sweep(segmented)
-        assert [o.config.key for o in result] == plan.config_keys()
+        assert [o.config.key for o in result] == [c.key for c in plan.configs]
 
     def test_segments_streamed_once(self, segmented, plan):
         result = SweepEngine(plan).sweep(segmented)
@@ -165,13 +165,9 @@ class TestEvaluationRows:
     def test_grid_rows_from_rpb_shards_equal_serial_rows(
         self, prepared, rpb_file, plan
     ):
-        sweep_rows = evaluate_grid(
-            prepared,
-            plan,
-            backend="sweep",
-            pipeline_source=rpb_file,
-            pipeline_config=PipelineConfig(executor="process", workers=2),
-        )
+        sweep_rows = sweep_pipeline(
+            rpb_file, plan, PipelineConfig(executor="process", workers=2), name=prepared.name
+        ).evaluation_results(prepared)
         serial_rows = evaluate_grid(prepared, plan, backend="serial")
         for got, want in zip(sweep_rows, serial_rows):
             assert got.pct_file_size == want.pct_file_size
@@ -180,10 +176,6 @@ class TestEvaluationRows:
     def test_unknown_backend_rejected(self, prepared, plan):
         with pytest.raises(ValueError, match="backend"):
             evaluate_grid(prepared, plan, backend="quantum")
-
-    def test_pipeline_source_requires_sweep_backend(self, prepared, rpb_file, plan):
-        with pytest.raises(ValueError, match="pipeline_source"):
-            evaluate_grid(prepared, plan, backend="serial", pipeline_source=rpb_file)
 
 
 class TestStudies:
@@ -243,22 +235,3 @@ class TestStudies:
             assert got.pct_file_size == want.pct_file_size
             assert got.degree_of_matching == want.degree_of_matching
             assert got.trends_retained == want.trends_retained
-
-
-class TestResultAccessors:
-    def test_outcome_lookup(self, segmented):
-        plan = SweepPlan.from_grid(["euclidean"], [0.1, 0.2])
-        result = SweepEngine(plan).sweep(segmented)
-        assert result.reduced_for("euclidean", 0.2).threshold == 0.2
-        with pytest.raises(KeyError, match="pass a threshold"):
-            result.outcome_for("euclidean")
-        with pytest.raises(KeyError, match="no sweep outcome"):
-            result.outcome_for("manhattan")
-
-    def test_rows_shape(self, segmented):
-        plan = SweepPlan.from_grid(["relDiff"], [0.8])
-        result = SweepEngine(plan).sweep(segmented)
-        (row,) = result.rows()
-        assert row["method"] == "relDiff"
-        assert row["threshold"] == 0.8
-        assert row["n_stored"] == result.outcomes[0].reduced.n_stored

@@ -71,7 +71,7 @@ class TestCommands:
     def test_pipeline(self, capsys):
         code, out = run_cli(
             capsys, "--scale", "smoke", "pipeline", "late_sender",
-            "--executor", "thread", "--workers", "2", "--method", "euclidean",
+            "--executor", "process", "--workers", "2", "--method", "euclidean",
             "--merge", "--verify",
         )
         assert code == 0
@@ -110,7 +110,7 @@ class TestCommands:
             tail += ["--store-capacity", store_capacity]
         assert run_cli(capsys, *base, "sweep3d_8p", "--save-trace", str(saved), *tail)[0] == 0
         written = set()
-        for executor in ("serial", "thread", "process"):
+        for executor in ("serial", "process"):
             for extra in ([], ["--verify"], ["--merge"]):
                 target = tmp_path / f"{executor}{''.join(extra)}.out"
                 code, out = run_cli(
@@ -250,9 +250,48 @@ class TestCommands:
         assert excinfo.value.code == 2
         assert "does not exist" in capsys.readouterr().err
 
-    def test_pipeline_rejects_unknown_executor(self):
+    @pytest.mark.parametrize("command", ["pipeline", "sweep"])
+    @pytest.mark.parametrize("executor", ["gpu", "thread"])
+    def test_executor_flags_offer_serial_and_process_only(self, command, executor):
+        # "thread" is a PipelineConfig value for the oracles, not a CLI choice.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["pipeline", "late_sender", "--executor", "gpu"])
+            build_parser().parse_args([command, "late_sender", "--executor", executor])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["pipeline", "late_sender", "--output", "{dir}"], "{dir}: Is a directory"),
+            (["pipeline", "late_sender", "--telemetry", "{dir}/no/t.json"],
+             "{dir}/no/t.json: No such file or directory"),
+            (["pipeline", "late_sender", "--save-trace", "{dir}/no/s.rpb"],
+             "{dir}/no/s.rpb: No such file or directory"),
+            (["sweep", "late_sender", "--telemetry", "{dir}"], "{dir}: Is a directory"),
+            (["serve", "late_sender", "--deltas", "{dir}/no/d.log"],
+             "{dir}/no/d.log: No such file or directory"),
+        ],
+    )
+    def test_unwritable_output_path_is_reported_before_the_run(
+        self, capsys, tmp_path, monkeypatch, argv, message
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the workload was built before the output paths were checked")
+
+        monkeypatch.setattr("repro.cli.build_workload", no_run)
+        monkeypatch.setattr("repro.experiments.config.build_workload", no_run)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--scale", "smoke", *(word.format(dir=tmp_path) for word in argv)])
+        assert excinfo.value.code == 2
+        assert f"repro-trace: error: {message.format(dir=tmp_path)}" in capsys.readouterr().err
+
+    def test_os_error_on_an_output_path_is_a_clean_error(self, capsys, tmp_path):
+        # No up-front check here: the writer's own open fails, main reports it.
+        source = tmp_path / "s.txt"
+        assert run_cli(capsys, "--scale", "smoke", "pipeline", "late_sender",
+                       "--save-trace", str(source))[0] == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["convert", str(source), str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert f"repro-trace: error: {tmp_path}" in capsys.readouterr().err
 
     def test_pipeline_invalid_workers_is_clean_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -356,6 +395,15 @@ class TestCommands:
             main(["report", "no_such_telemetry.json"])
         assert excinfo.value.code == 2
         assert "does not exist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["{}", "[]", "not json"])
+    def test_report_on_a_file_that_is_no_export_is_usage_error(self, capsys, tmp_path, content):
+        path = tmp_path / "other.json"
+        path.write_text(content)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", str(path)])
+        assert excinfo.value.code == 2
+        assert "is not a telemetry export" in capsys.readouterr().err
 
 
 class TestServe:

@@ -11,7 +11,7 @@ from repro.trace.formats import (
     resolve_format,
     trace_format,
 )
-from repro.trace.io import iter_rank_record_streams, read_trace, write_trace
+from repro.trace.io import read_trace, write_trace
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +70,7 @@ class TestDispatchedIo:
             write_trace(trace, path)
             seen = {
                 rank: sum(1 for _ in records)
-                for rank, records in iter_rank_record_streams(path)
+                for rank, records in resolve_format(path).rank_streams(path)
             }
             assert seen == {r.rank: len(r.records) for r in trace.ranks}
 
@@ -94,6 +94,38 @@ class TestConvert:
         b = read_trace(tmp_path / "b.rpb")
         for ra, rb in zip(a.ranks, b.ranks):
             assert ra.records == rb.records
+
+    @pytest.mark.parametrize("suffix", ["txt", "rpb"])
+    def test_converting_a_file_onto_itself_keeps_it(self, sweep_trace, tmp_path, suffix):
+        # Both writers write beside their target and rename on a clean close,
+        # so the source is still whole while its ranks are being read.
+        path = tmp_path / f"self.{suffix}"
+        write_trace(sweep_trace, path)
+        before = path.read_bytes()
+        records = [rank.records for rank in read_trace(path).ranks]
+        report = convert_trace(path, path)
+        assert report.n_records == sweep_trace.num_records
+        assert report.source_bytes == len(before)
+        assert [rank.records for rank in read_trace(path).ranks] == records
+        if suffix == "txt":
+            assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("suffix", ["txt", "rpb"])
+    def test_a_conversion_that_fails_mid_rank_leaves_dest_as_it_was(
+        self, sweep_trace, tmp_path, suffix
+    ):
+        source = tmp_path / "torn.txt"
+        write_trace(sweep_trace, source)
+        lines = source.read_bytes().splitlines(keepends=True)
+        lines.insert(len(lines) * 2 // 3, b"not a record\n")
+        source.write_bytes(b"".join(lines))
+        dest = tmp_path / f"dest.{suffix}"
+        dest.write_bytes(b"what dest held")
+        with pytest.raises(ValueError, match="malformed trace record"):
+            convert_trace(source, dest)
+        assert dest.read_bytes() == b"what dest held"
+        assert sorted(tmp_path.iterdir()) == [dest, source]
 
     def test_report_counts(self, sweep_trace, tmp_path):
         text = tmp_path / "s.txt"

@@ -19,7 +19,6 @@ from repro.trace.io import (
     serialize_reduced_trace,
     serialize_segment,
     serialize_segment_as_records,
-    trace_size_bytes,
     write_reduced_trace,
     write_trace,
 )
@@ -158,7 +157,7 @@ class TestSizes:
     def test_trace_size_consistent_with_segmented_size(self):
         workload = late_sender(nprocs=4, iterations=4, seed=2)
         trace = workload.run()
-        raw = trace_size_bytes(trace)
+        raw = sum(len(serialize_records(rank.records)) for rank in trace.ranks)
         segmented = segmented_trace_size_bytes(trace.segmented())
         # Same records, same format: sizes agree exactly.
         assert raw == segmented

@@ -1,55 +1,11 @@
-"""Tests for merging per-rank record streams and reduced representatives."""
+"""Tests for merging reduced representatives across ranks."""
 
-import pytest
-
-from repro.benchmarks_ats import late_sender
 from repro.core.metrics import create_metric
 from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
 from repro.core.reducer import TraceReducer
-from repro.trace.merge import merge_records, merge_reduced_trace, merge_trace
-from repro.trace.records import RecordKind, TraceRecord
-from repro.trace.trace import Trace
+from repro.trace.merge import merge_reduced_trace
 
 from tests.conftest import make_segment
-
-
-def _rec(rank, t, name="f"):
-    return TraceRecord(kind=RecordKind.ENTER, rank=rank, timestamp=t, name=name)
-
-
-class TestMergeRecords:
-    def test_orders_by_timestamp(self):
-        merged = merge_records([[_rec(0, 2.0)], [_rec(1, 1.0)]])
-        assert [r.rank for r in merged] == [1, 0]
-
-    def test_tie_broken_by_rank(self):
-        merged = merge_records([[_rec(1, 1.0)], [_rec(0, 1.0)]])
-        assert [r.rank for r in merged] == [0, 1]
-
-    def test_preserves_per_rank_order(self):
-        merged = merge_records([[_rec(0, 1.0, "a"), _rec(0, 3.0, "b")], [_rec(1, 2.0, "c")]])
-        assert [r.name for r in merged] == ["a", "c", "b"]
-
-    def test_unsorted_stream_rejected(self):
-        with pytest.raises(ValueError, match="not sorted"):
-            merge_records([[_rec(0, 2.0), _rec(0, 1.0)]])
-
-    def test_empty_input(self):
-        assert merge_records([]) == []
-
-    def test_merge_full_trace(self):
-        trace = late_sender(nprocs=4, iterations=2, seed=0).run()
-        merged = merge_trace(trace)
-        assert len(merged) == trace.num_records
-        times = [r.timestamp for r in merged]
-        assert times == sorted(times)
-
-    def test_empty_trace(self):
-        assert merge_trace(Trace(name="empty", ranks=[])) == []
-
-    def test_single_rank_passthrough(self):
-        records = [_rec(0, 1.0, "a"), _rec(0, 2.0, "b")]
-        assert [r.name for r in merge_records([records])] == ["a", "b"]
 
 
 def _rank(rank, segments, execs):

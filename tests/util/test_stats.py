@@ -7,8 +7,6 @@ from repro.util.stats import (
     coefficient_of_variation,
     pearson,
     percentile,
-    spearman,
-    summarize,
 )
 
 
@@ -34,25 +32,6 @@ class TestPercentile:
         assert percentile(np.array([1.0, 3.0]), 100) == 3.0
 
 
-class TestSummarize:
-    def test_empty(self):
-        s = summarize([])
-        assert s.count == 0
-        assert s.mean == 0.0
-
-    def test_basic(self):
-        s = summarize([1.0, 2.0, 3.0])
-        assert s.count == 3
-        assert s.mean == pytest.approx(2.0)
-        assert s.minimum == 1.0
-        assert s.maximum == 3.0
-        assert s.p50 == 2.0
-
-    def test_as_dict_keys(self):
-        d = summarize([1.0]).as_dict()
-        assert set(d) == {"count", "mean", "std", "min", "max", "p50", "p90", "p99"}
-
-
 class TestPearson:
     def test_perfect_correlation(self):
         assert pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0)
@@ -72,22 +51,6 @@ class TestPearson:
 
     def test_single_element(self):
         assert pearson([1.0], [5.0]) == 1.0
-
-
-class TestSpearman:
-    def test_monotonic_is_one(self):
-        assert spearman([1, 2, 3, 4], [10, 100, 1000, 10000]) == pytest.approx(1.0)
-
-    def test_reversed_is_minus_one(self):
-        assert spearman([1, 2, 3, 4], [4, 3, 2, 1]) == pytest.approx(-1.0)
-
-    def test_handles_ties(self):
-        value = spearman([1, 1, 2, 3], [1, 1, 2, 3])
-        assert value == pytest.approx(1.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            spearman([1], [1, 2])
 
 
 class TestCoefficientOfVariation:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.tables import format_matrix, format_series, format_table
+from repro.util.tables import format_matrix, format_table
 
 
 class TestFormatTable:
@@ -33,17 +33,6 @@ class TestFormatTable:
         lines = text.splitlines()
         # all rows have the same position for the second column
         assert lines[2].index("1") == lines[3].index("2")
-
-
-class TestFormatSeries:
-    def test_series_columns(self):
-        text = format_series("t", [1, 2], {"a": [10.0, 20.0], "b": [1.0, 2.0]})
-        header = text.splitlines()[0].split()
-        assert header == ["t", "a", "b"]
-
-    def test_values_in_rows(self):
-        text = format_series("t", [0.1], {"a": [5.0]})
-        assert "5" in text.splitlines()[2]
 
 
 class TestFormatMatrix:

@@ -7,7 +7,6 @@ from repro.util.validation import (
     check_positive,
     check_probability,
     check_rank,
-    check_type,
 )
 
 
@@ -63,15 +62,3 @@ class TestCheckRank:
     def test_rejects_non_int(self):
         with pytest.raises(TypeError):
             check_rank(1.5, 4)
-
-
-class TestCheckType:
-    def test_accepts_correct_type(self):
-        assert check_type("x", 3, int) == 3
-
-    def test_rejects_wrong_type(self):
-        with pytest.raises(TypeError, match="must be int"):
-            check_type("x", "3", int)
-
-    def test_tuple_of_types(self):
-        assert check_type("x", 3.0, (int, float)) == 3.0
