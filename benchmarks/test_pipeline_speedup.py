@@ -23,6 +23,11 @@ on a process pool of 1, 2, … ``os.cpu_count()`` workers (1 auto-downgrades to
 serial) — ``pool_speedup`` per worker count, the worker-scaling curve of
 byte-balanced shard batches.
 
+A fourth, the many-short-ranks row, is the same serial file → file
+``write()`` on a 256-rank ``late_sender`` file: its µs per record beside the
+32-rank Sweep3D file's says what a rank costs beyond its records (decode,
+keying and vectorizing are paid per run of ranks, the match step per rank).
+
 All are hardware-dependent — a process pool cannot beat the serial path on
 a single-CPU runner, nor on an input that reduces faster than two workers
 fork — so the recorded ``cpu_count`` is part of the result and the test only
@@ -37,6 +42,7 @@ import time
 from support import RESULTS_DIR, emit, run_once, write_bench_json
 from tests.support import reference_reduce
 
+from repro.benchmarks_ats import late_sender
 from repro.core.metrics import create_metric
 from repro.experiments.config import build_workload, get_scale
 from repro.pipeline.engine import PipelineConfig, ReductionPipeline
@@ -104,6 +110,7 @@ def _rpb_curve(scale_name: str, workdir) -> dict:
         assert out.read_bytes() == expected, f"{config} diverged from the scan reducer"
         return elapsed
 
+    n_records = sum(len(rank.records) for rank in trace.ranks)
     serial_seconds = timed_write(PipelineConfig(executor="serial"))
     pool = {}
     for workers in range(1, (os.cpu_count() or 1) + 1):
@@ -116,8 +123,33 @@ def _rpb_curve(scale_name: str, workdir) -> dict:
         "scale": scale_name,
         "input_bytes": path.stat().st_size,
         "reduced_bytes": len(expected),
+        "n_ranks": trace.nprocs,
+        "n_records": n_records,
         "serial_write_seconds": round(serial_seconds, 6),
+        "serial_us_per_record": round(1e6 * serial_seconds / n_records, 3),
         "pool_write": pool,
+        "identical_output": True,
+    }
+
+
+def _short_ranks_row(workdir) -> dict:
+    """Serial file → file ``write()`` of a 256-rank ``late_sender`` file."""
+    trace = late_sender(nprocs=256, iterations=20, seed=11).run()
+    path, out = workdir / "short_ranks.rpb", workdir / "short_ranks.out"
+    write_trace(trace, path)
+    expected = serialize_reduced_trace(reference_reduce(create_metric(METHOD), trace.segmented()))
+    n_records = sum(len(rank.records) for rank in trace.ranks)
+    started = time.perf_counter()
+    ReductionPipeline(create_metric(METHOD)).write(path, out)
+    seconds = time.perf_counter() - started
+    assert out.read_bytes() == expected, "many short ranks diverged from the scan reducer"
+    return {
+        "workload": "late_sender",
+        "input_bytes": path.stat().st_size,
+        "n_ranks": trace.nprocs,
+        "n_records": n_records,
+        "serial_write_seconds": round(seconds, 6),
+        "serial_us_per_record": round(1e6 * seconds / n_records, 3),
         "identical_output": True,
     }
 
@@ -129,6 +161,7 @@ def _run_comparison(workdir) -> dict:
         "cpu_count": os.cpu_count() or 1,
         "scales": {name: _compare_at_scale(name) for name in ("smoke", "default")},
         "rpb": _rpb_curve("default", workdir),
+        "short_ranks": _short_ranks_row(workdir),
     }
 
 
@@ -149,7 +182,7 @@ def test_pipeline_speedup(benchmark, tmp_path):
         ]
         for entry in report["scales"].values()
     ]
-    rpb = report["rpb"]
+    rpb, short = report["rpb"], report["short_ranks"]
     emit(
         "BENCH_pipeline",
         format_table(
@@ -173,9 +206,19 @@ def test_pipeline_speedup(benchmark, tmp_path):
                 f".rpb file -> reduced file by write() — {rpb['scale']} scale, "
                 f"{rpb['input_bytes']} bytes in, {rpb['reduced_bytes']} out"
             ),
+        )
+        + "\n\n"
+        + format_table(
+            ["file", "ranks", "records", "write s", "us / record"],
+            [
+                [name, row["n_ranks"], row["n_records"], f"{row['serial_write_seconds']:.4f}",
+                 f"{row['serial_us_per_record']:.2f}"]
+                for name, row in ((WORKLOAD, rpb), (short["workload"], short))
+            ],
+            title="serial write(), .rpb file -> reduced file: what a rank costs beyond its records",
         ),
     )
-    assert rpb["identical_output"]
+    assert rpb["identical_output"] and short["identical_output"]
     for entry in report["scales"].values():
         assert entry["identical_output"]
         assert min(

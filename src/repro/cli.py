@@ -536,7 +536,7 @@ def _cmd_trends(workload_name: str, methods: Optional[Sequence[str]], scale) -> 
 
 
 def _cmd_pipeline(args, scale) -> str:
-    from repro.evaluation.filesize import full_trace_bytes, full_trace_bytes_from_file
+    from repro.evaluation.filesize import decoded_trace_bytes, full_trace_bytes
 
     # Validate argument values before the expensive trace generation.
     try:
@@ -580,11 +580,6 @@ def _cmd_pipeline(args, scale) -> str:
         rows_head = [["workload", args.workload]]
     pipeline_runner = ReductionPipeline(metric, config)
     with _telemetry(args.telemetry, "pipeline", config) as telemetry:
-        # Sizing the full trace is part of the recorded run.
-        if segmented is None:
-            full_bytes = full_trace_bytes_from_file(source)
-        else:
-            full_bytes = full_trace_bytes(segmented)
         # Only --verify (which must not write on failure) and --merge need
         # the reduced trace as objects; otherwise it streams into the file.
         result = None
@@ -593,6 +588,12 @@ def _cmd_pipeline(args, scale) -> str:
         else:
             result = pipeline_runner.reduce(source)
             stats = result.stats
+        # Sizing the full trace is part of the recorded run; the tasks that
+        # decoded an indexed file's ranks have sized them (no second pass).
+        if segmented is None:
+            full_bytes = decoded_trace_bytes(source, stats.text_bytes)
+        else:
+            full_bytes = full_trace_bytes(segmented)
         telemetry.update(
             subject=args.workload if args.trace is None else args.trace,
             method=metric.describe(),

@@ -24,7 +24,9 @@ that rewrites what it stored) and for a caller that reads a representative's
 and writes, sizes and reconstructs them from the columns, so
 :attr:`RankFrame.materialized` stays 0 through it, and the time-order check
 construction made on the way is :meth:`RankFrame.check_time_order`.
-``.rpb`` files decode straight into frames (:func:`repro.trace.binio.rank_frame`);
+``.rpb`` files decode straight into frames (:func:`repro.trace.binio.rank_frames`:
+a run of short ranks becomes one frame, each rank a :meth:`RankFrame.rows_view`
+of it, so the bulk passes above run once per run);
 text and in-memory sources adapt through :meth:`RankFrame.from_segments`, so
 every engine runs one code path.  The segment-at-a-time
 :class:`~repro.core.reducer.TraceReducer` remains the byte-identity oracle.
@@ -160,6 +162,8 @@ class RankFrame:
         "indices",
         "materialized",
         "invalid",
+        "text_bytes",
+        "_run",
         "_keys",
         "_rel",
         "_rows",
@@ -201,6 +205,13 @@ class RankFrame:
         #: Builds the error :meth:`check_time_order` raises from its message;
         #: a decoder that knows where the frame came from says so here.
         self.invalid = ValueError
+        #: Bytes the rank's records occupy in the text format, where the
+        #: decoder had the record columns to size them (an ``.rpb`` rank).
+        self.text_bytes = 0
+        #: ``(frame, rows, events)`` when this frame is a row slice of a longer
+        #: one (:meth:`rows_view`): what is derived from the columns is sliced
+        #: from that frame's, which computes it once for all its views.
+        self._run: Optional[tuple] = None
         self._keys: Optional[list[InternedKey]] = None
         self._rel = None
         self._rows: dict = {}
@@ -321,13 +332,19 @@ class RankFrame:
         """
         rel = self._rel
         if rel is None:
-            counts = np.diff(self.ev_offsets)
-            seg_starts = np.repeat(self.starts, counts)
-            rel = self._rel = (
-                self.ev_starts - seg_starts,
-                self.ev_ends - seg_starts,
-                self.ends - self.starts,
-            )
+            if self._run is not None:
+                run, rows, events = self._run
+                rel_ev_starts, rel_ev_ends, rel_ends = run.relative_columns()
+                rel = (rel_ev_starts[events], rel_ev_ends[events], rel_ends[rows])
+            else:
+                counts = np.diff(self.ev_offsets)
+                seg_starts = np.repeat(self.starts, counts)
+                rel = (
+                    self.ev_starts - seg_starts,
+                    self.ev_ends - seg_starts,
+                    self.ends - self.starts,
+                )
+            self._rel = rel
         return rel
 
     def check_time_order(self) -> None:
@@ -380,6 +397,31 @@ class RankFrame:
             indices=rows if self.indices is None else self.indices[rows],
         )
 
+    def rows_view(self, rank: int, lo: int, hi: int) -> "RankFrame":
+        """Segments ``lo:hi`` as the frame of ``rank``: slices, nothing copied but the offsets.
+
+        How a decoder that lays several short ranks end to end in one frame
+        hands each to the reducer: the view's keys, relative columns and
+        feature rows are slices of this frame's, built once for all the ranks.
+        """
+        rows = slice(lo, hi)
+        events = slice(int(self.ev_offsets[lo]), int(self.ev_offsets[hi]))
+        view = RankFrame(
+            rank=rank,
+            contexts=self.contexts[rows],
+            starts=self.starts[rows],
+            ends=self.ends[rows],
+            ev_offsets=self.ev_offsets[lo : hi + 1] - events.start,
+            ev_names=self.ev_names[events],
+            ev_starts=self.ev_starts[events],
+            ev_ends=self.ev_ends[events],
+            ev_mpi=self.ev_mpi[events],
+            strings=self.strings,
+            mpi_table=self.mpi_table,
+        )
+        view._run = (self, rows, events)
+        return view
+
     # -- vectorized structural keying ------------------------------------------
 
     def structural_keys(self) -> list[InternedKey]:
@@ -391,8 +433,12 @@ class RankFrame:
         """
         keys = self._keys
         if keys is None:
-            with obs.span("columnar.vectorize", rank=self.rank, stage="keys"):
-                keys = self._keys = self._structural_keys()
+            if self._run is not None:
+                keys = self._run[0].structural_keys()[self._run[1]]
+            else:
+                with obs.span("columnar.vectorize", rank=self.rank, stage="keys"):
+                    keys = self._structural_keys()
+            self._keys = keys
         return keys
 
     def _structural_keys(self) -> list[InternedKey]:
@@ -452,10 +498,12 @@ class RankFrame:
     def _vector_rows(self, layout) -> list[np.ndarray]:
         rows = self._rows.get(layout)
         if rows is None:
-            with obs.span(
-                "columnar.vectorize", rank=self.rank, stage=str(layout)
-            ):
-                rows = self._rows[layout] = self._build_rows(layout)
+            if self._run is not None:
+                rows = self._run[0]._vector_rows(layout)[self._run[1]]
+            else:
+                with obs.span("columnar.vectorize", rank=self.rank, stage=str(layout)):
+                    rows = self._build_rows(layout)
+            self._rows[layout] = rows
         return rows
 
     def _build_rows(self, layout) -> list[np.ndarray]:

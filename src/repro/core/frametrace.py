@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.core.frames import RankFrame
 from repro.trace.events import Event
-from repro.trace.segments import Segment, iter_segments
+from repro.trace.segments import Segment
 
 __all__ = ["FrameRankTrace", "FrameTrace"]
 
@@ -213,22 +213,17 @@ class FrameTrace:
     def from_file(cls, path, name: Optional[str] = None) -> "FrameTrace":
         """Decode a trace file (any registered format) into frames.
 
-        Indexed formats decode each rank's byte range directly into columns;
+        Indexed formats decode their ranks' byte ranges, a run of ranks at a
+        time, directly into columns;
         forward-only formats stream records through the segmenter and the
         segments→frame adapter.
         """
-        from repro.trace.formats import resolve_format
+        from repro.pipeline.stream import rank_frame_streams
 
         path = Path(path)
-        fmt = resolve_format(path)
-        if fmt.rank_frame is not None and fmt.rank_ids is not None:
-            frames = [fmt.rank_frame(path, rank) for rank in fmt.rank_ids(path)]
-        else:
-            frames = [
-                RankFrame.from_segments(rank, iter_segments(records))
-                for rank, records in fmt.rank_streams(path)
-            ]
-        return cls.from_frames(name or path.stem, frames)
+        return cls.from_frames(
+            name or path.stem, (frame for _, frame in rank_frame_streams(path))
+        )
 
     @property
     def nprocs(self) -> int:

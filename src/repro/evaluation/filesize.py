@@ -23,6 +23,7 @@ __all__ = [
     "percent_file_size",
     "full_trace_bytes",
     "full_trace_bytes_from_file",
+    "decoded_trace_bytes",
 ]
 
 
@@ -49,6 +50,21 @@ def full_trace_bytes_from_file(path: str | Path) -> int:
         total = fmt.text_bytes(path)
         obs.counter("filesize.bytes", total)
     return total
+
+
+def decoded_trace_bytes(path: str | Path, text_bytes: int) -> int:
+    """Text-equivalent size of a trace file whose ranks have just been decoded.
+
+    An indexed format's frame decoder sizes each rank while it holds the
+    columns (``RankFrame.text_bytes``; ``text_bytes`` is their sum), so the
+    file is not walked a second time; any other file is sized here.
+    """
+    from repro.trace.formats import resolve_format
+
+    if resolve_format(path).rank_frames is None:
+        return full_trace_bytes_from_file(path)
+    obs.counter("filesize.bytes", text_bytes)
+    return text_bytes
 
 
 def percent_file_size(full: SegmentedTrace, reduced: ReducedTrace) -> float:

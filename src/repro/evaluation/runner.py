@@ -24,7 +24,7 @@ from repro.core.reconstruct import reconstruct
 from repro.core.reduced import ReducedTrace
 from repro.core.reducer import TraceReducer
 from repro.evaluation.approximation import approximation_distance
-from repro.evaluation.filesize import full_trace_bytes, full_trace_bytes_from_file
+from repro.evaluation.filesize import decoded_trace_bytes, full_trace_bytes
 from repro.evaluation.trends import retains_trends
 from repro.trace.trace import SegmentedTrace
 
@@ -113,8 +113,9 @@ class PreparedWorkload:
         The file decodes straight into columnar frames
         (:class:`~repro.core.frametrace.FrameTrace`): the full-trace analysis
         and the criteria read the columns directly, the reducers take their
-        frame paths, and ``full_bytes`` streams off the file — no segment
-        object is built unless a method probes with it.
+        frame paths, and ``full_bytes`` is what the decoder sized (an ``.rpb``
+        file) or the file's own size (text) — no segment object is built
+        unless a method probes with it.
         """
         from pathlib import Path
 
@@ -123,7 +124,9 @@ class PreparedWorkload:
         return cls(
             name=trace.name,
             segmented=trace,
-            full_bytes=full_trace_bytes_from_file(path),
+            full_bytes=decoded_trace_bytes(
+                path, sum(rank.frame.text_bytes for rank in trace.ranks)
+            ),
             full_report=analyze(trace),
         )
 

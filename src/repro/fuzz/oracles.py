@@ -387,13 +387,18 @@ def oracle_session_checkpoint(ctx: CaseContext) -> Optional[str]:
 
 
 def oracle_rpb_roundtrip(ctx: CaseContext) -> Optional[str]:
-    """``.rpb`` write→read preserves records exactly; reduction unchanged."""
+    """``.rpb`` write→read preserves records exactly; reduction and columnar decode unchanged."""
     reread = read_trace(ctx.rpb_path, name=ctx.trace.name)
     for orig, back in zip(ctx.trace.ranks, reread.ranks):
         if orig.records != back.records:
             return f"rpb round trip: rank {orig.rank} records changed"
     if reread.nprocs != ctx.trace.nprocs:
         return f"rpb round trip: {ctx.trace.nprocs} ranks in, {reread.nprocs} out"
+    divergence = _run_decode_divergence(
+        ctx.rpb_path, {rank.rank: rank.segments for rank in ctx.segmented.ranks}
+    )
+    if divergence:
+        return divergence
     return ctx.check(ctx.reduce_serial(reread.segmented()), "rpb round trip")
 
 
@@ -461,14 +466,44 @@ def oracle_reconstruction(ctx: CaseContext) -> Optional[str]:
 # Malformed-rank fallback oracle
 
 
+def _run_decode_divergence(path: Path, reference: dict[int, object]) -> Optional[str]:
+    """Hold ``binio.rank_frames`` to ``reference``: each rank alone, pairs, the whole file.
+
+    ``reference`` maps a rank to its segments, or to the message its
+    segmentation fails with.  Every run must give its ranks' normalised
+    segments, or fail as its first malformed rank does alone.
+    """
+    ranks = list(reference)
+    for length in sorted({1, 2, max(1, len(ranks))}):
+        for at in range(0, len(ranks), length):
+            run = ranks[at : at + length]
+            messages = [reference[r] for r in run if isinstance(reference[r], str)]
+            expected: object = messages[0] if messages else [
+                [segment.relative_to_start() for segment in reference[r]] for r in run
+            ]
+            try:
+                outcome: object = [
+                    [frame.segment(i) for i in range(frame.n_segments)]
+                    for frame in binio.rank_frames(path, run)
+                ]
+            except SegmentationError as exc:
+                outcome = str(exc)
+            if outcome != expected:
+                return (
+                    f"rank_frames ranks {run[0]}..{run[-1]}: decode disagrees with "
+                    "in-memory segmentation"
+                )
+    return None
+
+
 def oracle_malformed_fallback(ctx: CaseContext) -> Optional[str]:
     """Malformed ranks fail identically on every decode path; good ranks decode.
 
     The reference outcome per rank comes from driving :func:`iter_segments`
     over the raw records.  The ``.rpb`` fast column decoder must fall back and
     raise a :class:`SegmentationError` with the *same message* for malformed
-    ranks (``iter_rank_segments`` and ``rank_frame`` both), while well-formed
-    ranks must decode to the same segments on every path.
+    ranks (``iter_rank_segments`` and ``rank_frames`` both, whatever the run),
+    while well-formed ranks must decode to the same segments on every path.
     """
     reference: dict[int, object] = {}
     for rank_trace in ctx.trace.ranks:
@@ -493,17 +528,11 @@ def oracle_malformed_fallback(ctx: CaseContext) -> Optional[str]:
             return f"binio rank {rank}: expected {want}, got {got}"
         if outcome != ref:
             return f"binio rank {rank}: decode disagrees with in-memory segmentation"
-        # Path 2: columnar frame decode (fast path with scalar fallback).
-        # ``frame.segment(i)`` materializes the *normalised* form, so the
-        # in-memory reference is compared after ``relative_to_start()``.
-        try:
-            frame = binio.rank_frame(ctx.rpb_path, rank)
-            frame_out: object = [frame.segment(i) for i in range(frame.n_segments)]
-        except SegmentationError as exc:
-            frame_out = str(exc)
-        frame_ref = [s.relative_to_start() for s in ref] if not isinstance(ref, str) else ref
-        if frame_out != frame_ref:
-            return f"rank_frame rank {rank}: decode disagrees with in-memory segmentation"
+    # Path 2: columnar frame decode (fast path with scalar fallback), each
+    # rank alone and in runs; frames materialize the *normalised* segments.
+    divergence = _run_decode_divergence(ctx.rpb_path, reference)
+    if divergence:
+        return divergence
     # The text path must agree as well (the malformed family stays on the grid).
     reread = read_trace(ctx.text_path, name=ctx.trace.name)
     for orig, back in zip(ctx.trace.ranks, reread.ranks):

@@ -14,9 +14,10 @@ Executors
 ---------
 ``serial``
     No pool: each rank's frame is reduced in the caller's process, one rank
-    at a time.  Memory is bounded by the largest rank's column arrays plus
-    the representative store.  The default: it has no start-up cost, so it
-    wins on inputs that reduce in under ~0.2 s (an in-memory 32-rank Sweep3D)
+    at a time.  Memory is bounded by the column arrays of the largest rank
+    (or of one run of short ranks, which an indexed file decodes together)
+    plus the representative store.  The default: it has no start-up cost, so
+    it wins on inputs that reduce in under ~0.2 s (an in-memory 32-rank Sweep3D)
     and on most forward-only sources, whose frames a pool must pickle (the
     measured exception is a strict distance method on a text file: 2.9 MB at
     euclidean 0.001, ``write()`` 1.10 s serial → 0.85 s on two workers).
@@ -32,7 +33,7 @@ Executors
     crosses rank boundaries — the same isolation the serial path provides.
     On indexed files it beats ``serial`` from two cores up once the input is
     big enough to pay for the fork (ROADMAP, "The pool earns its code":
-    1024-rank ATS file → file, 2 workers, 0.52 s serial vs 0.29 s).
+    1024-rank ATS file → file, 0.32 s serial vs 0.23 s on 2 workers).
 
 Task dispatch (recorded in ``PipelineStats.dispatch``)
 ------------------------------------------------------
@@ -42,7 +43,10 @@ Task dispatch (recorded in ``PipelineStats.dispatch``)
     Indexed file sources (``.rpb``): the ranks are cut, by the block lengths
     in the file's footer, into ``BATCHES_PER_WORKER × workers`` contiguous
     batches of near-equal bytes; pooled workers receive ``(path, ranks)``
-    and each opens the file and decodes only its ranks' byte ranges —
+    and each opens the file and decodes only its ranks' byte ranges, a run
+    of ranks at a time (``trace.binio.rank_frames``: a long rank alone,
+    short ranks together, so the fixed cost of a decode — the read, the
+    marker split, the keys and vectors of the frame — is paid per run) —
     ingestion parallelises and no rank payload is ever pickled.
 ``payload``
     Sources only this process can read (in-memory traces, forward-only text
@@ -55,7 +59,8 @@ as the one pool task (:func:`_rank_task`) through the one submit/collect loop
 (:func:`_run_pool_tasks`), which :func:`sweep_pipeline` shares.  Whatever the
 dispatch mode, every rank reaches the reducer as a
 :class:`~repro.core.frames.RankFrame` — ``.rpb`` ranks decode straight to
-columns, text and in-memory sources adapt through
+columns (each a row-range view of its run's frame), text and in-memory
+sources adapt through
 ``RankFrame.from_segments`` — so all executors run the one columnar code
 path, with the scalar segment-at-a-time reference kept as the byte-identity
 oracle.  :meth:`ReductionPipeline.write` asks the tasks for
@@ -105,7 +110,8 @@ EXECUTORS = ("serial", "thread", "process")
 #: dispatch, but block bytes only approximate work (a rank that stores every
 #: segment costs more per byte than one that matches them all), so a few
 #: spare batches let the faster worker take the slack; 1024-rank ATS wall
-#: clock is flat from 2 to 64 batches on 2 workers.
+#: clock is flat from 2 to 64 batches on 2 workers.  (What a worker decodes
+#: at a time is smaller: a run of ranks, ``trace.binio.RUN_BYTES`` of them.)
 BATCHES_PER_WORKER = 4
 
 #: Tasks in flight per pool worker.  Shard batches all fit; the bound is for
@@ -188,7 +194,7 @@ def _reduce_batch(
                 reduced = reducer.reduce_frame(
                     frame, store=store, match_counters=match_counters
                 )
-            counts.add_rank(reduced, store.counters, match_counters, frame.materialized)
+            counts.add_rank(reduced, store.counters, match_counters, frame)
             # Serialized rank by rank, so a batch holds its bytes, not its objects.
             outputs.append(b"".join(iter_reduced_rank_chunks(reduced)) if serialize else reduced)
     return b"".join(outputs) if serialize else outputs
@@ -212,7 +218,7 @@ def _rank_task(
     """The one pool task: :func:`_reduce_batch` in a worker.
 
     A ``shard`` batch names ranks of an indexed file, which the worker opens
-    and decodes one rank at a time; a ``payload`` batch carries its frame.
+    and decodes a run of ranks at a time; a ``payload`` batch carries its frame.
     With ``serialize`` the parent gets bytes to append instead of objects it
     would unpickle only to serialize.
 
@@ -479,9 +485,9 @@ def sweep_pipeline(
     For indexed (``.rpb``) file sources and a pooled executor, the grid is
     fanned out as **(rank-batch × feature-family)** tasks over the batches
     :meth:`ReductionPipeline.reduce` would cut: each pool worker opens the
-    file, decodes its batch's byte ranges one rank at a time, and runs one
-    family's configs over each in a single shared pass — so ingestion *and*
-    the grid parallelise, task payloads carry only a path, rank ids, and
+    file, decodes its batch's byte ranges a run of ranks at a time, and runs
+    one family's configs over each rank in a single shared pass — so ingestion
+    *and* the grid parallelise, task payloads carry only a path, rank ids, and
     (method, threshold) pairs, and vector sharing is preserved inside every
     task (configs of different families share no vectors anyway).
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, fields
 
 from repro import obs
 from repro.core.candidates import MatchCounters
+from repro.core.frames import RankFrame
 from repro.core.reduced import ReducedRankTrace
 from repro.obs.metrics import Counts
 from repro.pipeline.store import StoreCounters
@@ -68,6 +69,9 @@ class RankCounts(Counts):
     #: that probes with the object.  Reading a representative's ``.segment``
     #: afterwards is the reader's materialization, not counted here.
     segments_materialized: int = 0
+    #: Text-format bytes of the ranks' records (§4.3.1's denominator), sized
+    #: by the decoder that held their columns: 0 unless the source is ``.rpb``.
+    text_bytes: int = 0
     store: StoreCounters = field(default_factory=StoreCounters)
     match: MatchCounters = field(default_factory=MatchCounters)
 
@@ -76,15 +80,16 @@ class RankCounts(Counts):
         reduced: ReducedRankTrace,
         store: StoreCounters,
         match: MatchCounters,
-        materialized: int,
+        frame: RankFrame,
     ) -> None:
-        """Fold one reduced rank's counts in."""
+        """Fold in the counts of one rank, reduced from ``frame``."""
         self.nprocs += 1
         self.n_segments += reduced.n_segments
         self.n_stored += len(reduced.stored)
         self.n_matches += reduced.n_matches
         self.n_possible_matches += reduced.n_possible_matches
-        self.segments_materialized += materialized
+        self.segments_materialized += frame.materialized
+        self.text_bytes += frame.text_bytes
         self.store = self.store.merged_with(store)
         self.match = self.match.merged_with(match)
 

@@ -13,11 +13,14 @@ trace can live:
 * a **text** trace file on disk (parsed *and* segmented lazily, line by line,
   via the chunked readers in :mod:`repro.trace.io` — the whole trace is never
   materialized, but streams must be consumed in file order);
-* an **indexed** trace file (``.rpb``): each rank decodes independently from
-  its byte range, so streams may be consumed in any order — and a worker
+* an **indexed** trace file (``.rpb``): ranks decode independently from
+  their byte ranges, so streams may be consumed in any order — and a worker
   process can open the file itself and decode exactly the ranks it was
   handed (:meth:`RankBatch.iter_frames`), which is how the engine ships
-  ``(path, ranks)`` shard batches instead of pickled rank payloads.
+  ``(path, ranks)`` shard batches instead of pickled rank payloads.  Whoever
+  decodes them takes a *run* of ranks at a time (the format cuts them by
+  block bytes: a long rank alone, short ranks together), so the fixed cost
+  of a decode is paid per run, not per rank.
 
 Pooled work is cut here too: :func:`rank_batches` turns a source into
 :class:`RankBatch` objects — for an indexed file, a few contiguous runs of
@@ -25,15 +28,16 @@ ranks of near-equal block bytes (:func:`cut_by_bytes`, from the footer index
 alone); for everything else one batch per rank, holding the rank's frame.
 
 Ranks are produced one at a time, so a consumer that also processes them one
-at a time (the serial executor path) runs in memory bounded by the largest
-single rank plus the representative store.
+at a time (the serial executor path) runs in memory bounded by the larger of
+the largest single rank and one run of short ranks, plus the representative
+store.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Optional, Tuple, Union
 
 from repro import obs
 from repro.core.frames import RankFrame
@@ -41,6 +45,7 @@ from repro.core.frametrace import FrameTrace
 from repro.trace.formats import resolve_format
 from repro.trace.segments import Segment, iter_segments
 from repro.trace.trace import SegmentedTrace, Trace
+from repro.util.cut import cut_by_bytes
 
 __all__ = [
     "SegmentSource",
@@ -62,13 +67,14 @@ def indexed_source_ranks(source: SegmentSource) -> Optional[list[int]]:
 
     ``None`` means the source is in-memory, a forward-only file, or an
     indexed format without a frame decoder (it is read like a forward-only
-    one); a list means every listed rank can be decoded independently by the
-    format's ``rank_frame``, which is what :meth:`RankBatch.iter_frames` does.
+    one); a list means any run of the listed ranks can be decoded on its own
+    by the format's ``rank_frames``, which is what :meth:`RankBatch.iter_frames`
+    does.
     """
     if not isinstance(source, (str, Path)):
         return None
     fmt = resolve_format(source)
-    if fmt.rank_ids is None or fmt.rank_frame is None:
+    if fmt.rank_ids is None or fmt.rank_frames is None:
         return None
     return fmt.rank_ids(Path(source))
 
@@ -88,49 +94,23 @@ class RankBatch:
     frames: tuple[RankFrame, ...] = ()
 
     def iter_frames(self) -> Iterator[RankFrame]:
-        """The batch's frames in rank order, decoded one at a time.
+        """The batch's frames in rank order, decoded a run of ranks at a time.
 
-        What a pool worker runs for a ``(path, ranks)`` batch: open the file,
-        seek to each rank's byte range, decode.  Each decode runs under a
-        ``shard.decode`` span, so a recorded timeline separates decode from
-        match time per rank.
+        What whoever reduces a ``(path, ranks)`` batch runs: the format cuts
+        the ranks into runs (``rank_runs``: a big rank alone, short ranks
+        together up to a byte budget) and decodes each in one pass
+        (``rank_frames``).  Each decode runs under a ``shard.decode`` span,
+        so a recorded timeline separates decode from match time per run.
         """
         if self.path is None:
             yield from self.frames
             return
         path = Path(self.path)
-        rank_frame = resolve_format(path).rank_frame
-        for rank in self.ranks:
-            with obs.span("shard.decode", rank=rank):
-                frame = rank_frame(path, rank)
-            yield frame
-
-
-def cut_by_bytes(lengths: Sequence[int], n_batches: int) -> list[range]:
-    """Cut ``len(lengths)`` items, in order, into runs of near-equal bytes.
-
-    The bytes are divided into ``n_batches`` slots of ``target = ceil(total /
-    n_batches)`` and an item goes with the slot its first byte falls in: the
-    runs are contiguous, none is empty, there are at most ``n_batches``, and
-    a run without its last item is shorter than the target — an item bigger
-    than the target ends its run.  Lengths come from a file's footer:
-    anything below one byte weighs one, so a damaged index still cuts (and
-    fails where it is decoded).
-    """
-    if n_batches < 1:
-        raise ValueError(f"n_batches must be >= 1, got {n_batches}")
-    weights = [max(1, length) for length in lengths]
-    target = -(-sum(weights) // n_batches)
-    runs: list[range] = []
-    start = slot = before = 0
-    for at, weight in enumerate(weights):
-        if before // target != slot:
-            runs.append(range(start, at))
-            start, slot = at, before // target
-        before += weight
-    if weights:
-        runs.append(range(start, len(weights)))
-    return runs
+        fmt = resolve_format(path)
+        for ranks, n_bytes in fmt.rank_runs(path, self.ranks):
+            with obs.span("shard.decode", first_rank=ranks[0], ranks=len(ranks), bytes=n_bytes):
+                frames = fmt.rank_frames(path, ranks)
+            yield from frames
 
 
 def rank_batches(
@@ -173,13 +153,11 @@ def rank_frame_streams(source: SegmentSource) -> Iterator[Tuple[int, RankFrame]]
         for rank_trace in source.ranks:
             yield rank_trace.rank, rank_trace.frame
         return
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        fmt = resolve_format(path)
-        if fmt.rank_frame is not None and fmt.rank_ids is not None:
-            for rank in fmt.rank_ids(path):
-                yield rank, fmt.rank_frame(path, rank)
-            return
+    ranks = indexed_source_ranks(source)
+    if ranks is not None:
+        for frame in RankBatch(ranks=tuple(ranks), path=str(source)).iter_frames():
+            yield frame.rank, frame
+        return
     for rank, segments in rank_segment_streams(source):
         yield rank, RankFrame.from_segments(rank, segments)
 

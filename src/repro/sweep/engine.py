@@ -175,8 +175,8 @@ def _sweep_batch_task(
 
     The payload is just a file path, rank ids, and (method, threshold)
     pairs; the worker opens the indexed file, decodes the batch's byte
-    ranges into columnar frames one rank at a time, and runs the group's
-    configs over each in one shared pass.  With ``capture=True`` the task
+    ranges into columnar frames a run of ranks at a time, and runs the
+    group's configs over each rank in one shared pass.  With ``capture=True`` the task
     records into a private recorder, publishes its :class:`SweepWork` there
     under the names the parent publishes the run's, and ships the snapshot
     back beside the rank sweeps.

@@ -87,11 +87,13 @@ class TraceFormat:
     rank_bytes: Optional[Callable[[Path], list[int]]] = None
     rank_records: Optional[Callable[[Path, int], Iterator[TraceRecord]]] = None
     rank_segments: Optional[Callable[[Path, int], Iterator[Segment]]] = None
-    #: Decode one rank straight into a columnar ``RankFrame`` (no Segment
-    #: objects).  An indexed format without it is still read, rank by rank
-    #: through ``RankFrame.from_segments``, but pooled work is not cut from
-    #: its index: ``(path, ranks)`` batches need this decoder.
-    rank_frame: Optional[Callable[[Path, int], "RankFrame"]] = None
+    #: Cut ranks into the runs to decode at a time: ``(ranks, block bytes)`` pairs.
+    rank_runs: Optional[Callable[[Path, Iterable[int]], list[Tuple[Tuple[int, ...], int]]]] = None
+    #: Decode one run of ranks straight into columnar ``RankFrame``s (no
+    #: Segment objects).  An indexed format without it is still read, rank by
+    #: rank through ``RankFrame.from_segments``, but pooled work is not cut
+    #: from its index: ``(path, ranks)`` batches need this decoder.
+    rank_frames: Optional[Callable[[Path, Iterable[int]], list["RankFrame"]]] = None
 
     @property
     def is_indexed(self) -> bool:
@@ -226,6 +228,7 @@ register_format(
         rank_bytes=binio.rank_bytes,
         rank_records=binio.iter_rank_records,
         rank_segments=binio.iter_rank_segments,
-        rank_frame=binio.rank_frame,
+        rank_runs=binio.rank_runs,
+        rank_frames=binio.rank_frames,
     )
 )

@@ -145,16 +145,15 @@ _MPI_LABEL_BYTES = np.array([len(f" {label}=") for label in _MPI_LABELS])
 _POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
 
 
-def _timestamps_text_bytes(times: np.ndarray) -> int:
-    """``sum(len(_TS_FMT.format(t)) for t in times)``."""
+def _timestamps_text_bytes(times: np.ndarray) -> np.ndarray:
+    """``len(_TS_FMT.format(t))`` of each timestamp."""
+    # One integer digit per gain passed, plus the first and ".dd".
+    sizes = np.searchsorted(_TS_DIGIT_GAINS, times, side="right") + 4
     # Negative, -0.0, NaN, infinite and >= 1e15: ask the format itself.
     odd = ~(times >= 0.0) | (times >= _TS_DIGIT_GAINS[-1]) | np.signbit(times)
-    total = 0
     if odd.any():
-        total = sum(len(_TS_FMT.format(t)) for t in times[odd].tolist())
-        times = times[~odd]
-    # One integer digit per gain passed, plus the first and ".dd".
-    return total + int(np.searchsorted(_TS_DIGIT_GAINS, times, side="right").sum()) + 4 * len(times)
+        sizes[odd] = [len(_TS_FMT.format(t)) for t in times[odd].tolist()]
+    return sizes
 
 
 def _int_text_bytes(values: np.ndarray) -> np.ndarray:
@@ -164,53 +163,67 @@ def _int_text_bytes(values: np.ndarray) -> np.ndarray:
     return np.searchsorted(_POWERS_OF_TEN, magnitude, side="right") + 1 + (values < 0)
 
 
+def _range_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``values[bounds[i]:bounds[i + 1]].sum()`` for every ``i`` (0 for an empty range)."""
+    return np.diff(np.concatenate(([0], np.cumsum(values)))[bounds])
+
+
 class ColumnTextSizer:
     """Byte cost of records in the text format, computed from record columns.
 
     The length rules of :func:`format_record` and :func:`_format_mpi`, applied
     to whole columns: what ``len((format_record(r) + "\\n").encode("utf-8"))``
     sums to over the records the columns describe, without building one.
-    ``strings`` is the table the name, op and communicator id columns index.
+    The columns may hold several ranks end to end: ``bounds`` is the prefix
+    array that cuts them (rank ``i``'s rows are ``bounds[i]:bounds[i + 1]``)
+    and each answer has one sum per rank.  ``strings`` is the table the name,
+    op and communicator id columns index.
     """
 
     def __init__(self, strings: Sequence[str]) -> None:
         self._string_bytes = np.array([len(s.encode("utf-8")) for s in strings], dtype=np.int64)
         self._comm_written = np.array([s != _DEFAULT_COMM for s in strings], dtype=bool)
 
-    def records(self, rank: int, kinds: np.ndarray, times: np.ndarray, names: np.ndarray) -> int:
-        """Bytes of ``KIND rank timestamp name\\n`` over one rank's records."""
-        return (
-            int(_KIND_NAME_BYTES[kinds].sum())
-            + len(kinds) * (len(str(rank)) + len("   \n"))  # three separators, newline
-            + _timestamps_text_bytes(times)
-            + int(self._string_bytes[names].sum())
+    def records(
+        self,
+        ranks: Sequence[int],
+        bounds: np.ndarray,
+        kinds: np.ndarray,
+        times: np.ndarray,
+        names: np.ndarray,
+    ) -> np.ndarray:
+        """Bytes of ``KIND rank timestamp name\\n`` over each rank's records."""
+        per_record = (
+            _KIND_NAME_BYTES[kinds] + _timestamps_text_bytes(times) + self._string_bytes[names]
         )
+        # The rank, three separators and the newline.
+        per_rank = np.array([len(str(rank)) + len("   \n") for rank in ranks])
+        return _range_sums(per_record, bounds) + np.diff(bounds) * per_rank
 
     def mpi(
         self,
+        bounds: np.ndarray,
         ops: np.ndarray,
         present: np.ndarray,
         values: np.ndarray,
         nbytes: np.ndarray,
         comms: np.ndarray,
-    ) -> int:
-        """Bytes of the MPI suffixes of the records that carry MPI parameters.
+    ) -> np.ndarray:
+        """Bytes of the MPI suffixes of each rank's records that carry MPI parameters.
 
         ``present`` and ``values`` have one column per label of
         ``_MPI_LABELS``: whether the attribute is set, and its value.
         """
-        sized = nbytes != 0
         comm_written = self._comm_written[comms]
-        return (
-            len(ops)
-            + int(self._string_bytes[ops].sum())
-            + int((present * _MPI_LABEL_BYTES).sum())
-            + int(_int_text_bytes(values[present]).sum())
-            + int(sized.sum()) * len(" bytes=")
-            + int(_int_text_bytes(nbytes[sized]).sum())
-            + int(comm_written.sum()) * len(" comm=")
-            + int(self._string_bytes[comms[comm_written]].sum())
+        per_row = (
+            1
+            + self._string_bytes[ops]
+            # A row sum; ``sum(axis=1)`` is five times slower over four columns.
+            + np.einsum("ij->i", present * (_MPI_LABEL_BYTES + _int_text_bytes(values)))
+            + (nbytes != 0) * (len(" bytes=") + _int_text_bytes(nbytes))
+            + comm_written * (len(" comm=") + self._string_bytes[comms])
         )
+        return _range_sums(per_row, bounds)
 
 
 def parse_record(line: str) -> TraceRecord:

@@ -178,9 +178,11 @@ def test_write_load_report_roundtrip(tmp_path, small_late_sender_trace):
     assert "pipeline.run" in report
 
 
-def test_pipeline_trace_run_attributes_the_sizing_pass(tmp_path, capsys):
-    # ``pipeline --trace F.rpb`` sizes the full trace before it reduces; the
-    # pass must sit inside the recording, under its own span and counter.
+def test_pipeline_trace_run_attributes_the_sizing(tmp_path, capsys):
+    # ``pipeline --trace F.rpb`` takes the full trace's size from the tasks
+    # that decoded the ranks: no sizing pass over the file, the counter stays
+    # and agrees with what the tasks published.  A text file is still sized
+    # inside the recording, under its own span.
     from repro.benchmarks_ats import late_sender
     from repro.cli import main
     from repro.trace.io import write_trace
@@ -191,11 +193,18 @@ def test_pipeline_trace_run_attributes_the_sizing_pass(tmp_path, capsys):
     write_trace(trace, text)
     assert main(["pipeline", "--trace", str(rpb), "--executor", "serial",
                  "--telemetry", str(telemetry)]) == 0
+    payload = obs.load_trace(telemetry)
+    assert not [e for e in payload["traceEvents"] if e.get("name") == "filesize.text_bytes"]
+    run = obs.MetricsSnapshot.from_json(payload["otherData"]["metrics"]["run"])
+    assert run.scalar("filesize.bytes") == run.scalar("pipeline.text_bytes") == text.stat().st_size
+
+    assert main(["pipeline", "--trace", str(text), "--executor", "serial",
+                 "--telemetry", str(telemetry)]) == 0
     capsys.readouterr()
     payload = obs.load_trace(telemetry)
     (sizing,) = [e for e in payload["traceEvents"] if e.get("name") == "filesize.text_bytes"]
     assert sizing["ph"] == "X"
-    assert sizing["args"] == {"format": "rpb", "ranks": 4}
+    assert sizing["args"] == {"format": "text", "ranks": None}
     run = obs.MetricsSnapshot.from_json(payload["otherData"]["metrics"]["run"])
     assert run.scalar("filesize.bytes") == text.stat().st_size
     assert "filesize.text_bytes" in obs.render_report(telemetry)

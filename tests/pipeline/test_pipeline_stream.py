@@ -151,7 +151,7 @@ class TestIndexedSources:
     def test_indexed_format_without_frame_decoder_is_not_sharded(
         self, monkeypatch, rpb_path
     ):
-        # ``TraceFormat.rank_frame`` is optional: without it no (path, ranks)
+        # ``TraceFormat.rank_frames`` is optional: without it no (path, ranks)
         # batch is cut (a worker could not decode it), the frames are built
         # here through the segments adapter instead.
         import dataclasses
@@ -163,7 +163,7 @@ class TestIndexedSources:
         expected = [
             frame.segments() for _, frame in stream.rank_frame_streams(path)
         ]
-        bare = dataclasses.replace(resolve_format(path), rank_frame=None)
+        bare = dataclasses.replace(resolve_format(path), rank_frames=None)
         monkeypatch.setattr(stream, "resolve_format", lambda _path: bare)
         assert indexed_source_ranks(path) is None
         batches = list(stream.rank_batches(path, n_batches=2))

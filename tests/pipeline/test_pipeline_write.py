@@ -17,6 +17,7 @@ from repro.pipeline.engine import BATCHES_PER_WORKER, PipelineConfig, ReductionP
 from repro.pipeline.stats import RankCounts
 from repro.pipeline.store import create_store
 from repro.pipeline.stream import rank_batches
+from repro.trace import binio
 from repro.trace.io import read_trace, serialize_reduced_trace, write_trace
 
 from tests.support import reference_reduce
@@ -109,7 +110,8 @@ def test_failed_write_keeps_the_previous_file(sources, tmp_path):
 @pytest.mark.parametrize("executor", ["thread", "process"])
 def test_pooled_write_telemetry(tmp_path, executor):
     """Per-batch snapshots keep the invariant ``workers_merged[name] == run[name]``,
-    each batch is one ``shard.batch`` span, and the per-rank span names stay."""
+    each batch is one ``shard.batch`` span, decode spans are per run of ranks
+    and ``rank.reduce`` per rank."""
     path = tmp_path / "trace.rpb"
     write_trace(late_sender(nprocs=20, iterations=3, seed=3).run(), path)
     # More ranks than batches, so a snapshot is a batch's, not a rank's.
@@ -135,5 +137,19 @@ def test_pooled_write_telemetry(tmp_path, executor):
     assert [(s.attrs["ranks"], s.attrs["bytes"]) for s in batch_spans] == [
         (len(b.ranks), b.n_bytes) for b in batches
     ]
-    for name in ("shard.decode", "rank.reduce"):
-        assert sorted(s.attrs["rank"] for s in spans if s.name == name) == list(range(20))
+    assert sorted(s.attrs["rank"] for s in spans if s.name == "rank.reduce") == list(range(20))
+    for name in ("shard.decode", "columnar.decode", "rpb.decode_columns"):
+        decoded = [
+            rank
+            for s in spans
+            if s.name == name
+            for rank in range(s.attrs["first_rank"], s.attrs["first_rank"] + s.attrs["ranks"])
+        ]
+        assert sorted(decoded) == list(range(20)), name
+        assert sum(s.attrs["bytes"] for s in spans if s.name == name) == sum(
+            b.n_bytes for b in batches
+        )
+    # A batch of short ranks is one run: decoded, keyed and vectorized once.
+    assert len([s for s in spans if s.name == "shard.decode"]) == len(batches)
+    assert len([s for s in spans if s.name == "columnar.vectorize"]) == 2 * len(batches)
+    assert run["pipeline.text_bytes"].value == stats.text_bytes == binio.text_bytes(path)

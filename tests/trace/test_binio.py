@@ -337,7 +337,7 @@ class TestBlockWalk:
     def test_columns_are_read_only_and_readers_do_not_write(self, mixed_path):
         with mixed_path.open("rb") as handle:
             index = binio.read_index(mixed_path)
-            columns = binio._load_columns(handle, index.entry_for(2), index.strings)
+            columns = binio._load_columns(handle, [index.entry_for(2)], index.strings)
         assert not columns.time.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             columns.time[0] = 1.0
