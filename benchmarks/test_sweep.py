@@ -1,4 +1,4 @@
-"""Sweep engine vs per-config loops on a full threshold grid.
+"""One sweep vs per-config loops on a full threshold grid.
 
 Reduces sweep3d_32p under the complete euclidean + manhattan threshold grids
 (12 configs — one shared Minkowski feature family) three ways:
@@ -9,14 +9,15 @@ Reduces sweep3d_32p under the complete euclidean + manhattan threshold grids
 * **core loop** — the product called twelve times: the trace adapted to
   frames once, then one ``TraceReducer.reduce`` per config over the shared
   frames (keys and family vectors cached on them after the first config);
-* **sweep** — the :mod:`repro.sweep` engine: one shared pass, segments
-  normalised and keyed once, the family vector computed once per segment for
-  all 12 configs, matching via the batched kernels per config.
+* **sweep** — ``sweep_pipeline``, the pipeline's inline run with one metric
+  per config: one shared pass, segments normalised and keyed once, the
+  family vector computed once per segment for all 12 configs, matching via
+  the batched kernels per config.
 
 All schedules must produce byte-identical reduced traces per config, and
 the evaluation rows derived from them must agree field for field.  Two
 ratios, each naming its base: ``speedup`` = naive ÷ sweep, asserted >= 3x;
-``core_loop_speedup`` = core loop ÷ sweep — what the sweep engine saves over
+``core_loop_speedup`` = core loop ÷ sweep — what the sweep saves over
 calling the product once per config — asserted >= 1x.  Both are
 schedule-bound, not pool- or hardware-bound (every side runs serially in one
 process), so they are meaningful on a single-CPU CI runner.  Measurements go to
@@ -36,7 +37,8 @@ from repro.core.frametrace import FrameTrace
 from repro.core.reducer import TraceReducer
 from repro.evaluation.runner import PreparedWorkload, result_from_reduced
 from repro.experiments.config import build_workload, get_scale
-from repro.sweep import SweepEngine, SweepPlan
+from repro.pipeline.engine import sweep_pipeline
+from repro.sweep import SweepPlan
 from repro.trace.io import serialize_reduced_trace
 from repro.util.tables import format_table
 
@@ -87,7 +89,7 @@ def _measure_scale(scale_name: str, plan: SweepPlan) -> dict:
     for _ in range(TIMED_RUNS):
         seconds, core_loop = _timed(product_loop)
         core_loop_seconds = min(core_loop_seconds, seconds)
-        seconds, swept = _timed(lambda: SweepEngine(plan).sweep(segmented))
+        seconds, swept = _timed(lambda: sweep_pipeline(segmented, plan))
         sweep_seconds = min(sweep_seconds, seconds)
 
     identical = all(
@@ -183,10 +185,10 @@ def test_sweep_speedup(benchmark):
         )
     headline = report["scales"]["default"]
     assert headline["speedup"] >= MIN_HEADLINE_SPEEDUP, (
-        f"the sweep engine must be >= {MIN_HEADLINE_SPEEDUP}x faster than the "
+        f"the sweep must be >= {MIN_HEADLINE_SPEEDUP}x faster than the "
         f"per-config scalar reference loop, measured {headline['speedup']:.2f}x"
     )
     assert headline["core_loop_speedup"] >= MIN_CORE_LOOP_SPEEDUP, (
-        f"the sweep engine must not lose to {report['n_configs']} product calls over "
+        f"the sweep must not lose to {report['n_configs']} product calls over "
         f"shared frames, measured {headline['core_loop_speedup']:.2f}x"
     )

@@ -4,10 +4,10 @@
 The paper's threshold study (Section 5.1, appendix Figures 9–19) sweeps every
 method's threshold and picks the value with the best trade-off between file
 size, approximation distance, and retention of performance trends.  This
-example reproduces that sweep for one method on one benchmark through the
-shared-ingest sweep engine (`repro.sweep`): the workload's segments are
-streamed once for the whole grid and the method's feature vectors are
-computed once per segment per feature family, not once per threshold.
+example reproduces that sweep for one method on one benchmark as one
+shared-ingest sweep (`repro.sweep`): the workload's segments are streamed
+once for the whole grid and the method's feature vectors are computed once
+per segment per feature family, not once per threshold.
 
 Run with:  python examples/threshold_tuning.py [method] [workload]
 e.g.       python examples/threshold_tuning.py absDiff dyn_load_balance

@@ -16,8 +16,8 @@ pipeline without writing any Python:
 * ``repro-trace sweep <workload>``           — evaluate a whole method ×
   threshold grid in one shared-ingest pass (table or ``--json`` report with
   per-config criteria and vector-sharing stats); ``--trace FILE`` sweeps a
-  trace file instead, with ``.rpb`` grids fanned out as (rank batch ×
-  family) pool tasks
+  trace file instead; a sweep is the pipeline's run with one metric per
+  config, so ``--executor process`` takes the same rank-batch tasks
 * ``repro-trace serve <workload>``           — drive the online reduction
   service: concurrent incremental sessions with per-tenant budgets and
   eviction-to-checkpoint, flush-delta logging (``--deltas``), and repeat
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="sweep this trace file instead of simulating a workload "
-        "(indexed .rpb files are swept as (rank x family) pool tasks)",
+        "(a pool gets an indexed .rpb file's ranks as shard batches)",
     )
     sweep.add_argument(
         "--methods",
@@ -296,8 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=_CLI_EXECUTORS,
         default="serial",
-        help="in this process (default) or a process pool over "
-        "(rank batch x family) tasks of an indexed file source (ignored otherwise)",
+        help="in this process (default) or a process pool over rank batches, "
+        "each task running the whole grid (.rpb files as shard batches, "
+        "other sources as pickled frames)",
     )
     sweep.add_argument(
         "--workers", type=int, default=None, help="pool size (default: cpu count)"
@@ -683,7 +684,9 @@ def _cmd_sweep(args, scale) -> str:
         if not trace_path.exists():
             raise _UsageError(f"trace file {trace_path} does not exist")
         prepared = PreparedWorkload.from_file(trace_path)
-        source = trace_path
+        # A pool shards the file itself; in this process the frames just
+        # decoded for the criteria are the source, so the file decodes once.
+        source = trace_path if config.resolved_workers() > 1 else prepared.segmented
         subject = f"{trace_path} ({resolve_format(trace_path).name} format)"
     else:
         prepared = prepared_workload(args.workload, scale)
@@ -804,6 +807,10 @@ def _cmd_serve(args, scale) -> str:
             raise ValueError(f"--flush-every must be >= 1, got {args.flush_every}")
         if args.repeat < 0:
             raise ValueError(f"--repeat must be >= 0, got {args.repeat}")
+        if args.tenant_budget is not None and args.tenant_budget < 1:
+            raise ValueError(f"--tenant-budget must be >= 1, got {args.tenant_budget}")
+        if args.queue_limit < 1:
+            raise ValueError(f"--queue-limit must be >= 1, got {args.queue_limit}")
     except ValueError as error:
         raise _UsageError(str(error)) from error
     _check_output_paths(args.deltas, args.telemetry)

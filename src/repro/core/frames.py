@@ -12,7 +12,7 @@ algorithm derives per segment is then computed **in bulk** over the columns:
   result is bitwise identical to the scalar path;
 * structural keys are computed from per-event ``(name id, MPI id)`` codes and
   hash-interned once per distinct structure (:class:`InternedKey`, shared
-  with the sweep engine), so store probes stay pointer-identity fast;
+  by every config of a sweep), so store probes stay pointer-identity fast;
 * each metric family's feature vectors (pairwise / Minkowski / transformed
   wavelet layouts) are built as row groups of equal width, so a whole rank
   vectorizes in a handful of NumPy calls.

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.metrics.base import DistanceMetric, SimilarityMetric
+from repro.core.metrics.base import DistanceMetric, SimilarityMetric, check_threshold
 from repro.core.metrics.distance import AbsDiff, RelDiff
 from repro.core.metrics.iteration import IterAvg, IterK
 from repro.core.metrics.minkowski import Chebyshev, Euclidean, Manhattan, MinkowskiMetric
@@ -104,6 +104,9 @@ def create_metric(name: str, threshold: Optional[float] = None) -> SimilarityMet
     """
     if name not in METRIC_CLASSES:
         raise ValueError(f"unknown similarity metric {name!r}; expected one of {METRIC_NAMES}")
+    if threshold is not None:
+        # Before any conversion: int(inf) overflows, int(nan) names no method.
+        check_threshold(name, threshold)
     cls = METRIC_CLASSES[name]
     if name == "iter_avg":
         if threshold is not None:

@@ -8,6 +8,7 @@ metric then decides whether the measurements are similar enough for a match.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Hashable, Optional, Sequence
 
@@ -20,7 +21,15 @@ from repro.trace.segments import Segment
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
     from repro.core.frames import RankFrame
 
-__all__ = ["SimilarityMetric", "DistanceMetric"]
+__all__ = ["SimilarityMetric", "DistanceMetric", "check_threshold"]
+
+
+def check_threshold(method: str, threshold: float) -> float:
+    """``threshold`` as a float, or the one ``ValueError`` of every method
+    unless it is a finite number >= 0 (NaN fails both comparisons)."""
+    if not 0 <= threshold < math.inf:
+        raise ValueError(f"{method} threshold must be a finite number >= 0, got {threshold}")
+    return float(threshold)
 
 
 class SimilarityMetric(ABC):
@@ -72,9 +81,7 @@ class DistanceMetric(SimilarityMetric):
     """
 
     def __init__(self, threshold: float):
-        if threshold < 0:
-            raise ValueError(f"{self.name} threshold must be non-negative, got {threshold}")
-        self.threshold = float(threshold)
+        self.threshold = check_threshold(self.name, threshold)
 
     @abstractmethod
     def similar(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.metrics.base import SimilarityMetric
+from repro.core.metrics.base import SimilarityMetric, check_threshold
 from repro.core.reduced import StoredSegment
 from repro.trace.segments import Segment
 
@@ -28,6 +28,7 @@ class IterK(SimilarityMetric):
     name = "iter_k"
 
     def __init__(self, k: int):
+        check_threshold(self.name, k)
         if k < 1:
             raise ValueError(f"iter_k requires k >= 1, got {k}")
         self.k = int(k)

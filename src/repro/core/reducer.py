@@ -17,11 +17,13 @@ wavelet methods) builds no :class:`~repro.trace.segments.Segment`: a new
 representative is booked as the ``(frame, row)`` it is, and only a state that
 probes with the object (the iteration methods, a metric that rewrites what it
 stored, a custom ``on_match``) materializes rows.  :func:`step_frame` is the
-one loop that steps states over a frame — :meth:`TraceReducer.reduce_frame`
-(and through it :meth:`TraceReducer.reduce`, the evaluation runner, the
-pipeline and the online session) calls it with one state, the sweep engine
-with its whole grid.  The core has two steps with one outcome: the per-row
-``match``/``record`` step, and its exact batch form
+one loop that steps states over a frame, and :func:`step_families` the one
+place that builds a family's shared vectors for it —
+:meth:`TraceReducer.reduce_frame` (and through it :meth:`TraceReducer.reduce`,
+the evaluation runner and the online session) calls it with one state, the
+pipeline's batch task with one state per metric of its grid (a sweep's whole
+plan, or the one metric of a single config).  The core has two steps with
+one outcome: the per-row ``match``/``record`` step, and its exact batch form
 :meth:`ReductionState.match_batch`, which resolves a whole frame per
 structural key in ``O(keys + new representatives)`` kernel calls; a state
 takes the batch step whenever :attr:`ReductionState.batchable` holds.
@@ -57,7 +59,14 @@ from repro.trace.trace import SegmentedTrace
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.frametrace import FrameTrace
 
-__all__ = ["TraceReducer", "ReductionState", "KeyBatches", "step_frame", "reduce_trace"]
+__all__ = [
+    "TraceReducer",
+    "ReductionState",
+    "KeyBatches",
+    "step_frame",
+    "step_families",
+    "reduce_trace",
+]
 
 #: Element budget of one broadcast kernel call of the batch step: probes are
 #: blocked so ``probes × representatives × width`` stays under it, which keeps
@@ -135,8 +144,8 @@ class ReductionState:
     is stepped one frame row at a time: look the row's key up
     (:attr:`lookup`), :meth:`match` a non-empty bucket, :meth:`record` the
     outcome.  :func:`step_frame` does the stepping (the online session
-    continues the same store and output across frames; the sweep engine
-    steps one state per config over one shared frame).
+    continues the same store and output across frames; a sweep steps one
+    state per config over one shared frame).
 
     The probe is chosen once, at construction: a distance metric that leaves
     its representatives alone is probed with the frame's pre-built feature
@@ -439,6 +448,24 @@ def step_frame(
                 state.record(key, start, candidates, chosen, vector, frame, i, rel)
 
 
+def step_families(frame: RankFrame, families: Sequence[Sequence[ReductionState]]) -> None:
+    """:func:`step_frame` over states grouped by feature family.
+
+    The states of one family share a vector layout: a dense family is probed
+    with its first metric's :meth:`~DistanceMetric.frame_vectors` (one bulk
+    pass serves every member), any other with the segment object.
+    :meth:`TraceReducer.reduce_frame` passes one state, the pipeline's batch
+    task one per metric of its grid.
+    """
+    step_frame(
+        frame,
+        [
+            (states, states[0].metric.frame_vectors(frame) if states[0].dense else None)
+            for states in families
+        ],
+    )
+
+
 class TraceReducer:
     """Applies one similarity metric to segmented traces.
 
@@ -555,7 +582,7 @@ class TraceReducer:
         state = ReductionState(
             self.metric, reduced, RepresentativeStore() if store is None else store, match_counters
         )
-        step_frame(frame, [([state], self.metric.frame_vectors(frame) if state.dense else None)])
+        step_families(frame, [[state]])
         return reduced
 
     # -- whole-trace reduction --------------------------------------------------

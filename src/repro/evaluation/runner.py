@@ -158,7 +158,7 @@ def result_from_reduced(
 ) -> EvaluationResult:
     """All four criteria for one already-computed reduced trace.
 
-    This is the second half of :func:`evaluate_method`; the sweep engine
+    This is the second half of :func:`evaluate_method`; a sweep's result
     calls it per grid config, so a sweep row and a serial row are produced
     by the same code.
     """
@@ -206,14 +206,15 @@ def evaluate_grid(
     ``plan`` is a :class:`~repro.sweep.plan.SweepPlan` (or anything its
     constructor accepts, e.g. a list of ``(method, threshold)`` pairs).
 
-    ``backend="sweep"`` (the default) runs the shared-ingest sweep engine:
-    one pass over the segments for the entire grid, feature vectors computed
-    once per family (to fan a file's grid out over a pool, call
-    :func:`repro.pipeline.engine.sweep_pipeline`, as the CLI does).
-    ``backend="serial"`` is one independent :func:`evaluate_method` pass per
-    config — the per-config loop the sweep tests and the benchmark's sweep
-    reference compare the engine with; no command selects it.  Both produce
-    identical rows, in plan order.
+    ``backend="sweep"`` (the default) runs the grid as one sweep
+    (:func:`repro.pipeline.engine.sweep_pipeline`, the pipeline's run with one
+    metric per config) over the prepared frames, in this process: one pass
+    for the entire grid, feature vectors computed once per family (to fan a
+    grid out over a pool, call ``sweep_pipeline`` with a pooled config, as
+    the CLI does).  ``backend="serial"`` is one independent
+    :func:`evaluate_method` pass per config — the per-config loop the sweep
+    tests and the benchmark's sweep reference compare the sweep with; no
+    command selects it.  Both produce identical rows, in plan order.
     """
     from repro.sweep.plan import SweepPlan
 

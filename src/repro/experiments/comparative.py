@@ -4,9 +4,9 @@ Every method is run with the best threshold found by the threshold study
 (Section 5.1): relDiff 0.8, absDiff 1000 µs, Manhattan 0.4, Euclidean 0.2,
 Chebyshev 0.2, iter_k 10, avgWave 0.2, haarWave 0.2, plus iter_avg.
 
-All methods of one workload are reduced in a **single shared pass** through
-the sweep engine (one set of frames, feature vectors shared within each
-family — e.g. the three Minkowski methods).
+All methods of one workload are reduced in a **single shared pass** as one
+sweep (one set of frames, feature vectors shared within each family — e.g.
+the three Minkowski methods).
 """
 
 from __future__ import annotations

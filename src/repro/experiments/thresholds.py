@@ -4,7 +4,7 @@ For each method, the matching threshold is swept over the paper's values and
 the file-size and approximation-distance criteria are recorded for every
 workload — the data behind the per-method appendix figures.
 
-The sweep runs through the shared-ingest sweep engine: per workload, every
+The study runs as one shared-ingest sweep: per workload, every
 threshold is evaluated in a **single pass** over the segments, with the
 method's feature vectors computed once per segment for the whole grid.
 """

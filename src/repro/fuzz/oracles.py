@@ -2,8 +2,8 @@
 
 The repository keeps several pathways through the same reduction semantics —
 the scalar reference scan, the columnar frame path (batch and per-row step),
-the pipeline executors (objects back, or bytes streamed to a file), the
-sweep engine, the incremental session — all
+the pipeline executors (objects back, or bytes streamed to a file), a
+sweep grid through the same pipeline, the incremental session — all
 documented as byte-identical.  Each oracle here runs one
 alternative pathway over a generated case and compares its
 :func:`~repro.trace.io.serialize_reduced_trace` bytes against the ground
@@ -38,12 +38,11 @@ from repro.core.reconstruct import reconstruct
 from repro.core.reduced import ReducedTrace
 from repro.evaluation.approximation import timestamp_errors
 from repro.fuzz.generators import DISTANCE_METRICS, CaseConfig
-from repro.pipeline.engine import PipelineConfig, ReductionPipeline
+from repro.pipeline.engine import PipelineConfig, ReductionPipeline, sweep_pipeline
 from repro.pipeline.store import create_store
 from repro.service.cache import source_digest
 from repro.service.checkpoint import restore_state, session_state
 from repro.service.session import ReductionSession, SessionConfig
-from repro.sweep.engine import sweep_source
 from repro.sweep.plan import SweepConfig, SweepPlan
 from repro.trace import binio
 from repro.trace.formats import convert_trace
@@ -297,10 +296,10 @@ def oracle_sweep_grid(ctx: CaseContext) -> Optional[str]:
     if sibling is not None:
         configs.append(SweepConfig(ctx.config.method, sibling))
     plan = SweepPlan(configs)
-    result = sweep_source(
+    result = sweep_pipeline(
         ctx.segmented,
         plan,
-        store_capacity=ctx.config.store_capacity,
+        PipelineConfig(store_capacity=ctx.config.store_capacity),
         name=ctx.trace.name,
     )
     for outcome in result:

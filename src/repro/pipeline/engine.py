@@ -56,17 +56,26 @@ Task dispatch (recorded in ``PipelineStats.dispatch``)
 
 Every shape runs the one batch loop (:func:`_reduce_batch`), the pooled ones
 as the one pool task (:func:`_rank_task`) through the one submit/collect loop
-(:func:`_run_pool_tasks`), which :func:`sweep_pipeline` shares.  Whatever the
-dispatch mode, every rank reaches the reducer as a
-:class:`~repro.core.frames.RankFrame` — ``.rpb`` ranks decode straight to
-columns (each a row-range view of its run's frame), text and in-memory
-sources adapt through
-``RankFrame.from_segments`` — so all executors run the one columnar code
-path, with the scalar segment-at-a-time reference kept as the byte-identity
-oracle.  :meth:`ReductionPipeline.write` asks the tasks for
-serialized ranks instead of objects and appends them to a file as they are
-collected; :meth:`ReductionPipeline.reduce` keeps the objects for callers
-that go on to merge, verify or evaluate them.
+(:func:`_run_pool_tasks`).  Whatever the dispatch mode, every rank reaches
+the reducer as a :class:`~repro.core.frames.RankFrame` — ``.rpb`` ranks
+decode straight to columns (each a row-range view of its run's frame), text
+and in-memory sources adapt through ``RankFrame.from_segments`` — so all
+executors run the one columnar code path, with the scalar segment-at-a-time
+reference kept as the byte-identity oracle.  :meth:`ReductionPipeline.write`
+asks the tasks for serialized ranks instead of objects and appends them to a
+file as they are collected; :meth:`ReductionPipeline.reduce` keeps the
+objects for callers that go on to merge, verify or evaluate them.
+
+Sweeps
+------
+A sweep grid is the same run with one metric per config
+(:func:`sweep_pipeline`): the batch loop steps one
+:class:`~repro.core.reducer.ReductionState` per metric over each rank's one
+frame, a feature family's vectors built once and shared by its configs.
+The dispatch decision (:func:`_start`), the batches, the task, the counts
+(:class:`~repro.pipeline.stats.RankCounts`) and the stage-clock readback
+(:meth:`_Run.finish`) are the single config's, so the grid's configs come
+back byte-identical to solo runs whatever the dispatch.
 """
 
 from __future__ import annotations
@@ -77,13 +86,13 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro import obs
 from repro.core.candidates import MatchCounters
 from repro.core.metrics.base import SimilarityMetric
 from repro.core.reduced import ReducedRankTrace, ReducedTrace
-from repro.core.reducer import TraceReducer
+from repro.core.reducer import ReductionState, step_families
 from repro.pipeline.stats import PipelineStats, RankCounts, StageClock
 from repro.pipeline.store import create_store
 from repro.pipeline.stream import (
@@ -93,6 +102,8 @@ from repro.pipeline.stream import (
     rank_batches,
     source_name,
 )
+from repro.sweep.plan import SweepPlan
+from repro.sweep.results import ConfigOutcome, SweepResult, SweepStats
 from repro.trace.io import atomic_output, iter_reduced_rank_chunks
 from repro.trace.merge import MergedReducedTrace, merge_reduced_trace
 
@@ -105,6 +116,10 @@ __all__ = [
 ]
 
 EXECUTORS = ("serial", "thread", "process")
+
+#: The metrics a run reduces every rank under, grouped by feature family:
+#: ``[[metric]]`` for a single config, a sweep plan's families for a grid.
+Families = Sequence[Sequence[SimilarityMetric]]
 
 #: Shard batches cut per pool worker.  One per worker would be least
 #: dispatch, but block bytes only approximate work (a rank that stores every
@@ -172,44 +187,58 @@ class PipelineResult:
 
 
 def _reduce_batch(
-    metric: SimilarityMetric,
+    families: Families,
     batch: RankBatch,
     store_capacity: Optional[int],
     serialize: bool,
     counts: RankCounts,
-) -> Union[list[ReducedRankTrace], bytes]:
-    """Reduce a batch's ranks in order, each with its own store, counting into ``counts``.
+) -> list:
+    """Reduce a batch's ranks in order under every metric, counting into ``counts``.
 
-    Returns the reduced ranks, or with ``serialize`` the bytes
-    :func:`~repro.trace.io.iter_reduced_rank_chunks` gives them, joined —
-    what :meth:`ReductionPipeline.write` appends to its file.
+    ``families`` groups the run's metrics by feature family (``[[metric]]``
+    for a single config).  Each rank gets one
+    :class:`~repro.core.reducer.ReductionState` per metric, each with its own
+    store and output, and all of them are stepped over the rank's one frame
+    (:func:`~repro.core.reducer.step_families`).  Returns one output per
+    metric, in family order: its reduced ranks, or with ``serialize`` the
+    bytes :func:`~repro.trace.io.iter_reduced_rank_chunks` gives them, joined
+    — what :meth:`ReductionPipeline.write` appends to its file.
     """
-    reducer = TraceReducer(metric)
-    outputs: list = []
+    outputs: list[list] = [[] for family in families for _ in family]
     with obs.span("shard.batch", ranks=len(batch.ranks), bytes=batch.n_bytes):
         for frame in batch.iter_frames():
-            store = create_store(store_capacity)
-            match_counters = MatchCounters()
+            grid = [
+                [
+                    ReductionState(
+                        metric,
+                        ReducedRankTrace(rank=frame.rank, n_segments=frame.n_segments),
+                        create_store(store_capacity),
+                        MatchCounters(),
+                    )
+                    for metric in family
+                ]
+                for family in families
+            ]
             with obs.span("rank.reduce", rank=frame.rank):
-                reduced = reducer.reduce_frame(
-                    frame, store=store, match_counters=match_counters
-                )
-            counts.add_rank(reduced, store.counters, match_counters, frame)
-            # Serialized rank by rank, so a batch holds its bytes, not its objects.
-            outputs.append(b"".join(iter_reduced_rank_chunks(reduced)) if serialize else reduced)
-    return b"".join(outputs) if serialize else outputs
+                step_families(frame, grid)
+            states = [state for family in grid for state in family]
+            counts.add_rank(frame, states)
+            for output, state in zip(outputs, states):
+                # Serialized rank by rank, so a batch holds its bytes, not its objects.
+                reduced = state.reduced
+                output.append(b"".join(iter_reduced_rank_chunks(reduced)) if serialize else reduced)
+    return [b"".join(output) for output in outputs] if serialize else outputs
 
 
-#: What a pool task returns: its batch's output, the batch's counts, and — in
-#: telemetry capture mode — the worker's recorder snapshot (``None``
-#: otherwise), piggybacked so no extra IPC round-trip is needed.
-BatchResult = tuple[
-    Union[list[ReducedRankTrace], bytes], RankCounts, Optional[obs.RecorderSnapshot]
-]
+#: What a pool task returns: its batch's outputs (one per metric), the
+#: batch's counts, and — in telemetry capture mode — the worker's recorder
+#: snapshot (``None`` otherwise), piggybacked so no extra IPC round-trip is
+#: needed.
+BatchResult = tuple[list, RankCounts, Optional[obs.RecorderSnapshot]]
 
 
 def _rank_task(
-    metric: SimilarityMetric,
+    families: Families,
     batch: RankBatch,
     store_capacity: Optional[int],
     serialize: bool,
@@ -222,23 +251,23 @@ def _rank_task(
     With ``serialize`` the parent gets bytes to append instead of objects it
     would unpickle only to serialize.
 
-    Module-level so process pools can pickle it; the pickled ``metric`` gives
-    every task a private metric instance, mirroring serial semantics (metrics
-    hold no cross-rank state).  With ``capture=True`` the task records its
-    spans into a private recorder — shadowing any inherited or thread-shared
-    ambient one — publishes its batch's :class:`RankCounts` there under the
-    names the parent publishes the run's, and returns the snapshot as the
-    final element.  The parent keeps the per-worker registries apart from
+    Module-level so process pools can pickle it; the pickled ``families``
+    give every task private metric instances, mirroring serial semantics
+    (metrics hold no cross-rank state).  With ``capture=True`` the task
+    records its spans into a private recorder — shadowing any inherited or
+    thread-shared ambient one — publishes its batch's :class:`RankCounts`
+    there under the names the parent publishes the run's, and returns the
+    snapshot as the final element.  The parent keeps the per-worker registries apart from
     its own, so nothing is double-counted and the two must agree.
     """
     counts = RankCounts()
     with obs.task_recording(capture) as recorder:
-        output = _reduce_batch(metric, batch, store_capacity, serialize, counts)
+        outputs = _reduce_batch(families, batch, store_capacity, serialize, counts)
     snapshot = None
     if recorder is not None:
         counts.record(recorder.registry, "pipeline")
         snapshot = recorder.snapshot()
-    return output, counts, snapshot
+    return outputs, counts, snapshot
 
 
 def _run_pool_tasks(
@@ -246,7 +275,7 @@ def _run_pool_tasks(
 ) -> Iterator:
     """Run ``task(*call)`` for every call on a pool; yield results in submission order.
 
-    The one submit/collect loop behind every pooled run.  At most
+    The submit/collect loop behind every pooled run.  At most
     ``_IN_FLIGHT_PER_WORKER * workers`` calls are in flight: once the window
     is full the oldest result is yielded before the next call is submitted,
     so ``calls`` may be a generator that builds each call's payload only when
@@ -268,19 +297,52 @@ def _run_pool_tasks(
 
 @dataclass(slots=True)
 class _Run:
-    """One pipeline run in progress: what :meth:`ReductionPipeline._start` decided."""
+    """One run in progress: what :func:`_start` decided, and the metrics its
+    tasks reduce every rank under."""
 
     stats: PipelineStats
     clock: StageClock
     batches: Iterable[RankBatch]
     #: Pool size actually started: never more workers than ranks.
     pool_workers: int
+    families: Families
+    store_capacity: Optional[int]
 
     def span(self):
         stats = self.stats
         return self.clock.span(
             "run", executor=stats.executor, dispatch=stats.dispatch, workers=stats.workers
         )
+
+    def outputs(self, serialize: bool) -> Iterator[list]:
+        """Reduce every batch under the ``reduce`` stage; yield each batch's
+        outputs (one per metric) in rank order.
+
+        The run's stats hold a batch's counts by the time its outputs are
+        yielded, and the recorder its worker's snapshot.
+        """
+        stats, clock = self.stats, self.clock
+        with clock.span("reduce"):
+            if stats.dispatch == "inline":
+                # In the caller's process: spans land directly on the ambient
+                # recorder and counts in the run's stats, no round-trip.
+                for batch in self.batches:
+                    yield _reduce_batch(
+                        self.families, batch, self.store_capacity, serialize, stats
+                    )
+                return
+            capture = obs.enabled()
+            calls = (
+                (self.families, batch, self.store_capacity, serialize, capture)
+                for batch in self.batches
+            )
+            for outputs, counts, snapshot in _run_pool_tasks(
+                stats.executor, self.pool_workers, _rank_task, calls
+            ):
+                stats.add(counts)
+                if clock.recorder is not None:
+                    clock.recorder.absorb(snapshot)
+                yield outputs
 
     def finish(self) -> None:
         """Read the closed stage spans back into the stats and publish them."""
@@ -294,6 +356,74 @@ class _Run:
         stats.stage_seconds = seconds
         if self.clock.recorder is not None:
             stats.record(self.clock.recorder.registry, "pipeline")
+
+
+def _start(source: SegmentSource, config: PipelineConfig, families: Families) -> _Run:
+    """Decide executor and dispatch for ``source`` and cut its tasks.
+
+    The one dispatch rule of both commands: a single config and a sweep grid
+    differ only in ``families``.  Dispatch mode is a function of the
+    executor and source alone, so it is decided up front and the stats carry
+    it from construction — the telemetry attribute is never an empty
+    string, even mid-run.
+    """
+    workers = config.resolved_workers()
+    executor = config.executor
+    shard_ranks = indexed_source_ranks(source)
+    # Indexed files reveal their rank count in the footer and in-memory
+    # traces hold it; forward-only text files don't, so a 1-rank text
+    # file still goes through the pool.
+    if shard_ranks is not None:
+        n_ranks: Optional[int] = len(shard_ranks)
+    elif isinstance(source, (str, Path)):
+        n_ranks = None
+    else:
+        n_ranks = len(source.ranks)
+    if workers == 1 or (n_ranks is not None and n_ranks <= 1):
+        # One effective worker *or* one rank to reduce.
+        executor = "serial"
+    clock = StageClock("pipeline")
+    if executor == "serial":
+        dispatch = "inline"
+        batches = rank_batches(source)
+    elif shard_ranks is not None:
+        dispatch = "shard"
+        batches = rank_batches(source, BATCHES_PER_WORKER * workers)
+    else:
+        dispatch = "payload"
+        batches = _ingested(rank_batches(source), clock)
+    stats = PipelineStats(
+        executor=executor,
+        workers=workers,
+        requested_executor=config.executor,
+        dispatch=dispatch,
+    )
+    pool_workers = workers if n_ranks is None else min(workers, n_ranks)
+    return _Run(stats, clock, batches, pool_workers, families, config.store_capacity)
+
+
+def _ingested(batches: Iterator[RankBatch], clock: StageClock) -> Iterator[RankBatch]:
+    """``payload`` batches, each frame built under the ``ingest`` stage's clock.
+
+    A generator, so the pool loop's in-flight window bounds how many
+    ranks' column arrays exist at once; each frame is built (a no-op for
+    a source that already holds frames) under a ``pipeline.ingest`` span.
+    """
+    capture = obs.enabled()
+    while True:
+        with clock.span("ingest"):
+            batch = next(batches, None)
+        if batch is None:
+            return
+        if capture:
+            # The serialized task size is the cost this dispatch mode
+            # pays per rank; measuring it re-pickles, so the histogram is
+            # only fed when telemetry is on.
+            obs.observe(
+                "dispatch.payload_bytes",
+                len(pickle.dumps(batch, pickle.HIGHEST_PROTOCOL)),
+            )
+        yield batch
 
 
 class ReductionPipeline:
@@ -320,11 +450,11 @@ class ReductionPipeline:
 
     def reduce(self, source: SegmentSource, *, name: Optional[str] = None) -> PipelineResult:
         """Reduce any segment source (trace, segmented trace, or file path)."""
-        run = self._start(source)
+        run = _start(source, self.config, [[self.metric]])
         stats = run.stats
         with run.span():
             ranks: list[ReducedRankTrace] = []
-            for reduced_ranks in self._outputs(run, serialize=False):
+            for (reduced_ranks,) in run.outputs(serialize=False):
                 ranks.extend(reduced_ranks)
 
             reduced = ReducedTrace(
@@ -357,109 +487,13 @@ class ReductionPipeline:
         leaves ``path`` as it was.  ``config.merge`` needs the objects and
         does not apply.
         """
-        run = self._start(source)
+        run = _start(source, self.config, [[self.metric]])
         written = 0
         with run.span(), atomic_output(path) as handle:
-            for data in self._outputs(run, serialize=True):
+            for (data,) in run.outputs(serialize=True):
                 written += handle.write(data)
         run.finish()
         return written, run.stats
-
-    def _start(self, source: SegmentSource) -> _Run:
-        """Decide executor and dispatch for ``source`` and cut its tasks.
-
-        Dispatch mode is a function of the executor and source alone, so it
-        is decided up front and the stats carry it from construction — the
-        telemetry attribute is never an empty string, even mid-run.
-        """
-        config = self.config
-        workers = config.resolved_workers()
-        executor = config.executor
-        shard_ranks = indexed_source_ranks(source)
-        # Indexed files reveal their rank count in the footer and in-memory
-        # traces hold it; forward-only text files don't, so a 1-rank text
-        # file still goes through the pool.
-        if shard_ranks is not None:
-            n_ranks: Optional[int] = len(shard_ranks)
-        elif isinstance(source, (str, Path)):
-            n_ranks = None
-        else:
-            n_ranks = len(source.ranks)
-        if workers == 1 or (n_ranks is not None and n_ranks <= 1):
-            # One effective worker *or* one rank to reduce.
-            executor = "serial"
-        clock = StageClock("pipeline")
-        if executor == "serial":
-            dispatch = "inline"
-            batches = rank_batches(source)
-        elif shard_ranks is not None:
-            dispatch = "shard"
-            batches = rank_batches(source, BATCHES_PER_WORKER * workers)
-        else:
-            dispatch = "payload"
-            batches = self._ingested(rank_batches(source), clock)
-        stats = PipelineStats(
-            executor=executor,
-            workers=workers,
-            requested_executor=config.executor,
-            dispatch=dispatch,
-        )
-        pool_workers = workers if n_ranks is None else min(workers, n_ranks)
-        return _Run(stats, clock, batches, pool_workers)
-
-    def _outputs(
-        self, run: _Run, serialize: bool
-    ) -> Iterator[Union[list[ReducedRankTrace], bytes]]:
-        """Reduce every batch under the ``reduce`` stage; yield outputs in rank order.
-
-        The run's stats hold a batch's counts by the time its output is
-        yielded, and the recorder its worker's snapshot.
-        """
-        stats, clock = run.stats, run.clock
-        store_capacity = self.config.store_capacity
-        with clock.span("reduce"):
-            if stats.dispatch == "inline":
-                # In the caller's process: spans land directly on the ambient
-                # recorder and counts in the run's stats, no round-trip.
-                for batch in run.batches:
-                    yield _reduce_batch(self.metric, batch, store_capacity, serialize, stats)
-                return
-            capture = obs.enabled()
-            calls = (
-                (self.metric, batch, store_capacity, serialize, capture)
-                for batch in run.batches
-            )
-            for output, counts, snapshot in _run_pool_tasks(
-                stats.executor, run.pool_workers, _rank_task, calls
-            ):
-                stats.add(counts)
-                if clock.recorder is not None:
-                    clock.recorder.absorb(snapshot)
-                yield output
-
-    @staticmethod
-    def _ingested(batches: Iterator[RankBatch], clock: StageClock) -> Iterator[RankBatch]:
-        """``payload`` batches, each frame built under the ``ingest`` stage's clock.
-
-        A generator, so the pool loop's in-flight window bounds how many
-        ranks' column arrays exist at once; each frame is built (a no-op for
-        a source that already holds frames) under a ``pipeline.ingest`` span.
-        """
-        capture = obs.enabled()
-        while True:
-            with clock.span("ingest"):
-                batch = next(batches, None)
-            if batch is None:
-                return
-            if capture:
-                # The serialized task size is the cost this dispatch mode
-                # pays per rank; measuring it re-pickles, so the histogram is
-                # only fed when telemetry is on.
-                obs.observe(
-                    "dispatch.payload_bytes",
-                    len(pickle.dumps(batch, pickle.HIGHEST_PROTOCOL)),
-                )
-            yield batch
 
 
 def reduce_pipeline(
@@ -479,78 +513,55 @@ def sweep_pipeline(
     config: Optional[PipelineConfig] = None,
     *,
     name: Optional[str] = None,
-):
-    """Run a whole sweep grid over ``source``, parallelising where possible.
+) -> SweepResult:
+    """Reduce ``source`` under every config of a sweep grid: the pipeline run
+    with one metric per config.
 
-    For indexed (``.rpb``) file sources and a pooled executor, the grid is
-    fanned out as **(rank-batch × feature-family)** tasks over the batches
-    :meth:`ReductionPipeline.reduce` would cut: each pool worker opens the
-    file, decodes its batch's byte ranges a run of ranks at a time, and runs
-    one family's configs over each rank in a single shared pass — so ingestion
-    *and* the grid parallelise, task payloads carry only a path, rank ids, and
-    (method, threshold) pairs, and vector sharing is preserved inside every
-    task (configs of different families share no vectors anyway).
-
-    Everything else — in-memory traces, forward-only text files, serial or
-    single-worker configs, single-rank files — runs the whole grid through
-    one shared segment stream in this process (``dispatch="inline"``), which
-    is the sweep engine's home ground: segments are streamed exactly once
-    for all configs.
-
-    ``config.store_capacity`` bounds each config's per-rank store as usual;
-    ``config.merge`` does not apply to sweeps and is ignored.  Returns a
-    :class:`~repro.sweep.results.SweepResult`; per-config outputs are
-    byte-identical to solo serial reductions in either dispatch mode.
+    The run takes the pipeline's dispatch (:func:`_start`), batches and task;
+    each task steps one state per config over every rank's one frame, each
+    feature family's vectors built once per rank and shared by its configs.
+    ``plan`` is a :class:`~repro.sweep.plan.SweepPlan` or anything its
+    constructor accepts.  ``config.store_capacity`` bounds each config's
+    per-rank store as usual; ``config.merge`` does not apply to sweeps and
+    is ignored.  Every config's reduced trace is byte-identical to a solo
+    serial reduction, whatever the dispatch.
     """
-    from repro.sweep.engine import (
-        SweepEngine,
-        _sweep_batch_task,
-        merge_rank_groups,
-    )
-    from repro.sweep.plan import SweepPlan
-
     if not isinstance(plan, SweepPlan):
         plan = SweepPlan(plan)
-    config = config or PipelineConfig()
-    engine = SweepEngine(plan, store_capacity=config.store_capacity)
-    shard_ranks = indexed_source_ranks(source)
-    workers = config.resolved_workers()
-    if (
-        config.executor == "serial"
-        or workers == 1
-        or shard_ranks is None
-        or len(shard_ranks) <= 1
-    ):
-        return engine.sweep(source, name=name)
+    families = [[c.create() for c in family.configs] for family in plan.families]
+    run = _start(source, config or PipelineConfig(), families)
+    metrics = [metric for family in families for metric in family]
+    ranks: list[list[ReducedRankTrace]] = [[] for _ in metrics]
+    with run.span():
+        for outputs in run.outputs(serialize=False):
+            for config_ranks, reduced_ranks in zip(ranks, outputs):
+                config_ranks.extend(reduced_ranks)
+    run.finish()
 
-    groups = [
-        tuple(c.key for c in family.configs) for family in plan.families
-    ]
-    capture = obs.enabled()
-    # Batch-major, so each batch's family groups come back adjacent.
-    calls = [
-        (group, batch, config.store_capacity, capture)
-        for batch in rank_batches(source, BATCHES_PER_WORKER * workers)
-        for group in groups
-    ]
-    workers = min(workers, len(calls))
-
-    def pooled_rank_sweeps() -> list:
-        recorder = obs.current_recorder()
-        parts = []
-        for rank_sweeps, snapshot in _run_pool_tasks(
-            config.executor, workers, _sweep_batch_task, calls
-        ):
-            parts.append(rank_sweeps)
-            if recorder is not None:
-                recorder.absorb(snapshot)
-        # One batch's groups hold the same ranks in the same order.
-        return [
-            merge_rank_groups(list(rank_parts))
-            for at in range(0, len(parts), len(groups))
-            for rank_parts in zip(*parts[at : at + len(groups)])
-        ]
-
-    return engine._run(
-        name or source_name(source), "shard", pooled_rank_sweeps, workers=workers
+    name = name or source_name(source)
+    configs = [c for family in plan.families for c in family.configs]
+    by_key = {
+        c.key: ReducedTrace(
+            name=name, method=metric.name, threshold=metric.threshold, ranks=config_ranks
+        )
+        for c, metric, config_ranks in zip(configs, metrics, ranks)
+    }
+    outcomes = [ConfigOutcome(config=c, reduced=by_key[c.key]) for c in plan.configs]
+    counts = run.stats
+    vectorized = [family for family in plan.families if family.vectorized]
+    stats = SweepStats(
+        n_configs=plan.n_configs,
+        n_families=plan.n_families,
+        n_ranks=counts.nprocs,
+        n_segments=counts.n_segments,
+        segments_materialized=counts.segments_materialized,
+        # One vector build per segment and vectorized family, where a
+        # per-config loop would build one per vectorized config.
+        vector_builds=counts.n_segments * len(vectorized),
+        vector_builds_naive=counts.n_segments * sum(f.n_configs for f in vectorized),
+        total_seconds=counts.total_seconds,
+        dispatch=counts.dispatch,
     )
+    if run.clock.recorder is not None:
+        stats.record(run.clock.recorder.registry, "sweep")
+    return SweepResult(name=name, outcomes=outcomes, stats=stats)

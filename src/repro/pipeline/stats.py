@@ -10,11 +10,12 @@ renders the stats as (property, value) pairs for the CLI's table formatter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import Sequence
 
 from repro import obs
 from repro.core.candidates import MatchCounters
 from repro.core.frames import RankFrame
-from repro.core.reduced import ReducedRankTrace
+from repro.core.reducer import ReductionState
 from repro.obs.metrics import Counts
 from repro.pipeline.store import StoreCounters
 
@@ -57,7 +58,12 @@ class StageClock:
 @dataclass(slots=True)
 class RankCounts(Counts):
     """What reducing ranks counted, additive over ranks: a task publishes its
-    batch's and the parent the run's, so the two sides must agree."""
+    batch's and the parent the run's, so the two sides must agree.
+
+    A rank's frame is counted once however many metrics reduce it (ranks,
+    segments, materializations, text bytes); what a metric's reduction counts
+    (stored, matches, store and kernel counters) is summed over the metrics.
+    """
 
     nprocs: int = 0
     n_segments: int = 0
@@ -75,23 +81,20 @@ class RankCounts(Counts):
     store: StoreCounters = field(default_factory=StoreCounters)
     match: MatchCounters = field(default_factory=MatchCounters)
 
-    def add_rank(
-        self,
-        reduced: ReducedRankTrace,
-        store: StoreCounters,
-        match: MatchCounters,
-        frame: RankFrame,
-    ) -> None:
-        """Fold in the counts of one rank, reduced from ``frame``."""
+    def add_rank(self, frame: RankFrame, states: Sequence[ReductionState]) -> None:
+        """Fold in one rank: ``frame`` once, and what each of ``states`` (one
+        per metric of the run) reduced from it."""
         self.nprocs += 1
-        self.n_segments += reduced.n_segments
-        self.n_stored += len(reduced.stored)
-        self.n_matches += reduced.n_matches
-        self.n_possible_matches += reduced.n_possible_matches
+        self.n_segments += frame.n_segments
         self.segments_materialized += frame.materialized
         self.text_bytes += frame.text_bytes
-        self.store = self.store.merged_with(store)
-        self.match = self.match.merged_with(match)
+        for state in states:
+            reduced = state.reduced
+            self.n_stored += len(reduced.stored)
+            self.n_matches += reduced.n_matches
+            self.n_possible_matches += reduced.n_possible_matches
+            self.store = self.store.merged_with(state.store.counters)
+            self.match = self.match.merged_with(state.counters)
 
     def add(self, other: "RankCounts") -> None:
         """Fold another task's counts in."""

@@ -2,8 +2,8 @@
 
 The store itself — one class, unbounded or LRU-bounded by ``capacity`` — and
 its counters live in :mod:`repro.core.candidates`, next to the buckets they
-fill; the pipeline, the sweep engine and the service build one per rank
-through :func:`create_store`.
+fill; the pipeline (one per rank and config of a sweep) and the service
+build one per rank through :func:`create_store`.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Streaming ingestion: uniform per-rank streams from any source.
 
-The pipeline and sweep engines consume ``(rank, RankFrame)`` pairs
+The pipeline (and so every sweep) consumes ``(rank, RankFrame)`` pairs
 (:func:`rank_frame_streams`); the segment-at-a-time oracle and the online
 service consume ``(rank, segment iterator)`` pairs
 (:func:`rank_segment_streams`).  This module produces both from the places a

@@ -1,4 +1,4 @@
-"""Multi-configuration sweep engine: one-pass reduction across config grids.
+"""Multi-configuration sweeps: one-pass reduction across config grids.
 
 The paper's evaluation is dominated by *grids* of reductions — every
 similarity method swept over ~6 thresholds on every workload (Section 5.1,
@@ -7,18 +7,17 @@ workload (Section 5.2).  Running each (method, threshold) combination through
 the serial :class:`~repro.core.reducer.TraceReducer` re-streams the segments
 and recomputes the same per-segment feature vectors once per configuration.
 
-This package evaluates an entire grid in a **single pass** over the trace:
+A sweep is the reduction pipeline run with one metric per config
+(:func:`repro.pipeline.engine.sweep_pipeline`): one pass over each rank's
+frame for the entire grid.  This package holds what is sweep-specific:
 
 * :mod:`repro.sweep.plan` — :class:`SweepPlan` expands method/threshold grids
   into :class:`SweepConfig`\\ s and groups them into *feature families*
   (configs whose metrics consume identical feature vectors, e.g. all
-  euclidean thresholds);
-* :mod:`repro.sweep.engine` — :class:`SweepEngine` feeds one shared segment
-  stream to N independent reducer/store states, computing each family's
-  feature vector once per segment and running the dense ``match_stats``
-  kernel per metric kind against the member configs' own candidate buckets;
+  euclidean thresholds), whose vectors the pipeline's task builds once per
+  rank and shares between the member configs' reduction states;
 * :mod:`repro.sweep.results` — :class:`SweepResult`, a grid of per-config
-  reduced traces plus sharing statistics, convertible to
+  reduced traces plus :class:`SweepStats` (sharing statistics), convertible to
   :class:`~repro.evaluation.runner.EvaluationResult` rows.
 
 Every config's reduced trace is byte-identical to running that config alone
@@ -27,16 +26,13 @@ algorithm.
 """
 
 from repro.sweep.plan import FeatureFamily, SweepConfig, SweepPlan
-from repro.sweep.engine import SweepEngine, SweepStats, sweep_source
-from repro.sweep.results import ConfigOutcome, SweepResult
+from repro.sweep.results import ConfigOutcome, SweepResult, SweepStats
 
 __all__ = [
     "SweepConfig",
     "FeatureFamily",
     "SweepPlan",
-    "SweepEngine",
     "SweepStats",
-    "sweep_source",
     "ConfigOutcome",
     "SweepResult",
 ]

@@ -3,7 +3,7 @@
 A :class:`SweepConfig` names one (method, threshold) combination.  A
 :class:`SweepPlan` holds an ordered list of distinct configs plus their
 grouping into :class:`FeatureFamily`\\ s: configs whose metrics derive the
-*same* feature vector from any given segment, so the sweep engine computes
+*same* feature vector from any given segment, so a sweep computes
 that vector once per segment per family instead of once per config.
 
 The family key is the metric's ``vector_key()``, the name of its vector

@@ -1,10 +1,10 @@
 """Sweep results: the per-config grid one sweep run produced.
 
 A :class:`SweepResult` holds one :class:`ConfigOutcome` per config of the
-plan, in plan order: the config and its reduced trace (byte-identical to a
-solo serial reduction).  The grid converts to
-:class:`~repro.evaluation.runner.EvaluationResult` rows — % file size,
-degree of matching, approximation distance, retention of trends — via
+plan, in plan order — the config and its reduced trace (byte-identical to a
+solo serial reduction) — and the run's :class:`SweepStats`.  The grid
+converts to :class:`~repro.evaluation.runner.EvaluationResult` rows — % file
+size, degree of matching, approximation distance, retention of trends — via
 :meth:`SweepResult.evaluation_results`, which reuses the exact criteria code
 of the serial evaluation path.
 """
@@ -15,13 +15,68 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from repro.core.reduced import ReducedTrace
+from repro.obs.metrics import Counts
 from repro.sweep.plan import SweepConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.evaluation.runner import EvaluationResult, PreparedWorkload
-    from repro.sweep.engine import SweepStats
 
-__all__ = ["ConfigOutcome", "SweepResult"]
+__all__ = ["ConfigOutcome", "SweepStats", "SweepResult"]
+
+
+@dataclass(slots=True)
+class SweepStats(Counts):
+    """Instrumentation of one sweep run (whole grid, all ranks)."""
+
+    GAUGES = frozenset({"n_configs", "n_families", "n_ranks"})
+
+    n_configs: int = 0
+    n_families: int = 0
+    n_ranks: int = 0
+    n_segments: int = 0
+    #: ``Segment`` objects the sweep built from frame rows: 0 for a grid of
+    #: dense methods (representatives stay rows), ``n_segments`` per rank once
+    #: a config probes with the object.
+    segments_materialized: int = 0
+    #: Feature-vector computations actually performed (per segment × family).
+    vector_builds: int = 0
+    #: Vector computations a per-config serial loop would have performed for
+    #: the same stream (per segment × vectorized config).
+    vector_builds_naive: int = 0
+    total_seconds: float = 0.0
+    #: How the ranks reached the reduction tasks, as for a pipeline run:
+    #: ``inline``, ``shard`` or ``payload``.
+    dispatch: str = "inline"
+
+    @property
+    def vector_builds_saved(self) -> int:
+        """Vector computations avoided by family sharing."""
+        return max(0, self.vector_builds_naive - self.vector_builds)
+
+    @property
+    def sharing_factor(self) -> float:
+        """Naive vector builds per actual build (1.0 = no sharing)."""
+        if self.vector_builds == 0:
+            return 1.0
+        return self.vector_builds_naive / self.vector_builds
+
+    def rows(self) -> list[list]:
+        """(property, value) rows for the CLI table."""
+        return [
+            ["configs", self.n_configs],
+            ["feature families", self.n_families],
+            ["task dispatch", self.dispatch],
+            ["ranks", self.n_ranks],
+            ["segments (ingested once)", self.n_segments],
+            [
+                "segments materialized (lazy)",
+                f"{self.segments_materialized} of {self.n_segments} decoded",
+            ],
+            ["vector builds", self.vector_builds],
+            ["vector builds saved", self.vector_builds_saved],
+            ["vector sharing factor", f"{self.sharing_factor:.2f}x"],
+            ["sweep wall time (s)", f"{self.total_seconds:.4f}"],
+        ]
 
 
 @dataclass(slots=True)
@@ -38,7 +93,7 @@ class SweepResult:
 
     name: str
     outcomes: list[ConfigOutcome]
-    stats: "SweepStats"
+    stats: SweepStats
 
     def __iter__(self) -> Iterator[ConfigOutcome]:
         return iter(self.outcomes)
@@ -63,8 +118,8 @@ class SweepResult:
         so a row here equals the row ``evaluate_method`` would produce for the
         same config (the equivalence tests assert field-for-field equality).
         """
-        # Imported lazily: evaluation.runner imports the sweep engine for
-        # evaluate_grid, so a module-level import here would be circular.
+        # Imported lazily: the pipeline engine imports this module, and a
+        # reduction run must not pull in the evaluation and analysis stack.
         from repro.evaluation.runner import result_from_reduced
 
         return [

@@ -70,3 +70,21 @@ class TestRegistry:
 
     def test_classes_and_names_consistent(self):
         assert tuple(METRIC_CLASSES) == METRIC_NAMES
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("method", METRIC_NAMES)
+    def test_non_finite_threshold_rejected(self, method, threshold):
+        # NaN passed ``threshold < 0`` and made every comparison fail; inf
+        # overflowed iter_k's int().  One text for every method.
+        with pytest.raises(ValueError) as raised:
+            create_metric(method, threshold)
+        assert str(raised.value) == (
+            f"{method} threshold must be a finite number >= 0, got {threshold}"
+        )
+
+    @pytest.mark.parametrize("cls", [c for c in METRIC_CLASSES.values() if c.__name__ != "IterAvg"])
+    def test_constructors_reject_non_finite_thresholds(self, cls):
+        with pytest.raises(ValueError, match="must be a finite number"):
+            cls(float("nan"))
+        with pytest.raises(ValueError, match="must be a finite number"):
+            cls(float("inf"))

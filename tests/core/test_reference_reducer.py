@@ -23,7 +23,7 @@ from repro.core.metrics import DEFAULT_THRESHOLDS, create_metric
 from repro.core.reducer import TraceReducer
 from repro.experiments.config import SCALES, build_workload
 from repro.service.session import ReductionSession, SessionConfig
-from repro.sweep.engine import sweep_source
+from repro.pipeline.engine import sweep_pipeline
 from repro.sweep.plan import SweepPlan
 from repro.trace.events import MpiCallInfo
 from repro.trace.records import RecordKind, TraceRecord
@@ -124,7 +124,7 @@ def _via_reduce_frame(trace, method, threshold):
 
 
 def _via_sweep(trace, method, threshold):
-    result = sweep_source(trace.segmented(), SweepPlan.single(method, threshold))
+    result = sweep_pipeline(trace.segmented(), SweepPlan.single(method, threshold))
     return result.outcomes[0].reduced.ranks
 
 

@@ -133,7 +133,8 @@ def test_pooled_sweep_workers_agree_with_run(rpb_file):
     from repro.pipeline.engine import sweep_pipeline
     from repro.sweep.plan import SweepPlan
 
-    # Two feature families, so every rank is swept by two pool tasks.
+    # Two feature families, swept by the pipeline's task: one task per rank
+    # batch, each stepping every config over the batch's frames.
     plan = SweepPlan.from_grid(["relDiff", "euclidean"], [0.2, 0.8])
     with obs.recording("sweep") as recorder:
         result = sweep_pipeline(
@@ -141,17 +142,19 @@ def test_pooled_sweep_workers_agree_with_run(rpb_file):
         )
     stats = result.stats
     assert stats.dispatch == "shard" and stats.n_families == 2
-    assert len(recorder.absorbed) == stats.n_ranks * stats.n_families
+    assert len(recorder.absorbed) == stats.n_ranks == 4
     counted = _assert_workers_agree_with_run(recorder)
-    assert counted == {
-        "sweep.segments_materialized",
-        "sweep.vector_builds",
-        "sweep.vector_builds_naive",
-    }
     run = recorder.registry.snapshot()
-    assert run.scalar("sweep.vector_builds") == stats.vector_builds
-    # Segments are ingested once per rank however many tasks sweep it, so
-    # the count is not additive over tasks and only the run publishes it.
+    for name, value in [
+        ("pipeline.nprocs", stats.n_ranks),
+        ("pipeline.n_segments", stats.n_segments),
+        ("pipeline.segments_materialized", stats.segments_materialized),
+    ]:
+        assert name in counted
+        assert run.scalar(name) == value
+    # The sharing counts are the plan's arithmetic on the run's segments:
+    # only the run publishes them.
+    assert run.scalar("sweep.vector_builds") == stats.vector_builds == stats.n_segments * 2
     assert run.scalar("sweep.n_segments") == stats.n_segments
 
 

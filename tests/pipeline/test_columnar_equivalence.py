@@ -1,7 +1,7 @@
 """Columnar-vs-serial equivalence: the acceptance suite of the frame path.
 
 The columnar ingest-to-match path (``RankFrame`` + ``reduce_frame`` + the
-frame-fed sweep engine) must be invisible in the output: for every one of the
+frame-fed sweep) must be invisible in the output: for every one of the
 nine similarity metrics, over every source kind (in-memory, text file,
 ``.rpb`` file) and every dispatch mode (serial inline, sharded pool), the
 reduced trace must serialize byte-identical to the segment-at-a-time
@@ -25,7 +25,6 @@ from repro.pipeline.engine import (
     sweep_pipeline,
 )
 from repro.pipeline.stream import rank_frame_streams, rank_segment_streams
-from repro.sweep.engine import sweep_source
 from repro.sweep.plan import SweepConfig
 from repro.trace.formats import convert_trace
 from repro.trace.io import serialize_reduced_trace, write_trace
@@ -136,14 +135,14 @@ class TestSweepByteIdentity:
 
     def test_inline_in_memory(self, small_late_sender_trace):
         self._check(
-            sweep_source(small_late_sender_trace, self.PLAN), small_late_sender_trace
+            sweep_pipeline(small_late_sender_trace, self.PLAN), small_late_sender_trace
         )
 
     def test_inline_text_file(self, text_path):
-        self._check(sweep_source(str(text_path), self.PLAN), str(text_path))
+        self._check(sweep_pipeline(str(text_path), self.PLAN), str(text_path))
 
     def test_inline_rpb_file(self, rpb_path):
-        self._check(sweep_source(str(rpb_path), self.PLAN), str(rpb_path))
+        self._check(sweep_pipeline(str(rpb_path), self.PLAN), str(rpb_path))
 
     def test_sharded_rpb_file(self, rpb_path):
         result = sweep_pipeline(
@@ -226,7 +225,7 @@ class TestLazyMaterializationStats:
         plan = [SweepConfig("relDiff", create_metric("relDiff").threshold)]
         recorder = obs.Recorder(label="test")
         with obs.local_recording(recorder):
-            result = sweep_source(str(rpb_path), plan)
+            result = sweep_pipeline(str(rpb_path), plan)
         stats = result.stats
         labels = [row[0] for row in stats.rows()]
         assert "segments materialized (lazy)" in labels
@@ -236,6 +235,6 @@ class TestLazyMaterializationStats:
     def test_sweep_materializes_for_the_iteration_methods_only(self, rpb_path):
         """Dense configs build nothing beside an object-probing one: the count is its alone."""
         dense = [SweepConfig(name, create_metric(name).threshold) for name in DISTANCE_METHODS]
-        result = sweep_source(str(rpb_path), dense + [SweepConfig("iter_k", None)])
+        result = sweep_pipeline(str(rpb_path), dense + [SweepConfig("iter_k", None)])
         assert result.stats.segments_materialized == result.stats.n_segments
-        assert sweep_source(str(rpb_path), dense).stats.segments_materialized == 0
+        assert sweep_pipeline(str(rpb_path), dense).stats.segments_materialized == 0

@@ -2,8 +2,8 @@
 
 Every pooled run goes through the engine's one submit/collect loop, so the
 entry points below — ``(path, ranks)`` shard batches (objects back, or bytes
-streamed to a file), pickled-frame payload tasks, and the sweep's (rank batch
-× family) tasks — share one failure path: the dead worker surfaces as
+streamed to a file), pickled-frame payload tasks, and a sweep grid over the
+same shard batches — share one failure path: the dead worker surfaces as
 ``BrokenProcessPool`` from the call itself, and no partial result is
 returned or left on disk.
 """
@@ -58,7 +58,8 @@ def _write_shard(trace, path):
 
 
 def _sweep_shard(trace, path):
-    # The sweep builds its metrics from the registry inside each worker.
+    # The sweep creates its metrics from the (patched) registry and ships them
+    # to the workers with each task.
     return sweep_pipeline(path, SweepPlan.from_grid(["euclidean"], [0.1, 0.2]), POOL)
 
 

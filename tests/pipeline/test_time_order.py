@@ -15,8 +15,7 @@ import pytest
 from repro.core.frames import RankFrame
 from repro.core.metrics import create_metric
 from repro.core.reducer import TraceReducer
-from repro.pipeline.engine import PipelineConfig, ReductionPipeline
-from repro.sweep.engine import sweep_source
+from repro.pipeline.engine import PipelineConfig, ReductionPipeline, sweep_pipeline
 from repro.trace import binio
 from repro.trace.binio import RpbFormatError
 from repro.trace.records import RecordKind
@@ -86,7 +85,7 @@ class TestBrokenRankIsRejectedWhicheverRowBreaksIt:
     def test_sweep_raises(self, tmp_path, case, row):
         path, _ = rpb_with(tmp_path, case, row)
         with pytest.raises(RpbFormatError, match="rank 0 block holds an invalid trace"):
-            sweep_source(path, [("absDiff", 1000.0), ("iter_k", None)])
+            sweep_pipeline(path, [("absDiff", 1000.0), ("iter_k", None)])
 
     def test_scalar_reference_raises(self, tmp_path, case, row):
         path, message = rpb_with(tmp_path, case, row)

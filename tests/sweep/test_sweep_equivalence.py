@@ -1,11 +1,12 @@
 """Sweep-vs-serial equivalence: every metric, every source, every dispatch.
 
-The acceptance bar for the sweep engine: for each config of a grid, the
-reduced trace must serialize **byte-identical** to running that config alone
-through the scalar reference reducer (``tests.support.reference_reduce``) —
-whether the grid is swept over an in-memory trace, an indexed ``.rpb`` file
-streamed inline, or ``.rpb`` (rank × family) shard tasks on a pool — and the
-evaluation rows must equal the serial path field for field.
+The acceptance bar for a sweep: for each config of a grid, the reduced trace
+must serialize **byte-identical** to running that config alone through the
+scalar reference reducer (``tests.support.reference_reduce``) — whether the
+grid is swept inline over an in-memory trace or an indexed ``.rpb`` file, as
+``.rpb`` shard batches on a pool, or as pickled frames of an in-memory or
+text source on a pool (``payload``) — and the evaluation rows must equal the
+serial path field for field.
 """
 
 import pytest
@@ -19,8 +20,8 @@ from repro.evaluation.runner import (
 )
 from repro.pipeline.engine import PipelineConfig, sweep_pipeline
 from repro.pipeline.store import create_store
-from repro.sweep import SweepEngine, SweepPlan
-from repro.trace.io import serialize_reduced_trace, write_trace
+from repro.sweep import SweepPlan
+from repro.trace.io import read_trace, serialize_reduced_trace, write_trace
 
 from tests.support import RESULT_FIELDS, reference_reduce
 
@@ -59,6 +60,13 @@ def rpb_file(raw_trace, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def text_file(raw_trace, tmp_path_factory):
+    path = tmp_path_factory.mktemp("sweep") / "trace.txt"
+    write_trace(raw_trace, path)
+    return path
+
+
+@pytest.fixture(scope="module")
 def plan():
     return _full_grid()
 
@@ -69,7 +77,7 @@ def _oracle_bytes(segmented, config):
 
 class TestInMemoryEquivalence:
     def test_every_config_byte_identical(self, segmented, plan):
-        result = SweepEngine(plan).sweep(segmented)
+        result = sweep_pipeline(segmented, plan)
         assert result.stats.dispatch == "inline"
         assert len(result) == plan.n_configs
         for outcome in result:
@@ -78,11 +86,11 @@ class TestInMemoryEquivalence:
             ), f"sweep diverged from serial oracle for {outcome.config.describe()}"
 
     def test_outcomes_in_plan_order(self, segmented, plan):
-        result = SweepEngine(plan).sweep(segmented)
+        result = sweep_pipeline(segmented, plan)
         assert [o.config.key for o in result] == [c.key for c in plan.configs]
 
     def test_segments_streamed_once(self, segmented, plan):
-        result = SweepEngine(plan).sweep(segmented)
+        result = sweep_pipeline(segmented, plan)
         n_segments = sum(len(r.segments) for r in segmented.ranks)
         assert result.stats.n_segments == n_segments
         # Every config still accounts for the full stream in its own output.
@@ -90,7 +98,7 @@ class TestInMemoryEquivalence:
             assert outcome.reduced.n_segments == n_segments
 
     def test_vector_sharing_happened(self, segmented, plan):
-        result = SweepEngine(plan).sweep(segmented)
+        result = sweep_pipeline(segmented, plan)
         assert result.stats.vector_builds_saved > 0
         assert result.stats.sharing_factor > 1.0
 
@@ -125,23 +133,70 @@ class TestFileSourceEquivalence:
         assert result.stats.n_ranks == len(segmented.ranks)
 
 
+class TestPayloadEquivalence:
+    """Sources only this process can read reach a pool as pickled frames."""
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_in_memory_byte_identical(self, segmented, plan, executor):
+        result = sweep_pipeline(segmented, plan, PipelineConfig(executor=executor, workers=2))
+        assert result.stats.dispatch == "payload"
+        for outcome in result:
+            assert serialize_reduced_trace(outcome.reduced) == _oracle_bytes(
+                segmented, outcome.config
+            )
+
+    def test_text_file_byte_identical(self, text_file, plan):
+        # The text format keeps two decimals: its reference is the file read back.
+        segmented = read_trace(text_file).segmented()
+        result = sweep_pipeline(text_file, plan, PipelineConfig(executor="thread", workers=2))
+        assert result.stats.dispatch == "payload"
+        assert result.stats.n_ranks == len(segmented.ranks)
+        for outcome in result:
+            assert serialize_reduced_trace(outcome.reduced) == _oracle_bytes(
+                segmented, outcome.config
+            )
+
+
+#: Pooled cases -> (source fixture, the dispatch a pool gives it).
+POOLED = {
+    "payload": ("segmented", "payload"),
+    "payload_text": ("text_file", "payload"),
+    "shard": ("rpb_file", "shard"),
+}
+
+
 class TestBoundedStoreEquivalence:
-    def test_matches_bounded_reference_per_config(self, segmented):
+    PLAN = SweepPlan.from_grid(
+        ["euclidean", "iter_k"], thresholds_per_method={"euclidean": (0.1, 0.4), "iter_k": (2,)}
+    )
+    CAPACITY = 3
+
+    def _check(self, result, segmented):
         """With a store bound, the oracle is the (equally bounded) reference."""
-        plan = SweepPlan.from_grid(["euclidean", "iter_k"], thresholds_per_method={
-            "euclidean": (0.1, 0.4), "iter_k": (2,),
-        })
-        capacity = 3
-        result = SweepEngine(plan, store_capacity=capacity).sweep(segmented)
         for outcome in result:
             reference = reference_reduce(
                 outcome.config.create(),
                 segmented,
-                store_factory=lambda: create_store(capacity),
+                store_factory=lambda: create_store(self.CAPACITY),
             )
             assert serialize_reduced_trace(outcome.reduced) == serialize_reduced_trace(
                 reference
             )
+
+    def test_matches_bounded_reference_per_config(self, segmented):
+        config = PipelineConfig(store_capacity=self.CAPACITY)
+        self._check(sweep_pipeline(segmented, self.PLAN, config), segmented)
+
+    @pytest.mark.parametrize("case", POOLED)
+    def test_pooled_matches_bounded_reference_per_config(self, request, raw_trace, case):
+        fixture, dispatch = POOLED[case]
+        source = request.getfixturevalue(fixture)
+        config = PipelineConfig(executor="thread", workers=2, store_capacity=self.CAPACITY)
+        result = sweep_pipeline(source, self.PLAN, config)
+        assert result.stats.dispatch == dispatch
+        # The text format keeps two decimals: its reference is the file read back.
+        segmented = read_trace(source) if fixture == "text_file" else raw_trace
+        self._check(result, segmented.segmented())
 
 
 class TestEvaluationRows:

@@ -299,6 +299,38 @@ class TestCommands:
         assert excinfo.value.code == 2
         assert "workers must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["serve", "late_sender", "--tenant-budget", "0"], "--tenant-budget must be >= 1, got 0"),
+            (["serve", "late_sender", "--queue-limit", "0"], "--queue-limit must be >= 1, got 0"),
+            (["serve", "late_sender", "--threshold", "nan"],
+             "relDiff threshold must be a finite number >= 0, got nan"),
+            (["pipeline", "late_sender", "--threshold", "nan"],
+             "relDiff threshold must be a finite number >= 0, got nan"),
+            (["pipeline", "late_sender", "--method", "iter_k", "--threshold", "inf"],
+             "iter_k threshold must be a finite number >= 0, got inf"),
+            (["pipeline", "late_sender", "--method", "avgWave", "--threshold=-inf"],
+             "avgWave threshold must be a finite number >= 0, got -inf"),
+            (["sweep", "late_sender", "--thresholds", "0.1", "inf"],
+             "euclidean threshold must be a finite number >= 0, got inf"),
+        ],
+    )
+    def test_invalid_value_is_a_usage_error_before_the_run(
+        self, capsys, monkeypatch, argv, message
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the workload was built before the values were checked")
+
+        monkeypatch.setattr("repro.cli.build_workload", no_run)
+        monkeypatch.setattr("repro.experiments.config.build_workload", no_run)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--scale", "smoke", *argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro-trace: error: {message}" in err
+        assert "Traceback" not in err
+
     def test_pipeline_verify_mismatch_exits_nonzero(self, capsys, tmp_path, monkeypatch):
         # The oracle runs under the command's own store bound, so no flag
         # combination diverges from it: the mismatch is injected.
@@ -386,7 +418,7 @@ class TestCommands:
         assert str(json_telemetry) in payload["telemetry"]
         exported = json.loads(json_telemetry.read_text())
         names = {e["name"] for e in exported["traceEvents"] if e.get("ph") == "X"}
-        assert {"sweep.run", "sweep.rank"} <= names
+        assert {"pipeline.run", "pipeline.reduce", "rank.reduce"} <= names
         # --workers was defaulted: the file holds the resolved count, not null.
         assert exported["otherData"]["metadata"]["workers"] == 1
 
