@@ -37,9 +37,15 @@ def run_once(benchmark, func, *args, **kwargs):
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 
+def show(experiment_id: str, text: str) -> None:
+    """Print a table under its id: what a ``BENCH_*`` gate does with its
+    table, whose numbers its JSON report (:func:`write_bench_json`) keeps."""
+    print(f"\n{'=' * 78}\n{experiment_id}\n{'=' * 78}\n{text}\n")
+
+
 def emit(experiment_id: str, text: str) -> None:
     """Print an experiment's table and persist it under ``results/``."""
-    print(f"\n{'=' * 78}\n{experiment_id}\n{'=' * 78}\n{text}\n")
+    show(experiment_id, text)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{experiment_id}.txt").write_text(text + "\n", encoding="utf-8")
 

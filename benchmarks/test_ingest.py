@@ -30,7 +30,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from support import RESULTS_DIR, emit, run_once, write_bench_json
+from support import RESULTS_DIR, run_once, show, write_bench_json
 
 from repro.core.metrics import create_metric
 from repro.experiments.config import build_workload, get_scale
@@ -194,7 +194,7 @@ def test_ingest_speedup(benchmark):
         ]
         for entry in report["scales"].values()
     ]
-    emit(
+    show(
         "BENCH_ingest_fused",
         format_table(
             ["scale", "segments", "per-segment s", "fused s", "speedup"],
@@ -215,7 +215,7 @@ def test_ingest_speedup(benchmark):
         ]
         for entry in report["scales"].values()
     ]
-    emit(
+    show(
         "BENCH_ingest",
         format_table(
             ["scale", "ranks", "records", "text B", "rpb B", "text s", "rpb s", "speedup"],

@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 import time
 
-from support import RESULTS_DIR, emit, run_once, write_bench_json
+from support import RESULTS_DIR, run_once, show, write_bench_json
 from tests.support import reference_reduce
 
 from repro.core.candidates import MatchCounters
@@ -172,7 +172,7 @@ def test_match_kernel_speedup(benchmark):
         ]
         for entry in report["configs"]
     ]
-    emit(
+    show(
         "BENCH_match_kernel",
         format_table(
             ["method", "threshold", "stored", "rows/call", "scan s", "dense s", "speedup"],

@@ -39,7 +39,7 @@ from __future__ import annotations
 import os
 import time
 
-from support import RESULTS_DIR, emit, run_once, write_bench_json
+from support import RESULTS_DIR, run_once, show, write_bench_json
 from tests.support import reference_reduce
 
 from repro.benchmarks_ats import late_sender
@@ -183,7 +183,7 @@ def test_pipeline_speedup(benchmark, tmp_path):
         for entry in report["scales"].values()
     ]
     rpb, short = report["rpb"], report["short_ranks"]
-    emit(
+    show(
         "BENCH_pipeline",
         format_table(
             ["scale", "ranks", "segments", "scan s", "serial s", "pool s",

@@ -33,7 +33,7 @@ from __future__ import annotations
 import asyncio
 import time
 
-from support import RESULTS_DIR, emit, run_once, write_bench_json
+from support import RESULTS_DIR, run_once, show, write_bench_json
 from tests.support import reference_reduce
 
 from repro.core.metrics import create_metric
@@ -190,7 +190,7 @@ def test_service_overhead_and_cache(benchmark):
         ]
         for entry in report["scales"].values()
     ]
-    emit(
+    show(
         "BENCH_service_incremental",
         format_table(
             ["scale", "segments", "reference s", "core s", "incremental s",
@@ -209,7 +209,7 @@ def test_service_overhead_and_cache(benchmark):
         ]
         for entry in report["scales"].values()
     ]
-    emit(
+    show(
         "BENCH_service_cache",
         format_table(
             ["scale", "reduced B", "miss s", "hit s", "speedup"],

@@ -30,7 +30,7 @@ from __future__ import annotations
 import gc
 import time
 
-from support import RESULTS_DIR, emit, run_once, write_bench_json
+from support import RESULTS_DIR, run_once, show, write_bench_json
 from tests.support import reference_reduce
 
 from repro.core.frametrace import FrameTrace
@@ -164,7 +164,7 @@ def test_sweep_speedup(benchmark):
         ]
         for entry in report["scales"].values()
     ]
-    emit(
+    show(
         "BENCH_sweep",
         format_table(
             ["scale", "ranks", "segments", "sharing", "naive s", "core loop s", "sweep s",

@@ -11,13 +11,12 @@ A metric's dense probe (``match_row``) and the batch step evaluate all
 candidates in one NumPy broadcast and take the first match.
 
 A representative is stored once: the reducer hands
-:meth:`RepresentativeStore.add` the representative — for a dense reduction
-still the ``(frame, row)`` it is, no object — together with the feature row
-that just failed to match (and the metric's ``row_scale`` of it, which the
-batch step's leader round already holds), and the bucket writes both at
-that moment.  Nothing is built later, so a bucket holds
-no metric and a row per entry or no rows at all (the scan-only metrics and a
-metric that mutates its representatives, whose rows would go stale).
+:meth:`RepresentativeStore.add` the representative — still the ``(frame,
+row)`` it is, no object — together with the feature row that just failed to
+match (and the metric's ``row_scale`` of it, which the batch step's leader
+round already holds), and the bucket writes both at that moment.  Nothing is
+built later, so a bucket holds no metric, and a row per entry or no rows at
+all (a bucket filled by hand, as the scalar reference does).
 
 Because every candidate under one structural key has the same structure, all
 rows have the same width; the matrix grows geometrically so appending a

@@ -18,12 +18,12 @@ algorithm derives per segment is then computed **in bulk** over the columns:
   vectorizes in a handful of NumPy calls.
 
 ``Segment`` objects are only *materialized* — built back from the columns —
-for the metrics that probe with the object (the iteration methods, a metric
-that rewrites what it stored) and for a caller that reads a representative's
-``.segment``: a dense reduction books its representatives as ``(frame, row)``
-and writes, sizes and reconstructs them from the columns, so
-:attr:`RankFrame.materialized` stays 0 through it, and the time-order check
-construction made on the way is :meth:`RankFrame.check_time_order`.
+for a caller that reads a representative's ``.segment`` (``iter_avg`` does,
+to average into it): a reduction probes with the frame's rows, books its
+representatives as ``(frame, row)`` and writes, sizes and reconstructs them
+from the columns, so :attr:`RankFrame.materialized` stays 0 through it, and
+the time-order check construction made on the way is
+:meth:`RankFrame.check_time_order`.
 ``.rpb`` files decode straight into frames (:func:`repro.trace.binio.rank_frames`:
 a run of short ranks becomes one frame, each rank a :meth:`RankFrame.rows_view`
 of it, so the bulk passes above run once per run);

@@ -41,12 +41,6 @@ class SimilarityMetric(ABC):
     #: Threshold value (method specific meaning); ``None`` for iter_avg.
     threshold: Optional[float] = None
 
-    #: True when :meth:`on_match` mutates the chosen representative's
-    #: timestamps (``iter_avg``).  The reducer then gives the metric a private
-    #: copy of every segment it stores and never keeps feature rows of them —
-    #: they would go stale — so such a metric is always probed by :meth:`match`.
-    mutates_stored: bool = False
-
     @abstractmethod
     def match(self, candidate: Segment, stored: Sequence[StoredSegment]) -> Optional[StoredSegment]:
         """Return the stored segment the candidate matches, or None.
@@ -55,11 +49,43 @@ class SimilarityMetric(ABC):
         segment start) and every element of ``stored`` has the same structure
         as the candidate.  Implementations must scan ``stored`` in order and
         return the *first* match, mirroring the paper's algorithm.
+
+        The columnar core calls it for a metric that is not a
+        :class:`DistanceMetric` with the candidate's :meth:`frame_vectors`
+        row in place of the segment, so such a metric decides on ``stored``
+        alone.
         """
 
-    def on_match(self, candidate: Segment, chosen: StoredSegment) -> None:
-        """Hook invoked after a successful match (default: count it)."""
+    def on_match(self, timestamps: np.ndarray, chosen: StoredSegment) -> None:
+        """Hook invoked after a successful match (default: count it).
+
+        ``timestamps`` is the matched segment's timestamp vector: the scalar
+        reference passes ``relative.timestamps()``, the columnar core the
+        frame row it probed with, which is that vector on the default
+        pairwise layout.  A metric that reads it keeps that layout
+        (``iter_avg`` does).
+        """
         chosen.count += 1
+
+    # -- vector layout ---------------------------------------------------------
+
+    def vector_key(self) -> Hashable:
+        """Name of this metric's vector layout: the sweep's feature-family key.
+
+        Metrics sharing a layout (e.g. relDiff, absDiff and the iteration
+        methods, which all use the canonical pairwise vector) share one bulk
+        vector pass per frame.
+        """
+        return "pairwise"
+
+    def build_vector(self, segment: Segment) -> np.ndarray:
+        """This metric's feature vector of one (normalised) segment."""
+        return np.asarray(segment.timestamps(), dtype=float)
+
+    def frame_vectors(self, frame: "RankFrame") -> list[np.ndarray]:
+        """Every segment's :meth:`build_vector`, built in bulk from a columnar
+        frame: the probe rows the reducer steps this metric with."""
+        return frame.pairwise_vectors()
 
     def describe(self) -> str:
         """Human-readable method description, e.g. ``"relDiff(0.8)"``."""
@@ -103,30 +129,6 @@ class DistanceMetric(SimilarityMetric):
 
     # -- batched matching ------------------------------------------------------
 
-    def vector_key(self) -> Hashable:
-        """Name of this metric's vector layout: the sweep's feature-family key.
-
-        Metrics sharing a layout (e.g. relDiff and absDiff, which both use
-        the canonical pairwise vector) share one bulk vector pass per frame.
-        """
-        return "pairwise"
-
-    def build_vector(self, segment: Segment) -> np.ndarray:
-        """This metric's feature vector of one (normalised) segment."""
-        return np.asarray(segment.timestamps(), dtype=float)
-
-    def frame_vectors(self, frame: "RankFrame") -> list[np.ndarray]:
-        """Every segment's feature vector, built in bulk from a columnar frame.
-
-        The bulk layout is only taken when this instance still uses the base
-        class's :meth:`build_vector` — a subclass with a custom vector layout
-        silently drops to the safe per-segment fallback (materialize, then
-        build), which stays bitwise-correct at the oracle's cost.
-        """
-        if type(self).build_vector is DistanceMetric.build_vector:
-            return frame.pairwise_vectors()
-        return [self.build_vector(frame.segment(i)) for i in range(frame.n_segments)]
-
     #: Optional hook ``row_scale(rows)``: the scale of one candidate row — or,
     #: reducing over the last axis, of each row of a stack — stored next to
     #: the row with the representative and handed to :meth:`match_stats` as
@@ -166,9 +168,7 @@ class DistanceMetric(SimilarityMetric):
         * probe and row are interchangeable: ``match_stats(matrix[j], probes,
           probe_scales)`` is bitwise column ``j`` of that result.
 
-        The reducer probes the last two once per metric class; a kernel that
-        does not meet them (one still reducing over ``axis=1``, say) keeps
-        the per-row step, which only makes the 1-D call.
+        ``TestBroadcastKernels`` holds every shipped kernel to the last two.
         """
 
     def match_row(

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.core.metrics.base import SimilarityMetric, check_threshold
 from repro.core.reduced import StoredSegment
 from repro.trace.segments import Segment
@@ -51,16 +53,14 @@ class IterAvg(SimilarityMetric):
 
     name = "iter_avg"
 
-    #: on_match folds the candidate into the stored running mean, mutating the
-    #: representative's timestamps.
-    mutates_stored = True
-
     def __init__(self) -> None:
         self.threshold = None
 
     def match(self, candidate: Segment, stored: Sequence[StoredSegment]) -> Optional[StoredSegment]:
         return stored[0] if stored else None
 
-    def on_match(self, candidate: Segment, chosen: StoredSegment) -> None:
-        # update_mean() also increments the execution count.
-        chosen.update_mean(candidate.timestamps())
+    def on_match(self, timestamps: np.ndarray, chosen: StoredSegment) -> None:
+        # update_mean() also increments the execution count.  It rewrites the
+        # representative's own Segment, built at its first match, and leaves
+        # its bucket row stale: match() never reads the row.
+        chosen.update_mean(timestamps)

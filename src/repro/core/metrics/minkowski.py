@@ -85,9 +85,7 @@ class MinkowskiMetric(DistanceMetric):
         return np.abs(rows).max(axis=-1, initial=0.0)
 
     def frame_vectors(self, frame):
-        if type(self).build_vector is MinkowskiMetric.build_vector:
-            return frame.minkowski_vectors()
-        return [self.build_vector(frame.segment(i)) for i in range(frame.n_segments)]
+        return frame.minkowski_vectors()
 
     def match_stats(
         self,

@@ -22,7 +22,7 @@ from typing import Hashable, Optional
 import numpy as np
 
 from repro.core.metrics.base import DistanceMetric
-from repro.core.metrics.vectors import next_power_of_two, wavelet_vector
+from repro.core.metrics.vectors import wavelet_vector
 from repro.trace.segments import Segment
 
 __all__ = [
@@ -133,17 +133,8 @@ class WaveletMetric(DistanceMetric):
         return np.abs(rows).max(axis=-1, initial=0.0)
 
     def frame_vectors(self, frame):
-        # The bulk path re-derives the pyramid scale from the transform
-        # function; an unknown transform (or overridden vector builder) means
-        # a subclass we cannot vectorize for — fall back to per-segment build.
-        scale = _TRANSFORM_SCALES.get(type(self).transform)
-        if (
-            scale is not None
-            and type(self).build_vector is WaveletMetric.build_vector
-            and type(self).transformed is WaveletMetric.transformed
-        ):
-            return frame.wavelet_vectors(scale=scale, pad=self.pad)
-        return [self.build_vector(frame.segment(i)) for i in range(frame.n_segments)]
+        # The bulk path re-derives the pyramid scale from the transform function.
+        return frame.wavelet_vectors(scale=_TRANSFORM_SCALES[type(self).transform], pad=self.pad)
 
     def match_stats(
         self,

@@ -12,18 +12,21 @@ That step is written twice, on purpose: the core and the scalar reference.
 
 :class:`ReductionState` is the columnar core, the only way the product
 reduces: one (rank, config) reduction stepped over a
-:class:`~repro.core.frames.RankFrame`.  A dense state (the distance and
-wavelet methods) builds no :class:`~repro.trace.segments.Segment`: a new
-representative is booked as the ``(frame, row)`` it is, and only a state that
-probes with the object (the iteration methods, a metric that rewrites what it
-stored, a custom ``on_match``) materializes rows.  :func:`step_frame` is the
-one loop that steps states over a frame, and :func:`step_families` the one
-place that builds a family's shared vectors for it —
-:meth:`TraceReducer.reduce_frame` (and through it :meth:`TraceReducer.reduce`,
-the evaluation runner and the online session) calls it with one state, the
-pipeline's batch task with one state per metric of its grid (a sweep's whole
-plan, or the one metric of a single config).  The core has two steps with
-one outcome: the per-row ``match``/``record`` step, and its exact batch form
+:class:`~repro.core.frames.RankFrame`.  Every state probes with frame rows —
+its metric's :meth:`~repro.core.metrics.base.SimilarityMetric.frame_vectors`
+— and books a new representative as the ``(frame, row)`` it is, its row
+written into the bucket, so reducing builds no
+:class:`~repro.trace.segments.Segment`.  The one exception is ``iter_avg``,
+whose running mean rewrites a representative's timestamps: its first match
+materializes that representative (``StoredSegment.update_mean``), so it builds
+one object per representative matched at least once.  :func:`step_families`
+is the one place that builds a family's shared rows and steps its states over
+a frame — :meth:`TraceReducer.reduce_frame` (and through it
+:meth:`TraceReducer.reduce`, the evaluation runner and the online session)
+calls it with one state, the pipeline's batch task with one state per metric
+of its grid (a sweep's whole plan, or the one metric of a single config).
+The core has two steps with one outcome: the per-row step
+(:meth:`ReductionState.step_rows`), and its exact batch form
 :meth:`ReductionState.match_batch`, which resolves a whole frame per
 structural key in ``O(keys + new representatives)`` kernel calls; a state
 takes the batch step whenever :attr:`ReductionState.batchable` holds.
@@ -63,7 +66,6 @@ __all__ = [
     "TraceReducer",
     "ReductionState",
     "KeyBatches",
-    "step_frame",
     "step_families",
     "reduce_trace",
 ]
@@ -72,45 +74,6 @@ __all__ = [
 #: blocked so ``probes × representatives × width`` stays under it, which keeps
 #: the kernel's temporaries cache-sized however deep the bucket is.
 _BLOCK_ELEMENTS = 1 << 16
-
-#: Per metric class: does its kernel serve the batch step's call shapes?
-_BROADCASTS: dict = {}
-
-
-def _kernel_broadcasts(metric: DistanceMetric) -> bool:
-    """Whether ``metric``'s kernel serves the two call shapes the batch step adds.
-
-    Probed once per metric class, on a stack whose three extents all differ:
-    probes ``(p, 1, n)`` against a ``(rows, n)`` matrix must give ``(p, rows)``
-    results whose rows equal the 1-D calls and whose columns equal the
-    swapped-role calls (see :meth:`DistanceMetric.match_stats`).  A kernel
-    written to the older contract — reducing over ``axis=1``, a scalar-only
-    ``row_scale``, a limit relative to the stored row alone — fails or raises
-    here, and its states keep the per-row step.
-    """
-    cls = type(metric)
-    if cls not in _BROADCASTS:
-        try:
-            _BROADCASTS[cls] = _probe_kernel(metric)
-        except Exception:  # noqa: BLE001 - whatever it raised, it is not this contract
-            _BROADCASTS[cls] = False
-    return _BROADCASTS[cls]
-
-
-def _probe_kernel(metric: DistanceMetric) -> bool:
-    width = np.arange(1.0, 6.0)
-    probes, matrix = np.outer([1.0, 1.01, 3.0], width), np.outer([1.0, 2.0], width)
-    scale = metric.row_scale or (lambda rows: None)
-
-    def stats(vector, rows, shape):
-        # Statistic and limit base as one array; a result of another shape raises.
-        stat, base = metric.match_stats(vector, rows, scale(rows))
-        return np.stack([stat, np.broadcast_to(1.0 if base is None else base, shape)])
-
-    both = stats(probes[:, None, :], matrix, (3, 2))
-    return all(
-        np.array_equal(both[:, i], stats(probes[i], matrix, (2,))) for i in range(3)
-    ) and all(np.array_equal(both[:, :, j], stats(matrix[j], probes, (3,))) for j in range(2))
 
 
 class KeyBatches:
@@ -141,31 +104,28 @@ class ReductionState:
 
     The state owns what one config keeps per rank — the metric, the
     representative store and the continuing :class:`ReducedRankTrace` — and
-    is stepped one frame row at a time: look the row's key up
-    (:attr:`lookup`), :meth:`match` a non-empty bucket, :meth:`record` the
-    outcome.  :func:`step_frame` does the stepping (the online session
-    continues the same store and output across frames; a sweep steps one
-    state per config over one shared frame).
+    is stepped over a frame with the rows of its metric's
+    :meth:`~repro.core.metrics.base.SimilarityMetric.frame_vectors`: look a
+    row's key up (:attr:`lookup`), :meth:`match` a non-empty bucket,
+    :meth:`record` the outcome (:meth:`step_rows`), or resolve the frame
+    whole (:meth:`match_batch`).  :func:`step_families` does the stepping
+    (the online session continues the same store and output across frames;
+    a sweep steps one state per config over one shared frame).
 
-    The probe is chosen once, at construction: a distance metric that leaves
-    its representatives alone is probed with the frame's pre-built feature
-    rows (:attr:`dense`) against the rows its bucket stored, and stores a new
-    representative as its ``(frame, row)``, so nothing materializes; any other
-    metric — the iteration methods, a distance metric that rewrites what it
-    stored — is probed with the materialized segment itself through its
-    exact ``match`` scan and stores that object.
+    There is one probe kind, the frame row.  A distance metric compares it
+    with the rows its bucket stored (``match_row``); any other metric
+    decides through its ``match(row, bucket)``, which reads the bucket and
+    not the row (``iter_k`` its length, ``iter_avg`` its first entry).  A new
+    representative is booked as its ``(frame, row)``, with the row as its
+    matrix row, and a match hands the row to the metric's ``on_match`` — the
+    timestamp vector ``iter_avg`` folds into its running mean.
 
-    So is the step.  :attr:`batchable` is the predicate: the state is dense,
-    the metric does not override ``on_match``, its kernel serves the
-    broadcast call shapes (:func:`_kernel_broadcasts`), and the store is an
-    unbounded :class:`~repro.core.candidates.RepresentativeStore` by exact
-    type.  Then a decision depends only on the representatives that precede
-    the row under its own key, and :meth:`match_batch` resolves a whole frame
-    key by key.  ``iter_avg`` rewrites a representative on every match, a
-    custom ``on_match`` must see each segment, a bounded store evicts by the
-    order of its hits — each makes a later decision depend on every earlier
-    one — and a store subclass may filter or count in the ``candidates`` call
-    the batch step skips, so those states keep the per-row step.
+    :attr:`batchable` holds for a distance metric over an unbounded store.
+    Then a decision depends only on the representatives that precede the row
+    under its own key, and :meth:`match_batch` resolves a whole frame key by
+    key.  A bounded store evicts by the order of its hits, and the other
+    metrics decide on what every earlier row left in the bucket, so those
+    states take the per-row step.
     """
 
     __slots__ = (
@@ -174,12 +134,10 @@ class ReductionState:
         "store",
         "lookup",
         "counters",
-        "dense",
         "batchable",
         "_next_id",
         "_probe",
-        "_mutates",
-        "_default_on_match",
+        "_row_scale",
     )
 
     def __init__(
@@ -195,34 +153,21 @@ class ReductionState:
         self.lookup = store.candidates  # prebound: hottest call in the loop
         self.counters = counters
         self._next_id = len(reduced.stored)
-        self._mutates = metric.mutates_stored
-        self.dense = isinstance(metric, DistanceMetric) and not self._mutates
-        self._probe = metric.match_row if self.dense else metric.match
-        # When on_match is the base-class default (count the match) it runs
-        # inline, so matches never force a Segment materialization.
-        self._default_on_match = type(metric).on_match is SimilarityMetric.on_match
-        self.batchable = (
-            self.dense
-            and self._default_on_match
-            # Exact type: a subclass may filter or count in ``candidates``,
-            # which the batch step does not call.
-            and type(store) is RepresentativeStore
-            and store.capacity is None
-            and _kernel_broadcasts(metric)
-        )
+        distance = isinstance(metric, DistanceMetric)
+        self._probe = metric.match_row if distance else metric.match
+        self._row_scale = metric.row_scale if distance else None
+        self.batchable = distance and store.capacity is None
 
-    def match(self, probe, candidates) -> Optional[StoredSegment]:
-        """First representative of a non-empty bucket that ``probe`` matches.
+    def match(self, row: np.ndarray, candidates) -> Optional[StoredSegment]:
+        """First representative of a non-empty bucket that the frame ``row`` matches.
 
-        ``probe`` is a frame feature row when the state is :attr:`dense`,
-        else the materialized normalised segment.  With :attr:`counters` the
-        call is timed and counted.
+        With :attr:`counters` the call is timed and counted.
         """
         counters = self.counters
         if counters is None:
-            return self._probe(probe, candidates)
+            return self._probe(row, candidates)
         started = perf_counter()
-        chosen = self._probe(probe, candidates)
+        chosen = self._probe(row, candidates)
         counters.seconds += perf_counter() - started
         counters.calls += 1
         counters.rows_compared += len(candidates)
@@ -234,68 +179,52 @@ class ReductionState:
         start: float,
         candidates,
         chosen: Optional[StoredSegment],
-        vector: Optional[np.ndarray],
+        row: np.ndarray,
         frame: RankFrame,
         index: int,
-        rel: list,
     ) -> None:
-        """Book one frame row: a match against ``chosen``, or a new representative.
+        """Book frame row ``index``: a match against ``chosen``, or a new representative.
 
-        On a match, record the execution and update the chosen
-        representative.  Otherwise store the row as a new representative; a
-        dense probe ``vector`` goes into the bucket with it, as its matrix
-        row.
-
-        ``rel`` is the caller's one-element cache of the row's materialized
-        normalised segment, shared by every state stepped over the row; it is
-        only filled when some state actually needs the object.
+        On a match, record the execution and hand ``row`` to the metric's
+        ``on_match``.  Otherwise store the row as a new representative, with
+        ``row`` — the probe that just failed to match — as its matrix row and
+        the metric's ``row_scale`` of it.
         """
         reduced = self.reduced
-        if chosen is not None or candidates:
+        if candidates:
             reduced.n_possible_matches += 1
         if chosen is not None:
             reduced.n_matches += 1
             reduced.execs.append((chosen.segment_id, start))
             reduced.exec_matched.append(True)
-            if self._default_on_match:
-                chosen.count += 1
-            else:
-                relative = rel[0]
-                if relative is None:
-                    relative = rel[0] = frame.segment(index)
-                self.metric.on_match(relative, chosen)
+            self.metric.on_match(row, chosen)
             return
-        if self.dense:
-            # The row itself, with the probe that just failed to match as its
-            # matrix row and the metric's ``row_scale`` of it.
-            scale = self.metric.row_scale
-            stored = StoredSegment(self._next_id, origin=(frame, index))
-            self._store_new(key, stored, vector, None if scale is None else scale(vector))
-        else:
-            if self._mutates:
-                # The metric will rewrite the stored timestamps in place
-                # (iter_avg's running mean), so the representative must not
-                # be the materialized segment other states share through ``rel``.
-                segment = frame.segment(index)
-            else:
-                segment = rel[0]
-                if segment is None:
-                    segment = rel[0] = frame.segment(index)
-            stored = StoredSegment(self._next_id, segment)
-            self._store_new(key, stored)
+        scale = self._row_scale
+        stored = StoredSegment(self._next_id, origin=(frame, index))
+        self._store_new(key, stored, row, None if scale is None else scale(row))
         reduced.execs.append((stored.segment_id, start))
         reduced.exec_matched.append(False)
+
+    def step_rows(self, frame: RankFrame, rows: Sequence[np.ndarray]) -> None:
+        """Match-or-store every row of ``frame`` one at a time: the per-row step."""
+        keys, starts = frame.structural_keys(), frame.starts_list()
+        lookup, match, record = self.lookup, self.match, self.record
+        for i in range(frame.n_segments):
+            key, row = keys[i], rows[i]
+            candidates = lookup(key)
+            chosen = match(row, candidates) if candidates else None
+            record(key, starts[i], candidates, chosen, row, frame, i)
 
     def _store_new(
         self,
         key,
         stored: StoredSegment,
-        vector: Optional[np.ndarray] = None,
-        scale: Optional[float] = None,
+        row: np.ndarray,
+        scale: Optional[float],
     ) -> None:
         """Store ``stored``, built with :attr:`_next_id`, as the next representative."""
         self._next_id += 1
-        self.store.add(key, stored, vector, scale)
+        self.store.add(key, stored, row, scale)
         self.reduced.stored.append(stored)
 
     def match_batch(self, batches: KeyBatches) -> None:
@@ -393,77 +322,33 @@ class ReductionState:
             self._store_new(keys[row], stored, vectors[row], scale)
 
 
-def step_frame(
-    frame: RankFrame,
-    groups: Sequence[tuple[Sequence[ReductionState], Optional[Sequence[np.ndarray]]]],
-) -> None:
+def step_families(frame: RankFrame, families: Sequence[Sequence[ReductionState]]) -> None:
     """Match-or-store every row of ``frame`` in every state: the one frame driver.
 
-    Each entry of ``groups`` is ``(states, vectors)``: states probed alike —
-    with ``vectors``, their metrics' common feature row per frame row (they
-    are all :attr:`~ReductionState.dense`), or with the materialized segment
-    when ``vectors`` is None.
+    ``families`` groups the states by feature family: the states of one
+    share a vector layout, so its first metric's ``frame_vectors`` (one bulk
+    pass) gives every member its probe rows.  Each
+    :attr:`~ReductionState.batchable` state takes the batch step, all of a
+    family's over one shared :class:`KeyBatches` grouping; every other state
+    takes the per-row step.  Either way each state makes the decisions a solo
+    run makes, in the same order.  :meth:`TraceReducer.reduce_frame` passes
+    one state, the pipeline's batch task one per metric of its grid.
 
-    A vectorized group whose states are all
-    :attr:`~ReductionState.batchable` is resolved by the batch step, state by
-    state over one shared :class:`KeyBatches` grouping; every other group
-    takes the per-row step, all of them inside one pass over the rows.
-    Either way each state makes the decisions a solo run makes, in the same
-    order.  The frame's time order is checked first, every row of it
-    (:meth:`RankFrame.check_time_order`): no step may build the objects whose
+    The frame's time order is checked first, every row of it
+    (:meth:`RankFrame.check_time_order`): no step builds the objects whose
     construction used to check it.
     """
     frame.check_time_order()
-    stepped = []
-    for states, vectors in groups:
-        if vectors is not None and all(state.batchable for state in states):
-            batches = KeyBatches(frame, vectors)
-            for state in states:
-                state.match_batch(batches)
-        else:
-            stepped.append((states, vectors))
-    if not stepped:
-        return
-    keys = frame.structural_keys()
-    starts = frame.starts_list()
-    for i in range(frame.n_segments):
-        key = keys[i]
-        start = starts[i]
-        # One-element cache of the row's materialized normalised segment,
-        # shared by every state that needs the object itself.
-        rel: list = [None]
-        for states, vectors in stepped:
-            if vectors is None:
-                probe = rel[0]
-                if probe is None:
-                    probe = rel[0] = frame.segment(i)
-                vector = None
-            else:
-                # One pre-built row serves every member state, both as the
-                # match probe and as the matrix row of a new representative.
-                probe = vector = vectors[i]
-            for state in states:
-                candidates = state.lookup(key)
-                chosen = state.match(probe, candidates) if candidates else None
-                state.record(key, start, candidates, chosen, vector, frame, i, rel)
-
-
-def step_families(frame: RankFrame, families: Sequence[Sequence[ReductionState]]) -> None:
-    """:func:`step_frame` over states grouped by feature family.
-
-    The states of one family share a vector layout: a dense family is probed
-    with its first metric's :meth:`~DistanceMetric.frame_vectors` (one bulk
-    pass serves every member), any other with the segment object.
-    :meth:`TraceReducer.reduce_frame` passes one state, the pipeline's batch
-    task one per metric of its grid.
-    """
-    step_frame(
-        frame,
-        [
-            (states, states[0].metric.frame_vectors(frame) if states[0].dense else None)
-            for states in families
-        ],
-    )
+    for states in families:
+        rows = states[0].metric.frame_vectors(frame)
+        batches = None
+        for state in states:
+            if not state.batchable:
+                state.step_rows(frame, rows)
+                continue
+            if batches is None:
+                batches = KeyBatches(frame, rows)
+            state.match_batch(batches)
 
 
 class TraceReducer:
@@ -541,7 +426,7 @@ class TraceReducer:
                 reduced.n_matches += 1
                 reduced.execs.append((chosen.segment_id, segment.start))
                 reduced.exec_matched.append(True)
-                metric.on_match(relative, chosen)
+                metric.on_match(relative.timestamps(), chosen)
             else:
                 stored_segment = StoredSegment(segment_id=next_id, segment=relative)
                 next_id += 1
@@ -564,10 +449,9 @@ class TraceReducer:
         """Reduce one rank's columnar frame.
 
         Structural keys and feature vectors come straight from the frame's
-        bulk passes; :class:`~repro.trace.segments.Segment` objects are only
-        materialized for the metrics the bulk path cannot serve, which
-        inspect the segment object itself — a dense state's representatives
-        stay ``(frame, row)`` until someone reads their ``.segment``.
+        bulk passes, and representatives stay ``(frame, row)`` until someone
+        reads their ``.segment`` (``iter_avg`` does, at a representative's
+        first match).
         A :attr:`~ReductionState.batchable` state takes the batch step, any
         other the per-row step; either way the result is byte-identical to
         :meth:`reduce_segments` over the frame's decoded segments.

@@ -61,7 +61,7 @@ def decoded_trace_bytes(path: str | Path, text_bytes: int) -> int:
     """
     from repro.trace.formats import resolve_format
 
-    if resolve_format(path).rank_frames is None:
+    if not resolve_format(path).is_indexed:
         return full_trace_bytes_from_file(path)
     obs.counter("filesize.bytes", text_bytes)
     return text_bytes

@@ -10,7 +10,7 @@ once and shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro import obs
@@ -73,8 +73,8 @@ class PreparedWorkload:
 
     ``segmented`` is the full trace as columnar frames, whichever constructor
     built it: every reduction and every criterion of a study reads the same
-    frames, and segment objects are only materialized for the methods that
-    probe with them (the iteration methods).
+    frames, and no segment object is built to reduce them (``iter_avg``
+    builds one per representative it averages into).
     """
 
     name: str

@@ -38,7 +38,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, merge_snapshots
@@ -234,13 +234,23 @@ class _Span:
 
 #: Process-global active recorder (the CLI / main-process scope).
 _GLOBAL: Optional[Recorder] = None
+
+
+class _Local(threading.local):
+    """Per-thread scope.  The class attribute makes a thread that never set
+    ``recorder`` read ``None`` plainly, where ``getattr(..., None)`` on a bare
+    ``threading.local`` would raise and swallow an ``AttributeError``."""
+
+    recorder: Optional[Recorder] = None
+
+
 #: Thread-local override (the pool-task scope); shadows the global.
-_LOCAL = threading.local()
+_LOCAL = _Local()
 
 
 def current_recorder() -> Optional[Recorder]:
     """The recorder :func:`span` would record into right now, or ``None``."""
-    local = getattr(_LOCAL, "recorder", None)
+    local = _LOCAL.recorder
     return local if local is not None else _GLOBAL
 
 
@@ -255,7 +265,7 @@ def span(name: str, **attrs):
     The disabled path is one global load, one thread-local attribute probe,
     and a singleton return — no ids, no clock reads, no allocation.
     """
-    recorder = getattr(_LOCAL, "recorder", None)
+    recorder = _LOCAL.recorder
     if recorder is None:
         recorder = _GLOBAL
         if recorder is None:
@@ -298,7 +308,7 @@ def local_recording(recorder: Recorder):
     without touching the global, and process workers started as a copy of
     the parent shadow the orphaned recorder they inherited.
     """
-    previous = getattr(_LOCAL, "recorder", None)
+    previous = _LOCAL.recorder
     _LOCAL.recorder = recorder
     try:
         yield recorder

@@ -548,17 +548,16 @@ def sweep_pipeline(
     }
     outcomes = [ConfigOutcome(config=c, reduced=by_key[c.key]) for c in plan.configs]
     counts = run.stats
-    vectorized = [family for family in plan.families if family.vectorized]
     stats = SweepStats(
         n_configs=plan.n_configs,
         n_families=plan.n_families,
         n_ranks=counts.nprocs,
         n_segments=counts.n_segments,
         segments_materialized=counts.segments_materialized,
-        # One vector build per segment and vectorized family, where a
-        # per-config loop would build one per vectorized config.
-        vector_builds=counts.n_segments * len(vectorized),
-        vector_builds_naive=counts.n_segments * sum(f.n_configs for f in vectorized),
+        # One vector build per segment and family, where a per-config loop
+        # would build one per config.
+        vector_builds=counts.n_segments * plan.n_families,
+        vector_builds_naive=counts.n_segments * plan.n_configs,
         total_seconds=counts.total_seconds,
         dispatch=counts.dispatch,
     )

@@ -70,10 +70,10 @@ class RankCounts(Counts):
     n_stored: int = 0
     n_matches: int = 0
     n_possible_matches: int = 0
-    #: ``Segment`` objects the reduction built from frame rows: 0 for a dense
-    #: method (its representatives stay rows), ``n_segments`` for a method
-    #: that probes with the object.  Reading a representative's ``.segment``
-    #: afterwards is the reader's materialization, not counted here.
+    #: ``Segment`` objects the reduction built from frame rows: 0 for every
+    #: method but ``iter_avg``, whose running mean builds one per
+    #: representative at its first match.  Reading a representative's
+    #: ``.segment`` afterwards is the reader's materialization, not counted here.
     segments_materialized: int = 0
     #: Text-format bytes of the ranks' records (§4.3.1's denominator), sized
     #: by the decoder that held their columns: 0 unless the source is ``.rpb``.

@@ -65,16 +65,15 @@ SegmentSource = Union[SegmentedTrace, FrameTrace, Trace, str, Path]
 def indexed_source_ranks(source: SegmentSource) -> Optional[list[int]]:
     """Rank ids of an indexed (random-access) file source, else ``None``.
 
-    ``None`` means the source is in-memory, a forward-only file, or an
-    indexed format without a frame decoder (it is read like a forward-only
-    one); a list means any run of the listed ranks can be decoded on its own
-    by the format's ``rank_frames``, which is what :meth:`RankBatch.iter_frames`
+    ``None`` means the source is in-memory or a forward-only file; a list
+    means any run of the listed ranks can be decoded on its own by the
+    format's ``rank_frames``, which is what :meth:`RankBatch.iter_frames`
     does.
     """
     if not isinstance(source, (str, Path)):
         return None
     fmt = resolve_format(source)
-    if fmt.rank_ids is None or fmt.rank_frames is None:
+    if not fmt.is_indexed:
         return None
     return fmt.rank_ids(Path(source))
 
@@ -183,7 +182,7 @@ def rank_segment_streams(
     elif isinstance(source, (str, Path)):
         path = Path(source)
         fmt = resolve_format(path)
-        if fmt.rank_segments is not None and fmt.rank_ids is not None:
+        if fmt.is_indexed:
             for rank in fmt.rank_ids(path):
                 yield rank, fmt.rank_segments(path, rank)
         else:

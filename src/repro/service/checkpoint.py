@@ -80,7 +80,7 @@ def restore_state(data: bytes) -> ReductionSession:
         session.name = payload["name"]
         session.config = payload["config"]
         # The restored metric instance, not a fresh one: a metric may keep
-        # per-run state (a counting ``on_match``), which must survive too.
+        # per-run state (RandomSampling's stream), which must survive too.
         session.metric = payload["metric"]
         session.reducer = TraceReducer(session.metric)
         session.seq = payload["seq"]

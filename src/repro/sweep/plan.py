@@ -8,11 +8,12 @@ that vector once per segment per family instead of once per config.
 
 The family key is the metric's ``vector_key()``, the name of its vector
 layout, so grouping can never merge configs with different layouts:
-relDiff/absDiff share
-the canonical pairwise layout, the three Minkowski variants share the
-Minkowski layout, and each wavelet transform (and padding ablation) is its
-own family because the rows hold transformed coefficients.  Methods without
-feature vectors (``iter_k``, ``iter_avg``) each form a scan-only family.
+relDiff, absDiff and the iteration methods share the canonical pairwise
+layout (``iter_k`` and ``iter_avg`` are stepped with its rows, and
+``iter_avg`` folds them into its running means), the three Minkowski
+variants share the Minkowski layout, and each wavelet transform (and
+padding ablation) is its own family because the rows hold transformed
+coefficients.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence, Union
 
 from repro.core.metrics import THRESHOLD_STUDY, create_metric
-from repro.core.metrics.base import DistanceMetric, SimilarityMetric
+from repro.core.metrics.base import SimilarityMetric
 
 __all__ = ["SweepConfig", "FeatureFamily", "SweepPlan"]
 
@@ -63,27 +64,16 @@ class SweepConfig:
 class FeatureFamily:
     """Configs whose metrics consume identical per-segment feature vectors.
 
-    ``vector_key`` is the shared :meth:`DistanceMetric.vector_key` of every
-    member, or ``None`` for a scan-only family (iteration methods, which read
-    no feature vectors).  Only vectorized families enable vector sharing; a
-    scan-only family always has exactly one member.
+    ``vector_key`` is the shared :meth:`SimilarityMetric.vector_key` of every
+    member: one bulk vector pass per frame serves them all.
     """
 
-    vector_key: Optional[Hashable]
+    vector_key: Hashable
     configs: tuple[SweepConfig, ...]
-
-    @property
-    def vectorized(self) -> bool:
-        return self.vector_key is not None
-
-    @property
-    def n_configs(self) -> int:
-        return len(self.configs)
 
     def describe(self) -> str:
         members = ", ".join(c.describe() for c in self.configs)
-        kind = "shared vectors" if self.vectorized else "scan-only"
-        return f"[{kind}] {members}"
+        return f"[{self.vector_key}] {members}"
 
 
 def _config_from_spec(spec: ConfigSpec) -> SweepConfig:
@@ -173,29 +163,10 @@ class SweepPlan:
 
     @staticmethod
     def _group(configs: Sequence[SweepConfig]) -> tuple[FeatureFamily, ...]:
-        ordered: list[Optional[Hashable]] = []
-        members: dict[Optional[Hashable], list[SweepConfig]] = {}
-        scan_only = object()  # each scan-only config is its own family
+        members: dict[Hashable, list[SweepConfig]] = {}
         for config in configs:
-            metric = config.create()
-            if isinstance(metric, DistanceMetric):
-                key: Hashable = metric.vector_key()
-                bucket = members.get(key)
-                if bucket is None:
-                    members[key] = [config]
-                    ordered.append(key)
-                else:
-                    bucket.append(config)
-            else:
-                token = (scan_only, config.key)
-                members[token] = [config]
-                ordered.append(token)
-        families = []
-        for key in ordered:
-            configs_in = tuple(members[key])
-            vector_key = None if isinstance(key, tuple) and key and key[0] is scan_only else key
-            families.append(FeatureFamily(vector_key=vector_key, configs=configs_in))
-        return tuple(families)
+            members.setdefault(config.create().vector_key(), []).append(config)
+        return tuple(FeatureFamily(key, tuple(group)) for key, group in members.items())
 
     # -- introspection ---------------------------------------------------------
 

@@ -34,14 +34,13 @@ class SweepStats(Counts):
     n_families: int = 0
     n_ranks: int = 0
     n_segments: int = 0
-    #: ``Segment`` objects the sweep built from frame rows: 0 for a grid of
-    #: dense methods (representatives stay rows), ``n_segments`` per rank once
-    #: a config probes with the object.
+    #: ``Segment`` objects the sweep built from frame rows: 0 unless the grid
+    #: holds ``iter_avg``, which builds one per representative it matched.
     segments_materialized: int = 0
     #: Feature-vector computations actually performed (per segment × family).
     vector_builds: int = 0
     #: Vector computations a per-config serial loop would have performed for
-    #: the same stream (per segment × vectorized config).
+    #: the same stream (per segment × config).
     vector_builds_naive: int = 0
     total_seconds: float = 0.0
     #: How the ranks reached the reduction tasks, as for a pipeline run:

@@ -631,6 +631,11 @@ def _load_columns(
                     raise RpbFormatError(
                         f"string id {int(ids.max())} outside the {len(strings)}-entry string table"
                     )
+            # TraceRecord's check, once over the run: NaN fails both comparisons.
+            time = columns.time
+            if n_before and not (0 <= time.min() and time.max() < math.inf):
+                bad = time[~((time >= 0) & (time < math.inf))][0]
+                raise RpbFormatError(f"record timestamp must be a finite number >= 0, got {bad}")
     except RpbFormatError as error:
         raise RpbFormatError(f"rank {entry.rank} block: {error}") from error
     return columns

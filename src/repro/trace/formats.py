@@ -3,9 +3,9 @@
 Every trace file API in this package goes through one registry.  A
 :class:`TraceFormat` bundles the operations a storage format must provide
 (whole-trace read/write, an incremental per-rank writer, forward rank
-streams, the text-equivalent size) plus the optional random-access
-operations that only indexed formats have (rank ids from the index,
-per-rank record/segment decoders).
+streams, the text-equivalent size) plus the random-access operations that
+only indexed formats have (rank ids and block bytes from the index, runs of
+ranks to decode together, per-rank segment and per-run frame decoders).
 
 Two formats are registered:
 
@@ -67,14 +67,13 @@ class TraceWriter(Protocol):
 class TraceFormat:
     """One registered trace storage format.
 
-    ``rank_ids`` / ``rank_bytes`` / ``rank_records`` / ``rank_segments`` are
-    ``None`` for forward-only formats; their presence is what marks a format as
-    random-access (``is_indexed``).
+    The random-access operations (``rank_ids`` … ``rank_frames``) are all
+    ``None`` for a forward-only format and all set for an indexed one
+    (``is_indexed``).
     """
 
     name: str
     suffixes: Tuple[str, ...]
-    description: str
     write: Callable[[Trace, Path], None]
     read: Callable[..., Trace]
     open_writer: Callable[[Path], TraceWriter]
@@ -85,14 +84,11 @@ class TraceFormat:
     #: Bytes each rank's block occupies in the file, in ``rank_ids`` order,
     #: from the index alone — what the pipeline balances pooled work by.
     rank_bytes: Optional[Callable[[Path], list[int]]] = None
-    rank_records: Optional[Callable[[Path, int], Iterator[TraceRecord]]] = None
     rank_segments: Optional[Callable[[Path, int], Iterator[Segment]]] = None
     #: Cut ranks into the runs to decode at a time: ``(ranks, block bytes)`` pairs.
     rank_runs: Optional[Callable[[Path, Iterable[int]], list[Tuple[Tuple[int, ...], int]]]] = None
     #: Decode one run of ranks straight into columnar ``RankFrame``s (no
-    #: Segment objects).  An indexed format without it is still read, rank by
-    #: rank through ``RankFrame.from_segments``, but pooled work is not cut
-    #: from its index: ``(path, ranks)`` batches need this decoder.
+    #: Segment objects): what a ``(path, ranks)`` batch's worker runs.
     rank_frames: Optional[Callable[[Path, Iterable[int]], list["RankFrame"]]] = None
 
     @property
@@ -205,7 +201,6 @@ register_format(
     TraceFormat(
         name="text",
         suffixes=(".txt", ".trace"),
-        description="one whitespace-delimited line per record (forward-only)",
         write=textio.write_trace_text,
         read=textio.read_trace_text,
         open_writer=textio.TextTraceWriter,
@@ -218,7 +213,6 @@ register_format(
     TraceFormat(
         name="rpb",
         suffixes=(binio.RPB_SUFFIX,),
-        description="columnar binary record blocks with a per-rank footer index",
         write=binio.write_trace_rpb,
         read=binio.read_trace_rpb,
         open_writer=binio.RpbTraceWriter,
@@ -226,7 +220,6 @@ register_format(
         text_bytes=binio.text_bytes,
         rank_ids=binio.rank_ids,
         rank_bytes=binio.rank_bytes,
-        rank_records=binio.iter_rank_records,
         rank_segments=binio.iter_rank_segments,
         rank_runs=binio.rank_runs,
         rank_frames=binio.rank_frames,

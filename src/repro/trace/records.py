@@ -9,6 +9,7 @@ grouping them under SEGMENT markers) happens after collection in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional
@@ -54,7 +55,9 @@ class TraceRecord:
 
     def __post_init__(self) -> None:
         validate_name(self.name, "record name")
-        if self.timestamp < 0:
-            raise ValueError(f"record timestamp must be non-negative, got {self.timestamp}")
+        if not 0 <= self.timestamp < math.inf:  # NaN fails both comparisons
+            raise ValueError(
+                f"record timestamp must be a finite number >= 0, got {self.timestamp}"
+            )
         if self.mpi is not None and self.kind is not RecordKind.ENTER:
             raise ValueError("MPI call info may only be attached to ENTER records")

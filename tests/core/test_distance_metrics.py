@@ -101,5 +101,5 @@ class TestAbsDiff:
         stored = _stored(seg)
         metric = AbsDiff(10.0)
         chosen = metric.match(seg, [stored])
-        metric.on_match(seg, chosen)
+        metric.on_match(np.asarray(seg.timestamps()), chosen)
         assert stored.count == 2

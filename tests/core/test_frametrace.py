@@ -120,10 +120,14 @@ class TestReduction:
         assert [rank.stored for rank in reduced.ranks] == [rank.stored for rank in expected.ranks]
         assert trace.materialized == reduced.n_stored  # reading ``.segment`` is what builds one
 
-    def test_iteration_reduction_materializes_every_segment(self, frame_trace):
+    def test_iteration_reduction_materializes_only_averaged_representatives(self, frame_trace):
         before = frame_trace.materialized
         TraceReducer(create_metric("iter_k")).reduce(frame_trace)
-        assert frame_trace.materialized == before + frame_trace.num_segments
+        assert frame_trace.materialized == before  # iter_k decides on the bucket's length
+        reduced = TraceReducer(create_metric("iter_avg")).reduce(frame_trace)
+        averaged = sum(1 for rank in reduced.ranks for stored in rank.stored if stored.count > 1)
+        # iter_avg builds a representative's Segment at its first match, to average into.
+        assert 0 < averaged == frame_trace.materialized - before < frame_trace.num_segments
 
 
 class TestFromFile:

@@ -60,7 +60,7 @@ class TestIterAvg:
     def test_on_match_updates_running_mean(self):
         stored = _stored(_seg(10.0, end=20.0))
         metric = IterAvg()
-        metric.on_match(_seg(20.0, end=40.0), stored)
+        metric.on_match(np.asarray(_seg(20.0, end=40.0).timestamps()), stored)
         # mean of (10, 20) for the event end, (20, 40) for the segment end
         assert stored.segment.events[0].end == pytest.approx(15.0)
         assert stored.segment.end == pytest.approx(30.0)
@@ -71,7 +71,7 @@ class TestIterAvg:
         metric = IterAvg()
         values = [20.0, 30.0, 60.0]
         for v in values:
-            metric.on_match(_seg(v, end=2 * v), stored)
+            metric.on_match(np.asarray(_seg(v, end=2 * v).timestamps()), stored)
         expected_event_end = np.mean([10.0] + values)
         assert stored.segment.events[0].end == pytest.approx(expected_event_end)
         assert stored.count == 4

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from repro.core.candidates import CandidateList, MatchCounters, first_match_index
 from repro.core.frames import RankFrame
 from repro.core.metrics import DEFAULT_THRESHOLDS, METRIC_CLASSES, create_metric
-from repro.core.metrics.distance import AbsDiff, RelDiff, relative_differences
+from repro.core.metrics.distance import AbsDiff, RelDiff
 from repro.core.metrics.minkowski import Chebyshev, Euclidean, Manhattan
 from repro.core.metrics.wavelet import AvgWave, HaarWave
 from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
@@ -20,7 +20,7 @@ from repro.core import reducer as reducer_module
 from repro.core.reducer import KeyBatches, ReductionState, TraceReducer
 from repro.fuzz.executor import plan_cases
 from repro.fuzz.generators import generate_case
-from repro.pipeline.store import RepresentativeStore, create_store
+from repro.pipeline.store import create_store
 from repro.trace.io import serialize_reduced_trace
 
 from tests.conftest import make_segment
@@ -230,7 +230,7 @@ class TestMatchCounters:
 class TestEveryMetricScansACandidateList:
     @pytest.mark.parametrize("name", sorted(METRIC_CLASSES))
     def test_scan_reads_a_bucket_like_a_list(self, name):
-        """The core's non-dense probe is ``metric.match`` on the store's bucket."""
+        """``metric.match`` reads a store bucket as it reads a list."""
         metric = create_metric(name)
         bucket = CandidateList()
         bucket.append(_stored(_jittered(0.0)))
@@ -271,13 +271,7 @@ def _per_row(metric, segments, store, counters=None, cuts=()):
     for lo, hi in zip((0, *cuts), (*cuts, len(segments))):
         frame = RankFrame.from_segments(0, segments[lo:hi])
         reduced.n_segments += frame.n_segments
-        state = ReductionState(metric, reduced, store, counters)
-        keys, starts = frame.structural_keys(), frame.starts_list()
-        vectors = metric.frame_vectors(frame)
-        for i in range(frame.n_segments):
-            candidates = state.lookup(keys[i])
-            chosen = state.match(vectors[i], candidates) if candidates else None
-            state.record(keys[i], starts[i], candidates, chosen, vectors[i], frame, i, [None])
+        ReductionState(metric, reduced, store, counters).step_rows(frame, metric.frame_vectors(frame))
     return reduced
 
 
@@ -317,51 +311,6 @@ class TestBroadcastKernels:
         assert metric.row_scale(rows[0]) == 7.0
 
 
-class _CountingRelDiff(RelDiff):
-    """Overrides ``on_match``: must see every matched segment, so cannot batch."""
-
-    def __init__(self, threshold):
-        super().__init__(threshold)
-        self.seen = 0
-
-    def on_match(self, candidate, chosen):
-        self.seen += 1
-        super().on_match(candidate, chosen)
-
-
-class _FilteringStore(RepresentativeStore):
-    """Hides every other lookup's bucket: only the per-row step calls ``candidates``."""
-
-    def __init__(self):
-        super().__init__()
-        self.calls = 0
-
-    def candidates(self, key):
-        self.calls += 1
-        return super().candidates(key) if self.calls % 2 else ()
-
-
-class _LegacyKernelRelDiff(RelDiff):
-    """A kernel written to the older contract: reduces over ``axis=1``."""
-
-    def match_stats(self, vector, matrix, row_scales=None):
-        return relative_differences(matrix, vector).max(axis=1, initial=0.0), None
-
-
-class _AsymmetricAbsDiff(AbsDiff):
-    """Limit relative to the stored row alone: probe and row are not interchangeable."""
-
-    def similar(self, new_ts, stored_ts, new_segment, stored_segment):
-        limit = self.threshold * np.abs(stored_ts).max(initial=0.0)
-        return bool(np.abs(new_ts - stored_ts).max(initial=0.0) <= limit)
-
-    def match_stats(self, vector, matrix, row_scales=None):
-        return (
-            np.abs(matrix - vector).max(axis=-1, initial=0.0),
-            np.abs(matrix).max(axis=-1, initial=0.0),
-        )
-
-
 def _mixed_rank():
     """Two interleaved keys with repeats, near repeats and strangers."""
     deltas = [0.0, 0.1, 30.0, 0.0, 0.2, 30.1, 60.0, 0.1]
@@ -375,28 +324,16 @@ class TestPredicate:
     @pytest.mark.parametrize("name", DISTANCE_NAMES)
     def test_distance_metric_on_unbounded_store_batches(self, name):
         state = ReductionState(create_metric(name), ReducedRankTrace(rank=0), create_store())
-        assert state.dense and state.batchable
+        assert state.batchable
 
     @pytest.mark.parametrize(
         "make_metric, make_store",
         [
             (lambda: create_metric("iter_avg"), create_store),
             (lambda: create_metric("iter_k", 2), create_store),
-            (lambda: _CountingRelDiff(0.8), create_store),
             (lambda: RelDiff(0.8), lambda: create_store(1000)),
-            (lambda: RelDiff(0.8), _FilteringStore),
-            (lambda: _LegacyKernelRelDiff(0.8), create_store),
-            (lambda: _AsymmetricAbsDiff(0.05), create_store),
         ],
-        ids=[
-            "iter_avg",
-            "iter_k",
-            "on_match_override",
-            "bounded_store",
-            "store_subclass",
-            "axis1_kernel",
-            "asymmetric_kernel",
-        ],
+        ids=["iter_avg", "iter_k", "bounded_store"],
     )
     def test_everything_else_takes_the_per_row_step(self, make_metric, make_store):
         segments = _mixed_rank()
@@ -412,27 +349,6 @@ class TestPredicate:
         assert counters.calls == reduced.n_possible_matches > 0
         scanned = _scan(make_metric(), segments, make_store())
         assert _bytes(metric, [reduced]) == _bytes(metric, [scanned])
-        if isinstance(metric, _CountingRelDiff):
-            assert metric.seen == reduced.n_matches > 0
-
-    def test_older_contract_kernels_stay_exact_where_batching_would_not_be(self):
-        # Forcing the batch step on either input gives other bytes (checked by
-        # hand): stage 1 misreads the axis=1 kernel's (p, n) mask, and stage 2
-        # swaps the roles the asymmetric limit depends on.
-        def scaled(s):
-            return make_segment("c", [("f", s, 20 * s), ("g", 25 * s, 40 * s)], end=50 * s)
-
-        grown = [scaled(1.0), scaled(1.5).shifted(100.0), scaled(1.0).shifted(200.0)]
-        mixed = _mixed_rank() * 2
-        for make_metric, segments, cuts in [
-            (lambda: _LegacyKernelRelDiff(0.8), mixed, (3,)),
-            (lambda: _LegacyKernelRelDiff(0.1), mixed, (8,)),
-            (lambda: _AsymmetricAbsDiff(0.4), grown, ()),
-        ]:
-            metric = make_metric()
-            reduced = _chunked(metric, segments, cuts, create_store())
-            assert _bytes(metric, [reduced]) == _bytes(metric, [_scan(make_metric(), segments)])
-        assert [sid for sid, _ in reduced.execs] == [0, 1, 0]
 
     def test_batch_step_makes_fewer_calls_over_no_more_pairs(self):
         segments = _mixed_rank() * 4
@@ -456,38 +372,60 @@ class TestPredicate:
         assert len(reads) == 2 * counters.calls > 0
 
 
-class TestRowsAreWrittenWhenStored:
-    @pytest.mark.parametrize("cuts", [(), (5, 6, 17)], ids=["whole", "chunked"])
-    @pytest.mark.parametrize("capacity", [None, 8])
-    @pytest.mark.parametrize("name", sorted(METRIC_CLASSES))
-    def test_every_dense_bucket_is_fully_built(self, name, capacity, cuts):
+def _strangers_and_repeats():
+    """Three keys, mostly strangers at a strict threshold, every fifth a repeat,
+    then a fourth key seen once."""
+    return [
+        _jittered(3.0 * (i - i % 5), context="abc"[i % 3]).shifted(100.0 * i) for i in range(30)
+    ] + [_jittered(0.0, context="d").shifted(3000.0)]
+
+
+def _strict(name):
+    """``name`` at its default threshold / 50; the iteration methods keep their defaults."""
+    return create_metric(name, DEFAULT_THRESHOLDS[name] / 50 if name in DISTANCE_NAMES else None)
+
+
+@pytest.mark.parametrize("cuts", [(), (5, 6, 17)], ids=["whole", "chunked"])
+@pytest.mark.parametrize("capacity", [None, 8])
+@pytest.mark.parametrize("name", sorted(METRIC_CLASSES))
+class TestFrameRowsAreTheOnlyProbe:
+    def test_no_segment_is_built_to_reduce(self, name, capacity, cuts):
+        """Every method steps with frame rows and stores ``(frame, row)``: only
+        ``iter_avg`` builds a Segment, one per representative it averages into."""
+        segments = _strangers_and_repeats()
+        metric, store = _strict(name), create_store(capacity)
+        reducer, reduced, frames = TraceReducer(metric), None, []
+        for lo, hi in zip((0, *cuts), (*cuts, len(segments))):
+            frames.append(RankFrame.from_segments(0, segments[lo:hi]))
+            reduced = reducer.reduce_frame(frames[-1], store=store, into=reduced)
+        materialized = sum(frame.materialized for frame in frames)
+        averaged = sum(1 for stored in reduced.stored if stored.count > 1)
+        assert materialized == (averaged if name == "iter_avg" else 0), (name, capacity, cuts)
+        if name == "iter_avg":
+            assert 0 < averaged < len(reduced.stored)
+        for bucket in store._by_key.values():
+            assert len(bucket.matrix_and_scales()[0]) == len(bucket) > 0
+        expected = _scan(_strict(name), segments, create_store(capacity))
+        assert _bytes(metric, [reduced]) == _bytes(metric, [expected])
+
+    def test_every_bucket_is_fully_built(self, name, capacity, cuts):
         """Nothing restores a missing row on demand, so none may ever be missing."""
-        # Three keys, mostly strangers at a strict threshold, every fifth a repeat.
-        segments = [
-            _jittered(3.0 * (i - i % 5), context="abc"[i % 3]).shifted(100.0 * i)
-            for i in range(30)
-        ]
-        strict = name in DISTANCE_NAMES  # the iteration methods keep their defaults
-        metric = create_metric(name, DEFAULT_THRESHOLDS[name] / 50 if strict else None)
-        store = create_store(capacity)
-        reduced = _chunked(metric, segments, cuts, store)
-        dense = ReductionState(metric, reduced, store).dense
-        assert dense == (name in DISTANCE_NAMES)
+        metric, store = _strict(name), create_store(capacity)
+        _chunked(metric, _strangers_and_repeats(), cuts, store)
         buckets = list(store._by_key.values())
         assert sum(len(bucket) for bucket in buckets) == len(store) > 0
         for bucket in buckets:
-            if not dense:
-                assert bucket._matrix is None and bucket._scales is None
-                continue
             matrix, scales = bucket.matrix_and_scales()
             assert len(matrix) == len(bucket) > 0
-            assert (scales is None) == (metric.row_scale is None)
+            assert (scales is None) == (getattr(metric, "row_scale", None) is None)
             for i, entry in enumerate(bucket):
+                if entry.count > 1 and name == "iter_avg":
+                    continue  # its running mean moved on from the row it was stored with
                 row = metric.build_vector(entry.segment)
                 assert matrix[i].tobytes() == row.tobytes(), (name, capacity, cuts, i)
                 if scales is not None:
                     assert scales[i] == metric.row_scale(row)
-        if capacity is not None and dense:
+        if capacity is not None and name in DISTANCE_NAMES:
             assert store.counters.evictions > 0  # rows survived trimming and bucket eviction
 
 

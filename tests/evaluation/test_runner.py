@@ -4,6 +4,7 @@ import pytest
 
 from repro.benchmarks_ats import late_sender
 from repro.core.metrics import create_metric
+from repro.core.reducer import TraceReducer
 from repro.evaluation import runner
 from repro.evaluation.runner import (
     EvaluationResult,
@@ -28,15 +29,18 @@ class TestPreparedWorkload:
         assert prepared.segmented.num_segments > 0
 
     def test_evaluation_never_rebuilds_segments_to_reduce(self):
-        """A simulated workload is adapted to frames once; a dense method and its four
-        criteria build no segment, an iteration method one per segment as before."""
+        """A simulated workload is adapted to frames once; a method and its four
+        criteria build no segment, but for one per representative iter_avg averages."""
         fresh = PreparedWorkload.from_workload(late_sender(nprocs=4, iterations=8, seed=2))
         assert fresh.segmented.materialized == 0
         result = evaluate_method(fresh, create_metric("euclidean"))
         assert fresh.segmented.materialized == 0
         assert 0 < result.n_stored < result.n_segments
         evaluate_method(fresh, create_metric("iter_k"))
-        assert fresh.segmented.materialized == result.n_segments
+        assert fresh.segmented.materialized == 0
+        averaged = TraceReducer(create_metric("iter_avg")).reduce(fresh.segmented)
+        matched = sum(1 for rank in averaged.ranks for stored in rank.stored if stored.count > 1)
+        assert 0 < fresh.segmented.materialized == matched < result.n_segments
 
 
 class TestEvaluateMethod:

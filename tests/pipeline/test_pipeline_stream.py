@@ -147,28 +147,3 @@ class TestIndexedSources:
         write_trace(trace, text)
         assert indexed_source_ranks(text) is None
         assert indexed_source_ranks(trace) is None
-
-    def test_indexed_format_without_frame_decoder_is_not_sharded(
-        self, monkeypatch, rpb_path
-    ):
-        # ``TraceFormat.rank_frames`` is optional: without it no (path, ranks)
-        # batch is cut (a worker could not decode it), the frames are built
-        # here through the segments adapter instead.
-        import dataclasses
-
-        from repro.pipeline import stream
-        from repro.trace.formats import resolve_format
-
-        _, path = rpb_path
-        expected = [
-            frame.segments() for _, frame in stream.rank_frame_streams(path)
-        ]
-        bare = dataclasses.replace(resolve_format(path), rank_frames=None)
-        monkeypatch.setattr(stream, "resolve_format", lambda _path: bare)
-        assert indexed_source_ranks(path) is None
-        batches = list(stream.rank_batches(path, n_batches=2))
-        assert [b.path for b in batches] == [None] * 4
-        got = [f.segments() for b in batches for f in b.iter_frames()]
-        assert [[s.timestamps() for s in r] for r in got] == [
-            [s.timestamps() for s in r] for r in expected
-        ]

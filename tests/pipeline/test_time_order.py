@@ -30,8 +30,9 @@ ENTER, EXIT, BEGIN, END = (
 )
 STRINGS = ["main", "f"]
 #: Three executions of one structure — row 0 is stored, rows 1 and 2 match it
-#: under a wide ``absDiff`` — as (BEGIN, ENTER, EXIT, END) times.
-ROWS = [(0.0, 1.0, 2.0, 3.0), (10.0, 11.0, 12.0, 13.0), (20.0, 21.0, 22.0, 23.0)]
+#: under a wide ``absDiff`` — as (BEGIN, ENTER, EXIT, END) times.  A broken
+#: time stays >= 0: the decoder refuses a negative one before the order check.
+ROWS = [(5.0, 6.0, 7.0, 8.0), (10.0, 11.0, 12.0, 13.0), (20.0, 21.0, 22.0, 23.0)]
 #: case -> (the time of a row to move to 1 us before its BEGIN, the constructor's message).
 CASES = {
     "event": (2, "event 'f' has end (-1.0) before start (1.0)"),

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.metrics import METRIC_NAMES, THRESHOLD_STUDY, create_metric
-from repro.core.metrics.base import DistanceMetric
 from repro.core.metrics.wavelet import AvgWave
 from repro.sweep.plan import SweepConfig, SweepPlan
 
@@ -87,22 +86,23 @@ class TestFamilyGrouping:
     def test_pairwise_methods_share_a_family(self):
         plan = SweepPlan([("relDiff", 0.1), ("absDiff", 10.0), ("relDiff", 0.8)])
         assert plan.n_families == 1
-        assert plan.families[0].vectorized
+        assert plan.families[0].vector_key == "pairwise"
 
     def test_minkowski_methods_share_a_family(self):
         plan = SweepPlan.from_grid(["manhattan", "euclidean", "chebyshev"], [0.2, 0.4])
         assert plan.n_families == 1
-        assert plan.families[0].n_configs == 6
+        assert len(plan.families[0].configs) == 6
 
     def test_wavelet_transforms_are_distinct_families(self):
         plan = SweepPlan.from_grid(["avgWave", "haarWave"], [0.2])
         assert plan.n_families == 2
 
-    def test_iteration_methods_are_scan_only_singletons(self):
-        plan = SweepPlan.from_grid(["iter_k", "iter_avg"], [1.0, 10.0])
-        scan_only = [f for f in plan.families if not f.vectorized]
-        assert len(scan_only) == 3  # iter_k(1), iter_k(10), iter_avg
-        assert all(f.n_configs == 1 for f in scan_only)
+    def test_iteration_methods_join_the_pairwise_family(self):
+        # They are stepped with pairwise rows, which iter_avg averages.
+        plan = SweepPlan.from_grid(["iter_k", "relDiff", "iter_avg"], [1.0, 10.0])
+        assert plan.n_families == 1
+        assert plan.families[0].vector_key == "pairwise"
+        assert len(plan.families[0].configs) == 5  # iter_k(1), iter_k(10), relDiff ×2, iter_avg
 
     def test_families_partition_the_configs(self):
         plan = SweepPlan.from_grid(
@@ -143,10 +143,7 @@ def test_family_grouping_never_merges_different_feature_vectors(specs, segments)
     plan = SweepPlan(specs)
     relative = segments[0].relative_to_start()
     for family in plan.families:
-        if not family.vectorized:
-            continue
         metrics = [c.create() for c in family.configs]
-        assert all(isinstance(m, DistanceMetric) for m in metrics)
         # The family key is by definition the shared cache key...
         assert {m.vector_key() for m in metrics} == {family.vector_key}
         # ...and the vectors it stands for are numerically identical.

@@ -17,13 +17,20 @@ segment, exactly as the same records would from any other source
 
 from __future__ import annotations
 
+import io
+import math
 import random
 import signal
+
+import numpy as np
+import pytest
 
 from repro.experiments.config import build_workload
 from repro.trace import binio
 from repro.trace.binio import RpbFormatError
 from repro.trace.segments import SegmentationError
+
+from tests.trace.rpb_files import npy_bytes, rewrite_block, split_members
 
 CASES = 600
 SECONDS = 10
@@ -98,3 +105,26 @@ def test_every_damage_is_a_format_error_or_a_decoded_trace(tmp_path):
     assert not offenders, f"{len(offenders)} offenders, first: " + "; ".join(offenders[:5])
     # The harness is not vacuous: each outcome it allows was seen.
     assert outcomes["RpbFormatError"] > CASES and outcomes["decoded"] > CASES // 10
+
+
+def _nan_at_second_record(block: bytes) -> bytes:
+    """The block with its time column's second value (an ENTER or a BEGIN) set to NaN."""
+    members = split_members(block)
+    time = np.load(io.BytesIO(members[1]), allow_pickle=False).copy()
+    time[1] = math.nan
+    members[1] = npy_bytes(time)
+    return b"".join(members)
+
+
+def test_a_non_finite_timestamp_is_a_format_error_on_every_decoding_reader(tmp_path):
+    """The damage no bit flip is sure to make: one value of a time column
+    turned NaN.  It decodes to no trace; only the index still reads."""
+    path = tmp_path / "nan.rpb"
+    binio.write_trace_rpb(build_workload("late_sender", "smoke").run(), path)
+    rewrite_block(path, 0, _nan_at_second_record)
+    for name, (reader, _) in READERS.items():
+        if name == "rank_ids":
+            reader(path)
+            continue
+        with pytest.raises(RpbFormatError, match="rank 0 block: record timestamp must be"):
+            reader(path)

@@ -44,10 +44,10 @@ def digit_gain_neighbours():
     return out
 
 
-#: Non-negative timestamps a ``TraceRecord`` accepts where the format changes length.
+#: Finite non-negative timestamps a ``TraceRecord`` accepts where the format changes length.
 EDGE_TIMESTAMPS = [
     0.0, 0.004999999999999999, 0.005, 0.125, 9.994999999999999, 9.995, 1e15,
-    math.nextafter(1e15, 0.0), 1e16, 1e300, math.inf, math.nan, *digit_gain_neighbours(),
+    math.nextafter(1e15, 0.0), 1e16, 1e300, *digit_gain_neighbours(),
 ]
 
 names = st.sampled_from(["f", "main.1", "αβγ", "计算", "naïve_κ", "x" * 40, "🚀launch"])
@@ -146,19 +146,29 @@ class TestAgainstRecordOracle:
 
 
 class TestTimestampLengths:
-    ODD = [-0.001, -0.0, -0.004999999999999999, -0.005, -1.0, -9.995, -123456.789, -1e15, -1e300,
-           -math.inf]
+    #: Values no ``TraceRecord`` may carry: only the columns can hold them.
+    REFUSED = [-0.001, -0.004999999999999999, -0.005, -1.0, -9.995, -123456.789, -1e15, -1e300,
+               -math.inf, math.inf, math.nan]
+    ODD = [-0.0, *REFUSED]
 
-    @pytest.mark.parametrize("t", EDGE_TIMESTAMPS + ODD, ids=repr)
-    def test_one_timestamp(self, t, tmp_path):
-        # Straight into the columns: a TraceRecord refuses negative timestamps.
-        path = write_rpb(
+    @staticmethod
+    def _one(t, tmp_path):
+        # Straight into the columns: a TraceRecord refuses what REFUSED holds.
+        return write_rpb(
             tmp_path / "t.rpb",
             [(12, 2, block_bytes(kind=[0, 1], time=[t, 1.0], name=[0, 0]))],
             ["fn"],
         )
+
+    @pytest.mark.parametrize("t", EDGE_TIMESTAMPS + [-0.0], ids=repr)
+    def test_one_timestamp(self, t, tmp_path):
         expected = len(f"ENTER 12 {t:.2f} fn\n") + len("EXIT 12 1.00 fn\n")
-        assert binio.text_bytes(path) == expected
+        assert binio.text_bytes(self._one(t, tmp_path)) == expected
+
+    @pytest.mark.parametrize("t", REFUSED, ids=repr)
+    def test_a_timestamp_no_record_may_carry_is_a_format_error(self, t, tmp_path):
+        with pytest.raises(binio.RpbFormatError, match="finite number >= 0"):
+            binio.text_bytes(self._one(t, tmp_path))
 
     def test_negative_zero_keeps_its_sign(self):
         assert "{:.2f}".format(-0.001) == "-0.00"

@@ -8,6 +8,11 @@ lines`` row each.  A zero-hit function must have a line in ``kept.txt``
 (``module:qualname  reason``) or the run exits 1: dead surface is either
 deleted or kept for a stated reason.
 
+Below that list, the report names the statements of *called* functions that
+no command executed, one ``file:line  module:qualname  source`` row each —
+raw, for reading, not gated.  Error paths are left out: ``raise`` and
+``assert`` statements, a block that ends in ``raise``, and ``except`` bodies.
+
     python tests/traffic/run.py [--out unhit.txt] [--keep DIR]
 
 ``--keep DIR`` runs the commands in ``DIR`` instead of a temporary directory
@@ -128,19 +133,82 @@ def kept_names() -> dict[str, str]:
     return kept
 
 
+def _statements(body):
+    """``(first line, lines)`` of each statement of ``body`` a line event can
+    show running: a compound statement by its header, nested defs left to
+    their own rows, error paths left out."""
+    if body and isinstance(body[-1], ast.Raise):
+        return  # an error-path block
+    for stmt in body:
+        if isinstance(stmt, _SILENT) or (
+            isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+        ):
+            continue
+        if isinstance(stmt, (ast.Try, ast.TryStar)):
+            for block in (stmt.body, stmt.orelse, stmt.finalbody):  # not the handlers
+                yield from _statements(block)
+            continue
+        blocks = [case.body for case in stmt.cases] if isinstance(stmt, ast.Match) else [
+            block for block in (getattr(stmt, "body", None), getattr(stmt, "orelse", None)) if block
+        ]
+        if not blocks:
+            yield stmt.lineno, range(stmt.lineno, stmt.end_lineno + 1)
+            continue
+        header_end = (stmt.cases[0].pattern if isinstance(stmt, ast.Match) else blocks[0][0]).lineno
+        yield stmt.lineno, range(stmt.lineno, max(stmt.lineno + 1, header_end))
+        for block in blocks:
+            yield from _statements(block)
+
+
+#: Statements that raise no line event (nor do docstrings and ``...``), or
+#: that another row or an error path covers.
+_SILENT = (
+    ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Raise, ast.Assert,
+    ast.Pass, ast.Global, ast.Nonlocal,
+)
+
+
+def unrun_statements(hit: set[str], executed: dict[str, set[int]]) -> list[str]:
+    """Rows for the statements of called functions that ``executed`` never saw."""
+    rows = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        text = path.read_text()
+        source, module = text.splitlines(), _module_of(path)
+        seen = executed.get(str(path.relative_to(SRC)), set())
+
+        def walk(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    qualname = prefix + child.name
+                    if f"{module}:{qualname}" in hit:
+                        for first, lines in _statements(child.body):
+                            if seen.isdisjoint(lines):
+                                rows.append(f"{path.relative_to(ROOT)}:{first}  "
+                                            f"{module}:{qualname}  {source[first - 1].strip()}")
+                    walk(child, qualname + ".<locals>.")
+                elif isinstance(child, ast.ClassDef):
+                    walk(child, prefix + child.name + ".")
+                else:
+                    walk(child, prefix)
+
+        walk(ast.parse(text), "")
+    return rows
+
+
 def _module_of(filename: str | Path) -> str:
     """Dotted module name of a file under ``src/``."""
     parts = Path(filename).relative_to(SRC).with_suffix("").parts
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
-def run_commands(tmp: Path) -> set[str]:
-    """Run ``COMMANDS`` under the hook; the ``module:qualname`` of every code object called."""
+def run_commands(tmp: Path) -> tuple[set[str], dict[str, set[int]]]:
+    """Run ``COMMANDS`` under the hook: the ``module:qualname`` of every code
+    object called, and per file under ``src/`` the lines executed."""
     version = f"python{sys.version_info.major}.{sys.version_info.minor}"
     site = tmp / "userbase" / "lib" / version / "site-packages"
     site.mkdir(parents=True)
     shutil.copy(HERE / "hook.py", site / "usercustomize.py")
-    log = tmp / "calls.log"
+    log, lines_log = tmp / "calls.log", tmp / "lines.log"
     stdout = tmp / "stdout"
     stdout.mkdir()
     env = {
@@ -148,6 +216,7 @@ def run_commands(tmp: Path) -> set[str]:
         "PYTHONPATH": str(SRC),
         "PYTHONUSERBASE": str(tmp / "userbase"),
         "REPRO_TRAFFIC_LOG": str(log),
+        "REPRO_TRAFFIC_LINES": str(lines_log),
         "REPRO_TRAFFIC_ROOT": str(SRC) + os.sep,
     }
     for number, command in enumerate(COMMANDS, 1):
@@ -166,23 +235,27 @@ def run_commands(tmp: Path) -> set[str]:
     for line in log.read_text().splitlines():
         filename, _, qualname = line.rpartition(":")
         hit.add(f"{_module_of(filename)}:{qualname}")
-    return hit
+    executed: dict[str, set[int]] = {}
+    for line in lines_log.read_text().splitlines():
+        filename, _, lineno = line.rpartition(":")
+        executed.setdefault(filename, set()).add(int(lineno))
+    return hit, executed
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, default=None,
-                        help="write the unhit list here (default: stdout)")
+                        help="write the report here (default: stdout)")
     parser.add_argument("--keep", type=Path, default=None, metavar="DIR",
                         help="run in DIR (new or empty) and keep the commands' products there")
     args = parser.parse_args(argv)
 
     if args.keep is not None:
         args.keep.mkdir(parents=True, exist_ok=True)
-        hit = run_commands(args.keep.resolve())
+        hit, executed = run_commands(args.keep.resolve())
     else:
         with tempfile.TemporaryDirectory(prefix="repro-traffic-") as tmp:
-            hit = run_commands(Path(tmp))
+            hit, executed = run_commands(Path(tmp))
     functions = src_functions()
     kept = kept_names()
     unhit = {name: lines for name, lines in functions.items() if name not in hit}
@@ -191,7 +264,12 @@ def main(argv=None) -> int:
     summary = (f"# {len(unhit)} of {len(functions)} functions "
                f"({sum(unhit.values())} of {sum(functions.values())} function lines) never called "
                f"by {len(COMMANDS)} commands")
-    text = "\n".join([summary, *rows]) + "\n"
+    unrun = unrun_statements(hit, executed)
+    text = "\n".join([
+        summary, *rows, "",
+        f"# {len(unrun)} statements of called functions never executed (error paths left out)",
+        *unrun,
+    ]) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
