@@ -9,15 +9,14 @@ pipeline without writing any Python:
 * ``repro-trace trends <workload>``          — the retention-of-trends table
 * ``repro-trace figure <fig5|fig6|fig7|fig8>`` — regenerate a comparative figure
 * ``repro-trace pipeline <workload>``        — streaming parallel reduction with
-  per-stage instrumentation (executor/worker/store options); also ingests
-  trace files directly (``--trace``) and dumps workload traces (``--save-trace``)
+  per-stage instrumentation; also dumps workload traces (``--save-trace``)
 * ``repro-trace convert <in> <out>``         — convert a trace file between the
   text and columnar-binary (``.rpb``) formats
 * ``repro-trace sweep <workload>``           — evaluate a whole method ×
   threshold grid in one shared-ingest pass (table or ``--json`` report with
-  per-config criteria and vector-sharing stats); ``--trace FILE`` sweeps a
-  trace file instead; a sweep is the pipeline's run with one metric per
-  config, so ``--executor process`` takes the same rank-batch tasks
+  per-config criteria and vector-sharing stats); a sweep is the pipeline's
+  run with one metric per config, so ``--executor process`` takes the same
+  rank-batch tasks
 * ``repro-trace serve <workload>``           — drive the online reduction
   service: concurrent incremental sessions with per-tenant budgets and
   eviction-to-checkpoint, flush-delta logging (``--deltas``), and repeat
@@ -27,6 +26,20 @@ pipeline without writing any Python:
 
 All commands accept ``--scale {smoke,default,paper}`` (default: the
 ``REPRO_SCALE`` environment variable, falling back to ``default``).
+
+The commands that take a trace (``pipeline``, ``sweep``, ``serve``) share
+one door.  Their common options are ``argparse`` parent parsers, declared
+once: the input (``workload`` or ``--trace FILE``, ``--store-capacity``,
+``--verify``, ``--telemetry``) in all three, ``--method``/``--threshold`` in
+``pipeline`` and ``serve``, ``--executor``/``--workers`` in ``pipeline`` and
+``sweep``.  :func:`_trace_path` checks the input; a file that is no valid
+trace is one ``repro-trace: error: FILE: …`` line and exit 2.  ``--verify``
+hands the segment-at-a-time oracle the command's *input* — the file, read
+again by the segment decoder, or the workload's simulated segments — never
+frames the command built (:func:`_matches_serial_reducer`).
+
+Every subcommand names its handler (``set_defaults(run=…)``), which takes
+``(args, scale)`` and returns the text to print.
 """
 
 from __future__ import annotations
@@ -36,6 +49,7 @@ import errno
 import os
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Optional, Sequence
 
 from repro import obs
@@ -59,8 +73,10 @@ from repro.experiments.trend_tables import trend_table
 from repro.pipeline.engine import EXECUTORS, PipelineConfig, ReductionPipeline
 from repro.pipeline.store import create_store
 from repro.pipeline.stream import rank_segment_streams, source_name
+from repro.trace.binio import RpbFormatError
 from repro.trace.formats import convert_trace, format_names, resolve_format
-from repro.trace.io import serialize_reduced_trace, write_reduced_trace, write_trace
+from repro.trace.io import TextFormatError, serialize_reduced_trace, write_reduced_trace, write_trace
+from repro.trace.segments import SegmentationError
 from repro.util.tables import format_table
 
 __all__ = ["main", "build_parser"]
@@ -69,6 +85,19 @@ __all__ = ["main", "build_parser"]
 #: oracles and the tests run the pooled code on it in-process; it is not a way
 #: to go faster, so no command offers it.
 _CLI_EXECUTORS = tuple(e for e in EXECUTORS if e != "thread")
+
+#: What the trace readers raise for a ``--trace`` file that is no valid trace.
+_BAD_TRACE = (TextFormatError, RpbFormatError, SegmentationError)
+
+#: ``serve``'s counts and the least value each takes (``None`` is unbounded).
+_SERVE_MINIMUMS = (
+    ("sessions", 1),
+    ("chunk", 1),
+    ("flush_every", 1),
+    ("repeat", 0),
+    ("tenant_budget", 1),
+    ("queue_limit", 1),
+)
 
 
 class _UsageError(Exception):
@@ -91,18 +120,37 @@ class _VerificationFailed(Exception):
         self.report = report
 
 
-def _matches_serial_reducer(metric, streams, store_capacity, reduced_traces) -> bool:
-    """``--verify``: are these the segment-at-a-time reducer's bytes?
+def _matches_serial_reducer(metric, source, store_capacity, reduced_traces) -> bool:
+    """``--verify``: are these the segment-at-a-time reducer's bytes for ``source``?
 
-    ``streams`` are the ``(rank, segments)`` pairs the command reduced.  The
+    ``source`` is the command's input — the ``--trace`` file, which the
+    segment decoder reads again, or the workload's simulated
+    ``SegmentedTrace`` — never frames the command built, so a fault in the
+    frame decoder or the segments→frame adapter shows as a mismatch.  The
     oracle runs under the command's own store bound — unbounded, it would
     "fail" every run whose ``--store-capacity`` binds.
     """
     oracle = TraceReducer(metric).reduce_streams(
-        "oracle", streams, store_factory=lambda: create_store(store_capacity)
+        "oracle",
+        rank_segment_streams(source),
+        store_factory=lambda: create_store(store_capacity),
     )
     want = serialize_reduced_trace(oracle)
     return all(serialize_reduced_trace(reduced) == want for reduced in reduced_traces)
+
+
+def _trace_path(args) -> Optional[Path]:
+    """The checked ``--trace`` file, or ``None`` to simulate ``args.workload``."""
+    if args.trace is None:
+        if args.workload is None:
+            raise _UsageError("a workload name or --trace FILE is required")
+        return None
+    if args.workload is not None:
+        raise _UsageError("give either a workload or --trace FILE, not both")
+    path = Path(args.trace)
+    if not path.exists():
+        raise _UsageError(f"trace file {path} does not exist")
+    return path
 
 
 def _check_output_paths(*paths: Optional[str]) -> None:
@@ -155,7 +203,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list workloads, similarity methods, and scale profiles")
+    # The options pipeline, sweep and serve share, declared once each.
+    trace_input = argparse.ArgumentParser(add_help=False)
+    trace_input.add_argument(
+        "workload",
+        nargs="?",
+        choices=ALL_WORKLOAD_NAMES,
+        help="workload to simulate (omit when using --trace)",
+    )
+    trace_input.add_argument(
+        "--trace",
+        default=None,
+        metavar="FILE",
+        help="read this trace file instead of simulating a workload "
+        "(format dispatched on extension: .rpb is columnar binary, else text)",
+    )
+    trace_input.add_argument(
+        "--store-capacity",
+        type=int,
+        default=None,
+        help="bound each per-rank representative store (LRU eviction; default: unbounded)",
+    )
+    trace_input.add_argument(
+        "--verify",
+        action="store_true",
+        help="also reduce the input with the serial reducer and check the "
+        "outputs are byte-identical (exit 1 if not)",
+    )
+    trace_input.add_argument(
+        "--telemetry",
+        nargs="?",
+        const="telemetry.json",
+        default=None,
+        metavar="PATH",
+        help="record spans/metrics and export a Chrome trace_event timeline "
+        "to PATH (default: telemetry.json); view with Perfetto or "
+        "'repro-trace report PATH'",
+    )
+    method = argparse.ArgumentParser(add_help=False)
+    method.add_argument(
+        "--method", choices=METRIC_NAMES, default="relDiff", help="similarity method"
+    )
+    method.add_argument(
+        "--threshold", type=float, default=None, help="method threshold (default: paper's best)"
+    )
+    pool = argparse.ArgumentParser(add_help=False)
+    pool.add_argument(
+        "--executor",
+        choices=_CLI_EXECUTORS,
+        default="serial",
+        help="how ranks are reduced: in this process (default) or through a "
+        "process pool over rank batches (.rpb files as shard batches, other "
+        "sources as pickled frames), which pays off on large .rpb files on "
+        "two or more cores",
+    )
+    pool.add_argument("--workers", type=int, default=None, help="pool size (default: cpu count)")
+
+    sub.add_parser(
+        "list", help="list workloads, similarity methods, and scale profiles"
+    ).set_defaults(run=_cmd_list)
 
     evaluate = sub.add_parser("evaluate", help="run the comparative criteria on one workload")
     evaluate.add_argument("workload", choices=ALL_WORKLOAD_NAMES)
@@ -166,6 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=list(METRIC_NAMES),
         help="similarity methods to evaluate (default: all nine)",
     )
+    evaluate.set_defaults(run=_cmd_evaluate)
 
     thresholds = sub.add_parser("thresholds", help="threshold study for one method")
     thresholds.add_argument("method", choices=sorted(THRESHOLD_STUDY))
@@ -176,34 +283,27 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="workloads to sweep (default: the 16 benchmark programs)",
     )
+    thresholds.set_defaults(run=_cmd_thresholds)
 
     trends = sub.add_parser("trends", help="retention-of-trends table for one workload")
     trends.add_argument("workload", choices=ALL_WORKLOAD_NAMES)
     trends.add_argument(
         "--methods", nargs="+", choices=METRIC_NAMES, default=None, help="methods to include"
     )
+    trends.set_defaults(run=_cmd_trends)
 
     figure = sub.add_parser("figure", help="regenerate one of the paper's comparative figures")
     figure.add_argument("which", choices=("fig5", "fig6", "fig7", "fig8"))
+    figure.set_defaults(run=_cmd_figure)
 
     describe = sub.add_parser("describe", help="describe one workload without running it")
     describe.add_argument("workload", choices=ALL_WORKLOAD_NAMES)
+    describe.set_defaults(run=_cmd_describe)
 
     pipeline = sub.add_parser(
-        "pipeline", help="streaming parallel reduction with per-stage instrumentation"
-    )
-    pipeline.add_argument(
-        "workload",
-        nargs="?",
-        choices=ALL_WORKLOAD_NAMES,
-        help="workload to simulate and reduce (omit when using --trace)",
-    )
-    pipeline.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="reduce this trace file instead of simulating a workload "
-        "(format dispatched on extension: .rpb is columnar binary, else text)",
+        "pipeline",
+        parents=[trace_input, method, pool],
+        help="streaming parallel reduction with per-stage instrumentation",
     )
     pipeline.add_argument(
         "--save-trace",
@@ -213,68 +313,19 @@ def build_parser() -> argparse.ArgumentParser:
         "(format dispatched on extension)",
     )
     pipeline.add_argument(
-        "--method", choices=METRIC_NAMES, default="relDiff", help="similarity method"
-    )
-    pipeline.add_argument(
-        "--threshold", type=float, default=None, help="method threshold (default: paper's best)"
-    )
-    pipeline.add_argument(
-        "--executor",
-        choices=_CLI_EXECUTORS,
-        default="serial",
-        help="how ranks are reduced: in this process (default) or through a "
-        "process pool, which pays off on large indexed (.rpb) files on two "
-        "or more cores",
-    )
-    pipeline.add_argument(
-        "--workers", type=int, default=None, help="pool size (default: cpu count)"
-    )
-    pipeline.add_argument(
-        "--store-capacity",
-        type=int,
-        default=None,
-        help="bound the per-rank representative store (LRU eviction; default: unbounded)",
-    )
-    pipeline.add_argument(
         "--merge",
         action="store_true",
         help="run the inter-process merge (cross-rank representative dedup) final stage",
     )
     pipeline.add_argument(
-        "--verify",
-        action="store_true",
-        help="also run the serial reducer and check the outputs are byte-identical",
-    )
-    pipeline.add_argument(
         "--output", default=None, help="stream the reduced trace to this file"
     )
-    pipeline.add_argument(
-        "--telemetry",
-        nargs="?",
-        const="telemetry.json",
-        default=None,
-        metavar="PATH",
-        help="record spans/metrics and export a Chrome trace_event timeline "
-        "to PATH (default: telemetry.json); view with Perfetto or "
-        "'repro-trace report PATH'",
-    )
+    pipeline.set_defaults(run=_cmd_pipeline)
 
     sweep = sub.add_parser(
         "sweep",
+        parents=[trace_input, pool],
         help="evaluate a method × threshold grid in one shared-ingest pass",
-    )
-    sweep.add_argument(
-        "workload",
-        nargs="?",
-        choices=ALL_WORKLOAD_NAMES,
-        help="workload to simulate and sweep (omit when using --trace)",
-    )
-    sweep.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="sweep this trace file instead of simulating a workload "
-        "(a pool gets an indexed .rpb file's ranks as shard batches)",
     )
     sweep.add_argument(
         "--methods",
@@ -293,71 +344,17 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: each method's paper threshold-study values)",
     )
     sweep.add_argument(
-        "--executor",
-        choices=_CLI_EXECUTORS,
-        default="serial",
-        help="in this process (default) or a process pool over rank batches, "
-        "each task running the whole grid (.rpb files as shard batches, "
-        "other sources as pickled frames)",
-    )
-    sweep.add_argument(
-        "--workers", type=int, default=None, help="pool size (default: cpu count)"
-    )
-    sweep.add_argument(
-        "--store-capacity",
-        type=int,
-        default=None,
-        help="bound every config's per-rank representative store (default: unbounded)",
-    )
-    sweep.add_argument(
-        "--verify",
-        action="store_true",
-        help="also run every config through the serial reducer and check the "
-        "reduced traces are byte-identical",
-    )
-    sweep.add_argument(
         "--json",
         action="store_true",
         help="emit the grid and sharing stats as JSON instead of tables",
     )
-    sweep.add_argument(
-        "--telemetry",
-        nargs="?",
-        const="telemetry.json",
-        default=None,
-        metavar="PATH",
-        help="record spans/metrics and export a Chrome trace_event timeline "
-        "to PATH (default: telemetry.json)",
-    )
+    sweep.set_defaults(run=_cmd_sweep)
 
     serve = sub.add_parser(
         "serve",
+        parents=[trace_input, method],
         help="drive the online reduction service (incremental sessions, "
         "checkpoints, digest cache)",
-    )
-    serve.add_argument(
-        "workload",
-        nargs="?",
-        choices=ALL_WORKLOAD_NAMES,
-        help="workload to simulate and stream (omit when using --trace)",
-    )
-    serve.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="stream this trace file through the service instead of a workload",
-    )
-    serve.add_argument(
-        "--method", choices=METRIC_NAMES, default="relDiff", help="similarity method"
-    )
-    serve.add_argument(
-        "--threshold", type=float, default=None, help="method threshold (default: paper's best)"
-    )
-    serve.add_argument(
-        "--store-capacity",
-        type=int,
-        default=None,
-        help="bound each session's per-rank representative store (default: unbounded)",
     )
     serve.add_argument(
         "--sessions",
@@ -403,20 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="append the lead session's non-empty flush deltas to this log file",
     )
-    serve.add_argument(
-        "--verify",
-        action="store_true",
-        help="check every session's output is byte-identical to the serial reducer",
-    )
-    serve.add_argument(
-        "--telemetry",
-        nargs="?",
-        const="telemetry.json",
-        default=None,
-        metavar="PATH",
-        help="record spans/metrics (incl. service counters) and export a "
-        "Chrome trace_event timeline to PATH (default: telemetry.json)",
-    )
+    serve.set_defaults(run=_cmd_serve)
 
     report = sub.add_parser(
         "report",
@@ -426,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--top", type=int, default=10, help="number of hottest spans to list (default: 10)"
     )
+    report.set_defaults(run=_cmd_report)
 
     fuzz = sub.add_parser(
         "fuzz",
@@ -471,6 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CASE",
         help="replay one corpus case (by id or path) instead of running a campaign",
     )
+    fuzz.set_defaults(run=_cmd_fuzz)
 
     convert = sub.add_parser(
         "convert",
@@ -490,11 +476,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="destination format (default: dispatch on the output extension)",
     )
+    convert.set_defaults(run=_cmd_convert)
 
     return parser
 
 
-def _cmd_list() -> str:
+def _cmd_list(args, scale) -> str:
     lines = ["workloads:"]
     lines += [f"  {name}" for name in ALL_WORKLOAD_NAMES]
     lines.append("similarity methods:")
@@ -504,8 +491,8 @@ def _cmd_list() -> str:
     return "\n".join(lines)
 
 
-def _cmd_describe(workload_name: str, scale) -> str:
-    workload = build_workload(workload_name, scale)
+def _cmd_describe(args, scale) -> str:
+    workload = build_workload(args.workload, scale)
     rows = [
         ["name", workload.name],
         ["processes", workload.nprocs],
@@ -514,25 +501,25 @@ def _cmd_describe(workload_name: str, scale) -> str:
         ["expected location", workload.expected_location or "-"],
         ["description", workload.description],
     ]
-    return format_table(["property", "value"], rows, title=f"workload {workload_name}")
+    return format_table(["property", "value"], rows, title=f"workload {args.workload}")
 
 
-def _cmd_evaluate(workload_name: str, methods: Sequence[str], scale) -> str:
-    results = comparative_study((workload_name,), tuple(methods), scale=scale)
+def _cmd_evaluate(args, scale) -> str:
+    results = comparative_study((args.workload,), tuple(args.methods), scale=scale)
     return format_comparative_results(
-        results, title=f"comparative study — {workload_name} (scale={scale.name})"
+        results, title=f"comparative study — {args.workload} (scale={scale.name})"
     )
 
 
-def _cmd_thresholds(method: str, workloads: Optional[Sequence[str]], scale) -> str:
-    rows = threshold_study_rows(method, workloads, scale=scale)
-    return format_rows(rows, title=f"threshold study — {method} (scale={scale.name})")
+def _cmd_thresholds(args, scale) -> str:
+    rows = threshold_study_rows(args.method, args.workloads, scale=scale)
+    return format_rows(rows, title=f"threshold study — {args.method} (scale={scale.name})")
 
 
-def _cmd_trends(workload_name: str, methods: Optional[Sequence[str]], scale) -> str:
-    table = trend_table(workload_name, methods, scale=scale)
+def _cmd_trends(args, scale) -> str:
+    table = trend_table(args.workload, args.methods, scale=scale)
     return format_trend_table(
-        table, title=f"retention of performance trends — {workload_name} (scale={scale.name})"
+        table, title=f"retention of performance trends — {args.workload} (scale={scale.name})"
     )
 
 
@@ -548,26 +535,17 @@ def _cmd_pipeline(args, scale) -> str:
             store_capacity=args.store_capacity,
             merge=args.merge,
         )
-        if args.trace is not None and args.workload is not None:
-            raise ValueError("give either a workload or --trace FILE, not both")
-        if args.trace is None and args.workload is None:
-            raise ValueError("a workload name or --trace FILE is required")
-        if args.trace is not None and args.save_trace is not None:
-            raise ValueError("--save-trace only applies when simulating a workload")
     except ValueError as error:
         raise _UsageError(str(error)) from error
+    trace_path = _trace_path(args)
+    if trace_path is not None and args.save_trace is not None:
+        raise _UsageError("--save-trace only applies when simulating a workload")
     _check_output_paths(args.save_trace, args.output, args.telemetry)
 
-    if args.trace is not None:
-        from pathlib import Path
-
-        trace_path = Path(args.trace)
-        if not trace_path.exists():
-            raise _UsageError(f"trace file {trace_path} does not exist")
+    subject = args.workload if trace_path is None else args.trace
+    if trace_path is not None:
         source = trace_path
-        rows_head = [
-            ["trace file", f"{trace_path} ({resolve_format(trace_path).name} format)"],
-        ]
+        rows_head = [["trace file", f"{trace_path} ({resolve_format(trace_path).name} format)"]]
         segmented = None
     else:
         workload = build_workload(args.workload, scale)
@@ -596,20 +574,15 @@ def _cmd_pipeline(args, scale) -> str:
         else:
             full_bytes = full_trace_bytes(segmented)
         telemetry.update(
-            subject=args.workload if args.trace is None else args.trace,
+            subject=subject,
             method=metric.describe(),
             executor=stats.executor,
             dispatch=stats.dispatch,
         )
 
-    identical = True
-    if args.verify:
-        identical = _matches_serial_reducer(
-            create_metric(args.method, args.threshold),
-            rank_segment_streams(source),
-            args.store_capacity,
-            [result.reduced],
-        )
+    identical = not args.verify or _matches_serial_reducer(
+        create_metric(args.method, args.threshold), source, args.store_capacity, [result.reduced]
+    )
     # The file written is the serialization ``size_bytes`` counts, so when it
     # is written its byte count is the reduced size.
     if result is not None:
@@ -627,8 +600,6 @@ def _cmd_pipeline(args, scale) -> str:
         ["% file size", f"{100.0 * reduced_bytes / full_bytes:.2f}" if full_bytes else "-"],
     ]
     if args.save_trace is not None:
-        from pathlib import Path
-
         saved = Path(args.save_trace)
         rows.append(
             ["trace written to", f"{saved} ({saved.stat().st_size} bytes, "
@@ -645,7 +616,6 @@ def _cmd_pipeline(args, scale) -> str:
             rows.append(["written to", f"{args.output} ({reduced_bytes} bytes)"])
         else:
             rows.append(["written to", "(skipped: verification failed)"])
-    subject = args.workload if args.trace is None else args.trace
     title = f"pipeline reduction — {subject}"
     if args.trace is None:
         title += f" (scale={scale.name})"
@@ -657,7 +627,6 @@ def _cmd_pipeline(args, scale) -> str:
 
 def _cmd_sweep(args, scale) -> str:
     import json
-    from pathlib import Path
 
     from repro.evaluation.runner import PreparedWorkload
     from repro.experiments.config import prepared_workload
@@ -666,10 +635,6 @@ def _cmd_sweep(args, scale) -> str:
 
     try:
         plan = SweepPlan.from_grid(args.methods, args.thresholds)
-        if args.trace is not None and args.workload is not None:
-            raise ValueError("give either a workload or --trace FILE, not both")
-        if args.trace is None and args.workload is None:
-            raise ValueError("a workload name or --trace FILE is required")
         config = PipelineConfig(
             executor=args.executor,
             workers=args.workers,
@@ -677,12 +642,10 @@ def _cmd_sweep(args, scale) -> str:
         )
     except ValueError as error:
         raise _UsageError(str(error)) from error
+    trace_path = _trace_path(args)
     _check_output_paths(args.telemetry)
 
-    if args.trace is not None:
-        trace_path = Path(args.trace)
-        if not trace_path.exists():
-            raise _UsageError(f"trace file {trace_path} does not exist")
+    if trace_path is not None:
         prepared = PreparedWorkload.from_file(trace_path)
         # A pool shards the file itself; in this process the frames just
         # decoded for the criteria are the source, so the file decodes once.
@@ -705,12 +668,14 @@ def _cmd_sweep(args, scale) -> str:
 
     identical = True
     if args.verify:
+        # The sweep reduced frames; the oracle reads the input itself.
+        if trace_path is None:
+            oracle_input = build_workload(args.workload, scale).run_segmented()
+        else:
+            oracle_input = trace_path
         identical = all(
             _matches_serial_reducer(
-                outcome.config.create(),
-                rank_segment_streams(prepared.segmented),
-                args.store_capacity,
-                [outcome.reduced],
+                outcome.config.create(), oracle_input, args.store_capacity, [outcome.reduced]
             )
             for outcome in sweep_result
         )
@@ -784,7 +749,6 @@ def _cmd_sweep(args, scale) -> str:
 
 def _cmd_serve(args, scale) -> str:
     import asyncio
-    from pathlib import Path
 
     from repro.service import ReductionService, SessionConfig
     from repro.trace.io import DeltaWriter
@@ -795,30 +759,16 @@ def _cmd_serve(args, scale) -> str:
             threshold=args.threshold,
             store_capacity=args.store_capacity,
         )
-        if args.trace is not None and args.workload is not None:
-            raise ValueError("give either a workload or --trace FILE, not both")
-        if args.trace is None and args.workload is None:
-            raise ValueError("a workload name or --trace FILE is required")
-        if args.sessions < 1:
-            raise ValueError(f"--sessions must be >= 1, got {args.sessions}")
-        if args.chunk < 1:
-            raise ValueError(f"--chunk must be >= 1, got {args.chunk}")
-        if args.flush_every < 1:
-            raise ValueError(f"--flush-every must be >= 1, got {args.flush_every}")
-        if args.repeat < 0:
-            raise ValueError(f"--repeat must be >= 0, got {args.repeat}")
-        if args.tenant_budget is not None and args.tenant_budget < 1:
-            raise ValueError(f"--tenant-budget must be >= 1, got {args.tenant_budget}")
-        if args.queue_limit < 1:
-            raise ValueError(f"--queue-limit must be >= 1, got {args.queue_limit}")
     except ValueError as error:
         raise _UsageError(str(error)) from error
+    trace_path = _trace_path(args)
+    for dest, least in _SERVE_MINIMUMS:
+        value = getattr(args, dest)
+        if value is not None and value < least:
+            raise _UsageError(f"--{dest.replace('_', '-')} must be >= {least}, got {value}")
     _check_output_paths(args.deltas, args.telemetry)
 
-    if args.trace is not None:
-        trace_path = Path(args.trace)
-        if not trace_path.exists():
-            raise _UsageError(f"trace file {trace_path} does not exist")
+    if trace_path is not None:
         source = trace_path
         subject = str(trace_path)
     else:
@@ -830,13 +780,9 @@ def _cmd_serve(args, scale) -> str:
     trace_name = source_name(source)
 
     async def drive(delta_writer):
-        service = ReductionService(
-            tenant_budget=args.tenant_budget, queue_limit=args.queue_limit
-        )
+        service = ReductionService(tenant_budget=args.tenant_budget, queue_limit=args.queue_limit)
         handles = [
-            await service.open_session(
-                "cli", f"{trace_name}/s{i}", config
-            )
+            await service.open_session("cli", f"{trace_name}/s{i}", config)
             for i in range(args.sessions)
         ]
 
@@ -844,7 +790,7 @@ def _cmd_serve(args, scale) -> str:
             appends = 0
             for rank, segments in stream:
                 for at in range(0, len(segments), args.chunk):
-                    await handle.append(rank, segments=segments[at : at + args.chunk])
+                    await handle.append(rank, segments[at : at + args.chunk])
                     appends += 1
                     if appends % args.flush_every == 0:
                         delta = await handle.flush()
@@ -855,12 +801,8 @@ def _cmd_serve(args, scale) -> str:
                 delta_writer.write(result.delta)
             return result
 
-        results = await asyncio.gather(
-            *(feed(i, handle) for i, handle in enumerate(handles))
-        )
-        submits = [
-            await service.submit("cli", source, config) for _ in range(args.repeat)
-        ]
+        results = await asyncio.gather(*(feed(i, handle) for i, handle in enumerate(handles)))
+        submits = [await service.submit("cli", source, config) for _ in range(args.repeat)]
         await service.close()
         return service, results, submits
 
@@ -904,7 +846,7 @@ def _cmd_serve(args, scale) -> str:
     if args.verify:
         identical = _matches_serial_reducer(
             create_metric(args.method, args.threshold),
-            stream,
+            source,
             args.store_capacity,
             [result.reduced for result in results],
         )
@@ -915,15 +857,11 @@ def _cmd_serve(args, scale) -> str:
         title += f" (scale={scale.name})"
     report = format_table(["property", "value"], rows, title=title)
     if not identical:
-        raise _VerificationFailed(
-            report, "service output does not match the serial reducer"
-        )
+        raise _VerificationFailed(report, "service output does not match the serial reducer")
     return report
 
 
-def _cmd_report(args) -> str:
-    from pathlib import Path
-
+def _cmd_report(args, scale) -> str:
     path = Path(args.file)
     if not path.exists():
         raise _UsageError(f"telemetry file {path} does not exist")
@@ -933,9 +871,7 @@ def _cmd_report(args) -> str:
         raise _UsageError(f"{path} is not a telemetry export: {error}") from error
 
 
-def _cmd_convert(args) -> str:
-    from pathlib import Path
-
+def _cmd_convert(args, scale) -> str:
     if not Path(args.input).exists():
         raise _UsageError(f"trace file {args.input} does not exist")
     try:
@@ -964,9 +900,8 @@ def _cmd_convert(args) -> str:
     return format_table(["property", "value"], rows, title="trace conversion")
 
 
-def _cmd_fuzz(args) -> str:
+def _cmd_fuzz(args, scale) -> str:
     import tempfile
-    from pathlib import Path
 
     from repro.fuzz import FAMILY_NAMES, CaseDB, run_fuzz
     from repro.fuzz.casedb import DEFAULT_CORPUS_DIR
@@ -1042,12 +977,12 @@ def _cmd_fuzz(args) -> str:
     return output
 
 
-def _cmd_figure(which: str, scale) -> str:
-    if which == "fig5":
+def _cmd_figure(args, scale) -> str:
+    if args.which == "fig5":
         return format_rows(fig5_size_and_matching(scale=scale), title="Figure 5")
-    if which == "fig6":
+    if args.which == "fig6":
         return format_rows(fig6_approximation_distance(scale=scale), title="Figure 6")
-    if which == "fig7":
+    if args.which == "fig7":
         charts = fig7_dyn_load_balance_trends(scale=scale)
     else:
         charts = fig8_interference_trends(scale=scale)
@@ -1058,13 +993,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    scale = get_scale(args.scale)
-
     try:
-        output = _dispatch(args, scale, parser)
+        output = args.run(args, get_scale(args.scale))
     except _UsageError as error:
         parser.error(str(error))
-        return 2  # pragma: no cover - parser.error raises SystemExit
+    except _BAD_TRACE as error:
+        # A simulated workload that fails to segment is a bug, not bad input.
+        if getattr(args, "trace", None) is None:
+            raise
+        parser.error(f"{args.trace}: {error}")
     except OSError as error:
         if error.filename is None:
             raise
@@ -1075,36 +1012,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     print(output)
     return 0
-
-
-def _dispatch(args, scale, parser) -> str:
-    if args.command == "list":
-        output = _cmd_list()
-    elif args.command == "describe":
-        output = _cmd_describe(args.workload, scale)
-    elif args.command == "evaluate":
-        output = _cmd_evaluate(args.workload, args.methods, scale)
-    elif args.command == "thresholds":
-        output = _cmd_thresholds(args.method, args.workloads, scale)
-    elif args.command == "trends":
-        output = _cmd_trends(args.workload, args.methods, scale)
-    elif args.command == "figure":
-        output = _cmd_figure(args.which, scale)
-    elif args.command == "pipeline":
-        output = _cmd_pipeline(args, scale)
-    elif args.command == "sweep":
-        output = _cmd_sweep(args, scale)
-    elif args.command == "serve":
-        output = _cmd_serve(args, scale)
-    elif args.command == "report":
-        output = _cmd_report(args)
-    elif args.command == "convert":
-        output = _cmd_convert(args)
-    elif args.command == "fuzz":
-        output = _cmd_fuzz(args)
-    else:  # pragma: no cover - argparse enforces the choices
-        parser.error(f"unknown command {args.command!r}")
-    return output
 
 
 if __name__ == "__main__":  # pragma: no cover

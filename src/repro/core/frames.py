@@ -347,6 +347,21 @@ class RankFrame:
             self._rel = rel
         return rel
 
+    def check_finite(self) -> None:
+        """Reject a NaN or infinite segment or event time.
+
+        ``Segment`` and ``Event`` construction take any float, so a hand-built
+        segment can carry one; the reducer refuses it with :attr:`invalid`
+        before it steps a row, while the analysis still reads such a frame.
+        Finiteness only: a hand-built segment may hold negative times.
+        """
+        for column in (self.starts, self.ends, self.ev_starts, self.ev_ends):
+            finite = np.isfinite(column)
+            if not finite.all():
+                raise self.invalid(
+                    f"segment timestamp must be a finite number, got {column[~finite][0]}"
+                )
+
     def check_time_order(self) -> None:
         """Reject an event that exits before it enters, a segment that ends before it begins.
 

@@ -11,7 +11,9 @@ The paper uses two slightly different vector layouts:
   two (the leading element is the segment's relative start, which is always
   zero after normalisation).
 
-Both layouts are provided here so the choice can be ablated.
+Both are stated here one segment at a time (each metric family's
+``build_vector``); the columnar core builds the same rows in bulk from
+frame columns.
 """
 
 from __future__ import annotations
@@ -20,12 +22,7 @@ import numpy as np
 
 from repro.trace.segments import Segment
 
-__all__ = ["pairwise_vector", "minkowski_vector", "wavelet_vector", "next_power_of_two"]
-
-
-def pairwise_vector(segment: Segment) -> np.ndarray:
-    """Canonical timestamp vector: event (start, end) pairs then segment end."""
-    return np.asarray(segment.timestamps(), dtype=float)
+__all__ = ["minkowski_vector", "wavelet_vector", "next_power_of_two"]
 
 
 def minkowski_vector(segment: Segment) -> np.ndarray:

@@ -334,10 +334,12 @@ def step_families(frame: RankFrame, families: Sequence[Sequence[ReductionState]]
     run makes, in the same order.  :meth:`TraceReducer.reduce_frame` passes
     one state, the pipeline's batch task one per metric of its grid.
 
-    The frame's time order is checked first, every row of it
-    (:meth:`RankFrame.check_time_order`): no step builds the objects whose
-    construction used to check it.
+    The frame's times are checked first, every row of it: finite
+    (:meth:`RankFrame.check_finite`) and in order
+    (:meth:`RankFrame.check_time_order`), since no step builds the objects
+    whose construction used to check the order.
     """
+    frame.check_finite()
     frame.check_time_order()
     for states in families:
         rows = states[0].metric.frame_vectors(frame)
@@ -462,11 +464,12 @@ class TraceReducer:
         path, byte-identically to one call over the concatenated frames.
         """
         reduced = ReducedRankTrace(rank=frame.rank) if into is None else into
-        reduced.n_segments += frame.n_segments
         state = ReductionState(
             self.metric, reduced, RepresentativeStore() if store is None else store, match_counters
         )
         step_families(frame, [[state]])
+        # Counted once the frame is taken: a refused one leaves ``into`` as it was.
+        reduced.n_segments += frame.n_segments
         return reduced
 
     # -- whole-trace reduction --------------------------------------------------

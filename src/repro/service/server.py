@@ -42,7 +42,6 @@ from repro.service.session import (
     SessionResult,
 )
 from repro.trace.io import serialize_reduced_trace
-from repro.trace.records import TraceRecord
 from repro.trace.segments import Segment
 
 __all__ = ["ServiceStats", "SessionHandle", "SubmitResult", "ReductionService"]
@@ -212,9 +211,6 @@ class _ManagedSession:
         if kind == "append_segments":
             rank, segments = args
             return session.append_segments(rank, segments)
-        if kind == "append_records":
-            rank, records = args
-            return session.append_records(rank, records)
         if kind == "flush":
             return session.flush()
         if kind == "finish":
@@ -246,20 +242,9 @@ class SessionHandle:
     def name(self) -> str:
         return self._managed.key[0]
 
-    async def append(
-        self,
-        rank: int,
-        *,
-        segments: Optional[Iterable[Segment]] = None,
-        records: Optional[Iterable[TraceRecord]] = None,
-    ) -> int:
-        """Append one rank's batch (segments or raw records); returns
-        segments completed."""
-        if (segments is None) == (records is None):
-            raise ValueError("append takes exactly one of segments= or records=")
-        if segments is not None:
-            return await self._submit("append_segments", (rank, list(segments)))
-        return await self._submit("append_records", (rank, list(records)))
+    async def append(self, rank: int, segments: Iterable[Segment]) -> int:
+        """Append one rank's batch of segments; returns segments completed."""
+        return await self._submit("append_segments", (rank, list(segments)))
 
     async def flush(self) -> ReductionDelta:
         """Emit the delta of everything reduced since the previous flush."""
@@ -477,7 +462,7 @@ class ReductionService:
     def _after_command(self, managed: _ManagedSession, kind: str, result) -> None:
         """Bookkeeping after a worker executed one command."""
         stats = self.stats
-        if kind in ("append_segments", "append_records"):
+        if kind == "append_segments":
             stats.appends += 1
             if result is not None:
                 stats.segments += int(result)

@@ -294,10 +294,6 @@ class ReductionSession:
         if not n:
             return 0
         with obs.span("service.append", rank=state.rank, segments=n):
-            digest = state.digest
-            for segment in segments:
-                digest = chain_digest(digest, segment)
-            state.digest = digest
             frame = RankFrame.from_segments(state.rank, segments)
             self.reducer.reduce_frame(
                 frame,
@@ -305,6 +301,13 @@ class ReductionSession:
                 into=state.reduced,
                 match_counters=self.stats.match,
             )
+            # Chained after the reduction: a batch the reducer refuses (it
+            # checks the whole frame before it steps a row) leaves the
+            # digest as it was.
+            digest = state.digest
+            for segment in segments:
+                digest = chain_digest(digest, segment)
+            state.digest = digest
         self.stats.segments += n
         return n
 

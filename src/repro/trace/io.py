@@ -47,6 +47,7 @@ if TYPE_CHECKING:  # avoid a runtime cycle: core.reduced imports this module
 from repro.trace.trace import SegmentedTrace, Trace
 
 __all__ = [
+    "TextFormatError",
     "format_record",
     "parse_record",
     "ColumnTextSizer",
@@ -71,6 +72,12 @@ __all__ = [
     "serialize_delta",
     "DeltaWriter",
 ]
+
+
+
+class TextFormatError(ValueError):
+    """Raised when a file is not a valid text trace (a line that is no record)."""
+
 
 _TS_FMT = "{:.2f}"
 #: Labels of the optional integer MPI attributes, in the order they are written.
@@ -227,16 +234,24 @@ class ColumnTextSizer:
 
 
 def parse_record(line: str) -> TraceRecord:
-    """Parse a line produced by :func:`format_record`."""
+    """Parse a line produced by :func:`format_record`.
+
+    Raises :class:`TextFormatError` for a line that is no valid record.
+    """
     tokens = line.split()
     if len(tokens) < 4:
-        raise ValueError(f"malformed trace record line: {line!r}")
-    kind = RecordKind[tokens[0]]
-    rank = int(tokens[1])
-    timestamp = float(tokens[2])
-    name = tokens[3]
-    mpi = _parse_mpi(tokens[4:]) if len(tokens) > 4 else None
-    return TraceRecord(kind=kind, rank=rank, timestamp=timestamp, name=name, mpi=mpi)
+        raise TextFormatError(f"malformed trace record line: {line!r}")
+    try:
+        kind = RecordKind[tokens[0]]
+        rank = int(tokens[1])
+        timestamp = float(tokens[2])
+        name = tokens[3]
+        mpi = _parse_mpi(tokens[4:]) if len(tokens) > 4 else None
+        return TraceRecord(kind=kind, rank=rank, timestamp=timestamp, name=name, mpi=mpi)
+    except KeyError as error:
+        raise TextFormatError(f"unknown record kind in line {line!r}") from error
+    except ValueError as error:
+        raise TextFormatError(f"{error} (line {line!r})") from error
 
 
 def serialize_records(records: Iterable[TraceRecord]) -> bytes:
@@ -429,7 +444,7 @@ def iter_rank_record_streams_text(
     seen: set[int] = set()
     for rank, records in itertools.groupby(iter_trace_records(path), key=lambda r: r.rank):
         if rank in seen:
-            raise ValueError(
+            raise TextFormatError(
                 f"trace file {path} interleaves rank {rank}; per-rank records "
                 "must be contiguous for streaming ingestion"
             )
@@ -665,7 +680,7 @@ def read_trace_text(path: str | Path, name: str | None = None) -> Trace:
     nprocs = max(per_rank) + 1
     missing = [r for r in range(nprocs) if r not in per_rank]
     if missing:
-        raise ValueError(f"trace file {path} is missing ranks {missing}")
+        raise TextFormatError(f"trace file {path} is missing ranks {missing}")
     from repro.trace.trace import RankTrace  # local import to avoid cycle at module load
 
     ranks = [RankTrace(rank=r, records=per_rank[r]) for r in range(nprocs)]

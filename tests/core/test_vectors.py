@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.metrics.vectors import (
-    minkowski_vector,
-    next_power_of_two,
-    pairwise_vector,
-    wavelet_vector,
-)
+from repro.core.metrics import create_metric
+from repro.core.metrics.vectors import minkowski_vector, next_power_of_two, wavelet_vector
 
 from tests.conftest import make_segment
 
@@ -37,8 +33,10 @@ class TestPaperLayouts:
             wavelet_vector(paper_segments["s2"]), [0, 1, 17, 18, 48, 49, 0, 0]
         )
 
-    def test_pairwise_vector(self, paper_segments):
-        np.testing.assert_allclose(pairwise_vector(paper_segments["s2"]), [1, 17, 18, 48, 49])
+    def test_pairwise_layout(self, paper_segments):
+        """The default ``build_vector``: event (start, end) pairs, then the end."""
+        vector = create_metric("relDiff").build_vector(paper_segments["s2"])
+        np.testing.assert_allclose(vector, [1, 17, 18, 48, 49])
 
 
 class TestEdgeCases:
@@ -46,7 +44,7 @@ class TestEdgeCases:
         seg = make_segment("c", [], start=0.0, end=5.0)
         np.testing.assert_allclose(minkowski_vector(seg), [5.0])
         np.testing.assert_allclose(wavelet_vector(seg), [0.0, 5.0])
-        np.testing.assert_allclose(pairwise_vector(seg), [5.0])
+        np.testing.assert_allclose(create_metric("relDiff").build_vector(seg), [5.0])
 
     def test_wavelet_padding_to_power_of_two(self):
         seg = make_segment("c", [("a", 1.0, 2.0), ("b", 3.0, 4.0)], end=5.0)

@@ -7,6 +7,7 @@ identical request is answered from the content-digest cache.
 """
 
 import asyncio
+import math
 
 import pytest
 
@@ -15,7 +16,9 @@ from repro.core.metrics import create_metric
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.stream import rank_segment_streams
 from repro.service import ReductionService, ResultCache, SessionConfig
+from repro.trace.events import Event
 from repro.trace.io import serialize_reduced_trace
+from repro.trace.segments import Segment
 
 from tests.support import reference_reduce
 
@@ -299,8 +302,9 @@ class TestLifecycleErrors:
         async def main():
             service = ReductionService()
             handle = await service.open_session("acme", "t", SessionConfig("relDiff"))
-            with pytest.raises(ValueError, match="exactly one"):
-                await handle.append(0, segments=[], records=[])
+            bad = Segment("main", 0, math.nan, 3.0, [Event("f", 1.0, 2.0, 0)])
+            with pytest.raises(ValueError, match="finite number"):
+                await handle.append(0, segments=[bad])
             await handle.append(0, segments=streams[0][:2])
             result = await handle.finish()
             await service.close()

@@ -1,8 +1,18 @@
 """Tests for the repro-trace command-line interface."""
 
+import argparse
+import io
+import math
+
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.frames import RankFrame
+from repro.experiments.config import clear_workload_cache
+from repro.trace import binio
+
+from tests.trace.rpb_files import npy_bytes, rewrite_block, split_members
 
 
 def run_cli(capsys, *argv):
@@ -502,3 +512,171 @@ class TestServe:
             main(["--scale", "smoke", "serve", "late_sender", "--sessions", "0"])
         with pytest.raises(SystemExit):
             main(["--scale", "smoke", "serve", "late_sender", "--chunk", "0"])
+
+
+#: The commands that take a trace, and the options each shares with another.
+TRACE_COMMANDS = ("pipeline", "sweep", "serve")
+SHARED = {
+    "pipeline": ("workload", "trace", "store_capacity", "verify", "telemetry",
+                 "method", "threshold", "executor", "workers"),
+    "sweep": ("workload", "trace", "store_capacity", "verify", "telemetry",
+              "executor", "workers"),
+    "serve": ("workload", "trace", "store_capacity", "verify", "telemetry",
+              "method", "threshold"),
+}
+#: Each command's output file flag: what a failed run must leave unwritten.
+OUTPUT_FLAG = {"pipeline": "--output", "sweep": "--telemetry", "serve": "--deltas"}
+
+
+def _subcommands():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sorted(sub.choices)
+
+
+@pytest.mark.parametrize("command", _subcommands())
+def test_every_subcommand_help_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    assert f"usage: repro-trace {command}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["late_sender"],
+        ["--trace", "t.rpb", "--store-capacity", "3", "--verify", "--telemetry"],
+        ["--trace", "t.txt", "--telemetry", "x.json", "--method", "euclidean",
+         "--threshold", "0.5", "--executor", "process", "--workers", "2"],
+    ],
+)
+def test_shared_options_parse_alike_in_every_trace_command(argv):
+    """An option two commands share gives both the same attribute and value."""
+    parsed = {}
+    for command in TRACE_COMMANDS:
+        words = list(argv)
+        for flag, dest in (("--method", "method"), ("--threshold", "threshold"),
+                           ("--executor", "executor"), ("--workers", "workers")):
+            if flag in words and dest not in SHARED[command]:
+                at = words.index(flag)
+                del words[at : at + 2]
+        args = vars(build_parser().parse_args([command, *words]))
+        parsed[command] = {dest: args[dest] for dest in SHARED[command]}
+    for a in TRACE_COMMANDS:
+        for b in TRACE_COMMANDS:
+            for dest in set(SHARED[a]) & set(SHARED[b]):
+                assert parsed[a][dest] == parsed[b][dest], (a, b, dest)
+
+
+@pytest.fixture(scope="module")
+def trace_files(tmp_path_factory):
+    """A small trace as text and ``.rpb``, and four files that are no valid trace."""
+    from repro.benchmarks_ats import late_sender
+    from repro.trace.io import write_trace
+
+    root = tmp_path_factory.mktemp("traces")
+    trace = late_sender(nprocs=2, iterations=3, seed=1).run()
+    write_trace(trace, root / "good.txt")
+    write_trace(trace, root / "good.rpb")
+    lines = (root / "good.txt").read_text().splitlines(keepends=True)
+    files = {"good": root / "good.rpb"}
+    for label, value in (("negative", "-1.0"), ("nan", "nan")):
+        fields = lines[2].split(" ")
+        fields[2] = value
+        files[label] = root / f"{label}.txt"
+        files[label].write_text("".join(lines[:2] + [" ".join(fields)] + lines[3:]))
+    last_end = max(i for i, line in enumerate(lines) if line.startswith("SEGMENT_END 0 "))
+    files["unclosed"] = root / "unclosed.txt"
+    files["unclosed"].write_text("".join(lines[:last_end] + lines[last_end + 1 :]))
+
+    def nan_time(block):
+        members = split_members(block)
+        time = np.load(io.BytesIO(members[1]), allow_pickle=False).copy()
+        time[1] = math.nan
+        members[1] = npy_bytes(time)
+        return b"".join(members)
+
+    files["rpb_nan"] = root / "nan.rpb"
+    files["rpb_nan"].write_bytes((root / "good.rpb").read_bytes())
+    rewrite_block(files["rpb_nan"], 0, nan_time)
+    return files
+
+
+BAD_RUNS = [
+    (command, executor)
+    for command in TRACE_COMMANDS
+    for executor in (("serial", "process") if command != "serve" else (None,))
+]
+
+
+@pytest.mark.parametrize("bad", ["negative", "nan", "rpb_nan", "unclosed"])
+@pytest.mark.parametrize("command, executor", BAD_RUNS)
+def test_a_bad_trace_file_is_one_error_line_and_no_output(
+    capsys, tmp_path, trace_files, bad, command, executor
+):
+    """``convert``'s contract: exit 2, one error line naming the file, nothing written."""
+    path = trace_files[bad]
+    out = tmp_path / "out.txt"
+    argv = [command, "--trace", str(path), OUTPUT_FLAG[command], str(out)]
+    if executor is not None:
+        argv += ["--executor", executor, "--workers", "2"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = [line for line in err.splitlines() if line.startswith("repro-trace: error:")]
+    assert line.startswith(f"repro-trace: error: {path}: ")
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture
+def frame_faults(monkeypatch):
+    """Both ways the product builds frames, each off by half a microsecond.
+
+    The ``.rpb`` frame decoder and the segments→frame adapter get every event
+    end ``+ 0.5``; the oracle's route (the segment decoder, the simulated
+    segments, the segment-at-a-time reducer) goes through neither.
+    """
+    decode = binio._frames_from_columns
+    adapt = RankFrame._from_segments.__func__
+
+    def shifted(frame):
+        frame.ev_ends = frame.ev_ends + 0.5
+        frame._run = None  # a row view derives its columns from its run's
+        return frame
+
+    def faulty_decode(*args):
+        frames = decode(*args)
+        return None if frames is None else [shifted(frame) for frame in frames]
+
+    monkeypatch.setattr(binio, "_frames_from_columns", faulty_decode)
+    monkeypatch.setattr(
+        RankFrame, "_from_segments", classmethod(lambda cls, *a: shifted(adapt(cls, *a)))
+    )
+    # ``sweep`` reads memoized prepared workloads: build them under the
+    # fault, and let no faulty one outlive the test.
+    clear_workload_cache()
+    yield
+    clear_workload_cache()
+
+
+@pytest.mark.parametrize("source", ["rpb", "workload"])
+@pytest.mark.parametrize("command", TRACE_COMMANDS)
+def test_verify_is_fed_the_input_not_the_frames_it_checks(
+    capsys, trace_files, frame_faults, command, source
+):
+    if source == "rpb":
+        argv = [command, "--trace", str(trace_files["good"])]
+    else:
+        argv = ["--scale", "smoke", command, "late_sender"]
+    if command == "sweep":
+        argv += ["--methods", "relDiff", "--thresholds", "0.8"]
+    code = main([*argv, "--verify"])
+    captured = capsys.readouterr()
+    assert code == 1
+    flat = " ".join(captured.out.split())
+    assert "matches serial reducer NO" in flat or "matches serial oracle NO" in flat
+    assert "does not match" in captured.err

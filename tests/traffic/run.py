@@ -78,12 +78,14 @@ COMMANDS = [
             f"cli pipeline --trace {{tmp}}/s.rpb --method {method} --store-capacity 8 --verify",
         )
     ),
+    "cli pipeline --trace {tmp}/s.rpb --verify --output {tmp}/verified.txt",
     "cli report {tmp}/relDiff.json",
     "cli --scale smoke sweep late_sender",
     "cli --scale smoke sweep late_sender --verify --store-capacity 8",
     "cli --scale smoke sweep late_sender --json --thresholds 0.1 0.5",
     "cli --scale smoke sweep late_sender --methods relDiff iter_k avgWave --telemetry {tmp}/sweep.json",
     "cli sweep --trace {tmp}/s.rpb --executor process --workers 2 --verify",
+    "cli sweep --trace {tmp}/s.rpb --verify --json --telemetry {tmp}/sweep_verify.json",
     "cli sweep --trace {tmp}/s.rpb --methods euclidean iter_avg",
     "cli sweep --trace {tmp}/s.txt --executor process --workers 2",
     "cli report {tmp}/sweep.json --top 3",
