@@ -16,13 +16,19 @@ Reduces sweep3d_32p under the complete euclidean + manhattan threshold grids
 
 All schedules must produce byte-identical reduced traces per config, and
 the evaluation rows derived from them must agree field for field.  Two
-ratios, each naming its base: ``speedup`` = naive ÷ sweep, asserted >= 3x;
-``core_loop_speedup`` = core loop ÷ sweep — what the sweep saves over
-calling the product once per config — asserted >= 1x.  Both are
-schedule-bound, not pool- or hardware-bound (every side runs serially in one
-process), so they are meaningful on a single-CPU CI runner.  Measurements go to
-``BENCH_sweep.json`` at the repository root (plus the usual ``results/``
-table).
+ratios, each naming its base: ``speedup`` = naive ÷ sweep, asserted >= 3x
+(schedule-bound, not pool- or hardware-bound: every side runs serially in
+one process, so it is meaningful on a single-CPU CI runner);
+``core_loop_speedup`` = core loop ÷ sweep, printed only.  The core loop
+shares the sweep's kernels and, through the frames' caches, its vector
+builds, so that ratio sits inside timing noise (0.95x to 1.25x on one
+box); what the sweep must not lose to the loop is gated on two counts that
+repeat exactly, taken from an untimed recorded run of each: the sweep's
+feature-vector builds (``columnar.vectorize`` spans past the keys — one per
+rank and family) are no more than the loop's, and so are its match-kernel
+calls.  A sweep that built or matched per config again would fail both.
+Measurements go to ``BENCH_sweep.json`` at the repository root (plus the
+usual ``results/`` table).
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ import time
 from support import RESULTS_DIR, run_once, show, write_bench_json
 from tests.support import reference_reduce
 
+from repro import obs
+from repro.core.candidates import MatchCounters
 from repro.core.frametrace import FrameTrace
 from repro.core.reducer import TraceReducer
 from repro.evaluation.runner import PreparedWorkload, result_from_reduced
@@ -47,7 +55,6 @@ BENCH_PATH = RESULTS_DIR.parent / "BENCH_sweep.json"
 WORKLOAD = "sweep3d_32p"  # 32 ranks; the heaviest multi-rank workload
 METHODS = ("euclidean", "manhattan")  # full paper grids; one shared family
 MIN_HEADLINE_SPEEDUP = 3.0  # naive (scalar reference) loop / sweep
-MIN_CORE_LOOP_SPEEDUP = 1.0  # per-config product loop over shared frames / sweep
 
 
 #: The two sub-second schedules take the minimum of this many timed runs,
@@ -73,6 +80,18 @@ def _timed(schedule):
         gc.enable()
 
 
+def _recorded(schedule) -> tuple[int, obs.Recorder]:
+    """``schedule`` run once under a recorder: (its feature-vector builds, the recorder)."""
+    with obs.recording("counts") as recorder:
+        schedule()
+    builds = sum(
+        1
+        for span in recorder.spans
+        if span.name == "columnar.vectorize" and span.attrs.get("stage") != "keys"
+    )
+    return builds, recorder
+
+
 def _measure_scale(scale_name: str, plan: SweepPlan) -> dict:
     scale = get_scale(scale_name)
     segmented = build_workload(WORKLOAD, scale).run_segmented()
@@ -80,9 +99,12 @@ def _measure_scale(scale_name: str, plan: SweepPlan) -> dict:
     def naive_loop():
         return [reference_reduce(config.create(), segmented) for config in plan]
 
-    def product_loop():  # adapts once per run, like the sweep below
+    def product_loop(match_counters=None):  # adapts once per run, like the sweep below
         frames = FrameTrace.from_segmented(segmented)
-        return [TraceReducer(config.create()).reduce(frames) for config in plan]
+        return [
+            TraceReducer(config.create()).reduce(frames, match_counters=match_counters)
+            for config in plan
+        ]
 
     naive_seconds, naive = _timed(naive_loop)
     core_loop_seconds = sweep_seconds = float("inf")
@@ -91,6 +113,11 @@ def _measure_scale(scale_name: str, plan: SweepPlan) -> dict:
         core_loop_seconds = min(core_loop_seconds, seconds)
         seconds, swept = _timed(lambda: sweep_pipeline(segmented, plan))
         sweep_seconds = min(sweep_seconds, seconds)
+
+    loop_match = MatchCounters()
+    loop_vector_builds, _ = _recorded(lambda: product_loop(loop_match))
+    sweep_vector_builds, recorder = _recorded(lambda: sweep_pipeline(segmented, plan))
+    sweep_kernel_calls = recorder.registry.snapshot().scalar("pipeline.match_calls")
 
     identical = all(
         serialize_reduced_trace(outcome.reduced)
@@ -119,6 +146,10 @@ def _measure_scale(scale_name: str, plan: SweepPlan) -> dict:
         "n_ranks": len(segmented.ranks),
         "n_segments": swept.stats.n_segments,
         "vector_builds": swept.stats.vector_builds,
+        "sweep_vector_builds_recorded": sweep_vector_builds,
+        "core_loop_vector_builds_recorded": loop_vector_builds,
+        "sweep_kernel_calls": sweep_kernel_calls,
+        "core_loop_kernel_calls": loop_match.calls,
         "vector_builds_saved": swept.stats.vector_builds_saved,
         "sharing_factor": round(swept.stats.sharing_factor, 4),
         "naive_seconds": round(naive_seconds, 6),
@@ -141,7 +172,6 @@ def _run_comparison() -> dict:
         "n_configs": plan.n_configs,
         "n_families": plan.n_families,
         "min_headline_speedup": MIN_HEADLINE_SPEEDUP,
-        "min_core_loop_speedup": MIN_CORE_LOOP_SPEEDUP,
         "scales": {name: _measure_scale(name, plan) for name in ("smoke", "default")},
     }
 
@@ -183,12 +213,23 @@ def test_sweep_speedup(benchmark):
         assert entry["evaluation_rows_equal"], (
             f"sweep evaluation rows diverged at scale {entry['scale']}"
         )
+        builds = entry["sweep_vector_builds_recorded"]
+        assert builds == entry["n_ranks"] * report["n_families"], (
+            f"the sweep built feature vectors {builds} times for {entry['n_ranks']} ranks "
+            f"and {report['n_families']} families (scale {entry['scale']})"
+        )
+        assert builds <= entry["core_loop_vector_builds_recorded"], (
+            f"the sweep built feature vectors {builds} times, {report['n_configs']} "
+            f"product calls over shared frames {entry['core_loop_vector_builds_recorded']} "
+            f"(scale {entry['scale']})"
+        )
+        assert 0 < entry["sweep_kernel_calls"] <= entry["core_loop_kernel_calls"], (
+            f"the sweep made {entry['sweep_kernel_calls']} match-kernel calls, "
+            f"{report['n_configs']} product calls over shared frames "
+            f"{entry['core_loop_kernel_calls']} (scale {entry['scale']})"
+        )
     headline = report["scales"]["default"]
     assert headline["speedup"] >= MIN_HEADLINE_SPEEDUP, (
         f"the sweep must be >= {MIN_HEADLINE_SPEEDUP}x faster than the "
         f"per-config scalar reference loop, measured {headline['speedup']:.2f}x"
-    )
-    assert headline["core_loop_speedup"] >= MIN_CORE_LOOP_SPEEDUP, (
-        f"the sweep must not lose to {report['n_configs']} product calls over "
-        f"shared frames, measured {headline['core_loop_speedup']:.2f}x"
     )

@@ -29,12 +29,15 @@ The public API is organised in subpackages:
   trend-retention comparison
 * :mod:`repro.evaluation`     — the four evaluation criteria and study runner
 * :mod:`repro.experiments`    — every figure/table of the paper as a callable
+
+Subpackages load on first use: ``import repro`` imports none of them, and a
+name of ``__all__`` imports its module when it is first read (``repro.core``,
+``repro.create_metric``, ``from repro import *``).  So a command pays only for
+what it runs — reducing a trace file never loads the simulator or the
+analysis.
 """
 
-from repro import analysis, benchmarks_ats, core, evaluation, experiments, simulator, sweep3d, trace
-from repro.core import DEFAULT_THRESHOLDS, METRIC_NAMES, create_metric, reduce_trace, reconstruct
-from repro.core.reducer import TraceReducer
-from repro.evaluation import evaluate_method
+from repro._lazy import lazy_getattr
 
 __version__ = "1.0.0"
 
@@ -56,3 +59,21 @@ __all__ = [
     "reconstruct",
     "evaluate_method",
 ]
+
+__getattr__ = lazy_getattr(
+    __name__,
+    {
+        ".trace": ("trace",),
+        ".simulator": ("simulator",),
+        ".benchmarks_ats": ("benchmarks_ats",),
+        ".sweep3d": ("sweep3d",),
+        ".core": (
+            "core", "METRIC_NAMES", "DEFAULT_THRESHOLDS", "create_metric", "reduce_trace",
+            "reconstruct",
+        ),
+        ".core.reducer": ("TraceReducer",),
+        ".analysis": ("analysis",),
+        ".evaluation": ("evaluation", "evaluate_method"),
+        ".experiments": ("experiments",),
+    },
+)

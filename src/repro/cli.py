@@ -33,13 +33,18 @@ once: the input (``workload`` or ``--trace FILE``, ``--store-capacity``,
 ``--verify``, ``--telemetry``) in all three, ``--method``/``--threshold`` in
 ``pipeline`` and ``serve``, ``--executor``/``--workers`` in ``pipeline`` and
 ``sweep``.  :func:`_trace_path` checks the input; a file that is no valid
-trace is one ``repro-trace: error: FILE: …`` line and exit 2.  ``--verify``
-hands the segment-at-a-time oracle the command's *input* — the file, read
-again by the segment decoder, or the workload's simulated segments — never
-frames the command built (:func:`_matches_serial_reducer`).
+trace is one ``repro-trace: error: FILE: …`` line and exit 2, as it is for
+``convert``.  ``--verify`` hands the segment-at-a-time oracle the command's
+*input* — the file, read again by the segment decoder, or the workload's
+simulated segments — never frames the command built
+(:func:`_matches_serial_reducer`).
 
 Every subcommand names its handler (``set_defaults(run=…)``), which takes
-``(args, scale)`` and returns the text to print.
+``(args, scale)`` and returns the text to print.  A handler imports what only
+its command uses — the paper's studies, the sweep, the service, the fuzzer —
+and the ``repro`` packages load their modules on first use, so start-up is
+paid for the command that runs: ``pipeline --trace F`` loads neither the
+simulator nor the analysis, and ``sweep --trace F`` not the simulator.
 """
 
 from __future__ import annotations
@@ -55,21 +60,7 @@ from typing import Optional, Sequence
 from repro import obs
 from repro.core.metrics import METRIC_NAMES, THRESHOLD_STUDY, create_metric
 from repro.core.reducer import TraceReducer
-from repro.experiments.comparative import (
-    comparative_study,
-    fig5_size_and_matching,
-    fig6_approximation_distance,
-    fig7_dyn_load_balance_trends,
-    fig8_interference_trends,
-)
 from repro.experiments.config import ALL_WORKLOAD_NAMES, SCALES, build_workload, get_scale
-from repro.experiments.formatting import (
-    format_comparative_results,
-    format_rows,
-    format_trend_table,
-)
-from repro.experiments.thresholds import threshold_study_rows
-from repro.experiments.trend_tables import trend_table
 from repro.pipeline.engine import EXECUTORS, PipelineConfig, ReductionPipeline
 from repro.pipeline.store import create_store
 from repro.pipeline.stream import rank_segment_streams, source_name
@@ -86,7 +77,8 @@ __all__ = ["main", "build_parser"]
 #: to go faster, so no command offers it.
 _CLI_EXECUTORS = tuple(e for e in EXECUTORS if e != "thread")
 
-#: What the trace readers raise for a ``--trace`` file that is no valid trace.
+#: What the trace readers raise for an input file (``--trace``, ``convert``'s
+#: input) that is no valid trace.
 _BAD_TRACE = (TextFormatError, RpbFormatError, SegmentationError)
 
 #: ``serve``'s counts and the least value each takes (``None`` is unbounded).
@@ -462,7 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
         "convert",
         help="convert a trace file between the text and binary (.rpb) formats",
     )
-    convert.add_argument("input", help="source trace file")
+    # ``trace``, as the input file of pipeline/sweep/serve: main names it in
+    # the error for a file that is no valid trace.
+    convert.add_argument("trace", metavar="input", help="source trace file")
     convert.add_argument("output", help="destination trace file")
     convert.add_argument(
         "--from-format",
@@ -505,6 +499,9 @@ def _cmd_describe(args, scale) -> str:
 
 
 def _cmd_evaluate(args, scale) -> str:
+    from repro.experiments.comparative import comparative_study
+    from repro.experiments.formatting import format_comparative_results
+
     results = comparative_study((args.workload,), tuple(args.methods), scale=scale)
     return format_comparative_results(
         results, title=f"comparative study — {args.workload} (scale={scale.name})"
@@ -512,11 +509,17 @@ def _cmd_evaluate(args, scale) -> str:
 
 
 def _cmd_thresholds(args, scale) -> str:
+    from repro.experiments.formatting import format_rows
+    from repro.experiments.thresholds import threshold_study_rows
+
     rows = threshold_study_rows(args.method, args.workloads, scale=scale)
     return format_rows(rows, title=f"threshold study — {args.method} (scale={scale.name})")
 
 
 def _cmd_trends(args, scale) -> str:
+    from repro.experiments.formatting import format_trend_table
+    from repro.experiments.trend_tables import trend_table
+
     table = trend_table(args.workload, args.methods, scale=scale)
     return format_trend_table(
         table, title=f"retention of performance trends — {args.workload} (scale={scale.name})"
@@ -872,17 +875,11 @@ def _cmd_report(args, scale) -> str:
 
 
 def _cmd_convert(args, scale) -> str:
-    if not Path(args.input).exists():
-        raise _UsageError(f"trace file {args.input} does not exist")
-    try:
-        report = convert_trace(
-            args.input,
-            args.output,
-            from_format=args.from_format,
-            to_format=args.to_format,
-        )
-    except ValueError as error:
-        raise _UsageError(str(error)) from error
+    if not Path(args.trace).exists():
+        raise _UsageError(f"trace file {args.trace} does not exist")
+    report = convert_trace(
+        args.trace, args.output, from_format=args.from_format, to_format=args.to_format
+    )
     ratio = (
         f"{100.0 * report.dest_bytes / report.source_bytes:.2f}"
         if report.source_bytes
@@ -978,6 +975,14 @@ def _cmd_fuzz(args, scale) -> str:
 
 
 def _cmd_figure(args, scale) -> str:
+    from repro.experiments.comparative import (
+        fig5_size_and_matching,
+        fig6_approximation_distance,
+        fig7_dyn_load_balance_trends,
+        fig8_interference_trends,
+    )
+    from repro.experiments.formatting import format_rows
+
     if args.which == "fig5":
         return format_rows(fig5_size_and_matching(scale=scale), title="Figure 5")
     if args.which == "fig6":

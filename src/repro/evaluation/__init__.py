@@ -10,17 +10,12 @@ Four criteria are applied to every (workload, method, threshold) combination:
 
 :mod:`repro.evaluation.runner` wires the full pipeline together:
 simulate → segment → reduce → reconstruct → analyze → compare.
+
+The names below import their module when first read: the file-size
+criterion does not load the analysis the trend criterion needs.
 """
 
-from repro.evaluation.approximation import approximation_distance, timestamp_errors
-from repro.evaluation.filesize import percent_file_size
-from repro.evaluation.matching import degree_of_matching
-from repro.evaluation.trends import retains_trends
-from repro.evaluation.runner import (
-    EvaluationResult,
-    evaluate_grid,
-    evaluate_method,
-)
+from repro._lazy import lazy_getattr
 
 __all__ = [
     "percent_file_size",
@@ -32,3 +27,14 @@ __all__ = [
     "evaluate_grid",
     "evaluate_method",
 ]
+
+__getattr__ = lazy_getattr(
+    __name__,
+    {
+        ".filesize": ("percent_file_size",),
+        ".matching": ("degree_of_matching",),
+        ".approximation": ("approximation_distance", "timestamp_errors"),
+        ".trends": ("retains_trends",),
+        ".runner": ("EvaluationResult", "evaluate_grid", "evaluate_method"),
+    },
+)

@@ -11,13 +11,12 @@ once and shared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro import obs
 from repro.analysis.compare import ComparisonOptions, TrendComparison
 from repro.analysis.expert import analyze
 from repro.analysis.report import DiagnosisReport
-from repro.benchmarks_ats.base import Workload
 from repro.core.frametrace import FrameTrace
 from repro.core.metrics.base import SimilarityMetric
 from repro.core.reconstruct import reconstruct
@@ -27,6 +26,9 @@ from repro.evaluation.approximation import approximation_distance
 from repro.evaluation.filesize import decoded_trace_bytes, full_trace_bytes
 from repro.evaluation.trends import retains_trends
 from repro.trace.trace import SegmentedTrace
+
+if TYPE_CHECKING:
+    from repro.benchmarks_ats.base import Workload
 
 __all__ = [
     "EvaluationResult",

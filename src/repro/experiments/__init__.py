@@ -8,28 +8,14 @@
   (Tables 1–18);
 * :mod:`repro.experiments.formatting` — turning results into the text tables
   printed by the benchmark harness.
+
+The names below import their module when first read, and
+:mod:`~repro.experiments.config` names workloads and scales without
+loading the simulator: a command that only parses a workload name pays
+for no study.
 """
 
-from repro.experiments.config import (
-    ALL_WORKLOAD_NAMES,
-    BENCHMARK_NAMES,
-    SWEEP3D_NAMES,
-    ExperimentScale,
-    build_workload,
-    clear_workload_cache,
-    get_scale,
-    prepared_workload,
-)
-from repro.experiments.comparative import (
-    comparative_study,
-    fig5_size_and_matching,
-    fig6_approximation_distance,
-    fig7_dyn_load_balance_trends,
-    fig8_interference_trends,
-    trend_chart_for_methods,
-)
-from repro.experiments.thresholds import threshold_study, threshold_study_rows
-from repro.experiments.trend_tables import TREND_TABLE_INDEX, trend_table
+from repro._lazy import lazy_getattr
 
 __all__ = [
     "ExperimentScale",
@@ -51,3 +37,19 @@ __all__ = [
     "trend_table",
     "TREND_TABLE_INDEX",
 ]
+
+__getattr__ = lazy_getattr(
+    __name__,
+    {
+        ".config": (
+            "ExperimentScale", "get_scale", "build_workload", "prepared_workload",
+            "clear_workload_cache", "BENCHMARK_NAMES", "SWEEP3D_NAMES", "ALL_WORKLOAD_NAMES",
+        ),
+        ".comparative": (
+            "comparative_study", "fig5_size_and_matching", "fig6_approximation_distance",
+            "fig7_dyn_load_balance_trends", "fig8_interference_trends", "trend_chart_for_methods",
+        ),
+        ".thresholds": ("threshold_study", "threshold_study_rows"),
+        ".trend_tables": ("trend_table", "TREND_TABLE_INDEX"),
+    },
+)

@@ -12,27 +12,21 @@ experiment accepts an :class:`ExperimentScale`:
 The scale changes how *much* trace is generated, never the structure of the
 programs, so the qualitative comparisons between methods are unaffected.
 Select a scale globally through the ``REPRO_SCALE`` environment variable.
+
+The registry (names, scales) loads nothing else: the simulator and the
+benchmark programs are imported when the first workload is built, so a
+command that only parses a workload name does not pay for them.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.benchmarks_ats import (
-    INTERFERENCE_PATTERNS,
-    Workload,
-    dyn_load_balance,
-    early_gather,
-    imbalance_at_mpi_barrier,
-    interference,
-    late_broadcast,
-    late_receiver,
-    late_sender,
-)
-from repro.evaluation.runner import PreparedWorkload
-from repro.sweep3d import sweep3d_32p, sweep3d_8p
+if TYPE_CHECKING:
+    from repro.benchmarks_ats import Workload
+    from repro.evaluation.runner import PreparedWorkload
 
 __all__ = [
     "ExperimentScale",
@@ -40,6 +34,7 @@ __all__ = [
     "get_scale",
     "BENCHMARK_NAMES",
     "REGULAR_BENCHMARK_NAMES",
+    "INTERFERENCE_PATTERN_NAMES",
     "INTERFERENCE_BENCHMARK_NAMES",
     "SWEEP3D_NAMES",
     "ALL_WORKLOAD_NAMES",
@@ -124,10 +119,14 @@ REGULAR_BENCHMARK_NAMES: tuple[str, ...] = (
     "imbalance_at_mpi_barrier",
 )
 
+#: The interference suite's communication patterns: the keys of
+#: :data:`repro.benchmarks_ats.INTERFERENCE_PATTERNS`, in its order.
+INTERFERENCE_PATTERN_NAMES: tuple[str, ...] = ("Nto1", "1toN", "1to1r", "1to1s", "NtoN")
+
 INTERFERENCE_BENCHMARK_NAMES: tuple[str, ...] = tuple(
     f"{pattern}_{simulated}"
     for simulated in (32, 1024)
-    for pattern in INTERFERENCE_PATTERNS
+    for pattern in INTERFERENCE_PATTERN_NAMES
 )
 
 #: The 16 benchmark programs of the paper (everything except Sweep3D).
@@ -142,9 +141,11 @@ SWEEP3D_NAMES: tuple[str, ...] = ("sweep3d_8p", "sweep3d_32p")
 ALL_WORKLOAD_NAMES: tuple[str, ...] = (*BENCHMARK_NAMES, *SWEEP3D_NAMES)
 
 
-def _regular_factory(fn: Callable[..., Workload]) -> Callable[[ExperimentScale], Workload]:
+def _benchmark_factory(name: str) -> Callable[[ExperimentScale], Workload]:
     def build(scale: ExperimentScale) -> Workload:
-        return fn(
+        from repro import benchmarks_ats
+
+        return getattr(benchmarks_ats, name)(
             nprocs=scale.benchmark_nprocs,
             iterations=scale.benchmark_iterations,
             seed=scale.seed,
@@ -155,6 +156,8 @@ def _regular_factory(fn: Callable[..., Workload]) -> Callable[[ExperimentScale],
 
 def _interference_factory(pattern: str, simulated: int) -> Callable[[ExperimentScale], Workload]:
     def build(scale: ExperimentScale) -> Workload:
+        from repro.benchmarks_ats import interference
+
         return interference(
             pattern,
             simulated,
@@ -166,31 +169,32 @@ def _interference_factory(pattern: str, simulated: int) -> Callable[[ExperimentS
     return build
 
 
+def _sweep3d_8p(scale: ExperimentScale) -> Workload:
+    from repro.sweep3d import sweep3d_8p
+
+    return sweep3d_8p(
+        scale=scale.sweep3d_8p_scale, timesteps=scale.sweep3d_8p_timesteps, seed=scale.seed
+    )
+
+
+def _sweep3d_32p(scale: ExperimentScale) -> Workload:
+    from repro.sweep3d import sweep3d_32p
+
+    return sweep3d_32p(
+        scale=scale.sweep3d_32p_scale, timesteps=scale.sweep3d_32p_timesteps, seed=scale.seed
+    )
+
+
 _FACTORIES: dict[str, Callable[[ExperimentScale], Workload]] = {
-    "dyn_load_balance": lambda scale: dyn_load_balance(
-        nprocs=scale.benchmark_nprocs,
-        iterations=scale.benchmark_iterations,
-        seed=scale.seed,
-    ),
-    "late_sender": _regular_factory(late_sender),
-    "late_receiver": _regular_factory(late_receiver),
-    "early_gather": _regular_factory(early_gather),
-    "late_broadcast": _regular_factory(late_broadcast),
-    "imbalance_at_mpi_barrier": _regular_factory(imbalance_at_mpi_barrier),
-    "sweep3d_8p": lambda scale: sweep3d_8p(
-        scale=scale.sweep3d_8p_scale,
-        timesteps=scale.sweep3d_8p_timesteps,
-        seed=scale.seed,
-    ),
-    "sweep3d_32p": lambda scale: sweep3d_32p(
-        scale=scale.sweep3d_32p_scale,
-        timesteps=scale.sweep3d_32p_timesteps,
-        seed=scale.seed,
-    ),
+    **{name: _benchmark_factory(name) for name in ("dyn_load_balance", *REGULAR_BENCHMARK_NAMES)},
+    **{
+        f"{pattern}_{simulated}": _interference_factory(pattern, simulated)
+        for simulated in (32, 1024)
+        for pattern in INTERFERENCE_PATTERN_NAMES
+    },
+    "sweep3d_8p": _sweep3d_8p,
+    "sweep3d_32p": _sweep3d_32p,
 }
-for _pattern in INTERFERENCE_PATTERNS:
-    for _simulated in (32, 1024):
-        _FACTORIES[f"{_pattern}_{_simulated}"] = _interference_factory(_pattern, _simulated)
 
 
 def build_workload(name: str, scale: ExperimentScale | str | None = None) -> Workload:
@@ -214,6 +218,8 @@ _PREPARED_CACHE: dict[tuple[str, ExperimentScale], PreparedWorkload] = {}
 
 def prepared_workload(name: str, scale: ExperimentScale | str | None = None) -> PreparedWorkload:
     """Return (and memoize) the shared evaluation artefacts for one workload."""
+    from repro.evaluation.runner import PreparedWorkload
+
     if isinstance(scale, str) or scale is None:
         scale = get_scale(scale)
     key = (name, scale)

@@ -10,8 +10,6 @@ over run.
 from __future__ import annotations
 
 import os
-import platform
-import subprocess
 import time
 from pathlib import Path
 
@@ -22,6 +20,8 @@ _REPO_ROOT = Path(__file__).resolve().parents[3]
 
 def _git_sha() -> str | None:
     """Current commit sha, or None outside a git checkout / without git."""
+    import subprocess
+
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -38,6 +38,8 @@ def _git_sha() -> str | None:
 
 def provenance() -> dict:
     """The shared provenance block embedded in benchmark and telemetry files."""
+    import platform
+
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),

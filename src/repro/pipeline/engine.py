@@ -83,10 +83,9 @@ from __future__ import annotations
 import os
 import pickle
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro import obs
 from repro.core.candidates import MatchCounters
@@ -102,10 +101,11 @@ from repro.pipeline.stream import (
     rank_batches,
     source_name,
 )
-from repro.sweep.plan import SweepPlan
-from repro.sweep.results import ConfigOutcome, SweepResult, SweepStats
 from repro.trace.io import atomic_output, iter_reduced_rank_chunks
-from repro.trace.merge import MergedReducedTrace, merge_reduced_trace
+
+if TYPE_CHECKING:
+    from repro.sweep.results import SweepResult
+    from repro.trace.merge import MergedReducedTrace
 
 __all__ = [
     "PipelineConfig",
@@ -283,6 +283,9 @@ def _run_pool_tasks(
     has used it.  A failed task — including a process worker that died
     (``BrokenProcessPool``) — raises here from its ``result()``.
     """
+    # Imported here, not with the module: a serial run starts no pool.
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
     pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
     window = _IN_FLIGHT_PER_WORKER * workers
     pending: deque = deque()
@@ -466,6 +469,8 @@ class ReductionPipeline:
 
             merged: Optional[MergedReducedTrace] = None
             if self.config.merge:
+                from repro.trace.merge import merge_reduced_trace
+
                 with run.clock.span("merge"):
                     merged = merge_reduced_trace(reduced)
                 stats.merged_stored = merged.n_stored
@@ -526,6 +531,9 @@ def sweep_pipeline(
     is ignored.  Every config's reduced trace is byte-identical to a solo
     serial reduction, whatever the dispatch.
     """
+    from repro.sweep.plan import SweepPlan
+    from repro.sweep.results import ConfigOutcome, SweepResult, SweepStats
+
     if not isinstance(plan, SweepPlan):
         plan = SweepPlan(plan)
     families = [[c.create() for c in family.configs] for family in plan.families]

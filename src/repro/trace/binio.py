@@ -112,7 +112,13 @@ _KIND_EXIT = int(RecordKind.EXIT)
 
 
 class RpbFormatError(ValueError):
-    """Raised when a file is not a valid ``.rpb`` trace."""
+    """Raised when a file is not a valid ``.rpb`` trace.
+
+    The message says what is wrong (``rank 3 block holds an invalid trace:
+    …``), not which file: as with the text reader's
+    :class:`~repro.trace.io.TextFormatError`, the caller that opened the file
+    names it (``repro-trace`` prints ``FILE: message``).
+    """
 
 
 @dataclass(frozen=True, slots=True)
@@ -329,26 +335,26 @@ def _read_index_cached(
 def _read_index(path: Path) -> RpbIndex:
     with path.open("rb") as handle:
         if handle.read(len(_MAGIC)) != _MAGIC:
-            raise RpbFormatError(f"{path} is not an .rpb trace (bad magic)")
+            raise RpbFormatError("not an .rpb trace (bad magic)")
         handle.seek(0, 2)
         size = handle.tell()
         if size < len(_MAGIC) + _TAIL.size:
-            raise RpbFormatError(f"{path} is truncated (no footer)")
+            raise RpbFormatError("truncated (no footer)")
         handle.seek(size - _TAIL.size)
         footer_offset, tail_magic = _TAIL.unpack(handle.read(_TAIL.size))
         if tail_magic != _TAIL_MAGIC:
-            raise RpbFormatError(f"{path} is truncated or corrupt (bad tail magic)")
+            raise RpbFormatError("truncated or corrupt (bad tail magic)")
         if not len(_MAGIC) <= footer_offset <= size - _TAIL.size:
-            raise RpbFormatError(f"{path} has an out-of-range footer offset")
+            raise RpbFormatError("out-of-range footer offset")
         handle.seek(footer_offset)
         try:
             footer = json.loads(handle.read(size - _TAIL.size - footer_offset))
         except ValueError as error:
-            raise RpbFormatError(f"{path} has a corrupt footer: {error}") from error
+            raise RpbFormatError(f"corrupt footer: {error}") from error
     try:
         return _index_from_footer(footer)
     except RpbFormatError as error:
-        raise RpbFormatError(f"{path} has a corrupt footer: {error}") from error
+        raise RpbFormatError(f"corrupt footer: {error}") from error
 
 
 def _index_from_footer(footer) -> RpbIndex:
@@ -660,12 +666,12 @@ def _whole_or_by_rank(entries: Sequence[RpbRankEntry], decode: Callable) -> list
     return decoded
 
 
-def _invalid(path: Path, rank: int, message: object) -> "RpbFormatError":
-    return RpbFormatError(f"{path}: rank {rank} block holds an invalid trace: {message}")
+def _invalid(rank: int, message: object) -> "RpbFormatError":
+    return RpbFormatError(f"rank {rank} block holds an invalid trace: {message}")
 
 
 @contextmanager
-def _block_values(path: Path, rank: int) -> Iterator[None]:
+def _block_values(rank: int) -> Iterator[None]:
     """Report the value checks of objects built from a rank block as format errors.
 
     The format has no checksum, so a damaged byte can pass every shape check
@@ -681,7 +687,7 @@ def _block_values(path: Path, rank: int) -> Iterator[None]:
     except RpbFormatError:
         raise
     except ValueError as error:
-        raise _invalid(path, rank, error) from error
+        raise _invalid(rank, error) from error
 
 
 def _read_rank_columns(path: Path, rank: int) -> _RankColumns:
@@ -711,7 +717,7 @@ def iter_rank_records(path: str | Path, rank: int) -> Iterator[TraceRecord]:
     """Decode one rank's records via the footer index (random access)."""
     path = Path(path)
     columns = _read_rank_columns(path, rank)
-    with _block_values(path, rank):
+    with _block_values(rank):
         yield from _records_from_columns(columns)
 
 
@@ -800,16 +806,20 @@ def _segments_from_columns_fast(columns: _RankColumns) -> Optional[list[Segment]
 
     Splits the record stream into marker/event position arrays with NumPy
     (:func:`_marker_split`), then builds all events and segments in two list
-    comprehensions — no per-record interpreter loop.
+    comprehensions — no per-record interpreter loop.  A rank whose EXIT or
+    SEGMENT_END is earlier than the record it closes is malformed too: the
+    state machine refuses it, with the text path's error.
     """
     split = _marker_split(columns)
     if split is None:
         return None
     begin_pos, end_pos, enter_pos, exit_pos, event_seg = split
+    times = columns.time
+    if np.any(times[exit_pos] < times[enter_pos]) or np.any(times[end_pos] < times[begin_pos]):
+        return None
 
     rank = columns.rank
     strings = columns.strings
-    times = columns.time
     mpi = columns.mpi_by_position()
     name_ids = columns.name
     events = [
@@ -831,19 +841,16 @@ def _segments_from_columns_fast(columns: _RankColumns) -> Optional[list[Segment]
             times[end_pos].tolist(),
         )
     ):
-        segment = Segment(
-            context=strings[n],
-            rank=rank,
-            start=start,
-            end=start,
-            events=events[offsets[i] : offsets[i + 1]],
-            index=i,
+        segments.append(
+            Segment(
+                context=strings[n],
+                rank=rank,
+                start=start,
+                end=end,
+                events=events[offsets[i] : offsets[i + 1]],
+                index=i,
+            )
         )
-        # Assign ``end`` after construction, exactly as ``iter_segments``
-        # does: a segment whose END marker carries an earlier timestamp than
-        # its BEGIN must decode identically in both paths, not raise here.
-        segment.end = end
-        segments.append(segment)
     return segments
 
 
@@ -856,7 +863,7 @@ def iter_rank_segments(path: str | Path, rank: int) -> Iterator[Segment]:
     """
     path = Path(path)
     columns = _read_rank_columns(path, rank)
-    with _block_values(path, rank):
+    with _block_values(rank):
         segments = _segments_from_columns_fast(columns)
         if segments is None:
             segments = _segments_from_columns(columns)  # lazy: raises while iterated
@@ -879,7 +886,7 @@ def _text_sizes(columns: _RankColumns, sizer: ColumnTextSizer) -> np.ndarray:
 
 
 def _frames_from_columns(
-    path: Path, columns: _RankColumns, sizer: ColumnTextSizer
+    columns: _RankColumns, sizer: ColumnTextSizer
 ) -> Optional[list[RankFrame]]:
     """Turn a decoded run into one columnar :class:`RankFrame` per rank.
 
@@ -942,7 +949,7 @@ def _frames_from_columns(
         frame.text_bytes = size
         # The time-order check runs where the frame is reduced; it reports as
         # the value checks of :func:`_block_values` do.
-        frame.invalid = partial(_invalid, path, frame.rank)
+        frame.invalid = partial(_invalid, frame.rank)
     return frames
 
 
@@ -996,9 +1003,9 @@ def rank_frames(path: str | Path, ranks: Iterable[int]) -> list[RankFrame]:
 
     def decode(entries: Sequence[RpbRankEntry]) -> Optional[list[RankFrame]]:
         span = obs.span("columnar.decode", source="rpb", **_run_attrs(entries))
-        with span, _block_values(path, entries[0].rank):
+        with span, _block_values(entries[0].rank):
             columns = _load_columns(handle, entries, index.strings)
-            return _frames_from_columns(path, columns, index.sizer)
+            return _frames_from_columns(columns, index.sizer)
 
     with path.open("rb") as handle:
         return _whole_or_by_rank([index.entry_for(rank) for rank in ranks], decode)
@@ -1055,7 +1062,7 @@ def _read_trace_rpb(path: Path, name: str | None) -> Trace:
     with path.open("rb") as handle:
         for entry in index.entries:
             columns = _load_columns(handle, [entry], index.strings)
-            with _block_values(path, entry.rank):
+            with _block_values(entry.rank):
                 records = list(_records_from_columns(columns))
             by_rank[entry.rank] = RankTrace(rank=entry.rank, records=records)
     nprocs = max(by_rank) + 1

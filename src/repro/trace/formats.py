@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.frames import RankFrame
 from repro.trace import io as textio
 from repro.trace.records import TraceRecord
-from repro.trace.segments import Segment
+from repro.trace.segments import RecordSegmenter, Segment
 from repro.trace.trace import Trace
 
 __all__ = [
@@ -173,7 +173,10 @@ def convert_trace(
     the binary ``float64`` timestamps (text output quantizes, as always).
     ``dest`` appears whole when the last rank is written (both writers are
     atomic outputs), so it may be ``source`` itself, and a conversion that
-    fails leaves what ``dest`` held.
+    fails leaves what ``dest`` held.  A source whose records do not segment
+    (:class:`~repro.trace.segments.SegmentationError`, e.g. an EXIT before
+    its ENTER) fails the conversion: it would write a file every reader
+    refuses.
     """
     source, dest = Path(source), Path(dest)
     src_fmt = resolve_format(source, from_format)
@@ -183,7 +186,7 @@ def convert_trace(
     source_bytes = source.stat().st_size  # before the writer closes: dest may be source
     with dst_fmt.open_writer(dest) as writer:
         for rank, records in src_fmt.rank_streams(source):
-            n_records += writer.write_rank(rank, records)
+            n_records += writer.write_rank(rank, _segmentable(records))
             n_ranks += 1
     return ConversionReport(
         source=str(source),
@@ -195,6 +198,15 @@ def convert_trace(
         source_bytes=source_bytes,
         dest_bytes=dest.stat().st_size,
     )
+
+
+def _segmentable(records: Iterable[TraceRecord]) -> Iterator[TraceRecord]:
+    """``records`` as they come, checked against the segmentation rules."""
+    segmenter = RecordSegmenter()
+    for record in records:
+        segmenter.push(record)
+        yield record
+    segmenter.finish()
 
 
 register_format(

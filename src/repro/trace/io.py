@@ -445,8 +445,8 @@ def iter_rank_record_streams_text(
     for rank, records in itertools.groupby(iter_trace_records(path), key=lambda r: r.rank):
         if rank in seen:
             raise TextFormatError(
-                f"trace file {path} interleaves rank {rank}; per-rank records "
-                "must be contiguous for streaming ingestion"
+                f"interleaves rank {rank}; per-rank records must be contiguous "
+                "for streaming ingestion"
             )
         seen.add(rank)
         yield rank, records

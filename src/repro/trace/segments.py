@@ -28,7 +28,8 @@ __all__ = [
 
 
 class SegmentationError(RuntimeError):
-    """Raised when a record stream cannot be segmented (unbalanced markers)."""
+    """Raised when a record stream cannot be segmented (unbalanced markers, or
+    an EXIT or SEGMENT_END earlier than the record it closes)."""
 
 
 @dataclass(slots=True)
@@ -143,8 +144,9 @@ def segment_rank_records(records: Sequence[TraceRecord]) -> list[Segment]:
     Raises
     ------
     SegmentationError
-        If markers are unbalanced, events appear outside segments, or an
-        ENTER/EXIT pair straddles a segment boundary.
+        If markers are unbalanced, events appear outside segments, an
+        ENTER/EXIT pair straddles a segment boundary, or an EXIT or
+        SEGMENT_END is earlier than its ENTER or SEGMENT_BEGIN.
     """
     return list(iter_segments(records))
 
@@ -221,6 +223,10 @@ class RecordSegmenter:
                 raise SegmentationError(
                     f"segment {rec.name!r} ends inside open event {open_event[0]!r}"
                 )
+            if rec.timestamp < current.start:
+                raise SegmentationError(
+                    f"segment {rec.name!r} has end ({rec.timestamp}) before start ({current.start})"
+                )
             current.end = rec.timestamp
             self._n_emitted += 1
             self._current = None
@@ -245,6 +251,10 @@ class RecordSegmenter:
             if rec.name != name:
                 raise SegmentationError(
                     f"function exit {rec.name!r} does not match open event {name!r}"
+                )
+            if rec.timestamp < start:
+                raise SegmentationError(
+                    f"event {name!r} has end ({rec.timestamp}) before start ({start})"
                 )
             current.events.append(
                 Event(name=name, start=start, end=rec.timestamp, rank=rank, mpi=enter_rec.mpi)

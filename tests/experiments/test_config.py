@@ -7,6 +7,7 @@ from repro.experiments.config import (
     ALL_WORKLOAD_NAMES,
     BENCHMARK_NAMES,
     INTERFERENCE_BENCHMARK_NAMES,
+    INTERFERENCE_PATTERN_NAMES,
     REGULAR_BENCHMARK_NAMES,
     SCALES,
     SWEEP3D_NAMES,
@@ -41,6 +42,12 @@ class TestRegistry:
     def test_interference_names_cover_patterns_and_scales(self):
         assert len(INTERFERENCE_BENCHMARK_NAMES) == 10
         assert len(REGULAR_BENCHMARK_NAMES) == 5
+
+    def test_interference_pattern_names_are_the_generators_patterns(self):
+        """The registry spells them out so that naming a workload loads no simulator."""
+        from repro.benchmarks_ats import INTERFERENCE_PATTERNS
+
+        assert INTERFERENCE_PATTERN_NAMES == tuple(INTERFERENCE_PATTERNS)
 
     def test_every_workload_buildable_at_smoke_scale(self):
         for name in ALL_WORKLOAD_NAMES:

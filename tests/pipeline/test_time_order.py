@@ -19,6 +19,7 @@ from repro.pipeline.engine import PipelineConfig, ReductionPipeline, sweep_pipel
 from repro.trace import binio
 from repro.trace.binio import RpbFormatError
 from repro.trace.records import RecordKind
+from repro.trace.segments import SegmentationError
 
 from tests.trace.rpb_files import block_bytes, write_rpb
 
@@ -72,7 +73,7 @@ class TestBrokenRankIsRejectedWhicheverRowBreaksIt:
         out.write_bytes(b"previous run")
         with pytest.raises(RpbFormatError) as raised:
             ReductionPipeline(metric(), PipelineConfig()).write(path, out)
-        assert str(raised.value) == f"{path}: rank 0 block holds an invalid trace: {message}"
+        assert str(raised.value) == f"rank 0 block holds an invalid trace: {message}"
         assert out.read_bytes() == b"previous run"
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, "reduced.txt"])
 
@@ -89,13 +90,14 @@ class TestBrokenRankIsRejectedWhicheverRowBreaksIt:
             sweep_pipeline(path, [("absDiff", 1000.0), ("iter_k", None)])
 
     def test_scalar_reference_raises(self, tmp_path, case, row):
-        path, message = rpb_with(tmp_path, case, row)
+        path, _ = rpb_with(tmp_path, case, row)
         streams = ((rank, binio.iter_rank_segments(path, rank)) for rank in binio.rank_ids(path))
-        with pytest.raises(ValueError) as raised:
+        with pytest.raises(SegmentationError) as raised:
             TraceReducer(metric()).reduce_streams("t", streams)
-        # The reference checks absolute events at decode and relative segments
-        # at normalisation; the offence it names is the same one.
-        assert ("event 'f'" if case == "event" else message) in str(raised.value)
+        # The segment decoder refuses the rank as the record segmenter does,
+        # in absolute times; the offence it names is the same one.
+        offender = "event 'f'" if case == "event" else "segment 'main'"
+        assert str(raised.value).startswith(f"{offender} has end (")
 
 
 def test_the_sound_rank_reduces(tmp_path):
@@ -149,8 +151,8 @@ class TestCheckTimeOrder:
         frame.segments()
 
     def test_a_text_source_is_checked_too(self, tmp_path):
-        """The segmenter assigns ``end`` after construction, so a text rank can
-        hold an END before its BEGIN; it is a plain ``ValueError`` there."""
+        """A text rank's END before its BEGIN never reaches a frame: the
+        segmenter refuses it, as it refuses an EXIT before its ENTER."""
         path = tmp_path / "trace.txt"
         lines = []
         for begin, enter, exit_, end in [ROWS[0], (10.0, 11.0, 12.0, 9.0)]:
@@ -161,6 +163,6 @@ class TestCheckTimeOrder:
                 f"SEGMENT_END 0 {end:.2f} main",
             ]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r"segment 'main' has end \(-1.0\)") as raised:
+        message = r"segment 'main' has end \(9.0\) before start \(10.0\)"
+        with pytest.raises(SegmentationError, match=message):
             ReductionPipeline(metric(), PipelineConfig()).reduce(path)
-        assert not isinstance(raised.value, RpbFormatError)

@@ -1,12 +1,20 @@
 """Tests for the repro-trace command-line interface."""
 
 import argparse
+import importlib
 import io
+import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.core.frames import RankFrame
 from repro.experiments.config import clear_workload_cache
@@ -571,9 +579,9 @@ def test_shared_options_parse_alike_in_every_trace_command(argv):
 
 @pytest.fixture(scope="module")
 def trace_files(tmp_path_factory):
-    """A small trace as text and ``.rpb``, and four files that are no valid trace."""
+    """A small trace as text and ``.rpb``, and files that are no valid trace."""
     from repro.benchmarks_ats import late_sender
-    from repro.trace.io import write_trace
+    from repro.trace.io import read_trace, write_trace
 
     root = tmp_path_factory.mktemp("traces")
     trace = late_sender(nprocs=2, iterations=3, seed=1).run()
@@ -581,11 +589,24 @@ def trace_files(tmp_path_factory):
     write_trace(trace, root / "good.rpb")
     lines = (root / "good.txt").read_text().splitlines(keepends=True)
     files = {"good": root / "good.rpb"}
-    for label, value in (("negative", "-1.0"), ("nan", "nan")):
-        fields = lines[2].split(" ")
+    # Lines 0-3 are rank 0's SEGMENT_BEGIN, ENTER, EXIT and SEGMENT_END of
+    # ``init``, which begins after 0: a time of 0 on the EXIT or the END
+    # closes the event or the segment before it opened.
+    kinds = [line.split(" ")[0] for line in lines[:4]]
+    assert kinds == ["SEGMENT_BEGIN", "ENTER", "EXIT", "SEGMENT_END"]
+    assert float(lines[0].split(" ")[2]) > 0
+    for label, line, value in (
+        ("negative", 2, "-1.0"),
+        ("nan", 2, "nan"),
+        ("exit_first", 2, "0.0"),
+        ("end_first", 3, "0.0"),
+    ):
+        fields = lines[line].split(" ")
         fields[2] = value
         files[label] = root / f"{label}.txt"
-        files[label].write_text("".join(lines[:2] + [" ".join(fields)] + lines[3:]))
+        files[label].write_text("".join(lines[:line] + [" ".join(fields)] + lines[line + 1 :]))
+    files["rpb_end_first"] = root / "end_first.rpb"
+    write_trace(read_trace(files["end_first"]), files["rpb_end_first"])
     last_end = max(i for i, line in enumerate(lines) if line.startswith("SEGMENT_END 0 "))
     files["unclosed"] = root / "unclosed.txt"
     files["unclosed"].write_text("".join(lines[:last_end] + lines[last_end + 1 :]))
@@ -610,7 +631,10 @@ BAD_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("bad", ["negative", "nan", "rpb_nan", "unclosed"])
+BAD_TRACES = ["negative", "nan", "rpb_nan", "unclosed", "exit_first", "end_first", "rpb_end_first"]
+
+
+@pytest.mark.parametrize("bad", BAD_TRACES)
 @pytest.mark.parametrize("command, executor", BAD_RUNS)
 def test_a_bad_trace_file_is_one_error_line_and_no_output(
     capsys, tmp_path, trace_files, bad, command, executor
@@ -628,8 +652,99 @@ def test_a_bad_trace_file_is_one_error_line_and_no_output(
     assert "Traceback" not in err
     (line,) = [line for line in err.splitlines() if line.startswith("repro-trace: error:")]
     assert line.startswith(f"repro-trace: error: {path}: ")
+    assert line.count(str(path)) == 1
     assert not out.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", BAD_TRACES)
+def test_convert_refuses_a_bad_trace_as_the_other_commands_do(capsys, tmp_path, trace_files, bad):
+    """No file every reader refuses is written: one error line naming the input once."""
+    path = trace_files[bad]
+    out = tmp_path / ("out.txt" if path.suffix == ".rpb" else "out.rpb")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["convert", str(path), str(out)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = [line for line in err.splitlines() if line.startswith("repro-trace: error:")]
+    assert line.startswith(f"repro-trace: error: {path}: ")
+    assert line.count(str(path)) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+SRC = Path(repro.__file__).resolve().parents[1]
+
+#: Modules a command has no use for, by command: a serial ``pipeline --trace``
+#: reads, reduces and writes, so it loads no simulator, analysis, study,
+#: service, fuzzer, sweep or pool; ``sweep --trace`` scores its grid with
+#: the analysis but simulates nothing.
+NOT_IMPORTED = {
+    "pipeline": r"repro\.(simulator|analysis|benchmarks_ats|sweep3d|service|fuzz|sweep"
+    r"|experiments\.(comparative|thresholds|trend_tables))"
+    r"|concurrent\.futures\.process|multiprocessing|asyncio",
+    "sweep": r"repro\.(simulator|benchmarks_ats|sweep3d)",
+}
+
+
+def _python(tmp_path, *argv) -> subprocess.CompletedProcess:
+    """``python ARGV`` in a fresh interpreter on this checkout's ``src``."""
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+@pytest.mark.parametrize("command", sorted(NOT_IMPORTED))
+def test_a_command_imports_only_what_it_uses(tmp_path, trace_files, command):
+    argv = [command, "--trace", str(trace_files["good"]), "--executor", "serial"]
+    if command == "pipeline":
+        argv += ["--output", str(tmp_path / "out.txt")]
+    stderr = _python(tmp_path, "-X", "importtime", "-m", "repro.cli", *argv).stderr
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert {"repro.pipeline.engine", "repro.trace.binio", "repro.core.reducer"} <= imported
+    pattern = re.compile(rf"_?({NOT_IMPORTED[command]})(\..*)?")
+    assert sorted(name for name in imported if pattern.fullmatch(name)) == []
+
+
+#: What ``from PACKAGE import *`` binds, by name: the type of each value,
+#: ``package`` for a subpackage.
+_PUBLIC_TYPES = """
+import importlib, json, pkgutil, sys
+package = importlib.import_module(sys.argv[1])
+if sys.argv[2] == "submodules first":
+    for info in pkgutil.iter_modules(package.__path__, package.__name__ + "."):
+        importlib.import_module(info.name)
+namespace = {}
+exec(f"from {package.__name__} import *", namespace)
+print(json.dumps({
+    name: "package" if hasattr(value, "__path__") else type(value).__name__
+    for name, value in ((name, namespace[name]) for name in package.__all__)
+}))
+"""
+
+
+@pytest.mark.parametrize("package", ["repro", "repro.evaluation", "repro.experiments", "repro.obs"])
+def test_a_lazy_package_resolves_its_public_names_in_either_order(tmp_path, package):
+    """Every ``__all__`` name resolves in a fresh interpreter, ``from PACKAGE
+    import *`` included, to the same kind of value whether the package's
+    submodules were imported before or not — and never to a plain module,
+    which is what a lazy name that shares its module's name would give
+    (importing the submodule sets the module on the package)."""
+    resolved = [
+        json.loads(_python(tmp_path, "-c", _PUBLIC_TYPES, package, order).stdout)
+        for order in ("names first", "submodules first")
+    ]
+    assert resolved[0] == resolved[1]
+    assert set(resolved[0]) == set(importlib.import_module(package).__all__)
+    assert sorted(name for name, kind in resolved[0].items() if kind == "module") == []
 
 
 @pytest.fixture

@@ -146,19 +146,20 @@ class TestFastSegmentDecoder:
             list(binio.iter_rank_segments(path, 0))
 
     def test_backwards_segment_end_matches_record_path(self, tmp_path):
-        # iter_segments assigns the END timestamp after construction, so a
-        # segment whose END precedes its BEGIN decodes (duration < 0) rather
-        # than raising; the vectorized path must behave identically.
+        # iter_segments refuses a segment whose END precedes its BEGIN; the
+        # vectorized path must refuse it identically.
         records = [
             TraceRecord(kind=RecordKind.SEGMENT_BEGIN, rank=0, timestamp=5.0, name="s"),
             TraceRecord(kind=RecordKind.SEGMENT_END, rank=0, timestamp=4.0, name="s"),
         ]
-        reference = list(iter_segments(records))
+        with pytest.raises(SegmentationError) as reference:
+            list(iter_segments(records))
+        assert str(reference.value) == "segment 's' has end (4.0) before start (5.0)"
         path = tmp_path / "backwards.rpb"
         binio.write_trace_rpb(Trace(name="t", ranks=[RankTrace(rank=0, records=records)]), path)
-        fast = list(binio.iter_rank_segments(path, 0))
-        assert [(s.start, s.end) for s in fast] == [(s.start, s.end) for s in reference]
-        assert fast[0].end == 4.0
+        with pytest.raises(SegmentationError) as fast:
+            list(binio.iter_rank_segments(path, 0))
+        assert str(fast.value) == str(reference.value)
 
     def test_unclosed_segment_raises(self, tmp_path):
         records = [
