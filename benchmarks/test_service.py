@@ -4,8 +4,9 @@ Two questions the ``repro.service`` subsystem must answer with numbers
 rather than design claims:
 
 * **What does incrementality cost?**  A :class:`ReductionSession` fed the
-  same trace in small chunks — with periodic delta flushes, per-segment
-  content-digest chaining, and delta bookkeeping — is timed against two
+  same trace in small chunks — each rank's frame appended as row views
+  (``RankFrame.chunks``), with periodic delta flushes, per-row column-digest
+  chaining, and delta bookkeeping — is timed against two
   one-shot reductions of identical input.  ``incremental_overhead`` (gated)
   divides by the scalar segment-at-a-time reference
   (``TraceReducer.reduce_streams``, called explicitly): the session must
@@ -19,7 +20,8 @@ rather than design claims:
 * **What does the content-digest cache buy?**  ``ReductionService.submit``
   is issued twice with identical content: the first call pays a full
   session reduction, the second is answered from the
-  :class:`ResultCache` and pays only the streaming ``source_digest``.
+  :class:`ResultCache` and pays only the streaming ``source_digest`` (the
+  same per-row chaining over the same frames, no ``Segment`` built).
   The hit/miss latency ratio is the cache's value proposition.
 
 The headline (default-scale) gates are conservative: incremental overhead
@@ -39,7 +41,7 @@ from tests.support import reference_reduce
 from repro.core.metrics import create_metric
 from repro.core.reducer import TraceReducer
 from repro.experiments.config import build_workload, get_scale
-from repro.pipeline.stream import rank_segment_streams
+from repro.pipeline.stream import rank_frame_streams
 from repro.service import ReductionService, ReductionSession, SessionConfig
 from repro.trace.io import serialize_delta, serialize_reduced_trace
 from repro.util.tables import format_table
@@ -71,11 +73,12 @@ def _time_batch(trace, reduce, passes: int = 2) -> tuple[float, bytes]:
     return best, payload
 
 
-def _time_incremental(trace, streams, passes: int = 2) -> tuple[float, bytes, int]:
+def _time_incremental(trace, passes: int = 2) -> tuple[float, bytes, int]:
     """Best-of-N chunked session feed with periodic flushes.
 
     Every delta the session emits is also serialized, so the measured time
-    includes the full cost a live consumer would impose on the service.
+    includes the full cost a live consumer would impose on the service.  The
+    frames are built inside the timing, as ``TraceReducer.reduce`` builds its.
     """
     best = float("inf")
     payload = b""
@@ -85,9 +88,9 @@ def _time_incremental(trace, streams, passes: int = 2) -> tuple[float, bytes, in
         appends = 0
         delta_bytes = 0
         started = time.perf_counter()
-        for rank, segments in streams.items():
-            for at in range(0, len(segments), CHUNK):
-                session.append_segments(rank, segments[at : at + CHUNK])
+        for _, frame in rank_frame_streams(trace):
+            for piece in frame.chunks(CHUNK):
+                session.append(piece)
                 appends += 1
                 if appends % FLUSH_EVERY == 0:
                     delta_bytes += len(serialize_delta(session.flush()))
@@ -123,13 +126,12 @@ def _time_cache(trace, hit_passes: int = 3) -> tuple[float, float, bytes]:
 
 def _measure_scale(scale_name: str) -> dict:
     trace = build_workload(WORKLOAD, get_scale(scale_name)).run().segmented()
-    streams = {rank: list(segments) for rank, segments in rank_segment_streams(trace)}
-    n_segments = sum(len(segments) for segments in streams.values())
+    n_segments = sum(len(rank.segments) for rank in trace.ranks)
 
     batch_seconds, oracle = _time_batch(trace, reference_reduce)
     core_seconds, core = _time_batch(trace, lambda metric, t: TraceReducer(metric).reduce(t))
     assert core == oracle, "the columnar core diverged from the scalar reference"
-    incr_seconds, incremental, delta_bytes = _time_incremental(trace, streams)
+    incr_seconds, incremental, delta_bytes = _time_incremental(trace)
     assert incremental == oracle, (
         "incremental session output diverged from the batch reducer"
     )

@@ -15,23 +15,12 @@ visualisations by hand; this subpackage provides the equivalent machinery:
   performance trends of the full trace;
 * :mod:`repro.analysis.cube` — a text rendering of the severity charts used
   in Figures 4, 7, and 8.
+
+The names below import their module when first read: the trend criterion
+does not load the flat profile or the chart rendering.
 """
 
-from repro.analysis.patterns import (
-    EARLY_GATHER,
-    EXECUTION_TIME,
-    LATE_BROADCAST,
-    LATE_RECEIVER,
-    LATE_SENDER,
-    WAIT_AT_BARRIER,
-    WAIT_AT_NXN,
-    WAIT_METRICS,
-)
-from repro.analysis.profile import FlatProfile, flat_profile
-from repro.analysis.report import DiagnosisReport
-from repro.analysis.expert import analyze
-from repro.analysis.compare import ComparisonOptions, TrendComparison, compare_diagnoses
-from repro.analysis.cube import severity_chart, severity_level
+from repro._lazy import lazy_getattr
 
 __all__ = [
     "LATE_SENDER",
@@ -52,3 +41,18 @@ __all__ = [
     "severity_chart",
     "severity_level",
 ]
+
+__getattr__ = lazy_getattr(
+    __name__,
+    {
+        ".patterns": (
+            "EARLY_GATHER", "EXECUTION_TIME", "LATE_BROADCAST", "LATE_RECEIVER", "LATE_SENDER",
+            "WAIT_AT_BARRIER", "WAIT_AT_NXN", "WAIT_METRICS",
+        ),
+        ".profile": ("FlatProfile", "flat_profile"),
+        ".report": ("DiagnosisReport",),
+        ".expert": ("analyze",),
+        ".compare": ("ComparisonOptions", "TrendComparison", "compare_diagnoses"),
+        ".cube": ("severity_chart", "severity_level"),
+    },
+)

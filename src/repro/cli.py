@@ -63,7 +63,7 @@ from repro.core.reducer import TraceReducer
 from repro.experiments.config import ALL_WORKLOAD_NAMES, SCALES, build_workload, get_scale
 from repro.pipeline.engine import EXECUTORS, PipelineConfig, ReductionPipeline
 from repro.pipeline.store import create_store
-from repro.pipeline.stream import rank_segment_streams, source_name
+from repro.pipeline.stream import rank_frame_streams, rank_segment_streams, source_name
 from repro.trace.binio import RpbFormatError
 from repro.trace.formats import convert_trace, format_names, resolve_format
 from repro.trace.io import TextFormatError, serialize_reduced_trace, write_reduced_trace, write_trace
@@ -777,9 +777,15 @@ def _cmd_serve(args, scale) -> str:
     else:
         source = build_workload(args.workload, scale).run_segmented()
         subject = args.workload
-    # Materialize once: every session replays the same per-rank stream, and
-    # forward-only text sources cannot be iterated twice.
-    stream = [(rank, list(segments)) for rank, segments in rank_segment_streams(source)]
+    # Cut once: every session replays the same chunks (row views of each
+    # rank's frame), and forward-only text sources cannot be read twice.  A
+    # frame the reducer would refuse is refused here, before the delta log
+    # is opened, so a bad input leaves no log behind.
+    frames = [frame for _, frame in rank_frame_streams(source)]
+    for frame in frames:
+        frame.check_finite()
+        frame.check_time_order()
+    chunks = [piece for frame in frames for piece in frame.chunks(args.chunk)]
     trace_name = source_name(source)
 
     async def drive(delta_writer):
@@ -790,15 +796,12 @@ def _cmd_serve(args, scale) -> str:
         ]
 
         async def feed(index, handle):
-            appends = 0
-            for rank, segments in stream:
-                for at in range(0, len(segments), args.chunk):
-                    await handle.append(rank, segments[at : at + args.chunk])
-                    appends += 1
-                    if appends % args.flush_every == 0:
-                        delta = await handle.flush()
-                        if index == 0 and delta_writer is not None:
-                            delta_writer.write(delta)
+            for appends, piece in enumerate(chunks, 1):
+                await handle.append(piece)
+                if appends % args.flush_every == 0:
+                    delta = await handle.flush()
+                    if index == 0 and delta_writer is not None:
+                        delta_writer.write(delta)
             result = await handle.finish()
             if index == 0 and delta_writer is not None:
                 delta_writer.write(result.delta)

@@ -11,18 +11,16 @@ The pipeline is:
 3. :func:`~repro.core.reconstruct.reconstruct` rebuilds an approximate full
    trace from the reduced representation so the evaluation criteria (error,
    retention of performance trends) can be applied.
+
+The names below import their module when first read: reducing a trace file
+does not load the reconstruction.
 """
 
-from repro.core.candidates import CandidateList, MatchCounters
-from repro.core.metrics import (
-    DEFAULT_THRESHOLDS,
-    METRIC_NAMES,
-    THRESHOLD_STUDY,
-    create_metric,
-)
-from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
-from repro.core.reducer import TraceReducer, reduce_trace
-from repro.core.reconstruct import reconstruct
+# The trace package before any module of this one: its binary reader builds
+# frames (``repro.core.frames``), which read its event types, so a first
+# ``import repro.core.frames`` must find it loaded.
+import repro.trace  # noqa: F401
+from repro._lazy import lazy_getattr
 
 __all__ = [
     "METRIC_NAMES",
@@ -38,3 +36,14 @@ __all__ = [
     "reduce_trace",
     "reconstruct",
 ]
+
+__getattr__ = lazy_getattr(
+    __name__,
+    {
+        ".candidates": ("CandidateList", "MatchCounters"),
+        ".metrics": ("DEFAULT_THRESHOLDS", "METRIC_NAMES", "THRESHOLD_STUDY", "create_metric"),
+        ".reduced": ("ReducedRankTrace", "ReducedTrace", "StoredSegment"),
+        ".reducer": ("TraceReducer", "reduce_trace"),
+        ".reconstruct": ("reconstruct",),
+    },
+)

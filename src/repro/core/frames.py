@@ -34,7 +34,7 @@ every engine runs one code path.  The segment-at-a-time
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -436,6 +436,21 @@ class RankFrame:
         )
         view._run = (self, rows, events)
         return view
+
+    def chunks(self, size: int) -> Iterator["RankFrame"]:
+        """This rank's rows ``size`` at a time, as row views (at least one, if empty).
+
+        How a rank is appended to a session in pieces.  Unlike a rank of a
+        run (:meth:`rows_view`), a piece keeps each row's ``Segment.index``:
+        row ``i`` of the piece at ``lo`` is the rank's segment ``lo + i``, and
+        a piece the reducer refuses raises the rank's :attr:`invalid`.
+        """
+        for lo in range(0, max(self.n_segments, 1), size):
+            hi = min(lo + size, self.n_segments)
+            view = self.rows_view(self.rank, lo, hi)
+            view.indices = np.arange(lo, hi) if self.indices is None else self.indices[lo:hi]
+            view.invalid = self.invalid
+            yield view
 
     # -- vectorized structural keying ------------------------------------------
 

@@ -5,10 +5,10 @@ long-lived incremental engine, the "traces as live streams" direction of the
 ROADMAP:
 
 * :mod:`repro.service.session` — :class:`ReductionSession` wraps reducer +
-  representative-store state per (trace, config), accepts appended
-  records/segments per rank through the columnar
-  :class:`~repro.core.frames.RankFrame`/``reduce_frame`` path, and emits
-  reduced-trace *deltas* (new/updated representatives since the last flush).
+  representative-store state per (trace, config), reduces each appended
+  :class:`~repro.core.frames.RankFrame` (or batch of raw records) through
+  ``reduce_frame``, and emits reduced-trace *deltas* (new/updated
+  representatives since the last flush).
 * :mod:`repro.service.checkpoint` — serialize/restore full session state so
   a restored session continues bit-identically, in another process if need
   be.
@@ -16,7 +16,8 @@ ROADMAP:
   per-tenant memory budgets, LRU eviction-to-checkpoint, and bounded ingest
   queues with backpressure.
 * :mod:`repro.service.cache` — content-digest result cache so identical
-  (trace digest, config) requests are answered without re-reduction.
+  (trace digest, config) requests are answered without re-reduction; the
+  digest chains frame rows, so a session and its source agree on it.
 
 The incremental path steps the same core as the batch
 :meth:`~repro.core.reducer.TraceReducer.reduce` and is byte-identical to the

@@ -5,73 +5,77 @@ config must produce the same reduced bytes, so the service answers the second
 one from a cache keyed by ``(trace digest, config key)`` without re-running
 the reduction.
 
-Digests hash the **exact** ``float64`` timestamp bytes (via ``struct``), not
-the text serialization: the text format quantizes timestamps to two decimals,
-so hashing it could collide two traces that genuinely differ below 0.01 µs
-and would then serve the wrong cached result.  Per-rank digests are *chained*
-(each appended batch of segments folds into a running 32-byte digest), which
-is what lets a live session compute its trace digest incrementally and lets a
-checkpoint carry the digest as plain bytes — ``hashlib`` objects themselves
-do not pickle.
+The digest is computed over a rank frame's columns (:func:`chain_frame`), one
+link per row, so a session that is fed a rank in chunks and
+:func:`source_digest` that reads it whole arrive at the same bytes.
+Timestamps are hashed as their exact ``float64`` bytes, not the text
+serialization: the text format quantizes timestamps to two decimals, so
+hashing it could collide two traces that genuinely differ below 0.01 µs and
+would then serve the wrong cached result.  A per-rank digest is a plain
+32-byte value, which is what lets a checkpoint carry it — ``hashlib``
+objects themselves do not pickle.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional
 
+import numpy as np
+
 from repro.obs.metrics import Counts
 
 if TYPE_CHECKING:  # import cycle guard only; these are annotations
+    from repro.core.frames import RankFrame
     from repro.pipeline.stream import SegmentSource
-    from repro.trace.segments import Segment
 
 __all__ = [
-    "segment_digest",
-    "chain_digest",
+    "chain_frame",
     "combine_rank_digests",
     "source_digest",
     "CacheCounters",
     "ResultCache",
 ]
 
-_EVENT_TS = struct.Struct("<dd")
-_SEG_HEAD = struct.Struct("<qdd")
-_RANK_ID = struct.Struct("<q")
+#: A row's rank, start and end, as hashed.
+_ROW_HEAD = np.dtype([("rank", "<i8"), ("start", "<f8"), ("end", "<f8")])
 
 
-def segment_digest(segment: "Segment") -> bytes:
-    """Exact content digest (32 bytes) of one segment.
+def chain_frame(previous: bytes, frame: "RankFrame") -> bytes:
+    """Fold every row of ``frame`` into a running per-rank digest.
 
-    Covers context, rank, segment start/end, and every event's name,
-    timestamps, and MPI parameters — everything that can influence the
-    reduction.  Timestamps are hashed as raw float64, so traces differing
-    below text precision still digest differently.
+    One sha256 link per row, over the previous digest, a digest of the row's
+    structural key (context, event names, MPI parameters), the row's rank,
+    start and end, and its events' (start, end) times interleaved — every
+    time as its exact ``float64`` bytes.  So the result depends on the rows
+    and their order, not on how a rank was cut into frames: chaining the
+    pieces of a rank one after another gives the digest of the whole.
+    ``previous`` is ``b""`` before a rank's first row; the result is 32
+    bytes (``previous`` itself for a frame without rows).
     """
-    h = hashlib.sha256()
-    h.update(segment.context.encode("utf-8"))
-    h.update(b"\x00")
-    h.update(_SEG_HEAD.pack(segment.rank, segment.start, segment.end))
-    for event in segment.events:
-        h.update(event.name.encode("utf-8"))
-        h.update(b"\x00")
-        h.update(_EVENT_TS.pack(event.start, event.end))
-        if event.mpi is not None:
-            h.update(repr(event.mpi.key()).encode("utf-8"))
-        h.update(b"\x01")
-    return h.digest()
-
-
-def chain_digest(previous: bytes, segment: "Segment") -> bytes:
-    """Fold one more segment into a running per-rank digest.
-
-    ``previous`` is ``b""`` for the first segment; the result is always 32
-    bytes and picklable, unlike a live ``hashlib`` object.
-    """
-    return hashlib.sha256(previous + segment_digest(segment)).digest()
+    heads = np.empty(frame.n_segments, dtype=_ROW_HEAD)
+    heads["rank"] = frame.rank
+    heads["start"], heads["end"] = frame.starts, frame.ends
+    times = np.empty(2 * frame.n_events, dtype="<f8")
+    times[0::2], times[1::2] = frame.ev_starts, frame.ev_ends
+    head_bytes, time_bytes = heads.tobytes(), times.tobytes()
+    bounds = (16 * frame.ev_offsets).tolist()
+    key_digests: dict = {}
+    sha256 = hashlib.sha256
+    digest = previous
+    for row, key in enumerate(frame.structural_keys()):
+        key_digest = key_digests.get(key)
+        if key_digest is None:
+            key_digest = key_digests[key] = sha256(repr(key.value).encode("utf-8")).digest()
+        digest = sha256(
+            digest
+            + key_digest
+            + head_bytes[24 * row : 24 * row + 24]
+            + time_bytes[bounds[row] : bounds[row + 1]]
+        ).digest()
+    return digest
 
 
 def combine_rank_digests(rank_digests: Mapping[int, bytes]) -> str:
@@ -83,28 +87,25 @@ def combine_rank_digests(rank_digests: Mapping[int, bytes]) -> str:
     """
     h = hashlib.sha256()
     for rank in sorted(rank_digests):
-        h.update(_RANK_ID.pack(rank))
+        h.update(rank.to_bytes(8, "little", signed=True))
         h.update(rank_digests[rank])
     return h.hexdigest()
 
 
 def source_digest(source: "SegmentSource") -> str:
-    """Digest a whole segment source without reducing it.
+    """Digest a whole source without reducing it.
 
-    Streams the same segments a session would ingest and applies the same
-    chaining, so a finished session's :meth:`ReductionSession.trace_digest`
-    equals ``source_digest`` of the trace it was fed — that equality is what
-    makes the submit-path cache lookup sound.
+    Chains the frames :func:`~repro.pipeline.stream.rank_frame_streams` reads
+    (an ``.rpb`` file decodes to them without a ``Segment`` built), so a
+    finished session's :meth:`ReductionSession.trace_digest` equals
+    ``source_digest`` of the trace it was fed — that equality is what makes
+    the submit-path cache lookup sound.
     """
-    from repro.pipeline.stream import rank_segment_streams
+    from repro.pipeline.stream import rank_frame_streams
 
-    digests: dict[int, bytes] = {}
-    for rank, segments in rank_segment_streams(source):
-        d = b""
-        for segment in segments:
-            d = hashlib.sha256(d + segment_digest(segment)).digest()
-        digests[rank] = d
-    return combine_rank_digests(digests)
+    return combine_rank_digests(
+        {rank: chain_frame(b"", frame) for rank, frame in rank_frame_streams(source)}
+    )
 
 
 @dataclass(slots=True)
@@ -173,7 +174,3 @@ class ResultCache:
             self._bytes -= len(evicted)
             self.counters.evictions += 1
         return True
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._bytes = 0

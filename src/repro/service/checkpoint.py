@@ -2,8 +2,9 @@
 
 A checkpoint is one pickle payload holding the session's complete state:
 config, metric, per-rank representative stores (with their candidate-matrix
-columns), partially reduced outputs, open segmenters,
-chained digests, and flush watermarks.  A session restored from it — in the
+columns), partially reduced outputs, open segmenters, per-rank digests
+(chained per row over frame columns, :func:`~repro.service.cache.chain_frame`)
+and flush watermarks.  A session restored from it — in the
 same process or a fresh one — continues **bit-identically**: the reduced
 bytes and stats of checkpoint → restore → finish equal those of an
 uninterrupted run.
@@ -45,9 +46,11 @@ __all__ = [
     "load_checkpoint",
 ]
 
-#: Bump when the payload layout changes; restores reject other versions
-#: instead of resuming from a misread state.
-STATE_VERSION = 3
+#: Bump when the payload layout or the meaning of a field changes; restores
+#: reject other versions instead of resuming from a misread state.  Version 4:
+#: the rank digests chain frame rows (a version-3 digest chained segments, so
+#: a resumed session would never digest to its source again).
+STATE_VERSION = 4
 
 
 def session_state(session: ReductionSession) -> bytes:

@@ -6,8 +6,9 @@ resident session owns a bounded :class:`asyncio.Queue` of commands and one
 worker task that drains it, so
 
 * commands of one session execute strictly in submission order (appends and
-  flushes never interleave within a session);
-* a full queue makes ``await handle.append(...)`` block — **backpressure**
+  flushes never interleave within a session), and a command whose caller
+  cancelled it before it started is dropped, never applied;
+* a full queue makes ``await handle.append(frame)`` block — **backpressure**
   reaches the producer instead of growing memory;
 * sessions of different tenants (and of one tenant) make progress
   concurrently at await granularity.
@@ -15,8 +16,12 @@ worker task that drains it, so
 Memory is bounded two ways.  Per-tenant, ``tenant_budget`` caps the total
 *live representatives* across the tenant's resident sessions; when an append
 pushes a tenant over budget, least-recently-used **idle** sessions are
-evicted to checkpoints (bytes in memory, or files under ``checkpoint_dir``)
-and transparently restored on their next command.  Globally, the result
+evicted to checkpoints (bytes in memory, or files under ``checkpoint_dir``,
+named by a per-service counter) and transparently restored on their next
+command; a checkpoint file that cannot be written leaves its session
+resident.  An append is a :class:`~repro.core.frames.RankFrame` — a chunk of
+a rank is a row view (:meth:`RankFrame.chunks`) — so neither the session nor
+its digest builds a ``Segment``.  Globally, the result
 cache is byte-bounded, and a finished session's serialized output is
 inserted under its ``(trace digest, config key)`` — a later
 :meth:`ReductionService.submit` of identical content under the same config is
@@ -29,9 +34,10 @@ import asyncio
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro import obs
+from repro.core.frames import RankFrame
 from repro.obs.metrics import Counts
 from repro.service.cache import CacheCounters, ResultCache, source_digest
 from repro.service.checkpoint import restore_state, session_state, write_checkpoint_bytes
@@ -42,7 +48,6 @@ from repro.service.session import (
     SessionResult,
 )
 from repro.trace.io import serialize_reduced_trace
-from repro.trace.segments import Segment
 
 __all__ = ["ServiceStats", "SessionHandle", "SubmitResult", "ReductionService"]
 
@@ -184,6 +189,9 @@ class _ManagedSession:
     async def _run(self) -> None:
         while True:
             kind, args, future = await self.queue.get()
+            if future.cancelled():  # the caller gave up before it started
+                self.queue.task_done()
+                continue
             self.busy = True
             stop = False
             try:
@@ -206,16 +214,8 @@ class _ManagedSession:
                 return
 
     def _execute(self, kind: str, args: tuple):
-        session = self.session
-        assert session is not None  # _touch restores before enqueueing
-        if kind == "append_segments":
-            rank, segments = args
-            return session.append_segments(rank, segments)
-        if kind == "flush":
-            return session.flush()
-        if kind == "finish":
-            return session.finish()
-        raise ValueError(f"unknown session command {kind!r}")
+        assert self.session is not None  # _touch restores before enqueueing
+        return getattr(self.session, kind)(*args)
 
 
 class SessionHandle:
@@ -230,21 +230,9 @@ class SessionHandle:
         self._service = service
         self._managed = managed
 
-    @property
-    def tenant(self) -> str:
-        return self._managed.tenant
-
-    @property
-    def key(self) -> tuple:
-        return self._managed.key
-
-    @property
-    def name(self) -> str:
-        return self._managed.key[0]
-
-    async def append(self, rank: int, segments: Iterable[Segment]) -> int:
-        """Append one rank's batch of segments; returns segments completed."""
-        return await self._submit("append_segments", (rank, list(segments)))
+    async def append(self, frame: RankFrame) -> int:
+        """Append one piece of ``frame.rank``'s rows; returns rows taken."""
+        return await self._submit("append", (frame,))
 
     async def flush(self) -> ReductionDelta:
         """Emit the delta of everything reduced since the previous flush."""
@@ -305,6 +293,7 @@ class ReductionService:
         self.stats = ServiceStats(cache=self.cache.counters)
         self._tenants: dict[str, _Tenant] = {}
         self._submit_seq = 0
+        self._checkpoints = 0
 
     # -- session lifecycle -------------------------------------------------
 
@@ -359,13 +348,13 @@ class ReductionService:
     ) -> SubmitResult:
         """Reduce a whole source, answering from the digest cache if possible.
 
-        The source is digested first (same chaining a session applies); a
-        cache hit under ``(digest, config.key)`` returns the stored bytes
-        without touching the reducer.  On a miss, the source streams through
-        an internal session in ``chunk``-segment appends and the result is
-        cached for the next identical request.
+        The source is digested first (the chaining a session applies, over
+        the same frames); a cache hit under ``(digest, config.key)`` returns
+        the stored bytes without touching the reducer.  On a miss, each
+        rank's frame streams through an internal session as ``chunk``-row
+        views and the result is cached for the next identical request.
         """
-        from repro.pipeline.stream import rank_segment_streams, source_name
+        from repro.pipeline.stream import rank_frame_streams, source_name
 
         if isinstance(config, str):
             config = SessionConfig(method=config)
@@ -379,15 +368,9 @@ class ReductionService:
             self._submit_seq += 1
             name = f"{source_name(source)}#{self._submit_seq}"
             handle = await self.open_session(tenant, name, config)
-            for rank, segments in rank_segment_streams(source):
-                buffer: list[Segment] = []
-                for segment in segments:
-                    buffer.append(segment)
-                    if len(buffer) >= chunk:
-                        await handle.append(rank, segments=buffer)
-                        buffer = []
-                if buffer:
-                    await handle.append(rank, segments=buffer)
+            for _, frame in rank_frame_streams(source):
+                for piece in frame.chunks(chunk):
+                    await handle.append(piece)
             result = await handle.finish()
             return SubmitResult(
                 digest=digest,
@@ -398,9 +381,6 @@ class ReductionService:
             )
 
     # -- introspection -----------------------------------------------------
-
-    def tenants(self) -> list[str]:
-        return sorted(self._tenants)
 
     def resident_representatives(self, tenant: str) -> int:
         """Live representatives across the tenant's resident sessions now."""
@@ -448,8 +428,14 @@ class ReductionService:
         with obs.span("service.evict", tenant=managed.tenant, session=managed.key[0]):
             data = session_state(managed.session)
             if self.checkpoint_dir is not None:
-                path = self.checkpoint_dir / f"{managed.tenant}-{abs(hash(managed.key)):x}.ckpt"
-                write_checkpoint_bytes(path, data)
+                # Named by the service, not the tenant: a tenant name is
+                # not a path under checkpoint_dir.
+                self._checkpoints += 1
+                path = self.checkpoint_dir / f"session-{self._checkpoints}.ckpt"
+                try:
+                    write_checkpoint_bytes(path, data)
+                except OSError:
+                    return  # the session stays resident, its worker alive
                 managed.checkpoint = ("file", path)
             else:
                 managed.checkpoint = ("mem", data)
@@ -462,7 +448,7 @@ class ReductionService:
     def _after_command(self, managed: _ManagedSession, kind: str, result) -> None:
         """Bookkeeping after a worker executed one command."""
         stats = self.stats
-        if kind == "append_segments":
+        if kind == "append":
             stats.appends += 1
             if result is not None:
                 stats.segments += int(result)

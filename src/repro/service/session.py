@@ -2,18 +2,21 @@
 
 A :class:`ReductionSession` is the batch reducer turned inside out: instead
 of consuming a whole trace in one call, a session is a long-lived object that
-accepts appended raw records or pre-segmented batches per rank, reduces each
-batch immediately through the columnar
-:class:`~repro.core.frames.RankFrame` → ``reduce_frame`` path, and can at any
-point emit a *delta* — the stored representatives and execution entries added
-or updated since the previous flush.
+accepts a rank's rows a frame at a time (:meth:`ReductionSession.append`, a
+:class:`~repro.core.frames.RankFrame` — a chunk of a decoded rank is a row
+view of it, :meth:`RankFrame.chunks`) or raw records
+(:meth:`ReductionSession.append_records`, segmented at the boundary), reduces
+each append immediately through ``reduce_frame``, and can at any point emit
+a *delta* — the stored representatives and execution entries added or
+updated since the previous flush.
 
 The incremental path is **byte-identical** to the batch
 :class:`~repro.core.reducer.TraceReducer`: feeding a trace in any per-rank
 chunking produces exactly the bytes of the one-shot reduction, because
 ``reduce_frame(..., into=)`` continues the same representative store and
 output the batch path uses.  The session additionally chains a per-rank
-content digest over everything it ingests, so a finished session knows the
+content digest over the columns of every row it ingests
+(:func:`~repro.service.cache.chain_frame`), so a finished session knows the
 digest of the trace it saw — the key the service's result cache is indexed
 by.
 
@@ -34,9 +37,9 @@ from repro.core.metrics import create_metric
 from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
 from repro.core.reducer import TraceReducer
 from repro.pipeline.store import create_store
-from repro.service.cache import chain_digest, combine_rank_digests
+from repro.service.cache import chain_frame, combine_rank_digests
 from repro.trace.records import TraceRecord
-from repro.trace.segments import RecordSegmenter, Segment
+from repro.trace.segments import RecordSegmenter
 
 __all__ = [
     "SessionConfig",
@@ -175,14 +178,14 @@ class _RankState:
         self.rank = rank
         self.store = create_store(store_capacity)
         self.reduced = ReducedRankTrace(rank=rank)
-        #: Created lazily on the first ``append_records`` — segment appends
+        #: Created lazily on the first ``append_records`` — frame appends
         #: never need one, and its absence asserts the two ingestion styles
         #: are not mixed mid-segment.
         self.segmenter: Optional[RecordSegmenter] = None
         #: Flush watermarks into ``reduced.stored`` / ``reduced.execs``.
         self.stored_mark = 0
         self.exec_mark = 0
-        #: Chained content digest of every segment ingested so far.
+        #: Chained content digest of every row ingested so far.
         self.digest = b""
         #: segment_id -> StoredSegment for every representative that has
         #: already been announced in a delta (lets later flushes resolve
@@ -224,16 +227,6 @@ class ReductionSession:
         return self._finished
 
     @property
-    def ranks(self) -> list[int]:
-        """Rank ids seen so far, sorted."""
-        return sorted(self._ranks)
-
-    @property
-    def n_segments(self) -> int:
-        """Segments reduced so far, across ranks."""
-        return sum(st.reduced.n_segments for st in self._ranks.values())
-
-    @property
     def live_representatives(self) -> int:
         """Representatives currently held as match candidates (memory cost).
 
@@ -254,19 +247,24 @@ class ReductionSession:
 
     # -- ingestion ---------------------------------------------------------
 
+    def append(self, frame: RankFrame) -> int:
+        """Reduce one more piece of ``frame.rank``'s rows; returns rows taken."""
+        return self._ingest(self._rank_state(frame.rank), frame)
+
     def append_records(self, rank: int, records: Iterable[TraceRecord]) -> int:
         """Push raw trace records for one rank; returns segments completed.
 
         Records stream through a persistent per-rank
         :class:`~repro.trace.segments.RecordSegmenter`, so a segment may span
         any number of ``append_records`` calls; only *completed* segments are
-        reduced (and digested).  The open tail survives checkpoints.
+        reduced (and digested), as one frame.  The open tail survives
+        checkpoints.
         """
         state = self._rank_state(rank)
         segmenter = state.segmenter
         if segmenter is None:
             segmenter = state.segmenter = RecordSegmenter(rank)
-        segments: list[Segment] = []
+        segments = []
         n_records = 0
         for record in records:
             n_records += 1
@@ -274,11 +272,7 @@ class ReductionSession:
             if segment is not None:
                 segments.append(segment)
         self.stats.records += n_records
-        return self._ingest(state, segments)
-
-    def append_segments(self, rank: int, segments: Iterable[Segment]) -> int:
-        """Push already-segmented data for one rank; returns segments taken."""
-        return self._ingest(self._rank_state(rank), list(segments))
+        return self._ingest(state, RankFrame.from_segments(rank, segments))
 
     def _rank_state(self, rank: int) -> _RankState:
         if self._finished:
@@ -288,26 +282,22 @@ class ReductionSession:
             state = self._ranks[rank] = _RankState(rank, self.config.store_capacity)
         return state
 
-    def _ingest(self, state: _RankState, segments: list[Segment]) -> int:
-        n = len(segments)
+    def _ingest(self, state: _RankState, frame: RankFrame) -> int:
+        n = frame.n_segments
         self.stats.appends += 1
         if not n:
             return 0
         with obs.span("service.append", rank=state.rank, segments=n):
-            frame = RankFrame.from_segments(state.rank, segments)
             self.reducer.reduce_frame(
                 frame,
                 store=state.store,
                 into=state.reduced,
                 match_counters=self.stats.match,
             )
-            # Chained after the reduction: a batch the reducer refuses (it
+            # Chained after the reduction: a frame the reducer refuses (it
             # checks the whole frame before it steps a row) leaves the
             # digest as it was.
-            digest = state.digest
-            for segment in segments:
-                digest = chain_digest(digest, segment)
-            state.digest = digest
+            state.digest = chain_frame(state.digest, frame)
         self.stats.segments += n
         return n
 

@@ -41,7 +41,7 @@ from repro.trace.records import RecordKind, TraceRecord
 from repro.trace.segments import Segment
 
 if TYPE_CHECKING:  # avoid a runtime cycle: core.reduced imports this module
-    from repro.core.reduced import ReducedRankTrace, ReducedTrace
+    from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
     from repro.service.session import ReductionDelta
 
 from repro.trace.trace import SegmentedTrace, Trace
@@ -480,25 +480,20 @@ def _segment_template(key) -> str:
     return template
 
 
-def iter_reduced_rank_chunks(reduced_rank: "ReducedRankTrace") -> Iterator[bytes]:
-    """Serialize one reduced rank: its stored segments, then its execution entries.
+def _stored_texts(stored_segments: Iterable["StoredSegment"]) -> Iterator[str]:
+    """The ``SEG`` block of each representative: :func:`serialize_segment`'s text.
 
-    The single definition of a reduced rank's bytes — what
-    :func:`serialize_segment` gives each representative and
-    :func:`serialize_exec_entry` each execution, in order.  A representative
-    that is still a frame row (``stored.origin``, a dense reduction) is
-    written from the frame's relative columns with no object built: one
-    template per structure (:func:`_segment_template`), one ``format`` call
-    per representative over a slice of the frame's interleaved event
-    timestamps.  Two chunks at most, so a writer holds one rank's text; their
-    lengths are :meth:`ReducedRankTrace.size_bytes`.
+    A representative that is still a frame row (``stored.origin``, a dense
+    reduction) is written from the frame's relative columns with no object
+    built: one template per structure (:func:`_segment_template`), one
+    ``format`` call per representative over a slice of the frame's
+    interleaved event timestamps.
     """
-    pieces: list[str] = []
     frame = None
-    for stored in reduced_rank.stored:
+    for stored in stored_segments:
         origin = stored.origin
         if origin is None:
-            pieces.append(_segment_text(stored.segment, stored.segment_id))
+            yield _segment_text(stored.segment, stored.segment_id)
             continue
         if origin[0] is not frame:
             frame = origin[0]
@@ -510,9 +505,20 @@ def iter_reduced_rank_chunks(reduced_rank: "ReducedRankTrace") -> Iterator[bytes
             pairs, ends, bounds = pairs.tolist(), rel_ends.tolist(), (2 * frame.ev_offsets).tolist()
         row = origin[1]
         timestamps = pairs[bounds[row] : bounds[row + 1]]
-        pieces.append(_segment_template(keys[row]).format(stored.segment_id, ends[row], *timestamps))
-    if pieces:
-        yield "".join(pieces).encode("utf-8")
+        yield _segment_template(keys[row]).format(stored.segment_id, ends[row], *timestamps)
+
+
+def iter_reduced_rank_chunks(reduced_rank: "ReducedRankTrace") -> Iterator[bytes]:
+    """Serialize one reduced rank: its stored segments, then its execution entries.
+
+    The single definition of a reduced rank's bytes — what
+    :func:`serialize_segment` gives each representative (:func:`_stored_texts`)
+    and :func:`serialize_exec_entry` each execution, in order.  Two chunks at
+    most, so a writer holds one rank's text; their lengths are
+    :meth:`ReducedRankTrace.size_bytes`.
+    """
+    if reduced_rank.stored:
+        yield "".join(_stored_texts(reduced_rank.stored)).encode("utf-8")
     if reduced_rank.execs:
         lines = itertools.starmap("EXEC {} {:.2f}\n".format, reduced_rank.execs)
         yield "".join(lines).encode("utf-8")
@@ -585,6 +591,9 @@ def iter_delta_chunks(delta: "ReductionDelta") -> Iterator[bytes]:
     segment — and finally the window's ``EXEC`` entries.  Concatenating the
     ``SEG``/``EXEC`` payloads of all deltas of a session, dropping
     superseded ``UPD`` segment states, reconstructs the batch reduced trace.
+    Each ``SEG`` block is written as the reduced trace writes it
+    (:func:`_stored_texts`), so a representative that is a frame row is
+    written from the columns.
     """
     threshold = "-" if delta.threshold is None else _TS_FMT.format(delta.threshold)
     yield (
@@ -596,11 +605,10 @@ def iter_delta_chunks(delta: "ReductionDelta") -> Iterator[bytes]:
             f"RANK {rank_delta.rank} new={len(rank_delta.new)} "
             f"updated={len(rank_delta.updated)} execs={len(rank_delta.execs)}\n"
         ).encode("utf-8")
-        for stored in rank_delta.new:
-            yield serialize_segment(stored.segment, segment_id=stored.segment_id)
-        for stored in rank_delta.updated:
-            yield f"UPD {stored.segment_id} count={stored.count}\n".encode("utf-8")
-            yield serialize_segment(stored.segment, segment_id=stored.segment_id)
+        for text in _stored_texts(rank_delta.new):
+            yield text.encode("utf-8")
+        for stored, text in zip(rank_delta.updated, _stored_texts(rank_delta.updated)):
+            yield f"UPD {stored.segment_id} count={stored.count}\n{text}".encode("utf-8")
         for segment_id, start in rank_delta.execs:
             yield serialize_exec_entry(segment_id, start)
 

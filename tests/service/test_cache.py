@@ -5,11 +5,11 @@ import pickle
 import pytest
 
 from repro.benchmarks_ats import late_sender
+from repro.core.frames import RankFrame
 from repro.service.cache import (
     ResultCache,
-    chain_digest,
+    chain_frame,
     combine_rank_digests,
-    segment_digest,
     source_digest,
 )
 from tests.conftest import make_segment
@@ -21,16 +21,20 @@ def segments():
     return trace.ranks[0].segments
 
 
-class TestSegmentDigest:
+def digest(*segments):
+    return chain_frame(b"", RankFrame.from_segments(0, segments))
+
+
+class TestChainFrame:
     def test_deterministic(self, segments):
-        assert segment_digest(segments[0]) == segment_digest(segments[0])
-        assert len(segment_digest(segments[0])) == 32
+        assert digest(segments[0]) == digest(segments[0])
+        assert len(digest(segments[0])) == 32
 
     def test_sub_text_precision_differences_matter(self):
         # The text format quantizes to 2 decimals; digests must not.
         a = make_segment("c", [("e", 1.0, 2.0)], end=10.0)
         b = make_segment("c", [("e", 1.0, 2.0 + 1e-6)], end=10.0)
-        assert segment_digest(a) != segment_digest(b)
+        assert digest(a) != digest(b)
 
     def test_mpi_parameters_matter(self):
         from repro.trace.events import MpiCallInfo
@@ -47,12 +51,18 @@ class TestSegmentDigest:
             end=5.0,
             mpi_for={"MPI_Send": MpiCallInfo(op="send", peer=2, tag=0)},
         )
-        assert segment_digest(a) != segment_digest(b)
+        assert digest(a) != digest(b)
 
     def test_chain_is_order_sensitive(self, segments):
-        forward = chain_digest(chain_digest(b"", segments[0]), segments[1])
-        backward = chain_digest(chain_digest(b"", segments[1]), segments[0])
-        assert forward != backward
+        assert digest(segments[0], segments[1]) != digest(segments[1], segments[0])
+
+    def test_chain_continues_across_frames(self, segments):
+        whole = RankFrame.from_segments(0, segments)
+        d = b""
+        for piece in whole.chunks(3):
+            d = chain_frame(d, piece)
+        assert d == chain_frame(b"", whole)
+        assert chain_frame(d, RankFrame.from_segments(0, [])) == d
 
     def test_combine_is_rank_order_independent(self, segments):
         d = {0: b"a" * 32, 1: b"b" * 32}
@@ -108,5 +118,5 @@ class TestResultCache:
     def test_digest_bytes_are_picklable(self, segments):
         # Sessions checkpoint their chained digests; plain bytes must be all
         # that is needed (hashlib objects would not survive).
-        d = chain_digest(b"", segments[0])
+        d = digest(segments[0])
         assert pickle.loads(pickle.dumps(d)) == d

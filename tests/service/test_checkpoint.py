@@ -16,6 +16,7 @@ import pytest
 
 from repro.benchmarks_ats import late_sender
 from repro.core.candidates import CandidateList
+from repro.core.frames import RankFrame
 from repro.core.metrics import METRIC_NAMES, create_metric
 from repro.core.reduced import StoredSegment
 from repro.pipeline.store import create_store
@@ -46,18 +47,18 @@ def _run_split(config, streams, split, checkpoint=lambda s: restore_state(sessio
     """First halves → checkpoint hook → second halves → finish."""
     session = ReductionSession("t", config)
     for rank, segments in streams.items():
-        session.append_segments(rank, segments[:split])
+        session.append(RankFrame.from_segments(rank, segments[:split]))
     session.flush()
     session = checkpoint(session)
     for rank, segments in streams.items():
-        session.append_segments(rank, segments[split:])
+        session.append(RankFrame.from_segments(rank, segments[split:]))
     return session.finish()
 
 
 def _run_straight(config, streams):
     session = ReductionSession("t", config)
     for rank, segments in streams.items():
-        session.append_segments(rank, segments)
+        session.append(RankFrame.from_segments(rank, segments))
     return session.finish()
 
 
@@ -156,7 +157,7 @@ def test_checkpoint_preserves_stats_and_seq(streams):
     config = SessionConfig("relDiff")
     session = ReductionSession("t", config)
     for rank, segments in streams.items():
-        session.append_segments(rank, segments[:5])
+        session.append(RankFrame.from_segments(rank, segments[:5]))
     session.flush()
     clone = restore_state(session_state(session))
     assert clone.seq == session.seq
@@ -211,12 +212,12 @@ def test_failed_write_leaves_previous_checkpoint_intact(streams, tmp_path, monke
 
     session = ReductionSession("t", SessionConfig("relDiff"))
     for rank, segments in streams.items():
-        session.append_segments(rank, segments[:4])
+        session.append(RankFrame.from_segments(rank, segments[:4]))
     path = tmp_path / "session.ckpt"
     save_checkpoint(session, path)
     before = path.read_bytes()
     for rank, segments in streams.items():
-        session.append_segments(rank, segments[4:])
+        session.append(RankFrame.from_segments(rank, segments[4:]))
     assert session_state(session) != before
 
     class DiskFillsUp(io.FileIO):
@@ -235,12 +236,13 @@ def test_failed_write_leaves_previous_checkpoint_intact(streams, tmp_path, monke
     assert load_checkpoint(path).finish().reduced.n_segments == 4 * len(streams)
 
 
-@pytest.mark.parametrize("version", [999, 2])
+@pytest.mark.parametrize("version", [999, 2, 3])
 def test_restore_rejects_unknown_version(streams, version):
-    # Version 2: a checkpoint from before the last layout change (buckets
-    # pickled their owner metric and a built-row count) must be refused, not
-    # resumed from a misread state.
-    assert STATE_VERSION == 3
+    # Version 2: buckets pickled their owner metric and a built-row count.
+    # Version 3: rank digests chained segments, not frame rows, so a resumed
+    # session would never digest to its source again.  Both must be refused,
+    # not resumed from a misread state.
+    assert STATE_VERSION == 4
     session = ReductionSession("t", SessionConfig("relDiff"))
     payload = pickle.loads(session_state(session))
     payload["version"] = version
@@ -252,7 +254,7 @@ def _finish_in_child(checkpoint_path, tail, out_path):
     """Spawn target: restore from file, append the tail, write reduced bytes."""
     session = load_checkpoint(checkpoint_path)
     for rank, segments in tail.items():
-        session.append_segments(rank, segments)
+        session.append(RankFrame.from_segments(rank, segments))
     result = session.finish()
     with open(out_path, "wb") as handle:
         handle.write(serialize_reduced_trace(result.reduced))
@@ -273,7 +275,7 @@ def test_restore_in_fresh_process(streams, tmp_path, metric_name):
     session = ReductionSession("t", config)
     split = 9
     for rank, segments in streams.items():
-        session.append_segments(rank, segments[:split])
+        session.append(RankFrame.from_segments(rank, segments[:split]))
     checkpoint_path = tmp_path / "mid.ckpt"
     save_checkpoint(session, checkpoint_path)
 

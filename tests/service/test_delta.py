@@ -3,6 +3,7 @@
 import pytest
 
 from repro.benchmarks_ats import late_sender
+from repro.core.frames import RankFrame
 from repro.core.metrics import create_metric
 from repro.pipeline.stream import rank_segment_streams
 from repro.service import ReductionSession, SessionConfig
@@ -29,7 +30,7 @@ def _session_deltas(trace, config, chunk=4):
     for rank, segments in rank_segment_streams(trace):
         segments = list(segments)
         for at in range(0, len(segments), chunk):
-            session.append_segments(rank, segments[at : at + chunk])
+            session.append(RankFrame.from_segments(rank, segments[at : at + chunk]))
             deltas.append(session.flush())
     result = session.finish()
     deltas.append(result.delta)

@@ -12,10 +12,11 @@ import math
 import pytest
 
 from repro.benchmarks_ats import late_sender
+from repro.core.frames import RankFrame
 from repro.core.metrics import create_metric
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.stream import rank_segment_streams
-from repro.service import ReductionService, ResultCache, SessionConfig
+from repro.service import ReductionService, ReductionSession, ResultCache, SessionConfig
 from repro.trace.events import Event
 from repro.trace.io import serialize_reduced_trace
 from repro.trace.segments import Segment
@@ -50,7 +51,7 @@ async def _feed(handle, streams, chunk=3, flush_every=0):
     appends = 0
     for rank, segments in streams.items():
         for at in range(0, len(segments), chunk):
-            await handle.append(rank, segments=segments[at : at + chunk])
+            await handle.append(RankFrame.from_segments(rank, segments[at : at + chunk]))
             appends += 1
             if flush_every and appends % flush_every == 0:
                 await handle.flush()
@@ -104,7 +105,7 @@ class TestMultiTenantEviction:
                     for rank, segments in streams.items():
                         part = segments[lo:hi]
                         for at in range(0, len(part), 3):
-                            await handle.append(rank, segments=part[at : at + 3])
+                            await handle.append(RankFrame.from_segments(rank, part[at : at + 3]))
                     await handle.flush()
             results = [await handle.finish() for handle in handles]
             stats = service.stats
@@ -176,7 +177,7 @@ class TestBackpressure:
             # Fire many appends concurrently; the bounded queue must make
             # producers wait rather than buffer everything.
             jobs = [
-                handle.append(rank, segments=[segment])
+                handle.append(RankFrame.from_segments(rank, [segment]))
                 for rank, segments in streams.items()
                 for segment in segments
             ]
@@ -195,9 +196,9 @@ class TestBackpressure:
             service = ReductionService(queue_limit=8)
             handle = await service.open_session("acme", "t", SessionConfig("relDiff"))
             segments = streams[0]
-            first = asyncio.ensure_future(handle.append(0, segments=segments[:4]))
+            first = asyncio.ensure_future(handle.append(RankFrame.from_segments(0, segments[:4])))
             mid_flush = asyncio.ensure_future(handle.flush())
-            second = asyncio.ensure_future(handle.append(0, segments=segments[4:]))
+            second = asyncio.ensure_future(handle.append(RankFrame.from_segments(0, segments[4:])))
             await asyncio.gather(first, mid_flush, second)
             delta = mid_flush.result()
             result = await handle.finish()
@@ -304,8 +305,8 @@ class TestLifecycleErrors:
             handle = await service.open_session("acme", "t", SessionConfig("relDiff"))
             bad = Segment("main", 0, math.nan, 3.0, [Event("f", 1.0, 2.0, 0)])
             with pytest.raises(ValueError, match="finite number"):
-                await handle.append(0, segments=[bad])
-            await handle.append(0, segments=streams[0][:2])
+                await handle.append(RankFrame.from_segments(0, [bad]))
+            await handle.append(RankFrame.from_segments(0, streams[0][:2]))
             result = await handle.finish()
             await service.close()
             return result
@@ -341,3 +342,111 @@ def test_stats_read_the_caches_own_counters(trace):
     assert (stats.sessions_active, stats.sessions_resident) == (0, 0)
     assert "service.sessions_active" not in snapshot
     assert snapshot["service.evicted_to_checkpoint"].value == 0
+
+
+class TestFaults:
+    """A cancelled append, a hostile tenant name, a full disk: each has a defined outcome."""
+
+    def test_a_command_cancelled_before_it_starts_is_not_applied(self, streams):
+        first, second = streams[0][:5], streams[0][5:10]
+
+        async def main():
+            service = ReductionService()
+            handle = await service.open_session("acme", "t", SessionConfig("relDiff"))
+            t1 = asyncio.ensure_future(handle.append(RankFrame.from_segments(0, first)))
+            t2 = asyncio.ensure_future(handle.append(RankFrame.from_segments(0, second)))
+            await asyncio.sleep(0)  # both queued; the worker has started neither
+            t2.cancel()
+            await asyncio.wait_for(t1, 5)
+            with pytest.raises(asyncio.CancelledError):
+                await t2
+            result = await asyncio.wait_for(handle.finish(), 5)
+            await service.close()
+            return t2, result
+
+        t2, result = asyncio.run(main())
+        assert t2.cancelled()
+        assert result.reduced.n_segments == 5
+        alone = ReductionSession("t", SessionConfig("relDiff"))
+        alone.append(RankFrame.from_segments(0, first))
+        want = alone.finish()
+        assert serialize_reduced_trace(result.reduced) == serialize_reduced_trace(want.reduced)
+        assert result.digest == want.digest
+
+    @pytest.mark.parametrize("tenant", ["../escape", "x/y"])
+    def test_eviction_writes_only_under_checkpoint_dir(
+        self, streams, oracle_bytes, tmp_path, monkeypatch, tenant
+    ):
+        from repro.service import server
+
+        checkpoint_dir = tmp_path / "ckpts"
+        written = []
+        write = server.write_checkpoint_bytes
+
+        def recorded(path, data):
+            written.append(path)
+            write(path, data)
+
+        monkeypatch.setattr(server, "write_checkpoint_bytes", recorded)
+
+        async def main():
+            service = ReductionService(tenant_budget=1, checkpoint_dir=checkpoint_dir)
+            config = SessionConfig("relDiff", store_capacity=16)
+            handles = [await service.open_session(tenant, f"t{i}", config) for i in range(2)]
+            results = await asyncio.wait_for(
+                asyncio.gather(*(_feed(handle, streams) for handle in handles)), 30
+            )
+            stats = service.stats
+            await service.close()
+            return results, stats
+
+        results, stats = asyncio.run(main())
+        assert stats.evicted_to_checkpoint > 0 and stats.restored_from_checkpoint > 0
+        for result in results:
+            assert serialize_reduced_trace(result.reduced) == oracle_bytes
+        assert written and all(path.parent == checkpoint_dir for path in written)
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [
+            checkpoint_dir.relative_to(tmp_path)
+        ]
+
+    def test_a_checkpoint_that_cannot_be_written_leaves_the_session_resident(
+        self, streams, oracle_bytes, tmp_path, monkeypatch
+    ):
+        import io
+
+        from repro.service import checkpoint
+
+        failed = []
+
+        class DiskFillsUp(io.FileIO):
+            def write(self, data):
+                super().write(data[: len(data) // 2])
+                failed.append(self.name)
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(checkpoint.os, "fdopen", DiskFillsUp)
+        checkpoint_dir = tmp_path / "ckpts"
+
+        async def main():
+            service = ReductionService(tenant_budget=1, checkpoint_dir=checkpoint_dir)
+            config = SessionConfig("relDiff", store_capacity=16)
+            cold = await service.open_session("acme", "cold", config)
+            hot = await service.open_session("acme", "hot", config)
+            await asyncio.wait_for(cold.append(RankFrame.from_segments(0, streams[0][:6])), 5)
+            # The hot session's command puts the tenant over budget: the
+            # cold one is evicted, and its checkpoint write fails.
+            await asyncio.wait_for(hot.append(RankFrame.from_segments(0, streams[0][:6])), 5)
+            resident = cold._managed.resident
+            files = sorted(checkpoint_dir.iterdir())
+            await asyncio.wait_for(cold.append(RankFrame.from_segments(0, streams[0][6:])), 5)
+            for rank in sorted(streams)[1:]:
+                await asyncio.wait_for(cold.append(RankFrame.from_segments(rank, streams[rank])), 5)
+            result = await asyncio.wait_for(cold.finish(), 5)
+            stats = service.stats
+            await service.close()
+            return resident, files, result, stats
+
+        resident, files, result, stats = asyncio.run(main())
+        assert failed and resident and files == []
+        assert stats.evicted_to_checkpoint == 0
+        assert serialize_reduced_trace(result.reduced) == oracle_bytes

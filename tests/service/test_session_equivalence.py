@@ -10,6 +10,7 @@ bytes of the one-shot scalar reference reducer, from every source kind
 import pytest
 
 from repro.benchmarks_ats import late_sender
+from repro.core.frames import RankFrame
 from repro.core.metrics import METRIC_NAMES, create_metric
 from repro.pipeline.stream import rank_segment_streams
 from repro.service import ReductionSession, SessionConfig, source_digest
@@ -55,10 +56,10 @@ def _session_bytes(source, metric_name, chunks):
         for size in chunks(len(segments), rank):
             if at >= len(segments):
                 break
-            session.append_segments(rank, segments[at : at + size])
+            session.append(RankFrame.from_segments(rank, segments[at : at + size]))
             at += size
         if at < len(segments):
-            session.append_segments(rank, segments[at:])
+            session.append(RankFrame.from_segments(rank, segments[at:]))
     result = session.finish()
     return serialize_reduced_trace(result.reduced), result
 
@@ -114,7 +115,7 @@ class TestInterleavingAndFlushes:
             for rank in sorted(pending):
                 at = pending[rank]
                 size = (step % 3) + 1
-                session.append_segments(rank, streams[rank][at : at + size])
+                session.append(RankFrame.from_segments(rank, streams[rank][at : at + size]))
                 pending[rank] = at + size
                 if pending[rank] >= len(streams[rank]):
                     del pending[rank]
@@ -126,7 +127,7 @@ class TestInterleavingAndFlushes:
         session = ReductionSession("t", SessionConfig("euclidean"))
         for rank, segments in rank_segment_streams(trace):
             for segment in segments:
-                session.append_segments(rank, [segment])
+                session.append(RankFrame.from_segments(rank, [segment]))
                 session.flush()  # flush after every single segment
         assert serialize_reduced_trace(session.finish().reduced) == want
 
@@ -138,7 +139,7 @@ class TestInterleavingAndFlushes:
         for rank, segments in rank_segment_streams(trace):
             segments = list(segments)
             for at in range(0, len(segments), 4):
-                session.append_segments(rank, segments[at : at + 4])
+                session.append(RankFrame.from_segments(rank, segments[at : at + 4]))
                 deltas.append(session.flush())
         result = session.finish()
         deltas.append(result.delta)
@@ -163,10 +164,10 @@ class TestInterleavingAndFlushes:
             rank: list(segments) for rank, segments in rank_segment_streams(trace)
         }
         for rank, segments in streams.items():
-            session.append_segments(rank, segments[: len(segments) // 2])
+            session.append(RankFrame.from_segments(rank, segments[: len(segments) // 2]))
         first = session.flush()
         for rank, segments in streams.items():
-            session.append_segments(rank, segments[len(segments) // 2 :])
+            session.append(RankFrame.from_segments(rank, segments[len(segments) // 2 :]))
         second = session.flush()
         assert first.n_new > 0
         assert second.n_updated > 0  # iterations repeat, so later halves match
@@ -182,7 +183,7 @@ class TestInterleavingAndFlushes:
 
     def test_empty_append_and_empty_flush(self, trace):
         session = ReductionSession("t", SessionConfig("relDiff"))
-        assert session.append_segments(0, []) == 0
+        assert session.append(RankFrame.from_segments(0, [])) == 0
         delta = session.flush()
         assert delta.empty
         assert session.stats.deltas_emitted == 0
@@ -215,10 +216,10 @@ class TestRecordIngestion:
 
     def test_append_after_finish_rejected(self, trace):
         session = ReductionSession("t", SessionConfig("relDiff"))
-        session.append_segments(0, trace.segmented().ranks[0].segments)
+        session.append(RankFrame.from_segments(0, trace.segmented().ranks[0].segments))
         session.finish()
         with pytest.raises(RuntimeError, match="finished"):
-            session.append_segments(0, [])
+            session.append(RankFrame.from_segments(0, []))
 
 
 class TestDigests:

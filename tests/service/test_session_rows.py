@@ -1,10 +1,10 @@
 """A session's representatives stay rows of their chunk frame until someone reads them.
 
-A dense session books a new representative as ``(chunk frame, row)`` and
-builds the ``Segment`` when a delta or a checkpoint first asks for it — the
-work it used to do at store time, once, with the same object as the result.
-Reading drops the origin, so a chunk's frame lives no longer than its
-unflushed representatives.
+A dense session books a new representative as ``(chunk frame, row)``.  A
+delta lists it and writes its ``SEG`` block from the frame's columns; a
+checkpoint is what builds the ``Segment`` (it pickles objects), with the
+same object as the result the scalar reference stores.  Reading drops the
+origin, so a checkpointed chunk's frame lives no longer than that.
 """
 
 import gc
@@ -13,6 +13,7 @@ import weakref
 import pytest
 
 from repro.benchmarks_ats import late_sender
+from repro.core.frames import RankFrame
 from repro.core.metrics import create_metric
 from repro.core.reducer import TraceReducer
 from repro.service import ReductionSession, SessionConfig, save_checkpoint, session_state
@@ -27,8 +28,8 @@ def segments():
 def fed(segments, cut):
     """A euclidean session fed two chunks; the frames its representatives are rows of."""
     session = ReductionSession("t", SessionConfig("euclidean", 0.001))
-    session.append_segments(1, segments[:cut])
-    session.append_segments(1, segments[cut:])
+    session.append(RankFrame.from_segments(1, segments[:cut]))
+    session.append(RankFrame.from_segments(1, segments[cut:]))
     stored = session.result().ranks[0].stored
     assert stored and all(representative.origin is not None for representative in stored)
     frames = {id(r.origin[0]): weakref.ref(r.origin[0]) for r in stored}
@@ -44,11 +45,10 @@ def alive(frames) -> int:
 @pytest.mark.parametrize(
     "read",
     [
-        lambda session, tmp_path: serialize_delta(session.flush()),
         lambda session, tmp_path: session_state(session),
         lambda session, tmp_path: save_checkpoint(session, tmp_path / "session.ckpt"),
     ],
-    ids=["serialize_delta", "session_state", "save_checkpoint"],
+    ids=["session_state", "save_checkpoint"],
 )
 def test_chunk_frames_die_once_their_representatives_are_read(segments, tmp_path, read):
     session, frames = fed(segments, cut=5)
@@ -61,9 +61,10 @@ def test_chunk_frames_die_once_their_representatives_are_read(segments, tmp_path
     assert stored == reference.stored
 
 
-def test_flush_alone_builds_nothing(segments):
-    """The delta lists the representatives; serializing it is what reads them."""
+def test_a_delta_and_its_bytes_build_nothing(segments):
+    """The delta lists the representatives and is written from their rows."""
     session, frames = fed(segments, cut=5)
     delta = session.flush()
+    serialize_delta(delta)
     assert alive(frames) == 2
     assert all(r.origin is not None for rank in delta.ranks for r in rank.new)

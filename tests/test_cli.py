@@ -681,9 +681,10 @@ SRC = Path(repro.__file__).resolve().parents[1]
 #: the analysis but simulates nothing.
 NOT_IMPORTED = {
     "pipeline": r"repro\.(simulator|analysis|benchmarks_ats|sweep3d|service|fuzz|sweep"
-    r"|experiments\.(comparative|thresholds|trend_tables))"
-    r"|concurrent\.futures\.process|multiprocessing|asyncio",
-    "sweep": r"repro\.(simulator|benchmarks_ats|sweep3d)",
+    r"|experiments\.(comparative|thresholds|trend_tables)"
+    r"|core\.reconstruct|util\.(rng|stats|validation))"
+    r"|concurrent\.futures\.process|multiprocessing|asyncio|hashlib",
+    "sweep": r"repro\.(simulator|benchmarks_ats|sweep3d|analysis\.(profile|cube))",
 }
 
 
@@ -731,7 +732,18 @@ print(json.dumps({
 """
 
 
-@pytest.mark.parametrize("package", ["repro", "repro.evaluation", "repro.experiments", "repro.obs"])
+@pytest.mark.parametrize(
+    "package",
+    [
+        "repro",
+        "repro.analysis",
+        "repro.core",
+        "repro.evaluation",
+        "repro.experiments",
+        "repro.obs",
+        "repro.util",
+    ],
+)
 def test_a_lazy_package_resolves_its_public_names_in_either_order(tmp_path, package):
     """Every ``__all__`` name resolves in a fresh interpreter, ``from PACKAGE
     import *`` included, to the same kind of value whether the package's

@@ -13,6 +13,7 @@ import math
 
 import pytest
 
+from repro.core.frames import RankFrame
 from repro.core.metrics import create_metric
 from repro.pipeline.engine import PipelineConfig, ReductionPipeline
 from repro.service import ReductionService, ReductionSession
@@ -95,7 +96,7 @@ def _hand_built_trace(where, t):
 def test_a_hand_built_segment_is_refused_by_a_session(where, t):
     session = ReductionSession("t", "relDiff")
     with pytest.raises(ValueError, match=SEGMENT_MESSAGE):
-        session.append_segments(0, [_hand_built(where, t)])
+        session.append(RankFrame.from_segments(0, [_hand_built(where, t)]))
 
 
 @pytest.mark.parametrize("where, t", HAND_BUILT, ids=repr)
