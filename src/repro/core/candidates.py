@@ -14,8 +14,9 @@ A representative is stored once: the reducer hands
 :meth:`RepresentativeStore.add` the representative — still the ``(frame,
 row)`` it is, no object — together with the feature row that just failed to
 match (and the metric's ``row_scale`` of it, which the batch step's leader
-round already holds), and the bucket writes both at that moment.  Nothing is
-built later, so a bucket holds no metric, and a row per entry or no rows at
+round already holds), and the bucket writes both at that moment (the batch
+step hands over a key's at once, :meth:`RepresentativeStore.extend`).  Nothing
+is built later, so a bucket holds no metric, and a row per entry or no rows at
 all (a bucket filled by hand, as the scalar reference does).
 
 Because every candidate under one structural key has the same structure, all
@@ -76,8 +77,9 @@ class MatchCounters(AdditiveCounts):
     ``calls`` counts kernel invocations, ``rows_compared`` the probe ×
     representative pairs those invocations evaluated, and ``seconds`` their
     accumulated wall time.  The per-row step makes one invocation per segment
-    that had a candidate; the batch step makes one per structural key with a
-    non-empty bucket plus one per new representative, over no more pairs.
+    that had a candidate; the batch step one per block of a key's probes
+    against a non-empty bucket, one per leader round, and one per block of
+    an all-pairs resolve, which compares every pair of the key's rows left.
     """
 
     calls: int = 0
@@ -158,32 +160,36 @@ class CandidateList:
 
         ``row`` is the probe vector that just failed to match — it *is* the
         representative's matrix row — and ``scale`` the metric's
-        ``row_scale`` of it (None for a metric without the hook).  The
-        buffers are allocated on the first row and double whenever they fill
-        up.  A bucket holds a row per entry or none: mixing the two would
-        leave the dense probe comparing against a row that was never written.
+        ``row_scale`` of it (None for a metric without the hook).
         """
-        index = len(self._entries)
-        matrix = self._matrix
-        if index and (row is None) != (matrix is None):
+        self.extend([stored], None if row is None else [row], None if scale is None else [scale])
+
+    def extend(self, entries: Sequence["StoredSegment"], rows=None, scales=None) -> None:
+        """:meth:`append` ``entries`` in order, each with its row of ``rows`` (and ``scales``).
+
+        The buffers are allocated on the first rows and double as they fill.
+        A bucket holds a row per entry or none: mixing the two would leave the
+        dense probe comparing against a row that was never written.
+        """
+        index, matrix, old_scales = len(self._entries), self._matrix, self._scales
+        if index and (rows is None) != (matrix is None):
             raise ValueError("a bucket's representatives all carry a feature row, or none does")
-        if row is not None:
-            if matrix is None:
-                matrix = self._matrix = np.zeros((self.MIN_CAPACITY, row.size), dtype=float)
-                if scale is not None:
-                    self._scales = np.zeros(self.MIN_CAPACITY, dtype=float)
-            elif index >= matrix.shape[0]:
-                grown = np.zeros((matrix.shape[0] * 2, matrix.shape[1]), dtype=float)
-                grown[:index] = matrix[:index]
-                matrix = self._matrix = grown
-                if self._scales is not None:
-                    scales = np.zeros(grown.shape[0], dtype=float)
-                    scales[:index] = self._scales[:index]
-                    self._scales = scales
-            matrix[index] = row
+        if rows is not None:
+            end = index + len(entries)
+            capacity = self.MIN_CAPACITY if matrix is None else len(matrix)
+            while capacity < end:
+                capacity *= 2
+            if matrix is None or capacity > len(matrix):
+                self._matrix = np.zeros((capacity, rows[0].size), dtype=float)
+                self._scales = None if scales is None else np.zeros(capacity, dtype=float)
+                if index:
+                    self._matrix[:index] = matrix[:index]
+                    if scales is not None:
+                        self._scales[:index] = old_scales[:index]
+            self._matrix[index:end] = rows
             if self._scales is not None:
-                self._scales[index] = scale
-        self._entries.append(stored)
+                self._scales[index:end] = scales
+        self._entries.extend(entries)
         self._views = None
 
     def trim_front(self, n: int) -> None:
@@ -306,11 +312,18 @@ class RepresentativeStore:
         scale: Optional[float] = None,
     ) -> None:
         """Store a representative under ``key`` (see :meth:`CandidateList.append`)."""
+        rows, scales = None if row is None else [row], None if scale is None else [scale]
+        self.extend(key, [stored], rows, scales)
+
+    def extend(
+        self, key: Hashable, entries: Sequence["StoredSegment"], rows=None, scales=None
+    ) -> None:
+        """Store ``entries`` under ``key`` in order (see :meth:`CandidateList.extend`)."""
         bucket = self._by_key.get(key)
         if bucket is None:
             bucket = self._by_key[key] = CandidateList()
-        bucket.append(stored, row, scale)
-        self._size += 1
+        bucket.extend(entries, rows, scales)
+        self._size += len(entries)
         if self.capacity is not None:
             self._by_key.move_to_end(key)
             self._evict_over_capacity(bucket)

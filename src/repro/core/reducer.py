@@ -27,9 +27,9 @@ calls it with one state, the pipeline's batch task with one state per metric
 of its grid (a sweep's whole plan, or the one metric of a single config).
 The core has two steps with one outcome: the per-row step
 (:meth:`ReductionState.step_rows`), and its exact batch form
-:meth:`ReductionState.match_batch`, which resolves a whole frame per
-structural key in ``O(keys + new representatives)`` kernel calls; a state
-takes the batch step whenever :attr:`ReductionState.batchable` holds.
+:meth:`ReductionState.match_batch`, which resolves a frame key by key in
+leader rounds, the rest of a key all pairs at once when its rounds stop
+matching; a state takes it whenever :attr:`ReductionState.batchable` holds.
 
 :meth:`TraceReducer.reduce_segments` is the reference and nothing else: the
 paper's loop over :class:`~repro.trace.segments.Segment` objects, calling
@@ -45,7 +45,6 @@ reducer memory.
 
 from __future__ import annotations
 
-from itertools import repeat
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
@@ -74,6 +73,36 @@ __all__ = [
 #: blocked so ``probes × representatives × width`` stays under it, which keeps
 #: the kernel's temporaries cache-sized however deep the bucket is.
 _BLOCK_ELEMENTS = 1 << 16
+
+
+def _resolve_all_pairs(compare, probes: np.ndarray, scales: Optional[np.ndarray]) -> np.ndarray:
+    """Leader rounds over ``probes`` at once: the index of each row's leader.
+
+    ``compare`` meets each row with every row from it on, blocked like stage
+    1.  Each block's bit rows replay the rounds on a Python-int bitset of the
+    open rows before the next block is compared, and a leader that takes rows
+    owns them, so memory stays linear in the rows.
+    """
+    m = len(probes)
+    owner, open_rows = np.arange(m), (1 << m) - 1
+    block = max(1, _BLOCK_ELEMENTS // probes.size)
+    for lo in range(0, m, block):
+        hits = np.zeros((min(block, m - lo), m), dtype=bool)  # no row meets one before it
+        hits[:, lo:] = compare(
+            probes[lo : lo + block, None, :], probes[lo:], None if scales is None else scales[lo:]
+        )
+        packed = np.packbits(hits, axis=1, bitorder="little")
+        bits, width = packed.tobytes(), packed.shape[1]
+        for i in range(lo, lo + len(packed)):
+            if open_rows >> i & 1:
+                open_rows ^= 1 << i
+                at = (i - lo) * width
+                taken = open_rows & int.from_bytes(bits[at : at + width], "little")
+                if taken:
+                    open_rows ^= taken
+                    taken = np.frombuffer(taken.to_bytes(width, "little"), dtype=np.uint8)
+                    owner[np.unpackbits(taken, count=m, bitorder="little").view(bool)] = i
+    return owner
 
 
 class KeyBatches:
@@ -201,7 +230,9 @@ class ReductionState:
             return
         scale = self._row_scale
         stored = StoredSegment(self._next_id, origin=(frame, index))
-        self._store_new(key, stored, row, None if scale is None else scale(row))
+        self._next_id += 1
+        self.store.add(key, stored, row, None if scale is None else scale(row))
+        reduced.stored.append(stored)
         reduced.execs.append((stored.segment_id, start))
         reduced.exec_matched.append(False)
 
@@ -214,18 +245,6 @@ class ReductionState:
             candidates = lookup(key)
             chosen = match(row, candidates) if candidates else None
             record(key, starts[i], candidates, chosen, row, frame, i)
-
-    def _store_new(
-        self,
-        key,
-        stored: StoredSegment,
-        row: np.ndarray,
-        scale: Optional[float],
-    ) -> None:
-        """Store ``stored``, built with :attr:`_next_id`, as the next representative."""
-        self._next_id += 1
-        self.store.add(key, stored, row, scale)
-        self.reduced.stored.append(stored)
 
     def match_batch(self, batches: KeyBatches) -> None:
         """Match-or-store every row of ``batches.frame``: the exact batch step.
@@ -242,12 +261,20 @@ class ReductionState:
            probe has failed every representative that precedes it, so it is a
            new representative; one kernel call compares it with the later
            unresolved probes, and those it matches resolve to it — it is
-           their first match, since they failed every earlier one.
+           their first match, since they failed every earlier one;
+        3. once the rounds that took nothing in a row have made as many
+           kernel calls as comparing all pairs of the rows left would (one
+           per block of them), and more than two rows are left, the rounds
+           have stopped paying: the rest is resolved all pairs at once
+           (:func:`_resolve_all_pairs`), to the leaders the rounds give.  The
+           resolve so costs no more calls than the rounds already spent, and
+           a key whose rounds keep matching (loose thresholds, or one odd row
+           ahead of many alike) never takes it.
 
-        Then everything is booked in segment order, so new representatives
-        take the ids, and the buckets the order, that the per-row step gives
-        them — each as its ``(frame, row)``, with the scale its leader round
-        computed.
+        Then everything is booked: new representatives take the ids the
+        per-row step gives them, in segment order across keys — each as its
+        ``(frame, row)``, with the scale its leader round computed — and
+        enter their bucket one key at a time (:meth:`RepresentativeStore.extend`).
         """
         frame, vectors = batches.frame, batches.vectors
         metric, store, reduced, counters = self.metric, self.store, self.reduced, self.counters
@@ -270,6 +297,7 @@ class ReductionState:
                 counters.rows_compared += mask.size
             return mask
 
+        fresh = []  # (key, its new representatives' rows), first appearance first
         for key, rows, probes in batches.groups:
             bucket = store.bucket(key)
             if bucket:
@@ -287,9 +315,11 @@ class ReductionState:
             scales = None
             if row_scale is not None:
                 scales = scale_of[rows] = row_scale(probes)
+            heads, empty = [], 0  # rounds in a row that took nothing
             while rows.size:
                 lead, vector = rows[0], probes[0]
                 leader[lead] = lead
+                heads.append(int(lead))
                 rows, probes = rows[1:], probes[1:]
                 if scales is not None:
                     scales = scales[1:]
@@ -297,11 +327,22 @@ class ReductionState:
                     break
                 mask = compare(vector, probes, scales)
                 if mask.any():
+                    empty = 0
                     leader[rows[mask]] = lead
                     keep = ~mask
                     rows, probes = rows[keep], probes[keep]
                     if scales is not None:
                         scales = scales[keep]
+                    continue
+                empty += 1
+                block = max(1, _BLOCK_ELEMENTS // probes.size)
+                if rows.size > 2 and empty >= -(-rows.size // block):
+                    owner = _resolve_all_pairs(compare, probes, scales)
+                    leader[rows] = rows[owner]
+                    heads += rows[owner == np.arange(len(owner))].tolist()
+                    break
+            if heads:
+                fresh.append((key, heads))
 
         is_new = leader == np.arange(n)
         new_rows = np.flatnonzero(is_new)  # segment order, across keys
@@ -315,11 +356,16 @@ class ReductionState:
         counts = np.bincount(ids, minlength=first_id)
         for sid in np.flatnonzero(counts[:first_id]).tolist():
             reduced.stored[sid].count += int(counts[sid])
-        keys = frame.structural_keys()
-        new_scales = repeat(None) if scale_of is None else scale_of[new_rows].tolist()
-        for row, count, scale in zip(new_rows.tolist(), counts[first_id:].tolist(), new_scales):
-            stored = StoredSegment(self._next_id, count=count, origin=(frame, row))
-            self._store_new(keys[row], stored, vectors[row], scale)
+        rows_counts = zip(new_rows.tolist(), counts[first_id:].tolist())
+        new = {  # row -> representative, in id order
+            row: StoredSegment(sid, count=count, origin=(frame, row))
+            for sid, (row, count) in enumerate(rows_counts, first_id)
+        }
+        reduced.stored.extend(new.values())
+        self._next_id += len(new)
+        for key, heads in fresh:
+            scales = None if scale_of is None else scale_of[heads]
+            store.extend(key, [new[row] for row in heads], [vectors[row] for row in heads], scales)
 
 
 def step_families(frame: RankFrame, families: Sequence[Sequence[ReductionState]]) -> None:

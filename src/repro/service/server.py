@@ -153,6 +153,7 @@ class _ManagedSession:
         "busy",
         "finished",
         "peak_queue",
+        "payload",
     )
 
     def __init__(
@@ -174,6 +175,8 @@ class _ManagedSession:
         self.busy = False
         self.finished = False
         self.peak_queue = 0
+        #: The finished session's serialized output: cached, and what ``submit`` returns.
+        self.payload: Optional[bytes] = None
 
     @property
     def resident(self) -> bool:
@@ -375,7 +378,7 @@ class ReductionService:
             return SubmitResult(
                 digest=digest,
                 config_key=config.key,
-                payload=serialize_reduced_trace(result.reduced),
+                payload=handle._managed.payload,
                 cache_hit=False,
                 reduced=result.reduced,
             )
@@ -478,9 +481,8 @@ class ReductionService:
         stats.sessions_finished += 1
         session = managed.session
         if session is not None:
-            self.cache.put(
-                result.digest, session.config.key, serialize_reduced_trace(result.reduced)
-            )
+            managed.payload = serialize_reduced_trace(result.reduced)
+            self.cache.put(result.digest, session.config.key, managed.payload)
 
     def _enforce_budget(
         self, tenant_state: _Tenant, exclude: Optional[_ManagedSession] = None

@@ -3,7 +3,9 @@ store time, the per-family dense kernels, the metric-kernel bugfixes
 (zero-clamped match limits), and the reducer's key-batched step (its
 kernels' broadcast forms, its predicate, its exactness)."""
 
+import dataclasses
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 
 from repro.core.candidates import CandidateList, MatchCounters, first_match_index
 from repro.core.frames import RankFrame
+from repro.core.frametrace import FrameTrace
 from repro.core.metrics import DEFAULT_THRESHOLDS, METRIC_CLASSES, create_metric
 from repro.core.metrics.distance import AbsDiff, RelDiff
 from repro.core.metrics.minkowski import Chebyshev, Euclidean, Manhattan
@@ -18,6 +21,7 @@ from repro.core.metrics.wavelet import AvgWave, HaarWave
 from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
 from repro.core import reducer as reducer_module
 from repro.core.reducer import KeyBatches, ReductionState, TraceReducer
+from repro.experiments.config import SCALES, build_workload
 from repro.fuzz.executor import plan_cases
 from repro.fuzz.generators import generate_case
 from repro.pipeline.store import create_store
@@ -25,6 +29,7 @@ from repro.trace.io import serialize_reduced_trace
 
 from tests.conftest import make_segment
 from tests.properties.strategies import interleaved_segments
+from tests.support import reference_reduce
 
 DISTANCE_METRICS = [RelDiff, AbsDiff, Manhattan, Euclidean, Chebyshev, AvgWave, HaarWave]
 
@@ -440,9 +445,9 @@ class TestBatchExactness:
             assert [sid for sid, _ in reduced.execs] == [0, 1, 0, 0], cuts
             assert [s.count for s in reduced.stored] == [3, 1], cuts
 
-    @pytest.mark.parametrize("budget", [1, 40, 1 << 16])
-    def test_probe_blocking_does_not_change_the_outcome(self, monkeypatch, budget):
-        # One probe per kernel call, a ragged block, and everything in one call.
+    @pytest.mark.parametrize("budget", [1, 40, 200, 1 << 16])
+    def test_probe_blocking_does_not_change_the_outcome(self, monkeypatch, budget, resolves):
+        # One probe per kernel call, ragged blocks, and everything in one call.
         monkeypatch.setattr(reducer_module, "_BLOCK_ELEMENTS", budget)
         segments = [s.shifted(1000.0 * i) for i in range(3) for s in _mixed_rank()]
         counters = MatchCounters()
@@ -458,7 +463,28 @@ class TestBatchExactness:
             expected_calls += -(-len(rows) // block)
         reduced = reducer.reduce_frame(tail, store=store, into=head, match_counters=counters)
         assert _bytes(metric, [reduced]) == _bytes(metric, [_scan(Euclidean(0.001), segments)])
-        assert counters.calls == expected_calls == {1: 16, 40: 7, 1 << 16: 2}[budget]
+        assert counters.calls == expected_calls == {1: 16, 40: 7, 200: 2, 1 << 16: 2}[budget]
+        # Stage 2 under the same budget, on keys led by a stranger and on 40
+        # rows no two alike.
+        calls = []
+        for group in (_led_by_a_stranger(segments), _one_key(1000.0 + 50.0 * np.arange(40))):
+            counters = MatchCounters()
+            reduced = TraceReducer(metric).reduce_frame(
+                RankFrame.from_segments(0, group), match_counters=counters
+            )
+            assert _bytes(metric, [reduced]) == _bytes(metric, [_scan(Euclidean(0.001), group)])
+            calls.append(counters.calls)
+        # Behind the stranger a key's rest is resolved after that one empty
+        # round when it fits one block; else its rounds, which still match,
+        # run on.  The distinct rows are resolved, blocked over leader rows,
+        # once the empty rounds in a row reach the resolve's calls: at budget
+        # 200, two rows a block, 13 rounds then 13 calls for the 26 rows left.
+        assert (resolves, calls) == {
+            1: ([20], [8, 40]),
+            40: ([20], [8, 40]),
+            200: ([26], [8, 27]),
+            1 << 16: ([9, 15, 39], [4, 2]),
+        }[budget]
 
     @pytest.mark.parametrize("kind", THRESHOLD_KINDS)
     @pytest.mark.parametrize("name", DISTANCE_NAMES)
@@ -520,3 +546,209 @@ class TestFuzzFamiliesReplayed:
                 for r in trace.ranks
             ]
             assert _bytes(metric, halves) == expected, case.describe()
+
+
+# -- the all-pairs resolve: where a leader round stops matching -------------------
+
+
+@pytest.fixture
+def resolves(monkeypatch):
+    """The residue sizes the batch step hands the all-pairs resolve, in call order."""
+    sizes = []
+    resolve = reducer_module._resolve_all_pairs
+
+    def counted(compare, probes, scales):
+        sizes.append(len(probes))
+        return resolve(compare, probes, scales)
+
+    monkeypatch.setattr(reducer_module, "_resolve_all_pairs", counted)
+    return sizes
+
+
+def _stretched(segment, factor):
+    """``segment`` with every time after its start scaled by ``factor``: a stranger of its key."""
+    start = segment.start
+
+    def stretch(t):
+        return start + (t - start) * factor
+
+    events = [
+        dataclasses.replace(e, start=stretch(e.start), end=stretch(e.end)) for e in segment.events
+    ]
+    return dataclasses.replace(segment, end=stretch(segment.end), events=events)
+
+
+def _led_by_a_stranger(segments):
+    """``segments`` with a stranger of each key placed before the key's first segment.
+
+    The stranger leads the key's first round and matches none of the rows
+    behind it, so every key of more than three rows takes the resolve.
+    """
+    seen, out = set(), []
+    for segment in segments:
+        key = segment.relative_to_start().structure()
+        if key not in seen:
+            seen.add(key)
+            out.append(_stretched(segment, 1e6))
+        out.append(segment)
+    return out
+
+
+def _wide_rank(events, rng, n=14):
+    """One key of ``events`` events (feature width about ``2 * events + 1``) behind a stranger.
+
+    Fresh timings, near repeats, exact repeats of earlier rows and two
+    all-zero rows, on a whole-number clock so the repeats stay bit-exact.
+    """
+    shapes = []
+    for i in range(n):
+        if i in (3, 9):
+            shapes.append(np.zeros(2 * events + 1))
+        elif i % 4 == 2 and i > 2:
+            shapes.append(shapes[int(rng.integers(0, i))])
+        elif i % 4 == 1 and i > 1:
+            shapes.append(shapes[i - 1] * (1.0 + 1e-3 * rng.random()))
+        else:
+            shapes.append(np.cumsum(rng.integers(1, 60, size=2 * events + 1)).astype(float))
+    segments, clock = [], 0.0
+    for times in [shapes[0] * 1e6, *shapes]:
+        pairs = [(f"f{e}", times[2 * e], times[2 * e + 1]) for e in range(events)]
+        segments.append(make_segment("wide", pairs, end=times[-1]).shifted(clock))
+        clock += float(np.ceil(times[-1])) + 5.0
+    return segments
+
+
+def _one_key(durations):
+    """A rank of one segment per duration, all under one key."""
+    return [
+        make_segment("k", [("f", 1.0, d)], end=2.0 * d).shifted(20000.0 * i)
+        for i, d in enumerate(durations.tolist())
+    ]
+
+
+class TestAllPairsResolve:
+    """The resolve, held to the scalar reference on groups that take it."""
+
+    @pytest.mark.parametrize("kind", THRESHOLD_KINDS)
+    @pytest.mark.parametrize("name", DISTANCE_NAMES)
+    def test_widths_past_the_pairwise_summation_block(self, name, kind, resolves):
+        threshold = DEFAULT_THRESHOLDS[name] * THRESHOLD_KINDS[kind]
+        rng = np.random.default_rng(5)
+        for events in range(66):  # rows 1 to 131 wide; the wavelets pad to 1-256
+            segments = _wide_rank(events, rng)
+            metric, store = create_metric(name, threshold), create_store()
+            reduced = TraceReducer(metric).reduce_frame(
+                RankFrame.from_segments(0, segments), store=store
+            )
+            expected = _scan(create_metric(name, threshold), segments)
+            assert _bytes(metric, [reduced]) == _bytes(metric, [expected]), (name, kind, events)
+            assert resolves and resolves[-1] == len(segments) - 1, (name, kind, events)
+            # Bucket order, matrix rows and scales as the per-row step leaves them.
+            row_store = create_store()
+            _per_row(create_metric(name, threshold), segments, row_store)
+            assert pickle.dumps(store) == pickle.dumps(row_store), (name, kind, events)
+
+    @pytest.mark.parametrize("seed", [11, 0, 1])
+    def test_threshold_edge_cases(self, seed, resolves):
+        for case in plan_cases(seed, 20, families=["threshold_edge"]):
+            method, threshold = case.config.method, case.config.threshold
+            for rank in generate_case(case.spec).segmented().ranks:
+                segments = _led_by_a_stranger(rank.segments)
+                metric = create_metric(method, threshold)
+                reduced = TraceReducer(metric).reduce_frame(RankFrame.from_segments(0, segments))
+                expected = _scan(create_metric(method, threshold), segments)
+                assert _bytes(metric, [reduced]) == _bytes(metric, [expected]), case.describe()
+        # Each edge group (a base, two copies, the last match, the first miss) resolved whole.
+        assert resolves and set(resolves) == {5}
+
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_a_large_resolve_takes_memory_linear_in_its_rows(self, paired, resolves):
+        # 5 000 rows under one key: the first 1 000 no two within the
+        # threshold, the rest so too, or else in exact pairs, so that half of
+        # the rows the resolve takes are leaders that take a row.  An m x m
+        # bit matrix of them would be 2 MB, the takers' rows unpacked 8 MB.
+        durations = 1000.0 + np.arange(5000)
+        if paired:
+            durations[1000:] = 3000.0 + np.arange(4000) // 2
+        segments = _one_key(durations)
+        frame = RankFrame.from_segments(0, segments)
+        metric = Euclidean(1e-4)
+        tracemalloc.start()
+        try:
+            reduced = TraceReducer(metric).reduce_frame(frame)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert resolves == [4166]  # after 833 rounds that took nothing
+        assert len(reduced.stored) == 5000 - 2000 * paired
+        stepped = _per_row(Euclidean(1e-4), segments, create_store())
+        assert _bytes(metric, [reduced]) == _bytes(metric, [stepped])
+        assert peak < 6 * 2**20, peak
+
+
+#: ``MatchCounters.calls`` of the batch step before it had the resolve, on the
+#: smoke Sweep3D traces: at loose thresholds a round rarely finds no match, and
+#: where one does the resolve costs the calls the rounds did.
+LEADER_ROUND_CALLS = {
+    ("sweep3d_8p", "relDiff", 0.8): 118,
+    ("sweep3d_8p", "manhattan", 0.4): 124,
+    ("sweep3d_8p", "haarWave", 0.2): 124,
+    ("sweep3d_32p", "relDiff", 0.8): 475,
+    ("sweep3d_32p", "manhattan", 0.4): 476,
+    ("sweep3d_32p", "haarWave", 0.2): 476,
+}
+
+
+@pytest.fixture(scope="module", params=["sweep3d_8p", "sweep3d_32p"])
+def smoke_sweep3d(request):
+    return request.param, FrameTrace.from_segmented(
+        build_workload(request.param, SCALES["smoke"]).run_segmented()
+    )
+
+
+class TestWhereTheResolveFires:
+    @pytest.mark.parametrize(
+        "name, threshold", [("relDiff", 0.8), ("manhattan", 0.4), ("haarWave", 0.2)]
+    )
+    def test_loose_thresholds_keep_their_calls(self, smoke_sweep3d, name, threshold):
+        workload, trace = smoke_sweep3d
+        counters = MatchCounters()
+        TraceReducer(create_metric(name, threshold)).reduce(trace, match_counters=counters)
+        assert counters.calls == LEADER_ROUND_CALLS[workload, name, threshold]
+
+    def test_one_odd_row_ahead_of_many_alike_keeps_its_rounds(self, resolves):
+        # A slow first iteration leads the key's first round and matches
+        # nothing; the next leader takes all 999 rows behind it: two calls
+        # over 1 000 + 999 pairs, as the leader rounds alone make.
+        segments = _one_key(np.r_[1e6, 1000.0 + 0.01 * np.arange(1000)])
+        metric, counters = RelDiff(0.8), MatchCounters()
+        reduced = TraceReducer(metric).reduce_frame(
+            RankFrame.from_segments(0, segments), match_counters=counters
+        )
+        assert (counters.calls, counters.rows_compared, resolves) == (2, 1999, [])
+        assert _bytes(metric, [reduced]) == _bytes(metric, [_scan(RelDiff(0.8), segments)])
+
+    def test_a_round_that_takes_rows_starts_the_count_again(self, monkeypatch, resolves):
+        # Ten rows a block: the 20 rows behind the second stranger would be
+        # resolved in two calls, but only one empty round lies behind them in
+        # a row (the round between the strangers took a repeat).
+        monkeypatch.setattr(reducer_module, "_BLOCK_ELEMENTS", 600)
+        segments = _one_key(np.r_[1e6, 1000.0, 1000.0, 2e6, 3000.0 + 0.01 * np.arange(20)])
+        metric, counters = Euclidean(0.001), MatchCounters()
+        reduced = TraceReducer(metric).reduce_frame(
+            RankFrame.from_segments(0, segments), match_counters=counters
+        )
+        assert (counters.calls, counters.rows_compared, resolves) == (4, 23 + 22 + 20 + 19, [])
+        assert _bytes(metric, [reduced]) == _bytes(metric, [_scan(Euclidean(0.001), segments)])
+
+    def test_a_strict_threshold_pays_per_key(self, smoke_sweep3d, resolves):
+        _, trace = smoke_sweep3d
+        metric, counters = Euclidean(0.001), MatchCounters()
+        reduced = TraceReducer(metric).reduce(trace, match_counters=counters)
+        groups = sum(
+            len(KeyBatches(rank.frame, metric.frame_vectors(rank.frame)).groups)
+            for rank in trace.ranks
+        )
+        assert resolves and counters.calls <= 3 * groups
+        expected = reference_reduce(Euclidean(0.001), trace)
+        assert serialize_reduced_trace(reduced) == serialize_reduced_trace(expected)

@@ -230,6 +230,32 @@ class TestDigestCache:
         assert stats.cache.hits == 2 and stats.cache.misses == 1
         assert stats.cache.hits > 0  # the acceptance counter
 
+    def test_a_miss_serializes_its_output_once(self, trace, monkeypatch):
+        """The bytes the cache keeps are the bytes ``submit`` returns."""
+        from repro.service import server
+
+        calls = []
+
+        def counted(reduced):
+            calls.append(reduced)
+            return serialize_reduced_trace(reduced)
+
+        monkeypatch.setattr(server, "serialize_reduced_trace", counted)
+
+        async def main():
+            service = ReductionService()
+            config = SessionConfig("relDiff")
+            result = await service.submit("acme", trace, config)
+            cached = service.cache.get(result.digest, config.key)
+            await service.close()
+            return result, cached
+
+        result, cached = asyncio.run(main())
+        assert len(calls) == 1
+        assert not result.cache_hit and cached is result.payload
+        expected = reference_reduce(create_metric("relDiff"), trace)
+        assert result.payload == serialize_reduced_trace(expected)
+
     def test_config_changes_miss_the_cache(self, trace):
         async def main():
             service = ReductionService()
