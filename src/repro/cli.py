@@ -29,8 +29,8 @@ All commands accept ``--scale {smoke,default,paper}`` (default: the
 
 The commands that take a trace (``pipeline``, ``sweep``, ``serve``) share
 one door.  Their common options are ``argparse`` parent parsers, declared
-once: the input (``workload`` or ``--trace FILE``, ``--store-capacity``,
-``--verify``, ``--telemetry``) in all three, ``--method``/``--threshold`` in
+once: the input (``workload`` or ``--trace FILE``, ``--verify``,
+``--telemetry``) in all three, ``--method``/``--threshold`` in
 ``pipeline`` and ``serve``, ``--executor``/``--workers`` in ``pipeline`` and
 ``sweep``.  :func:`_trace_path` checks the input; a file that is no valid
 trace is one ``repro-trace: error: FILE: …`` line and exit 2, as it is for
@@ -62,7 +62,6 @@ from repro.core.metrics import METRIC_NAMES, THRESHOLD_STUDY, create_metric
 from repro.core.reducer import TraceReducer
 from repro.experiments.config import ALL_WORKLOAD_NAMES, SCALES, build_workload, get_scale
 from repro.pipeline.engine import EXECUTORS, PipelineConfig, ReductionPipeline
-from repro.pipeline.store import create_store
 from repro.pipeline.stream import rank_frame_streams, rank_segment_streams, source_name
 from repro.trace.binio import RpbFormatError
 from repro.trace.formats import convert_trace, format_names, resolve_format
@@ -112,21 +111,15 @@ class _VerificationFailed(Exception):
         self.report = report
 
 
-def _matches_serial_reducer(metric, source, store_capacity, reduced_traces) -> bool:
+def _matches_serial_reducer(metric, source, reduced_traces) -> bool:
     """``--verify``: are these the segment-at-a-time reducer's bytes for ``source``?
 
     ``source`` is the command's input — the ``--trace`` file, which the
     segment decoder reads again, or the workload's simulated
     ``SegmentedTrace`` — never frames the command built, so a fault in the
-    frame decoder or the segments→frame adapter shows as a mismatch.  The
-    oracle runs under the command's own store bound — unbounded, it would
-    "fail" every run whose ``--store-capacity`` binds.
+    frame decoder or the segments→frame adapter shows as a mismatch.
     """
-    oracle = TraceReducer(metric).reduce_streams(
-        "oracle",
-        rank_segment_streams(source),
-        store_factory=lambda: create_store(store_capacity),
-    )
+    oracle = TraceReducer(metric).reduce_streams("oracle", rank_segment_streams(source))
     want = serialize_reduced_trace(oracle)
     return all(serialize_reduced_trace(reduced) == want for reduced in reduced_traces)
 
@@ -209,12 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="read this trace file instead of simulating a workload "
         "(format dispatched on extension: .rpb is columnar binary, else text)",
-    )
-    trace_input.add_argument(
-        "--store-capacity",
-        type=int,
-        default=None,
-        help="bound each per-rank representative store (LRU eviction; default: unbounded)",
     )
     trace_input.add_argument(
         "--verify",
@@ -535,7 +522,6 @@ def _cmd_pipeline(args, scale) -> str:
         config = PipelineConfig(
             executor=args.executor,
             workers=args.workers,
-            store_capacity=args.store_capacity,
             merge=args.merge,
         )
     except ValueError as error:
@@ -584,7 +570,7 @@ def _cmd_pipeline(args, scale) -> str:
         )
 
     identical = not args.verify or _matches_serial_reducer(
-        create_metric(args.method, args.threshold), source, args.store_capacity, [result.reduced]
+        create_metric(args.method, args.threshold), source, [result.reduced]
     )
     # The file written is the serialization ``size_bytes`` counts, so when it
     # is written its byte count is the reduced size.
@@ -638,11 +624,7 @@ def _cmd_sweep(args, scale) -> str:
 
     try:
         plan = SweepPlan.from_grid(args.methods, args.thresholds)
-        config = PipelineConfig(
-            executor=args.executor,
-            workers=args.workers,
-            store_capacity=args.store_capacity,
-        )
+        config = PipelineConfig(executor=args.executor, workers=args.workers)
     except ValueError as error:
         raise _UsageError(str(error)) from error
     trace_path = _trace_path(args)
@@ -677,9 +659,7 @@ def _cmd_sweep(args, scale) -> str:
         else:
             oracle_input = trace_path
         identical = all(
-            _matches_serial_reducer(
-                outcome.config.create(), oracle_input, args.store_capacity, [outcome.reduced]
-            )
+            _matches_serial_reducer(outcome.config.create(), oracle_input, [outcome.reduced])
             for outcome in sweep_result
         )
 
@@ -757,11 +737,7 @@ def _cmd_serve(args, scale) -> str:
     from repro.trace.io import DeltaWriter
 
     try:
-        config = SessionConfig(
-            method=args.method,
-            threshold=args.threshold,
-            store_capacity=args.store_capacity,
-        )
+        config = SessionConfig(method=args.method, threshold=args.threshold)
     except ValueError as error:
         raise _UsageError(str(error)) from error
     trace_path = _trace_path(args)
@@ -853,7 +829,6 @@ def _cmd_serve(args, scale) -> str:
         identical = _matches_serial_reducer(
             create_metric(args.method, args.threshold),
             source,
-            args.store_capacity,
             [result.reduced for result in results],
         )
         rows.append(["matches serial reducer", "yes" if identical else "NO"])

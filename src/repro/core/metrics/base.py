@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Hashable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.candidates import CandidateList, first_match_index
 from repro.core.reduced import StoredSegment
 from repro.trace.segments import Segment
 
@@ -50,22 +49,38 @@ class SimilarityMetric(ABC):
         as the candidate.  Implementations must scan ``stored`` in order and
         return the *first* match, mirroring the paper's algorithm.
 
-        The columnar core calls it for a metric that is not a
-        :class:`DistanceMetric` with the candidate's :meth:`frame_vectors`
-        row in place of the segment, so such a metric decides on ``stored``
-        alone.
+        This is the scalar reference's statement of the method
+        (:meth:`~repro.core.reducer.TraceReducer.reduce_segments`); the
+        columnar core states it over frame columns, as
+        :meth:`DistanceMetric.match_stats` for a distance metric and as
+        :meth:`new_rows` for any other.
         """
 
     def on_match(self, timestamps: np.ndarray, chosen: StoredSegment) -> None:
-        """Hook invoked after a successful match (default: count it).
+        """Hook the scalar reference invokes after a match (default: count it).
 
-        ``timestamps`` is the matched segment's timestamp vector: the scalar
-        reference passes ``relative.timestamps()``, the columnar core the
-        frame row it probed with, which is that vector on the default
-        pairwise layout.  A metric that reads it keeps that layout
-        (``iter_avg`` does).
+        ``timestamps`` is the matched segment's timestamp vector
+        (``relative.timestamps()``).
         """
         chosen.count += 1
+
+    #: Whether a match folds the matched row into its representative's
+    #: running mean (``iter_avg``): the columnar core's form of that
+    #: metric's :meth:`on_match`.
+    averages = False
+
+    def new_rows(self, seen: np.ndarray) -> np.ndarray:
+        """Which rows of a frame are new representatives, for a method that
+        decides on execution counts alone: the columnar core's statement of
+        every method that is not a :class:`DistanceMetric`.
+
+        ``seen[i]`` is the number of executions of row ``i``'s structural key
+        before it (in segment order, across the frames a reduction has
+        taken).  Returns a boolean mask: True where the row is stored as a
+        new representative.  Every other row matches its key's latest
+        representative, the one :meth:`match` would return.
+        """
+        raise NotImplementedError(f"{self.name} decides by distance, not by counts")
 
     # -- vector layout ---------------------------------------------------------
 
@@ -155,7 +170,7 @@ class DistanceMetric(SimilarityMetric):
         hook.  Implementations evaluate every row in one NumPy broadcast
         using only row-wise operations and must reproduce :meth:`similar`'s
         decision for each row exactly, so batched and scanned reductions stay
-        byte-identical.  Four hard requirements let the reducer's batch step
+        byte-identical.  Four hard requirements let the reducer's step
         (:meth:`~repro.core.reducer.ReductionState.match_batch`) resolve many
         probes per call:
 
@@ -170,19 +185,3 @@ class DistanceMetric(SimilarityMetric):
 
         ``TestBroadcastKernels`` holds every shipped kernel to the last two.
         """
-
-    def match_row(
-        self, vector: np.ndarray, candidates: CandidateList
-    ) -> Optional[StoredSegment]:
-        """The dense probe: one feature row against one bucket's row matrix.
-
-        ``vector`` is the probe's :meth:`build_vector` row (a frame row on
-        the columnar path).  The decision is :meth:`match_stats` compared
-        against this metric's own threshold; the *first* matching
-        representative is returned, mirroring the scan.
-        """
-        matrix, scales = candidates.matrix_and_scales()
-        stat, base = self.match_stats(vector, matrix, scales)
-        limits = self.threshold if base is None else self.threshold * base
-        index = first_match_index(stat <= limits)
-        return None if index is None else candidates[index]

@@ -41,6 +41,10 @@ class IterK(SimilarityMetric):
             return stored[-1]
         return None
 
+    def new_rows(self, seen: np.ndarray) -> np.ndarray:
+        # A key's first k executions are stored; every later one matches the k-th.
+        return seen < self.k
+
 
 class IterAvg(SimilarityMetric):
     """Keep one copy per traced segment of code holding average measurements.
@@ -52,6 +56,7 @@ class IterAvg(SimilarityMetric):
     """
 
     name = "iter_avg"
+    averages = True
 
     def __init__(self) -> None:
         self.threshold = None
@@ -60,7 +65,8 @@ class IterAvg(SimilarityMetric):
         return stored[0] if stored else None
 
     def on_match(self, timestamps: np.ndarray, chosen: StoredSegment) -> None:
-        # update_mean() also increments the execution count.  It rewrites the
-        # representative's own Segment, built at its first match, and leaves
-        # its bucket row stale: match() never reads the row.
+        # update_mean() also increments the execution count.
         chosen.update_mean(timestamps)
+
+    def new_rows(self, seen: np.ndarray) -> np.ndarray:
+        return seen == 0

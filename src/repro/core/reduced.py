@@ -102,9 +102,10 @@ class StoredSegment:
             )
         self.count += 1
         updated = current + (new_timestamps - current) / self.count
-        self._write_timestamps(updated)
+        self.write_timestamps(updated)
 
-    def _write_timestamps(self, values: np.ndarray) -> None:
+    def write_timestamps(self, values: np.ndarray) -> None:
+        """Overwrite the representative's relative timestamps (canonical layout)."""
         events = self.segment.events
         expected = 2 * len(events) + 1
         if values.size != expected:

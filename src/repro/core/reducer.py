@@ -12,24 +12,25 @@ That step is written twice, on purpose: the core and the scalar reference.
 
 :class:`ReductionState` is the columnar core, the only way the product
 reduces: one (rank, config) reduction stepped over a
-:class:`~repro.core.frames.RankFrame`.  Every state probes with frame rows —
-its metric's :meth:`~repro.core.metrics.base.SimilarityMetric.frame_vectors`
-— and books a new representative as the ``(frame, row)`` it is, its row
-written into the bucket, so reducing builds no
-:class:`~repro.trace.segments.Segment`.  The one exception is ``iter_avg``,
-whose running mean rewrites a representative's timestamps: its first match
-materializes that representative (``StoredSegment.update_mean``), so it builds
-one object per representative matched at least once.  :func:`step_families`
-is the one place that builds a family's shared rows and steps its states over
-a frame — :meth:`TraceReducer.reduce_frame` (and through it
-:meth:`TraceReducer.reduce`, the evaluation runner and the online session)
-calls it with one state, the pipeline's batch task with one state per metric
-of its grid (a sweep's whole plan, or the one metric of a single config).
-The core has two steps with one outcome: the per-row step
-(:meth:`ReductionState.step_rows`), and its exact batch form
-:meth:`ReductionState.match_batch`, which resolves a frame key by key in
-leader rounds, the rest of a key all pairs at once when its rounds stop
-matching; a state takes it whenever :attr:`ReductionState.batchable` holds.
+:class:`~repro.core.frames.RankFrame`.  It has one step,
+:meth:`ReductionState.match_batch`, which resolves a frame key by key over
+the rows of its metric's
+:meth:`~repro.core.metrics.base.SimilarityMetric.frame_vectors` and books a
+new representative as the ``(frame, row)`` it is, so reducing builds no
+:class:`~repro.trace.segments.Segment`.  A distance metric resolves a key in
+leader rounds, the rest of it all pairs at once when its rounds stop
+matching; any other method decides on each row's place among its key's
+executions (:meth:`~repro.core.metrics.base.SimilarityMetric.new_rows`), and
+every row it does not make a new representative matches its key's latest.
+The one exception to "no object" is ``iter_avg``, whose running mean
+rewrites a representative's timestamps: each representative matched in a
+frame is materialized and written once, with the mean of the frame's matches
+folded in.  :func:`step_families` is the one place that builds a family's
+shared rows and steps its states over a frame —
+:meth:`TraceReducer.reduce_frame` (and through it :meth:`TraceReducer.reduce`,
+the evaluation runner and the online session) calls it with one state, the
+pipeline's batch task with one state per metric of its grid (a sweep's whole
+plan, or the one metric of a single config).
 
 :meth:`TraceReducer.reduce_segments` is the reference and nothing else: the
 paper's loop over :class:`~repro.trace.segments.Segment` objects, calling
@@ -38,9 +39,8 @@ suites, the fuzz oracles, ``--verify`` and the benchmark's output check hold
 the core to its bytes; it shares no loop and no kernel with the core.
 
 Representatives live in a
-:class:`~repro.core.candidates.RepresentativeStore`, one per (rank, config):
-unbounded by default, bounded by its ``capacity`` when the pipeline caps
-reducer memory.
+:class:`~repro.core.candidates.RepresentativeStore`, one per (rank, config),
+which keeps every one of them.
 """
 
 from __future__ import annotations
@@ -128,46 +128,60 @@ class KeyBatches:
         ]
 
 
+def _fold_means(stored: list, ids: np.ndarray, matched: np.ndarray, vectors) -> None:
+    """``iter_avg``: fold each matched row of a frame into its representative's mean.
+
+    ``matched`` are the frame rows that matched, ``ids`` every row's
+    representative, whose ``count`` already holds the frame's matches.  This
+    is :meth:`StoredSegment.update_mean`'s ``m + (x - m) / count`` replayed in
+    occurrence rounds: round ``r`` folds every representative's ``r``-th
+    match at once, so each one meets the same float operations in the same
+    order as one ``update_mean`` per match, and its timestamps are written
+    once.  The representatives are laid end to end, most matches first, so
+    the ones round ``r`` folds are a prefix of the means and that round's
+    rows are the next slice of the round-major ``flat``.
+    """
+    rep_ids = ids[matched]
+    by_rep = np.argsort(rep_ids, kind="stable")  # segment order within a representative
+    rows, rep_ids = matched[by_rep], rep_ids[by_rep]
+    sids, starts, n_matches = np.unique(rep_ids, return_index=True, return_counts=True)
+    order = np.argsort(-n_matches, kind="stable")
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))
+    rounds = np.arange(len(rows)) - np.repeat(starts, n_matches)
+    round_major = rows[np.lexsort((np.repeat(place, n_matches), rounds))]
+    flat = np.concatenate([vectors[row] for row in round_major.tolist()])
+    reps = [stored[sid] for sid in sids[order].tolist()]
+    means = [rep.timestamps() for rep in reps]
+    widths = np.array([len(mean) for mean in means])
+    mean = np.concatenate(means)
+    n_matches = n_matches[order]
+    count = np.repeat([rep.count for rep in reps] - n_matches, widths).astype(float)
+    ends = np.cumsum(widths)
+    # Round r folds the representatives with more than r matches.
+    active = np.searchsorted(-n_matches, -np.arange(n_matches[0]), side="left")
+    at = 0
+    for width in ends[active - 1].tolist():
+        folded, counted = mean[:width], count[:width]
+        counted += 1
+        folded += (flat[at : at + width] - folded) / counted
+        at += width
+    for rep, lo, hi in zip(reps, (ends - widths).tolist(), ends.tolist()):
+        rep.write_timestamps(mean[lo:hi])
+
+
 class ReductionState:
     """One (rank, config) reduction in progress: the columnar match-or-store step.
 
     The state owns what one config keeps per rank — the metric, the
     representative store and the continuing :class:`ReducedRankTrace` — and
-    is stepped over a frame with the rows of its metric's
-    :meth:`~repro.core.metrics.base.SimilarityMetric.frame_vectors`: look a
-    row's key up (:attr:`lookup`), :meth:`match` a non-empty bucket,
-    :meth:`record` the outcome (:meth:`step_rows`), or resolve the frame
-    whole (:meth:`match_batch`).  :func:`step_families` does the stepping
-    (the online session continues the same store and output across frames;
-    a sweep steps one state per config over one shared frame).
-
-    There is one probe kind, the frame row.  A distance metric compares it
-    with the rows its bucket stored (``match_row``); any other metric
-    decides through its ``match(row, bucket)``, which reads the bucket and
-    not the row (``iter_k`` its length, ``iter_avg`` its first entry).  A new
-    representative is booked as its ``(frame, row)``, with the row as its
-    matrix row, and a match hands the row to the metric's ``on_match`` — the
-    timestamp vector ``iter_avg`` folds into its running mean.
-
-    :attr:`batchable` holds for a distance metric over an unbounded store.
-    Then a decision depends only on the representatives that precede the row
-    under its own key, and :meth:`match_batch` resolves a whole frame key by
-    key.  A bounded store evicts by the order of its hits, and the other
-    metrics decide on what every earlier row left in the bucket, so those
-    states take the per-row step.
+    is stepped over a frame by :meth:`match_batch` (:func:`step_families`
+    does the stepping; the online session continues the same store and
+    output across frames, a sweep steps one state per config over one shared
+    frame).
     """
 
-    __slots__ = (
-        "metric",
-        "reduced",
-        "store",
-        "lookup",
-        "counters",
-        "batchable",
-        "_next_id",
-        "_probe",
-        "_row_scale",
-    )
+    __slots__ = ("metric", "reduced", "store", "counters", "_next_id")
 
     def __init__(
         self,
@@ -179,78 +193,95 @@ class ReductionState:
         self.metric = metric
         self.reduced = reduced
         self.store = store
-        self.lookup = store.candidates  # prebound: hottest call in the loop
         self.counters = counters
         self._next_id = len(reduced.stored)
-        distance = isinstance(metric, DistanceMetric)
-        self._probe = metric.match_row if distance else metric.match
-        self._row_scale = metric.row_scale if distance else None
-        self.batchable = distance and store.capacity is None
-
-    def match(self, row: np.ndarray, candidates) -> Optional[StoredSegment]:
-        """First representative of a non-empty bucket that the frame ``row`` matches.
-
-        With :attr:`counters` the call is timed and counted.
-        """
-        counters = self.counters
-        if counters is None:
-            return self._probe(row, candidates)
-        started = perf_counter()
-        chosen = self._probe(row, candidates)
-        counters.seconds += perf_counter() - started
-        counters.calls += 1
-        counters.rows_compared += len(candidates)
-        return chosen
-
-    def record(
-        self,
-        key,
-        start: float,
-        candidates,
-        chosen: Optional[StoredSegment],
-        row: np.ndarray,
-        frame: RankFrame,
-        index: int,
-    ) -> None:
-        """Book frame row ``index``: a match against ``chosen``, or a new representative.
-
-        On a match, record the execution and hand ``row`` to the metric's
-        ``on_match``.  Otherwise store the row as a new representative, with
-        ``row`` — the probe that just failed to match — as its matrix row and
-        the metric's ``row_scale`` of it.
-        """
-        reduced = self.reduced
-        if candidates:
-            reduced.n_possible_matches += 1
-        if chosen is not None:
-            reduced.n_matches += 1
-            reduced.execs.append((chosen.segment_id, start))
-            reduced.exec_matched.append(True)
-            self.metric.on_match(row, chosen)
-            return
-        scale = self._row_scale
-        stored = StoredSegment(self._next_id, origin=(frame, index))
-        self._next_id += 1
-        self.store.add(key, stored, row, None if scale is None else scale(row))
-        reduced.stored.append(stored)
-        reduced.execs.append((stored.segment_id, start))
-        reduced.exec_matched.append(False)
-
-    def step_rows(self, frame: RankFrame, rows: Sequence[np.ndarray]) -> None:
-        """Match-or-store every row of ``frame`` one at a time: the per-row step."""
-        keys, starts = frame.structural_keys(), frame.starts_list()
-        lookup, match, record = self.lookup, self.match, self.record
-        for i in range(frame.n_segments):
-            key, row = keys[i], rows[i]
-            candidates = lookup(key)
-            chosen = match(row, candidates) if candidates else None
-            record(key, starts[i], candidates, chosen, row, frame, i)
 
     def match_batch(self, batches: KeyBatches) -> None:
-        """Match-or-store every row of ``batches.frame``: the exact batch step.
+        """Match-or-store every row of ``batches.frame``: the one step.
 
-        Only for a :attr:`batchable` state.  Per structural key, in the order
-        the per-row step would meet them:
+        Each row either leads — it is a new representative — or matches the
+        representative it resolves to; both are decided key by key, in the
+        order the scalar reference meets the rows (:meth:`_lead_by_distance`
+        for a distance metric, :meth:`_lead_by_count` for any other).  Then
+        everything is booked: new representatives take the ids the
+        reference gives them, in segment order across keys — each as its
+        ``(frame, row)``, a distance metric's with its probe row and the scale
+        its leader round computed — and enter their bucket one key at a time
+        (:meth:`RepresentativeStore.extend`).
+        """
+        frame, vectors = batches.frame, batches.vectors
+        metric, store, reduced = self.metric, self.store, self.reduced
+        n = frame.n_segments
+        first_id = self._next_id
+        ids = np.empty(n, dtype=np.int64)  # each row's representative id
+        leader = np.full(n, -1, dtype=np.int64)  # or, until ids exist, its new one's row
+        distance = isinstance(metric, DistanceMetric)
+        if distance:
+            fresh, misses, scale_of = self._lead_by_distance(batches, ids, leader)
+        else:
+            fresh, misses = self._lead_by_count(batches, ids, leader)
+
+        is_new = leader == np.arange(n)
+        new_rows = np.flatnonzero(is_new)  # segment order, across keys
+        resolved = leader >= 0
+        ids[resolved] = first_id + np.searchsorted(new_rows, leader[resolved])
+        reduced.execs.extend(zip(ids.tolist(), frame.starts_list()))
+        reduced.exec_matched.extend((~is_new).tolist())
+        reduced.n_matches += n - len(new_rows)
+        reduced.n_possible_matches += n - misses
+        store.count_lookups(n - misses, misses)
+        counts = np.bincount(ids, minlength=first_id)
+        for sid in np.flatnonzero(counts[:first_id]).tolist():
+            reduced.stored[sid].count += int(counts[sid])
+        rows_counts = zip(new_rows.tolist(), counts[first_id:].tolist())
+        new = {  # row -> representative, in id order
+            row: StoredSegment(sid, count=count, origin=(frame, row))
+            for sid, (row, count) in enumerate(rows_counts, first_id)
+        }
+        reduced.stored.extend(new.values())
+        self._next_id += len(new)
+        if metric.averages and len(new_rows) < n:
+            _fold_means(reduced.stored, ids, np.flatnonzero(~is_new), vectors)
+        for key, heads in fresh:
+            entries = [new[row] for row in heads]
+            if distance:
+                scales = None if scale_of is None else scale_of[heads]
+                store.extend(key, entries, [vectors[row] for row in heads], scales)
+            else:
+                store.extend(key, entries)
+
+    def _lead_by_count(self, batches: KeyBatches, ids: np.ndarray, leader: np.ndarray):
+        """Resolve a frame for a method that decides on execution counts alone.
+
+        Each row's ``seen`` is the number of executions of its key before it
+        — those its bucket's representatives stand for, then its key's
+        earlier rows of the frame — and the metric's
+        :meth:`~repro.core.metrics.base.SimilarityMetric.new_rows` says which
+        rows lead.  Every other row matches its key's latest representative:
+        the last leader before it in the frame, else the bucket's last.
+        Returns ``(fresh, misses)`` as :meth:`_lead_by_distance` does.
+        """
+        groups = batches.groups
+        buckets = [self.store.bucket(key) for key, _, _ in groups]
+        seen = np.empty(batches.frame.n_segments, dtype=np.int64)
+        for (_, rows, _), bucket in zip(groups, buckets):
+            prior = sum(stored.count for stored in bucket) if bucket else 0
+            seen[rows] = np.arange(prior, prior + len(rows))
+        is_new = self.metric.new_rows(seen)
+        fresh = []
+        for (key, rows, _), bucket in zip(groups, buckets):
+            new = is_new[rows]
+            latest = leader[rows] = np.maximum.accumulate(np.where(new, rows, -1))
+            if bucket:
+                ids[rows[latest < 0]] = bucket[-1].segment_id
+            if new.any():
+                fresh.append((key, rows[new].tolist()))
+        return fresh, sum(not bucket for bucket in buckets)
+
+    def _lead_by_distance(self, batches: KeyBatches, ids: np.ndarray, leader: np.ndarray):
+        """Resolve a frame for a distance metric, key by key.
+
+        Per structural key, in the order the scalar reference meets them:
 
         1. a bucket that already holds representatives (a session chunk)
            takes one broadcast kernel call, blocked over the probes, that
@@ -271,19 +302,14 @@ class ReductionState:
            a key whose rounds keep matching (loose thresholds, or one odd row
            ahead of many alike) never takes it.
 
-        Then everything is booked: new representatives take the ids the
-        per-row step gives them, in segment order across keys — each as its
-        ``(frame, row)``, with the scale its leader round computed — and
-        enter their bucket one key at a time (:meth:`RepresentativeStore.extend`).
+        Fills ``ids`` for the rows that match an existing representative and
+        ``leader`` for the rest.  Returns ``(fresh, misses, scale_of)``: each
+        key's leader rows (first appearance first), the number of keys whose
+        bucket was empty, and each leader's ``row_scale`` (None without one).
         """
-        frame, vectors = batches.frame, batches.vectors
-        metric, store, reduced, counters = self.metric, self.store, self.reduced, self.counters
+        metric, store, counters = self.metric, self.store, self.counters
         kernel, threshold, row_scale = metric.match_stats, metric.threshold, metric.row_scale
-        n = frame.n_segments
-        first_id = self._next_id
-        ids = np.empty(n, dtype=np.int64)  # each row's representative id
-        leader = np.full(n, -1, dtype=np.int64)  # or, until ids exist, its new one's row
-        scale_of = None if row_scale is None else np.empty(n)  # each unresolved row's scale
+        scale_of = None if row_scale is None else np.empty(len(leader))
         misses = 0
 
         def compare(vector, matrix, scales):
@@ -343,29 +369,7 @@ class ReductionState:
                     break
             if heads:
                 fresh.append((key, heads))
-
-        is_new = leader == np.arange(n)
-        new_rows = np.flatnonzero(is_new)  # segment order, across keys
-        resolved = leader >= 0
-        ids[resolved] = first_id + np.searchsorted(new_rows, leader[resolved])
-        reduced.execs.extend(zip(ids.tolist(), frame.starts_list()))
-        reduced.exec_matched.extend((~is_new).tolist())
-        reduced.n_matches += n - len(new_rows)
-        reduced.n_possible_matches += n - misses
-        store.count_lookups(n - misses, misses)
-        counts = np.bincount(ids, minlength=first_id)
-        for sid in np.flatnonzero(counts[:first_id]).tolist():
-            reduced.stored[sid].count += int(counts[sid])
-        rows_counts = zip(new_rows.tolist(), counts[first_id:].tolist())
-        new = {  # row -> representative, in id order
-            row: StoredSegment(sid, count=count, origin=(frame, row))
-            for sid, (row, count) in enumerate(rows_counts, first_id)
-        }
-        reduced.stored.extend(new.values())
-        self._next_id += len(new)
-        for key, heads in fresh:
-            scales = None if scale_of is None else scale_of[heads]
-            store.extend(key, [new[row] for row in heads], [vectors[row] for row in heads], scales)
+        return fresh, misses, scale_of
 
 
 def step_families(frame: RankFrame, families: Sequence[Sequence[ReductionState]]) -> None:
@@ -373,12 +377,11 @@ def step_families(frame: RankFrame, families: Sequence[Sequence[ReductionState]]
 
     ``families`` groups the states by feature family: the states of one
     share a vector layout, so its first metric's ``frame_vectors`` (one bulk
-    pass) gives every member its probe rows.  Each
-    :attr:`~ReductionState.batchable` state takes the batch step, all of a
-    family's over one shared :class:`KeyBatches` grouping; every other state
-    takes the per-row step.  Either way each state makes the decisions a solo
-    run makes, in the same order.  :meth:`TraceReducer.reduce_frame` passes
-    one state, the pipeline's batch task one per metric of its grid.
+    pass) gives every member its probe rows, and one :class:`KeyBatches`
+    grouping of them serves every member's :meth:`~ReductionState.match_batch`.
+    Each state makes the decisions a solo run makes, in the same order.
+    :meth:`TraceReducer.reduce_frame` passes one state, the pipeline's batch
+    task one per metric of its grid.
 
     The frame's times are checked first, every row of it: finite
     (:meth:`RankFrame.check_finite`) and in order
@@ -388,14 +391,8 @@ def step_families(frame: RankFrame, families: Sequence[Sequence[ReductionState]]
     frame.check_finite()
     frame.check_time_order()
     for states in families:
-        rows = states[0].metric.frame_vectors(frame)
-        batches = None
+        batches = KeyBatches(frame, states[0].metric.frame_vectors(frame))
         for state in states:
-            if not state.batchable:
-                state.step_rows(frame, rows)
-                continue
-            if batches is None:
-                batches = KeyBatches(frame, rows)
             state.match_batch(batches)
 
 
@@ -434,8 +431,7 @@ class TraceReducer:
     ) -> ReducedRankTrace:
         """The reference: reduce a segment stream with the scalar ``match`` scan.
 
-        Segments are consumed one at a time; memory is bounded by the
-        representative store, not the input length.  When ``match_counters``
+        Segments are consumed one at a time.  When ``match_counters``
         is given, the match-kernel stage (calls, candidate rows, wall time)
         is accumulated into it; with None the hot loop carries no timing
         overhead.
@@ -498,10 +494,8 @@ class TraceReducer:
 
         Structural keys and feature vectors come straight from the frame's
         bulk passes, and representatives stay ``(frame, row)`` until someone
-        reads their ``.segment`` (``iter_avg`` does, at a representative's
-        first match).
-        A :attr:`~ReductionState.batchable` state takes the batch step, any
-        other the per-row step; either way the result is byte-identical to
+        reads their ``.segment`` (``iter_avg`` does, to write a matched
+        representative's mean).  The result is byte-identical to
         :meth:`reduce_segments` over the frame's decoded segments.
 
         ``into`` continues an existing :class:`ReducedRankTrace` with the
@@ -552,29 +546,20 @@ class TraceReducer:
         name: str,
         streams: Iterable[Tuple[int, Iterable[Segment]]],
         *,
-        store_factory=None,
         match_counters: Optional[MatchCounters] = None,
     ) -> ReducedTrace:
-        """Reduce ``(rank, segment stream)`` pairs serially, in stream order.
-
-        ``store_factory`` builds one representative store per rank (e.g.
-        ``lambda: RepresentativeStore(1000)``); with None each rank gets an
-        unbounded one.
-        """
+        """Reduce ``(rank, segment stream)`` pairs serially, in stream order."""
         reduced = ReducedTrace(
             name=name,
             method=self.metric.name,
             threshold=self.metric.threshold,
         )
         for rank, segments in streams:
-            store = store_factory() if store_factory is not None else None
             # Span per rank, not per segment: the segment loop is the match
             # kernel's hot path and must stay telemetry-free.
             with obs.span("rank.reduce", rank=rank):
                 reduced.ranks.append(
-                    self.reduce_segments(
-                        segments, rank=rank, store=store, match_counters=match_counters
-                    )
+                    self.reduce_segments(segments, rank=rank, match_counters=match_counters)
                 )
         return reduced
 

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.core.metrics.base import SimilarityMetric
 from repro.core.reduced import StoredSegment
 from repro.trace.segments import Segment
@@ -59,6 +61,9 @@ class PeriodicSampling(SimilarityMetric):
             return None  # keep this execution as a new stored segment
         return stored[-1]
 
+    def new_rows(self, seen: np.ndarray) -> np.ndarray:
+        return seen % self.period == 0
+
 
 class RandomSampling(SimilarityMetric):
     """Keep each execution independently with probability ``rate``.
@@ -81,3 +86,12 @@ class RandomSampling(SimilarityMetric):
         if self._rng.random() < self.rate:
             return None  # sampled: keep the real measurements
         return stored[-1]
+
+    def new_rows(self, seen: np.ndarray) -> np.ndarray:
+        # One draw per execution after a key's first, in segment order: one
+        # ``random(n)`` call yields the doubles n scalar ``random()`` calls do.
+        new = seen == 0
+        later = np.flatnonzero(~new)
+        if later.size:
+            new[later] = self._rng.random(later.size) < self.rate
+        return new

@@ -9,16 +9,15 @@ nobody would hand-write.  Three layers:
   patterns (stencil halos, master/worker fan-out, bursty imbalance, phase
   changes mid-run, ragged rank counts) plus adversarial families engineered
   to sit exactly at metric thresholds (probes within one ulp of the match
-  boundary), to churn bounded-store LRU eviction, to stress the dense
-  kernel on deep buckets (near-identical norms, permuted vectors, zero
-  vectors), and to hit the malformed-rank fallback in
-  :mod:`repro.trace.binio`.
+  boundary), to stress the dense kernel on deep buckets (near-identical
+  norms, permuted vectors, zero vectors), and to hit the malformed-rank
+  fallback in :mod:`repro.trace.binio`.
 * **Executor + oracles** (:mod:`repro.fuzz.executor`,
   :mod:`repro.fuzz.oracles`): every generated case runs through each
   configured pathway pair — the scalar reference scan vs the columnar frame
-  path (batch and per-row step), inline vs sharded pipeline, sweep grid vs per-config
-  loop, batch vs incremental session with a mid-stream checkpoint/restore,
-  text and ``.rpb`` round trips — and the outputs are cross-checked
+  path, inline vs sharded pipeline, sweep grid vs per-config loop, batch vs
+  incremental session with a mid-stream checkpoint/restore, text and
+  ``.rpb`` round trips — and the outputs are cross-checked
   byte-for-byte, with the metric's own similarity bound replayed on the
   reconstructed trace.
 * **Case database + minimizer** (:mod:`repro.fuzz.casedb`,

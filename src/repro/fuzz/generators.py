@@ -18,7 +18,6 @@ Two kinds of families exist:
 * **Adversarial families** are engineered against specific mechanisms:
   ``threshold_edge`` bisects float64 bit patterns to place probe segments
   within one ulp on either side of the metric's match boundary,
-  ``lru_churn`` cycles more structural keys than a bounded store can hold,
   ``prune_stress`` builds a deep single-structure bucket with permuted
   (norm-identical) vectors and zero vectors to stress the dense kernel's
   row-wise norms and first-match order, and ``malformed`` emits record
@@ -93,34 +92,22 @@ class CaseConfig:
 
     method: str
     threshold: Optional[float]
-    store_capacity: Optional[int] = None
 
     def describe(self) -> str:
-        parts = [self.method]
-        if self.threshold is not None:
-            parts.append(f"t={self.threshold:g}")
-        if self.store_capacity is not None:
-            parts.append(f"cap={self.store_capacity}")
-        return "/".join(parts)
+        if self.threshold is None:
+            return self.method
+        return f"{self.method}/t={self.threshold:g}"
 
     def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "threshold": self.threshold,
-            "store_capacity": self.store_capacity,
-        }
+        return {"method": self.method, "threshold": self.threshold}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "CaseConfig":
-        return cls(
-            method=data["method"],
-            threshold=data["threshold"],
-            store_capacity=data.get("store_capacity"),
-        )
+        return cls(method=data["method"], threshold=data["threshold"])
 
 
 def random_config(rng: np.random.Generator) -> CaseConfig:
-    """Draw a reduction config: any metric, a studied threshold, rare bounding."""
+    """Draw a reduction config: any metric and a studied threshold."""
     method = METRIC_NAMES[int(rng.integers(0, len(METRIC_NAMES)))]
     if method == "iter_avg":
         threshold = None
@@ -129,8 +116,7 @@ def random_config(rng: np.random.Generator) -> CaseConfig:
         threshold = choices[int(rng.integers(0, len(choices)))]
         if method == "iter_k":
             threshold = int(threshold)
-    capacity = int(rng.integers(4, 16)) if rng.random() < 0.25 else None
-    return CaseConfig(method=method, threshold=threshold, store_capacity=capacity)
+    return CaseConfig(method=method, threshold=threshold)
 
 
 # --------------------------------------------------------------------------
@@ -488,43 +474,7 @@ def _params_threshold_edge(rng: np.random.Generator) -> dict:
         "threshold": threshold,
         "pairs": int(rng.integers(2, 5)),
         # The case must be reduced with the metric the probes were built for.
-        "config": {"method": method, "threshold": threshold, "store_capacity": None},
-    }
-
-
-def _gen_lru_churn(spec: CaseSpec) -> Trace:
-    """More structural keys than the bounded store holds: constant eviction.
-
-    Keys repeat in waves, so with an unbounded store later repeats match the
-    original representative, while a bounded store has already evicted it —
-    eviction order differences between pathways become byte-level divergences.
-    """
-    p = spec.params
-    nprocs, keys, repeats = int(p["nprocs"]), int(p["keys"]), int(p["repeats"])
-    rng = spec.rng("timing")
-    scripts = [_RankScript(r) for r in range(nprocs)]
-    for rep in range(repeats):
-        for k in range(keys):
-            for s in scripts:
-                s.begin_segment("main.1", gap=1)
-                s.call(f"f{k}", 3 + int(rng.integers(0, 2)))
-                s.call("MPI_Barrier", 1, MpiCallInfo(op="barrier"))
-                s.end_segment("main.1", gap=1)
-    return trace_from_records("fuzz-lru-churn", [s.records for s in scripts])
-
-
-def _params_lru_churn(rng: np.random.Generator) -> dict:
-    keys = int(rng.integers(6, 12))
-    return {
-        "nprocs": int(rng.integers(1, 4)),
-        "keys": keys,
-        "repeats": int(rng.integers(2, 5)),
-        # Capacity below the key count so every wave evicts.
-        "config": {
-            "method": "relDiff",
-            "threshold": 0.8,
-            "store_capacity": max(2, keys // 2),
-        },
+        "config": {"method": method, "threshold": threshold},
     }
 
 
@@ -574,7 +524,7 @@ def _params_prune_stress(rng: np.random.Generator) -> dict:
         "zeros": int(rng.integers(3, 8)),
         "tiny": int(rng.integers(2, 6)),
         # Small threshold so distinct timings actually stay distinct.
-        "config": {"method": "euclidean", "threshold": 0.05, "store_capacity": None},
+        "config": {"method": "euclidean", "threshold": 0.05},
     }
 
 
@@ -662,7 +612,6 @@ FAMILIES: dict[str, GeneratorFamily] = {
         GeneratorFamily("phase_change", _gen_phase_change, _params_phase_change),
         GeneratorFamily("ragged", _gen_ragged, _params_ragged),
         GeneratorFamily("threshold_edge", _gen_threshold_edge, _params_threshold_edge, text_safe=False),
-        GeneratorFamily("lru_churn", _gen_lru_churn, _params_lru_churn),
         GeneratorFamily("prune_stress", _gen_prune_stress, _params_prune_stress),
         GeneratorFamily("malformed", _gen_malformed, _params_malformed, segmentable=False),
     )

@@ -1,9 +1,9 @@
 """Cross-pathway oracles: every generated case through every pathway pair.
 
 The repository keeps several pathways through the same reduction semantics —
-the scalar reference scan, the columnar frame path (batch and per-row step),
-the pipeline executors (objects back, or bytes streamed to a file), a
-sweep grid through the same pipeline, the incremental session — all
+the scalar reference scan, the columnar frame path, the pipeline executors
+(objects back, or bytes streamed to a file), a sweep grid through the same
+pipeline, the incremental session — all
 documented as byte-identical.  Each oracle here runs one
 alternative pathway over a generated case and compares its
 :func:`~repro.trace.io.serialize_reduced_trace` bytes against the ground
@@ -11,8 +11,7 @@ truth: a serial scalar-scan :class:`~repro.core.reducer.TraceReducer`.
 
 Every oracle gets a fresh metric instance (``iter_avg`` mutates stored
 representatives, so sharing one would couple the pathways) and a fresh
-store per rank built by :func:`~repro.pipeline.store.create_store`, so a
-bounded-capacity config exercises LRU eviction identically everywhere.
+store per rank.
 
 An oracle returns ``None`` on success or a human-readable divergence string
 on failure; it raises :class:`OracleSkip` when structurally inapplicable
@@ -39,7 +38,6 @@ from repro.core.reduced import ReducedTrace
 from repro.evaluation.approximation import timestamp_errors
 from repro.fuzz.generators import DISTANCE_METRICS, CaseConfig
 from repro.pipeline.engine import PipelineConfig, ReductionPipeline, sweep_pipeline
-from repro.pipeline.store import create_store
 from repro.service.cache import source_digest
 from repro.service.checkpoint import restore_state, session_state
 from repro.service.session import ReductionSession, SessionConfig
@@ -118,10 +116,6 @@ class CaseContext:
             threshold = self.config.threshold
         return create_metric(method, threshold)
 
-    def store_factory(self) -> Callable:
-        capacity = self.config.store_capacity
-        return lambda: create_store(capacity)
-
     @property
     def segmented(self):
         if self._segmented is None:
@@ -133,9 +127,7 @@ class CaseContext:
         if segmented is None:
             segmented = self.segmented
         return TraceReducer(self.metric(method, threshold)).reduce_streams(
-            segmented.name,
-            ((r.rank, r.segments) for r in segmented.ranks),
-            store_factory=self.store_factory(),
+            segmented.name, ((r.rank, r.segments) for r in segmented.ranks)
         )
 
     @property
@@ -175,7 +167,8 @@ class CaseContext:
 # Matching-kernel oracles
 
 
-def _reduce_frames(ctx: CaseContext, store_factory: Callable) -> ReducedTrace:
+def oracle_frame_path(ctx: CaseContext) -> Optional[str]:
+    """Columnar ``reduce_frame`` (lazy materialization) == scalar scan."""
     reducer = TraceReducer(ctx.metric())
     reduced = ReducedTrace(
         name=ctx.segmented.name,
@@ -184,30 +177,8 @@ def _reduce_frames(ctx: CaseContext, store_factory: Callable) -> ReducedTrace:
     )
     for rank_trace in ctx.segmented.ranks:
         frame = RankFrame.from_segments(rank_trace.rank, rank_trace.segments)
-        reduced.ranks.append(reducer.reduce_frame(frame, store=store_factory()))
-    return reduced
-
-
-def oracle_frame_path(ctx: CaseContext) -> Optional[str]:
-    """Columnar ``reduce_frame`` (lazy materialization) == scalar scan.
-
-    On the case's own store: the batch step for a distance metric on an
-    unbounded store, the per-row step otherwise.
-    """
-    return ctx.check(_reduce_frames(ctx, ctx.store_factory()), "frame path")
-
-
-def oracle_frame_per_row(ctx: CaseContext) -> Optional[str]:
-    """``reduce_frame`` forced onto the per-row step == scalar scan.
-
-    A bounded store is never batchable; one with room for every segment
-    never evicts, so it must reproduce the unbounded ground truth — the
-    other branch of the predicate :func:`oracle_frame_path` takes.
-    """
-    if ctx.config.store_capacity is not None:
-        raise OracleSkip("a bounded case's frame_path already takes the per-row step")
-    capacity = 1 + sum(len(rank.segments) for rank in ctx.segmented.ranks)
-    return ctx.check(_reduce_frames(ctx, lambda: create_store(capacity)), "per-row frame path")
+        reduced.ranks.append(reducer.reduce_frame(frame))
+    return ctx.check(reduced, "frame path")
 
 
 # --------------------------------------------------------------------------
@@ -216,7 +187,7 @@ def oracle_frame_per_row(ctx: CaseContext) -> Optional[str]:
 
 def oracle_pipeline_inline(ctx: CaseContext) -> Optional[str]:
     """Serial pipeline dispatch over the in-memory trace == scalar scan."""
-    config = PipelineConfig(executor="serial", store_capacity=ctx.config.store_capacity)
+    config = PipelineConfig(executor="serial")
     result = ReductionPipeline(ctx.metric(), config).reduce(
         ctx.segmented, name=ctx.trace.name
     )
@@ -225,9 +196,7 @@ def oracle_pipeline_inline(ctx: CaseContext) -> Optional[str]:
 
 def oracle_pipeline_shard(ctx: CaseContext) -> Optional[str]:
     """Sharded ``(path, rank)`` dispatch over ``.rpb`` == scalar scan."""
-    config = PipelineConfig(
-        executor="thread", workers=2, store_capacity=ctx.config.store_capacity
-    )
+    config = PipelineConfig(executor="thread", workers=2)
     result = ReductionPipeline(ctx.metric(), config).reduce(
         ctx.rpb_path, name=ctx.trace.name
     )
@@ -241,9 +210,7 @@ def oracle_pipeline_payload(ctx: CaseContext) -> Optional[str]:
     pool.  The text leg runs only where the two-decimal text format carries
     the case's timestamps exactly — elsewhere the file is a different trace.
     """
-    config = PipelineConfig(
-        executor="thread", workers=2, store_capacity=ctx.config.store_capacity
-    )
+    config = PipelineConfig(executor="thread", workers=2)
     sources = [("payload pipeline", ctx.segmented)]
     reread = read_trace(ctx.text_path, name=ctx.trace.name)
     if all(o.records == b.records for o, b in zip(ctx.trace.ranks, reread.ranks)):
@@ -262,9 +229,7 @@ def oracle_pipeline_streamed(ctx: CaseContext) -> Optional[str]:
     The only route on which tasks return serialized ranks and the parent
     appends them in rank order, never holding a reduced trace.
     """
-    config = PipelineConfig(
-        executor="thread", workers=2, store_capacity=ctx.config.store_capacity
-    )
+    config = PipelineConfig(executor="thread", workers=2)
     path = ctx.workdir / "streamed.reduced"
     written, _ = ReductionPipeline(ctx.metric(), config).write(ctx.rpb_path, path)
     data = path.read_bytes()
@@ -296,12 +261,7 @@ def oracle_sweep_grid(ctx: CaseContext) -> Optional[str]:
     if sibling is not None:
         configs.append(SweepConfig(ctx.config.method, sibling))
     plan = SweepPlan(configs)
-    result = sweep_pipeline(
-        ctx.segmented,
-        plan,
-        PipelineConfig(store_capacity=ctx.config.store_capacity),
-        name=ctx.trace.name,
-    )
+    result = sweep_pipeline(ctx.segmented, plan, name=ctx.trace.name)
     for outcome in result:
         if outcome.config.key == plan.configs[0].key:  # the case's own config: the baseline
             expected = ctx.baseline_bytes
@@ -333,11 +293,7 @@ def oracle_session_checkpoint(ctx: CaseContext) -> Optional[str]:
     is serialized with :func:`session_state` and resumed from the bytes —
     the finished result and content digest must equal the batch pathway's.
     """
-    config = SessionConfig(
-        method=ctx.config.method,
-        threshold=ctx.config.threshold,
-        store_capacity=ctx.config.store_capacity,
-    )
+    config = SessionConfig(method=ctx.config.method, threshold=ctx.config.threshold)
     session = ReductionSession(ctx.trace.name, config)
     rng = rng_for(ctx.seed, "session-chunks")
     pending = [(rank.rank, list(rank.records)) for rank in ctx.trace.ranks]
@@ -546,7 +502,6 @@ def oracle_malformed_fallback(ctx: CaseContext) -> Optional[str]:
 
 ORACLES: dict[str, Callable[[CaseContext], Optional[str]]] = {
     "frame_path": oracle_frame_path,
-    "frame_per_row": oracle_frame_per_row,
     "pipeline_inline": oracle_pipeline_inline,
     "pipeline_shard": oracle_pipeline_shard,
     "pipeline_payload": oracle_pipeline_payload,
@@ -564,7 +519,6 @@ ORACLE_NAMES: tuple[str, ...] = tuple(ORACLES)
 #: The equivalence matrix run on every segmentable case.
 EQUIVALENCE_ORACLES: tuple[str, ...] = (
     "frame_path",
-    "frame_per_row",
     "pipeline_inline",
     "pipeline_shard",
     "pipeline_payload",

@@ -1,7 +1,7 @@
 """Typed metrics registry: named counters, gauges, and histograms.
 
 The hot paths accumulate into plain dataclasses —
-:class:`~repro.pipeline.store.StoreCounters`,
+:class:`~repro.core.candidates.StoreCounters`,
 :class:`~repro.core.candidates.MatchCounters`, the pipeline, sweep and service
 stats.  :class:`Counts` is their common base: it publishes them, under their
 field names (:class:`AdditiveCounts` also sums them field by field), into a
@@ -13,7 +13,7 @@ Instrument kinds
 ----------------
 ``counter``
     Monotonic accumulator (int or float).  Merge adds.  The canonical kind
-    for event counts (``pipeline.n_segments``, ``pipeline.store_evictions``,
+    for event counts (``pipeline.n_segments``, ``pipeline.store_misses``,
     ``pipeline.match_rows_compared``) and for accumulated wall time in seconds.
 ``gauge``
     A last-known level (``pipeline.workers``, ``service.peak_active``).  Merge takes

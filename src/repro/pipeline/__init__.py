@@ -3,8 +3,7 @@
 The scaling subsystem on top of :mod:`repro.core`: streaming ingestion of
 per-rank segment streams (:mod:`repro.pipeline.stream`), a worker-pool
 reduction engine with deterministic, serial-identical output
-(:mod:`repro.pipeline.engine`), bounded representative stores
-(:mod:`repro.pipeline.store`), and per-stage instrumentation
+(:mod:`repro.pipeline.engine`), and per-stage instrumentation
 (:mod:`repro.pipeline.stats`).
 
 Quick use::
@@ -27,7 +26,6 @@ from repro.pipeline.engine import (
     sweep_pipeline,
 )
 from repro.pipeline.stats import PipelineStats
-from repro.pipeline.store import RepresentativeStore, StoreCounters, create_store
 from repro.pipeline.stream import rank_segment_streams, source_name
 
 __all__ = [
@@ -38,9 +36,6 @@ __all__ = [
     "reduce_pipeline",
     "sweep_pipeline",
     "PipelineStats",
-    "RepresentativeStore",
-    "StoreCounters",
-    "create_store",
     "rank_segment_streams",
     "source_name",
 ]

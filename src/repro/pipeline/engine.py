@@ -88,12 +88,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro import obs
-from repro.core.candidates import MatchCounters
+from repro.core.candidates import MatchCounters, RepresentativeStore
 from repro.core.metrics.base import SimilarityMetric
 from repro.core.reduced import ReducedRankTrace, ReducedTrace
 from repro.core.reducer import ReductionState, step_families
 from repro.pipeline.stats import PipelineStats, RankCounts, StageClock
-from repro.pipeline.store import create_store
 from repro.pipeline.stream import (
     RankBatch,
     SegmentSource,
@@ -148,9 +147,6 @@ class PipelineConfig:
         docstring.
     workers:
         Pool size; ``None`` means ``os.cpu_count()`` (ignored by ``serial``).
-    store_capacity:
-        Bound on representatives kept per rank (the store's ``capacity``);
-        ``None`` keeps the unbounded, byte-identical default.
     merge:
         Run the inter-process merge (cross-rank representative dedup) as a
         final stage.
@@ -158,7 +154,6 @@ class PipelineConfig:
 
     executor: str = "serial"
     workers: Optional[int] = None
-    store_capacity: Optional[int] = None
     merge: bool = False
 
     def __post_init__(self) -> None:
@@ -168,8 +163,6 @@ class PipelineConfig:
             )
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.store_capacity is not None and self.store_capacity < 1:
-            raise ValueError(f"store_capacity must be >= 1, got {self.store_capacity}")
 
     def resolved_workers(self) -> int:
         if self.executor == "serial":
@@ -189,7 +182,6 @@ class PipelineResult:
 def _reduce_batch(
     families: Families,
     batch: RankBatch,
-    store_capacity: Optional[int],
     serialize: bool,
     counts: RankCounts,
 ) -> list:
@@ -212,7 +204,7 @@ def _reduce_batch(
                     ReductionState(
                         metric,
                         ReducedRankTrace(rank=frame.rank, n_segments=frame.n_segments),
-                        create_store(store_capacity),
+                        RepresentativeStore(),
                         MatchCounters(),
                     )
                     for metric in family
@@ -240,7 +232,6 @@ BatchResult = tuple[list, RankCounts, Optional[obs.RecorderSnapshot]]
 def _rank_task(
     families: Families,
     batch: RankBatch,
-    store_capacity: Optional[int],
     serialize: bool,
     capture: bool,
 ) -> BatchResult:
@@ -262,7 +253,7 @@ def _rank_task(
     """
     counts = RankCounts()
     with obs.task_recording(capture) as recorder:
-        outputs = _reduce_batch(families, batch, store_capacity, serialize, counts)
+        outputs = _reduce_batch(families, batch, serialize, counts)
     snapshot = None
     if recorder is not None:
         counts.record(recorder.registry, "pipeline")
@@ -309,7 +300,6 @@ class _Run:
     #: Pool size actually started: never more workers than ranks.
     pool_workers: int
     families: Families
-    store_capacity: Optional[int]
 
     def span(self):
         stats = self.stats
@@ -330,15 +320,10 @@ class _Run:
                 # In the caller's process: spans land directly on the ambient
                 # recorder and counts in the run's stats, no round-trip.
                 for batch in self.batches:
-                    yield _reduce_batch(
-                        self.families, batch, self.store_capacity, serialize, stats
-                    )
+                    yield _reduce_batch(self.families, batch, serialize, stats)
                 return
             capture = obs.enabled()
-            calls = (
-                (self.families, batch, self.store_capacity, serialize, capture)
-                for batch in self.batches
-            )
+            calls = ((self.families, batch, serialize, capture) for batch in self.batches)
             for outputs, counts, snapshot in _run_pool_tasks(
                 stats.executor, self.pool_workers, _rank_task, calls
             ):
@@ -402,7 +387,7 @@ def _start(source: SegmentSource, config: PipelineConfig, families: Families) ->
         dispatch=dispatch,
     )
     pool_workers = workers if n_ranks is None else min(workers, n_ranks)
-    return _Run(stats, clock, batches, pool_workers, families, config.store_capacity)
+    return _Run(stats, clock, batches, pool_workers, families)
 
 
 def _ingested(batches: Iterator[RankBatch], clock: StageClock) -> Iterator[RankBatch]:
@@ -526,9 +511,8 @@ def sweep_pipeline(
     each task steps one state per config over every rank's one frame, each
     feature family's vectors built once per rank and shared by its configs.
     ``plan`` is a :class:`~repro.sweep.plan.SweepPlan` or anything its
-    constructor accepts.  ``config.store_capacity`` bounds each config's
-    per-rank store as usual; ``config.merge`` does not apply to sweeps and
-    is ignored.  Every config's reduced trace is byte-identical to a solo
+    constructor accepts.  ``config.merge`` does not apply to sweeps and is
+    ignored.  Every config's reduced trace is byte-identical to a solo
     serial reduction, whatever the dispatch.
     """
     from repro.sweep.plan import SweepPlan

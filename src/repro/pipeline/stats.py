@@ -13,11 +13,10 @@ from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 from repro import obs
-from repro.core.candidates import MatchCounters
+from repro.core.candidates import MatchCounters, StoreCounters
 from repro.core.frames import RankFrame
 from repro.core.reducer import ReductionState
 from repro.obs.metrics import Counts
-from repro.pipeline.store import StoreCounters
 
 __all__ = ["StageClock", "RankCounts", "PipelineStats"]
 
@@ -72,7 +71,7 @@ class RankCounts(Counts):
     n_possible_matches: int = 0
     #: ``Segment`` objects the reduction built from frame rows: 0 for every
     #: method but ``iter_avg``, whose running mean builds one per
-    #: representative at its first match.  Reading a representative's
+    #: representative matched at least once.  Reading a representative's
     #: ``.segment`` afterwards is the reader's materialization, not counted here.
     segments_materialized: int = 0
     #: Text-format bytes of the ranks' records (§4.3.1's denominator), sized
@@ -170,7 +169,6 @@ class PipelineStats(RankCounts):
             ["stored representatives", self.n_stored],
             ["match rate", f"{self.match_rate:.4f}"],
             ["store hits / lookups", f"{self.store.hits} / {self.store.lookups}"],
-            ["store evictions", self.store.evictions],
             ["match kernel calls", self.match.calls],
             ["match kernel rows / call", f"{self.match.rows_per_call:.2f}"],
             ["match kernel wall time (s)", f"{self.match.seconds:.4f}"],

@@ -1,16 +1,18 @@
-"""The pipeline's name for the reducer's representative store.
+"""Two store names the benchmark's layer replay (``bench/layers.py``) imports.
 
-The store itself — one class, unbounded or LRU-bounded by ``capacity`` — and
-its counters live in :mod:`repro.core.candidates`, next to the buckets they
-fill; the pipeline (one per rank and config of a sweep) and the service
-build one per rank through :func:`create_store`.
+The store and its counters live in :mod:`repro.core.candidates`, next to the
+buckets they fill; the rest of the package imports them from there.
 """
 
 from __future__ import annotations
 
 from repro.core.candidates import RepresentativeStore, StoreCounters
 
-__all__ = ["StoreCounters", "RepresentativeStore", "create_store"]
+__all__ = ["StoreCounters", "create_store"]
 
-#: ``create_store(capacity=None)``: ``None`` means unbounded.
-create_store = RepresentativeStore
+
+def create_store(capacity: None = None) -> RepresentativeStore:
+    """A fresh representative store; ``capacity`` must be None (it keeps everything)."""
+    if capacity is not None:
+        raise ValueError(f"a store keeps every representative, got capacity {capacity}")
+    return RepresentativeStore()

@@ -49,8 +49,9 @@ __all__ = [
 #: Bump when the payload layout or the meaning of a field changes; restores
 #: reject other versions instead of resuming from a misread state.  Version 4:
 #: the rank digests chain frame rows (a version-3 digest chained segments, so
-#: a resumed session would never digest to its source again).
-STATE_VERSION = 4
+#: a resumed session would never digest to its source again).  Version 5: the
+#: stores and the session config carry no capacity.
+STATE_VERSION = 5
 
 
 def session_state(session: ReductionSession) -> bytes:

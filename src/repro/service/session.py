@@ -31,12 +31,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Tuple
 
 from repro import obs
-from repro.core.candidates import MatchCounters
+from repro.core.candidates import MatchCounters, RepresentativeStore
 from repro.core.frames import RankFrame
 from repro.core.metrics import create_metric
 from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
 from repro.core.reducer import TraceReducer
-from repro.pipeline.store import create_store
 from repro.service.cache import chain_frame, combine_rank_digests
 from repro.trace.records import TraceRecord
 from repro.trace.segments import RecordSegmenter
@@ -56,33 +55,24 @@ class SessionConfig:
     """Reduction configuration of one session.
 
     ``method``/``threshold`` select the similarity metric (paper-default
-    threshold when ``None``); ``store_capacity`` bounds the representative
-    store (``None`` = unbounded).
+    threshold when ``None``).
     """
 
     method: str
     threshold: Optional[float] = None
-    store_capacity: Optional[int] = None
 
     def __post_init__(self) -> None:
         create_metric(self.method, self.threshold)  # validate eagerly
-        if self.store_capacity is not None and self.store_capacity < 1:
-            raise ValueError(
-                f"store_capacity must be >= 1 or None, got {self.store_capacity}"
-            )
 
     @property
     def key(self) -> tuple:
         """Result-cache key: everything that can change the reduced bytes."""
-        return (self.method, self.threshold, self.store_capacity)
+        return (self.method, self.threshold)
 
     def describe(self) -> str:
-        parts = [self.method]
-        if self.threshold is not None:
-            parts.append(f"t={self.threshold:g}")
-        if self.store_capacity is not None:
-            parts.append(f"cap={self.store_capacity}")
-        return "/".join(parts)
+        if self.threshold is None:
+            return self.method
+        return f"{self.method}/t={self.threshold:g}"
 
 
 @dataclass(slots=True)
@@ -174,9 +164,9 @@ class _RankState:
         "by_id",
     )
 
-    def __init__(self, rank: int, store_capacity: Optional[int]) -> None:
+    def __init__(self, rank: int) -> None:
         self.rank = rank
-        self.store = create_store(store_capacity)
+        self.store = RepresentativeStore()
         self.reduced = ReducedRankTrace(rank=rank)
         #: Created lazily on the first ``append_records`` — frame appends
         #: never need one, and its absence asserts the two ingestion styles
@@ -228,11 +218,8 @@ class ReductionSession:
 
     @property
     def live_representatives(self) -> int:
-        """Representatives currently held as match candidates (memory cost).
-
-        For bounded stores this is what eviction keeps under the capacity —
-        the number the service's per-tenant budget meters.
-        """
+        """Representatives currently held as match candidates (memory cost):
+        the number the service's per-tenant budget meters."""
         return sum(len(st.store) for st in self._ranks.values())
 
     def trace_digest(self) -> str:
@@ -279,7 +266,7 @@ class ReductionSession:
             raise RuntimeError(f"session {self.name!r} is finished; cannot append")
         state = self._ranks.get(rank)
         if state is None:
-            state = self._ranks[rank] = _RankState(rank, self.config.store_capacity)
+            state = self._ranks[rank] = _RankState(rank)
         return state
 
     def _ingest(self, state: _RankState, frame: RankFrame) -> int:

@@ -1,30 +1,28 @@
 """Tests for the batched matching engine: candidate matrices written at
 store time, the per-family dense kernels, the metric-kernel bugfixes
 (zero-clamped match limits), and the reducer's key-batched step (its
-kernels' broadcast forms, its predicate, its exactness)."""
+kernels' broadcast forms, its counts, its exactness)."""
 
 import dataclasses
-import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core.candidates import CandidateList, MatchCounters, first_match_index
-from repro.core.frames import RankFrame
+from repro.core.candidates import CandidateList, MatchCounters, RepresentativeStore
+from repro.core.frames import InternedKey, RankFrame
 from repro.core.frametrace import FrameTrace
 from repro.core.metrics import DEFAULT_THRESHOLDS, METRIC_CLASSES, create_metric
 from repro.core.metrics.distance import AbsDiff, RelDiff
 from repro.core.metrics.minkowski import Chebyshev, Euclidean, Manhattan
 from repro.core.metrics.wavelet import AvgWave, HaarWave
-from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
+from repro.core.reduced import ReducedTrace, StoredSegment
 from repro.core import reducer as reducer_module
-from repro.core.reducer import KeyBatches, ReductionState, TraceReducer
+from repro.core.reducer import KeyBatches, TraceReducer
 from repro.experiments.config import SCALES, build_workload
 from repro.fuzz.executor import plan_cases
 from repro.fuzz.generators import generate_case
-from repro.pipeline.store import create_store
 from repro.trace.io import serialize_reduced_trace
 
 from tests.conftest import make_segment
@@ -41,7 +39,7 @@ def _stored(segment, sid=0):
 def _append(bucket, metric, stored):
     """Store ``stored`` with its feature row and scale, as a dense state does."""
     row = metric.build_vector(stored.segment)
-    bucket.append(stored, row, None if metric.row_scale is None else metric.row_scale(row))
+    bucket.extend([stored], [row], None if metric.row_scale is None else [metric.row_scale(row)])
 
 
 def _bucket(metric, entries):
@@ -52,8 +50,12 @@ def _bucket(metric, entries):
 
 
 def _dense(metric, candidate, bucket):
-    """The dense probe as the core makes it: the segment's feature row against the bucket."""
-    return metric.match_row(metric.build_vector(candidate), bucket)
+    """The kernel's first match as the core takes it: the segment's feature row
+    against the bucket's matrix, the first row within the threshold."""
+    matrix, scales = bucket.matrix_and_scales()
+    stat, base = metric.match_stats(metric.build_vector(candidate), matrix, scales)
+    mask = stat <= (metric.threshold if base is None else metric.threshold * base)
+    return bucket[int(mask.argmax())] if mask.any() else None
 
 
 def _jittered(delta, context="c"):
@@ -64,17 +66,6 @@ def _jittered(delta, context="c"):
     )
 
 
-class TestFirstMatchIndex:
-    def test_empty(self):
-        assert first_match_index(np.zeros(0, dtype=bool)) is None
-
-    def test_no_match(self):
-        assert first_match_index(np.array([False, False])) is None
-
-    def test_first_of_several(self):
-        assert first_match_index(np.array([False, True, True])) == 1
-
-
 class TestCandidateList:
     def test_sequence_protocol(self):
         bucket = CandidateList()
@@ -82,7 +73,7 @@ class TestCandidateList:
         assert len(bucket) == 0
         entries = [_stored(_jittered(float(i)), sid=i) for i in range(3)]
         for entry in entries:
-            bucket.append(entry)
+            bucket.extend([entry])
         assert bool(bucket)
         assert list(bucket) == entries
         assert bucket[0] is entries[0]
@@ -110,37 +101,13 @@ class TestCandidateList:
             assert bucket._matrix.shape[0] in (4, 8, 16)
             np.testing.assert_allclose(matrix[i][0], 1.0 + i)
 
-    def test_trim_front_compacts_rows(self):
-        bucket = _bucket(AbsDiff(1.0), [_stored(_jittered(float(i)), sid=i) for i in range(5)])
-        bucket.trim_front(2)
-        assert [s.segment_id for s in bucket] == [2, 3, 4]
-        matrix, _ = bucket.matrix_and_scales()
-        assert matrix.shape == (3, 5)
-        np.testing.assert_allclose(matrix[:, 0], [3.0, 4.0, 5.0])
-
-    def test_trim_front_compacts_row_scales(self):
-        bucket = _bucket(Euclidean(0.2), [_stored(_jittered(float(i)), sid=i) for i in range(4)])
-        bucket.trim_front(2)
-        _, scales = bucket.matrix_and_scales()
-        np.testing.assert_allclose(scales, [52.0, 53.0])
-
-    def test_trimmed_to_empty_then_refilled(self):
-        metric = Euclidean(0.2)
-        bucket = _bucket(metric, [_stored(_jittered(float(i)), sid=i) for i in range(3)])
-        bucket.trim_front(3)
-        assert not bucket
-        _append(bucket, metric, _stored(_jittered(9.0), sid=9))
-        matrix, scales = bucket.matrix_and_scales()
-        assert matrix.shape == (1, 5) and matrix[0, 0] == pytest.approx(59.0)
-        assert scales.tolist() == [59.0]
-
     def test_rows_for_every_entry_or_for_none(self):
         metric = AbsDiff(1.0)
         with_rows = _bucket(metric, [_stored(_jittered(0.0))])
         with pytest.raises(ValueError, match="feature row"):
-            with_rows.append(_stored(_jittered(1.0), sid=1))
+            with_rows.extend([_stored(_jittered(1.0), sid=1)])
         without = CandidateList()
-        without.append(_stored(_jittered(0.0)))
+        without.extend([_stored(_jittered(0.0))])
         with pytest.raises(ValueError, match="feature row"):
             _append(without, metric, _stored(_jittered(1.0), sid=1))
 
@@ -238,7 +205,7 @@ class TestEveryMetricScansACandidateList:
         """``metric.match`` reads a store bucket as it reads a list."""
         metric = create_metric(name)
         bucket = CandidateList()
-        bucket.append(_stored(_jittered(0.0)))
+        bucket.extend([_stored(_jittered(0.0))])
         assert metric.match(_jittered(0.05), bucket) is metric.match(
             _jittered(0.05), [bucket[0]]
         )
@@ -256,9 +223,9 @@ def _bytes(metric, ranks):
     return serialize_reduced_trace(reduced)
 
 
-def _scan(metric, segments, store=None):
+def _scan(metric, segments, store=None, counters=None):
     """The ground truth: the paper's per-candidate scan, segment at a time."""
-    return TraceReducer(metric).reduce_segments(segments, store=store)
+    return TraceReducer(metric).reduce_segments(segments, store=store, match_counters=counters)
 
 
 def _chunked(metric, segments, cuts, store):
@@ -270,14 +237,30 @@ def _chunked(metric, segments, cuts, store):
     return reduced
 
 
-def _per_row(metric, segments, store, counters=None, cuts=()):
-    """The core's per-row step on any state, batchable or not, chunked like :func:`_chunked`."""
-    reduced = ReducedRankTrace(rank=0)
-    for lo, hi in zip((0, *cuts), (*cuts, len(segments))):
-        frame = RankFrame.from_segments(0, segments[lo:hi])
-        reduced.n_segments += frame.n_segments
-        ReductionState(metric, reduced, store, counters).step_rows(frame, metric.frame_vectors(frame))
-    return reduced
+def _reference_store(metric, segments):
+    """The store the scalar reference leaves, each representative entered with
+    its feature row and scale as the core enters a distance metric's."""
+    scanned_store = RepresentativeStore()
+    scanned = _scan(metric, segments, scanned_store)
+    store = RepresentativeStore()
+    for stored in scanned.stored:
+        row = metric.build_vector(stored.segment)
+        scale = None if metric.row_scale is None else metric.row_scale(row)
+        store.add(InternedKey(stored.segment.structure()), stored, row, scale)
+    store.counters = scanned_store.counters
+    return store
+
+
+def _store_state(store):
+    """A store's counters and buckets in order: each key, its entries and its rows' bytes."""
+    return store.counters, [
+        (
+            key,
+            [(entry.segment_id, entry.count, entry.timestamps().tobytes()) for entry in bucket],
+            *(None if part is None else part.tobytes() for part in bucket.matrix_and_scales()),
+        )
+        for key, bucket in store._by_key.items()
+    ]
 
 
 class TestBroadcastKernels:
@@ -325,46 +308,30 @@ def _mixed_rank():
     ]
 
 
-class TestPredicate:
-    @pytest.mark.parametrize("name", DISTANCE_NAMES)
-    def test_distance_metric_on_unbounded_store_batches(self, name):
-        state = ReductionState(create_metric(name), ReducedRankTrace(rank=0), create_store())
-        assert state.batchable
-
+class TestCounts:
     @pytest.mark.parametrize(
-        "make_metric, make_store",
-        [
-            (lambda: create_metric("iter_avg"), create_store),
-            (lambda: create_metric("iter_k", 2), create_store),
-            (lambda: RelDiff(0.8), lambda: create_store(1000)),
-        ],
-        ids=["iter_avg", "iter_k", "bounded_store"],
+        "make_metric",
+        [lambda: create_metric("iter_avg"), lambda: create_metric("iter_k", 2)],
+        ids=["iter_avg", "iter_k"],
     )
-    def test_everything_else_takes_the_per_row_step(self, make_metric, make_store):
+    def test_counting_methods_make_no_kernel_call(self, make_metric):
         segments = _mixed_rank()
-        state = ReductionState(make_metric(), ReducedRankTrace(rank=0), make_store())
-        assert not state.batchable
-        counters = MatchCounters()
-        metric = make_metric()
+        counters, metric = MatchCounters(), make_metric()
         frame = RankFrame.from_segments(0, segments)
-        reduced = TraceReducer(metric).reduce_frame(
-            frame, store=make_store(), match_counters=counters
-        )
-        # One kernel invocation per segment that had a candidate: the per-row step.
-        assert counters.calls == reduced.n_possible_matches > 0
-        scanned = _scan(make_metric(), segments, make_store())
-        assert _bytes(metric, [reduced]) == _bytes(metric, [scanned])
+        reduced = TraceReducer(metric).reduce_frame(frame, match_counters=counters)
+        assert counters.calls == counters.rows_compared == 0 < reduced.n_possible_matches
+        assert _bytes(metric, [reduced]) == _bytes(metric, [_scan(make_metric(), segments)])
 
     def test_batch_step_makes_fewer_calls_over_no_more_pairs(self):
         segments = _mixed_rank() * 4
-        batch, per_row = MatchCounters(), MatchCounters()
+        batch, scan = MatchCounters(), MatchCounters()
         frame = RankFrame.from_segments(0, segments)
         reduced = TraceReducer(RelDiff(0.1)).reduce_frame(frame, match_counters=batch)
-        stepped = _per_row(RelDiff(0.1), segments, create_store(1000), per_row)
-        assert _bytes(RelDiff(0.1), [reduced]) == _bytes(RelDiff(0.1), [stepped])
-        assert per_row.calls == stepped.n_possible_matches
-        assert batch.calls <= len(reduced.stored) < per_row.calls
-        assert batch.calls <= batch.rows_compared <= per_row.rows_compared
+        scanned = _scan(RelDiff(0.1), segments, counters=scan)
+        assert _bytes(RelDiff(0.1), [reduced]) == _bytes(RelDiff(0.1), [scanned])
+        assert scan.calls == scanned.n_possible_matches
+        assert batch.calls <= len(reduced.stored) < scan.calls
+        assert batch.calls <= batch.rows_compared <= scan.rows_compared
 
     def test_batch_step_reads_the_clock_only_for_a_counter(self, monkeypatch):
         reads = []
@@ -391,47 +358,45 @@ def _strict(name):
 
 
 @pytest.mark.parametrize("cuts", [(), (5, 6, 17)], ids=["whole", "chunked"])
-@pytest.mark.parametrize("capacity", [None, 8])
 @pytest.mark.parametrize("name", sorted(METRIC_CLASSES))
 class TestFrameRowsAreTheOnlyProbe:
-    def test_no_segment_is_built_to_reduce(self, name, capacity, cuts):
+    def test_no_segment_is_built_to_reduce(self, name, cuts):
         """Every method steps with frame rows and stores ``(frame, row)``: only
         ``iter_avg`` builds a Segment, one per representative it averages into."""
         segments = _strangers_and_repeats()
-        metric, store = _strict(name), create_store(capacity)
+        metric, store = _strict(name), RepresentativeStore()
         reducer, reduced, frames = TraceReducer(metric), None, []
         for lo, hi in zip((0, *cuts), (*cuts, len(segments))):
             frames.append(RankFrame.from_segments(0, segments[lo:hi]))
             reduced = reducer.reduce_frame(frames[-1], store=store, into=reduced)
         materialized = sum(frame.materialized for frame in frames)
         averaged = sum(1 for stored in reduced.stored if stored.count > 1)
-        assert materialized == (averaged if name == "iter_avg" else 0), (name, capacity, cuts)
+        assert materialized == (averaged if name == "iter_avg" else 0), (name, cuts)
         if name == "iter_avg":
             assert 0 < averaged < len(reduced.stored)
-        for bucket in store._by_key.values():
-            assert len(bucket.matrix_and_scales()[0]) == len(bucket) > 0
-        expected = _scan(_strict(name), segments, create_store(capacity))
+        expected = _scan(_strict(name), segments)
         assert _bytes(metric, [reduced]) == _bytes(metric, [expected])
 
-    def test_every_bucket_is_fully_built(self, name, capacity, cuts):
-        """Nothing restores a missing row on demand, so none may ever be missing."""
-        metric, store = _strict(name), create_store(capacity)
+    def test_every_bucket_is_fully_built(self, name, cuts):
+        """Nothing restores a missing row on demand, so none may ever be missing:
+        a distance metric's bucket holds a row per representative, any other
+        method's none (it never compares rows)."""
+        metric, store = _strict(name), RepresentativeStore()
         _chunked(metric, _strangers_and_repeats(), cuts, store)
         buckets = list(store._by_key.values())
         assert sum(len(bucket) for bucket in buckets) == len(store) > 0
         for bucket in buckets:
+            if name not in DISTANCE_NAMES:
+                assert bucket._matrix is None and bucket._scales is None
+                continue
             matrix, scales = bucket.matrix_and_scales()
             assert len(matrix) == len(bucket) > 0
             assert (scales is None) == (getattr(metric, "row_scale", None) is None)
             for i, entry in enumerate(bucket):
-                if entry.count > 1 and name == "iter_avg":
-                    continue  # its running mean moved on from the row it was stored with
                 row = metric.build_vector(entry.segment)
-                assert matrix[i].tobytes() == row.tobytes(), (name, capacity, cuts, i)
+                assert matrix[i].tobytes() == row.tobytes(), (name, cuts, i)
                 if scales is not None:
                     assert scales[i] == metric.row_scale(row)
-        if capacity is not None and name in DISTANCE_NAMES:
-            assert store.counters.evictions > 0  # rows survived trimming and bucket eviction
 
 
 class TestBatchExactness:
@@ -441,7 +406,7 @@ class TestBatchExactness:
         # after 1) and against an existing bucket (cut after 2, cut twice).
         segments = [_jittered(d).shifted(100.0 * i) for i, d in enumerate((0.0, 18.0, 9.0, 9.0))]
         for cuts in [(), (1,), (2,), (1, 2), (3,)]:
-            reduced = _chunked(AbsDiff(10.0), segments, cuts, create_store())
+            reduced = _chunked(AbsDiff(10.0), segments, cuts, RepresentativeStore())
             assert [sid for sid, _ in reduced.execs] == [0, 1, 0, 0], cuts
             assert [s.count for s in reduced.stored] == [3, 1], cuts
 
@@ -452,7 +417,7 @@ class TestBatchExactness:
         segments = [s.shifted(1000.0 * i) for i in range(3) for s in _mixed_rank()]
         counters = MatchCounters()
         metric = Euclidean(0.001)
-        reducer, store = TraceReducer(metric), create_store()
+        reducer, store = TraceReducer(metric), RepresentativeStore()
         head = reducer.reduce_frame(RankFrame.from_segments(0, segments[:8]), store=store)
         tail = RankFrame.from_segments(0, segments[8:])
         # Every tail row repeats a head row: no leader rounds, so per key
@@ -499,7 +464,7 @@ class TestBatchExactness:
         # depth, down to a one-row chunk behind n - 1 rows), and row by row.
         for cuts in [(), *((k,) for k in range(1, n)), tuple(range(1, n))]:
             metric = create_metric(name, threshold)
-            store = create_store()
+            store = RepresentativeStore()
             reduced = _chunked(metric, segments, cuts, store)
             assert _bytes(metric, [reduced]) == expected, (name, threshold, cuts)
             assert [s.count for s in reduced.stored] == [s.count for s in expected_rank.stored]
@@ -511,15 +476,18 @@ class TestBatchExactness:
     @pytest.mark.parametrize("name", DISTANCE_NAMES)
     @given(segments=interleaved_segments(min_segments=2))
     @settings(max_examples=12, deadline=None)
-    def test_store_pickles_as_the_per_row_step_leaves_it(self, name, segments):
+    def test_store_is_the_one_the_reference_leaves(self, name, segments):
         # Bucket order, matrix rows, cached scales and counters, byte for byte.
         threshold = DEFAULT_THRESHOLDS[name] / 50
         cuts = (len(segments) // 2,)
-        batch_store, row_store = create_store(), create_store()
+        batch_store = RepresentativeStore()
         batch = _chunked(create_metric(name, threshold), segments, cuts, batch_store)
-        stepped = _per_row(create_metric(name, threshold), segments, row_store, cuts=cuts)
-        assert pickle.dumps(batch_store) == pickle.dumps(row_store)
-        assert pickle.dumps(batch) == pickle.dumps(stepped)
+        expected = _reference_store(create_metric(name, threshold), segments)
+        assert _store_state(batch_store) == _store_state(expected)
+        scanned = _scan(create_metric(name, threshold), segments)
+        metric = create_metric(name, threshold)
+        assert _bytes(metric, [batch]) == _bytes(metric, [scanned])
+        assert batch.exec_matched == scanned.exec_matched
 
 
 class TestFuzzFamiliesReplayed:
@@ -542,7 +510,7 @@ class TestFuzzFamiliesReplayed:
             ]
             assert _bytes(metric, whole) == expected, case.describe()
             halves = [
-                _chunked(metric, r.segments, (len(r.segments) // 2,), create_store())
+                _chunked(metric, r.segments, (len(r.segments) // 2,), RepresentativeStore())
                 for r in trace.ranks
             ]
             assert _bytes(metric, halves) == expected, case.describe()
@@ -636,17 +604,16 @@ class TestAllPairsResolve:
         rng = np.random.default_rng(5)
         for events in range(66):  # rows 1 to 131 wide; the wavelets pad to 1-256
             segments = _wide_rank(events, rng)
-            metric, store = create_metric(name, threshold), create_store()
+            metric, store = create_metric(name, threshold), RepresentativeStore()
             reduced = TraceReducer(metric).reduce_frame(
                 RankFrame.from_segments(0, segments), store=store
             )
             expected = _scan(create_metric(name, threshold), segments)
             assert _bytes(metric, [reduced]) == _bytes(metric, [expected]), (name, kind, events)
             assert resolves and resolves[-1] == len(segments) - 1, (name, kind, events)
-            # Bucket order, matrix rows and scales as the per-row step leaves them.
-            row_store = create_store()
-            _per_row(create_metric(name, threshold), segments, row_store)
-            assert pickle.dumps(store) == pickle.dumps(row_store), (name, kind, events)
+            # Bucket order, matrix rows and scales as the reference leaves them.
+            expected_store = _reference_store(create_metric(name, threshold), segments)
+            assert _store_state(store) == _store_state(expected_store), (name, kind, events)
 
     @pytest.mark.parametrize("seed", [11, 0, 1])
     def test_threshold_edge_cases(self, seed, resolves):
@@ -681,8 +648,9 @@ class TestAllPairsResolve:
             tracemalloc.stop()
         assert resolves == [4166]  # after 833 rounds that took nothing
         assert len(reduced.stored) == 5000 - 2000 * paired
-        stepped = _per_row(Euclidean(1e-4), segments, create_store())
-        assert _bytes(metric, [reduced]) == _bytes(metric, [stepped])
+        # Every row its own representative, or from row 1 000 on one per pair.
+        ids = [sid for sid, _ in reduced.execs]
+        assert ids == list(range(1000)) + [1000 + (j // 2 if paired else j) for j in range(4000)]
         assert peak < 6 * 2**20, peak
 
 

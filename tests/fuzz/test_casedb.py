@@ -45,7 +45,7 @@ def _case(case_id="deadbeef0123"):
         family="stencil",
         seed=42,
         params={"nprocs": 2},
-        config=CaseConfig("euclidean", 0.2, store_capacity=5),
+        config=CaseConfig("euclidean", 0.2),
         oracles=["frame_path", "rpb_roundtrip"],
         records=_records_with_awkward_values(),
         divergence="byte 17: expected 0x00, got 0x01",
@@ -96,7 +96,7 @@ def test_persisted_case_replays_green(tmp_path):
         seed=spec.seed,
         params=params,
         config=config,
-        oracles=["frame_path", "frame_per_row", "rpb_roundtrip", "text_roundtrip"],
+        oracles=["frame_path", "rpb_roundtrip", "text_roundtrip"],
         records=[list(rank.records) for rank in trace.ranks],
     )
     db = CaseDB(tmp_path)

@@ -61,7 +61,7 @@ def test_one_round_covers_the_full_oracle_matrix(one_round_results):
     for result in one_round_results:
         ran.update(o.name for o in result.outcomes if o.status != "skip")
     assert ran == set(ORACLE_NAMES)
-    assert len(ORACLE_NAMES) == 12
+    assert len(ORACLE_NAMES) == 11
     assert {"pipeline_shard", "pipeline_payload", "pipeline_streamed"} <= ran
 
 
@@ -79,7 +79,7 @@ def test_applicable_oracles_matrix():
     assert malformed == ("malformed_fallback",)
     edge = applicable_oracles(FAMILIES["threshold_edge"])
     assert "text_roundtrip" not in edge
-    assert {"frame_path", "frame_per_row"} <= set(edge)
+    assert {"frame_path", "session_checkpoint"} <= set(edge)
     full = applicable_oracles(FAMILIES["stencil"])
     assert "text_roundtrip" in full
 

@@ -141,7 +141,7 @@ def test_threshold_edge_case_reduces_to_expected_match_pattern():
         "method": "euclidean",
         "threshold": 0.2,
         "pairs": 2,
-        "config": {"method": "euclidean", "threshold": 0.2, "store_capacity": None},
+        "config": {"method": "euclidean", "threshold": 0.2},
     }
     trace = generate_case(CaseSpec(family="threshold_edge", seed=9, params=params))
     from tests.support import reference_reduce

@@ -7,10 +7,9 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from repro.core.candidates import MatchCounters
+from repro.core.candidates import MatchCounters, StoreCounters
 from repro.obs import MetricsRegistry, MetricsSnapshot, MetricValue, merge_snapshots
 from repro.obs.metrics import AdditiveCounts, Counts
-from repro.pipeline.store import StoreCounters
 
 
 def test_counter_accumulates():
@@ -68,7 +67,7 @@ def test_merge_is_order_independent():
     b.inc("match.kernel_rows", 2)
     b.set_gauge("store.size", 11)
     b.observe("dispatch.payload_bytes", 40)
-    b.inc("store.evictions", 1)
+    b.inc("store.misses", 1)
 
     ab = a.snapshot().merged_with(b.snapshot())
     ba = b.snapshot().merged_with(a.snapshot())
@@ -149,8 +148,8 @@ class _Outer(Counts):
             MatchCounters(calls=3, rows_compared=5, seconds=0.25, rows_pruned=1),
         ),
         (
-            StoreCounters(lookups=3, hits=2, misses=1, evictions=0),
-            StoreCounters(lookups=5, hits=1, misses=4, evictions=2),
+            StoreCounters(lookups=3, hits=2, misses=1),
+            StoreCounters(lookups=5, hits=1, misses=4),
         ),
         (_Inner(hits=1, seconds=0.5), _Inner(hits=2, seconds=0.25)),
     ],

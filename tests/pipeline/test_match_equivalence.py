@@ -7,7 +7,7 @@ The scalar reference (``TraceReducer.reduce_segments``, through
 algorithm as originally implemented, one candidate at a time.  The core
 (``TraceReducer.reduce`` = ``reduce_frame`` over ``RankFrame.from_segments``)
 replays the same reduction through bulk feature rows, per-key candidate
-matrices, and the metrics' ``match_stats`` / ``match_row`` kernels — any
+matrices, and the metrics' ``match_stats`` kernels — any
 drift in vector layout, first-match ordering, limit math, or cache
 invalidation shows up as a serialization mismatch here.
 """
@@ -95,8 +95,9 @@ class TestBatchScanEquivalence:
 
 
 class TestIterAvgInvalidation:
-    """iter_avg mutates stored timestamps via update_mean: it is stepped with
-    frame rows it never compares, so its averaged bytes equal the scan's."""
+    """iter_avg mutates stored timestamps: the scan through update_mean at
+    every match, the core once per frame in occurrence rounds, so its averaged
+    bytes equal the scan's."""
 
     def test_iter_avg_batch_equals_scan(self, random_trace):
         scanned = reference_reduce(create_metric("iter_avg"), random_trace)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import obs
+from repro.core.candidates import MatchCounters
 from repro.core.metrics import create_metric
 from repro.core.reducer import TraceReducer
 from repro.pipeline import engine
@@ -22,7 +23,6 @@ class TestConfig:
     def test_defaults(self):
         config = PipelineConfig()
         assert config.executor == "serial"
-        assert config.store_capacity is None
         assert not config.merge
 
     def test_unknown_executor_rejected(self):
@@ -142,21 +142,6 @@ class TestEngineOutput:
         )
         assert result.merged is None
 
-    def test_bounded_store_caps_candidates(self, small_dynlb_trace):
-        unbounded = reduce_pipeline(
-            small_dynlb_trace, create_metric("iter_k", 1000), PipelineConfig(executor="serial")
-        )
-        bounded = reduce_pipeline(
-            small_dynlb_trace,
-            create_metric("iter_k", 1000),
-            PipelineConfig(executor="serial", store_capacity=1),
-        )
-        # iter_k(1000) stores every unmatched execution; with the store capped
-        # at one representative per rank, evictions must occur and at least as
-        # many representatives are stored.
-        assert bounded.stats.store.evictions > 0
-        assert bounded.reduced.n_stored >= unbounded.reduced.n_stored
-
 
 class TestAutoDowngrade:
     """A pooled executor with one effective worker is pure IPC overhead, so
@@ -242,21 +227,17 @@ class TestStats:
         assert stats.stage_seconds.get("reduce", 0.0) >= 0.0
         # Kernel invocations, not segments: the batch step makes at most one
         # call per (rank, key) group plus one per new representative, over no
-        # more pairs than the per-row step (forced here by a bounded store
-        # that never evicts) evaluates on the same input.
+        # more pairs than the scalar reference's scan evaluates on the same input.
         groups = {
             (rank.rank, segment.relative_to_start().structure())
             for rank in small_late_sender_trace.ranks
             for segment in rank.segments
         }
         assert 0 < stats.match.calls <= stats.n_stored + len(groups)
-        per_row = reduce_pipeline(
-            small_late_sender_trace,
-            create_metric("relDiff"),
-            PipelineConfig(executor="serial", store_capacity=10**6),
-        ).stats
-        assert per_row.match.calls == per_row.n_possible_matches == stats.n_possible_matches
-        assert stats.match.calls <= stats.match.rows_compared <= per_row.match.rows_compared
+        scan = MatchCounters()
+        scanned = reference_reduce(create_metric("relDiff"), small_late_sender_trace, scan)
+        assert scan.calls == scanned.n_possible_matches == stats.n_possible_matches
+        assert stats.match.calls <= stats.match.rows_compared <= scan.rows_compared
         assert stats.match.seconds >= 0.0
 
     def test_match_rate_matches_degree_of_matching(self, small_late_sender_trace):

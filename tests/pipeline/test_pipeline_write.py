@@ -15,7 +15,6 @@ from repro.benchmarks_ats import late_sender
 from repro.core.metrics import METRIC_NAMES, create_metric
 from repro.pipeline.engine import BATCHES_PER_WORKER, PipelineConfig, ReductionPipeline
 from repro.pipeline.stats import RankCounts
-from repro.pipeline.store import create_store
 from repro.pipeline.stream import rank_batches
 from repro.trace import binio
 from repro.trace.io import read_trace, serialize_reduced_trace, write_trace
@@ -51,13 +50,12 @@ def _counts(stats) -> dict:
     return counts
 
 
-@pytest.mark.parametrize("store_capacity", [None, 2])
 @pytest.mark.parametrize("kind", SOURCES)
 @pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("metric_name", METRIC_NAMES)
-def test_file_is_the_reduced_trace(sources, tmp_path, metric_name, executor, kind, store_capacity):
+def test_file_is_the_reduced_trace(sources, tmp_path, metric_name, executor, kind):
     source, segmented = sources[kind]
-    config = PipelineConfig(executor=executor, workers=2, store_capacity=store_capacity)
+    config = PipelineConfig(executor=executor, workers=2)
     out = tmp_path / "reduced.out"
 
     written, stats = ReductionPipeline(create_metric(metric_name), config).write(source, out)
@@ -65,9 +63,7 @@ def test_file_is_the_reduced_trace(sources, tmp_path, metric_name, executor, kin
 
     data = out.read_bytes()
     assert data == serialize_reduced_trace(result.reduced)
-    reference = reference_reduce(
-        create_metric(metric_name), segmented, store_factory=lambda: create_store(store_capacity)
-    )
+    reference = reference_reduce(create_metric(metric_name), segmented)
     assert data == serialize_reduced_trace(reference)
     assert written == out.stat().st_size == result.reduced.size_bytes()
     assert _counts(stats) == _counts(result.stats)

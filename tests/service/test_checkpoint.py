@@ -4,8 +4,7 @@ Covers the pickle satellites (stores and candidate lists round-trip with
 their matrix and scale columns intact) and the end-to-end guarantee:
 checkpoint mid-trace, restore — in this process or a freshly spawned one —
 finish, and the reduced bytes, digest, and stats equal an uninterrupted
-run's, including when bounded-store evictions happen on both sides of the
-checkpoint.
+run's.
 """
 
 import multiprocessing
@@ -15,11 +14,10 @@ import numpy as np
 import pytest
 
 from repro.benchmarks_ats import late_sender
-from repro.core.candidates import CandidateList
+from repro.core.candidates import CandidateList, RepresentativeStore
 from repro.core.frames import RankFrame
 from repro.core.metrics import METRIC_NAMES, create_metric
 from repro.core.reduced import StoredSegment
-from repro.pipeline.store import create_store
 from repro.pipeline.stream import rank_segment_streams
 from repro.service import (
     ReductionSession,
@@ -73,9 +71,8 @@ class TestStorePickles:
             row = metric.build_vector(relative)
             store.add("k", StoredSegment(segment_id=i, segment=relative), row, metric.row_scale(row))
 
-    @pytest.mark.parametrize("capacity", [None, 64])
-    def test_round_trip_preserves_columns_and_counters(self, streams, capacity):
-        store = create_store(capacity)
+    def test_round_trip_preserves_columns_and_counters(self, streams):
+        store = RepresentativeStore()
         self._populate(store, streams[0][1:7])
         store.candidates("k")
         store.candidates("missing")
@@ -93,7 +90,7 @@ class TestStorePickles:
     def test_restored_bucket_keeps_growing(self, streams):
         # The growth rule doubles the matrix row count; a restored bucket
         # must grow cleanly from its trimmed copy.
-        store = create_store(64)
+        store = RepresentativeStore()
         self._populate(store, streams[0][1:4])
         clone = pickle.loads(pickle.dumps(store))
         self._populate(clone, streams[0][4:9], first_id=100)
@@ -102,29 +99,17 @@ class TestStorePickles:
         matrix, scales = bucket.matrix_and_scales()
         assert len(matrix) == len(scales) == 8
 
-    def test_emptied_bucket_round_trips_without_a_zero_row_matrix(self, streams):
-        # Eviction can trim every row of a bucket; a 0-capacity buffer would
-        # break the doubling growth rule, so it is pickled as no matrix.
-        bucket = CandidateList()
-        relative = streams[0][0].relative_to_start()
-        bucket.append(StoredSegment(segment_id=0, segment=relative), np.arange(3.0), 2.0)
-        bucket.trim_front(1)
-        clone = pickle.loads(pickle.dumps(bucket))
-        assert len(clone) == 0 and clone._matrix is None and clone._scales is None
-        clone.append(StoredSegment(segment_id=1, segment=relative), np.arange(3.0), 2.0)
-        assert clone.matrix_and_scales()[0].tolist() == [[0.0, 1.0, 2.0]]
-
     def test_empty_candidate_list_round_trip(self):
         bucket = CandidateList()
         clone = pickle.loads(pickle.dumps(bucket))
         assert len(clone) == 0
         assert clone._matrix is None
 
-    def test_lru_recency_order_survives(self, streams):
-        store = create_store(64)
-        for i, key in enumerate(("a", "b", "c")):
+    def test_bucket_order_survives(self, streams):
+        store = RepresentativeStore()
+        for i, key in enumerate(("b", "c", "a")):
             store.add(key, StoredSegment(segment_id=i, segment=streams[0][i].relative_to_start()))
-        store.candidates("a")  # touch: order becomes b, c, a
+        store.candidates("b")  # a lookup reorders nothing
         clone = pickle.loads(pickle.dumps(store))
         assert list(clone._by_key) == list(store._by_key) == ["b", "c", "a"]
 
@@ -138,19 +123,6 @@ def test_checkpoint_mid_trace_is_bit_identical(streams, metric_name):
         straight.reduced
     )
     assert resumed.digest == straight.digest
-
-
-def test_checkpoint_with_bounded_store_evictions(streams):
-    # Capacity small enough that evictions happen before AND after the
-    # checkpoint; the restored store must carry its LRU order and trimmed
-    # candidate columns so post-restore evictions pick identical victims.
-    config = SessionConfig("relDiff", store_capacity=3)
-    straight = _run_straight(config, streams)
-    resumed = _run_split(config, streams, split=9)
-    assert serialize_reduced_trace(resumed.reduced) == serialize_reduced_trace(
-        straight.reduced
-    )
-    assert straight.reduced.ranks[0].n_segments == len(streams[0])
 
 
 def test_checkpoint_preserves_stats_and_seq(streams):
@@ -190,7 +162,7 @@ def test_checkpoint_mid_record_stream():
 
 
 def test_checkpoint_file_round_trip(streams, tmp_path):
-    config = SessionConfig("euclidean", store_capacity=4)
+    config = SessionConfig("euclidean")
     path = tmp_path / "session.ckpt"
 
     def through_file(session):
@@ -236,13 +208,14 @@ def test_failed_write_leaves_previous_checkpoint_intact(streams, tmp_path, monke
     assert load_checkpoint(path).finish().reduced.n_segments == 4 * len(streams)
 
 
-@pytest.mark.parametrize("version", [999, 2, 3])
+@pytest.mark.parametrize("version", [999, 2, 3, 4])
 def test_restore_rejects_unknown_version(streams, version):
     # Version 2: buckets pickled their owner metric and a built-row count.
     # Version 3: rank digests chained segments, not frame rows, so a resumed
-    # session would never digest to its source again.  Both must be refused,
-    # not resumed from a misread state.
-    assert STATE_VERSION == 4
+    # session would never digest to its source again.  Version 4: stores and
+    # the session config carried a capacity bound.  All must be refused, not
+    # resumed from a misread state.
+    assert STATE_VERSION == 5
     session = ReductionSession("t", SessionConfig("relDiff"))
     payload = pickle.loads(session_state(session))
     payload["version"] = version
@@ -268,7 +241,7 @@ def test_restore_in_fresh_process(streams, tmp_path, metric_name):
     # string-hash salt, so interned keys and store buckets must rehash on
     # restore; iter_avg additionally requires store/output object sharing to
     # survive the round trip.
-    config = SessionConfig(metric_name, store_capacity=5)
+    config = SessionConfig(metric_name)
     straight = _run_straight(config, streams)
     want = serialize_reduced_trace(straight.reduced)
 

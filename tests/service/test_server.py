@@ -36,14 +36,8 @@ def streams(trace):
 
 @pytest.fixture(scope="module")
 def oracle_bytes(trace):
-    config = SessionConfig("relDiff", store_capacity=16)
-    from repro.pipeline.store import create_store
-
-    reduced = reference_reduce(
-        create_metric(config.method, config.threshold),
-        trace,
-        store_factory=lambda: create_store(config.store_capacity),
-    )
+    config = SessionConfig("relDiff")
+    reduced = reference_reduce(create_metric(config.method, config.threshold), trace)
     return serialize_reduced_trace(reduced)
 
 
@@ -62,7 +56,7 @@ class TestMultiTenantEviction:
     def test_concurrent_sessions_under_budget(self, streams, oracle_bytes):
         async def main():
             service = ReductionService(tenant_budget=24, queue_limit=4)
-            config = SessionConfig("relDiff", store_capacity=16)
+            config = SessionConfig("relDiff")
             handles = [
                 await service.open_session("acme", f"trace{i}", config)
                 for i in range(4)
@@ -94,7 +88,7 @@ class TestMultiTenantEviction:
         # session — the budget is a real bound, not advisory.
         async def main():
             service = ReductionService(tenant_budget=24, queue_limit=4)
-            config = SessionConfig("relDiff", store_capacity=16)
+            config = SessionConfig("relDiff")
             handles = [
                 await service.open_session("acme", f"trace{i}", config)
                 for i in range(4)
@@ -126,7 +120,7 @@ class TestMultiTenantEviction:
     def test_tenants_are_isolated(self, streams):
         async def main():
             service = ReductionService(tenant_budget=10, queue_limit=4)
-            config = SessionConfig("relDiff", store_capacity=16)
+            config = SessionConfig("relDiff")
             a1 = await service.open_session("a", "t", config)
             b1 = await service.open_session("b", "t", config)  # same name, other tenant
             ra, rb = await asyncio.gather(_feed(a1, streams), _feed(b1, streams))
@@ -143,7 +137,7 @@ class TestMultiTenantEviction:
             service = ReductionService(
                 tenant_budget=8, queue_limit=4, checkpoint_dir=tmp_path / "ckpts"
             )
-            config = SessionConfig("relDiff", store_capacity=16)
+            config = SessionConfig("relDiff")
             handles = [
                 await service.open_session("acme", f"trace{i}", config)
                 for i in range(3)
@@ -417,7 +411,7 @@ class TestFaults:
 
         async def main():
             service = ReductionService(tenant_budget=1, checkpoint_dir=checkpoint_dir)
-            config = SessionConfig("relDiff", store_capacity=16)
+            config = SessionConfig("relDiff")
             handles = [await service.open_session(tenant, f"t{i}", config) for i in range(2)]
             results = await asyncio.wait_for(
                 asyncio.gather(*(_feed(handle, streams) for handle in handles)), 30
@@ -455,7 +449,7 @@ class TestFaults:
 
         async def main():
             service = ReductionService(tenant_budget=1, checkpoint_dir=checkpoint_dir)
-            config = SessionConfig("relDiff", store_capacity=16)
+            config = SessionConfig("relDiff")
             cold = await service.open_session("acme", "cold", config)
             hot = await service.open_session("acme", "hot", config)
             await asyncio.wait_for(cold.append(RankFrame.from_segments(0, streams[0][:6])), 5)

@@ -6,7 +6,7 @@ from repro.core.reduced import ReducedTrace
 from repro.core.reducer import TraceReducer
 
 
-def reference_reduce(metric, trace, store_factory=None, match_counters=None) -> ReducedTrace:
+def reference_reduce(metric, trace, match_counters=None) -> ReducedTrace:
     """The scalar reference's reduction of ``trace`` — the independent oracle.
 
     ``TraceReducer.reduce`` steps the columnar core, so a test whose subject
@@ -19,7 +19,6 @@ def reference_reduce(metric, trace, store_factory=None, match_counters=None) -> 
     return TraceReducer(metric).reduce_streams(
         trace.name,
         ((rank.rank, rank.segments) for rank in trace.ranks),
-        store_factory=store_factory,
         match_counters=match_counters,
     )
 

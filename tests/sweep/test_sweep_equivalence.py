@@ -19,7 +19,6 @@ from repro.evaluation.runner import (
     result_from_reduced,
 )
 from repro.pipeline.engine import PipelineConfig, sweep_pipeline
-from repro.pipeline.store import create_store
 from repro.sweep import SweepPlan
 from repro.trace.io import read_trace, serialize_reduced_trace, write_trace
 
@@ -165,33 +164,28 @@ POOLED = {
 }
 
 
-class TestBoundedStoreEquivalence:
+class TestMixedGridEquivalence:
+    """Two feature families in one grid: a distance metric and a counting method."""
+
     PLAN = SweepPlan.from_grid(
         ["euclidean", "iter_k"], thresholds_per_method={"euclidean": (0.1, 0.4), "iter_k": (2,)}
     )
-    CAPACITY = 3
 
     def _check(self, result, segmented):
-        """With a store bound, the oracle is the (equally bounded) reference."""
         for outcome in result:
-            reference = reference_reduce(
-                outcome.config.create(),
-                segmented,
-                store_factory=lambda: create_store(self.CAPACITY),
-            )
+            reference = reference_reduce(outcome.config.create(), segmented)
             assert serialize_reduced_trace(outcome.reduced) == serialize_reduced_trace(
                 reference
             )
 
-    def test_matches_bounded_reference_per_config(self, segmented):
-        config = PipelineConfig(store_capacity=self.CAPACITY)
-        self._check(sweep_pipeline(segmented, self.PLAN, config), segmented)
+    def test_matches_reference_per_config(self, segmented):
+        self._check(sweep_pipeline(segmented, self.PLAN), segmented)
 
     @pytest.mark.parametrize("case", POOLED)
-    def test_pooled_matches_bounded_reference_per_config(self, request, raw_trace, case):
+    def test_pooled_matches_reference_per_config(self, request, raw_trace, case):
         fixture, dispatch = POOLED[case]
         source = request.getfixturevalue(fixture)
-        config = PipelineConfig(executor="thread", workers=2, store_capacity=self.CAPACITY)
+        config = PipelineConfig(executor="thread", workers=2)
         result = sweep_pipeline(source, self.PLAN, config)
         assert result.stats.dispatch == dispatch
         # The text format keeps two decimals: its reference is the file read back.

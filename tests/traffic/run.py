@@ -75,13 +75,14 @@ COMMANDS = [
             f"cli pipeline --trace {{tmp}}/s.rpb --method {method} --output {{tmp}}/{method}.txt",
             f"cli pipeline --trace {{tmp}}/s.rpb --method {method} --executor process"
             f" --workers 2 --telemetry {{tmp}}/{method}.json --output {{tmp}}/{method}_pool.txt",
-            f"cli pipeline --trace {{tmp}}/s.rpb --method {method} --store-capacity 8 --verify",
         )
     ),
+    "cli pipeline --trace {tmp}/s.rpb --method iter_k --verify",
+    "cli pipeline --trace {tmp}/s.rpb --method iter_avg --verify",
     "cli pipeline --trace {tmp}/s.rpb --verify --output {tmp}/verified.txt",
     "cli report {tmp}/relDiff.json",
     "cli --scale smoke sweep late_sender",
-    "cli --scale smoke sweep late_sender --verify --store-capacity 8",
+    "cli --scale smoke sweep late_sender --verify --methods iter_k iter_avg",
     "cli --scale smoke sweep late_sender --json --thresholds 0.1 0.5",
     "cli --scale smoke sweep late_sender --methods relDiff iter_k avgWave --telemetry {tmp}/sweep.json",
     "cli sweep --trace {tmp}/s.rpb --executor process --workers 2 --verify",
@@ -90,7 +91,7 @@ COMMANDS = [
     "cli sweep --trace {tmp}/s.txt --executor process --workers 2",
     "cli report {tmp}/sweep.json --top 3",
     "cli --scale smoke serve late_sender",
-    "cli --scale smoke serve late_sender --sessions 3 --store-capacity 12"
+    "cli --scale smoke serve late_sender --sessions 3"
     " --tenant-budget 30 --repeat 2 --deltas {tmp}/deltas.log --verify",
     "cli serve --trace {tmp}/s.rpb --method euclidean --chunk 4 --flush-every 2 --repeat 2",
     "cli serve --trace {tmp}/s.txt --sessions 2 --queue-limit 2 --repeat 0",
