@@ -20,6 +20,7 @@ from repro.core.metrics.wavelet import AvgWave, HaarWave
 from repro.core.reduced import ReducedTrace, StoredSegment
 from repro.core import reducer as reducer_module
 from repro.core.reducer import KeyBatches, TraceReducer
+from repro.core.sampling import PeriodicSampling, RandomSampling
 from repro.experiments.config import SCALES, build_workload
 from repro.fuzz.executor import plan_cases
 from repro.fuzz.generators import generate_case
@@ -311,8 +312,13 @@ def _mixed_rank():
 class TestCounts:
     @pytest.mark.parametrize(
         "make_metric",
-        [lambda: create_metric("iter_avg"), lambda: create_metric("iter_k", 2)],
-        ids=["iter_avg", "iter_k"],
+        [
+            lambda: create_metric("iter_avg"),
+            lambda: create_metric("iter_k", 2),
+            lambda: PeriodicSampling(2),
+            lambda: RandomSampling(0.5, seed=3),
+        ],
+        ids=["iter_avg", "iter_k", "sample_period", "sample_random"],
     )
     def test_counting_methods_make_no_kernel_call(self, make_metric):
         segments = _mixed_rank()
@@ -322,13 +328,15 @@ class TestCounts:
         assert counters.calls == counters.rows_compared == 0 < reduced.n_possible_matches
         assert _bytes(metric, [reduced]) == _bytes(metric, [_scan(make_metric(), segments)])
 
-    def test_batch_step_makes_fewer_calls_over_no_more_pairs(self):
+    @pytest.mark.parametrize("name", DISTANCE_NAMES)
+    def test_batch_step_makes_fewer_calls_over_no_more_pairs(self, name):
         segments = _mixed_rank() * 4
         batch, scan = MatchCounters(), MatchCounters()
         frame = RankFrame.from_segments(0, segments)
-        reduced = TraceReducer(RelDiff(0.1)).reduce_frame(frame, match_counters=batch)
-        scanned = _scan(RelDiff(0.1), segments, counters=scan)
-        assert _bytes(RelDiff(0.1), [reduced]) == _bytes(RelDiff(0.1), [scanned])
+        metric = create_metric(name, DEFAULT_THRESHOLDS[name] / 8)  # relDiff at 0.1
+        reduced = TraceReducer(metric).reduce_frame(frame, match_counters=batch)
+        scanned = _scan(create_metric(name, metric.threshold), segments, counters=scan)
+        assert _bytes(metric, [reduced]) == _bytes(metric, [scanned])
         assert scan.calls == scanned.n_possible_matches
         assert batch.calls <= len(reduced.stored) < scan.calls
         assert batch.calls <= batch.rows_compared <= scan.rows_compared
@@ -357,7 +365,11 @@ def _strict(name):
     return create_metric(name, DEFAULT_THRESHOLDS[name] / 50 if name in DISTANCE_NAMES else None)
 
 
-@pytest.mark.parametrize("cuts", [(), (5, 6, 17)], ids=["whole", "chunked"])
+@pytest.mark.parametrize(
+    "cuts",
+    [(), (5, 6, 17), (1,), (30,), tuple(range(1, 31))],
+    ids=["whole", "chunked", "head_row", "last_key_alone", "row_by_row"],
+)
 @pytest.mark.parametrize("name", sorted(METRIC_CLASSES))
 class TestFrameRowsAreTheOnlyProbe:
     def test_no_segment_is_built_to_reduce(self, name, cuts):

@@ -1,8 +1,8 @@
 """``ReductionPipeline.write``: the reduced trace streamed to a file.
 
 The file must hold exactly the bytes ``reduce()`` would serialize to — and
-the scalar reference's — for every method, executor, source kind and store
-bound, and the stats must be the ones ``reduce()`` reports: the two entry
+the scalar reference's — for every method, executor, source kind and
+workload, and the stats must be the ones ``reduce()`` reports: the two entry
 points differ only in what the tasks hand back.
 """
 
@@ -11,7 +11,7 @@ from dataclasses import fields
 import pytest
 
 from repro import obs
-from repro.benchmarks_ats import late_sender
+from repro.benchmarks_ats import dyn_load_balance, late_sender
 from repro.core.metrics import METRIC_NAMES, create_metric
 from repro.pipeline.engine import BATCHES_PER_WORKER, PipelineConfig, ReductionPipeline
 from repro.pipeline.stats import RankCounts
@@ -26,14 +26,24 @@ EXECUTORS = ["serial", "thread", "process"]
 SOURCES = {"rpb": "shard", "text": "payload", "memory": "payload"}
 
 
-@pytest.fixture(scope="module")
-def sources(tmp_path_factory):
+#: workload -> its trace: regular pairs whose iterations repeat, and ranks
+#: whose work drifts and is rebalanced, so a key's rows spread and jump.
+WORKLOADS = {
+    "late_sender": lambda: late_sender(nprocs=12, iterations=4, seed=3),
+    "dyn_load_balance": lambda: dyn_load_balance(
+        nprocs=12, iterations=6, rebalance_period=3, seed=3
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=WORKLOADS)
+def sources(request, tmp_path_factory):
     """One trace as an ``.rpb`` file, a text file and in memory, each with
     the segmented trace the scalar reference reduces for it (the text format
     keeps two decimals, so its reference is the file read back).  More ranks
     than a 2-worker pool cuts batches, so shard batches hold several."""
     root = tmp_path_factory.mktemp("write")
-    trace = late_sender(nprocs=12, iterations=4, seed=3).run()
+    trace = WORKLOADS[request.param]().run()
     write_trace(trace, root / "trace.rpb")
     write_trace(trace, root / "trace.txt")
     return {
