@@ -69,6 +69,12 @@ class SimilarityMetric(ABC):
     #: metric's :meth:`on_match`.
     averages = False
 
+    #: Whether the metric's decisions draw on one stream that runs on from
+    #: rank to rank (``RandomSampling``'s generator): a reduction under it
+    #: takes its ranks in order, in one process, or its bytes depend on how
+    #: the ranks were cut into tasks.
+    stream_across_ranks = False
+
     def new_rows(self, seen: np.ndarray) -> np.ndarray:
         """Which rows of a frame are new representatives, for a method that
         decides on execution counts alone: the columnar core's statement of

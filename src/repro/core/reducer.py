@@ -32,6 +32,15 @@ the evaluation runner and the online session) calls it with one state, the
 pipeline's batch task with one state per metric of its grid (a sweep's whole
 plan, or the one metric of a single config).
 
+A threshold study's configs of one method share more than the family's
+vectors: their kernel (:meth:`DistanceMetric.match_stats`) gives the same
+threshold-free ``(stat, base)`` for the same pair of rows.  So
+:func:`step_families` resolves the states of one kernel key by key, over one
+:class:`LeaderRows` per key: each leader's row against the later rows of its
+key, computed by the first state that needs it and read by the others, each
+applying its own threshold.  A family with one state per kernel (every
+single-config run) takes :meth:`ReductionState.match_batch` as it is.
+
 :meth:`TraceReducer.reduce_segments` is the reference and nothing else: the
 paper's loop over :class:`~repro.trace.segments.Segment` objects, calling
 the metric's scalar ``match`` scan for every segment.  The equivalence
@@ -74,24 +83,24 @@ __all__ = [
 #: the kernel's temporaries cache-sized however deep the bucket is.
 _BLOCK_ELEMENTS = 1 << 16
 
+#: Most pairs a :class:`LeaderRows` of one key may hold: one kernel block's
+#: elements, so a shared key is at most 362 rows deep and its rows a few MB.
+#: A deeper key is resolved by each state on its own.
+_SHARED_PAIRS = _BLOCK_ELEMENTS
 
-def _resolve_all_pairs(compare, probes: np.ndarray, scales: Optional[np.ndarray]) -> np.ndarray:
-    """Leader rounds over ``probes`` at once: the index of each row's leader.
 
-    ``compare`` meets each row with every row from it on, blocked like stage
-    1.  Each block's bit rows replay the rounds on a Python-int bitset of the
-    open rows before the next block is compared, and a leader that takes rows
-    owns them, so memory stays linear in the rows.
+def _replay_rounds(m: int, block: int, bit_rows) -> np.ndarray:
+    """Leader rounds over ``m`` rows replayed from their bit rows: each row's leader.
+
+    ``bit_rows(lo, hi)`` gives rows ``lo:hi`` met with every row (True where
+    row ``j`` matches row ``i``; only ``j > i`` is read).  Each block's bit
+    rows replay the rounds on a Python-int bitset of the open rows before the
+    next block is asked for, and a leader that takes rows owns them, so
+    memory stays linear in the rows.
     """
-    m = len(probes)
     owner, open_rows = np.arange(m), (1 << m) - 1
-    block = max(1, _BLOCK_ELEMENTS // probes.size)
     for lo in range(0, m, block):
-        hits = np.zeros((min(block, m - lo), m), dtype=bool)  # no row meets one before it
-        hits[:, lo:] = compare(
-            probes[lo : lo + block, None, :], probes[lo:], None if scales is None else scales[lo:]
-        )
-        packed = np.packbits(hits, axis=1, bitorder="little")
+        packed = np.packbits(bit_rows(lo, min(lo + block, m)), axis=1, bitorder="little")
         bits, width = packed.tobytes(), packed.shape[1]
         for i in range(lo, lo + len(packed)):
             if open_rows >> i & 1:
@@ -103,6 +112,24 @@ def _resolve_all_pairs(compare, probes: np.ndarray, scales: Optional[np.ndarray]
                     taken = np.frombuffer(taken.to_bytes(width, "little"), dtype=np.uint8)
                     owner[np.unpackbits(taken, count=m, bitorder="little").view(bool)] = i
     return owner
+
+
+def _resolve_all_pairs(compare, probes: np.ndarray, scales: Optional[np.ndarray]) -> np.ndarray:
+    """Leader rounds over ``probes`` at once: the index of each row's leader.
+
+    ``compare`` meets each row with every row from it on, blocked like stage
+    1, and :func:`_replay_rounds` replays the rounds on the bits.
+    """
+    m = len(probes)
+
+    def bit_rows(lo, hi):
+        hits = np.zeros((hi - lo, m), dtype=bool)  # no row meets one before it
+        hits[:, lo:] = compare(
+            probes[lo:hi, None, :], probes[lo:], None if scales is None else scales[lo:]
+        )
+        return hits
+
+    return _replay_rounds(m, max(1, _BLOCK_ELEMENTS // probes.size), bit_rows)
 
 
 class KeyBatches:
@@ -126,6 +153,84 @@ class KeyBatches:
             (key, np.array(rows), np.array([vectors[i] for i in rows]))
             for key, rows in by_key.items()
         ]
+
+
+class LeaderRows:
+    """One key's kernel rows, shared by the states of one kernel in a family.
+
+    Row ``i`` is the key's probe ``i`` met with every later probe of the key:
+    the metric's threshold-free :meth:`~DistanceMetric.match_stats`
+    ``(stat, base)``, so each state applies only its own ``stat <= threshold
+    × base`` to the rows it has open.  A row is computed the first time a
+    state needs it — one kernel call, counted on that state's counters — and
+    read by every state after it; the key's ``row_scale`` is computed once.
+    Built per (frame, key, kernel) by :func:`step_families` for a key of at
+    most :data:`_SHARED_PAIRS` pairs, and dropped when the key is done.
+    """
+
+    __slots__ = ("kernel", "rows", "probes", "places", "scales", "stat", "base", "filled")
+
+    def __init__(self, metric: DistanceMetric, rows: np.ndarray, probes: np.ndarray) -> None:
+        self.kernel = metric.match_stats
+        self.rows = rows  # the key's frame rows
+        self.probes = probes
+        self.places = np.arange(len(rows))
+        self.scales = None if metric.row_scale is None else metric.row_scale(probes)
+        m = len(probes)
+        self.stat = np.zeros((m, m))  # row i: columns i+1 on, once filled
+        self.base: Optional[np.ndarray] = None  # likewise, for a kernel with a base
+        self.filled = [False] * (m - 1) + [True]  # the last row meets no one
+
+    def fill(self, at, counters: Optional[MatchCounters]) -> bool:
+        """Compute the rows ``at`` that no state has yet, in one kernel call.
+
+        They are met with every probe after the first of them, as one block,
+        and each keeps its own columns.  Returns whether a call was made.
+        """
+        filled = self.filled
+        need = [i for i in at if not filled[i]]
+        if not need:
+            return False
+        first, probes, scales = need[0], self.probes, self.scales
+        started = 0.0 if counters is None else perf_counter()
+        later = None if scales is None else scales[first + 1 :]
+        stat, base = self.kernel(probes[need, None, :], probes[first + 1 :], later)
+        if counters is not None:
+            counters.seconds += perf_counter() - started
+            counters.calls += 1
+            counters.rows_compared += stat.size
+        self.stat[need, first + 1 :] = stat
+        if base is not None:
+            if self.base is None:
+                self.base = np.zeros_like(self.stat)
+            self.base[need, first + 1 :] = base
+        for i in need:
+            filled[i] = True
+        return True
+
+    def hits(self, i: int, later: np.ndarray, threshold: float) -> np.ndarray:
+        """Row ``i`` against the later probes ``later`` at ``threshold``: who it takes."""
+        base = self.base
+        return self.stat[i, later] <= (threshold if base is None else threshold * base[i, later])
+
+    def resolve(self, at: np.ndarray, threshold: float, counters) -> np.ndarray:
+        """:func:`_resolve_all_pairs` over the probes ``at`` from the shared rows.
+
+        The rows are filled block by block — each block's rows met with the
+        key's probes after its first, within the kernel's element budget —
+        and the rounds replayed on them at ``threshold``.
+        """
+        m, probes = len(at), self.probes
+        block = max(1, _BLOCK_ELEMENTS // ((len(probes) - int(at[0])) * probes.shape[1]))
+
+        def bit_rows(lo, hi):
+            # Only the columns past each row's own are filled, and read.
+            self.fill(at[lo:hi].tolist(), counters)
+            rows, base = at[lo:hi, None], self.base
+            limit = threshold if base is None else threshold * base[rows, at]
+            return self.stat[rows, at] <= limit
+
+        return _replay_rounds(m, block, bit_rows)
 
 
 def _fold_means(stored: list, ids: np.ndarray, matched: np.ndarray, vectors) -> None:
@@ -170,6 +275,26 @@ def _fold_means(stored: list, ids: np.ndarray, matched: np.ndarray, vectors) -> 
         rep.write_timestamps(mean[lo:hi])
 
 
+class _Leads:
+    """One state's decisions over one frame, filled key by key, then booked.
+
+    ``ids`` holds the representative id of each row that matched an existing
+    representative, ``leader`` (until ids exist) the row of the new one each
+    other row resolves to; ``scale_of`` each leader's ``row_scale`` (None
+    without the hook); ``fresh`` each key's leader rows, first appearance
+    first; ``misses`` the keys whose bucket was empty.
+    """
+
+    __slots__ = ("ids", "leader", "scale_of", "fresh", "misses")
+
+    def __init__(self, n: int, scaled: bool) -> None:
+        self.ids = np.empty(n, dtype=np.int64)
+        self.leader = np.full(n, -1, dtype=np.int64)
+        self.scale_of = np.empty(n) if scaled else None
+        self.fresh: list = []
+        self.misses = 0
+
+
 class ReductionState:
     """One (rank, config) reduction in progress: the columnar match-or-store step.
 
@@ -201,26 +326,36 @@ class ReductionState:
 
         Each row either leads — it is a new representative — or matches the
         representative it resolves to; both are decided key by key, in the
-        order the scalar reference meets the rows (:meth:`_lead_by_distance`
-        for a distance metric, :meth:`_lead_by_count` for any other).  Then
-        everything is booked: new representatives take the ids the
-        reference gives them, in segment order across keys — each as its
-        ``(frame, row)``, a distance metric's with its probe row and the scale
-        its leader round computed — and enter their bucket one key at a time
+        order the scalar reference meets the rows (:meth:`lead_key` for a
+        distance metric, :meth:`_lead_by_count` for any other).  Then
+        :meth:`book` books everything.
+        """
+        leads = self.leads(batches.frame.n_segments)
+        if isinstance(self.metric, DistanceMetric):
+            for key, rows, probes in batches.groups:
+                self.lead_key(key, rows, probes, leads)
+        else:
+            self._lead_by_count(batches, leads)
+        self.book(batches, leads)
+
+    def leads(self, n: int) -> _Leads:
+        """Empty decisions for a frame of ``n`` rows."""
+        return _Leads(n, getattr(self.metric, "row_scale", None) is not None)
+
+    def book(self, batches: KeyBatches, leads: _Leads) -> None:
+        """Book a frame's decisions into the output and the store.
+
+        New representatives take the ids the reference gives them, in
+        segment order across keys — each as its ``(frame, row)``, a distance
+        metric's with its probe row and the scale its leader round computed —
+        and enter their bucket one key at a time
         (:meth:`RepresentativeStore.extend`).
         """
         frame, vectors = batches.frame, batches.vectors
         metric, store, reduced = self.metric, self.store, self.reduced
+        ids, leader, misses = leads.ids, leads.leader, leads.misses
         n = frame.n_segments
         first_id = self._next_id
-        ids = np.empty(n, dtype=np.int64)  # each row's representative id
-        leader = np.full(n, -1, dtype=np.int64)  # or, until ids exist, its new one's row
-        distance = isinstance(metric, DistanceMetric)
-        if distance:
-            fresh, misses, scale_of = self._lead_by_distance(batches, ids, leader)
-        else:
-            fresh, misses = self._lead_by_count(batches, ids, leader)
-
         is_new = leader == np.arange(n)
         new_rows = np.flatnonzero(is_new)  # segment order, across keys
         resolved = leader >= 0
@@ -242,7 +377,8 @@ class ReductionState:
         self._next_id += len(new)
         if metric.averages and len(new_rows) < n:
             _fold_means(reduced.stored, ids, np.flatnonzero(~is_new), vectors)
-        for key, heads in fresh:
+        distance, scale_of = isinstance(metric, DistanceMetric), leads.scale_of
+        for key, heads in leads.fresh:
             entries = [new[row] for row in heads]
             if distance:
                 scales = None if scale_of is None else scale_of[heads]
@@ -250,7 +386,7 @@ class ReductionState:
             else:
                 store.extend(key, entries)
 
-    def _lead_by_count(self, batches: KeyBatches, ids: np.ndarray, leader: np.ndarray):
+    def _lead_by_count(self, batches: KeyBatches, leads: _Leads) -> None:
         """Resolve a frame for a method that decides on execution counts alone.
 
         Each row's ``seen`` is the number of executions of its key before it
@@ -259,29 +395,48 @@ class ReductionState:
         :meth:`~repro.core.metrics.base.SimilarityMetric.new_rows` says which
         rows lead.  Every other row matches its key's latest representative:
         the last leader before it in the frame, else the bucket's last.
-        Returns ``(fresh, misses)`` as :meth:`_lead_by_distance` does.
         """
-        groups = batches.groups
+        groups, ids, leader = batches.groups, leads.ids, leads.leader
         buckets = [self.store.bucket(key) for key, _, _ in groups]
         seen = np.empty(batches.frame.n_segments, dtype=np.int64)
         for (_, rows, _), bucket in zip(groups, buckets):
             prior = sum(stored.count for stored in bucket) if bucket else 0
             seen[rows] = np.arange(prior, prior + len(rows))
         is_new = self.metric.new_rows(seen)
-        fresh = []
         for (key, rows, _), bucket in zip(groups, buckets):
             new = is_new[rows]
             latest = leader[rows] = np.maximum.accumulate(np.where(new, rows, -1))
             if bucket:
                 ids[rows[latest < 0]] = bucket[-1].segment_id
             if new.any():
-                fresh.append((key, rows[new].tolist()))
-        return fresh, sum(not bucket for bucket in buckets)
+                leads.fresh.append((key, rows[new].tolist()))
+        leads.misses += sum(not bucket for bucket in buckets)
 
-    def _lead_by_distance(self, batches: KeyBatches, ids: np.ndarray, leader: np.ndarray):
-        """Resolve a frame for a distance metric, key by key.
+    def _compare(self, vector, matrix, scales) -> np.ndarray:
+        """The kernel's mask at this state's threshold, counted on its counters."""
+        counters = self.counters
+        # The clock is read only when there is a counter to add it to.
+        started = 0.0 if counters is None else perf_counter()
+        stat, base = self.metric.match_stats(vector, matrix, scales)
+        threshold = self.metric.threshold
+        mask = stat <= (threshold if base is None else threshold * base)
+        if counters is not None:
+            counters.seconds += perf_counter() - started
+            counters.calls += 1
+            counters.rows_compared += mask.size
+        return mask
 
-        Per structural key, in the order the scalar reference meets them:
+    def lead_key(
+        self,
+        key,
+        rows: np.ndarray,
+        probes: np.ndarray,
+        leads: _Leads,
+        shared: Optional[LeaderRows] = None,
+    ) -> None:
+        """Resolve one structural key of a frame for a distance metric.
+
+        Per key, in the order the scalar reference meets them:
 
         1. a bucket that already holds representatives (a session chunk)
            takes one broadcast kernel call, blocked over the probes, that
@@ -302,74 +457,103 @@ class ReductionState:
            a key whose rounds keep matching (loose thresholds, or one odd row
            ahead of many alike) never takes it.
 
-        Fills ``ids`` for the rows that match an existing representative and
-        ``leader`` for the rest.  Returns ``(fresh, misses, scale_of)``: each
-        key's leader rows (first appearance first), the number of keys whose
-        bucket was empty, and each leader's ``row_scale`` (None without one).
+        With ``shared`` — the key's :class:`LeaderRows`, when other states of
+        this kernel resolve it too — stages 2 and 3 read the leaders' kernel
+        rows from it (computing those no state has yet) instead of calling
+        the kernel on the open rows.  Only calls this state makes count
+        towards stage 3, so a state behind one that filled the rows makes
+        none.  The decisions are the same either way.
         """
-        metric, store, counters = self.metric, self.store, self.counters
-        kernel, threshold, row_scale = metric.match_stats, metric.threshold, metric.row_scale
-        scale_of = None if row_scale is None else np.empty(len(leader))
-        misses = 0
-
-        def compare(vector, matrix, scales):
-            # The clock is read only when there is a counter to add it to.
-            started = 0.0 if counters is None else perf_counter()
-            stat, base = kernel(vector, matrix, scales)
-            mask = stat <= (threshold if base is None else threshold * base)
-            if counters is not None:
-                counters.seconds += perf_counter() - started
-                counters.calls += 1
-                counters.rows_compared += mask.size
-            return mask
-
-        fresh = []  # (key, its new representatives' rows), first appearance first
-        for key, rows, probes in batches.groups:
-            bucket = store.bucket(key)
-            if bucket:
-                matrix, scales = bucket.matrix_and_scales()
-                block = max(1, _BLOCK_ELEMENTS // matrix.size)
-                first = np.empty(len(rows), dtype=np.intp)
-                for lo in range(0, len(rows), block):
-                    mask = compare(probes[lo : lo + block, None, :], matrix, scales)
-                    first[lo : lo + block] = np.where(mask.any(axis=1), mask.argmax(axis=1), -1)
-                found = first >= 0
-                ids[rows[found]] = [bucket[j].segment_id for j in first[found].tolist()]
-                rows, probes = rows[~found], probes[~found]
-            else:
-                misses += 1
-            scales = None
-            if row_scale is not None:
-                scales = scale_of[rows] = row_scale(probes)
-            heads, empty = [], 0  # rounds in a row that took nothing
-            while rows.size:
-                lead, vector = rows[0], probes[0]
-                leader[lead] = lead
-                heads.append(int(lead))
-                rows, probes = rows[1:], probes[1:]
-                if scales is not None:
-                    scales = scales[1:]
-                if not rows.size:
-                    break
-                mask = compare(vector, probes, scales)
-                if mask.any():
-                    empty = 0
-                    leader[rows[mask]] = lead
-                    keep = ~mask
-                    rows, probes = rows[keep], probes[keep]
-                    if scales is not None:
-                        scales = scales[keep]
-                    continue
-                empty += 1
-                block = max(1, _BLOCK_ELEMENTS // probes.size)
-                if rows.size > 2 and empty >= -(-rows.size // block):
-                    owner = _resolve_all_pairs(compare, probes, scales)
-                    leader[rows] = rows[owner]
-                    heads += rows[owner == np.arange(len(owner))].tolist()
-                    break
+        bucket = self.store.bucket(key)
+        kept = None  # the probes stage 1 left, when it ran
+        if bucket:
+            matrix, scales = bucket.matrix_and_scales()
+            block = max(1, _BLOCK_ELEMENTS // matrix.size)
+            first = np.empty(len(rows), dtype=np.intp)
+            for lo in range(0, len(rows), block):
+                mask = self._compare(probes[lo : lo + block, None, :], matrix, scales)
+                first[lo : lo + block] = np.where(mask.any(axis=1), mask.argmax(axis=1), -1)
+            kept = first < 0
+            found = ~kept
+            leads.ids[rows[found]] = [bucket[j].segment_id for j in first[found].tolist()]
+            rows, probes = rows[kept], probes[kept]
+        else:
+            leads.misses += 1
+        if shared is not None:
+            heads = self._shared_rounds(
+                shared.places if kept is None else shared.places[kept], shared, leads
+            )
             if heads:
-                fresh.append((key, heads))
-        return fresh, misses, scale_of
+                leads.fresh.append((key, heads))
+            return
+        leader, row_scale, compare = leads.leader, self.metric.row_scale, self._compare
+        scales = None
+        if row_scale is not None:
+            scales = leads.scale_of[rows] = row_scale(probes)
+        heads, empty = [], 0  # rounds in a row that took nothing
+        while rows.size:
+            lead, vector = rows[0], probes[0]
+            leader[lead] = lead
+            heads.append(int(lead))
+            rows, probes = rows[1:], probes[1:]
+            if scales is not None:
+                scales = scales[1:]
+            if not rows.size:
+                break
+            mask = compare(vector, probes, scales)
+            if mask.any():
+                empty = 0
+                leader[rows[mask]] = lead
+                keep = ~mask
+                rows, probes = rows[keep], probes[keep]
+                if scales is not None:
+                    scales = scales[keep]
+                continue
+            empty += 1
+            block = max(1, _BLOCK_ELEMENTS // probes.size)
+            if rows.size > 2 and empty >= -(-rows.size // block):
+                owner = _resolve_all_pairs(compare, probes, scales)
+                leader[rows] = rows[owner]
+                heads += rows[owner == np.arange(len(owner))].tolist()
+                break
+        if heads:
+            leads.fresh.append((key, heads))
+
+    def _shared_rounds(self, at: np.ndarray, shared: LeaderRows, leads: _Leads) -> list:
+        """Stages 2 and 3 of :meth:`lead_key` over ``shared``'s rows: the key's leader rows.
+
+        ``at`` are the places in the key of the probes left to resolve.
+        """
+        threshold, counters, leader = self.metric.threshold, self.counters, leads.leader
+        key_rows, filled, hits = shared.rows, shared.filled, shared.hits
+        width = shared.probes.shape[1]
+        if leads.scale_of is not None:
+            leads.scale_of[key_rows[at]] = shared.scales[at]
+        heads, empty = [], 0  # rounds in a row that took nothing, counting only calls
+        while at.size:
+            i = int(at[0])
+            heads.append(i)
+            at = at[1:]
+            if not at.size:
+                break
+            called = not filled[i] and shared.fill([i], counters)
+            mask = hits(i, at, threshold)
+            taken = at[mask]
+            if taken.size:
+                empty = 0
+                leader[key_rows[taken]] = key_rows[i]
+                at = at[~mask]
+                continue
+            empty += called
+            block = max(1, _BLOCK_ELEMENTS // (at.size * width))
+            if at.size > 2 and empty >= -(-at.size // block):
+                owner = shared.resolve(at, threshold, counters)
+                leader[key_rows[at]] = key_rows[at[owner]]
+                heads += at[owner == np.arange(len(owner))].tolist()
+                break
+        heads = key_rows[heads]
+        leader[heads] = heads
+        return heads.tolist()
 
 
 def step_families(frame: RankFrame, families: Sequence[Sequence[ReductionState]]) -> None:
@@ -378,10 +562,19 @@ def step_families(frame: RankFrame, families: Sequence[Sequence[ReductionState]]
     ``families`` groups the states by feature family: the states of one
     share a vector layout, so its first metric's ``frame_vectors`` (one bulk
     pass) gives every member its probe rows, and one :class:`KeyBatches`
-    grouping of them serves every member's :meth:`~ReductionState.match_batch`.
-    Each state makes the decisions a solo run makes, in the same order.
-    :meth:`TraceReducer.reduce_frame` passes one state, the pipeline's batch
-    task one per metric of its grid.
+    grouping of them serves every member.  Each state makes the decisions a
+    solo run makes, in the same order.  :meth:`TraceReducer.reduce_frame`
+    passes one state, the pipeline's batch task one per metric of its grid.
+
+    A family's distance states that share a kernel (the same metric class:
+    a threshold study's configs of one method) also share its kernel rows:
+    their keys are resolved key by key, every state of the kernel in turn,
+    over one :class:`LeaderRows` per key that holds each leader's row against
+    the later rows of the key, whatever the threshold.  Keyed by kernel, not
+    by family: euclidean and manhattan share a vector layout, not a
+    distance.  A key of more than :data:`_SHARED_PAIRS` pairs is resolved
+    by each state on its own, and every other state takes
+    :meth:`~ReductionState.match_batch`.
 
     The frame's times are checked first, every row of it: finite
     (:meth:`RankFrame.check_finite`) and in order
@@ -392,8 +585,31 @@ def step_families(frame: RankFrame, families: Sequence[Sequence[ReductionState]]
     frame.check_time_order()
     for states in families:
         batches = KeyBatches(frame, states[0].metric.frame_vectors(frame))
+        if len(states) == 1:
+            states[0].match_batch(batches)
+            continue
+        by_kernel: dict = {}
         for state in states:
-            state.match_batch(batches)
+            kernel = type(state.metric) if isinstance(state.metric, DistanceMetric) else state
+            by_kernel.setdefault(kernel, []).append(state)
+        for sharing in by_kernel.values():
+            if len(sharing) == 1:
+                sharing[0].match_batch(batches)
+            else:
+                _match_sharing_rows(batches, sharing)
+
+
+def _match_sharing_rows(batches: KeyBatches, states: Sequence[ReductionState]) -> None:
+    """:meth:`~ReductionState.match_batch` for the states of one kernel, key by key."""
+    metric = states[0].metric
+    leads = [state.leads(batches.frame.n_segments) for state in states]
+    for key, rows, probes in batches.groups:
+        m = len(rows)
+        shared = LeaderRows(metric, rows, probes) if m * (m - 1) // 2 <= _SHARED_PAIRS else None
+        for state, state_leads in zip(states, leads):
+            state.lead_key(key, rows, probes, state_leads, shared)
+    for state, state_leads in zip(states, leads):
+        state.book(batches, state_leads)
 
 
 class TraceReducer:

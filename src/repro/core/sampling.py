@@ -73,6 +73,7 @@ class RandomSampling(SimilarityMetric):
     """
 
     name = "sample_random"
+    stream_across_ranks = True
 
     def __init__(self, rate: float, seed: int = 0):
         check_probability("rate", rate)

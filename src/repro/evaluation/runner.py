@@ -29,6 +29,7 @@ from repro.trace.trace import SegmentedTrace
 
 if TYPE_CHECKING:
     from repro.benchmarks_ats.base import Workload
+    from repro.trace.io import ReducedSizer
 
 __all__ = [
     "EvaluationResult",
@@ -157,18 +158,22 @@ def result_from_reduced(
     *,
     comparison_options: Optional[ComparisonOptions] = None,
     keep_comparison: bool = True,
+    sizer: Optional[ReducedSizer] = None,
 ) -> EvaluationResult:
     """All four criteria for one already-computed reduced trace.
 
     This is the second half of :func:`evaluate_method`; a sweep's result
     calls it per grid config, so a sweep row and a serial row are produced
-    by the same code.
+    by the same code.  The file size is ``reduced.size_bytes()``, or what
+    ``sizer`` measures it to be: a sweep hands every config one
+    :class:`~repro.trace.io.ReducedSizer`, which measures the texts the
+    configs share once.
     """
     with obs.span("evaluate.criteria", method=reduced.method):
         with obs.span("criteria.reconstruct"):
             reconstructed = reconstruct(reduced)
         with obs.span("criteria.size"):
-            reduced_bytes = reduced.size_bytes()
+            reduced_bytes = reduced.size_bytes() if sizer is None else sizer.size(reduced)
         pct = 100.0 * reduced_bytes / prepared.full_bytes if prepared.full_bytes else 100.0
         with obs.span("criteria.distance"):
             distance = approximation_distance(prepared.segmented, reconstructed)

@@ -29,8 +29,10 @@ Executors
     :class:`PipelineConfig` value that no ``--executor`` flag offers.
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor`.  Each rank gets its
-    own representative store inside its worker, so metric state never
-    crosses rank boundaries — the same isolation the serial path provides.
+    own representative store inside its worker — the same isolation the
+    serial path provides.  A metric whose draws run on from rank to rank
+    (``RandomSampling``) is the one state that crosses ranks, so a run
+    under it is reduced inline, like a one-worker pool.
     On indexed files it beats ``serial`` from two cores up once the input is
     big enough to pay for the fork (ROADMAP, "The pool earns its code":
     1024-rank ATS file → file, 0.32 s serial vs 0.23 s on 2 workers).
@@ -243,10 +245,14 @@ def _rank_task(
     would unpickle only to serialize.
 
     Module-level so process pools can pickle it; the pickled ``families``
-    give every task private metric instances, mirroring serial semantics
-    (metrics hold no cross-rank state).  With ``capture=True`` the task
-    records its spans into a private recorder — shadowing any inherited or
-    thread-shared ambient one — publishes its batch's :class:`RankCounts`
+    give every task private metric instances, which is what a serial run
+    does for every metric whose decisions depend on nothing a rank before
+    left behind — a grid with one that does
+    (:attr:`~repro.core.metrics.base.SimilarityMetric.stream_across_ranks`)
+    is reduced inline by :func:`_start`, never by a task.  With
+    ``capture=True`` the task records its spans into a private recorder —
+    shadowing any inherited or thread-shared ambient one — publishes its
+    batch's :class:`RankCounts`
     there under the names the parent publishes the run's, and returns the
     snapshot as the final element.  The parent keeps the per-worker registries apart from
     its own, so nothing is double-counted and the two must agree.
@@ -367,8 +373,14 @@ def _start(source: SegmentSource, config: PipelineConfig, families: Families) ->
         n_ranks = None
     else:
         n_ranks = len(source.ranks)
-    if workers == 1 or (n_ranks is not None and n_ranks <= 1):
-        # One effective worker *or* one rank to reduce.
+    if (
+        workers == 1
+        or (n_ranks is not None and n_ranks <= 1)
+        or any(metric.stream_across_ranks for family in families for metric in family)
+    ):
+        # One effective worker, one rank to reduce, or a metric whose one
+        # stream of draws must meet the ranks in order in this process (a
+        # pickled task would restart it, threads would interleave it).
         executor = "serial"
     clock = StageClock("pipeline")
     if executor == "serial":
@@ -424,8 +436,10 @@ class ReductionPipeline:
     A pooled executor whose effective worker count is 1 is auto-downgraded
     to the serial path: a one-worker pool reduces rank-by-rank anyway, so
     it can only add pool startup and IPC overhead (single-CPU runs showed
-    0.80x "speedups").  The downgrade is recorded in the stats
-    (``requested_executor`` vs ``executor``) and never changes output.
+    0.80x "speedups").  So is a run under a metric that draws one stream
+    across its ranks, whose bytes a pool would change.  The downgrade is
+    recorded in the stats (``requested_executor`` vs ``executor``) and never
+    changes output.
     """
 
     def __init__(self, metric: SimilarityMetric, config: Optional[PipelineConfig] = None):

@@ -116,17 +116,23 @@ class SweepResult:
         Reuses the serial path's criteria code on each config's reduced trace,
         so a row here equals the row ``evaluate_method`` would produce for the
         same config (the equivalence tests assert field-for-field equality).
+        The configs' file sizes are measured by one
+        :class:`~repro.trace.io.ReducedSizer`, so a text the configs share is
+        measured once.
         """
         # Imported lazily: the pipeline engine imports this module, and a
         # reduction run must not pull in the evaluation and analysis stack.
         from repro.evaluation.runner import result_from_reduced
+        from repro.trace.io import ReducedSizer
 
+        sizer = ReducedSizer()
         return [
             result_from_reduced(
                 prepared,
                 outcome.reduced,
                 comparison_options=comparison_options,
                 keep_comparison=keep_comparison,
+                sizer=sizer,
             )
             for outcome in self.outcomes
         ]

@@ -41,6 +41,7 @@ from repro.trace.records import RecordKind, TraceRecord
 from repro.trace.segments import Segment
 
 if TYPE_CHECKING:  # avoid a runtime cycle: core.reduced imports this module
+    from repro.core.frames import RankFrame
     from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
     from repro.service.session import ReductionDelta
 
@@ -66,6 +67,7 @@ __all__ = [
     "iter_rank_record_streams_text",
     "iter_reduced_rank_chunks",
     "serialize_reduced_trace",
+    "ReducedSizer",
     "atomic_output",
     "write_reduced_trace",
     "iter_delta_chunks",
@@ -480,14 +482,31 @@ def _segment_template(key) -> str:
     return template
 
 
+def _text_columns(frame: "RankFrame"):
+    """What writes ``frame``'s rows as ``SEG`` blocks with no object built.
+
+    ``(keys, pairs, ends, bounds)``: the structural keys and, as Python
+    scalars for ``format``, the interleaved relative event timestamps, the
+    relative ends and each row's bounds in ``pairs``.  Row ``row`` under the
+    id ``sid`` is one template per structure (:func:`_segment_template`) and
+    one ``format`` call over a slice::
+
+        template.format(sid, ends[row], *pairs[bounds[row] : bounds[row + 1]])
+
+    Transient: nothing is kept on the frame.
+    """
+    rel_ev_starts, rel_ev_ends, rel_ends = frame.relative_columns()
+    pairs = np.empty(2 * len(rel_ev_starts))
+    pairs[0::2], pairs[1::2] = rel_ev_starts, rel_ev_ends
+    bounds = (2 * frame.ev_offsets).tolist()
+    return frame.structural_keys(), pairs.tolist(), rel_ends.tolist(), bounds
+
+
 def _stored_texts(stored_segments: Iterable["StoredSegment"]) -> Iterator[str]:
     """The ``SEG`` block of each representative: :func:`serialize_segment`'s text.
 
     A representative that is still a frame row (``stored.origin``, a dense
-    reduction) is written from the frame's relative columns with no object
-    built: one template per structure (:func:`_segment_template`), one
-    ``format`` call per representative over a slice of the frame's
-    interleaved event timestamps.
+    reduction) is written from the frame's columns (:func:`_text_columns`).
     """
     frame = None
     for stored in stored_segments:
@@ -497,15 +516,100 @@ def _stored_texts(stored_segments: Iterable["StoredSegment"]) -> Iterator[str]:
             continue
         if origin[0] is not frame:
             frame = origin[0]
-            keys = frame.structural_keys()
-            rel_ev_starts, rel_ev_ends, rel_ends = frame.relative_columns()
-            pairs = np.empty(2 * len(rel_ev_starts))
-            pairs[0::2], pairs[1::2] = rel_ev_starts, rel_ev_ends
-            # Transient scalar mirrors, for ``format``: nothing is kept on the frame.
-            pairs, ends, bounds = pairs.tolist(), rel_ends.tolist(), (2 * frame.ev_offsets).tolist()
+            keys, pairs, ends, bounds = _text_columns(frame)
         row = origin[1]
         timestamps = pairs[bounds[row] : bounds[row + 1]]
         yield _segment_template(keys[row]).format(stored.segment_id, ends[row], *timestamps)
+
+
+#: Powers of ten from 10 up: ``searchsorted`` of a non-negative id in them is
+#: its decimal digits less one.
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _digits(ids) -> int:
+    """Decimal digits of the non-negative integers ``ids``, summed."""
+    ids = np.asarray(ids, dtype=np.int64)
+    return len(ids) + int(np.searchsorted(_POWERS_OF_TEN, ids, side="right").sum())
+
+
+class ReducedSizer:
+    """:meth:`~repro.core.reduced.ReducedTrace.size_bytes` of reduced traces
+    of one input, each shared text measured once.
+
+    For a grid of reductions of one input (a sweep's configs) the same texts
+    recur from trace to trace: what differs is only which rows are
+    representatives and which ids they take.  So a sizer keeps what it has
+    measured, and each trace it sizes adds only its ids:
+
+    * each distinct sequence of a rank's exec start times (every config of
+      a sweep has the same one) is formatted once;
+    * each representative that is still a frame row has its ``SEG`` block
+      measured once per ``(frame, row)``, with an empty id;
+    * each trace's ids add their decimal digits, counted in bulk;
+    * a representative with no ``origin`` (``iter_avg``'s means, an object
+      a pool shipped back) is formatted as :meth:`size_bytes` does.
+
+    The sum is the length of :func:`iter_reduced_rank_chunks`' bytes, which
+    stay the definition (and :meth:`size_bytes` the reference).  A sizer
+    keeps one length per row of each frame it met, and the frame.
+    """
+
+    __slots__ = ("_start_bytes", "_row_bytes")
+
+    def __init__(self) -> None:
+        self._start_bytes: dict = {}  # a rank's start times -> bytes of their texts
+        # frame id -> (frame, each row's SEG bytes with an empty id, or -1)
+        self._row_bytes: dict = {}
+
+    def size(self, trace: "ReducedTrace") -> int:
+        """The serialized size of ``trace``, in bytes."""
+        return sum(
+            self._stored_bytes(rank.stored) + self._exec_bytes(rank.execs) for rank in trace.ranks
+        )
+
+    def _stored_bytes(self, stored_segments) -> int:
+        size, sids, rows_of, frame = 0, [], {}, None
+        for stored in stored_segments:
+            origin = stored.origin
+            if origin is None:
+                size += len(_segment_text(stored.segment, stored.segment_id).encode("utf-8"))
+                continue
+            if origin[0] is not frame:
+                frame = origin[0]
+                rows = rows_of.setdefault(id(frame), (frame, []))[1]
+            rows.append(origin[1])
+            sids.append(stored.segment_id)
+        for frame_id, (frame, rows) in rows_of.items():
+            if frame_id not in self._row_bytes:
+                self._row_bytes[frame_id] = (frame, np.full(frame.n_segments, -1, dtype=np.int64))
+            lengths = self._row_bytes[frame_id][1]
+            rows = np.array(rows)
+            missing = rows[lengths[rows] < 0].tolist()
+            if missing:
+                # Built for the rows to measure, and dropped: a frame's text
+                # columns as Python floats outweigh its lengths many times.
+                keys, pairs, ends, bounds = _text_columns(frame)
+                lengths[missing] = [
+                    len(
+                        _segment_template(keys[row])
+                        .format("", ends[row], *pairs[bounds[row] : bounds[row + 1]])
+                        .encode("utf-8")
+                    )
+                    for row in missing
+                ]
+            size += int(lengths[rows].sum())
+        return size + _digits(sids)
+
+    def _exec_bytes(self, execs) -> int:
+        if not execs:
+            return 0
+        ids, starts = zip(*execs)
+        measured = self._start_bytes.get(starts)
+        if measured is None:
+            measured = self._start_bytes[starts] = sum(map(len, map(_TS_FMT.format, starts)))
+        # "EXEC ", the id, " ", the start, "\n"
+        return 7 * len(ids) + _digits(ids) + measured
 
 
 def iter_reduced_rank_chunks(reduced_rank: "ReducedRankTrace") -> Iterator[bytes]:

@@ -9,7 +9,7 @@ from repro.core.reconstruct import reconstruct_rank
 from repro.core.reduced import ReducedTrace
 from repro.core.reducer import TraceReducer, reduce_trace
 from repro.core.sampling import PeriodicSampling, RandomSampling
-from repro.pipeline.engine import sweep_pipeline
+from repro.pipeline.engine import PipelineConfig, ReductionPipeline, sweep_pipeline
 from repro.service.checkpoint import restore_state, session_state
 from repro.service.session import ReductionSession, SessionConfig
 from repro.sweep.plan import SweepConfig, SweepPlan
@@ -162,6 +162,20 @@ class TestTheCoreStep:
         result = sweep_pipeline(workload, SweepPlan([SweepConfig("iter_k", 3)]))
         (outcome,) = result.outcomes
         assert serialize_reduced_trace(outcome.reduced) == _reference(name, workload)
+
+    @pytest.mark.parametrize(
+        "executor, workers", [("serial", None), ("thread", 2), ("process", 2)]
+    )
+    @pytest.mark.parametrize("name", STRATEGIES)
+    def test_every_executor_is_the_reference(self, workload, name, executor, workers):
+        # A pickled task would restart RandomSampling's stream and threads
+        # would interleave its draws: a run under it takes its ranks inline,
+        # in order, whichever executor was asked for.
+        config = PipelineConfig(executor=executor, workers=workers)
+        result = ReductionPipeline(_fresh(name), config).reduce(workload)
+        assert serialize_reduced_trace(result.reduced) == _reference(name, workload)
+        assert result.stats.requested_executor == executor
+        assert result.stats.executor == ("serial" if name == "random" else executor)
 
     @pytest.mark.parametrize("name", STRATEGIES)
     def test_ragged_session_with_a_checkpoint_is_the_reference(self, workload, name):

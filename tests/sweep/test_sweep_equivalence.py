@@ -9,19 +9,31 @@ text source on a pool (``payload``) — and the evaluation rows must equal the
 serial path field for field.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from repro.core.metrics import METRIC_NAMES, THRESHOLD_STUDY, create_metric
+from repro.core import reducer as reducer_module
+from repro.core.candidates import MatchCounters, RepresentativeStore
+from repro.core.frames import RankFrame
+from repro.core.metrics import DEFAULT_THRESHOLDS, METRIC_NAMES, THRESHOLD_STUDY, create_metric
+from repro.core.reduced import ReducedRankTrace, ReducedTrace
+from repro.core.reducer import ReductionState, TraceReducer, step_families
 from repro.evaluation.runner import (
     PreparedWorkload,
     evaluate_grid,
     evaluate_method,
     result_from_reduced,
 )
+from repro.fuzz.executor import plan_cases
+from repro.fuzz.generators import generate_case
 from repro.pipeline.engine import PipelineConfig, sweep_pipeline
 from repro.sweep import SweepPlan
 from repro.trace.io import read_trace, serialize_reduced_trace, write_trace
+from repro.trace.trace import SegmentedRankTrace, SegmentedTrace
 
+from tests.conftest import make_segment
 from tests.support import RESULT_FIELDS, reference_reduce
 
 
@@ -191,6 +203,188 @@ class TestMixedGridEquivalence:
         # The text format keeps two decimals: its reference is the file read back.
         segmented = read_trace(source) if fixture == "text_file" else raw_trace
         self._check(result, segmented.segmented())
+
+
+#: The seven distance methods: manhattan, euclidean and chebyshev are three
+#: kernels of one feature family, relDiff and absDiff two of another.
+DISTANCE_NAMES = [name for name in METRIC_NAMES if name not in ("iter_k", "iter_avg")]
+
+#: From strict (every leader round of a key empty: the all-pairs resolve
+#: fires) to loose (the first leader takes its key), times each default.
+SCALES = (1e-4, 1 / 50, 1.0, 4.0)
+
+
+def _segments(rank, times_of_rows, context):
+    """One segment per row of event (start, end) pairs and an end, back to back."""
+    segments, clock = [], 0.0
+    for times in times_of_rows:
+        pairs = [(f"f{e}", times[2 * e], times[2 * e + 1]) for e in range(len(times) // 2)]
+        segment = make_segment(context, pairs, end=times[-1], rank=rank)
+        segments.append(segment.shifted(clock))
+        clock += float(np.ceil(times[-1])) + 5.0
+    return segments
+
+
+def _jittered_key(rng, rank, context, events, n):
+    """A key of ``n`` rows behind a stranger: exact repeats and rows jittered
+    from 1e-5 to 2x, so every threshold of :data:`SCALES` cuts it elsewhere."""
+    steps = rng.integers(5, 60, size=2 * events + 1).astype(float)
+    rows = [np.cumsum(steps * 1e3)]
+    for _ in range(n):
+        jitter = rng.choice([0.0, 0.0, 1e-5, 1e-3, 2e-2, 0.1, 0.5, 2.0])
+        rows.append(np.cumsum(steps * (1.0 + jitter * rng.random(steps.size))))
+    return _segments(rank, rows, context)
+
+
+def _interleaved(rng, keys):
+    """The keys' segments in one rank, each key's in order, the keys shuffled together."""
+    order = rng.permutation(np.repeat(np.arange(len(keys)), [len(k) for k in keys]))
+    heads = [iter(key) for key in keys]
+    out, clock = [], 0.0
+    for k in order.tolist():
+        segment = next(heads[k])
+        shifted = segment.shifted(clock - segment.start)
+        out.append(dataclasses.replace(shifted, index=len(out)))
+        clock = float(np.ceil(shifted.end)) + 5.0
+    return out
+
+
+@pytest.fixture(scope="module")
+def shared_rows_trace():
+    """Three ranks that reach every branch of the shared leader rows:
+
+    * rank 0: three jittered keys of 31 rows, interleaved;
+    * rank 1: keys 127 to 141 wide, past NumPy's pairwise-summation block
+      of 128 (the wavelets pad them to 256);
+    * rank 2: one key of 400 rows — more pairs than one :class:`LeaderRows`
+      may hold — of four shapes, each row an exact repeat of one.
+    """
+    rng = np.random.default_rng(32)
+    keys = [_jittered_key(rng, 0, f"c{k}", events, 30) for k, events in enumerate((1, 2, 4))]
+    wide = [_jittered_key(rng, 1, f"w{events}", events, 13) for events in (63, 64, 65, 70)]
+    shapes = [np.cumsum(rng.integers(5, 60, size=5).astype(float)) * 3.0**k for k in range(4)]
+    deep = _segments(2, [shapes[i % 4] for i in range(400)], "deep")
+    ranks = [
+        SegmentedRankTrace(0, _interleaved(rng, keys)),
+        SegmentedRankTrace(1, _interleaved(rng, wide)),
+        SegmentedRankTrace(2, _interleaved(rng, [deep])),
+    ]
+    return SegmentedTrace("shared-rows", ranks)
+
+
+def _stretched(segment, factor):
+    """``segment`` with every time after its start scaled by ``factor``."""
+    start = segment.start
+
+    def stretch(t):
+        return start + (t - start) * factor
+
+    events = [
+        dataclasses.replace(e, start=stretch(e.start), end=stretch(e.end)) for e in segment.events
+    ]
+    return dataclasses.replace(segment, end=stretch(segment.end), events=events)
+
+
+def _assert_each_config_is_the_reference(result, segmented):
+    for outcome in result:
+        want = serialize_reduced_trace(reference_reduce(outcome.config.create(), segmented))
+        assert serialize_reduced_trace(outcome.reduced) == want, outcome.config.describe()
+
+
+@pytest.fixture
+def shared_keys(monkeypatch):
+    """The depth of every key a :class:`LeaderRows` was built for."""
+    depths = []
+
+    class Counted(reducer_module.LeaderRows):
+        __slots__ = ()
+
+        def __init__(self, metric, rows, probes):
+            depths.append(len(rows))
+            super().__init__(metric, rows, probes)
+
+    monkeypatch.setattr(reducer_module, "LeaderRows", Counted)
+    return depths
+
+
+class TestSharedLeaderRows:
+    """Configs of one kernel share its rows: every config stays the reference's."""
+
+    PLAN = SweepPlan(
+        [(name, DEFAULT_THRESHOLDS[name] * scale) for name in DISTANCE_NAMES for scale in SCALES]
+    )
+
+    def test_every_distance_config_is_the_reference(self, shared_rows_trace, shared_keys):
+        result = sweep_pipeline(shared_rows_trace, self.PLAN)
+        assert result.stats.n_families == 4
+        _assert_each_config_is_the_reference(result, shared_rows_trace)
+        # Each of the seven kernels shared every key but the deep one.
+        assert sorted(set(shared_keys)) == [14, 31]
+        assert len(shared_keys) == 7 * (3 + 4)
+
+    def test_a_smaller_bound_falls_back_key_by_key(
+        self, shared_rows_trace, shared_keys, monkeypatch
+    ):
+        # One pair short of a 31-row key: rank 0's keys resolve on their own
+        # in the same grid whose 14-row keys share.
+        monkeypatch.setattr(reducer_module, "_SHARED_PAIRS", 31 * 30 // 2 - 1)
+        result = sweep_pipeline(shared_rows_trace, self.PLAN)
+        _assert_each_config_is_the_reference(result, shared_rows_trace)
+        assert shared_keys == [14] * (7 * 4)
+
+    @pytest.mark.parametrize("seed", [11, 0, 1])
+    def test_threshold_edge_cases(self, seed):
+        # Each case sits a probe on its (method, threshold)'s boundary, and a
+        # stranger leads each key so the first config's rounds stop paying.
+        for case in plan_cases(seed, 8, families=["threshold_edge"]):
+            method, threshold = case.config.method, case.config.threshold
+            specs = [
+                (name, DEFAULT_THRESHOLDS[name] * scale)
+                for name in DISTANCE_NAMES
+                for scale in (1 / 50, 4.0)
+            ]
+            # The case's own threshold and the doubles either side of it.
+            edges = (threshold, np.nextafter(threshold, 0.0), np.nextafter(threshold, np.inf))
+            specs += [(method, t) for t in edges]
+            for rank in generate_case(case.spec).segmented().ranks:
+                segments, seen = [], set()
+                for segment in rank.segments:
+                    if segment.context not in seen:
+                        seen.add(segment.context)
+                        segments.append(_stretched(segment, 1e6))
+                    segments.append(segment)
+                trace = SegmentedTrace("edge", [SegmentedRankTrace(0, segments)])
+                _assert_each_config_is_the_reference(sweep_pipeline(trace, SweepPlan(specs)), trace)
+
+    def test_a_duplicated_threshold_reads_the_rows_the_first_filled(self, shared_rows_trace):
+        # A plan drops a repeated config; a state list may hold one.  At a
+        # strict threshold the first state's resolve fills every row of each
+        # key, so its twin makes no kernel call, and both keep the bytes.
+        metrics = [create_metric("euclidean", 1e-4) for _ in range(2)]
+        metrics.append(create_metric("manhattan", 1e-4))
+        for rank in shared_rows_trace.ranks[:2]:
+            solo_calls = 0
+            frame = RankFrame.from_segments(rank.rank, rank.segments)
+            states = [
+                ReductionState(
+                    metric, ReducedRankTrace(rank.rank), RepresentativeStore(), MatchCounters()
+                )
+                for metric in metrics
+            ]
+            step_families(frame, [states])
+            for state in states:
+                counters = MatchCounters()
+                solo = TraceReducer(state.metric).reduce_frame(frame, match_counters=counters)
+                solo_calls += counters.calls
+                scanned = TraceReducer(state.metric).reduce_segments(rank.segments, rank=rank.rank)
+                got, want = (
+                    serialize_reduced_trace(ReducedTrace("t", "m", None, [reduced]))
+                    for reduced in (state.reduced, scanned)
+                )
+                assert got == want
+            first, twin, other = (state.counters.calls for state in states)
+            assert first > 0 and twin == 0 and other > 0
+            assert first + twin + other < solo_calls
 
 
 class TestEvaluationRows:
