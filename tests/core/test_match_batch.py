@@ -3,7 +3,6 @@ store time, the per-family dense kernels, the metric-kernel bugfixes
 (zero-clamped match limits), and the reducer's key-batched step (its
 kernels' broadcast forms, its counts, its exactness)."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -28,7 +27,7 @@ from repro.trace.io import serialize_reduced_trace
 
 from tests.conftest import make_segment
 from tests.properties.strategies import interleaved_segments
-from tests.support import reference_reduce
+from tests.support import led_by_a_stranger, reference_reduce
 
 DISTANCE_METRICS = [RelDiff, AbsDiff, Manhattan, Euclidean, Chebyshev, AvgWave, HaarWave]
 
@@ -444,7 +443,7 @@ class TestBatchExactness:
         # Stage 2 under the same budget, on keys led by a stranger and on 40
         # rows no two alike.
         calls = []
-        for group in (_led_by_a_stranger(segments), _one_key(1000.0 + 50.0 * np.arange(40))):
+        for group in (led_by_a_stranger(segments), _one_key(1000.0 + 50.0 * np.arange(40))):
             counters = MatchCounters()
             reduced = TraceReducer(metric).reduce_frame(
                 RankFrame.from_segments(0, group), match_counters=counters
@@ -545,35 +544,6 @@ def resolves(monkeypatch):
     return sizes
 
 
-def _stretched(segment, factor):
-    """``segment`` with every time after its start scaled by ``factor``: a stranger of its key."""
-    start = segment.start
-
-    def stretch(t):
-        return start + (t - start) * factor
-
-    events = [
-        dataclasses.replace(e, start=stretch(e.start), end=stretch(e.end)) for e in segment.events
-    ]
-    return dataclasses.replace(segment, end=stretch(segment.end), events=events)
-
-
-def _led_by_a_stranger(segments):
-    """``segments`` with a stranger of each key placed before the key's first segment.
-
-    The stranger leads the key's first round and matches none of the rows
-    behind it, so every key of more than three rows takes the resolve.
-    """
-    seen, out = set(), []
-    for segment in segments:
-        key = segment.relative_to_start().structure()
-        if key not in seen:
-            seen.add(key)
-            out.append(_stretched(segment, 1e6))
-        out.append(segment)
-    return out
-
-
 def _wide_rank(events, rng, n=14):
     """One key of ``events`` events (feature width about ``2 * events + 1``) behind a stranger.
 
@@ -632,7 +602,7 @@ class TestAllPairsResolve:
         for case in plan_cases(seed, 20, families=["threshold_edge"]):
             method, threshold = case.config.method, case.config.threshold
             for rank in generate_case(case.spec).segmented().ranks:
-                segments = _led_by_a_stranger(rank.segments)
+                segments = led_by_a_stranger(rank.segments)
                 metric = create_metric(method, threshold)
                 reduced = TraceReducer(metric).reduce_frame(RankFrame.from_segments(0, segments))
                 expected = _scan(create_metric(method, threshold), segments)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.core.reduced import ReducedTrace
 from repro.core.reducer import TraceReducer
 
@@ -35,3 +37,32 @@ RESULT_FIELDS = (
     "n_segments",
     "n_stored",
 )
+
+
+def stretched(segment, factor):
+    """``segment`` with every time after its start scaled by ``factor``: a stranger of its key."""
+    start = segment.start
+
+    def stretch(t):
+        return start + (t - start) * factor
+
+    events = [
+        dataclasses.replace(e, start=stretch(e.start), end=stretch(e.end)) for e in segment.events
+    ]
+    return dataclasses.replace(segment, end=stretch(segment.end), events=events)
+
+
+def led_by_a_stranger(segments):
+    """``segments`` with a stranger of each key placed before the key's first segment.
+
+    The stranger leads the key's first round and matches none of the rows
+    behind it, so every key of more than three rows takes the resolve.
+    """
+    seen, out = set(), []
+    for segment in segments:
+        key = segment.relative_to_start().structure()
+        if key not in seen:
+            seen.add(key)
+            out.append(stretched(segment, 1e6))
+        out.append(segment)
+    return out

@@ -34,7 +34,7 @@ from repro.trace.io import read_trace, serialize_reduced_trace, write_trace
 from repro.trace.trace import SegmentedRankTrace, SegmentedTrace
 
 from tests.conftest import make_segment
-from tests.support import RESULT_FIELDS, reference_reduce
+from tests.support import RESULT_FIELDS, led_by_a_stranger, reference_reduce
 
 
 #: Every metric with a small threshold grid: two thresholds per threshold
@@ -272,19 +272,6 @@ def shared_rows_trace():
     return SegmentedTrace("shared-rows", ranks)
 
 
-def _stretched(segment, factor):
-    """``segment`` with every time after its start scaled by ``factor``."""
-    start = segment.start
-
-    def stretch(t):
-        return start + (t - start) * factor
-
-    events = [
-        dataclasses.replace(e, start=stretch(e.start), end=stretch(e.end)) for e in segment.events
-    ]
-    return dataclasses.replace(segment, end=stretch(segment.end), events=events)
-
-
 def _assert_each_config_is_the_reference(result, segmented):
     for outcome in result:
         want = serialize_reduced_trace(reference_reduce(outcome.config.create(), segmented))
@@ -347,12 +334,7 @@ class TestSharedLeaderRows:
             edges = (threshold, np.nextafter(threshold, 0.0), np.nextafter(threshold, np.inf))
             specs += [(method, t) for t in edges]
             for rank in generate_case(case.spec).segmented().ranks:
-                segments, seen = [], set()
-                for segment in rank.segments:
-                    if segment.context not in seen:
-                        seen.add(segment.context)
-                        segments.append(_stretched(segment, 1e6))
-                    segments.append(segment)
+                segments = led_by_a_stranger(rank.segments)
                 trace = SegmentedTrace("edge", [SegmentedRankTrace(0, segments)])
                 _assert_each_config_is_the_reference(sweep_pipeline(trace, SweepPlan(specs)), trace)
 
