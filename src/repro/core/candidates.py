@@ -55,11 +55,12 @@ class MatchCounters(AdditiveCounts):
     invocation per block of a key's probes against a non-empty bucket, one
     per leader round, and one per block of an all-pairs resolve, which
     compares every pair of the key's rows left; any other metric decides on
-    its rows' occurrence counts and makes none.  When the configs of one
-    kernel share a key's leader rows (:class:`~repro.core.reducer.LeaderRows`),
-    a row is computed once — one call, counted on the config that needed it
-    first, over the row against every later row of its key — and the other
-    configs read it without a call.
+    its rows' occurrence counts and makes none.  Every round reads its
+    leader's row from the key's :class:`~repro.core.reducer.LeaderRows`.  A
+    single config's row meets its open rows only; when the configs of one
+    kernel share the key's rows, a row is computed once — one call, counted
+    on the config that needed it first, over the row against every later row
+    of its key — and the other configs read it without a call.
     """
 
     calls: int = 0

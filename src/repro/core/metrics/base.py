@@ -177,8 +177,8 @@ class DistanceMetric(SimilarityMetric):
         using only row-wise operations and must reproduce :meth:`similar`'s
         decision for each row exactly, so batched and scanned reductions stay
         byte-identical.  Four hard requirements let the reducer's step
-        (:meth:`~repro.core.reducer.ReductionState.match_batch`) resolve many
-        probes per call:
+        (:func:`~repro.core.reducer.step_families`) resolve many probes per
+        call and share a key's rows among the thresholds of one kernel:
 
         * the result must not depend on :attr:`threshold` (only the final
           ``stat <= t * base`` comparison does);

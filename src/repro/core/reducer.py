@@ -12,34 +12,36 @@ That step is written twice, on purpose: the core and the scalar reference.
 
 :class:`ReductionState` is the columnar core, the only way the product
 reduces: one (rank, config) reduction stepped over a
-:class:`~repro.core.frames.RankFrame`.  It has one step,
-:meth:`ReductionState.match_batch`, which resolves a frame key by key over
-the rows of its metric's
-:meth:`~repro.core.metrics.base.SimilarityMetric.frame_vectors` and books a
-new representative as the ``(frame, row)`` it is, so reducing builds no
-:class:`~repro.trace.segments.Segment`.  A distance metric resolves a key in
-leader rounds, the rest of it all pairs at once when its rounds stop
-matching; any other method decides on each row's place among its key's
-executions (:meth:`~repro.core.metrics.base.SimilarityMetric.new_rows`), and
-every row it does not make a new representative matches its key's latest.
-The one exception to "no object" is ``iter_avg``, whose running mean
-rewrites a representative's timestamps: each representative matched in a
-frame is materialized and written once, with the mean of the frame's matches
-folded in.  :func:`step_families` is the one place that builds a family's
-shared rows and steps its states over a frame —
-:meth:`TraceReducer.reduce_frame` (and through it :meth:`TraceReducer.reduce`,
-the evaluation runner and the online session) calls it with one state, the
-pipeline's batch task with one state per metric of its grid (a sweep's whole
-plan, or the one metric of a single config).
+:class:`~repro.core.frames.RankFrame` by :func:`step_families`, the one
+frame driver.  A frame is resolved key by key over the rows of its metric's
+:meth:`~repro.core.metrics.base.SimilarityMetric.frame_vectors`, and a new
+representative is booked as the ``(frame, row)`` it is
+(:meth:`ReductionState.book`), so reducing builds no
+:class:`~repro.trace.segments.Segment`.  A distance metric resolves a key
+in leader rounds (:meth:`ReductionState.lead_key`), the rest of it all pairs
+at once when its rounds stop matching; any other method decides on each
+row's place among its key's executions
+(:meth:`~repro.core.metrics.base.SimilarityMetric.new_rows`), and every row
+it does not make a new representative matches its key's latest.  The one
+exception to "no object" is ``iter_avg``, whose running mean rewrites a
+representative's timestamps: each representative matched in a frame is
+materialized and written once, with the mean of the frame's matches folded
+in.  :meth:`TraceReducer.reduce_frame` (and through it
+:meth:`TraceReducer.reduce`, the evaluation runner and the online session)
+calls :func:`step_families` with one state, the pipeline's batch task with
+one state per metric of its grid (a sweep's whole plan, or the one metric of
+a single config).
 
-A threshold study's configs of one method share more than the family's
-vectors: their kernel (:meth:`DistanceMetric.match_stats`) gives the same
-threshold-free ``(stat, base)`` for the same pair of rows.  So
-:func:`step_families` resolves the states of one kernel key by key, over one
-:class:`LeaderRows` per key: each leader's row against the later rows of its
-key, computed by the first state that needs it and read by the others, each
-applying its own threshold.  A family with one state per kernel (every
-single-config run) takes :meth:`ReductionState.match_batch` as it is.
+Leader rounds have one loop, whatever the number of configs.  A kernel
+(:meth:`DistanceMetric.match_stats`) gives the same threshold-free ``(stat,
+base)`` for the same pair of rows, so :func:`step_families` groups a
+family's states by kernel — a single config is a group of one — and every
+state of a group reads its leaders' kernel rows from one
+:class:`LeaderRows` per key, each applying its own threshold.  For a group
+of two or more (a threshold study's configs of one method) a key's rows are
+kept, up to :data:`_SHARED_PAIRS` pairs: each is computed by the first state
+that needs it and read by the others.  Otherwise a row is met with the
+asking state's open rows only, and each state pays what it pays alone.
 
 :meth:`TraceReducer.reduce_segments` is the reference and nothing else: the
 paper's loop over :class:`~repro.trace.segments.Segment` objects, calling
@@ -114,24 +116,6 @@ def _replay_rounds(m: int, block: int, bit_rows) -> np.ndarray:
     return owner
 
 
-def _resolve_all_pairs(compare, probes: np.ndarray, scales: Optional[np.ndarray]) -> np.ndarray:
-    """Leader rounds over ``probes`` at once: the index of each row's leader.
-
-    ``compare`` meets each row with every row from it on, blocked like stage
-    1, and :func:`_replay_rounds` replays the rounds on the bits.
-    """
-    m = len(probes)
-
-    def bit_rows(lo, hi):
-        hits = np.zeros((hi - lo, m), dtype=bool)  # no row meets one before it
-        hits[:, lo:] = compare(
-            probes[lo:hi, None, :], probes[lo:], None if scales is None else scales[lo:]
-        )
-        return hits
-
-    return _replay_rounds(m, max(1, _BLOCK_ELEMENTS // probes.size), bit_rows)
-
-
 class KeyBatches:
     """A frame's rows grouped by interned structural key, first appearance first.
 
@@ -155,34 +139,58 @@ class KeyBatches:
         ]
 
 
-class LeaderRows:
-    """One key's kernel rows, shared by the states of one kernel in a family.
+def _counted(kernel, counters: Optional[MatchCounters], probes, against, scales):
+    """One call of ``kernel`` (a :meth:`~DistanceMetric.match_stats`), timed and
+    counted on ``counters``; the clock is read only when there are counters."""
+    if counters is None:
+        return kernel(probes, against, scales)
+    started = perf_counter()
+    stat, base = kernel(probes, against, scales)
+    counters.seconds += perf_counter() - started
+    counters.calls += 1
+    counters.rows_compared += stat.size
+    return stat, base
 
-    Row ``i`` is the key's probe ``i`` met with every later probe of the key:
-    the metric's threshold-free :meth:`~DistanceMetric.match_stats`
-    ``(stat, base)``, so each state applies only its own ``stat <= threshold
-    × base`` to the rows it has open.  A row is computed the first time a
-    state needs it — one kernel call, counted on that state's counters — and
-    read by every state after it; the key's ``row_scale`` is computed once.
-    Built per (frame, key, kernel) by :func:`step_families` for a key of at
-    most :data:`_SHARED_PAIRS` pairs, and dropped when the key is done.
+
+class LeaderRows:
+    """One key's kernel rows: where each leader round reads its leader's row.
+
+    Row ``i`` is the key's probe ``i`` met with later probes of the key: the
+    metric's threshold-free :meth:`~DistanceMetric.match_stats` ``(stat,
+    base)``, to which each state applies only its own ``stat <= threshold ×
+    base``.  Built by :func:`step_families` per (frame, key, kernel) and read
+    by each state of the kernel in turn; the key's ``row_scale`` is computed
+    once.
+
+    ``shared`` (two or more states, a key of at most :data:`_SHARED_PAIRS`
+    pairs) keeps the rows: row ``i`` is met with *every* later probe the
+    first time a state needs it — one kernel call, counted on that state's
+    counters — and read by every state after it.  Otherwise a row is met
+    with the probes the asking state still has open, and not kept: each
+    state pays what it pays alone.
     """
 
-    __slots__ = ("kernel", "rows", "probes", "places", "scales", "stat", "base", "filled")
+    __slots__ = (
+        "kernel", "rows", "probes", "places", "scales", "shared", "stat", "base", "filled"
+    )
 
-    def __init__(self, metric: DistanceMetric, rows: np.ndarray, probes: np.ndarray) -> None:
+    def __init__(
+        self, metric: DistanceMetric, rows: np.ndarray, probes: np.ndarray, shared: bool
+    ) -> None:
         self.kernel = metric.match_stats
         self.rows = rows  # the key's frame rows
         self.probes = probes
-        self.places = np.arange(len(rows))
+        self.places = np.arange(len(rows))  # the probes' places in the key
         self.scales = None if metric.row_scale is None else metric.row_scale(probes)
-        m = len(probes)
-        self.stat = np.zeros((m, m))  # row i: columns i+1 on, once filled
-        self.base: Optional[np.ndarray] = None  # likewise, for a kernel with a base
-        self.filled = [False] * (m - 1) + [True]  # the last row meets no one
+        self.shared = shared
+        if shared:
+            m = len(probes)
+            self.stat = np.zeros((m, m))  # row i: columns i+1 on, once filled
+            self.base: Optional[np.ndarray] = None  # likewise, for a kernel with a base
+            self.filled = [False] * (m - 1) + [True]  # the last row meets no one
 
     def fill(self, at, counters: Optional[MatchCounters]) -> bool:
-        """Compute the rows ``at`` that no state has yet, in one kernel call.
+        """Keep the rows ``at`` that no state has yet, computed in one kernel call.
 
         They are met with every probe after the first of them, as one block,
         and each keeps its own columns.  Returns whether a call was made.
@@ -191,14 +199,11 @@ class LeaderRows:
         need = [i for i in at if not filled[i]]
         if not need:
             return False
-        first, probes, scales = need[0], self.probes, self.scales
-        started = 0.0 if counters is None else perf_counter()
+        first, scales = need[0], self.scales
         later = None if scales is None else scales[first + 1 :]
-        stat, base = self.kernel(probes[need, None, :], probes[first + 1 :], later)
-        if counters is not None:
-            counters.seconds += perf_counter() - started
-            counters.calls += 1
-            counters.rows_compared += stat.size
+        stat, base = _counted(
+            self.kernel, counters, self.probes[need, None, :], self.probes[first + 1 :], later
+        )
         self.stat[need, first + 1 :] = stat
         if base is not None:
             if self.base is None:
@@ -208,27 +213,36 @@ class LeaderRows:
             filled[i] = True
         return True
 
-    def hits(self, i: int, later: np.ndarray, threshold: float) -> np.ndarray:
-        """Row ``i`` against the later probes ``later`` at ``threshold``: who it takes."""
-        base = self.base
-        return self.stat[i, later] <= (threshold if base is None else threshold * base[i, later])
+    def hits(self, at, later: np.ndarray, threshold: float, counters) -> np.ndarray:
+        """Rows ``at`` (a place, or a column of places) against the places ``later``:
+        who each takes at ``threshold``.  A kept row is read (:meth:`fill`
+        computes it first); any other is computed here, in one kernel call."""
+        if self.shared:
+            stat, base = self.stat[at, later], self.base
+            base = None if base is None else base[at, later]
+        else:
+            probes, scales = self.probes, self.scales
+            scales = None if scales is None else scales[later]
+            stat, base = _counted(self.kernel, counters, probes[at], probes[later], scales)
+        return stat <= (threshold if base is None else threshold * base)
 
     def resolve(self, at: np.ndarray, threshold: float, counters) -> np.ndarray:
-        """:func:`_resolve_all_pairs` over the probes ``at`` from the shared rows.
+        """Leader rounds over the places ``at`` at once: the index in ``at`` of each one's leader.
 
-        The rows are filled block by block — each block's rows met with the
-        key's probes after its first, within the kernel's element budget —
-        and the rounds replayed on them at ``threshold``.
+        Each block of rows is met with the rows from it on, within the
+        kernel's element budget (a kept row counts its every later probe), and
+        :func:`_replay_rounds` replays the rounds on the bits.
         """
-        m, probes = len(at), self.probes
-        block = max(1, _BLOCK_ELEMENTS // ((len(probes) - int(at[0])) * probes.shape[1]))
+        m, width = len(at), self.probes.shape[1]
+        span = len(self.probes) - int(at[0]) if self.shared else m
+        block = max(1, _BLOCK_ELEMENTS // (span * width))
 
         def bit_rows(lo, hi):
-            # Only the columns past each row's own are filled, and read.
-            self.fill(at[lo:hi].tolist(), counters)
-            rows, base = at[lo:hi, None], self.base
-            limit = threshold if base is None else threshold * base[rows, at]
-            return self.stat[rows, at] <= limit
+            if self.shared:
+                self.fill(at[lo:hi].tolist(), counters)
+            taken = np.zeros((hi - lo, m), dtype=bool)  # no row meets one before it
+            taken[:, lo:] = self.hits(at[lo:hi, None], at[lo:], threshold, counters)
+            return taken
 
         return _replay_rounds(m, block, bit_rows)
 
@@ -300,10 +314,11 @@ class ReductionState:
 
     The state owns what one config keeps per rank — the metric, the
     representative store and the continuing :class:`ReducedRankTrace` — and
-    is stepped over a frame by :meth:`match_batch` (:func:`step_families`
-    does the stepping; the online session continues the same store and
-    output across frames, a sweep steps one state per config over one shared
-    frame).
+    is stepped over a frame by :func:`step_families`: :meth:`lead_key` (a
+    distance metric) or :meth:`_lead_by_count` (any other) decides each key,
+    then :meth:`book` books the frame.  The online session continues the
+    same store and output across frames; a sweep steps one state per config
+    over one shared frame.
     """
 
     __slots__ = ("metric", "reduced", "store", "counters", "_next_id")
@@ -320,23 +335,6 @@ class ReductionState:
         self.store = store
         self.counters = counters
         self._next_id = len(reduced.stored)
-
-    def match_batch(self, batches: KeyBatches) -> None:
-        """Match-or-store every row of ``batches.frame``: the one step.
-
-        Each row either leads — it is a new representative — or matches the
-        representative it resolves to; both are decided key by key, in the
-        order the scalar reference meets the rows (:meth:`lead_key` for a
-        distance metric, :meth:`_lead_by_count` for any other).  Then
-        :meth:`book` books everything.
-        """
-        leads = self.leads(batches.frame.n_segments)
-        if isinstance(self.metric, DistanceMetric):
-            for key, rows, probes in batches.groups:
-                self.lead_key(key, rows, probes, leads)
-        else:
-            self._lead_by_count(batches, leads)
-        self.book(batches, leads)
 
     def leads(self, n: int) -> _Leads:
         """Empty decisions for a frame of ``n`` rows."""
@@ -412,28 +410,7 @@ class ReductionState:
                 leads.fresh.append((key, rows[new].tolist()))
         leads.misses += sum(not bucket for bucket in buckets)
 
-    def _compare(self, vector, matrix, scales) -> np.ndarray:
-        """The kernel's mask at this state's threshold, counted on its counters."""
-        counters = self.counters
-        # The clock is read only when there is a counter to add it to.
-        started = 0.0 if counters is None else perf_counter()
-        stat, base = self.metric.match_stats(vector, matrix, scales)
-        threshold = self.metric.threshold
-        mask = stat <= (threshold if base is None else threshold * base)
-        if counters is not None:
-            counters.seconds += perf_counter() - started
-            counters.calls += 1
-            counters.rows_compared += mask.size
-        return mask
-
-    def lead_key(
-        self,
-        key,
-        rows: np.ndarray,
-        probes: np.ndarray,
-        leads: _Leads,
-        shared: Optional[LeaderRows] = None,
-    ) -> None:
+    def lead_key(self, key, source: LeaderRows, leads: _Leads) -> None:
         """Resolve one structural key of a frame for a distance metric.
 
         Per key, in the order the scalar reference meets them:
@@ -445,115 +422,72 @@ class ReductionState:
            change it;
         2. the residue is resolved by *leader rounds*: the earliest unresolved
            probe has failed every representative that precedes it, so it is a
-           new representative; one kernel call compares it with the later
-           unresolved probes, and those it matches resolve to it — it is
-           their first match, since they failed every earlier one;
+           new representative; its kernel row (``source``'s, computed by one
+           call unless another state of the kernel kept it) is read against
+           the later unresolved probes, and those it matches resolve to it —
+           it is their first match, since they failed every earlier one;
         3. once the rounds that took nothing in a row have made as many
            kernel calls as comparing all pairs of the rows left would (one
            per block of them), and more than two rows are left, the rounds
            have stopped paying: the rest is resolved all pairs at once
-           (:func:`_resolve_all_pairs`), to the leaders the rounds give.  The
+           (:meth:`LeaderRows.resolve`), to the leaders the rounds give.  The
            resolve so costs no more calls than the rounds already spent, and
            a key whose rounds keep matching (loose thresholds, or one odd row
            ahead of many alike) never takes it.
 
-        With ``shared`` — the key's :class:`LeaderRows`, when other states of
-        this kernel resolve it too — stages 2 and 3 read the leaders' kernel
-        rows from it (computing those no state has yet) instead of calling
-        the kernel on the open rows.  Only calls this state makes count
-        towards stage 3, so a state behind one that filled the rows makes
-        none.  The decisions are the same either way.
+        Only calls this state makes count towards stage 3, so a state behind
+        one that kept the rows makes none.  The decisions are the same
+        whether the rows are kept or not.
         """
+        counters, threshold = self.counters, self.metric.threshold
+        key_rows, probes = source.rows, source.probes
         bucket = self.store.bucket(key)
-        kept = None  # the probes stage 1 left, when it ran
         if bucket:
             matrix, scales = bucket.matrix_and_scales()
             block = max(1, _BLOCK_ELEMENTS // matrix.size)
-            first = np.empty(len(rows), dtype=np.intp)
-            for lo in range(0, len(rows), block):
-                mask = self._compare(probes[lo : lo + block, None, :], matrix, scales)
+            first = np.empty(len(key_rows), dtype=np.intp)
+            for lo in range(0, len(key_rows), block):
+                stack = probes[lo : lo + block, None, :]
+                stat, base = _counted(source.kernel, counters, stack, matrix, scales)
+                mask = stat <= (threshold if base is None else threshold * base)
                 first[lo : lo + block] = np.where(mask.any(axis=1), mask.argmax(axis=1), -1)
-            kept = first < 0
-            found = ~kept
-            leads.ids[rows[found]] = [bucket[j].segment_id for j in first[found].tolist()]
-            rows, probes = rows[kept], probes[kept]
+            found = first >= 0
+            leads.ids[key_rows[found]] = [bucket[j].segment_id for j in first[found].tolist()]
+            at = np.flatnonzero(~found)
         else:
             leads.misses += 1
-        if shared is not None:
-            heads = self._shared_rounds(
-                shared.places if kept is None else shared.places[kept], shared, leads
-            )
-            if heads:
-                leads.fresh.append((key, heads))
-            return
-        leader, row_scale, compare = leads.leader, self.metric.row_scale, self._compare
-        scales = None
-        if row_scale is not None:
-            scales = leads.scale_of[rows] = row_scale(probes)
-        heads, empty = [], 0  # rounds in a row that took nothing
-        while rows.size:
-            lead, vector = rows[0], probes[0]
-            leader[lead] = lead
-            heads.append(int(lead))
-            rows, probes = rows[1:], probes[1:]
-            if scales is not None:
-                scales = scales[1:]
-            if not rows.size:
-                break
-            mask = compare(vector, probes, scales)
-            if mask.any():
-                empty = 0
-                leader[rows[mask]] = lead
-                keep = ~mask
-                rows, probes = rows[keep], probes[keep]
-                if scales is not None:
-                    scales = scales[keep]
-                continue
-            empty += 1
-            block = max(1, _BLOCK_ELEMENTS // probes.size)
-            if rows.size > 2 and empty >= -(-rows.size // block):
-                owner = _resolve_all_pairs(compare, probes, scales)
-                leader[rows] = rows[owner]
-                heads += rows[owner == np.arange(len(owner))].tolist()
-                break
-        if heads:
-            leads.fresh.append((key, heads))
-
-    def _shared_rounds(self, at: np.ndarray, shared: LeaderRows, leads: _Leads) -> list:
-        """Stages 2 and 3 of :meth:`lead_key` over ``shared``'s rows: the key's leader rows.
-
-        ``at`` are the places in the key of the probes left to resolve.
-        """
-        threshold, counters, leader = self.metric.threshold, self.counters, leads.leader
-        key_rows, filled, hits = shared.rows, shared.filled, shared.hits
-        width = shared.probes.shape[1]
+            at = source.places
         if leads.scale_of is not None:
-            leads.scale_of[key_rows[at]] = shared.scales[at]
+            leads.scale_of[key_rows[at]] = source.scales[at]
+        leader, shared = leads.leader, source.shared
+        filled = source.filled if shared else None
         heads, empty = [], 0  # rounds in a row that took nothing, counting only calls
         while at.size:
             i = int(at[0])
-            heads.append(i)
+            lead = int(key_rows[i])
+            leader[lead] = lead
+            heads.append(lead)
             at = at[1:]
             if not at.size:
                 break
-            called = not filled[i] and shared.fill([i], counters)
-            mask = hits(i, at, threshold)
+            # A kept row is computed by the first state that needs it.
+            called = not shared or (not filled[i] and source.fill([i], counters))
+            mask = source.hits(i, at, threshold, counters)
             taken = at[mask]
             if taken.size:
                 empty = 0
-                leader[key_rows[taken]] = key_rows[i]
+                leader[key_rows[taken]] = lead
                 at = at[~mask]
                 continue
             empty += called
-            block = max(1, _BLOCK_ELEMENTS // (at.size * width))
+            block = max(1, _BLOCK_ELEMENTS // (at.size * probes.shape[1]))
             if at.size > 2 and empty >= -(-at.size // block):
-                owner = shared.resolve(at, threshold, counters)
+                owner = source.resolve(at, threshold, counters)
                 leader[key_rows[at]] = key_rows[at[owner]]
-                heads += at[owner == np.arange(len(owner))].tolist()
+                heads += key_rows[at[owner == np.arange(len(owner))]].tolist()
                 break
-        heads = key_rows[heads]
-        leader[heads] = heads
-        return heads.tolist()
+        if heads:
+            leads.fresh.append((key, heads))
 
 
 def step_families(frame: RankFrame, families: Sequence[Sequence[ReductionState]]) -> None:
@@ -566,15 +500,15 @@ def step_families(frame: RankFrame, families: Sequence[Sequence[ReductionState]]
     solo run makes, in the same order.  :meth:`TraceReducer.reduce_frame`
     passes one state, the pipeline's batch task one per metric of its grid.
 
-    A family's distance states that share a kernel (the same metric class:
-    a threshold study's configs of one method) also share its kernel rows:
-    their keys are resolved key by key, every state of the kernel in turn,
-    over one :class:`LeaderRows` per key that holds each leader's row against
-    the later rows of the key, whatever the threshold.  Keyed by kernel, not
-    by family: euclidean and manhattan share a vector layout, not a
-    distance.  A key of more than :data:`_SHARED_PAIRS` pairs is resolved
-    by each state on its own, and every other state takes
-    :meth:`~ReductionState.match_batch`.
+    Within a family the states are grouped by kernel (the same metric class:
+    a threshold study's configs of one method; euclidean and manhattan share
+    a vector layout, not a distance), a single config being a group of one
+    and a counting method a group of its own.  A distance group resolves the
+    frame key by key, every state of the group in turn
+    (:meth:`ReductionState.lead_key`), over one :class:`LeaderRows` per key;
+    the rows are kept for the group's other states when there are any and
+    the key has at most :data:`_SHARED_PAIRS` pairs.  Each state then books
+    its decisions (:meth:`ReductionState.book`).
 
     The frame's times are checked first, every row of it: finite
     (:meth:`RankFrame.check_finite`) and in order
@@ -583,33 +517,29 @@ def step_families(frame: RankFrame, families: Sequence[Sequence[ReductionState]]
     """
     frame.check_finite()
     frame.check_time_order()
+    n = frame.n_segments
     for states in families:
         batches = KeyBatches(frame, states[0].metric.frame_vectors(frame))
-        if len(states) == 1:
-            states[0].match_batch(batches)
-            continue
-        by_kernel: dict = {}
+        groups: dict = {}  # kernel -> [(state, its decisions)]
         for state in states:
-            kernel = type(state.metric) if isinstance(state.metric, DistanceMetric) else state
-            by_kernel.setdefault(kernel, []).append(state)
-        for sharing in by_kernel.values():
-            if len(sharing) == 1:
-                sharing[0].match_batch(batches)
+            metric = state.metric
+            kernel = type(metric) if isinstance(metric, DistanceMetric) else state
+            groups.setdefault(kernel, []).append((state, state.leads(n)))
+        for group in groups.values():
+            metric = group[0][0].metric
+            if isinstance(metric, DistanceMetric):
+                several = len(group) > 1
+                for key, rows, probes in batches.groups:
+                    m = len(rows)
+                    shared = several and m * (m - 1) // 2 <= _SHARED_PAIRS
+                    source = LeaderRows(metric, rows, probes, shared)
+                    for state, leads in group:
+                        state.lead_key(key, source, leads)
             else:
-                _match_sharing_rows(batches, sharing)
-
-
-def _match_sharing_rows(batches: KeyBatches, states: Sequence[ReductionState]) -> None:
-    """:meth:`~ReductionState.match_batch` for the states of one kernel, key by key."""
-    metric = states[0].metric
-    leads = [state.leads(batches.frame.n_segments) for state in states]
-    for key, rows, probes in batches.groups:
-        m = len(rows)
-        shared = LeaderRows(metric, rows, probes) if m * (m - 1) // 2 <= _SHARED_PAIRS else None
-        for state, state_leads in zip(states, leads):
-            state.lead_key(key, rows, probes, state_leads, shared)
-    for state, state_leads in zip(states, leads):
-        state.book(batches, state_leads)
+                ((state, leads),) = group
+                state._lead_by_count(batches, leads)
+            for state, leads in group:
+                state.book(batches, leads)
 
 
 class TraceReducer:

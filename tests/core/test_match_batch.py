@@ -534,13 +534,13 @@ class TestFuzzFamiliesReplayed:
 def resolves(monkeypatch):
     """The residue sizes the batch step hands the all-pairs resolve, in call order."""
     sizes = []
-    resolve = reducer_module._resolve_all_pairs
+    resolve = reducer_module.LeaderRows.resolve
 
-    def counted(compare, probes, scales):
-        sizes.append(len(probes))
-        return resolve(compare, probes, scales)
+    def counted(source, at, threshold, counters):
+        sizes.append(len(at))
+        return resolve(source, at, threshold, counters)
 
-    monkeypatch.setattr(reducer_module, "_resolve_all_pairs", counted)
+    monkeypatch.setattr(reducer_module.LeaderRows, "resolve", counted)
     return sizes
 
 
@@ -636,16 +636,40 @@ class TestAllPairsResolve:
         assert peak < 6 * 2**20, peak
 
 
-#: ``MatchCounters.calls`` of the batch step before it had the resolve, on the
-#: smoke Sweep3D traces: at loose thresholds a round rarely finds no match, and
-#: where one does the resolve costs the calls the rounds did.
-LEADER_ROUND_CALLS = {
-    ("sweep3d_8p", "relDiff", 0.8): 118,
-    ("sweep3d_8p", "manhattan", 0.4): 124,
-    ("sweep3d_8p", "haarWave", 0.2): 124,
-    ("sweep3d_32p", "relDiff", 0.8): 475,
-    ("sweep3d_32p", "manhattan", 0.4): 476,
-    ("sweep3d_32p", "haarWave", 0.2): 476,
+#: ``MatchCounters`` ``(calls, rows_compared)`` of a solo config on the smoke
+#: Sweep3D traces, at each method's default threshold and at the default / 50.
+#: At the loose thresholds a round rarely finds no match (the counts are the
+#: leader rounds' alone); where one does, the resolve costs the calls the
+#: rounds did.
+LEADER_ROUND_COUNTS = {
+    ("sweep3d_8p", "relDiff", "default"): (118, 858),
+    ("sweep3d_8p", "relDiff", "strict"): (128, 1130),
+    ("sweep3d_8p", "absDiff", "default"): (80, 592),
+    ("sweep3d_8p", "absDiff", "strict"): (98, 718),
+    ("sweep3d_8p", "manhattan", "default"): (124, 900),
+    ("sweep3d_8p", "manhattan", "strict"): (195, 2272),
+    ("sweep3d_8p", "euclidean", "default"): (124, 900),
+    ("sweep3d_8p", "euclidean", "strict"): (181, 1829),
+    ("sweep3d_8p", "chebyshev", "default"): (124, 900),
+    ("sweep3d_8p", "chebyshev", "strict"): (133, 1336),
+    ("sweep3d_8p", "avgWave", "default"): (124, 900),
+    ("sweep3d_8p", "avgWave", "strict"): (154, 1527),
+    ("sweep3d_8p", "haarWave", "default"): (124, 900),
+    ("sweep3d_8p", "haarWave", "strict"): (154, 1528),
+    ("sweep3d_32p", "relDiff", "default"): (475, 12523),
+    ("sweep3d_32p", "relDiff", "strict"): (479, 12576),
+    ("sweep3d_32p", "absDiff", "default"): (256, 1792),
+    ("sweep3d_32p", "absDiff", "strict"): (432, 10416),
+    ("sweep3d_32p", "manhattan", "default"): (476, 12572),
+    ("sweep3d_32p", "manhattan", "strict"): (486, 12613),
+    ("sweep3d_32p", "euclidean", "default"): (476, 12572),
+    ("sweep3d_32p", "euclidean", "strict"): (481, 12596),
+    ("sweep3d_32p", "chebyshev", "default"): (476, 12572),
+    ("sweep3d_32p", "chebyshev", "strict"): (476, 12572),
+    ("sweep3d_32p", "avgWave", "default"): (476, 12572),
+    ("sweep3d_32p", "avgWave", "strict"): (477, 12574),
+    ("sweep3d_32p", "haarWave", "default"): (476, 12572),
+    ("sweep3d_32p", "haarWave", "strict"): (478, 12574),
 }
 
 
@@ -657,14 +681,15 @@ def smoke_sweep3d(request):
 
 
 class TestWhereTheResolveFires:
-    @pytest.mark.parametrize(
-        "name, threshold", [("relDiff", 0.8), ("manhattan", 0.4), ("haarWave", 0.2)]
-    )
-    def test_loose_thresholds_keep_their_calls(self, smoke_sweep3d, name, threshold):
+    @pytest.mark.parametrize("kind", ["default", "strict"])
+    @pytest.mark.parametrize("name", DISTANCE_NAMES)
+    def test_a_solo_config_keeps_its_counts(self, smoke_sweep3d, name, kind):
         workload, trace = smoke_sweep3d
         counters = MatchCounters()
-        TraceReducer(create_metric(name, threshold)).reduce(trace, match_counters=counters)
-        assert counters.calls == LEADER_ROUND_CALLS[workload, name, threshold]
+        metric = create_metric(name, DEFAULT_THRESHOLDS[name] * THRESHOLD_KINDS[kind])
+        TraceReducer(metric).reduce(trace, match_counters=counters)
+        counts = (counters.calls, counters.rows_compared)
+        assert counts == LEADER_ROUND_COUNTS[workload, name, kind]
 
     def test_one_odd_row_ahead_of_many_alike_keeps_its_rounds(self, resolves):
         # A slow first iteration leads the key's first round and matches

@@ -280,15 +280,16 @@ def _assert_each_config_is_the_reference(result, segmented):
 
 @pytest.fixture
 def shared_keys(monkeypatch):
-    """The depth of every key a :class:`LeaderRows` was built for."""
+    """The depth of every key a :class:`LeaderRows` was built for that keeps its rows."""
     depths = []
 
     class Counted(reducer_module.LeaderRows):
         __slots__ = ()
 
-        def __init__(self, metric, rows, probes):
-            depths.append(len(rows))
-            super().__init__(metric, rows, probes)
+        def __init__(self, metric, rows, probes, shared):
+            if shared:
+                depths.append(len(rows))
+            super().__init__(metric, rows, probes, shared)
 
     monkeypatch.setattr(reducer_module, "LeaderRows", Counted)
     return depths
@@ -318,6 +319,27 @@ class TestSharedLeaderRows:
         result = sweep_pipeline(shared_rows_trace, self.PLAN)
         _assert_each_config_is_the_reference(result, shared_rows_trace)
         assert shared_keys == [14] * (7 * 4)
+        # On ranks 0 and 2, whose keys share nothing, each config pays what it pays alone.
+        for rank in (shared_rows_trace.ranks[0], shared_rows_trace.ranks[2]):
+            frame = RankFrame.from_segments(rank.rank, rank.segments)
+            grid = [
+                [
+                    ReductionState(
+                        config.create(),
+                        ReducedRankTrace(rank.rank),
+                        RepresentativeStore(),
+                        MatchCounters(),
+                    )
+                    for config in family.configs
+                ]
+                for family in self.PLAN.families
+            ]
+            step_families(frame, grid)
+            for state in (state for family in grid for state in family):
+                solo = MatchCounters()
+                TraceReducer(state.metric).reduce_frame(frame, match_counters=solo)
+                counts = (state.counters.calls, state.counters.rows_compared)
+                assert counts == (solo.calls, solo.rows_compared), state.metric
 
     @pytest.mark.parametrize("seed", [11, 0, 1])
     def test_threshold_edge_cases(self, seed):
