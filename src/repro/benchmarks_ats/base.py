@@ -68,5 +68,5 @@ def jittered(rng: np.random.Generator, nominal: float, jitter: float) -> float:
         return 0.0
     if jitter <= 0:
         return float(nominal)
-    factor = float(np.clip(1.0 + rng.normal(0.0, jitter), 0.5, 2.0))
+    factor = min(max(1.0 + rng.normal(0.0, jitter), 0.5), 2.0)
     return float(nominal * factor)

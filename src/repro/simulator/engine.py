@@ -30,7 +30,7 @@ from repro.simulator.machine import MachineModel
 from repro.simulator.noise import NoiseModel, NullNoise
 from repro.simulator.program import Compute, MpiOp, Op, Program, SegmentBegin, SegmentEnd
 from repro.trace.events import MpiCallInfo
-from repro.trace.records import RecordKind, TraceRecord
+from repro.trace.records import RecordColumns, RecordKind
 from repro.trace.trace import RankTrace, Trace
 from repro.util.rng import rng_for
 
@@ -79,16 +79,11 @@ class _Posting:
 class _RankState:
     rank: int
     ops: list
+    records: RecordColumns
     pc: int = 0
     clock: float = 0.0
     blocked: bool = False
     finished: bool = False
-    records: list = field(default_factory=list)
-
-    def record(self, kind: RecordKind, timestamp: float, name: str, mpi: MpiCallInfo | None = None) -> None:
-        self.records.append(
-            TraceRecord(kind=kind, rank=self.rank, timestamp=timestamp, name=name, mpi=mpi)
-        )
 
 
 class SimulationEngine:
@@ -116,10 +111,7 @@ class SimulationEngine:
         """Execute the program to completion and return the raw trace."""
         self._init_states()
         states = self._states
-        while True:
-            unfinished = [s for s in states if not s.finished]
-            if not unfinished:
-                break
+        while not all(state.finished for state in states):
             progressed = False
             for state in states:
                 progressed |= self._advance(state)
@@ -145,7 +137,9 @@ class SimulationEngine:
             else [0.0] * self.program.nprocs
         )
         self._states = [
-            _RankState(rank=r, ops=self.program.ops_for(r), clock=float(skews[r]))
+            _RankState(
+                rank=r, ops=self.program.ops_for(r), records=RecordColumns(r), clock=float(skews[r])
+            )
             for r in range(self.program.nprocs)
         ]
 
@@ -162,13 +156,14 @@ class SimulationEngine:
         if state.finished:
             return False
         progressed = False
+        record = state.records.append
         if state.blocked:
             exit_time = self._completions.pop(state.rank, None)
             if exit_time is None:
                 return False
             op = state.ops[state.pc]
             assert isinstance(op, MpiOp)
-            state.record(RecordKind.EXIT, exit_time, op.name)
+            record(RecordKind.EXIT, exit_time, op.name)
             state.clock = exit_time
             state.blocked = False
             state.pc += 1
@@ -177,28 +172,27 @@ class SimulationEngine:
         while state.pc < len(state.ops):
             op = state.ops[state.pc]
             if isinstance(op, SegmentBegin):
-                state.record(RecordKind.SEGMENT_BEGIN, state.clock, op.context)
+                record(RecordKind.SEGMENT_BEGIN, state.clock, op.context)
                 state.pc += 1
             elif isinstance(op, SegmentEnd):
-                state.record(RecordKind.SEGMENT_END, state.clock, op.context)
+                record(RecordKind.SEGMENT_END, state.clock, op.context)
                 state.pc += 1
             elif isinstance(op, Compute):
                 extra = self._noise.extra_delay(state.rank, state.clock, op.duration)
                 start = state.clock
                 end = start + op.duration + extra
-                state.record(RecordKind.ENTER, start, op.name)
-                state.record(RecordKind.EXIT, end, op.name)
+                record(RecordKind.ENTER, start, op.name)
+                record(RecordKind.EXIT, end, op.name)
                 state.clock = end
                 state.pc += 1
             elif isinstance(op, MpiOp):
-                state.record(RecordKind.ENTER, state.clock, op.name, mpi=op.info)
+                record(RecordKind.ENTER, state.clock, op.name, op.info)
                 self._post_mpi(state.rank, state.clock, op)
                 exit_time = self._completions.pop(state.rank, None)
                 if exit_time is None:
                     state.blocked = True
-                    progressed = True
-                    return progressed
-                state.record(RecordKind.EXIT, exit_time, op.name)
+                    return True
+                record(RecordKind.EXIT, exit_time, op.name)
                 state.clock = exit_time
                 state.pc += 1
             else:  # pragma: no cover - op union is exhaustive

@@ -127,6 +127,7 @@ class RankProgramBuilder:
         self.nprocs = nprocs
         self.ops: list[Op] = []
         self._open_segments: list[str] = []
+        self._calls: dict[tuple, MpiOp] = {}
 
     # -- segments -----------------------------------------------------------
 
@@ -266,8 +267,13 @@ class RankProgramBuilder:
         tag: int | None = None,
         nbytes: int = 0,
     ) -> None:
-        info = MpiCallInfo(op=op, root=root, peer=peer, source=source, tag=tag, nbytes=nbytes)
-        self.ops.append(MpiOp(name=name or _DEFAULT_NAMES[op], info=info))
+        # One frozen MpiOp per distinct call, shared by every op list entry that makes it.
+        key = (op, name, root, peer, source, tag, nbytes)
+        call = self._calls.get(key)
+        if call is None:
+            info = MpiCallInfo(op=op, root=root, peer=peer, source=source, tag=tag, nbytes=nbytes)
+            call = self._calls[key] = MpiOp(name=name or _DEFAULT_NAMES[op], info=info)
+        self.ops.append(call)
 
     def finish(self) -> list[Op]:
         """Validate and return the built op list."""

@@ -64,7 +64,7 @@ from repro import obs
 from repro.core.frames import RankFrame
 from repro.trace.events import Event, MpiCallInfo
 from repro.trace.io import ColumnTextSizer, atomic_output
-from repro.trace.records import RecordKind, TraceRecord
+from repro.trace.records import RecordColumns, RecordKind, TraceRecord
 from repro.trace.segments import Segment, iter_segments
 from repro.trace.trace import RankTrace, Trace
 from repro.util.cut import cut_by_bytes
@@ -170,27 +170,50 @@ class _StringTable:
 
     def __init__(self) -> None:
         self.strings: list[str] = []
-        self._ids: dict[str, int] = {}
+        self.ids: dict[str, int] = {}
 
-    def id(self, value: str) -> int:
-        ident = self._ids.get(value)
-        if ident is None:
-            ident = len(self.strings)
-            self._ids[value] = ident
+    def add_in_record_order(self, names: list[str], at: list[int], mpi: list[MpiCallInfo]) -> None:
+        """Intern the strings of one rank's columns that the table lacks.
+
+        They get their ids in the order a record-by-record walk meets them (a
+        record's name, then its MPI op, then its communicator), so the table,
+        and the file, do not depend on how the columns are walked.
+        """
+        first: dict[str, tuple[int, int]] = {}
+        for slot, values, positions in (
+            (0, names, range(len(names))),
+            (1, [info.op for info in mpi], at),
+            (2, [info.comm for info in mpi], at),
+        ):
+            new = set(values).difference(self.ids)
+            if not new:
+                continue
+            # value -> its first row: of the pairs zipped last to first, the first row's wins
+            first_row = dict(zip(reversed(values), range(len(values) - 1, -1, -1)))
+            for value in new:
+                row = first_row[value]
+                met = (positions[row], slot)
+                first[value] = min(first.get(value, met), met)
+        for value in sorted(first, key=first.__getitem__):
+            self.ids[value] = len(self.strings)
             self.strings.append(value)
-        return ident
 
 
-def _save(handle: BinaryIO, values, dtype) -> None:
-    np.save(handle, np.asarray(values, dtype=dtype), allow_pickle=False)
+def _mpi_row(info: MpiCallInfo, string_ids: dict[str, int]) -> tuple[int, ...]:
+    """One MPI row: op id, field mask, root/peer/source/tag values, bytes, communicator id."""
+    fields = (info.root, info.peer, info.source, info.tag)
+    bits = (_HAS_ROOT, _HAS_PEER, _HAS_SOURCE, _HAS_TAG)
+    mask = sum(bit for bit, value in zip(bits, fields) if value is not None)
+    values = tuple(value or 0 for value in fields)
+    return (string_ids[info.op], mask, *values, info.nbytes, string_ids[info.comm])
 
 
 class RpbTraceWriter:
     """Incremental ``.rpb`` writer: one rank block at a time, footer on close.
 
     Ranks may be written in any order but each rank only once; memory is
-    bounded by the largest single rank (the columns are buffered as Python
-    lists until the block is flushed).  The file is an
+    bounded by the largest single rank (its columns, and its block, which is
+    assembled in memory and written with one ``write``).  The file is an
     :func:`~repro.trace.io.atomic_output`: it appears under ``path`` once the
     footer is written, so ``path`` may be the file the records are being read
     from, and a writer that fails leaves what ``path`` held.
@@ -208,65 +231,68 @@ class RpbTraceWriter:
         self._strings = _StringTable()
 
     def write_rank(self, rank: int, records: Iterable[TraceRecord]) -> int:
-        """Encode one rank's records as a column block; returns the record count."""
+        """Encode one rank's records as a column block; returns the record count.
+
+        A :class:`~repro.trace.records.RecordColumns` is encoded whole; any
+        other iterable is appended into one first.
+        """
         if self._handle is None:
             raise ValueError("writer is closed")
         if rank in self._ranks:
             raise ValueError(f"rank {rank} was already written to {self._path}")
-        string_id = self._strings.id
-        kinds: list[int] = []
-        times: list[float] = []
-        names: list[int] = []
-        mpi_pos: list[int] = []
-        mpi_op: list[int] = []
-        mpi_mask: list[int] = []
-        mpi_vals: list[tuple[int, int, int, int]] = []
-        mpi_nbytes: list[int] = []
-        mpi_comm: list[int] = []
-        for position, record in enumerate(records):
-            if record.rank != rank:
+        if isinstance(records, RecordColumns):
+            columns = records
+            if columns.rank != rank:
                 raise ValueError(
-                    f"record for rank {record.rank} in rank-{rank} block of {self._path}"
+                    f"record for rank {columns.rank} in rank-{rank} block of {self._path}"
                 )
-            kinds.append(int(record.kind))
-            times.append(record.timestamp)
-            names.append(string_id(record.name))
-            mpi = record.mpi
-            if mpi is not None:
-                mask = 0
-                if mpi.root is not None:
-                    mask |= _HAS_ROOT
-                if mpi.peer is not None:
-                    mask |= _HAS_PEER
-                if mpi.source is not None:
-                    mask |= _HAS_SOURCE
-                if mpi.tag is not None:
-                    mask |= _HAS_TAG
-                mpi_pos.append(position)
-                mpi_op.append(string_id(mpi.op))
-                mpi_mask.append(mask)
-                mpi_vals.append(
-                    (mpi.root or 0, mpi.peer or 0, mpi.source or 0, mpi.tag or 0)
-                )
-                mpi_nbytes.append(mpi.nbytes)
-                mpi_comm.append(string_id(mpi.comm))
+        else:
+            columns = RecordColumns(rank)
+            for record in records:
+                if record.rank != rank:
+                    raise ValueError(
+                        f"record for rank {record.rank} in rank-{rank} block of {self._path}"
+                    )
+                columns.append(record.kind, record.timestamp, record.name, record.mpi)
         offset = self._handle.tell()
-        _save(self._handle, kinds, np.uint8)
-        _save(self._handle, times, np.float64)
-        _save(self._handle, names, np.uint32)
-        _save(self._handle, mpi_pos, np.int64)
-        _save(self._handle, mpi_op, np.uint32)
-        _save(self._handle, mpi_mask, np.uint8)
-        vals = np.asarray(mpi_vals, dtype=np.int64).reshape(len(mpi_vals), 4)
-        np.save(self._handle, vals, allow_pickle=False)
-        _save(self._handle, mpi_nbytes, np.int64)
-        _save(self._handle, mpi_comm, np.uint32)
-        length = self._handle.tell() - offset
+        self._handle.write(self._block(columns))
+        n_records = len(columns)
         self._entries.append(
-            RpbRankEntry(rank=rank, offset=offset, length=length, n_records=len(kinds))
+            RpbRankEntry(
+                rank=rank, offset=offset, length=self._handle.tell() - offset, n_records=n_records
+            )
         )
         self._ranks.add(rank)
-        return len(kinds)
+        return n_records
+
+    def _block(self, columns: RecordColumns) -> bytes:
+        """One rank block: the nine ``.npy`` members of :data:`_MEMBERS`, end to end."""
+        at = list(columns.mpi)
+        mpi = list(columns.mpi.values())
+        self._strings.add_in_record_order(columns.names, at, mpi)
+        string_ids = self._strings.ids
+        rows_by_info: dict[int, tuple[int, ...]] = {}  # id() is safe: ``mpi`` holds each info
+        rows = []
+        for info in mpi:
+            row = rows_by_info.get(id(info))
+            if row is None:
+                row = rows_by_info[id(info)] = _mpi_row(info, string_ids)
+            rows.append(row)
+        table = np.array(rows, dtype=np.int64).reshape(len(rows), 8)
+        block = io.BytesIO()
+        for values, dtype in (
+            (np.fromiter(columns.kinds, dtype=np.uint8, count=len(columns)), np.uint8),
+            (columns.times, np.float64),
+            ([string_ids[name] for name in columns.names], np.uint32),
+            (at, np.int64),
+            (table[:, 0], np.uint32),
+            (table[:, 1], np.uint8),
+            (np.ascontiguousarray(table[:, 2:6]), np.int64),
+            (table[:, 6], np.int64),
+            (table[:, 7], np.uint32),
+        ):
+            np.save(block, np.asarray(values, dtype=dtype), allow_pickle=False)
+        return block.getvalue()
 
     def close(self) -> None:
         """Write the footer index and seal the file."""

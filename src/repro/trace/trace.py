@@ -15,10 +15,14 @@ __all__ = ["RankTrace", "Trace", "SegmentedRankTrace", "SegmentedTrace"]
 
 @dataclass(slots=True)
 class RankTrace:
-    """Raw record stream collected by one rank."""
+    """Raw record stream collected by one rank.
+
+    ``records`` is a list, or the :class:`~repro.trace.records.RecordColumns`
+    the simulator appends to.
+    """
 
     rank: int
-    records: list[TraceRecord] = field(default_factory=list)
+    records: Sequence[TraceRecord] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.records)

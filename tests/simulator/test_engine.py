@@ -199,6 +199,17 @@ class TestPointToPoint:
         with pytest.raises(DeadlockError):
             _run(2, body)
 
+    def test_deadlock_names_each_blocked_rank_and_its_op(self):
+        def body(b, rank):
+            with b.segment("s"):
+                b.compute("w", 5.0)
+                b.recv(1 - rank)
+
+        blocked = "rank 0 at op 2 (MPI_Recv[recv]); rank 1 at op 2 (MPI_Recv[recv])"
+        with pytest.raises(DeadlockError) as raised:
+            _run(2, body)
+        assert str(raised.value) == f"no rank can make progress; blocked ranks: {blocked}"
+
 
 class TestCollectives:
     def test_barrier_everyone_leaves_after_last_arrival(self):
@@ -279,6 +290,21 @@ class TestCollectives:
 
         with pytest.raises(DeadlockError, match="mismatch"):
             _run(2, body)
+
+    def test_mismatch_message_names_both_calls(self):
+        def body(b, rank):
+            with b.segment("s"):
+                if rank:
+                    b.barrier()
+                else:
+                    b.bcast(0)
+
+        with pytest.raises(DeadlockError) as raised:
+            _run(2, body)
+        assert str(raised.value) == (
+            "collective mismatch at sequence 0: rank 0 called bcast (root=0) "
+            "but rank 1 called barrier (root=None)"
+        )
 
     def test_root_mismatch_raises(self):
         def body(b, rank):

@@ -120,6 +120,19 @@ class TestBuilderMpi:
         assert [op.name for op in mpi_ops] == ["MPI_Init", "MPI_Finalize"]
         assert all(op.info.op == "barrier" for op in mpi_ops)
 
+    def test_one_op_object_per_distinct_call(self):
+        b = RankProgramBuilder(0, 4)
+        for _ in b.loop("main", 3):
+            b.send(1, tag=2)
+            b.send(1, tag=3)
+            b.send(1, tag=2, name="pmpi_send")
+            b.barrier()
+        ops = [op for op in b.finish() if isinstance(op, MpiOp)]
+        assert len({id(op) for op in ops}) == len({id(op.info) for op in ops}) == 4
+        assert ops[:4] == ops[4:8] == ops[8:]
+        assert [op.name for op in ops[:3]] == ["MPI_Send", "MPI_Send", "pmpi_send"]
+        assert [op.info.tag for op in ops[:3]] == [2, 3, 2]
+
 
 class TestBuildProgram:
     def test_builds_all_ranks(self):

@@ -17,6 +17,8 @@ from repro.core.frames import RankFrame
 from repro.core.metrics import create_metric
 from repro.pipeline.engine import PipelineConfig, ReductionPipeline
 from repro.service import ReductionService, ReductionSession
+from repro.simulator.engine import simulate
+from repro.simulator.program import Compute, Program, SegmentBegin, SegmentEnd
 from repro.trace import binio
 from repro.trace.binio import RpbFormatError
 from repro.trace.events import Event
@@ -43,6 +45,13 @@ def _write_raises(path, error, tmp_path):
 def test_a_record_refuses_it(t):
     with pytest.raises(ValueError, match=MESSAGE):
         TraceRecord(kind=RecordKind.ENTER, rank=0, timestamp=t, name="f")
+
+
+@pytest.mark.parametrize("duration", [math.inf, math.nan], ids=repr)
+def test_a_simulated_compute_region_that_never_ends_is_refused(duration):
+    program = Program("p", 1, [[SegmentBegin("s"), Compute("w", duration), SegmentEnd("s")]])
+    with pytest.raises(ValueError, match=f"^{MESSAGE}, got {duration}$"):
+        simulate(program)
 
 
 @pytest.mark.parametrize("t", BAD, ids=repr)
