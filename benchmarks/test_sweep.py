@@ -137,7 +137,7 @@ def _measure_scale(scale_name: str, plan: SweepPlan) -> dict:
 
     # The evaluation rows the figure suite consumes must agree too.  Both
     # row sets run through the same (untimed) criteria code.
-    prepared = PreparedWorkload.from_segmented(WORKLOAD, segmented)
+    prepared = PreparedWorkload.from_workload(build_workload(WORKLOAD, scale))
     sweep_rows = swept.evaluation_results(prepared)
     naive_rows = [result_from_reduced(prepared, r, keep_comparison=False) for r in naive]
     rows_equal = all(

@@ -115,9 +115,10 @@ def _matches_serial_reducer(metric, source, reduced_traces) -> bool:
     """``--verify``: are these the segment-at-a-time reducer's bytes for ``source``?
 
     ``source`` is the command's input — the ``--trace`` file, which the
-    segment decoder reads again, or the workload's simulated
-    ``SegmentedTrace`` — never frames the command built, so a fault in the
-    frame decoder or the segments→frame adapter shows as a mismatch.
+    segment decoder reads again, or the workload's raw simulated ``Trace``,
+    which the record state machine segments — never frames the command
+    built, so a fault in the frame decoder or the segments→frame adapter
+    shows as a mismatch.
     """
     oracle = TraceReducer(metric).reduce_streams("oracle", rank_segment_streams(source))
     want = serialize_reduced_trace(oracle)
@@ -514,7 +515,7 @@ def _cmd_trends(args, scale) -> str:
 
 
 def _cmd_pipeline(args, scale) -> str:
-    from repro.evaluation.filesize import decoded_trace_bytes, full_trace_bytes
+    from repro.evaluation.filesize import decoded_trace_bytes
 
     # Validate argument values before the expensive trace generation.
     try:
@@ -535,16 +536,10 @@ def _cmd_pipeline(args, scale) -> str:
     if trace_path is not None:
         source = trace_path
         rows_head = [["trace file", f"{trace_path} ({resolve_format(trace_path).name} format)"]]
-        segmented = None
     else:
-        workload = build_workload(args.workload, scale)
+        source = build_workload(args.workload, scale).run()
         if args.save_trace is not None:
-            trace = workload.run()
-            write_trace(trace, args.save_trace)
-            segmented = trace.segmented()
-        else:
-            segmented = workload.run_segmented()
-        source = segmented
+            write_trace(source, args.save_trace)
         rows_head = [["workload", args.workload]]
     pipeline_runner = ReductionPipeline(metric, config)
     with _telemetry(args.telemetry, "pipeline", config) as telemetry:
@@ -557,11 +552,9 @@ def _cmd_pipeline(args, scale) -> str:
             result = pipeline_runner.reduce(source)
             stats = result.stats
         # Sizing the full trace is part of the recorded run; the tasks that
-        # decoded an indexed file's ranks have sized them (no second pass).
-        if segmented is None:
-            full_bytes = decoded_trace_bytes(source, stats.text_bytes)
-        else:
-            full_bytes = full_trace_bytes(segmented)
+        # built the frames of an indexed file or a raw trace have sized them
+        # (no second pass).
+        full_bytes = decoded_trace_bytes(source, stats.text_bytes)
         telemetry.update(
             subject=subject,
             method=metric.describe(),
@@ -654,10 +647,7 @@ def _cmd_sweep(args, scale) -> str:
     identical = True
     if args.verify:
         # The sweep reduced frames; the oracle reads the input itself.
-        if trace_path is None:
-            oracle_input = build_workload(args.workload, scale).run_segmented()
-        else:
-            oracle_input = trace_path
+        oracle_input = trace_path or build_workload(args.workload, scale).run()
         identical = all(
             _matches_serial_reducer(outcome.config.create(), oracle_input, [outcome.reduced])
             for outcome in sweep_result
@@ -751,7 +741,7 @@ def _cmd_serve(args, scale) -> str:
         source = trace_path
         subject = str(trace_path)
     else:
-        source = build_workload(args.workload, scale).run_segmented()
+        source = build_workload(args.workload, scale).run()
         subject = args.workload
     # Cut once: every session replays the same chunks (row views of each
     # rank's frame), and forward-only text sources cannot be read twice.  A

@@ -26,9 +26,10 @@ the time-order check construction made on the way is
 :meth:`RankFrame.check_time_order`.
 ``.rpb`` files decode straight into frames (:func:`repro.trace.binio.rank_frames`:
 a run of short ranks becomes one frame, each rank a :meth:`RankFrame.rows_view`
-of it, so the bulk passes above run once per run);
-text and in-memory sources adapt through :meth:`RankFrame.from_segments`, so
-every engine runs one code path.  The segment-at-a-time
+of it, so the bulk passes above run once per run), and so does a raw
+in-memory trace, through the same code (:func:`repro.trace.binio.trace_frames`);
+text files and segmented traces adapt through :meth:`RankFrame.from_segments`,
+so every engine runs one code path.  The segment-at-a-time
 :class:`~repro.core.reducer.TraceReducer` remains the byte-identity oracle.
 """
 
@@ -206,7 +207,8 @@ class RankFrame:
         #: a decoder that knows where the frame came from says so here.
         self.invalid = ValueError
         #: Bytes the rank's records occupy in the text format, where the
-        #: decoder had the record columns to size them (an ``.rpb`` rank).
+        #: decoder had the record columns to size them (an ``.rpb`` rank, a
+        #: raw in-memory rank).
         self.text_bytes = 0
         #: ``(frame, rows, events)`` when this frame is a row slice of a longer
         #: one (:meth:`rows_view`): what is derived from the columns is sliced
@@ -665,7 +667,8 @@ class RankFrame:
 
     def __getstate__(self):
         # Derived caches (keys, vectors, scalar mirrors) are cheaper to
-        # rebuild in a worker than to ship across the pickle boundary.
+        # rebuild in a worker than to ship across the pickle boundary; the
+        # text size is not derived (the frame has no records to size).
         return {
             "rank": self.rank,
             "contexts": self.contexts,
@@ -679,7 +682,10 @@ class RankFrame:
             "strings": self.strings,
             "mpi_table": self.mpi_table,
             "indices": self.indices,
+            "text_bytes": self.text_bytes,
         }
 
     def __setstate__(self, state):
+        text_bytes = state.pop("text_bytes")
         self.__init__(**state)
+        self.text_bytes = text_bytes

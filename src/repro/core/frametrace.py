@@ -2,11 +2,10 @@
 
 :class:`FrameTrace` exposes a set of :class:`~repro.core.frames.RankFrame`
 columns through the same read surface as
-:class:`~repro.trace.trace.SegmentedTrace`.  It is what a trace file decodes
-to, what an in-memory trace is adapted to once, and what
-:func:`~repro.core.reconstruct.reconstruct` returns — so the reducers and all
-the evaluation criteria work on columns and never rebuild
-:class:`~repro.trace.segments.Segment` objects:
+:class:`~repro.trace.trace.SegmentedTrace`.  It is what a trace file or a raw
+in-memory trace becomes, and what :func:`~repro.core.reconstruct.reconstruct`
+returns — so the reducers and all the evaluation criteria work on columns and
+never rebuild :class:`~repro.trace.segments.Segment` objects:
 
 * the EXPERT analyzer (:mod:`repro.analysis.expert`) reads ``rank.frame``'s
   event columns directly;
@@ -186,7 +185,8 @@ class FrameTrace:
     Built by :meth:`from_file` (``.rpb`` ranks decode straight to frames;
     forward-only text streams adapt through
     :meth:`RankFrame.from_segments`), :meth:`from_segmented` or
-    :meth:`from_frames`.  The reducers
+    :meth:`from_frames` (a raw trace's, built by the ``.rpb`` decoder's code).
+    The reducers
     and the pipeline/sweep ingestion recognise it and take their columnar
     paths; everything else reads it through the ``SegmentedTrace`` protocol.
     """

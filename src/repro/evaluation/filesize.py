@@ -52,17 +52,18 @@ def full_trace_bytes_from_file(path: str | Path) -> int:
     return total
 
 
-def decoded_trace_bytes(path: str | Path, text_bytes: int) -> int:
-    """Text-equivalent size of a trace file whose ranks have just been decoded.
+def decoded_trace_bytes(source, text_bytes: int) -> int:
+    """Text-equivalent size of a trace file or raw ``Trace`` whose frames have just been built.
 
-    An indexed format's frame decoder sizes each rank while it holds the
-    columns (``RankFrame.text_bytes``; ``text_bytes`` is their sum), so the
-    file is not walked a second time; any other file is sized here.
+    The frames of an indexed file and of a raw in-memory trace are sized
+    while their record columns are at hand (``RankFrame.text_bytes``;
+    ``text_bytes`` is their sum), so the records are not walked a second
+    time; a forward-only file is sized here.
     """
     from repro.trace.formats import resolve_format
 
-    if not resolve_format(path).is_indexed:
-        return full_trace_bytes_from_file(path)
+    if isinstance(source, (str, Path)) and not resolve_format(source).is_indexed:
+        return full_trace_bytes_from_file(source)
     obs.counter("filesize.bytes", text_bytes)
     return text_bytes
 

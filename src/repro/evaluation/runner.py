@@ -11,6 +11,7 @@ once and shared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from repro import obs
@@ -23,9 +24,10 @@ from repro.core.reconstruct import reconstruct
 from repro.core.reduced import ReducedTrace
 from repro.core.reducer import TraceReducer
 from repro.evaluation.approximation import approximation_distance
-from repro.evaluation.filesize import decoded_trace_bytes, full_trace_bytes
+from repro.evaluation.filesize import decoded_trace_bytes
 from repro.evaluation.trends import retains_trends
-from repro.trace.trace import SegmentedTrace
+from repro.pipeline.stream import rank_frame_streams
+from repro.trace.trace import Trace
 
 if TYPE_CHECKING:
     from repro.benchmarks_ats.base import Workload
@@ -84,26 +86,11 @@ class PreparedWorkload:
     segmented: FrameTrace
     full_bytes: int
     full_report: DiagnosisReport
-    workload: Optional[Workload] = None
 
     @classmethod
     def from_workload(cls, workload: Workload) -> "PreparedWorkload":
-        segmented = workload.run_segmented()
-        return cls.from_segmented(workload.name, segmented, workload=workload)
-
-    @classmethod
-    def from_segmented(
-        cls, name: str, segmented: SegmentedTrace, workload: Optional[Workload] = None
-    ) -> "PreparedWorkload":
-        """Prepare an in-memory segmented trace, adapted to frames once."""
-        trace = FrameTrace.from_segmented(segmented)
-        return cls(
-            name=name,
-            segmented=trace,
-            full_bytes=full_trace_bytes(segmented),
-            full_report=analyze(trace),
-            workload=workload,
-        )
+        """Simulate ``workload`` and prepare its raw trace (see :meth:`_from_source`)."""
+        return cls._from_source(workload.run(), workload.name)
 
     @classmethod
     def from_file(cls, path, name: Optional[str] = None) -> "PreparedWorkload":
@@ -112,23 +99,27 @@ class PreparedWorkload:
         The four criteria are format-independent: ``full_bytes`` is the
         text-equivalent serialization either way, so evaluating a trace and
         evaluating its converted twin produce identical results.
-
-        The file decodes straight into columnar frames
-        (:class:`~repro.core.frametrace.FrameTrace`): the full-trace analysis
-        and the criteria read the columns directly, the reducers take their
-        frame paths, and ``full_bytes`` is what the decoder sized (an ``.rpb``
-        file) or the file's own size (text) — no segment object is built
-        unless a method probes with it.
         """
-        from pathlib import Path
-
         path = Path(path)
-        trace = FrameTrace.from_file(path, name=name)
+        return cls._from_source(path, name or path.stem)
+
+    @classmethod
+    def _from_source(cls, source: Trace | Path, name: str) -> "PreparedWorkload":
+        """Prepare a raw trace or a trace file: its frames, sized as they are built.
+
+        A raw trace and an ``.rpb`` file become columnar frames through the
+        ``.rpb`` decoder's code, a text file through the segmenter and the
+        segments→frame adapter: the full-trace analysis and the criteria read
+        the columns directly, the reducers take their frame paths, and
+        ``full_bytes`` is what the frames were sized to (a text file: its own
+        size) — no segment object is built unless a method probes with it.
+        """
+        trace = FrameTrace.from_frames(name, (frame for _, frame in rank_frame_streams(source)))
         return cls(
-            name=trace.name,
+            name=name,
             segmented=trace,
             full_bytes=decoded_trace_bytes(
-                path, sum(rank.frame.text_bytes for rank in trace.ranks)
+                source, sum(rank.frame.text_bytes for rank in trace.ranks)
             ),
             full_report=analyze(trace),
         )

@@ -204,14 +204,14 @@ def oracle_pipeline_shard(ctx: CaseContext) -> Optional[str]:
 
 
 def oracle_pipeline_payload(ctx: CaseContext) -> Optional[str]:
-    """Pickled-frame dispatch over the trace and its text file == scalar scan.
+    """Pickled-frame dispatch over the raw and segmented trace and its text file == scalar scan.
 
     The only route an in-memory trace or a forward-only file takes through a
     pool.  The text leg runs only where the two-decimal text format carries
     the case's timestamps exactly — elsewhere the file is a different trace.
     """
     config = PipelineConfig(executor="thread", workers=2)
-    sources = [("payload pipeline", ctx.segmented)]
+    sources = [("payload pipeline", ctx.segmented), ("payload pipeline (raw trace)", ctx.trace)]
     reread = read_trace(ctx.text_path, name=ctx.trace.name)
     if all(o.records == b.records for o, b in zip(ctx.trace.ranks, reread.ranks)):
         sources.append(("payload pipeline (text file)", ctx.text_path))

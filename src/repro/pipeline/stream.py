@@ -9,7 +9,10 @@ trace can live:
 * an in-memory :class:`~repro.trace.trace.SegmentedTrace` (already segmented)
   or :class:`~repro.core.frametrace.FrameTrace` (already columnar — its
   frames are handed over as they are);
-* an in-memory raw :class:`~repro.trace.trace.Trace` (segmented lazily);
+* an in-memory raw :class:`~repro.trace.trace.Trace`: its frames are what
+  its ``.rpb`` file would decode to, built by the same code without the
+  bytes (:func:`repro.trace.binio.trace_frames`), and its segment streams
+  run the record state machine (the ``--verify`` oracle's input);
 * a **text** trace file on disk (parsed *and* segmented lazily, line by line,
   via the chunked readers in :mod:`repro.trace.io` — the whole trace is never
   materialized, but streams must be consumed in file order);
@@ -42,6 +45,7 @@ from typing import Iterable, Iterator, Optional, Tuple, Union
 from repro import obs
 from repro.core.frames import RankFrame
 from repro.core.frametrace import FrameTrace
+from repro.trace import binio
 from repro.trace.formats import resolve_format
 from repro.trace.segments import Segment, iter_segments
 from repro.trace.trace import SegmentedTrace, Trace
@@ -142,23 +146,22 @@ def rank_frame_streams(source: SegmentSource) -> Iterator[Tuple[int, RankFrame]]
     """Yield ``(rank, RankFrame)`` pairs for any supported source.
 
     The columnar counterpart of :func:`rank_segment_streams`: ``.rpb`` files
-    decode straight into frames (no ``Segment`` objects), while in-memory
-    traces and forward-only text files adapt through
-    :meth:`RankFrame.from_segments` — so every engine runs one code path
-    regardless of where the trace lives.
+    and raw in-memory traces become frames through the ``.rpb`` decoder's
+    code (no ``Segment`` objects), while segmented traces and forward-only
+    text files adapt through :meth:`RankFrame.from_segments` — so every
+    engine runs one code path regardless of where the trace lives.
     """
-    if isinstance(source, FrameTrace):
-        # Already columnar: hand the frames over as-is (no adapter pass).
-        for rank_trace in source.ranks:
-            yield rank_trace.rank, rank_trace.frame
-        return
     ranks = indexed_source_ranks(source)
-    if ranks is not None:
-        for frame in RankBatch(ranks=tuple(ranks), path=str(source)).iter_frames():
-            yield frame.rank, frame
-        return
-    for rank, segments in rank_segment_streams(source):
-        yield rank, RankFrame.from_segments(rank, segments)
+    if isinstance(source, FrameTrace):  # already columnar: the frames as they are
+        frames = (rank_trace.frame for rank_trace in source.ranks)
+    elif isinstance(source, Trace):
+        frames = binio.trace_frames(source)
+    elif ranks is not None:
+        frames = RankBatch(ranks=tuple(ranks), path=str(source)).iter_frames()
+    else:
+        frames = (RankFrame.from_segments(*stream) for stream in rank_segment_streams(source))
+    for frame in frames:
+        yield frame.rank, frame
 
 
 def rank_segment_streams(

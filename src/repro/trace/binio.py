@@ -43,6 +43,9 @@ conversion) and :func:`iter_rank_segments` segments straight off the columns
 pipeline's path — builds no record or segment object at all, and pays what
 costs a fixed amount per call (the ``read``, the marker split, the MPI table,
 the keys and vectors of the frame) once for all the ranks of the run.
+:func:`trace_frames` takes a raw in-memory trace the same way, without the
+bytes: the writer's encoder lays each rank out as the arrays of its block,
+and the frame decoder turns those into the frame the written file decodes to.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from repro.core.frames import RankFrame
 from repro.trace.events import Event, MpiCallInfo
 from repro.trace.io import ColumnTextSizer, atomic_output
 from repro.trace.records import RecordColumns, RecordKind, TraceRecord
-from repro.trace.segments import Segment, iter_segments
+from repro.trace.segments import Segment, iter_segments, segment_rank_records
 from repro.trace.trace import RankTrace, Trace
 from repro.util.cut import cut_by_bytes
 
@@ -82,6 +85,7 @@ __all__ = [
     "rank_runs",
     "rank_frames",
     "rank_frame",
+    "trace_frames",
     "iter_rank_records",
     "iter_rank_segments",
     "iter_rank_record_streams_rpb",
@@ -199,6 +203,56 @@ class _StringTable:
             self.strings.append(value)
 
 
+def _as_columns(
+    rank: int, records: Iterable[TraceRecord]
+) -> tuple[RecordColumns, Optional[int]]:
+    """``records`` as columns, and the rank of the first of them not of ``rank`` (or ``None``).
+
+    A :class:`~repro.trace.records.RecordColumns` is taken as it is; any
+    other iterable is appended into one.
+    """
+    if isinstance(records, RecordColumns):
+        return records, None if records.rank == rank else records.rank
+    columns, stray = RecordColumns(rank), None
+    for record in records:
+        if stray is None and record.rank != rank:
+            stray = record.rank
+        columns.append(record.kind, record.timestamp, record.name, record.mpi)
+    return columns, stray
+
+
+def _encode(columns: RecordColumns, strings: _StringTable) -> list[np.ndarray]:
+    """One rank's records as the nine arrays of a rank block (:data:`_MEMBERS`).
+
+    The strings the rank's records name are interned into ``strings``, the
+    trace's one table, first.
+    """
+    at = list(columns.mpi)
+    mpi = list(columns.mpi.values())
+    strings.add_in_record_order(columns.names, at, mpi)
+    string_ids = strings.ids
+    rows_by_info: dict[int, tuple[int, ...]] = {}  # id() is safe: ``mpi`` holds each info
+    rows = []
+    for info in mpi:
+        row = rows_by_info.get(id(info))
+        if row is None:
+            row = rows_by_info[id(info)] = _mpi_row(info, string_ids)
+        rows.append(row)
+    table = np.array(rows, dtype=np.int64).reshape(len(rows), 8)
+    values = (
+        np.fromiter(columns.kinds, dtype=np.uint8, count=len(columns)),
+        columns.times,
+        [string_ids[name] for name in columns.names],
+        at,
+        table[:, 0],
+        table[:, 1],
+        np.ascontiguousarray(table[:, 2:6]),
+        table[:, 6],
+        table[:, 7],
+    )
+    return [np.asarray(column, dtype=dtype) for column, (_, dtype, _) in zip(values, _MEMBERS)]
+
+
 def _mpi_row(info: MpiCallInfo, string_ids: dict[str, int]) -> tuple[int, ...]:
     """One MPI row: op id, field mask, root/peer/source/tag values, bytes, communicator id."""
     fields = (info.root, info.peer, info.source, info.tag)
@@ -240,22 +294,14 @@ class RpbTraceWriter:
             raise ValueError("writer is closed")
         if rank in self._ranks:
             raise ValueError(f"rank {rank} was already written to {self._path}")
-        if isinstance(records, RecordColumns):
-            columns = records
-            if columns.rank != rank:
-                raise ValueError(
-                    f"record for rank {columns.rank} in rank-{rank} block of {self._path}"
-                )
-        else:
-            columns = RecordColumns(rank)
-            for record in records:
-                if record.rank != rank:
-                    raise ValueError(
-                        f"record for rank {record.rank} in rank-{rank} block of {self._path}"
-                    )
-                columns.append(record.kind, record.timestamp, record.name, record.mpi)
+        columns, stray = _as_columns(rank, records)
+        if stray is not None:
+            raise ValueError(f"record for rank {stray} in rank-{rank} block of {self._path}")
+        block = io.BytesIO()
+        for array in _encode(columns, self._strings):
+            np.save(block, array, allow_pickle=False)
         offset = self._handle.tell()
-        self._handle.write(self._block(columns))
+        self._handle.write(block.getvalue())
         n_records = len(columns)
         self._entries.append(
             RpbRankEntry(
@@ -264,35 +310,6 @@ class RpbTraceWriter:
         )
         self._ranks.add(rank)
         return n_records
-
-    def _block(self, columns: RecordColumns) -> bytes:
-        """One rank block: the nine ``.npy`` members of :data:`_MEMBERS`, end to end."""
-        at = list(columns.mpi)
-        mpi = list(columns.mpi.values())
-        self._strings.add_in_record_order(columns.names, at, mpi)
-        string_ids = self._strings.ids
-        rows_by_info: dict[int, tuple[int, ...]] = {}  # id() is safe: ``mpi`` holds each info
-        rows = []
-        for info in mpi:
-            row = rows_by_info.get(id(info))
-            if row is None:
-                row = rows_by_info[id(info)] = _mpi_row(info, string_ids)
-            rows.append(row)
-        table = np.array(rows, dtype=np.int64).reshape(len(rows), 8)
-        block = io.BytesIO()
-        for values, dtype in (
-            (np.fromiter(columns.kinds, dtype=np.uint8, count=len(columns)), np.uint8),
-            (columns.times, np.float64),
-            ([string_ids[name] for name in columns.names], np.uint32),
-            (at, np.int64),
-            (table[:, 0], np.uint32),
-            (table[:, 1], np.uint8),
-            (np.ascontiguousarray(table[:, 2:6]), np.int64),
-            (table[:, 6], np.int64),
-            (table[:, 7], np.uint32),
-        ):
-            np.save(block, np.asarray(values, dtype=dtype), allow_pickle=False)
-        return block.getvalue()
 
     def close(self) -> None:
         """Write the footer index and seal the file."""
@@ -415,13 +432,13 @@ def rank_bytes(path: str | Path) -> list[int]:
 
 @dataclass(slots=True)
 class _RankColumns:
-    """The decoded blocks of a run of ranks, each column the ranks' rows end to end.
+    """The columns of a run of ranks' blocks, each column the ranks' rows end to end.
 
     ``record_bounds`` and ``mpi_bounds`` are the prefix arrays that cut the
     record and MPI columns by rank; ``mpi_pos`` counts from the run's start.
     """
 
-    entries: Sequence[RpbRankEntry]
+    ranks: Sequence[int]
     record_bounds: np.ndarray
     mpi_bounds: np.ndarray
     kind: np.ndarray
@@ -437,51 +454,16 @@ class _RankColumns:
 
     @property
     def rank(self) -> int:
-        return self.entries[0].rank
-
-    def mpi_by_position(self) -> dict[int, MpiCallInfo]:
-        """Reconstruct the MPI info objects, keyed by record position.
-
-        Distinct parameter combinations are constructed once and shared
-        (``MpiCallInfo`` is frozen, so sharing is safe): real traces repeat a
-        handful of call shapes millions of times, and the dataclass
-        construction — not the array decode — is the expensive part.
-        """
-        strings = self.strings
-        out: dict[int, MpiCallInfo] = {}
-        cache: dict[tuple, MpiCallInfo] = {}
-        positions = self.mpi_pos.tolist()
-        ops = self.mpi_op.tolist()
-        masks = self.mpi_mask.tolist()
-        vals = self.mpi_vals.tolist()
-        nbytes = self.mpi_nbytes.tolist()
-        comms = self.mpi_comm.tolist()
-        for row in range(len(positions)):
-            root, peer, source, tag = vals[row]
-            key = (ops[row], masks[row], root, peer, source, tag, nbytes[row], comms[row])
-            info = cache.get(key)
-            if info is None:
-                mask = masks[row]
-                info = MpiCallInfo(
-                    op=strings[ops[row]],
-                    root=root if mask & _HAS_ROOT else None,
-                    peer=peer if mask & _HAS_PEER else None,
-                    source=source if mask & _HAS_SOURCE else None,
-                    tag=tag if mask & _HAS_TAG else None,
-                    nbytes=nbytes[row],
-                    comm=strings[comms[row]],
-                )
-                cache[key] = info
-            out[positions[row]] = info
-        return out
+        return self.ranks[0]
 
     def mpi_tables(self) -> tuple[tuple[MpiCallInfo, ...], np.ndarray]:
         """Deduplicated MPI table plus each MPI row's id into it.
 
-        The columnar-frame form of :meth:`mpi_by_position`: the same
-        construct-once sharing, but indexed by table id (what
-        :class:`~repro.core.frames.RankFrame` stores per event) instead of
-        record position.
+        Distinct parameter combinations are constructed once and shared
+        (``MpiCallInfo`` is frozen, so sharing is safe): real traces repeat a
+        handful of call shapes millions of times, and the dataclass
+        construction, not the array decode, is the expensive part.  Row ``i``
+        is the MPI info of record ``mpi_pos[i]``.
         """
         strings = self.strings
         cache: dict[tuple, int] = {}
@@ -647,7 +629,7 @@ def _load_columns(
                 n_before += n_records
                 members.append(arrays)
             columns = _RankColumns(
-                entries,
+                [entry.rank for entry in entries],
                 np.cumsum([0] + [len(arrays[0]) for arrays in members]),
                 np.cumsum([0] + [len(arrays[3]) for arrays in members]),
                 *(
@@ -724,7 +706,8 @@ def _read_rank_columns(path: Path, rank: int) -> _RankColumns:
 
 def _records_from_columns(columns: _RankColumns) -> Iterator[TraceRecord]:
     strings = columns.strings
-    mpi = columns.mpi_by_position()
+    table, row_ids = columns.mpi_tables()
+    mpi = dict(zip(columns.mpi_pos.tolist(), [table[ident] for ident in row_ids.tolist()]))
     rank = columns.rank
     kinds = columns.kind.tolist()
     times = columns.time.tolist()
@@ -745,17 +728,6 @@ def iter_rank_records(path: str | Path, rank: int) -> Iterator[TraceRecord]:
     columns = _read_rank_columns(path, rank)
     with _block_values(rank):
         yield from _records_from_columns(columns)
-
-
-def _segments_from_columns(columns: _RankColumns) -> Iterator[Segment]:
-    """Malformed-rank fallback: segment via the reference state machine.
-
-    Only runs when :func:`_segments_from_columns_fast` declines a rank, so
-    per-record speed is irrelevant here; delegating to
-    :func:`repro.trace.segments.iter_segments` over reconstructed records
-    keeps the rules and error messages defined in exactly one place.
-    """
-    return iter_segments(_records_from_columns(columns))
 
 
 def _columns_well_formed(
@@ -846,7 +818,8 @@ def _segments_from_columns_fast(columns: _RankColumns) -> Optional[list[Segment]
 
     rank = columns.rank
     strings = columns.strings
-    mpi = columns.mpi_by_position()
+    table, row_ids = columns.mpi_tables()
+    mpi = dict(zip(columns.mpi_pos.tolist(), [table[ident] for ident in row_ids.tolist()]))
     name_ids = columns.name
     events = [
         Event(name=strings[n], start=s, end=e, rank=rank, mpi=mpi.get(p))
@@ -891,16 +864,15 @@ def iter_rank_segments(path: str | Path, rank: int) -> Iterator[Segment]:
     columns = _read_rank_columns(path, rank)
     with _block_values(rank):
         segments = _segments_from_columns_fast(columns)
-        if segments is None:
-            segments = _segments_from_columns(columns)  # lazy: raises while iterated
+        if segments is None:  # the state machine raises while iterated
+            segments = iter_segments(_records_from_columns(columns))
         yield from segments
 
 
 def _text_sizes(columns: _RankColumns, sizer: ColumnTextSizer) -> np.ndarray:
     """Bytes each rank of a run occupies in the text format."""
-    ranks = [entry.rank for entry in columns.entries]
     return sizer.records(
-        ranks, columns.record_bounds, columns.kind, columns.time, columns.name
+        columns.ranks, columns.record_bounds, columns.kind, columns.time, columns.name
     ) + sizer.mpi(
         columns.mpi_bounds,
         columns.mpi_op,
@@ -914,7 +886,7 @@ def _text_sizes(columns: _RankColumns, sizer: ColumnTextSizer) -> np.ndarray:
 def _frames_from_columns(
     columns: _RankColumns, sizer: ColumnTextSizer
 ) -> Optional[list[RankFrame]]:
-    """Turn a decoded run into one columnar :class:`RankFrame` per rank.
+    """Turn a run's columns into one columnar :class:`RankFrame` per rank.
 
     Pure array slicing: the same marker/event split and wholesale validation
     as :func:`_segments_from_columns_fast`, once over the run, the timestamp
@@ -923,14 +895,16 @@ def _frames_from_columns(
     sized for the text format while its columns are at hand.  ``None`` for a
     run of several ranks that does not split rank by rank; a malformed run of
     one falls back through the record-by-record state machine (raising the
-    precise error) and the segments→frame adapter.
+    precise error) and the segments→frame adapter.  Called by
+    :func:`rank_frames` and :func:`trace_frames`.
     """
-    entries = columns.entries
+    ranks = columns.ranks
     split = _marker_split(columns)
     if split is None:
-        if len(entries) > 1:
+        if len(ranks) > 1:
             return None
-        frames = [RankFrame.from_segments(columns.rank, _segments_from_columns(columns))]
+        segments = iter_segments(_records_from_columns(columns))  # raises the precise error
+        frames = [RankFrame.from_segments(columns.rank, segments)]
     else:
         begin_pos, end_pos, enter_pos, exit_pos, event_seg = split
         mpi_pos = columns.mpi_pos
@@ -941,7 +915,7 @@ def _frames_from_columns(
             # events carry the MPI info of their ENTER record, if any.  A
             # search of the whole run finds what a search of the rank finds
             # only if every rank's rows are in order and name its own records.
-            if len(entries) > 1 and not (
+            if len(ranks) > 1 and not (
                 np.all(mpi_pos[:-1] <= mpi_pos[1:])
                 and np.array_equal(
                     np.searchsorted(mpi_pos, columns.record_bounds), columns.mpi_bounds
@@ -968,14 +942,9 @@ def _frames_from_columns(
             mpi_table=mpi_table,
         )
         cuts = np.searchsorted(begin_pos, columns.record_bounds).tolist()
-        frames = [
-            run.rows_view(entry.rank, lo, hi) for entry, lo, hi in zip(entries, cuts, cuts[1:])
-        ]
+        frames = [run.rows_view(rank, lo, hi) for rank, lo, hi in zip(ranks, cuts, cuts[1:])]
     for frame, size in zip(frames, _text_sizes(columns, sizer).tolist()):
         frame.text_bytes = size
-        # The time-order check runs where the frame is reduced; it reports as
-        # the value checks of :func:`_block_values` do.
-        frame.invalid = partial(_invalid, frame.rank)
     return frames
 
 
@@ -1031,7 +1000,12 @@ def rank_frames(path: str | Path, ranks: Iterable[int]) -> list[RankFrame]:
         span = obs.span("columnar.decode", source="rpb", **_run_attrs(entries))
         with span, _block_values(entries[0].rank):
             columns = _load_columns(handle, entries, index.strings)
-            return _frames_from_columns(columns, index.sizer)
+            frames = _frames_from_columns(columns, index.sizer)
+        for frame in frames or ():
+            # The time-order check runs where the frame is reduced; it reports
+            # as the value checks of :func:`_block_values` do.
+            frame.invalid = partial(_invalid, frame.rank)
+        return frames
 
     with path.open("rb") as handle:
         return _whole_or_by_rank([index.entry_for(rank) for rank in ranks], decode)
@@ -1041,6 +1015,32 @@ def rank_frame(path: str | Path, rank: int) -> RankFrame:
     """One rank's frame: the run of one of :func:`rank_frames`."""
     (frame,) = rank_frames(path, (rank,))
     return frame
+
+
+def trace_frames(trace: Trace) -> Iterator[RankFrame]:
+    """A raw in-memory trace's ranks as the frames its ``.rpb`` file decodes to.
+
+    The writer's encoder (one string table for the trace), then the frame
+    decoder and its sizer, a rank at a time: no byte written, no record, event
+    or segment built.  The frames carry no ``.rpb`` error hook: a rank the
+    record state machine refuses is refused by it, with its error.
+    """
+    strings = _StringTable()
+    encoded = []
+    for rank_trace in trace.ranks:
+        columns, stray = _as_columns(rank_trace.rank, rank_trace.records)
+        encoded.append((rank_trace, stray, _encode(columns, strings)))
+    table = tuple(strings.strings)
+    sizer = ColumnTextSizer(table)
+    for rank_trace, stray, arrays in encoded:
+        if stray is not None:  # raises if the records mix ranks; one other rank is no error
+            segment_rank_records(rank_trace.records)
+        bounds = [np.array([0, len(arrays[0])]), np.array([0, len(arrays[3])])]
+        columns = _RankColumns([rank_trace.rank], *bounds, *arrays, table)
+        (frame,) = _frames_from_columns(columns, sizer)
+        if np.any(frame.ev_ends < frame.ev_starts) or np.any(frame.ends < frame.starts):
+            segment_rank_records(rank_trace.records)  # raises: an EXIT or END too early
+        yield frame
 
 
 def text_bytes(path: str | Path) -> int:

@@ -76,6 +76,14 @@ def small_late_sender_trace():
 
 
 @pytest.fixture(scope="session")
+def small_late_sender_prepared():
+    """The same workload prepared for evaluation: frames, full size, diagnosis (session-cached)."""
+    from repro.evaluation.runner import PreparedWorkload
+
+    return PreparedWorkload.from_workload(late_sender(nprocs=4, iterations=6, seed=3))
+
+
+@pytest.fixture(scope="session")
 def small_dynlb_trace():
     """A tiny dyn_load_balance workload's segmented trace (session-cached)."""
     return dyn_load_balance(nprocs=4, iterations=12, rebalance_period=4, seed=5).run_segmented()

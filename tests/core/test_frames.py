@@ -215,8 +215,10 @@ class TestSerialization:
         frame.structural_keys()
         frame.pairwise_vectors()
         frame.segment(0)
+        frame.text_bytes = 4096  # what a decoder sized: not derivable, so shipped
         clone = pickle.loads(pickle.dumps(frame))
         assert clone.rank == frame.rank
+        assert clone.text_bytes == 4096
         assert clone.n_segments == frame.n_segments
         assert clone.materialized == 0  # derived state is not shipped
         assert clone.starts.tobytes() == frame.starts.tobytes()

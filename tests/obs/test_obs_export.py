@@ -229,10 +229,10 @@ def test_sweep_run_splits_the_criteria_span_per_config(tmp_path, capsys):
     assert "criteria.trends" in obs.render_report(telemetry)
 
 
-def test_criteria_children_nest_under_their_config(small_late_sender_trace):
-    from repro.evaluation.runner import PreparedWorkload, evaluate_method
+def test_criteria_children_nest_under_their_config(small_late_sender_prepared):
+    from repro.evaluation.runner import evaluate_method
 
-    prepared = PreparedWorkload.from_segmented("late_sender", small_late_sender_trace)
+    prepared = small_late_sender_prepared
     with obs.recording("evaluate") as recorder:
         evaluate_method(prepared, create_metric("relDiff"))
     (parent,) = [span for span in recorder.spans if span.name == "evaluate.criteria"]

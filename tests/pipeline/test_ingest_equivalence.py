@@ -23,6 +23,7 @@ import pytest
 from repro.benchmarks_ats import late_sender
 from repro.core.metrics import METRIC_NAMES, create_metric
 from repro.pipeline.engine import PipelineConfig, reduce_pipeline
+from repro.trace import binio
 from repro.trace.formats import convert_trace
 from repro.trace.io import read_trace, serialize_reduced_trace, write_trace
 
@@ -161,6 +162,10 @@ class TestEverySourceEveryExecutor:
             assert result.stats.dispatch == "inline"
         else:
             assert result.stats.dispatch == ("shard" if kind == "rpb" else "payload")
+        # The records are sized where their columns were at hand, whatever
+        # carried the frames to the task that reduced them.
+        sized = binio.text_bytes(trace_files["rpb_exact"])
+        assert result.stats.text_bytes == (sized if kind in ("trace", "frames", "rpb") else 0)
 
 
 class TestEvaluationFromFiles:

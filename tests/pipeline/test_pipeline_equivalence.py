@@ -9,7 +9,7 @@ approximation distance, retention of trends).
 import pytest
 
 from repro.core.metrics import METRIC_NAMES, create_metric
-from repro.evaluation.runner import PreparedWorkload, evaluate_method, result_from_reduced
+from repro.evaluation.runner import evaluate_method, result_from_reduced
 from repro.pipeline.engine import PipelineConfig, ReductionPipeline, reduce_pipeline
 from repro.trace.io import serialize_reduced_trace
 
@@ -17,8 +17,8 @@ from tests.support import RESULT_FIELDS, reference_reduce
 
 
 @pytest.fixture(scope="module")
-def prepared(small_late_sender_trace):
-    return PreparedWorkload.from_segmented("late_sender", small_late_sender_trace)
+def prepared(small_late_sender_prepared):
+    return small_late_sender_prepared
 
 
 def _pipeline_criteria(prepared, metric_name, executor):

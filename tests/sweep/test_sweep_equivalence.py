@@ -20,12 +20,7 @@ from repro.core.frames import RankFrame
 from repro.core.metrics import DEFAULT_THRESHOLDS, METRIC_NAMES, THRESHOLD_STUDY, create_metric
 from repro.core.reduced import ReducedRankTrace, ReducedTrace
 from repro.core.reducer import ReductionState, TraceReducer, step_families
-from repro.evaluation.runner import (
-    PreparedWorkload,
-    evaluate_grid,
-    evaluate_method,
-    result_from_reduced,
-)
+from repro.evaluation.runner import evaluate_grid, evaluate_method, result_from_reduced
 from repro.fuzz.executor import plan_cases
 from repro.fuzz.generators import generate_case
 from repro.pipeline.engine import PipelineConfig, sweep_pipeline
@@ -393,8 +388,8 @@ class TestSharedLeaderRows:
 
 class TestEvaluationRows:
     @pytest.fixture(scope="class")
-    def prepared(self, segmented):
-        return PreparedWorkload.from_segmented("late_sender", segmented)
+    def prepared(self, small_late_sender_prepared):
+        return small_late_sender_prepared  # of the same workload as ``raw_trace``
 
     def test_grid_rows_equal_reference_rows(self, prepared, segmented, plan):
         """Sweep rows == per-config loop rows == criteria of the reference's bytes."""

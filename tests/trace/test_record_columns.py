@@ -5,6 +5,9 @@ import random
 import pytest
 
 from repro.benchmarks_ats import late_sender
+from repro.cli import main
+from repro.evaluation.runner import PreparedWorkload
+from repro.experiments.config import build_workload
 from repro.trace import binio
 from repro.trace.events import MpiCallInfo
 from repro.trace.records import RecordColumns, RecordKind, TraceRecord
@@ -135,3 +138,28 @@ def test_the_string_table_is_the_strings_in_the_order_records_meet_them(seed, tm
                 columns.append(RecordKind.ENTER, float(t), name, mpi)
             writer.write_rank(rank, columns)
     assert binio.read_index(path).strings == tuple(dict.fromkeys(met))
+
+
+@pytest.fixture()
+def records_unread(monkeypatch):
+    """Make reading a rank's columns record by record an error."""
+
+    def read(*args):
+        raise AssertionError("a simulated rank was read record by record")
+
+    monkeypatch.setattr(RecordColumns, "__iter__", read)
+    monkeypatch.setattr(RecordColumns, "__getitem__", read)
+
+
+@pytest.mark.parametrize("save_trace", [False, True])
+def test_a_simulated_pipeline_reads_no_record(records_unread, tmp_path, save_trace, capsys):
+    argv = ["--scale", "smoke", "pipeline", "late_sender", "--output", str(tmp_path / "r.rpb")]
+    if save_trace:  # the writer takes the columns whole too
+        argv += ["--save-trace", str(tmp_path / "t.rpb")]
+    assert main(argv) == 0
+    assert "full trace bytes" in capsys.readouterr().out
+
+
+def test_preparing_a_workload_reads_no_record(records_unread):
+    prepared = PreparedWorkload.from_workload(build_workload("sweep3d_8p", "smoke"))
+    assert prepared.full_bytes > 0 and prepared.segmented.materialized == 0

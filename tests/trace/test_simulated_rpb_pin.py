@@ -4,14 +4,22 @@ The simulator appends record columns and the writer encodes them whole;
 neither may change a byte of a simulated trace for a given seed.  The digests
 are of the files the record-object simulator and writer wrote, at
 ``--scale smoke`` for seeds 0 and 7; a change that moves one must say why.
+
+A simulated trace reaches the reducers as the frames its file decodes to,
+built in memory by the same encoder and frame decoder: those are held to the
+written file's frames here too.
 """
 
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
+from repro.evaluation.filesize import full_trace_bytes
 from repro.experiments.config import ALL_WORKLOAD_NAMES, SCALES, build_workload
+from repro.pipeline.stream import rank_frame_streams
+from repro.trace import binio
 from repro.trace.binio import write_trace_rpb
 
 #: ``"workload/seed"`` -> sha256 of its smoke-scale ``.rpb``.
@@ -67,3 +75,39 @@ def test_a_simulated_trace_writes_the_pinned_bytes(seed, tmp_path):
         path = tmp_path / f"{name}.rpb"
         write_trace_rpb(build_workload(name, scale).run(), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED[f"{name}/{seed}"], name
+
+
+_COLUMNS = ("contexts", "starts", "ends", "ev_offsets", "ev_names", "ev_starts", "ev_ends")
+
+
+def _event_mpi(frame):
+    """Each event's MPI info, by value: a run of ranks shares one MPI table, a rank has its own."""
+    return [frame.mpi_table[ident] if ident >= 0 else None for ident in frame.ev_mpi.tolist()]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_a_simulated_trace_becomes_the_frames_its_file_decodes_to(seed, tmp_path):
+    scale = dataclasses.replace(SCALES["smoke"], seed=seed)
+    for name in ALL_WORKLOAD_NAMES:
+        trace = build_workload(name, scale).run()
+        path = tmp_path / f"{name}.rpb"
+        write_trace_rpb(trace, path)
+        decoded = [
+            frame
+            for ranks, _ in binio.rank_runs(path, binio.rank_ids(path))
+            for frame in binio.rank_frames(path, ranks)
+        ]
+        frames = [frame for _, frame in rank_frame_streams(trace)]
+        assert [frame.rank for frame in frames] == [frame.rank for frame in decoded], name
+        for frame, want in zip(frames, decoded):
+            for column in _COLUMNS:
+                got, expected = getattr(frame, column), getattr(want, column)
+                assert got.dtype == expected.dtype, (name, column)
+                assert np.array_equal(got, expected), (name, column)
+            assert frame.indices is None and want.indices is None
+            assert frame.strings == want.strings, name  # one string table per trace
+            assert _event_mpi(frame) == _event_mpi(want), name
+            assert frame.text_bytes == want.text_bytes, (name, frame.rank)
+            assert frame.invalid is ValueError, name  # no .rpb error hook in memory
+        total = sum(frame.text_bytes for frame in frames)
+        assert total == binio.text_bytes(path) == full_trace_bytes(trace.segmented()), name
