@@ -2,9 +2,10 @@
 
 Writes a multi-rank sweep3d trace as a text file and as a columnar binary
 (``.rpb``) file, then times how long each takes to stream into the pipeline's
-``(rank, segment stream)`` form — the text path parses line by line in a
-single forward pass, the binary path decodes NumPy column blocks through the
-per-rank footer index.  Also reduces both files through the process-pool
+``(rank, RankFrame)`` form (``rank_frame_streams``, the route ``pipeline``
+ingests) — the text path parses each rank's run of lines into record columns
+in a single forward pass, the binary path decodes NumPy column blocks through
+the per-rank footer index.  Also reduces both files through the process-pool
 pipeline and checks the outputs are byte-identical, with the binary source
 dispatched to the workers as ``(path, rank)`` shard tasks (no pickled rank
 payloads).
@@ -49,7 +50,7 @@ MIN_FUSED_SPEEDUP = 2.0
 
 
 def _time_ingest(path: Path, passes: int = 2) -> tuple[float, int]:
-    """Best-of-N wall time to stream a trace file fully into segments.
+    """Best-of-N wall time to stream a trace file fully into frames.
 
     The first pass pays one-off costs (page cache, allocator warm-up, lazy
     imports) that are not part of the decode; the minimum over two passes
@@ -60,9 +61,8 @@ def _time_ingest(path: Path, passes: int = 2) -> tuple[float, int]:
     for _ in range(passes):
         started = time.perf_counter()
         n_segments = 0
-        for _, segments in rank_segment_streams(path):
-            for _ in segments:
-                n_segments += 1
+        for _, frame in rank_frame_streams(path):
+            n_segments += frame.n_segments
         best = min(best, time.perf_counter() - started)
     return best, n_segments
 

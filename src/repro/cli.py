@@ -531,6 +531,8 @@ def _cmd_pipeline(args, scale) -> str:
     if trace_path is not None and args.save_trace is not None:
         raise _UsageError("--save-trace only applies when simulating a workload")
     _check_output_paths(args.save_trace, args.output, args.telemetry)
+    if args.output is not None and (fmt := resolve_format(args.output).name) != "text":
+        raise _UsageError(f"{args.output}: a reduced trace is written as text, not as {fmt}")
 
     subject = args.workload if trace_path is None else args.trace
     if trace_path is not None:

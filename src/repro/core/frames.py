@@ -26,10 +26,11 @@ the time-order check construction made on the way is
 :meth:`RankFrame.check_time_order`.
 ``.rpb`` files decode straight into frames (:func:`repro.trace.binio.rank_frames`:
 a run of short ranks becomes one frame, each rank a :meth:`RankFrame.rows_view`
-of it, so the bulk passes above run once per run), and so does a raw
-in-memory trace, through the same code (:func:`repro.trace.binio.trace_frames`);
-text files and segmented traces adapt through :meth:`RankFrame.from_segments`,
-so every engine runs one code path.  The segment-at-a-time
+of it, so the bulk passes above run once per run), and so do a raw
+in-memory trace and a text file, through the same code from their records'
+columns (:func:`repro.trace.binio.trace_frames`); only in-memory segmented
+traces adapt through :meth:`RankFrame.from_segments`, so every engine runs
+one code path.  The segment-at-a-time
 :class:`~repro.core.reducer.TraceReducer` remains the byte-identity oracle.
 """
 
@@ -207,8 +208,8 @@ class RankFrame:
         #: a decoder that knows where the frame came from says so here.
         self.invalid = ValueError
         #: Bytes the rank's records occupy in the text format, where the
-        #: decoder had the record columns to size them (an ``.rpb`` rank, a
-        #: raw in-memory rank).
+        #: decoder had the record columns to size them (a rank of a trace
+        #: file or of a raw in-memory trace).
         self.text_bytes = 0
         #: ``(frame, rows, events)`` when this frame is a row slice of a longer
         #: one (:meth:`rows_view`): what is derived from the columns is sliced
@@ -244,9 +245,10 @@ class RankFrame:
     def from_segments(cls, rank: int, segments: Iterable[Segment]) -> "RankFrame":
         """Adapter: build a frame from already-built :class:`Segment` objects.
 
-        This is how text and in-memory sources join the columnar path — the
-        segments are consumed (a stream works), their strings and MPI infos
-        interned, and their timestamps laid out as columns.  The reverse of
+        This is how segments join the columnar path (an in-memory segmented
+        trace's ranks, a reduced rank's representatives, the service's
+        appends) — the segments are consumed (a stream works), their strings
+        and MPI infos interned, and their timestamps laid out as columns.  The reverse of
         :meth:`segment`: ``frame.segment(i)`` rebuilds ``segments[i]``'s
         normalised form bit for bit.
         """

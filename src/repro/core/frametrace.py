@@ -182,9 +182,8 @@ class FrameRankTrace:
 class FrameTrace:
     """A whole trace held as columnar frames, readable like ``SegmentedTrace``.
 
-    Built by :meth:`from_file` (``.rpb`` ranks decode straight to frames;
-    forward-only text streams adapt through
-    :meth:`RankFrame.from_segments`), :meth:`from_segmented` or
+    Built by :meth:`from_file` (``.rpb`` ranks decode straight to frames,
+    text files through their records' columns), :meth:`from_segmented` or
     :meth:`from_frames` (a raw trace's, built by the ``.rpb`` decoder's code).
     The reducers
     and the pipeline/sweep ingestion recognise it and take their columnar
@@ -214,9 +213,8 @@ class FrameTrace:
         """Decode a trace file (any registered format) into frames.
 
         Indexed formats decode their ranks' byte ranges, a run of ranks at a
-        time, directly into columns;
-        forward-only formats stream records through the segmenter and the
-        segments→frame adapter.
+        time, directly into columns; a text file is parsed a rank's run of
+        lines at a time into record columns, which become frames the same way.
         """
         from repro.pipeline.stream import rank_frame_streams
 

@@ -55,10 +55,10 @@ def full_trace_bytes_from_file(path: str | Path) -> int:
 def decoded_trace_bytes(source, text_bytes: int) -> int:
     """Text-equivalent size of a trace file or raw ``Trace`` whose frames have just been built.
 
-    The frames of an indexed file and of a raw in-memory trace are sized
-    while their record columns are at hand (``RankFrame.text_bytes``;
-    ``text_bytes`` is their sum), so the records are not walked a second
-    time; a forward-only file is sized here.
+    The frames of a file and of a raw in-memory trace are sized while their
+    record columns are at hand (``RankFrame.text_bytes``; ``text_bytes`` is
+    their sum), so the records are not walked a second time; a forward-only
+    (text) file is its own text serialization: its size is the file's.
     """
     from repro.trace.formats import resolve_format
 

@@ -107,9 +107,9 @@ class PreparedWorkload:
     def _from_source(cls, source: Trace | Path, name: str) -> "PreparedWorkload":
         """Prepare a raw trace or a trace file: its frames, sized as they are built.
 
-        A raw trace and an ``.rpb`` file become columnar frames through the
-        ``.rpb`` decoder's code, a text file through the segmenter and the
-        segments→frame adapter: the full-trace analysis and the criteria read
+        A raw trace, a text file and an ``.rpb`` file become columnar frames
+        through the ``.rpb`` decoder's code (a text file's lines parsed into
+        record columns first): the full-trace analysis and the criteria read
         the columns directly, the reducers take their frame paths, and
         ``full_bytes`` is what the frames were sized to (a text file: its own
         size) — no segment object is built unless a method probes with it.

@@ -38,6 +38,7 @@ from repro.core.reduced import ReducedTrace
 from repro.evaluation.approximation import timestamp_errors
 from repro.fuzz.generators import DISTANCE_METRICS, CaseConfig
 from repro.pipeline.engine import PipelineConfig, ReductionPipeline, sweep_pipeline
+from repro.pipeline.stream import rank_frame_streams
 from repro.service.cache import source_digest
 from repro.service.checkpoint import restore_state, session_state
 from repro.service.session import ReductionSession, SessionConfig
@@ -455,10 +456,11 @@ def oracle_malformed_fallback(ctx: CaseContext) -> Optional[str]:
     """Malformed ranks fail identically on every decode path; good ranks decode.
 
     The reference outcome per rank comes from driving :func:`iter_segments`
-    over the raw records.  The ``.rpb`` fast column decoder must fall back and
-    raise a :class:`SegmentationError` with the *same message* for malformed
-    ranks (``iter_rank_segments`` and ``rank_frames`` both, whatever the run),
-    while well-formed ranks must decode to the same segments on every path.
+    over the raw records.  Every decoder must raise a :class:`SegmentationError`
+    with the *same message* for malformed ranks (the ``.rpb`` file's
+    ``iter_rank_segments`` and ``rank_frames``, whatever the run, and the text
+    file's frames up to its first malformed rank), while well-formed ranks must
+    decode to the same segments on every path.
     """
     reference: dict[int, object] = {}
     for rank_trace in ctx.trace.ranks:
@@ -493,6 +495,18 @@ def oracle_malformed_fallback(ctx: CaseContext) -> Optional[str]:
     for orig, back in zip(ctx.trace.ranks, reread.ranks):
         if orig.records != back.records:
             return f"text round trip: malformed rank {orig.rank} records changed"
+    # Path 3: the text file's frames (its column reader) stop at the first
+    # malformed rank, with that rank's reference error.
+    decoded, outcome = [], None
+    try:
+        for rank, frame in rank_frame_streams(ctx.text_path):
+            decoded.append((rank, [frame.segment(i) for i in range(frame.n_segments)]))
+    except SegmentationError as exc:
+        outcome = str(exc)
+    good = list(reference)[: list(reference).index(malformed[0])]
+    expected = [(rank, [s.relative_to_start() for s in reference[rank]]) for rank in good]
+    if (decoded, outcome) != (expected, reference[malformed[0]]):
+        return "text frames: the ranks before the first malformed one, or its error, disagree"
     return None
 
 

@@ -61,7 +61,8 @@ as the one pool task (:func:`_rank_task`) through the one submit/collect loop
 (:func:`_run_pool_tasks`).  Whatever the dispatch mode, every rank reaches
 the reducer as a :class:`~repro.core.frames.RankFrame` — ``.rpb`` ranks
 decode straight to columns (each a row-range view of its run's frame), text
-and in-memory sources adapt through ``RankFrame.from_segments`` — so all
+files and raw traces become frames from their records' columns, and only
+in-memory segmented traces adapt through ``RankFrame.from_segments`` — so all
 executors run the one columnar code path, with the scalar segment-at-a-time
 reference kept as the byte-identity oracle.  :meth:`ReductionPipeline.write`
 asks the tasks for serialized ranks instead of objects and appends them to a

@@ -75,7 +75,8 @@ class RankCounts(Counts):
     #: ``.segment`` afterwards is the reader's materialization, not counted here.
     segments_materialized: int = 0
     #: Text-format bytes of the ranks' records (§4.3.1's denominator), sized
-    #: by the decoder that held their columns: 0 unless the source is ``.rpb``.
+    #: by the decoder that held their columns: 0 for an in-memory segmented
+    #: source, whose frames are adapted from segments.
     text_bytes: int = 0
     store: StoreCounters = field(default_factory=StoreCounters)
     match: MatchCounters = field(default_factory=MatchCounters)

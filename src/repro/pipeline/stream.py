@@ -1,21 +1,21 @@
 """Streaming ingestion: uniform per-rank streams from any source.
 
 The pipeline (and so every sweep) consumes ``(rank, RankFrame)`` pairs
-(:func:`rank_frame_streams`); the segment-at-a-time oracle and the online
-service consume ``(rank, segment iterator)`` pairs
-(:func:`rank_segment_streams`).  This module produces both from the places a
-trace can live:
+(:func:`rank_frame_streams`); the segment-at-a-time ``--verify`` oracle
+consumes ``(rank, segment iterator)`` pairs (:func:`rank_segment_streams`),
+read from records through the record state machine, not from the frames'
+columns.  This module produces both from the places a trace can live:
 
 * an in-memory :class:`~repro.trace.trace.SegmentedTrace` (already segmented)
   or :class:`~repro.core.frametrace.FrameTrace` (already columnar — its
   frames are handed over as they are);
 * an in-memory raw :class:`~repro.trace.trace.Trace`: its frames are what
   its ``.rpb`` file would decode to, built by the same code without the
-  bytes (:func:`repro.trace.binio.trace_frames`), and its segment streams
-  run the record state machine (the ``--verify`` oracle's input);
-* a **text** trace file on disk (parsed *and* segmented lazily, line by line,
-  via the chunked readers in :mod:`repro.trace.io` — the whole trace is never
-  materialized, but streams must be consumed in file order);
+  bytes (:func:`repro.trace.binio.trace_frames`);
+* a **text** trace file on disk, read forward a rank at a time (streams must
+  be consumed in file order): into record columns and the same frames as a
+  raw trace's (:func:`repro.trace.io.iter_rank_columns_text`), or line by
+  line into segments;
 * an **indexed** trace file (``.rpb``): ranks decode independently from
   their byte ranges, so streams may be consumed in any order — and a worker
   process can open the file itself and decode exactly the ranks it was
@@ -47,6 +47,7 @@ from repro.core.frames import RankFrame
 from repro.core.frametrace import FrameTrace
 from repro.trace import binio
 from repro.trace.formats import resolve_format
+from repro.trace.io import iter_rank_columns_text
 from repro.trace.segments import Segment, iter_segments
 from repro.trace.trace import SegmentedTrace, Trace
 from repro.util.cut import cut_by_bytes
@@ -145,21 +146,23 @@ def rank_batches(
 def rank_frame_streams(source: SegmentSource) -> Iterator[Tuple[int, RankFrame]]:
     """Yield ``(rank, RankFrame)`` pairs for any supported source.
 
-    The columnar counterpart of :func:`rank_segment_streams`: ``.rpb`` files
-    and raw in-memory traces become frames through the ``.rpb`` decoder's
-    code (no ``Segment`` objects), while segmented traces and forward-only
-    text files adapt through :meth:`RankFrame.from_segments` — so every
-    engine runs one code path regardless of where the trace lives.
+    The columnar counterpart of :func:`rank_segment_streams`: files and raw
+    in-memory traces become frames through the ``.rpb`` decoder's code (no
+    ``Segment`` objects), and only in-memory segmented traces adapt through
+    :meth:`RankFrame.from_segments` — so every engine runs one code path
+    regardless of where the trace lives.
     """
     ranks = indexed_source_ranks(source)
     if isinstance(source, FrameTrace):  # already columnar: the frames as they are
         frames = (rank_trace.frame for rank_trace in source.ranks)
+    elif isinstance(source, SegmentedTrace):
+        frames = (RankFrame.from_segments(rank.rank, rank.segments) for rank in source.ranks)
     elif isinstance(source, Trace):
-        frames = binio.trace_frames(source)
+        frames = binio.trace_frames((rank.rank, rank.records) for rank in source.ranks)
     elif ranks is not None:
         frames = RankBatch(ranks=tuple(ranks), path=str(source)).iter_frames()
-    else:
-        frames = (RankFrame.from_segments(*stream) for stream in rank_segment_streams(source))
+    else:  # a forward-only (text) file
+        frames = binio.trace_frames(iter_rank_columns_text(source))
     for frame in frames:
         yield frame.rank, frame
 
@@ -169,10 +172,12 @@ def rank_segment_streams(
 ) -> Iterator[Tuple[int, Iterable[Segment]]]:
     """Yield ``(rank, segment stream)`` pairs for any supported source.
 
-    Streams are yielded in rank order (the order ranks appear in the trace).
-    For forward-only (text) file sources each rank's stream must be consumed
-    before advancing to the next pair; indexed file sources have no such
-    constraint.
+    The ``--verify`` oracle's input: a file's or a raw trace's records
+    (``parse_record`` per text line, ``iter_rank_records`` per ``.rpb`` block)
+    through the record state machine.  Streams are yielded in rank order (the
+    order ranks appear in the trace).  For forward-only (text) file sources
+    each rank's stream must be consumed before advancing to the next pair;
+    indexed file sources have no such constraint.
     """
     if isinstance(source, (SegmentedTrace, FrameTrace)):
         for rank_trace in source.ranks:
@@ -184,13 +189,8 @@ def rank_segment_streams(
             yield rank_trace.rank, iter_segments(rank_trace.records)
     elif isinstance(source, (str, Path)):
         path = Path(source)
-        fmt = resolve_format(path)
-        if fmt.is_indexed:
-            for rank in fmt.rank_ids(path):
-                yield rank, fmt.rank_segments(path, rank)
-        else:
-            for rank, records in fmt.rank_streams(path):
-                yield rank, iter_segments(records)
+        for rank, records in resolve_format(path).rank_streams(path):
+            yield rank, iter_segments(records)
     else:
         raise TypeError(
             "segment source must be a SegmentedTrace, a Trace, or a trace file "

@@ -20,9 +20,9 @@ File layout::
     [magic "RPB1"] [rank block 0] ... [rank block N-1] [footer JSON]
     [footer offset: uint64 LE] [tail magic "RPBX"]
 
-Each rank block is a fixed sequence of nine arrays written with
-:func:`numpy.save` (no pickling), so the format is self-describing at the
-array level.  Readers fetch a **run** of blocks (ranks end to end in the
+Each rank block is a fixed sequence of nine ``.npy`` arrays (what
+:func:`numpy.save` writes, no pickling), so the format is self-describing at
+the array level.  Readers fetch a **run** of blocks (ranks end to end in the
 file, :data:`RUN_BYTES` of them: a long rank alone, short ranks together) with
 one ``read`` and walk each block's ``.npy`` members in place
 (:func:`_block_arrays`); whatever is wrong with a block —
@@ -36,16 +36,16 @@ decoded columns of a run of one are read-only views of the block's bytes.
 Timestamps are ``float64`` end to end: unlike the text format, which
 quantizes to two decimals on write, a binary write→read round-trip is exact.
 
-Three decoders are provided: per rank, :func:`iter_rank_records`
-materializes :class:`~repro.trace.records.TraceRecord` objects (exactness,
-conversion) and :func:`iter_rank_segments` segments straight off the columns
-(the byte-identity oracle's input); per run, :func:`rank_frames` — the
-pipeline's path — builds no record or segment object at all, and pays what
-costs a fixed amount per call (the ``read``, the marker split, the MPI table,
-the keys and vectors of the frame) once for all the ranks of the run.
-:func:`trace_frames` takes a raw in-memory trace the same way, without the
-bytes: the writer's encoder lays each rank out as the arrays of its block,
-and the frame decoder turns those into the frame the written file decodes to.
+Two decoders are provided: per rank, :func:`iter_rank_records` materializes
+:class:`~repro.trace.records.TraceRecord` objects (exactness, conversion, and
+the byte-identity oracle's input, :func:`iter_rank_segments`); per run,
+:func:`rank_frames` — the pipeline's path — builds no record or segment object
+at all, and pays what costs a fixed amount per call (the ``read``, the marker
+split, the MPI table, the keys and vectors of the frame) once for all the
+ranks of the run.  :func:`trace_frames` takes the records of a raw in-memory
+trace or a text file the same way, without the bytes: the writer's encoder
+lays each rank out as the arrays of its block, and the frame decoder turns
+those into the frame the written file decodes to.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.frames import RankFrame
-from repro.trace.events import Event, MpiCallInfo
+from repro.trace.events import MpiCallInfo
 from repro.trace.io import ColumnTextSizer, atomic_output
 from repro.trace.records import RecordColumns, RecordKind, TraceRecord
 from repro.trace.segments import Segment, iter_segments, segment_rank_records
@@ -297,11 +297,11 @@ class RpbTraceWriter:
         columns, stray = _as_columns(rank, records)
         if stray is not None:
             raise ValueError(f"record for rank {stray} in rank-{rank} block of {self._path}")
-        block = io.BytesIO()
+        block = []
         for array in _encode(columns, self._strings):
-            np.save(block, array, allow_pickle=False)
+            block += (_npy_header_bytes(array.dtype, array.shape), array.tobytes())
         offset = self._handle.tell()
-        self._handle.write(block.getvalue())
+        self._handle.write(b"".join(block))
         n_records = len(columns)
         self._entries.append(
             RpbRankEntry(
@@ -518,6 +518,14 @@ _MEMBERS = (
 
 
 @lru_cache(maxsize=256)
+def _npy_header_bytes(dtype: np.dtype, shape: tuple[int, ...]) -> bytes:
+    """:func:`numpy.save`'s header for a C-ordered array, made by NumPy's own writer."""
+    header, fields = io.BytesIO(), {"descr": dtype.str, "fortran_order": False, "shape": shape}
+    np.lib.format.write_array_header_1_0(header, fields)
+    return header.getvalue()
+
+
+@lru_cache(maxsize=256)
 def _npy_header(version: tuple[int, int], header: bytes) -> tuple[tuple[int, ...], bool, np.dtype]:
     """Parse one ``.npy`` header (length field included) with NumPy's own parser.
 
@@ -698,12 +706,6 @@ def _block_values(rank: int) -> Iterator[None]:
         raise _invalid(rank, error) from error
 
 
-def _read_rank_columns(path: Path, rank: int) -> _RankColumns:
-    index = read_index(path)
-    with path.open("rb") as handle:
-        return _load_columns(handle, [index.entry_for(rank)], index.strings)
-
-
 def _records_from_columns(columns: _RankColumns) -> Iterator[TraceRecord]:
     strings = columns.strings
     table, row_ids = columns.mpi_tables()
@@ -724,8 +726,9 @@ def _records_from_columns(columns: _RankColumns) -> Iterator[TraceRecord]:
 
 def iter_rank_records(path: str | Path, rank: int) -> Iterator[TraceRecord]:
     """Decode one rank's records via the footer index (random access)."""
-    path = Path(path)
-    columns = _read_rank_columns(path, rank)
+    index = read_index(path)
+    with Path(path).open("rb") as handle:
+        columns = _load_columns(handle, [index.entry_for(rank)], index.strings)
     with _block_values(rank):
         yield from _records_from_columns(columns)
 
@@ -799,74 +802,9 @@ def _marker_split(columns: _RankColumns) -> Optional[tuple[np.ndarray, ...]]:
     return begin_pos, end_pos, enter_pos, exit_pos, event_seg
 
 
-def _segments_from_columns_fast(columns: _RankColumns) -> Optional[list[Segment]]:
-    """Array-at-a-time segment construction; ``None`` if the rank is malformed.
-
-    Splits the record stream into marker/event position arrays with NumPy
-    (:func:`_marker_split`), then builds all events and segments in two list
-    comprehensions — no per-record interpreter loop.  A rank whose EXIT or
-    SEGMENT_END is earlier than the record it closes is malformed too: the
-    state machine refuses it, with the text path's error.
-    """
-    split = _marker_split(columns)
-    if split is None:
-        return None
-    begin_pos, end_pos, enter_pos, exit_pos, event_seg = split
-    times = columns.time
-    if np.any(times[exit_pos] < times[enter_pos]) or np.any(times[end_pos] < times[begin_pos]):
-        return None
-
-    rank = columns.rank
-    strings = columns.strings
-    table, row_ids = columns.mpi_tables()
-    mpi = dict(zip(columns.mpi_pos.tolist(), [table[ident] for ident in row_ids.tolist()]))
-    name_ids = columns.name
-    events = [
-        Event(name=strings[n], start=s, end=e, rank=rank, mpi=mpi.get(p))
-        for n, s, e, p in zip(
-            name_ids[enter_pos].tolist(),
-            times[enter_pos].tolist(),
-            times[exit_pos].tolist(),
-            enter_pos.tolist(),
-        )
-    ]
-    counts = np.bincount(event_seg, minlength=len(begin_pos))
-    offsets = np.concatenate(([0], np.cumsum(counts))).tolist()
-    segments = []
-    for i, (n, start, end) in enumerate(
-        zip(
-            name_ids[begin_pos].tolist(),
-            times[begin_pos].tolist(),
-            times[end_pos].tolist(),
-        )
-    ):
-        segments.append(
-            Segment(
-                context=strings[n],
-                rank=rank,
-                start=start,
-                end=end,
-                events=events[offsets[i] : offsets[i + 1]],
-                index=i,
-            )
-        )
-    return segments
-
-
 def iter_rank_segments(path: str | Path, rank: int) -> Iterator[Segment]:
-    """Decode one rank straight to segments (the fast random-access path).
-
-    Well-formed ranks (the only kind the writers produce) take the
-    vectorized decoder; malformed ranks fall back to the record-by-record
-    state machine so the error matches what the text path would raise.
-    """
-    path = Path(path)
-    columns = _read_rank_columns(path, rank)
-    with _block_values(rank):
-        segments = _segments_from_columns_fast(columns)
-        if segments is None:  # the state machine raises while iterated
-            segments = iter_segments(_records_from_columns(columns))
-        yield from segments
+    """One rank's segments: its records through the record state machine."""
+    return iter_segments(iter_rank_records(path, rank))
 
 
 def _text_sizes(columns: _RankColumns, sizer: ColumnTextSizer) -> np.ndarray:
@@ -888,8 +826,8 @@ def _frames_from_columns(
 ) -> Optional[list[RankFrame]]:
     """Turn a run's columns into one columnar :class:`RankFrame` per rank.
 
-    Pure array slicing: the same marker/event split and wholesale validation
-    as :func:`_segments_from_columns_fast`, once over the run, the timestamp
+    Pure array slicing: one marker/event split and wholesale validation
+    (:func:`_marker_split`), once over the run, the timestamp
     and name-id arrays handed to one frame as they are (no ``Event``/``Segment``
     built) and each rank a row-range view of it (:meth:`RankFrame.rows_view`),
     sized for the text format while its columns are at hand.  ``None`` for a
@@ -989,9 +927,8 @@ def rank_frames(path: str | Path, ranks: Iterable[int]) -> list[RankFrame]:
     of it (so their structural keys and feature vectors are computed once for
     all of them), and not a single ``Segment`` built.  A run that cannot be
     taken whole is decoded rank by rank (:func:`_whole_or_by_rank`): the
-    frames, and the errors, are those of runs of one.
-    :func:`iter_rank_segments` remains the decode-to-segments path (and the
-    byte-identity oracle).
+    frames, and the errors, are those of runs of one.  The byte-identity
+    oracle reads the file's records instead (:func:`iter_rank_segments`).
     """
     path = Path(path)
     index = read_index(path)
@@ -1017,29 +954,34 @@ def rank_frame(path: str | Path, rank: int) -> RankFrame:
     return frame
 
 
-def trace_frames(trace: Trace) -> Iterator[RankFrame]:
-    """A raw in-memory trace's ranks as the frames its ``.rpb`` file decodes to.
+def trace_frames(ranks: Iterable[tuple[int, Iterable[TraceRecord]]]) -> Iterator[RankFrame]:
+    """Each ``(rank, records)`` pair as the frame its ``.rpb`` block decodes to.
 
-    The writer's encoder (one string table for the trace), then the frame
-    decoder and its sizer, a rank at a time: no byte written, no record, event
-    or segment built.  The frames carry no ``.rpb`` error hook: a rank the
-    record state machine refuses is refused by it, with its error.
+    How a raw in-memory trace's ranks and a text file's
+    (:func:`repro.trace.io.iter_rank_columns_text`) reach the reducers: a rank
+    at a time, the writer's encoder interns its strings into one growing table
+    and lays it out as the arrays of its block, then the frame decoder and its
+    sizer make its frame — no byte written, no record, event or segment built.
+    Each frame holds the table as grown so far, so the ranks' string ids agree.
+    The frames carry no ``.rpb`` error hook: a rank the record state machine
+    refuses is refused by it, with its error.
     """
     strings = _StringTable()
-    encoded = []
-    for rank_trace in trace.ranks:
-        columns, stray = _as_columns(rank_trace.rank, rank_trace.records)
-        encoded.append((rank_trace, stray, _encode(columns, strings)))
-    table = tuple(strings.strings)
+    table: tuple[str, ...] = ()
     sizer = ColumnTextSizer(table)
-    for rank_trace, stray, arrays in encoded:
-        if stray is not None:  # raises if the records mix ranks; one other rank is no error
-            segment_rank_records(rank_trace.records)
-        bounds = [np.array([0, len(arrays[0])]), np.array([0, len(arrays[3])])]
-        columns = _RankColumns([rank_trace.rank], *bounds, *arrays, table)
-        (frame,) = _frames_from_columns(columns, sizer)
-        if np.any(frame.ev_ends < frame.ev_starts) or np.any(frame.ends < frame.starts):
-            segment_rank_records(rank_trace.records)  # raises: an EXIT or END too early
+    for rank, records in ranks:
+        with obs.span("columnar.decode", source="records", rank=rank):
+            columns, stray = _as_columns(rank, records)
+            if stray is not None:  # raises if the records mix ranks; one other rank is no error
+                segment_rank_records(records)
+            arrays = _encode(columns, strings)
+            if len(strings.strings) != len(table):
+                table = tuple(strings.strings)
+                sizer = ColumnTextSizer(table)
+            bounds = [np.array([0, len(arrays[0])]), np.array([0, len(arrays[3])])]
+            (frame,) = _frames_from_columns(_RankColumns([rank], *bounds, *arrays, table), sizer)
+            if np.any(frame.ev_ends < frame.ev_starts) or np.any(frame.ends < frame.starts):
+                segment_rank_records(records)  # raises: an EXIT or END too early
         yield frame
 
 
@@ -1068,30 +1010,19 @@ def iter_rank_record_streams_rpb(
     Unlike the text reader, the streams are independent random-access
     decoders: they may be consumed in any order, or not at all.
     """
-    path = Path(path)
-    index = read_index(path)
-    for entry in index.entries:
-        yield entry.rank, iter_rank_records(path, entry.rank)
+    for rank in rank_ids(path):
+        yield rank, iter_rank_records(path, rank)
 
 
 def read_trace_rpb(path: str | Path, name: str | None = None) -> Trace:
     """Read a whole ``.rpb`` trace; ranks must form a contiguous range from 0."""
+    path = Path(path)
     with obs.span("rpb.read_trace", path=str(path)):
-        return _read_trace_rpb(Path(path), name)
-
-
-def _read_trace_rpb(path: Path, name: str | None) -> Trace:
-    index = read_index(path)
-    if not index.entries:
-        return Trace(name=name or path.stem, ranks=[])
-    by_rank: dict[int, RankTrace] = {}
-    with path.open("rb") as handle:
-        for entry in index.entries:
-            columns = _load_columns(handle, [entry], index.strings)
-            with _block_values(entry.rank):
-                records = list(_records_from_columns(columns))
-            by_rank[entry.rank] = RankTrace(rank=entry.rank, records=records)
-    nprocs = max(by_rank) + 1
+        by_rank = {
+            rank: RankTrace(rank=rank, records=list(records))
+            for rank, records in iter_rank_record_streams_rpb(path)
+        }
+    nprocs = max(by_rank, default=-1) + 1
     missing = [r for r in range(nprocs) if r not in by_rank]
     if missing:
         raise RpbFormatError(f"trace file {path} is missing ranks {missing}")

@@ -3,9 +3,9 @@
 Every trace file API in this package goes through one registry.  A
 :class:`TraceFormat` bundles the operations a storage format must provide
 (whole-trace read/write, an incremental per-rank writer, forward rank
-streams, the text-equivalent size) plus the random-access operations that
-only indexed formats have (rank ids and block bytes from the index, runs of
-ranks to decode together, per-rank segment and per-run frame decoders).
+record streams, the text-equivalent size) plus the random-access operations
+that only indexed formats have (rank ids and block bytes from the index, runs
+of ranks to decode together, a per-run frame decoder).
 
 Two formats are registered:
 
@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.frames import RankFrame
 from repro.trace import io as textio
 from repro.trace.records import TraceRecord
-from repro.trace.segments import RecordSegmenter, Segment
+from repro.trace.segments import RecordSegmenter
 from repro.trace.trace import Trace
 
 __all__ = [
@@ -84,7 +84,6 @@ class TraceFormat:
     #: Bytes each rank's block occupies in the file, in ``rank_ids`` order,
     #: from the index alone — what the pipeline balances pooled work by.
     rank_bytes: Optional[Callable[[Path], list[int]]] = None
-    rank_segments: Optional[Callable[[Path, int], Iterator[Segment]]] = None
     #: Cut ranks into the runs to decode at a time: ``(ranks, block bytes)`` pairs.
     rank_runs: Optional[Callable[[Path, Iterable[int]], list[Tuple[Tuple[int, ...], int]]]] = None
     #: Decode one run of ranks straight into columnar ``RankFrame``s (no
@@ -232,7 +231,6 @@ register_format(
         text_bytes=binio.text_bytes,
         rank_ids=binio.rank_ids,
         rank_bytes=binio.rank_bytes,
-        rank_segments=binio.iter_rank_segments,
         rank_runs=binio.rank_runs,
         rank_frames=binio.rank_frames,
     )

@@ -37,15 +37,15 @@ from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.trace.events import Event, MpiCallInfo, validate_name
-from repro.trace.records import RecordKind, TraceRecord
-from repro.trace.segments import Segment
+from repro.trace.records import RecordColumns, RecordKind, TraceRecord, check_record
+from repro.trace.segments import RecordSegmenter, Segment
 
 if TYPE_CHECKING:  # avoid a runtime cycle: core.reduced imports this module
     from repro.core.frames import RankFrame
     from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
     from repro.service.session import ReductionDelta
 
-from repro.trace.trace import SegmentedTrace, Trace
+from repro.trace.trace import RankTrace, SegmentedTrace, Trace
 
 __all__ = [
     "TextFormatError",
@@ -65,6 +65,7 @@ __all__ = [
     "read_trace_text",
     "iter_trace_records",
     "iter_rank_record_streams_text",
+    "iter_rank_columns_text",
     "iter_reduced_rank_chunks",
     "serialize_reduced_trace",
     "ReducedSizer",
@@ -446,12 +447,67 @@ def iter_rank_record_streams_text(
     seen: set[int] = set()
     for rank, records in itertools.groupby(iter_trace_records(path), key=lambda r: r.rank):
         if rank in seen:
-            raise TextFormatError(
-                f"interleaves rank {rank}; per-rank records must be contiguous "
-                "for streaming ingestion"
-            )
+            raise _interleaved(rank)
         seen.add(rank)
         yield rank, records
+
+
+def _interleaved(rank: int) -> TextFormatError:
+    return TextFormatError(
+        f"interleaves rank {rank}; per-rank records must be contiguous for streaming ingestion"
+    )
+
+
+_KIND_BY_NAME = {kind.name: kind for kind in RecordKind}
+
+
+def iter_rank_columns_text(path: str | Path) -> Iterator[tuple[int, RecordColumns]]:
+    """Text-format ranks as record columns, one rank's run of lines at a time.
+
+    The columnar twin of :func:`iter_rank_record_streams_text`, as forward and
+    bounded by one rank: names are interned, each distinct MPI suffix is
+    parsed once, and every row is checked as a :class:`TraceRecord` is.  A
+    line it does not take goes to :func:`parse_record` once the rank's
+    earlier records went through the segmenter, so every error is the record
+    route's, in its order.
+    """
+    interned: dict[str, str] = {}
+    suffixes: dict[str, MpiCallInfo] = {}
+    seen: set[int] = set()
+    columns = rank_text = None
+    with Path(path).open("r", encoding="utf-8") as handle:
+        for line in handle:
+            tokens = line.split(None, 4)
+            if not tokens:
+                continue
+            try:
+                kind = _KIND_BY_NAME[tokens[0]]
+                if tokens[1] != rank_text:
+                    rank, rank_text = int(tokens[1]), tokens[1]
+                timestamp, name, mpi = float(tokens[2]), tokens[3], None
+                if len(tokens) > 4 and (mpi := suffixes.get(tokens[4])) is None:
+                    mpi = suffixes[tokens[4]] = _parse_mpi(tokens[4].split())
+                check_record(kind, timestamp, name, mpi)
+            except (IndexError, KeyError, ValueError):
+                segmenter = RecordSegmenter()  # the record route segments as it parses
+                for record in columns or ():
+                    segmenter.push(record)
+                parse_record(line.strip())  # raises: it refuses what the columns refuse
+                raise
+            if columns is None or rank != columns.rank:
+                if columns is not None:
+                    yield columns.rank, columns
+                if rank in seen:
+                    raise _interleaved(rank)
+                seen.add(rank)
+                columns = RecordColumns(rank)
+            if mpi is not None:
+                columns.mpi[len(columns.kinds)] = mpi
+            columns.kinds.append(kind)
+            columns.times.append(timestamp)
+            columns.names.append(interned.setdefault(name, name))
+    if columns is not None:
+        yield columns.rank, columns
 
 
 #: ``str.format`` templates of stored segments by structural key: all of
@@ -780,20 +836,11 @@ def read_trace_text(path: str | Path, name: str | None = None) -> Trace:
     """
     path = Path(path)
     per_rank: dict[int, list[TraceRecord]] = {}
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = parse_record(line)
-            per_rank.setdefault(record.rank, []).append(record)
-    if not per_rank:
-        return Trace(name=name or path.stem, ranks=[])
-    nprocs = max(per_rank) + 1
+    for record in iter_trace_records(path):
+        per_rank.setdefault(record.rank, []).append(record)
+    nprocs = max(per_rank, default=-1) + 1
     missing = [r for r in range(nprocs) if r not in per_rank]
     if missing:
         raise TextFormatError(f"trace file {path} is missing ranks {missing}")
-    from repro.trace.trace import RankTrace  # local import to avoid cycle at module load
-
     ranks = [RankTrace(rank=r, records=per_rank[r]) for r in range(nprocs)]
     return Trace(name=name or path.stem, ranks=ranks)

@@ -153,26 +153,43 @@ class TestSweepByteIdentity:
 
 
 class TestLazyStreamFrames:
-    def test_text_stream_frames_equal_list_built_frames(self, tmp_path):
-        """Frames built from the forward-only text reader match list-built ones.
+    @pytest.fixture(scope="class")
+    def sweep3d_text(self, tmp_path_factory):
+        """A trace with many MPI signatures (sweep3d, 32 ranks); late_sender has too few."""
+        from repro.experiments.config import build_workload, get_scale
 
-        Regression: the adapter's by-object MPI intern memo was keyed on
+        path = tmp_path_factory.mktemp("lazy") / "sweep3d.txt"
+        write_trace(build_workload("sweep3d_32p", get_scale("smoke")).run(), path)
+        return str(path)
+
+    def test_text_stream_frames_equal_list_built_frames(self, sweep3d_text):
+        """Frames read from a text file hold the segments the record route reads.
+
+        The column reader interns strings in record order, as the ``.rpb``
+        encoder does, so the tables are compared by the names and MPI
+        parameters the rows resolve to, not by position.
+        """
+        stream_frames = dict(rank_frame_streams(sweep3d_text))
+        for rank, segments in rank_segment_streams(sweep3d_text):
+            frame = stream_frames.pop(rank)
+            rows = [frame.segment(i) for i in range(frame.n_segments)]
+            assert rows == [segment.relative_to_start() for segment in segments]
+        assert not stream_frames
+
+    def test_adapter_on_a_lazy_stream_equals_list_built_frames(self, sweep3d_text):
+        """Regression: the adapter's by-object MPI intern memo was keyed on
         ``id()`` without pinning the object, so on lazy streams — where each
         segment dies as soon as it is consumed — a fresh ``MpiCallInfo``
         allocated at a dead one's address inherited the wrong table index,
-        silently merging distinct MPI signatures.  Needs a trace with many
-        signatures (sweep3d, 32 ranks) to surface; late_sender is too small.
+        silently merging distinct MPI signatures.
         """
         from repro.core.frames import RankFrame
-        from repro.experiments.config import build_workload, get_scale
 
-        trace = build_workload("sweep3d_32p", get_scale("smoke")).run()
-        path = tmp_path / "sweep3d.txt"
-        write_trace(trace, path)
-        stream_frames = dict(rank_frame_streams(str(path)))
-        for rank, segments in rank_segment_streams(str(path)):
-            from_list = RankFrame.from_segments(rank, list(segments))
-            from_stream = stream_frames[rank]
+        for (rank, lazy), (_, listed) in zip(
+            rank_segment_streams(sweep3d_text), rank_segment_streams(sweep3d_text)
+        ):
+            from_stream = RankFrame.from_segments(rank, lazy)
+            from_list = RankFrame.from_segments(rank, list(listed))
             assert from_list.mpi_table == from_stream.mpi_table
             assert from_list.ev_mpi.tobytes() == from_stream.ev_mpi.tobytes()
             assert from_list.ev_starts.tobytes() == from_stream.ev_starts.tobytes()

@@ -18,6 +18,8 @@ and the *quantized* chain compares the text file, the binary file converted
 from it, and the read-back in-memory trace against each other.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.benchmarks_ats import late_sender
@@ -163,9 +165,11 @@ class TestEverySourceEveryExecutor:
         else:
             assert result.stats.dispatch == ("shard" if kind == "rpb" else "payload")
         # The records are sized where their columns were at hand, whatever
-        # carried the frames to the task that reduced them.
+        # carried the frames to the task that reduced them: every source but
+        # an already segmented one reaches the frames as record columns.
         sized = binio.text_bytes(trace_files["rpb_exact"])
-        assert result.stats.text_bytes == (sized if kind in ("trace", "frames", "rpb") else 0)
+        assert sized == Path(trace_files["text"]).stat().st_size
+        assert result.stats.text_bytes == (0 if kind == "segmented" else sized)
 
 
 class TestEvaluationFromFiles:

@@ -266,6 +266,8 @@ class TestCommands:
         "argv, message",
         [
             (["pipeline", "late_sender", "--output", "{dir}"], "{dir}: Is a directory"),
+            (["pipeline", "late_sender", "--output", "{dir}/r.rpb"],
+             "{dir}/r.rpb: a reduced trace is written as text, not as rpb"),
             (["pipeline", "late_sender", "--telemetry", "{dir}/no/t.json"],
              "{dir}/no/t.json: No such file or directory"),
             (["pipeline", "late_sender", "--save-trace", "{dir}/no/s.rpb"],

@@ -153,7 +153,7 @@ def records_unread(monkeypatch):
 
 @pytest.mark.parametrize("save_trace", [False, True])
 def test_a_simulated_pipeline_reads_no_record(records_unread, tmp_path, save_trace, capsys):
-    argv = ["--scale", "smoke", "pipeline", "late_sender", "--output", str(tmp_path / "r.rpb")]
+    argv = ["--scale", "smoke", "pipeline", "late_sender", "--output", str(tmp_path / "r.txt")]
     if save_trace:  # the writer takes the columns whole too
         argv += ["--save-trace", str(tmp_path / "t.rpb")]
     assert main(argv) == 0
