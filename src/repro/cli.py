@@ -546,7 +546,7 @@ def _cmd_pipeline(args, scale) -> str:
     pipeline_runner = ReductionPipeline(metric, config)
     with _telemetry(args.telemetry, "pipeline", config) as telemetry:
         # Only --verify (which must not write on failure) and --merge need
-        # the reduced trace as objects; otherwise it streams into the file.
+        # the reduced trace in memory; otherwise it streams into the file.
         result = None
         if args.output and not (args.verify or args.merge):
             reduced_bytes, stats = pipeline_runner.write(source, args.output)

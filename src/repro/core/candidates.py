@@ -3,19 +3,20 @@
 The matching algorithm compares every incoming segment against all stored
 representatives that share its structural key, in insertion order, returning
 the first match (Section 3.1 of the paper).  The candidates of each key are
-kept in a :class:`CandidateList`: an ordered sequence of
-:class:`~repro.core.reduced.StoredSegment` that, for a dense reduction, also
-holds a contiguous 2-D matrix with one feature-vector row per representative,
-which the batch step's kernel calls compare against in one NumPy broadcast.
+kept in a :class:`CandidateList`: an ordered sequence of representative ids
+(the scalar reference's :class:`~repro.core.reduced.StoredSegment` objects)
+that, for a dense reduction, also holds a contiguous 2-D matrix with one
+feature-vector row per representative, which the batch step's kernel calls
+compare against in one NumPy broadcast.
 
 A representative is stored once: the batch step hands
-:meth:`RepresentativeStore.extend` a key's new representatives — each still
-the ``(frame, row)`` it is, no object — together with a distance metric's
-feature rows (and the metric's ``row_scale`` of each, which the leader rounds
-already hold), and the bucket writes them at that moment.  Nothing is built
-later, so a bucket holds no metric, and a row per entry or no rows at all (a
-method that decides on counts compares no rows, and the scalar reference
-fills its buckets through :meth:`RepresentativeStore.add`).
+:meth:`RepresentativeStore.extend` a key's new representatives' ids together
+with a distance metric's feature rows (and the metric's ``row_scale`` of
+each, which the leader rounds already hold), and the bucket writes them at
+that moment.  Nothing is built later, so a bucket holds no metric, and a row
+per entry or no rows at all (a method that decides on counts compares no
+rows, and the scalar reference fills its buckets through
+:meth:`RepresentativeStore.add`).
 
 Because every candidate under one structural key has the same structure, all
 rows have the same width; the matrix grows geometrically so appending a
@@ -28,14 +29,11 @@ buckets.  It keeps every representative, as the paper's reduction does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Iterator, Optional, Sequence
+from typing import Any, Hashable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.obs.metrics import AdditiveCounts
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.reduced import StoredSegment
 
 __all__ = [
     "CandidateList",
@@ -92,10 +90,10 @@ class StoreCounters(AdditiveCounts):
 class CandidateList:
     """Ordered stored-representative bucket with a contiguous row matrix.
 
-    Behaves as a sequence of :class:`StoredSegment` (the interface the scan
-    and the batch step's booking use).  When its representatives are appended
-    with their feature rows, row ``i`` of the matrix is the row of entry
-    ``i``, written at append time.
+    Behaves as a sequence of its entries: ids, or the scalar reference's
+    :class:`~repro.core.reduced.StoredSegment` objects.  When its
+    representatives are appended with their feature rows, row ``i`` of the
+    matrix is the row of entry ``i``, written at append time.
     """
 
     __slots__ = ("_entries", "_matrix", "_scales")
@@ -104,7 +102,7 @@ class CandidateList:
     MIN_CAPACITY = 4
 
     def __init__(self) -> None:
-        self._entries: list["StoredSegment"] = []
+        self._entries: list = []
         self._matrix: Optional[np.ndarray] = None  # first len(_entries) rows are live
         self._scales: Optional[np.ndarray] = None  # per-row scale, when the metric has one
 
@@ -116,7 +114,7 @@ class CandidateList:
     def __bool__(self) -> bool:
         return bool(self._entries)
 
-    def __iter__(self) -> Iterator["StoredSegment"]:
+    def __iter__(self) -> Iterator[Any]:
         return iter(self._entries)
 
     def __getitem__(self, index):
@@ -128,7 +126,7 @@ class CandidateList:
 
     # -- mutation --------------------------------------------------------------
 
-    def extend(self, entries: Sequence["StoredSegment"], rows=None, scales=None) -> None:
+    def extend(self, entries: Sequence, rows=None, scales=None) -> None:
         """Register new representatives in order, each with its row of ``rows``
         (and of ``scales``) when they have rows.
 
@@ -213,7 +211,7 @@ class RepresentativeStore:
         self._by_key: dict[Hashable, CandidateList] = {}
         self._size = 0
 
-    def candidates(self, key: Hashable) -> Sequence["StoredSegment"]:
+    def candidates(self, key: Hashable) -> Sequence:
         counters = self.counters
         counters.lookups += 1
         found = self._by_key.get(key)
@@ -226,7 +224,7 @@ class RepresentativeStore:
     def add(
         self,
         key: Hashable,
-        stored: "StoredSegment",
+        stored,
         row: Optional[np.ndarray] = None,
         scale: Optional[float] = None,
     ) -> None:
@@ -235,7 +233,7 @@ class RepresentativeStore:
         self.extend(key, [stored], rows, scales)
 
     def extend(
-        self, key: Hashable, entries: Sequence["StoredSegment"], rows=None, scales=None
+        self, key: Hashable, entries: Sequence, rows=None, scales=None
     ) -> None:
         """Store ``entries`` under ``key`` in order (see :meth:`CandidateList.extend`)."""
         bucket = self._by_key.get(key)

@@ -18,12 +18,12 @@ algorithm derives per segment is then computed **in bulk** over the columns:
   vectorizes in a handful of NumPy calls.
 
 ``Segment`` objects are only *materialized* — built back from the columns —
-for a caller that reads a representative's ``.segment`` (``iter_avg`` does,
-to average into it): a reduction probes with the frame's rows, books its
-representatives as ``(frame, row)`` and writes, sizes and reconstructs them
-from the columns, so :attr:`RankFrame.materialized` stays 0 through it, and
-the time-order check construction made on the way is
-:meth:`RankFrame.check_time_order`.
+for an oracle or a test that asks (:meth:`RankFrame.segment`): a reduction
+probes with the frame's rows, books its representatives as ``(frame, rows)``
+(``iter_avg`` writes its means into rows of their own, :meth:`RankFrame.take`)
+and writes, sizes and reconstructs them from the columns, so
+:attr:`RankFrame.materialized` stays 0 through it, and the time-order check
+construction made on the way is :meth:`RankFrame.check_time_order`.
 ``.rpb`` files decode straight into frames (:func:`repro.trace.binio.rank_frames`:
 a run of short ranks becomes one frame, each rank a :meth:`RankFrame.rows_view`
 of it, so the bulk passes above run once per run), and so do a raw
@@ -246,8 +246,8 @@ class RankFrame:
         """Adapter: build a frame from already-built :class:`Segment` objects.
 
         This is how segments join the columnar path (an in-memory segmented
-        trace's ranks, a reduced rank's representatives, the service's
-        appends) — the segments are consumed (a stream works), their strings
+        trace's ranks, the scalar reference's representatives, the service's
+        record appends) — the segments are consumed (a stream works), their strings
         and MPI infos interned, and their timestamps laid out as columns.  The reverse of
         :meth:`segment`: ``frame.segment(i)`` rebuilds ``segments[i]``'s
         normalised form bit for bit.
@@ -397,11 +397,12 @@ class RankFrame:
 
         Row ``i`` holds what :meth:`from_segments` makes of
         ``self.segment(rows[i])``, bit for bit, gathered from the columns with
-        no object built; the string and MPI tables are shared.
+        no object built; the string and MPI tables, and keys already built,
+        are shared.
         """
         rel_ev_starts, rel_ev_ends, rel_ends = self.relative_columns()
         ev_offsets, gather = gather_events(self.ev_offsets, rows)
-        return RankFrame(
+        taken = RankFrame(
             rank=self.rank,
             contexts=self.contexts[rows],
             starts=np.zeros(len(rows)),
@@ -415,6 +416,53 @@ class RankFrame:
             mpi_table=self.mpi_table,
             indices=rows if self.indices is None else self.indices[rows],
         )
+        if self._keys is not None:
+            taken._keys = [self._keys[row] for row in rows.tolist()]
+        return taken
+
+    @classmethod
+    def concat(cls, rank: int, frames: Sequence["RankFrame"]) -> "RankFrame":
+        """The rows of ``frames`` end to end, as one frame (emission indices
+        ``0..n-1``): their strings and MPI infos interned into one table, by value."""
+        if len(frames) == 1 and frames[0].rank == rank:
+            return frames[0]
+        strings: dict = {}
+        mpi: dict = {}
+        contexts, names, ev_mpi = [], [], []
+        for f in frames:
+            to_string = np.array([strings.setdefault(s, len(strings)) for s in f.strings], np.int64)
+            to_mpi = [mpi.setdefault(info.key(), (len(mpi), info))[0] for info in f.mpi_table]
+            contexts.append(to_string[f.contexts])
+            names.append(to_string[f.ev_names])
+            ev_mpi.append(np.array(to_mpi + [-1])[f.ev_mpi])  # entry -1 stays -1: no MPI
+        shift = np.cumsum([0] + [f.n_events for f in frames])
+
+        def joined(parts, dtype=np.float64) -> np.ndarray:
+            return np.concatenate([np.zeros(0, dtype), *parts])
+
+        return cls(
+            rank=rank,
+            contexts=joined(contexts, np.int64),
+            starts=joined(f.starts for f in frames),
+            ends=joined(f.ends for f in frames),
+            ev_offsets=joined(
+                [*(f.ev_offsets[:-1] + at for f, at in zip(frames, shift)), shift[-1:]], np.int64
+            ),
+            ev_names=joined(names, np.int64),
+            ev_starts=joined(f.ev_starts for f in frames),
+            ev_ends=joined(f.ev_ends for f in frames),
+            ev_mpi=joined(ev_mpi, np.int64),
+            strings=list(strings),
+            mpi_table=[info for _, info in mpi.values()],
+        )
+
+    def write_row(self, row: int, vector: np.ndarray) -> None:
+        """Give row ``row`` of a normalised frame of its own (a :meth:`take`) the
+        timestamps ``vector``, in :meth:`pairwise_vectors`' layout."""
+        lo, hi = self.ev_offsets[row], self.ev_offsets[row + 1]
+        self.ev_starts[lo:hi], self.ev_ends[lo:hi] = vector[0:-1:2], vector[1:-1:2]
+        self.ends[row] = vector[-1]
+        self._rel, self._rows, self._lists = None, {}, None
 
     def rows_view(self, rank: int, lo: int, hi: int) -> "RankFrame":
         """Segments ``lo:hi`` as the frame of ``rank``: slices, nothing copied but the offsets.
@@ -620,15 +668,11 @@ class RankFrame:
     def segment(self, i: int) -> Segment:
         """Materialize segment ``i`` in its *normalised* (relative) form.
 
-        Returns a fresh object each call — callers that want sharing keep the
-        reference, callers that will mutate the result (``iter_avg`` stores)
-        simply call again.  Bitwise identical to
-        ``decoded_segments[i].relative_to_start()``.
-
-        Deliberately unspanned: materializations happen per stored
-        representative inside the reduction loop, and telemetry stays at
-        rank/stage granularity (the ``segments_materialized`` counters carry
-        the per-segment tally; :meth:`segments` spans its bulk pass).
+        Returns a fresh object each call.  Bitwise identical to
+        ``decoded_segments[i].relative_to_start()``.  Deliberately unspanned:
+        telemetry stays at rank/stage granularity (the
+        ``segments_materialized`` counters carry the per-segment tally;
+        :meth:`segments` spans its bulk pass).
         """
         contexts, rel_ends, offsets, names, ev_starts, ev_ends, ev_mpi, indices = (
             self._materialize_lists()
@@ -661,17 +705,14 @@ class RankFrame:
         with obs.span("columnar.materialize", rank=self.rank, n=self.n_segments):
             return [self.segment(i) for i in range(self.n_segments)]
 
-    def starts_list(self) -> list[float]:
-        """Absolute segment starts as Python floats (for exec records)."""
-        return self.starts.tolist()
-
     # -- pickling --------------------------------------------------------------
 
     def __getstate__(self):
-        # Derived caches (keys, vectors, scalar mirrors) are cheaper to
-        # rebuild in a worker than to ship across the pickle boundary; the
-        # text size is not derived (the frame has no records to size).
+        # Derived caches (vectors, scalar mirrors) are cheaper to rebuild than
+        # to ship; keys already built travel (a pooled result's rows need them
+        # to be written), and the text size is not derived.
         return {
+            "keys": self._keys,
             "rank": self.rank,
             "contexts": self.contexts,
             "starts": self.starts,
@@ -688,6 +729,6 @@ class RankFrame:
         }
 
     def __setstate__(self, state):
-        text_bytes = state.pop("text_bytes")
+        text_bytes, keys = state.pop("text_bytes"), state.pop("keys")
         self.__init__(**state)
-        self.text_bytes = text_bytes
+        self.text_bytes, self._keys = text_bytes, keys

@@ -7,16 +7,15 @@ same events, same MPI parameters) but approximated timestamps — which is what
 the approximation-distance and trend-retention criteria quantify.
 
 The replay is columnar.  A rank's stored representatives (tens of segments)
-become one :class:`~repro.core.frames.RankFrame` — gathered from the frame
-they are still rows of (:meth:`RankFrame.take`, after a dense reduction), else
-adapted once from their objects; the execution
-list (thousands of entries) becomes a row array into it, and the rebuilt
-rank is a gather: name / MPI / context ids by one fancy index, timestamps as
-``representative column[gather] + execution start`` — the same IEEE-754 add a
-per-event ``start + offset`` performs, so every value is bit-identical to
-shifting the representative's objects one execution at a time (the reference
-the tests keep, ``tests/criteria_reference.py``).  No ``Segment`` or ``Event``
-is built per execution; the returned
+are one :class:`~repro.core.frames.RankFrame` — their chunks' rows taken and
+laid end to end (:meth:`~repro.core.frames.RankFrame.concat`) — and the rebuilt rank
+is one gather by the execution ids: name / MPI / context ids by one fancy
+index, timestamps as ``representative column[gather] + execution start`` —
+the same IEEE-754 add a per-event ``start + offset`` performs, so every
+value is bit-identical to shifting the representative's objects one
+execution at a time (the reference the tests keep,
+``tests/criteria_reference.py``).  No ``Segment`` or ``Event`` is built per
+execution or per representative; the returned
 :class:`~repro.core.frametrace.FrameTrace` materializes ``.segments`` only
 for a caller that asks.
 
@@ -34,38 +33,32 @@ import numpy as np
 
 from repro.core.frames import RankFrame, gather_events
 from repro.core.frametrace import FrameRankTrace, FrameTrace
-from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
-from repro.trace.segments import Segment
+from repro.core.reduced import ReducedRankTrace, ReducedTrace
 
 __all__ = ["reconstruct", "reconstruct_rank"]
 
 IterKFill = Literal["last", "mean"]
 
 
-def _mean_segment(group: list[StoredSegment]) -> Segment:
-    """Build a synthetic segment holding the mean timestamps of ``group``."""
-    template = group[-1].segment
-    stacked = np.vstack([member.timestamps() for member in group])
-    mean = stacked.mean(axis=0)
-    events = []
-    for i, event in enumerate(template.events):
-        events.append(
-            type(event)(
-                name=event.name,
-                start=float(min(mean[2 * i], mean[2 * i + 1])),
-                end=float(mean[2 * i + 1]),
-                rank=event.rank,
-                mpi=event.mpi,
-            )
-        )
-    return Segment(
-        context=template.context,
-        rank=template.rank,
-        start=0.0,
-        end=float(mean[-1]),
-        events=events,
-        index=template.index,
-    )
+def _with_means(stored: RankFrame) -> tuple[RankFrame, np.ndarray]:
+    """``stored`` with one mean row per structural group appended, and each row's fill row.
+
+    A group's mean row has its last member's structure and the mean of its
+    members' timestamps (an event starts at the lesser of its mean start and
+    end); it is the fill row of that last member, every other row its own.
+    """
+    groups: dict = {}
+    for row, key in enumerate(stored.structural_keys()):
+        groups.setdefault(key, []).append(row)
+    vectors = stored.pairwise_vectors()
+    lasts = np.array([rows[-1] for rows in groups.values()], dtype=np.int64)
+    means = stored.take(lasts)
+    for at, rows in enumerate(groups.values()):
+        means.write_row(at, np.vstack([vectors[row] for row in rows]).mean(axis=0))
+    np.copyto(means.ev_starts, means.ev_ends, where=means.ev_ends < means.ev_starts)
+    fill_row = np.arange(stored.n_segments)
+    fill_row[lasts] = stored.n_segments + np.arange(len(lasts))
+    return RankFrame.concat(stored.rank, [stored, means]), fill_row
 
 
 def reconstruct_rank(
@@ -74,44 +67,21 @@ def reconstruct_rank(
     """Reconstruct one rank's approximate trace as a frame-backed rank."""
     if iter_k_fill not in ("last", "mean"):
         raise ValueError(f"iter_k_fill must be 'last' or 'mean', got {iter_k_fill!r}")
-    row_of_id = {stored.segment_id: row for row, stored in enumerate(reduced.stored)}
-    try:
-        rows = np.fromiter(
-            (row_of_id[segment_id] for segment_id, _ in reduced.execs),
-            dtype=np.int64,
-            count=len(reduced.execs),
-        )
-    except KeyError as exc:
+    rows, starts, matched = reduced.exec_columns()
+    unknown = (rows < 0) | (rows >= reduced.n_stored)
+    if unknown.any():
         raise KeyError(
-            f"execution entry references unknown segment id {exc.args[0]} on rank {reduced.rank}"
-        ) from None
+            f"execution entry references unknown segment id {int(rows[unknown][0])} "
+            f"on rank {reduced.rank}"
+        )
+    stored_frame = RankFrame.concat(
+        reduced.rank, [frame.take(rows) for frame, rows in reduced.chunks]
+    )
+    if iter_k_fill == "mean" and reduced.n_stored:
+        # A matched execution of a group's last collected copy replays the mean.
+        stored_frame, fill_row = _with_means(stored_frame)
+        rows = np.where(matched, fill_row[rows], rows)
 
-    origins = [stored.origin for stored in reduced.stored]
-    source = origins[0][0] if origins and origins[0] is not None else None
-    if (
-        iter_k_fill == "last"
-        and source is not None
-        and all(origin is not None and origin[0] is source for origin in origins)
-    ):
-        # Every representative is still a row of one frame: gather them.
-        stored_frame = source.take(np.array([row for _, row in origins]))
-    else:
-        representatives = [stored.segment for stored in reduced.stored]
-        if iter_k_fill == "mean":
-            # One mean representative per structural group, as an extra row; a
-            # matched execution of the group's last collected copy replays it.
-            groups: dict[tuple, list[StoredSegment]] = {}
-            for stored in reduced.stored:
-                groups.setdefault(stored.segment.structure(), []).append(stored)
-            fill_row = np.arange(len(representatives), dtype=np.int64)
-            for group in groups.values():
-                fill_row[row_of_id[group[-1].segment_id]] = len(representatives)
-                representatives.append(_mean_segment(group))
-            matched = np.asarray(reduced.exec_matched, dtype=bool)
-            rows = np.where(matched, fill_row[rows], rows)
-        stored_frame = RankFrame.from_segments(reduced.rank, representatives)
-
-    starts = np.asarray([start for _, start in reduced.execs], dtype=np.float64)
     ev_offsets, gather = gather_events(stored_frame.ev_offsets, rows)
     ev_shift = np.repeat(starts, np.diff(ev_offsets))
     return FrameRankTrace(

@@ -1,14 +1,19 @@
-"""Reduced-trace containers: stored segments and segment-execution lists.
+"""Reduced-trace containers: a rank's representatives and its execution list.
 
 This is the in-memory form of the paper's ``storedSegments`` and
 ``segmentExecs`` lists (Section 3.1), per rank, plus the counters needed by
 the evaluation criteria (degree of matching).
+
+A reduced rank is columns (:class:`ReducedRankTrace`): no object stands for a
+representative.  :class:`StoredSegment` is the scalar reference's
+representative (:meth:`~repro.core.reducer.TraceReducer.reduce_segments` and
+the metrics' ``match`` scan), and nothing else's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -21,71 +26,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["StoredSegment", "ReducedRankTrace", "ReducedTrace"]
 
 
+@dataclass(slots=True)
 class StoredSegment:
-    """One representative segment retained in the reduced trace.
+    """One representative as the scalar reference stores it.
 
     The segment's timestamps are relative to its start (the reducer normalises
     every segment before storing or comparing it).  ``count`` is the number of
     executions this representative stands for; ``iter_avg`` additionally keeps
     the running mean of the timestamps in the representative itself.
-
-    A dense reduction books a representative as its ``origin`` — the
-    ``(frame, row)`` it is — and the serializer and the reconstruction read
-    the frame's columns.  :attr:`segment` builds the :class:`Segment` on first
-    read and drops the origin: a reader gets the object the scalar reference
-    stores, and the frame is pinned only until then.
-
-    Its pickled state is the compact ``(id, segment, count)`` triple: pool
-    workers ship every representative back to the parent, so the state must
-    not grow with the class.
     """
 
-    __slots__ = ("segment_id", "count", "origin", "_segment")
-
-    def __init__(
-        self,
-        segment_id: int,
-        segment: Optional[Segment] = None,
-        count: int = 1,
-        *,
-        origin: Optional[tuple["RankFrame", int]] = None,
-    ) -> None:
-        self.segment_id = segment_id
-        self.count = count
-        #: ``(frame, row)`` while the representative is still a frame row, else None.
-        self.origin = origin
-        self._segment = segment
-
-    @property
-    def segment(self) -> Segment:
-        segment = self._segment
-        if segment is None:
-            frame, row = self.origin
-            segment = self._segment = frame.segment(row)
-            self.origin = None
-        return segment
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StoredSegment):
-            return NotImplemented
-        return self.__getstate__() == other.__getstate__()
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        what = f"segment={self._segment!r}" if self.origin is None else f"row={self.origin[1]}"
-        return f"StoredSegment(segment_id={self.segment_id}, {what}, count={self.count})"
+    segment_id: int
+    segment: Segment
+    count: int = 1
 
     def timestamps(self) -> np.ndarray:
         """Relative timestamp vector in the canonical segment layout."""
         return np.asarray(self.segment.timestamps(), dtype=float)
-
-    def __getstate__(self):
-        return (self.segment_id, self.segment, self.count)
-
-    def __setstate__(self, state):
-        self.segment_id, self._segment, self.count = state
-        self.origin = None
 
     def update_mean(self, new_timestamps: np.ndarray) -> None:
         """Fold one more execution into the running mean of the timestamps.
@@ -102,58 +59,108 @@ class StoredSegment:
             )
         self.count += 1
         updated = current + (new_timestamps - current) / self.count
-        self.write_timestamps(updated)
-
-    def write_timestamps(self, values: np.ndarray) -> None:
-        """Overwrite the representative's relative timestamps (canonical layout)."""
-        events = self.segment.events
-        expected = 2 * len(events) + 1
-        if values.size != expected:
-            raise ValueError(
-                f"timestamp vector has {values.size} entries, expected {expected}"
-            )
-        for i, event in enumerate(events):
-            event.start = float(values[2 * i])
-            event.end = float(values[2 * i + 1])
-        self.segment.end = float(values[-1])
+        for i, event in enumerate(self.segment.events):
+            event.start = float(updated[2 * i])
+            event.end = float(updated[2 * i + 1])
+        self.segment.end = float(updated[-1])
 
 
-@dataclass(slots=True)
+_EMPTY_EXECS = (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=bool))
+
+
+@dataclass(slots=True, eq=False)
 class ReducedRankTrace:
-    """Reduced trace of one rank.
+    """Reduced trace of one rank, as columns.
 
     Attributes
     ----------
     rank:
         The rank this reduction belongs to.
-    stored:
-        Stored representative segments, in the order they were first seen.
-    execs:
-        ``(segment id, absolute start time)`` for every segment execution, in
-        execution order — enough to re-create an approximate full trace.
-    exec_matched:
-        Parallel to ``execs``: True where the execution matched an existing
-        stored segment (i.e. its own measurements were discarded).  This is
-        bookkeeping for evaluation/reconstruction options and is *not* counted
-        in the serialized size.
+    chunks:
+        The representatives, in the order they were first seen, as one
+        ``(frame, rows)`` per frame booked from: rows of that frame, or of a
+        normalised frame of its own once owned (:meth:`own`).  A
+        representative's id is its position across the chunks.
+    counts:
+        Executions each representative stands for (int64, one per id).
+    exec_chunks:
+        ``(ids, starts, matched)`` per booked frame, read concatenated
+        (:meth:`exec_columns`): every execution's representative id and
+        absolute start time, in execution order, and whether it matched an
+        existing representative — bookkeeping for reconstruction, *not*
+        serialized.
     n_segments, n_matches, n_possible_matches:
         Counters feeding the degree-of-matching criterion.
+    owned:
+        How many leading chunks are owned already.
     """
 
     rank: int
-    stored: list[StoredSegment] = field(default_factory=list)
-    execs: list[tuple[int, float]] = field(default_factory=list)
-    exec_matched: list[bool] = field(default_factory=list)
+    chunks: list = field(default_factory=list)
+    counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    exec_chunks: list = field(default_factory=list)
     n_segments: int = 0
     n_matches: int = 0
     n_possible_matches: int = 0
+    owned: int = 0
 
-    def stored_by_id(self) -> dict[int, StoredSegment]:
-        return {s.segment_id: s for s in self.stored}
+    @property
+    def n_stored(self) -> int:
+        return len(self.counts)
+
+    def exec_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ids, starts, matched)`` of every execution, the chunks concatenated once."""
+        chunks = self.exec_chunks
+        if len(chunks) != 1:
+            chunks[:] = [tuple(map(np.concatenate, zip(*chunks))) if chunks else _EMPTY_EXECS]
+        return chunks[0]
+
+    @property
+    def execs(self) -> list[tuple[int, float]]:
+        """``(id, start)`` of every execution: a read-only view for oracles and tests."""
+        ids, starts, _ = self.exec_columns()
+        return list(zip(ids.tolist(), starts.tolist()))
+
+    def own(self) -> None:
+        """Give every chunk rows of its own, ``(frame.take(rows), arange)``, which
+        releases the frame it was booked from: a session's flush and checkpoint,
+        a pickled result and ``iter_avg``, which writes its means into the rows."""
+        chunks = self.chunks
+        for i in range(self.owned, len(chunks)):
+            frame, rows = chunks[i]
+            chunks[i] = (frame.take(rows), np.arange(len(rows)))
+        self.owned = len(chunks)
+
+    def pieces(self, ids=None) -> Iterator[tuple["RankFrame", np.ndarray, Sequence[int]]]:
+        """Representatives ``ids`` (all, by default) in their order, as
+        ``(frame, rows, ids)`` runs of one chunk each."""
+        bounds = np.cumsum([0] + [len(rows) for _, rows in self.chunks])
+        if ids is None:
+            for (frame, rows), lo in zip(self.chunks, bounds.tolist()):
+                yield frame, rows, range(lo, lo + len(rows))
+            return
+        ids = np.asarray(ids, dtype=np.int64)
+        at = np.searchsorted(bounds, ids, side="right") - 1
+        cuts = [0, *(np.flatnonzero(at[1:] != at[:-1]) + 1).tolist(), len(ids)]
+        for lo, hi in zip(cuts, cuts[1:]) if len(ids) else ():
+            frame, rows = self.chunks[at[lo]]
+            yield frame, rows[ids[lo:hi] - bounds[at[lo]]], ids[lo:hi].tolist()
+
+    def segments(self) -> list[Segment]:
+        """Every representative as the :class:`Segment` the scalar reference
+        stores: a view for oracles and tests, built on each call."""
+        return [frame.segment(row) for frame, rows in self.chunks for row in rows.tolist()]
 
     def size_bytes(self) -> int:
         """Serialized size of this rank's reduced trace: the length of its chunks."""
         return sum(map(len, iter_reduced_rank_chunks(self)))
+
+    def __getstate__(self):
+        # A pickled rank ships its representatives' rows and one array per
+        # execution column, not the frames it was booked from.
+        self.own()
+        self.exec_columns()
+        return object.__getstate__(self)
 
 
 @dataclass(slots=True)
@@ -178,7 +185,7 @@ class ReducedTrace:
 
     @property
     def n_stored(self) -> int:
-        return sum(len(r.stored) for r in self.ranks)
+        return sum(r.n_stored for r in self.ranks)
 
     @property
     def n_matches(self) -> int:

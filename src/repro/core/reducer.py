@@ -14,19 +14,21 @@ That step is written twice, on purpose: the core and the scalar reference.
 reduces: one (rank, config) reduction stepped over a
 :class:`~repro.core.frames.RankFrame` by :func:`step_families`, the one
 frame driver.  A frame is resolved key by key over the rows of its metric's
-:meth:`~repro.core.metrics.base.SimilarityMetric.frame_vectors`, and a new
-representative is booked as the ``(frame, row)`` it is
-(:meth:`ReductionState.book`), so reducing builds no
-:class:`~repro.trace.segments.Segment`.  A distance metric resolves a key
+:meth:`~repro.core.metrics.base.SimilarityMetric.frame_vectors`, and booked
+as arrays (:meth:`ReductionState.book`): the frame's new representatives as
+one ``(frame, rows)`` chunk of the :class:`~repro.core.reduced.ReducedRankTrace`,
+counts and execution columns appended, and the store's buckets given the
+new ids — reducing builds no :class:`~repro.trace.segments.Segment` and no
+per-representative object.  A distance metric resolves a key
 in leader rounds (:meth:`ReductionState.lead_key`), the rest of it all pairs
 at once when its rounds stop matching; any other method decides on each
 row's place among its key's executions
 (:meth:`~repro.core.metrics.base.SimilarityMetric.new_rows`), and every row
-it does not make a new representative matches its key's latest.  The one
-exception to "no object" is ``iter_avg``, whose running mean rewrites a
-representative's timestamps: each representative matched in a frame is
-materialized and written once, with the mean of the frame's matches folded
-in.  :meth:`TraceReducer.reduce_frame` (and through it
+it does not make a new representative matches its key's latest.
+``iter_avg``'s running mean rewrites representatives' timestamps: its
+chunks are rows of their own (:meth:`ReducedRankTrace.own`), and each
+representative matched in a frame has the mean of the frame's matches
+written into its row once.  :meth:`TraceReducer.reduce_frame` (and through it
 :meth:`TraceReducer.reduce`, the evaluation runner and the online session)
 calls :func:`step_families` with one state, the pipeline's batch task with
 one state per metric of its grid (a sweep's whole plan, or the one metric of
@@ -49,9 +51,10 @@ the metric's scalar ``match`` scan for every segment.  The equivalence
 suites, the fuzz oracles, ``--verify`` and the benchmark's output check hold
 the core to its bytes; it shares no loop and no kernel with the core.
 
-Representatives live in a
+Representatives are looked up through a
 :class:`~repro.core.candidates.RepresentativeStore`, one per (rank, config),
-which keeps every one of them.
+which keeps every one of them: the core's buckets hold ids, the reference's
+:class:`~repro.core.reduced.StoredSegment` objects.
 """
 
 from __future__ import annotations
@@ -247,18 +250,18 @@ class LeaderRows:
         return _replay_rounds(m, block, bit_rows)
 
 
-def _fold_means(stored: list, ids: np.ndarray, matched: np.ndarray, vectors) -> None:
+def _fold_means(reduced: ReducedRankTrace, ids: np.ndarray, matched: np.ndarray, vectors) -> None:
     """``iter_avg``: fold each matched row of a frame into its representative's mean.
 
     ``matched`` are the frame rows that matched, ``ids`` every row's
-    representative, whose ``count`` already holds the frame's matches.  This
-    is :meth:`StoredSegment.update_mean`'s ``m + (x - m) / count`` replayed in
-    occurrence rounds: round ``r`` folds every representative's ``r``-th
-    match at once, so each one meets the same float operations in the same
-    order as one ``update_mean`` per match, and its timestamps are written
-    once.  The representatives are laid end to end, most matches first, so
-    the ones round ``r`` folds are a prefix of the means and that round's
-    rows are the next slice of the round-major ``flat``.
+    representative, whose count already holds the frame's matches, and whose
+    rows ``reduced`` owns.  This is :meth:`StoredSegment.update_mean`'s
+    ``m + (x - m) / count`` replayed in occurrence rounds: round ``r`` folds
+    every representative's ``r``-th match at once, so each one meets the same
+    float operations in the same order as one ``update_mean`` per match, and
+    its row is written once.  The representatives are laid end to end, most
+    matches first, so the ones round ``r`` folds are a prefix of the means and
+    that round's rows are the next slice of the round-major ``flat``.
     """
     rep_ids = ids[matched]
     by_rep = np.argsort(rep_ids, kind="stable")  # segment order within a representative
@@ -270,12 +273,14 @@ def _fold_means(stored: list, ids: np.ndarray, matched: np.ndarray, vectors) -> 
     rounds = np.arange(len(rows)) - np.repeat(starts, n_matches)
     round_major = rows[np.lexsort((np.repeat(place, n_matches), rounds))]
     flat = np.concatenate([vectors[row] for row in round_major.tolist()])
-    reps = [stored[sid] for sid in sids[order].tolist()]
-    means = [rep.timestamps() for rep in reps]
+    reps = [
+        (frame, row) for frame, rows, _ in reduced.pieces(sids[order]) for row in rows.tolist()
+    ]
+    means = [frame.pairwise_vectors()[row] for frame, row in reps]
     widths = np.array([len(mean) for mean in means])
     mean = np.concatenate(means)
     n_matches = n_matches[order]
-    count = np.repeat([rep.count for rep in reps] - n_matches, widths).astype(float)
+    count = np.repeat(reduced.counts[sids[order]] - n_matches, widths).astype(float)
     ends = np.cumsum(widths)
     # Round r folds the representatives with more than r matches.
     active = np.searchsorted(-n_matches, -np.arange(n_matches[0]), side="left")
@@ -285,8 +290,8 @@ def _fold_means(stored: list, ids: np.ndarray, matched: np.ndarray, vectors) -> 
         counted += 1
         folded += (flat[at : at + width] - folded) / counted
         at += width
-    for rep, lo, hi in zip(reps, (ends - widths).tolist(), ends.tolist()):
-        rep.write_timestamps(mean[lo:hi])
+    for (frame, row), lo, hi in zip(reps, (ends - widths).tolist(), ends.tolist()):
+        frame.write_row(row, mean[lo:hi])
 
 
 class _Leads:
@@ -321,7 +326,7 @@ class ReductionState:
     over one shared frame.
     """
 
-    __slots__ = ("metric", "reduced", "store", "counters", "_next_id")
+    __slots__ = ("metric", "reduced", "store", "counters")
 
     def __init__(
         self,
@@ -334,50 +339,47 @@ class ReductionState:
         self.reduced = reduced
         self.store = store
         self.counters = counters
-        self._next_id = len(reduced.stored)
 
     def leads(self, n: int) -> _Leads:
         """Empty decisions for a frame of ``n`` rows."""
         return _Leads(n, getattr(self.metric, "row_scale", None) is not None)
 
     def book(self, batches: KeyBatches, leads: _Leads) -> None:
-        """Book a frame's decisions into the output and the store.
+        """Book a frame's decisions into the output and the store, as arrays.
 
         New representatives take the ids the reference gives them, in
-        segment order across keys — each as its ``(frame, row)``, a distance
-        metric's with its probe row and the scale its leader round computed —
-        and enter their bucket one key at a time
-        (:meth:`RepresentativeStore.extend`).
+        segment order across keys: the frame's chunk of the output is those
+        rows, its counts the rows each id took, and its execution columns
+        every row's id, start and whether it matched.  Each key's new ids
+        enter its bucket at once (:meth:`RepresentativeStore.extend`), a
+        distance metric's with their probe rows and the scales their leader
+        rounds computed.
         """
         frame, vectors = batches.frame, batches.vectors
         metric, store, reduced = self.metric, self.store, self.reduced
         ids, leader, misses = leads.ids, leads.leader, leads.misses
         n = frame.n_segments
-        first_id = self._next_id
+        first_id = reduced.n_stored
         is_new = leader == np.arange(n)
         new_rows = np.flatnonzero(is_new)  # segment order, across keys
         resolved = leader >= 0
         ids[resolved] = first_id + np.searchsorted(new_rows, leader[resolved])
-        reduced.execs.extend(zip(ids.tolist(), frame.starts_list()))
-        reduced.exec_matched.extend((~is_new).tolist())
+        reduced.exec_chunks.append((ids, frame.starts, ~is_new))
         reduced.n_matches += n - len(new_rows)
         reduced.n_possible_matches += n - misses
         store.count_lookups(n - misses, misses)
         counts = np.bincount(ids, minlength=first_id)
-        for sid in np.flatnonzero(counts[:first_id]).tolist():
-            reduced.stored[sid].count += int(counts[sid])
-        rows_counts = zip(new_rows.tolist(), counts[first_id:].tolist())
-        new = {  # row -> representative, in id order
-            row: StoredSegment(sid, count=count, origin=(frame, row))
-            for sid, (row, count) in enumerate(rows_counts, first_id)
-        }
-        reduced.stored.extend(new.values())
-        self._next_id += len(new)
-        if metric.averages and len(new_rows) < n:
-            _fold_means(reduced.stored, ids, np.flatnonzero(~is_new), vectors)
+        counts[:first_id] += reduced.counts
+        reduced.counts = counts
+        if len(new_rows):
+            reduced.chunks.append((frame, new_rows))
+        if metric.averages:
+            reduced.own()
+            if len(new_rows) < n:
+                _fold_means(reduced, ids, np.flatnonzero(~is_new), vectors)
         distance, scale_of = isinstance(metric, DistanceMetric), leads.scale_of
         for key, heads in leads.fresh:
-            entries = [new[row] for row in heads]
+            entries = ids[heads].tolist()
             if distance:
                 scales = None if scale_of is None else scale_of[heads]
                 store.extend(key, entries, [vectors[row] for row in heads], scales)
@@ -397,15 +399,16 @@ class ReductionState:
         groups, ids, leader = batches.groups, leads.ids, leads.leader
         buckets = [self.store.bucket(key) for key, _, _ in groups]
         seen = np.empty(batches.frame.n_segments, dtype=np.int64)
+        counts = self.reduced.counts
         for (_, rows, _), bucket in zip(groups, buckets):
-            prior = sum(stored.count for stored in bucket) if bucket else 0
+            prior = int(counts[list(bucket)].sum()) if bucket else 0
             seen[rows] = np.arange(prior, prior + len(rows))
         is_new = self.metric.new_rows(seen)
         for (key, rows, _), bucket in zip(groups, buckets):
             new = is_new[rows]
             latest = leader[rows] = np.maximum.accumulate(np.where(new, rows, -1))
             if bucket:
-                ids[rows[latest < 0]] = bucket[-1].segment_id
+                ids[rows[latest < 0]] = bucket[-1]
             if new.any():
                 leads.fresh.append((key, rows[new].tolist()))
         leads.misses += sum(not bucket for bucket in buckets)
@@ -452,7 +455,7 @@ class ReductionState:
                 mask = stat <= (threshold if base is None else threshold * base)
                 first[lo : lo + block] = np.where(mask.any(axis=1), mask.argmax(axis=1), -1)
             found = first >= 0
-            leads.ids[key_rows[found]] = [bucket[j].segment_id for j in first[found].tolist()]
+            leads.ids[key_rows[found]] = [bucket[j] for j in first[found].tolist()]
             at = np.flatnonzero(~found)
         else:
             leads.misses += 1
@@ -542,6 +545,41 @@ def step_families(frame: RankFrame, families: Sequence[Sequence[ReductionState]]
                 state.book(batches, leads)
 
 
+def _reference_frame(rank: int, segments: list[Segment]) -> RankFrame:
+    """The reference's representatives as one frame, built here from their objects.
+
+    Not through :meth:`RankFrame.from_segments`, the core's adapter: the
+    oracle shares no route from objects to columns with what it checks.
+    """
+    strings: dict = {}
+    mpi: dict = {}
+    events = [event for segment in segments for event in segment.events]
+
+    def interned(values) -> np.ndarray:
+        return np.array([strings.setdefault(value, len(strings)) for value in values], dtype=np.int64)
+
+    return RankFrame(
+        rank=rank,
+        contexts=interned([segment.context for segment in segments]),
+        starts=np.array([segment.start for segment in segments], dtype=np.float64),
+        ends=np.array([segment.end for segment in segments], dtype=np.float64),
+        ev_offsets=np.cumsum([0] + [len(segment.events) for segment in segments]),
+        ev_names=interned([event.name for event in events]),
+        ev_starts=np.array([event.start for event in events], dtype=np.float64),
+        ev_ends=np.array([event.end for event in events], dtype=np.float64),
+        ev_mpi=np.array(
+            [
+                -1 if event.mpi is None else mpi.setdefault(event.mpi.key(), (len(mpi), event.mpi))[0]
+                for event in events
+            ],
+            dtype=np.int64,
+        ),
+        strings=list(strings),
+        mpi_table=[info for _, info in mpi.values()],
+        indices=np.array([segment.index for segment in segments], dtype=np.int64),
+    )
+
+
 class TraceReducer:
     """Applies one similarity metric to segmented traces.
 
@@ -573,28 +611,23 @@ class TraceReducer:
         rank: int = 0,
         store: Optional[RepresentativeStore] = None,
         match_counters: Optional[MatchCounters] = None,
-        into: Optional[ReducedRankTrace] = None,
     ) -> ReducedRankTrace:
         """The reference: reduce a segment stream with the scalar ``match`` scan.
 
         Segments are consumed one at a time.  When ``match_counters``
         is given, the match-kernel stage (calls, candidate rows, wall time)
         is accumulated into it; with None the hot loop carries no timing
-        overhead.
-
-        ``into`` makes the call *incremental*: segments are appended to an
-        existing :class:`ReducedRankTrace` (new representatives continue its
-        id sequence) instead of starting a fresh one.  Passing the same
-        ``store`` and ``into`` across successive calls reduces a trace that
-        arrives in pieces byte-identically to one batch call over the
-        concatenated stream.
+        overhead.  The representatives are :class:`StoredSegment` objects
+        while the scan runs; the result is built from them once, at the end,
+        in the core's columnar form.
         """
-        reduced = ReducedRankTrace(rank=rank) if into is None else into
         if store is None:
             store = RepresentativeStore()
-        next_id = len(reduced.stored)
+        reduced = ReducedRankTrace(rank=rank)
         metric = self.metric
         matcher = metric.match
+        stored: list[StoredSegment] = []
+        execs: list[tuple[int, float, bool]] = []  # (id, start, matched)
 
         for segment in segments:
             reduced.n_segments += 1
@@ -614,16 +647,20 @@ class TraceReducer:
                     match_counters.rows_compared += len(candidates)
             if chosen is not None:
                 reduced.n_matches += 1
-                reduced.execs.append((chosen.segment_id, segment.start))
-                reduced.exec_matched.append(True)
+                execs.append((chosen.segment_id, segment.start, True))
                 metric.on_match(relative.timestamps(), chosen)
             else:
-                stored_segment = StoredSegment(segment_id=next_id, segment=relative)
-                next_id += 1
-                store.add(key, stored_segment)
-                reduced.stored.append(stored_segment)
-                reduced.execs.append((stored_segment.segment_id, segment.start))
-                reduced.exec_matched.append(False)
+                chosen = StoredSegment(segment_id=len(stored), segment=relative)
+                store.add(key, chosen)
+                stored.append(chosen)
+                execs.append((chosen.segment_id, segment.start, False))
+
+        if stored:
+            frame = _reference_frame(rank, [representative.segment for representative in stored])
+            reduced.chunks.append((frame, np.arange(len(stored))))
+        reduced.counts = np.array([representative.count for representative in stored], dtype=np.int64)
+        ids, starts, matched = zip(*execs) if execs else ((), (), ())
+        reduced.exec_chunks.append((np.array(ids, np.int64), np.array(starts), np.array(matched, bool)))
         return reduced
 
     # -- columnar (frame) reduction ---------------------------------------------
@@ -639,10 +676,10 @@ class TraceReducer:
         """Reduce one rank's columnar frame.
 
         Structural keys and feature vectors come straight from the frame's
-        bulk passes, and representatives stay ``(frame, row)`` until someone
-        reads their ``.segment`` (``iter_avg`` does, to write a matched
-        representative's mean).  The result is byte-identical to
-        :meth:`reduce_segments` over the frame's decoded segments.
+        bulk passes, and the new representatives are booked as the frame's
+        rows (rows of their own under ``iter_avg``, which writes its means
+        into them).  The result is byte-identical to :meth:`reduce_segments`
+        over the frame's decoded segments.
 
         ``into`` continues an existing :class:`ReducedRankTrace` with the
         same ``store``: the incremental form the online reduction service

@@ -78,8 +78,7 @@ class PreparedWorkload:
 
     ``segmented`` is the full trace as columnar frames, whichever constructor
     built it: every reduction and every criterion of a study reads the same
-    frames, and no segment object is built to reduce them (``iter_avg``
-    builds one per representative it averages into).
+    frames, and no segment object is built to reduce them.
     """
 
     name: str

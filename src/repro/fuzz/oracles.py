@@ -400,14 +400,13 @@ def oracle_reconstruction(ctx: CaseContext) -> Optional[str]:
         return None
     metric = ctx.metric()
     for rank_reduced, rank_seg in zip(ctx.baseline.ranks, ctx.segmented.ranks):
-        by_id = rank_reduced.stored_by_id()
-        for j, ((segment_id, _), matched) in enumerate(
-            zip(rank_reduced.execs, rank_reduced.exec_matched)
-        ):
-            if not matched:
+        representatives = rank_reduced.segments()
+        ids, _, matched = rank_reduced.exec_columns()
+        for j, segment_id in enumerate(ids.tolist()):
+            if not matched[j]:
                 continue
             original = rank_seg.segments[j].relative_to_start()
-            stored = by_id[segment_id].segment
+            stored = representatives[segment_id]
             orig_ts = np.asarray(original.timestamps(), dtype=float)
             stored_ts = np.asarray(stored.timestamps(), dtype=float)
             if not metric.similar(orig_ts, stored_ts, original, stored):

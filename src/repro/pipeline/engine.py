@@ -430,8 +430,8 @@ def _ingested(batches: Iterator[RankBatch], clock: StageClock) -> Iterator[RankB
 class ReductionPipeline:
     """Streaming, parallel intra-process reduction with instrumentation.
 
-    :meth:`reduce` returns the reduced trace as objects, :meth:`write` puts
-    its serialization in a file without building them; both go through the
+    :meth:`reduce` returns the reduced trace in memory, :meth:`write` puts
+    its serialization in a file without assembling it; both go through the
     same tasks in the same order and report the same stats.
 
     A pooled executor whose effective worker count is 1 is auto-downgraded

@@ -69,10 +69,8 @@ class RankCounts(Counts):
     n_stored: int = 0
     n_matches: int = 0
     n_possible_matches: int = 0
-    #: ``Segment`` objects the reduction built from frame rows: 0 for every
-    #: method but ``iter_avg``, whose running mean builds one per
-    #: representative matched at least once.  Reading a representative's
-    #: ``.segment`` afterwards is the reader's materialization, not counted here.
+    #: ``Segment`` objects built from the ranks' frame rows: 0 through a
+    #: reduction, which books, writes and sizes rows.
     segments_materialized: int = 0
     #: Text-format bytes of the ranks' records (§4.3.1's denominator), sized
     #: by the decoder that held their columns: 0 for an in-memory segmented
@@ -90,7 +88,7 @@ class RankCounts(Counts):
         self.text_bytes += frame.text_bytes
         for state in states:
             reduced = state.reduced
-            self.n_stored += len(reduced.stored)
+            self.n_stored += reduced.n_stored
             self.n_matches += reduced.n_matches
             self.n_possible_matches += reduced.n_possible_matches
             self.store = self.store.merged_with(state.store.counters)

@@ -2,19 +2,19 @@
 
 A checkpoint is one pickle payload holding the session's complete state:
 config, metric, per-rank representative stores (with their candidate-matrix
-columns), partially reduced outputs, open segmenters, per-rank digests
-(chained per row over frame columns, :func:`~repro.service.cache.chain_frame`)
-and flush watermarks.  A session restored from it — in the
-same process or a fresh one — continues **bit-identically**: the reduced
-bytes and stats of checkpoint → restore → finish equal those of an
-uninterrupted run.
+columns), partially reduced outputs (arrays), open segmenters, per-rank
+digests (chained per row over frame columns,
+:func:`~repro.service.cache.chain_frame`) and flush watermarks.  A session
+restored from it — in the same process or a fresh one — continues
+**bit-identically**: the reduced bytes and stats of checkpoint → restore →
+finish equal those of an uninterrupted run.
 
 Two properties make that work:
 
-* Everything is pickled in a *single* payload, so pickle's memo preserves
-  object sharing — a representative referenced by both the store and the
-  already-emitted output is one object after restore too, which matters for
-  ``iter_avg`` (matches mutate stored timestamps) and for count updates.
+* Representatives are shared by id: a store's bucket holds ids, and their
+  rows, counts and ``iter_avg`` means live only in the rank's reduced output
+  (pickled as rows of its own, :meth:`~repro.core.reduced.ReducedRankTrace.own`),
+  so a restored store and output agree with no object shared between them.
 * Keys rehash on restore (:class:`~repro.core.frames.InternedKey` re-derives
   its cached hash; the stores' bucket dictionaries are rebuilt from their
   items), so checkpoints are portable across processes with different
@@ -50,8 +50,9 @@ __all__ = [
 #: reject other versions instead of resuming from a misread state.  Version 4:
 #: the rank digests chain frame rows (a version-3 digest chained segments, so
 #: a resumed session would never digest to its source again).  Version 5: the
-#: stores and the session config carry no capacity.
-STATE_VERSION = 5
+#: stores and the session config carry no capacity.  Version 6: a reduced rank
+#: is columns and the stores' buckets hold representative ids.
+STATE_VERSION = 6
 
 
 def session_state(session: ReductionSession) -> bytes:

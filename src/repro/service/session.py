@@ -8,7 +8,8 @@ view of it, :meth:`RankFrame.chunks`) or raw records
 (:meth:`ReductionSession.append_records`, segmented at the boundary), reduces
 each append immediately through ``reduce_frame``, and can at any point emit
 a *delta* — the stored representatives and execution entries added or
-updated since the previous flush.
+updated since the previous flush, as ids into the rank's reduced output,
+whose representatives a flush or a checkpoint gives rows of their own.
 
 The incremental path is **byte-identical** to the batch
 :class:`~repro.core.reducer.TraceReducer`: feeding a trace in any per-rank
@@ -28,13 +29,15 @@ relies on that to freeze and resume sessions bit-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional
+
+import numpy as np
 
 from repro import obs
 from repro.core.candidates import MatchCounters, RepresentativeStore
 from repro.core.frames import RankFrame
 from repro.core.metrics import create_metric
-from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
+from repro.core.reduced import ReducedRankTrace, ReducedTrace
 from repro.core.reducer import TraceReducer
 from repro.service.cache import chain_frame, combine_rank_digests
 from repro.trace.records import TraceRecord
@@ -89,19 +92,23 @@ class SessionStats:
 
 @dataclass(slots=True)
 class RankDelta:
-    """One rank's changes since the previous flush.
+    """One rank's changes since the previous flush, as ids into ``reduced``.
 
     ``new`` are representatives stored in the window (first occurrence of a
     pattern); ``updated`` are *earlier* representatives a window execution
-    matched — their ``count`` advanced, and under ``iter_avg`` their stored
-    timestamps moved too, so consumers must replace them.  ``execs`` are the
-    window's ``segmentExecs`` entries, the complete execution record.
+    matched, ``counts`` their advanced counts — under ``iter_avg`` their
+    stored timestamps moved too, so consumers must replace them.
+    ``exec_ids`` / ``exec_starts`` are the window's ``segmentExecs``
+    entries, the complete execution record.
     """
 
     rank: int
-    new: list[StoredSegment]
-    updated: list[StoredSegment]
-    execs: list[Tuple[int, float]]
+    reduced: ReducedRankTrace
+    new: range
+    updated: np.ndarray
+    counts: np.ndarray
+    exec_ids: np.ndarray
+    exec_starts: np.ndarray
 
 
 @dataclass(slots=True)
@@ -132,7 +139,7 @@ class ReductionDelta:
 
     @property
     def n_execs(self) -> int:
-        return sum(len(r.execs) for r in self.ranks)
+        return sum(len(r.exec_ids) for r in self.ranks)
 
 
 @dataclass(slots=True)
@@ -151,18 +158,9 @@ class SessionResult:
 
 
 class _RankState:
-    """Per-rank incremental state: store, output, segmenter, digest, marks."""
+    """Per-rank incremental state: store, output, segmenter, digest, flush window."""
 
-    __slots__ = (
-        "rank",
-        "store",
-        "reduced",
-        "segmenter",
-        "stored_mark",
-        "exec_mark",
-        "digest",
-        "by_id",
-    )
+    __slots__ = ("rank", "store", "reduced", "segmenter", "stored_mark", "window", "digest")
 
     def __init__(self, rank: int) -> None:
         self.rank = rank
@@ -172,15 +170,11 @@ class _RankState:
         #: never need one, and its absence asserts the two ingestion styles
         #: are not mixed mid-segment.
         self.segmenter: Optional[RecordSegmenter] = None
-        #: Flush watermarks into ``reduced.stored`` / ``reduced.execs``.
+        #: Representatives already in a delta, and the execution chunks since.
         self.stored_mark = 0
-        self.exec_mark = 0
+        self.window: list = []
         #: Chained content digest of every row ingested so far.
         self.digest = b""
-        #: segment_id -> StoredSegment for every representative that has
-        #: already been announced in a delta (lets later flushes resolve
-        #: "updated" references without scanning ``reduced.stored``).
-        self.by_id: dict[int, StoredSegment] = {}
 
 
 class ReductionSession:
@@ -281,6 +275,7 @@ class ReductionSession:
                 into=state.reduced,
                 match_counters=self.stats.match,
             )
+            state.window.append(state.reduced.exec_chunks[-1])  # the frame's executions
             # Chained after the reduction: a frame the reducer refuses (it
             # checks the whole frame before it steps a row) leaves the
             # digest as it was.
@@ -296,38 +291,32 @@ class ReductionSession:
         The delta lists, per rank with changes: newly stored representatives,
         previously announced representatives whose state changed (an
         execution matched them — count advanced, and under ``iter_avg`` the
-        stored timestamps moved), and the window's execution entries.
+        stored timestamps moved), and the window's execution entries; the
+        representatives get rows of their own (releasing their frames).
         """
         with obs.span("service.flush", session=self.name, seq=self.seq):
             rank_deltas: list[RankDelta] = []
             for rank in sorted(self._ranks):
                 state = self._ranks[rank]
                 reduced = state.reduced
-                new = list(reduced.stored[state.stored_mark:])
-                execs = list(reduced.execs[state.exec_mark:])
-                matched = reduced.exec_matched[state.exec_mark:]
-                if not new and not execs:
+                if not state.window:
                     continue
-                for stored in new:
-                    state.by_id[stored.segment_id] = stored
-                new_ids = {stored.segment_id for stored in new}
-                updated_ids = sorted(
-                    {
-                        sid
-                        for (sid, _), hit in zip(execs, matched)
-                        if hit and sid not in new_ids
-                    }
-                )
+                first = state.stored_mark
+                ids, starts, matched = map(np.concatenate, zip(*state.window))
+                updated = np.unique(ids[matched & (ids < first)])
+                reduced.own()
                 rank_deltas.append(
                     RankDelta(
                         rank=rank,
-                        new=new,
-                        updated=[state.by_id[sid] for sid in updated_ids],
-                        execs=execs,
+                        reduced=reduced,
+                        new=range(first, reduced.n_stored),
+                        updated=updated,
+                        counts=reduced.counts[updated],
+                        exec_ids=ids,
+                        exec_starts=starts,
                     )
                 )
-                state.stored_mark = len(reduced.stored)
-                state.exec_mark = len(reduced.execs)
+                state.stored_mark, state.window = reduced.n_stored, []
             delta = ReductionDelta(
                 name=self.name,
                 method=self.metric.name,

@@ -18,7 +18,6 @@ from repro.trace.segments import Segment, SegmentationError, segment_rank_record
 from repro.trace.trace import RankTrace, SegmentedRankTrace, SegmentedTrace, Trace
 from repro.trace.io import (
     read_trace,
-    reduced_trace_size_bytes,
     serialize_records,
     serialize_segment,
     write_trace,
@@ -50,7 +49,6 @@ __all__ = [
     "Trace",
     "serialize_records",
     "serialize_segment",
-    "reduced_trace_size_bytes",
     "read_trace",
     "write_trace",
     "ConversionReport",

@@ -42,7 +42,7 @@ from repro.trace.segments import RecordSegmenter, Segment
 
 if TYPE_CHECKING:  # avoid a runtime cycle: core.reduced imports this module
     from repro.core.frames import RankFrame
-    from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
+    from repro.core.reduced import ReducedRankTrace, ReducedTrace
     from repro.service.session import ReductionDelta
 
 from repro.trace.trace import RankTrace, SegmentedTrace, Trace
@@ -56,7 +56,6 @@ __all__ = [
     "serialize_segment",
     "serialize_exec_entry",
     "segmented_trace_size_bytes",
-    "reduced_trace_size_bytes",
     "write_trace",
     "write_trace_text",
     "text_trace_bytes",
@@ -329,27 +328,6 @@ def serialize_segment_as_records(segment: Segment) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def reduced_trace_size_bytes(
-    stored_segments: Iterable[tuple[int, Segment]],
-    execs: Iterable[tuple[int, float]],
-) -> int:
-    """Size in bytes of a reduced rank trace.
-
-    Parameters
-    ----------
-    stored_segments:
-        ``(segment id, stored segment)`` pairs.
-    execs:
-        ``(segment id, start time)`` execution entries.
-    """
-    total = 0
-    for sid, segment in stored_segments:
-        total += len(serialize_segment(segment, segment_id=sid))
-    for sid, start in execs:
-        total += len(serialize_exec_entry(sid, start))
-    return total
-
-
 def write_trace(trace: Trace, path: str | Path, format: str | None = None) -> None:
     """Write a raw trace to ``path`` in the format implied by its extension.
 
@@ -558,24 +536,18 @@ def _text_columns(frame: "RankFrame"):
     return frame.structural_keys(), pairs.tolist(), rel_ends.tolist(), bounds
 
 
-def _stored_texts(stored_segments: Iterable["StoredSegment"]) -> Iterator[str]:
+def _stored_texts(pieces) -> Iterator[str]:
     """The ``SEG`` block of each representative: :func:`serialize_segment`'s text.
 
-    A representative that is still a frame row (``stored.origin``, a dense
-    reduction) is written from the frame's columns (:func:`_text_columns`).
+    ``pieces`` are :meth:`~repro.core.reduced.ReducedRankTrace.pieces`'
+    ``(frame, rows, ids)`` runs; each is written from its frame's columns
+    (:func:`_text_columns`).
     """
-    frame = None
-    for stored in stored_segments:
-        origin = stored.origin
-        if origin is None:
-            yield _segment_text(stored.segment, stored.segment_id)
-            continue
-        if origin[0] is not frame:
-            frame = origin[0]
-            keys, pairs, ends, bounds = _text_columns(frame)
-        row = origin[1]
-        timestamps = pairs[bounds[row] : bounds[row + 1]]
-        yield _segment_template(keys[row]).format(stored.segment_id, ends[row], *timestamps)
+    for frame, rows, ids in pieces:
+        keys, pairs, ends, bounds = _text_columns(frame)
+        for row, sid in zip(rows.tolist(), ids):
+            timestamps = pairs[bounds[row] : bounds[row + 1]]
+            yield _segment_template(keys[row]).format(sid, ends[row], *timestamps)
 
 
 #: Powers of ten from 10 up: ``searchsorted`` of a non-negative id in them is
@@ -600,11 +572,10 @@ class ReducedSizer:
 
     * each distinct sequence of a rank's exec start times (every config of
       a sweep has the same one) is formatted once;
-    * each representative that is still a frame row has its ``SEG`` block
-      measured once per ``(frame, row)``, with an empty id;
-    * each trace's ids add their decimal digits, counted in bulk;
-    * a representative with no ``origin`` (``iter_avg``'s means, an object
-      a pool shipped back) is formatted as :meth:`size_bytes` does.
+    * each representative's ``SEG`` block is measured once per source
+      ``(frame, row)`` of its chunk, with an empty id — the configs of a
+      sweep book rows of the same frames;
+    * each trace's ids add their decimal digits, counted in bulk.
 
     The sum is the length of :func:`iter_reduced_rank_chunks`' bytes, which
     stay the definition (and :meth:`size_bytes` the reference).  A sizer
@@ -620,27 +591,14 @@ class ReducedSizer:
 
     def size(self, trace: "ReducedTrace") -> int:
         """The serialized size of ``trace``, in bytes."""
-        return sum(
-            self._stored_bytes(rank.stored) + self._exec_bytes(rank.execs) for rank in trace.ranks
-        )
+        return sum(self._stored_bytes(rank) + self._exec_bytes(rank) for rank in trace.ranks)
 
-    def _stored_bytes(self, stored_segments) -> int:
-        size, sids, rows_of, frame = 0, [], {}, None
-        for stored in stored_segments:
-            origin = stored.origin
-            if origin is None:
-                size += len(_segment_text(stored.segment, stored.segment_id).encode("utf-8"))
-                continue
-            if origin[0] is not frame:
-                frame = origin[0]
-                rows = rows_of.setdefault(id(frame), (frame, []))[1]
-            rows.append(origin[1])
-            sids.append(stored.segment_id)
-        for frame_id, (frame, rows) in rows_of.items():
-            if frame_id not in self._row_bytes:
-                self._row_bytes[frame_id] = (frame, np.full(frame.n_segments, -1, dtype=np.int64))
-            lengths = self._row_bytes[frame_id][1]
-            rows = np.array(rows)
+    def _stored_bytes(self, rank: "ReducedRankTrace") -> int:
+        size = 0
+        for frame, rows in rank.chunks:
+            if id(frame) not in self._row_bytes:
+                self._row_bytes[id(frame)] = (frame, np.full(frame.n_segments, -1, dtype=np.int64))
+            lengths = self._row_bytes[id(frame)][1]
             missing = rows[lengths[rows] < 0].tolist()
             if missing:
                 # Built for the rows to measure, and dropped: a frame's text
@@ -655,15 +613,16 @@ class ReducedSizer:
                     for row in missing
                 ]
             size += int(lengths[rows].sum())
-        return size + _digits(sids)
+        return size + _digits(np.arange(rank.n_stored))
 
-    def _exec_bytes(self, execs) -> int:
-        if not execs:
+    def _exec_bytes(self, rank: "ReducedRankTrace") -> int:
+        ids, starts, _ = rank.exec_columns()
+        if not len(ids):
             return 0
-        ids, starts = zip(*execs)
-        measured = self._start_bytes.get(starts)
+        key = starts.tobytes()
+        measured = self._start_bytes.get(key)
         if measured is None:
-            measured = self._start_bytes[starts] = sum(map(len, map(_TS_FMT.format, starts)))
+            measured = self._start_bytes[key] = sum(map(len, map(_TS_FMT.format, starts.tolist())))
         # "EXEC ", the id, " ", the start, "\n"
         return 7 * len(ids) + _digits(ids) + measured
 
@@ -672,15 +631,16 @@ def iter_reduced_rank_chunks(reduced_rank: "ReducedRankTrace") -> Iterator[bytes
     """Serialize one reduced rank: its stored segments, then its execution entries.
 
     The single definition of a reduced rank's bytes — what
-    :func:`serialize_segment` gives each representative (:func:`_stored_texts`)
-    and :func:`serialize_exec_entry` each execution, in order.  Two chunks at
-    most, so a writer holds one rank's text; their lengths are
-    :meth:`ReducedRankTrace.size_bytes`.
+    :func:`serialize_segment` gives each representative (:func:`_stored_texts`,
+    from the rows of its chunk) and :func:`serialize_exec_entry` each
+    execution, in order.  Two chunks at most, so a writer holds one rank's
+    text; their lengths are :meth:`ReducedRankTrace.size_bytes`.
     """
-    if reduced_rank.stored:
-        yield "".join(_stored_texts(reduced_rank.stored)).encode("utf-8")
-    if reduced_rank.execs:
-        lines = itertools.starmap("EXEC {} {:.2f}\n".format, reduced_rank.execs)
+    if reduced_rank.n_stored:
+        yield "".join(_stored_texts(reduced_rank.pieces())).encode("utf-8")
+    ids, starts, _ = reduced_rank.exec_columns()
+    if len(ids):
+        lines = map("EXEC {} {:.2f}\n".format, ids.tolist(), starts.tolist())
         yield "".join(lines).encode("utf-8")
 
 
@@ -752,8 +712,7 @@ def iter_delta_chunks(delta: "ReductionDelta") -> Iterator[bytes]:
     ``SEG``/``EXEC`` payloads of all deltas of a session, dropping
     superseded ``UPD`` segment states, reconstructs the batch reduced trace.
     Each ``SEG`` block is written as the reduced trace writes it
-    (:func:`_stored_texts`), so a representative that is a frame row is
-    written from the columns.
+    (:func:`_stored_texts`), from the rows of the session's reduced rank.
     """
     threshold = "-" if delta.threshold is None else _TS_FMT.format(delta.threshold)
     yield (
@@ -761,15 +720,17 @@ def iter_delta_chunks(delta: "ReductionDelta") -> Iterator[bytes]:
         f"{len(delta.ranks)}\n"
     ).encode("utf-8")
     for rank_delta in delta.ranks:
+        reduced, updated = rank_delta.reduced, rank_delta.updated
         yield (
             f"RANK {rank_delta.rank} new={len(rank_delta.new)} "
-            f"updated={len(rank_delta.updated)} execs={len(rank_delta.execs)}\n"
+            f"updated={len(updated)} execs={len(rank_delta.exec_ids)}\n"
         ).encode("utf-8")
-        for text in _stored_texts(rank_delta.new):
+        for text in _stored_texts(reduced.pieces(rank_delta.new)):
             yield text.encode("utf-8")
-        for stored, text in zip(rank_delta.updated, _stored_texts(rank_delta.updated)):
-            yield f"UPD {stored.segment_id} count={stored.count}\n{text}".encode("utf-8")
-        for segment_id, start in rank_delta.execs:
+        texts = _stored_texts(reduced.pieces(updated))
+        for sid, count, text in zip(updated.tolist(), rank_delta.counts.tolist(), texts):
+            yield f"UPD {sid} count={count}\n{text}".encode("utf-8")
+        for segment_id, start in zip(rank_delta.exec_ids.tolist(), rank_delta.exec_starts.tolist()):
             yield serialize_exec_entry(segment_id, start)
 
 

@@ -9,6 +9,12 @@ from repro.trace.events import Event, MpiCallInfo
 from repro.trace.segments import Segment
 
 
+def stored_view(reduced) -> list[tuple[int, Segment, int]]:
+    """A reduced rank's representatives as ``(id, normalised segment, count)``:
+    what the scalar reference stores, for comparing two reductions."""
+    return list(zip(range(reduced.n_stored), reduced.segments(), reduced.counts.tolist()))
+
+
 def make_event(
     name: str,
     start: float,

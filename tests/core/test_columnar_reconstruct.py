@@ -17,7 +17,7 @@ from repro.core.metrics import METRIC_NAMES, create_metric
 from repro.core.metrics.distance import AbsDiff
 from repro.core.metrics.iteration import IterK
 from repro.core.reconstruct import reconstruct, reconstruct_rank
-from repro.core.reduced import ReducedRankTrace, StoredSegment
+from repro.core.reduced import ReducedRankTrace
 from repro.core.reducer import TraceReducer, reduce_trace
 from repro.experiments.config import ALL_WORKLOAD_NAMES, build_workload
 from repro.trace.events import MpiCallInfo
@@ -56,7 +56,7 @@ def test_every_workload_method_and_fill_policy(workload):
 
 
 class TestRowBackedRepresentatives:
-    """A dense reduction's representatives are rows of its frame: the replay gathers
+    """A reduction's representatives are rows of its frame: the replay gathers
     them from the columns (``RankFrame.take``) and builds no object."""
 
     def segments(self):
@@ -68,21 +68,20 @@ class TestRowBackedRepresentatives:
         reduced = TraceReducer(create_metric(method)).reduce_frame(frame)
         rebuilt = reconstruct_rank(reduced)
         assert frame.materialized == 0
-        assert all(stored.origin == (frame, stored.origin[1]) for stored in reduced.stored)
+        assert [chunk_frame for chunk_frame, _ in reduced.chunks] == [frame]
         assert_same_rank(rebuilt, reference_reconstruct_rank(reduced))
 
-    def test_mean_fill_takes_the_object_adapter(self):
+    def test_mean_fill_reads_the_rows_too(self):
         frame = RankFrame.from_segments(3, self.segments())
         reduced = TraceReducer(create_metric("euclidean")).reduce_frame(frame)
         rebuilt = reconstruct_rank(reduced, iter_k_fill="mean")
-        assert frame.materialized == len(reduced.stored)
-        assert all(stored.origin is None for stored in reduced.stored)
+        assert frame.materialized == 0
         assert_same_rank(rebuilt, reference_reconstruct_rank(reduced, iter_k_fill="mean"))
 
-    @pytest.mark.parametrize("read_first", [False, True])
-    def test_rank_continued_over_two_frames(self, read_first):
-        """A session's rank: representatives of two chunk frames, the first chunk's
-        possibly read as objects already (a delta was serialized in between)."""
+    @pytest.mark.parametrize("own_first", [False, True])
+    def test_rank_continued_over_two_frames(self, own_first):
+        """A session's rank: representatives of two chunk frames (string tables of
+        their own), the first chunk's possibly owned already (a flush in between)."""
         segments = self.segments()
         cut = len(segments) // 2
         reducer, store = TraceReducer(create_metric("euclidean", 0.001)), RepresentativeStore()
@@ -90,10 +89,11 @@ class TestRowBackedRepresentatives:
             RankFrame.from_segments(3, part) for part in (segments[:cut], segments[cut:])
         )
         reduced = reducer.reduce_frame(first, store=store)
-        if read_first:
-            assert all(stored.segment is not None for stored in reduced.stored)
+        if own_first:
+            reduced.own()
+            assert reduced.chunks[0][0] is not first
         reducer.reduce_frame(second, store=store, into=reduced)
-        assert {stored.origin[0] for stored in reduced.stored if stored.origin} >= {second}
+        assert reduced.chunks[-1][0] is second
         whole = reducer.reduce_frame(RankFrame.from_segments(3, segments))
         assert_same_rank(reconstruct_rank(reduced), reference_reconstruct_rank(whole))
 
@@ -102,7 +102,7 @@ class TestHandBuilt:
     def test_mean_fill_replays_mean_rows_only_for_matched_executions(self):
         segments = _iteration_segments([50.0, 60.0, 70.0, 80.0, 90.0])
         reduced = TraceReducer(IterK(2)).reduce_segments(segments)
-        assert reduced.exec_matched == [False, False, True, True, True]
+        assert reduced.exec_columns()[2].tolist() == [False, False, True, True, True]
         for fill in FILLS:
             assert_same_rank(
                 reconstruct_rank(reduced, iter_k_fill=fill),
@@ -110,7 +110,7 @@ class TestHandBuilt:
             )
 
     def test_representative_with_nonzero_start_and_mpi_call(self):
-        """Hand-built reduced rank: offsets add to whatever the representative holds."""
+        """Hand-built reduced rank: a chunk row that starts at 0.25 is read normalised."""
         info = MpiCallInfo(op="send", peer=1, tag=3, nbytes=8)
         first = make_segment(
             "main.1", [("f", 0.5, 1.25), ("MPI_Send", 1.5, 2.75)], start=0.25, end=3.0,
@@ -119,9 +119,15 @@ class TestHandBuilt:
         second = make_segment("main.2", [], start=0.0, end=0.1)
         reduced = ReducedRankTrace(
             rank=5,
-            stored=[StoredSegment(7, first), StoredSegment(9, second)],
-            execs=[(7, 0.1), (9, 1e9 + 0.3), (7, 3.3), (7, -2.7)],
-            exec_matched=[False, False, True, True],
+            chunks=[(RankFrame.from_segments(5, [first, second]), np.arange(2))],
+            counts=np.array([3, 1]),
+            exec_chunks=[
+                (
+                    np.array([0, 1, 0, 0]),
+                    np.array([0.1, 1e9 + 0.3, 3.3, -2.7]),
+                    np.array([False, False, True, True]),
+                )
+            ],
             n_segments=4,
         )
         for fill in FILLS:
@@ -140,10 +146,14 @@ class TestHandBuilt:
     def test_unknown_segment_id_message(self):
         segments = _iteration_segments([50.0, 51.0])
         reduced = TraceReducer(AbsDiff(100.0)).reduce_segments(segments)
-        reduced.execs.insert(1, (99, 1000.0))
-        reduced.exec_matched.insert(1, True)
-        reduced.execs.append((98, 2000.0))
-        reduced.exec_matched.append(True)
+        ids, starts, matched = reduced.exec_columns()
+        reduced.exec_chunks = [
+            (
+                np.insert(ids, [1, 2], [99, 98]),
+                np.insert(starts, [1, 2], [1000.0, 2000.0]),
+                np.insert(matched, [1, 2], True),
+            )
+        ]
         with pytest.raises(KeyError) as reference_error:
             reference_reconstruct_rank(reduced)
         with pytest.raises(KeyError) as error:

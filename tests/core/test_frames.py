@@ -79,7 +79,6 @@ class TestMaterialization:
         frame.pairwise_vectors()
         frame.minkowski_vectors()
         frame.wavelet_vectors(scale=0.5)
-        frame.starts_list()
         assert frame.materialized == 0
 
     def test_take_is_the_normalised_rows_as_a_frame(self, small_late_sender_trace):

@@ -238,25 +238,25 @@ def _chunked(metric, segments, cuts, store):
 
 
 def _reference_store(metric, segments):
-    """The store the scalar reference leaves, each representative entered with
-    its feature row and scale as the core enters a distance metric's."""
+    """The store the scalar reference leaves, each representative entered as its
+    id, with its feature row and scale, as the core enters a distance metric's."""
     scanned_store = RepresentativeStore()
     scanned = _scan(metric, segments, scanned_store)
     store = RepresentativeStore()
-    for stored in scanned.stored:
-        row = metric.build_vector(stored.segment)
+    for sid, segment in enumerate(scanned.segments()):
+        row = metric.build_vector(segment)
         scale = None if metric.row_scale is None else metric.row_scale(row)
-        store.add(InternedKey(stored.segment.structure()), stored, row, scale)
+        store.add(InternedKey(segment.structure()), sid, row, scale)
     store.counters = scanned_store.counters
     return store
 
 
 def _store_state(store):
-    """A store's counters and buckets in order: each key, its entries and its rows' bytes."""
+    """A store's counters and buckets in order: each key, its ids and its rows' bytes."""
     return store.counters, [
         (
             key,
-            [(entry.segment_id, entry.count, entry.timestamps().tobytes()) for entry in bucket],
+            list(bucket),
             *(None if part is None else part.tobytes() for part in bucket.matrix_and_scales()),
         )
         for key, bucket in store._by_key.items()
@@ -337,7 +337,7 @@ class TestCounts:
         scanned = _scan(create_metric(name, metric.threshold), segments, counters=scan)
         assert _bytes(metric, [reduced]) == _bytes(metric, [scanned])
         assert scan.calls == scanned.n_possible_matches
-        assert batch.calls <= len(reduced.stored) < scan.calls
+        assert batch.calls <= reduced.n_stored < scan.calls
         assert batch.calls <= batch.rows_compared <= scan.rows_compared
 
     def test_batch_step_reads_the_clock_only_for_a_counter(self, monkeypatch):
@@ -372,19 +372,17 @@ def _strict(name):
 @pytest.mark.parametrize("name", sorted(METRIC_CLASSES))
 class TestFrameRowsAreTheOnlyProbe:
     def test_no_segment_is_built_to_reduce(self, name, cuts):
-        """Every method steps with frame rows and stores ``(frame, row)``: only
-        ``iter_avg`` builds a Segment, one per representative it averages into."""
+        """Every method steps with frame rows and books them: no method builds a
+        Segment, ``iter_avg`` neither, which writes its means into rows."""
         segments = _strangers_and_repeats()
         metric, store = _strict(name), RepresentativeStore()
         reducer, reduced, frames = TraceReducer(metric), None, []
         for lo, hi in zip((0, *cuts), (*cuts, len(segments))):
             frames.append(RankFrame.from_segments(0, segments[lo:hi]))
             reduced = reducer.reduce_frame(frames[-1], store=store, into=reduced)
-        materialized = sum(frame.materialized for frame in frames)
-        averaged = sum(1 for stored in reduced.stored if stored.count > 1)
-        assert materialized == (averaged if name == "iter_avg" else 0), (name, cuts)
+        assert sum(frame.materialized for frame in frames) == 0, (name, cuts)
         if name == "iter_avg":
-            assert 0 < averaged < len(reduced.stored)
+            assert 0 < (reduced.counts > 1).sum() < reduced.n_stored
         expected = _scan(_strict(name), segments)
         assert _bytes(metric, [reduced]) == _bytes(metric, [expected])
 
@@ -393,7 +391,7 @@ class TestFrameRowsAreTheOnlyProbe:
         a distance metric's bucket holds a row per representative, any other
         method's none (it never compares rows)."""
         metric, store = _strict(name), RepresentativeStore()
-        _chunked(metric, _strangers_and_repeats(), cuts, store)
+        representatives = _chunked(metric, _strangers_and_repeats(), cuts, store).segments()
         buckets = list(store._by_key.values())
         assert sum(len(bucket) for bucket in buckets) == len(store) > 0
         for bucket in buckets:
@@ -404,7 +402,7 @@ class TestFrameRowsAreTheOnlyProbe:
             assert len(matrix) == len(bucket) > 0
             assert (scales is None) == (getattr(metric, "row_scale", None) is None)
             for i, entry in enumerate(bucket):
-                row = metric.build_vector(entry.segment)
+                row = metric.build_vector(representatives[entry])
                 assert matrix[i].tobytes() == row.tobytes(), (name, cuts, i)
                 if scales is not None:
                     assert scales[i] == metric.row_scale(row)
@@ -418,8 +416,8 @@ class TestBatchExactness:
         segments = [_jittered(d).shifted(100.0 * i) for i, d in enumerate((0.0, 18.0, 9.0, 9.0))]
         for cuts in [(), (1,), (2,), (1, 2), (3,)]:
             reduced = _chunked(AbsDiff(10.0), segments, cuts, RepresentativeStore())
-            assert [sid for sid, _ in reduced.execs] == [0, 1, 0, 0], cuts
-            assert [s.count for s in reduced.stored] == [3, 1], cuts
+            assert reduced.exec_columns()[0].tolist() == [0, 1, 0, 0], cuts
+            assert reduced.counts.tolist() == [3, 1], cuts
 
     @pytest.mark.parametrize("budget", [1, 40, 200, 1 << 16])
     def test_probe_blocking_does_not_change_the_outcome(self, monkeypatch, budget, resolves):
@@ -478,7 +476,7 @@ class TestBatchExactness:
             store = RepresentativeStore()
             reduced = _chunked(metric, segments, cuts, store)
             assert _bytes(metric, [reduced]) == expected, (name, threshold, cuts)
-            assert [s.count for s in reduced.stored] == [s.count for s in expected_rank.stored]
+            assert reduced.counts.tolist() == expected_rank.counts.tolist()
             assert reduced.n_matches == expected_rank.n_matches
             assert reduced.n_possible_matches == expected_rank.n_possible_matches
             assert store.counters.lookups == n
@@ -498,7 +496,8 @@ class TestBatchExactness:
         scanned = _scan(create_metric(name, threshold), segments)
         metric = create_metric(name, threshold)
         assert _bytes(metric, [batch]) == _bytes(metric, [scanned])
-        assert batch.exec_matched == scanned.exec_matched
+        assert batch.counts.tolist() == scanned.counts.tolist()
+        assert batch.exec_columns()[2].tolist() == scanned.exec_columns()[2].tolist()
 
 
 class TestFuzzFamiliesReplayed:
@@ -629,7 +628,7 @@ class TestAllPairsResolve:
         finally:
             tracemalloc.stop()
         assert resolves == [4166]  # after 833 rounds that took nothing
-        assert len(reduced.stored) == 5000 - 2000 * paired
+        assert reduced.n_stored == 5000 - 2000 * paired
         # Every row its own representative, or from row 1 000 on one per pair.
         ids = [sid for sid, _ in reduced.execs]
         assert ids == list(range(1000)) + [1000 + (j // 2 if paired else j) for j in range(4000)]

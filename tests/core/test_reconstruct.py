@@ -138,7 +138,6 @@ class TestErrors:
     def test_unknown_segment_id_rejected(self):
         segments = _iteration_segments([50.0])
         reduced = TraceReducer(AbsDiff(1.0)).reduce_segments(segments)
-        reduced.execs.append((99, 1000.0))
-        reduced.exec_matched.append(True)
+        reduced.exec_chunks.append((np.array([99]), np.array([1000.0]), np.array([True])))
         with pytest.raises(KeyError):
             reconstruct_rank(reduced)

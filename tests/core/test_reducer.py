@@ -37,14 +37,14 @@ class TestReducerBasics:
 
     def test_first_segment_always_stored(self):
         reduced = TraceReducer(RelDiff(1.0)).reduce_segments(_iteration_segments([50.0]))
-        assert len(reduced.stored) == 1
+        assert reduced.n_stored == 1
         assert reduced.n_segments == 1
         assert reduced.n_matches == 0
         assert reduced.n_possible_matches == 0
 
     def test_identical_segments_collapse_to_one(self):
         reduced = TraceReducer(RelDiff(0.5)).reduce_segments(_iteration_segments([50.0] * 5))
-        assert len(reduced.stored) == 1
+        assert reduced.n_stored == 1
         assert reduced.n_matches == 4
         assert reduced.n_possible_matches == 4
         assert len(reduced.execs) == 5
@@ -58,7 +58,7 @@ class TestReducerBasics:
     def test_stored_segments_are_normalised(self):
         segments = _iteration_segments([50.0] * 3, start_gap=200.0)
         reduced = TraceReducer(RelDiff(0.5)).reduce_segments(segments)
-        stored = reduced.stored[0].segment
+        stored = reduced.segments()[0]
         assert stored.start == 0.0
         assert stored.events[0].start == pytest.approx(1.0)
 
@@ -66,14 +66,14 @@ class TestReducerBasics:
         a = _iteration_segments([50.0], context="main.1")
         b = _iteration_segments([50.0], context="main.2")
         reduced = TraceReducer(RelDiff(1.0)).reduce_segments(a + b)
-        assert len(reduced.stored) == 2
+        assert reduced.n_stored == 2
         assert reduced.n_possible_matches == 0
 
     def test_different_event_counts_never_match(self):
         a = make_segment("c", [("f", 1.0, 2.0)], end=3.0)
         b = make_segment("c", [("f", 1.0, 2.0), ("g", 2.0, 3.0)], end=4.0)
         reduced = TraceReducer(RelDiff(1.0)).reduce_segments([a, b])
-        assert len(reduced.stored) == 2
+        assert reduced.n_stored == 2
 
     def test_different_mpi_parameters_never_match(self):
         a = make_segment("c", [("MPI_Send", 1.0, 2.0)], end=3.0,
@@ -81,14 +81,14 @@ class TestReducerBasics:
         b = make_segment("c", [("MPI_Send", 1.0, 2.0)], end=3.0,
                          mpi_for={"MPI_Send": MpiCallInfo(op="send", peer=2)})
         reduced = TraceReducer(AbsDiff(1e9)).reduce_segments([a, b])
-        assert len(reduced.stored) == 2
+        assert reduced.n_stored == 2
         assert reduced.n_possible_matches == 0
 
     def test_dissimilar_measurements_stored_separately(self):
         reduced = TraceReducer(AbsDiff(10.0)).reduce_segments(
             _iteration_segments([50.0, 500.0, 51.0, 501.0])
         )
-        assert len(reduced.stored) == 2
+        assert reduced.n_stored == 2
         assert reduced.n_matches == 2
         assert reduced.n_possible_matches == 3
 
@@ -96,13 +96,13 @@ class TestReducerBasics:
         reduced = TraceReducer(AbsDiff(10.0)).reduce_segments(
             _iteration_segments([50.0, 500.0, 5000.0])
         )
-        assert [s.segment_id for s in reduced.stored] == [0, 1, 2]
+        assert list(range(reduced.n_stored)) == [0, 1, 2]
 
     def test_exec_matched_flags(self):
         reduced = TraceReducer(AbsDiff(10.0)).reduce_segments(
             _iteration_segments([50.0, 500.0, 51.0])
         )
-        assert reduced.exec_matched == [False, False, True]
+        assert reduced.exec_columns()[2].tolist() == [False, False, True]
 
 
 class TestIterationMethodsInReducer:
@@ -110,23 +110,22 @@ class TestIterationMethodsInReducer:
         reduced = TraceReducer(IterAvg()).reduce_segments(
             _iteration_segments([50.0, 500.0, 5000.0, 70.0])
         )
-        assert len(reduced.stored) == 1
+        assert reduced.n_stored == 1
         assert reduced.n_matches == reduced.n_possible_matches == 3
 
     def test_iter_avg_stored_segment_holds_mean(self):
         reduced = TraceReducer(IterAvg()).reduce_segments(_iteration_segments([40.0, 60.0]))
-        stored = reduced.stored[0]
-        assert stored.segment.events[0].end == pytest.approx(50.0)
-        assert stored.count == 2
+        assert reduced.segments()[0].events[0].end == pytest.approx(50.0)
+        assert reduced.counts.tolist() == [2]
 
     def test_iter_k_keeps_k_copies(self):
         reduced = TraceReducer(IterK(3)).reduce_segments(_iteration_segments([50.0] * 10))
-        assert len(reduced.stored) == 3
+        assert reduced.n_stored == 3
         assert reduced.n_matches == 7
 
     def test_iter_k_larger_than_executions_keeps_all(self):
         reduced = TraceReducer(IterK(100)).reduce_segments(_iteration_segments([50.0] * 10))
-        assert len(reduced.stored) == 10
+        assert reduced.n_stored == 10
         assert reduced.n_matches == 0
 
 

@@ -144,12 +144,12 @@ def reference_reduce(records, method, threshold):
 
 def _decisions(reduced_rank):
     return (
-        [s.segment_id for s in reduced_rank.stored],
-        list(reduced_rank.execs),
-        [s.count for s in reduced_rank.stored],
+        list(range(reduced_rank.n_stored)),
+        reduced_rank.execs,
+        reduced_rank.counts.tolist(),
         reduced_rank.n_possible_matches,
         reduced_rank.n_matches,
-        [s.segment.timestamps() for s in reduced_rank.stored],
+        [segment.timestamps() for segment in reduced_rank.segments()],
     )
 
 

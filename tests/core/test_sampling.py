@@ -27,20 +27,20 @@ class TestPeriodicSampling:
     def test_period_one_keeps_everything(self):
         segments = _iteration_segments([50.0] * 8)
         reduced = TraceReducer(PeriodicSampling(1)).reduce_segments(segments)
-        assert len(reduced.stored) == 8
+        assert reduced.n_stored == 8
         assert reduced.n_matches == 0
 
     def test_period_keeps_every_nth(self):
         segments = _iteration_segments([50.0] * 10)
         reduced = TraceReducer(PeriodicSampling(4)).reduce_segments(segments)
         # executions 0, 4, 8 are kept
-        assert len(reduced.stored) == 3
+        assert reduced.n_stored == 3
         assert reduced.n_matches == 7
 
     def test_first_execution_always_kept(self):
         segments = _iteration_segments([50.0])
         reduced = TraceReducer(PeriodicSampling(100)).reduce_segments(segments)
-        assert len(reduced.stored) == 1
+        assert reduced.n_stored == 1
 
     def test_reconstruction_fills_with_latest_sample(self):
         segments = _iteration_segments([10.0, 20.0, 30.0, 40.0])
@@ -63,24 +63,24 @@ class TestRandomSampling:
     def test_rate_one_keeps_everything(self):
         segments = _iteration_segments([50.0] * 10)
         reduced = TraceReducer(RandomSampling(1.0, seed=1)).reduce_segments(segments)
-        assert len(reduced.stored) == 10
+        assert reduced.n_stored == 10
 
     def test_rate_zero_keeps_only_first(self):
         segments = _iteration_segments([50.0] * 10)
         reduced = TraceReducer(RandomSampling(0.0, seed=1)).reduce_segments(segments)
-        assert len(reduced.stored) == 1
+        assert reduced.n_stored == 1
 
     def test_intermediate_rate_keeps_roughly_that_fraction(self):
         segments = _iteration_segments([50.0] * 200)
         reduced = TraceReducer(RandomSampling(0.25, seed=3)).reduce_segments(segments)
-        kept = len(reduced.stored)
+        kept = reduced.n_stored
         assert 20 <= kept <= 80  # 200 × 0.25 = 50 expected, generous bounds
 
     def test_deterministic_for_seed(self):
         segments = _iteration_segments([50.0] * 30)
         a = TraceReducer(RandomSampling(0.3, seed=9)).reduce_segments(segments)
         b = TraceReducer(RandomSampling(0.3, seed=9)).reduce_segments(segments)
-        assert [s.segment_id for s in a.stored] == [s.segment_id for s in b.stored]
+        assert list(range(a.n_stored)) == list(range(b.n_stored))
 
 
 class TestSamplingOnWorkloads:

@@ -35,7 +35,7 @@ from repro.analysis.patterns import (
     WAIT_AT_NXN,
 )
 from repro.analysis.report import DiagnosisReport
-from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
+from repro.core.reduced import ReducedRankTrace, ReducedTrace
 from repro.trace.events import Event
 from repro.trace.segments import Segment
 from repro.trace.trace import SegmentedRankTrace, SegmentedTrace
@@ -46,10 +46,10 @@ IterKFill = Literal["last", "mean"]
 # -- reconstruction: one shifted copy of the representative per execution ----------
 
 
-def _mean_segment(group: list[StoredSegment]) -> Segment:
+def _mean_segment(group: list[Segment]) -> Segment:
     """Build a synthetic segment holding the mean timestamps of ``group``."""
-    template = group[-1].segment
-    stacked = np.vstack([member.timestamps() for member in group])
+    template = group[-1]
+    stacked = np.vstack([np.asarray(member.timestamps(), dtype=float) for member in group])
     mean = stacked.mean(axis=0)
     events = []
     for i, event in enumerate(template.events):
@@ -78,27 +78,26 @@ def reference_reconstruct_rank(
     """Replay one rank execution by execution: shift the representative's objects."""
     if iter_k_fill not in ("last", "mean"):
         raise ValueError(f"iter_k_fill must be 'last' or 'mean', got {iter_k_fill!r}")
-    by_id = reduced.stored_by_id()
+    by_id = dict(enumerate(reduced.segments()))
 
     # Pre-compute mean representatives per structural group when requested.
     mean_by_id: dict[int, Segment] = {}
     if iter_k_fill == "mean":
-        groups: dict[tuple, list[StoredSegment]] = {}
-        for stored in reduced.stored:
-            groups.setdefault(stored.segment.structure(), []).append(stored)
+        groups: dict[tuple, list[int]] = {}
+        for segment_id, segment in by_id.items():
+            groups.setdefault(segment.structure(), []).append(segment_id)
         for group in groups.values():
-            mean_by_id[group[-1].segment_id] = _mean_segment(group)
+            mean_by_id[group[-1]] = _mean_segment([by_id[sid] for sid in group])
 
     segments: list[Segment] = []
     for index, ((segment_id, start), was_match) in enumerate(
-        zip(reduced.execs, reduced.exec_matched)
+        zip(reduced.execs, reduced.exec_columns()[2].tolist())
     ):
-        stored = by_id.get(segment_id)
-        if stored is None:
+        representative = by_id.get(segment_id)
+        if representative is None:
             raise KeyError(
                 f"execution entry references unknown segment id {segment_id} on rank {reduced.rank}"
             )
-        representative = stored.segment
         if was_match and iter_k_fill == "mean" and segment_id in mean_by_id:
             representative = mean_by_id[segment_id]
         rebuilt = representative.shifted(start).with_rank(reduced.rank)

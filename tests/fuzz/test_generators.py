@@ -149,12 +149,11 @@ def test_threshold_edge_case_reduces_to_expected_match_pattern():
     reduced = reference_reduce(create_metric("euclidean", 0.2), trace.segmented())
     rank = reduced.ranks[0]
     by_context: dict[str, list] = {}
-    for stored in rank.stored:
-        by_context.setdefault(stored.segment.context, []).append(stored)
+    for segment, count in zip(rank.segments(), rank.counts.tolist()):
+        by_context.setdefault(segment.context, []).append(count)
     # Per probe group: 5 executions — base (stored), exact copy (match),
     # edge-match (match), edge-miss (stored), exact copy again (match, and it
     # must pick the *first* representative, proving first-match order).
-    for context, stored in by_context.items():
-        assert len(stored) == 2, context
-        assert stored[0].count == 4  # base + copy + edge-match + final copy
-        assert stored[1].count == 1  # the boundary miss
+    for context, counts in by_context.items():
+        # base + copy + edge-match + final copy; the boundary miss
+        assert counts == [4, 1], context

@@ -118,7 +118,7 @@ class TestPaperFindingsQualitative:
         differ), so even a permissive method stores more distinct segments per
         rank than the simple benchmarks do."""
         sweep_reduced = reduce_trace(sweep3d_prepared.segmented, create_metric("iter_avg"))
-        per_rank_stored = [len(r.stored) for r in sweep_reduced.ranks]
+        per_rank_stored = [r.n_stored for r in sweep_reduced.ranks]
         assert min(per_rank_stored) >= 5
 
     def test_iter_k_poor_on_sweep3d(self, sweep3d_prepared):

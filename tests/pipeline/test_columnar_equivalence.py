@@ -29,6 +29,8 @@ from repro.sweep.plan import SweepConfig
 from repro.trace.formats import convert_trace
 from repro.trace.io import serialize_reduced_trace, write_trace
 
+from tests.conftest import stored_view
+
 DISTANCE_METHODS = [
     "relDiff",
     "absDiff",
@@ -197,8 +199,8 @@ class TestLazyStreamFrames:
 
 
 def _averaged(reduced):
-    """Representatives ``iter_avg`` matched at least once: each built one Segment."""
-    return sum(1 for rank in reduced.ranks for stored in rank.stored if stored.count > 1)
+    """Representatives ``iter_avg`` matched at least once: each had a mean written."""
+    return sum(int((rank.counts > 1).sum()) for rank in reduced.ranks)
 
 
 class TestLazyMaterializationStats:
@@ -218,17 +220,16 @@ class TestLazyMaterializationStats:
             "trace", rank_segment_streams(str(rpb_path))
         )
         for rank, expected in zip(result.reduced.ranks, reference.ranks):
-            assert all(stored.origin is not None for stored in rank.stored)  # sizing built none
-            assert rank.stored == expected.stored  # reads every ``.segment``
-            assert all(stored.origin is None for stored in rank.stored)
+            assert sum(frame.materialized for frame, _ in rank.chunks) == 0  # sizing built none
+            assert stored_view(rank) == stored_view(expected)
 
-    def test_iteration_methods_materialize_only_what_iter_avg_averages(self, rpb_path):
+    def test_iteration_methods_materialize_nothing(self, rpb_path):
+        """``iter_avg`` writes its means into rows of its own, not into objects."""
         config = PipelineConfig(executor="serial")
         result = reduce_pipeline(str(rpb_path), create_metric("iter_k"), config)
         assert result.stats.segments_materialized == 0
         result = reduce_pipeline(str(rpb_path), create_metric("iter_avg"), config)
-        averaged = _averaged(result.reduced)
-        assert 0 < result.stats.segments_materialized == averaged < result.stats.n_segments
+        assert result.stats.segments_materialized == 0 < _averaged(result.reduced)
 
     def test_stats_rows_and_registry(self, rpb_path):
         from repro import obs
@@ -256,11 +257,10 @@ class TestLazyMaterializationStats:
         assert stats.segments_materialized == 0 < stats.n_segments
         assert recorder.registry.counter("sweep.segments_materialized").get() == 0
 
-    def test_sweep_materializes_for_iter_avg_only(self, rpb_path):
-        """The other configs build nothing beside iter_avg: the count is its alone."""
+    def test_sweep_materializes_nothing(self, rpb_path):
+        """No config builds a ``Segment``, beside an averaging one neither."""
         dense = [SweepConfig(name, create_metric(name).threshold) for name in DISTANCE_METHODS]
         result = sweep_pipeline(str(rpb_path), dense + [SweepConfig("iter_k", 10)])
         assert result.stats.segments_materialized == 0
         result = sweep_pipeline(str(rpb_path), dense + [SweepConfig("iter_avg")])
-        averaged = _averaged(result.outcomes[-1].reduced)
-        assert 0 < result.stats.segments_materialized == averaged < result.stats.n_segments
+        assert result.stats.segments_materialized == 0 < _averaged(result.outcomes[-1].reduced)

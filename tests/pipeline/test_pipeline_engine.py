@@ -120,10 +120,11 @@ class TestEngineOutput:
         assert result.stats.segments_materialized == serial.stats.segments_materialized == 0
         assert 0 < result.reduced.n_stored < source.num_segments
         assert source.materialized == 0
-        # A process worker's representatives come back as objects (pickling reads
-        # ``.segment`` on the worker's copy); a thread's are still the source's rows.
-        backed = {stored.origin is not None for rank in result.reduced.ranks for stored in rank.stored}
-        assert backed == {pooled == "thread"}
+        # A process worker's representatives come back as rows of their own
+        # (pickling owns them on the worker's copy); a thread's are still rows
+        # of the frames it reduced.
+        owned = {rank.owned == len(rank.chunks) for rank in result.reduced.ranks if rank.chunks}
+        assert owned == {pooled == "process"}
 
     def test_merge_stage(self, small_late_sender_trace):
         result = reduce_pipeline(

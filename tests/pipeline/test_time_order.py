@@ -105,7 +105,7 @@ def test_the_sound_rank_reduces(tmp_path):
     path = write_rpb(tmp_path / "sound.rpb", [(0, 12, rank_block(ROWS))], STRINGS)
     (rank,) = ReductionPipeline(metric(), PipelineConfig()).reduce(path).reduced.ranks
     assert [sid for sid, _ in rank.execs] == [0, 0, 0]
-    assert rank.exec_matched == [False, True, True]
+    assert rank.exec_columns()[2].tolist() == [False, True, True]
 
 
 class TestCheckTimeOrder:

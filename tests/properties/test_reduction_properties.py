@@ -34,8 +34,8 @@ class TestReducerInvariants:
         reduced = TraceReducer(metric).reduce_segments(segments)
         assert reduced.n_segments == len(segments)
         assert len(reduced.execs) == len(segments)
-        assert len(reduced.exec_matched) == len(segments)
-        assert len(reduced.stored) + reduced.n_matches == len(segments)
+        assert len(reduced.exec_columns()[2]) == len(segments)
+        assert reduced.n_stored + reduced.n_matches == len(segments)
         assert reduced.n_matches <= reduced.n_possible_matches <= max(0, len(segments) - 1)
         assert 0 <= reduced.n_matches
 
@@ -43,27 +43,26 @@ class TestReducerInvariants:
     @settings(max_examples=60, deadline=None)
     def test_exec_ids_reference_stored_segments(self, segments, metric):
         reduced = TraceReducer(metric).reduce_segments(segments)
-        stored_ids = {s.segment_id for s in reduced.stored}
-        assert all(sid in stored_ids for sid, _ in reduced.execs)
+        assert all(0 <= sid < reduced.n_stored for sid, _ in reduced.execs)
 
     @given(iteration_segments())
     @settings(max_examples=40, deadline=None)
     def test_absdiff_threshold_monotone_in_stored_count(self, segments):
         strict = TraceReducer(AbsDiff(1.0)).reduce_segments(segments)
         loose = TraceReducer(AbsDiff(1e6)).reduce_segments(segments)
-        assert len(loose.stored) <= len(strict.stored)
+        assert loose.n_stored <= strict.n_stored
 
     @given(iteration_segments(), st.integers(min_value=1, max_value=15))
     @settings(max_examples=40, deadline=None)
     def test_iter_k_stores_at_most_k_per_pattern(self, segments, k):
         reduced = TraceReducer(IterK(k)).reduce_segments(segments)
-        assert len(reduced.stored) == min(k, len(segments))
+        assert reduced.n_stored == min(k, len(segments))
 
     @given(iteration_segments())
     @settings(max_examples=40, deadline=None)
     def test_iter_avg_stores_exactly_one_per_pattern(self, segments):
         reduced = TraceReducer(IterAvg()).reduce_segments(segments)
-        assert len(reduced.stored) == 1
+        assert reduced.n_stored == 1
         assert reduced.n_matches == reduced.n_possible_matches == len(segments) - 1
 
     @given(iteration_segments())
@@ -73,7 +72,8 @@ class TestReducerInvariants:
         expected = np.mean(
             [np.asarray(s.relative_to_start().timestamps()) for s in segments], axis=0
         )
-        np.testing.assert_allclose(reduced.stored[0].timestamps(), expected, rtol=1e-9, atol=1e-6)
+        mean = reduced.segments()[0].timestamps()
+        np.testing.assert_allclose(mean, expected, rtol=1e-9, atol=1e-6)
 
 
 class TestReconstructionInvariants:

@@ -17,7 +17,6 @@ from repro.benchmarks_ats import late_sender
 from repro.core.candidates import CandidateList, RepresentativeStore
 from repro.core.frames import RankFrame
 from repro.core.metrics import METRIC_NAMES, create_metric
-from repro.core.reduced import StoredSegment
 from repro.pipeline.stream import rank_segment_streams
 from repro.service import (
     ReductionSession,
@@ -64,12 +63,12 @@ class TestStorePickles:
     """Satellite: stores round-trip with the candidate-matrix columns intact."""
 
     def _populate(self, store, segments, first_id=0):
-        # ``segments`` share one structure (the fixture's iteration bodies).
+        # ``segments`` share one structure (the fixture's iteration bodies);
+        # each enters as its id, as the reducer's core enters it.
         metric = create_metric("euclidean")
         for i, segment in enumerate(segments, first_id):
-            relative = segment.relative_to_start()
-            row = metric.build_vector(relative)
-            store.add("k", StoredSegment(segment_id=i, segment=relative), row, metric.row_scale(row))
+            row = metric.build_vector(segment.relative_to_start())
+            store.add("k", i, row, metric.row_scale(row))
 
     def test_round_trip_preserves_columns_and_counters(self, streams):
         store = RepresentativeStore()
@@ -81,7 +80,7 @@ class TestStorePickles:
         assert clone.counters.lookups == store.counters.lookups
         assert clone.counters.misses == store.counters.misses
         bucket, bucket_clone = store.candidates("k"), clone.candidates("k")
-        assert [s.segment_id for s in bucket_clone] == [s.segment_id for s in bucket]
+        assert list(bucket_clone) == list(bucket) == list(range(6))
         # The candidate-matrix columns survive, trimmed to their live rows.
         assert isinstance(bucket_clone, CandidateList)
         np.testing.assert_array_equal(bucket_clone._matrix, bucket._matrix[:6])
@@ -108,7 +107,7 @@ class TestStorePickles:
     def test_bucket_order_survives(self, streams):
         store = RepresentativeStore()
         for i, key in enumerate(("b", "c", "a")):
-            store.add(key, StoredSegment(segment_id=i, segment=streams[0][i].relative_to_start()))
+            store.add(key, i)
         store.candidates("b")  # a lookup reorders nothing
         clone = pickle.loads(pickle.dumps(store))
         assert list(clone._by_key) == list(store._by_key) == ["b", "c", "a"]
@@ -208,14 +207,15 @@ def test_failed_write_leaves_previous_checkpoint_intact(streams, tmp_path, monke
     assert load_checkpoint(path).finish().reduced.n_segments == 4 * len(streams)
 
 
-@pytest.mark.parametrize("version", [999, 2, 3, 4])
+@pytest.mark.parametrize("version", [999, 2, 3, 4, 5])
 def test_restore_rejects_unknown_version(streams, version):
     # Version 2: buckets pickled their owner metric and a built-row count.
     # Version 3: rank digests chained segments, not frame rows, so a resumed
     # session would never digest to its source again.  Version 4: stores and
-    # the session config carried a capacity bound.  All must be refused, not
-    # resumed from a misread state.
-    assert STATE_VERSION == 5
+    # the session config carried a capacity bound.  Version 5: reduced ranks
+    # held representative objects, and buckets held the same objects.  All
+    # must be refused, not resumed from a misread state.
+    assert STATE_VERSION == 6
     session = ReductionSession("t", SessionConfig("relDiff"))
     payload = pickle.loads(session_state(session))
     payload["version"] = version

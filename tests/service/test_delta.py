@@ -11,9 +11,7 @@ from repro.trace.io import (
     DeltaWriter,
     iter_delta_chunks,
     serialize_delta,
-    serialize_exec_entry,
     serialize_reduced_trace,
-    serialize_segment,
 )
 
 from tests.support import reference_reduce
@@ -47,7 +45,7 @@ class TestDeltaFormat:
         # Framing counts match the body.
         rank_delta = deltas[0].ranks[0]
         assert f"new={len(rank_delta.new)}" in lines[1]
-        assert f"execs={len(rank_delta.execs)}" in lines[1]
+        assert f"execs={len(rank_delta.exec_ids)}" in lines[1]
         assert payload.count("DELTA ") == 1
 
     def test_thresholdless_method_writes_dash(self, trace):
@@ -72,19 +70,16 @@ class TestDeltaFormat:
             (delta, rank_delta)
             for delta in deltas
             for rank_delta in delta.ranks
-            if rank_delta.updated
+            if len(rank_delta.updated)
         ]
         assert updated  # iterations repeat across flush windows
         delta, rank_delta = updated[0]
         payload = serialize_delta(delta).decode()
-        stored = rank_delta.updated[0]
+        segment_id, count = int(rank_delta.updated[0]), int(rank_delta.counts[0])
         # The UPD line is immediately followed by the representative's full
         # current SEG block.
-        assert (
-            f"UPD {stored.segment_id} count={stored.count}\n"
-            f"SEG {stored.segment_id} "
-        ) in payload
-        assert stored.count > 1
+        assert f"UPD {segment_id} count={count}\nSEG {segment_id} " in payload
+        assert count > 1
 
 
 class TestDeltaReconstruction:
@@ -97,25 +92,29 @@ class TestDeltaReconstruction:
         want = serialize_reduced_trace(reference_reduce(create_metric(metric_name), trace))
         assert serialize_reduced_trace(result.reduced) == want
 
-        latest = {}  # (rank, sid) -> StoredSegment, last state wins
+        latest = {}  # (rank, sid) -> SEG block, last state wins
         order = {}  # rank -> [sid in first-seen order]
-        execs = {}
+        execs = {}  # rank -> EXEC lines
         for delta in deltas:
-            for rank_delta in delta.ranks:
-                for stored in rank_delta.new:
-                    latest[(rank_delta.rank, stored.segment_id)] = stored
-                    order.setdefault(rank_delta.rank, []).append(stored.segment_id)
-                for stored in rank_delta.updated:
-                    latest[(rank_delta.rank, stored.segment_id)] = stored
-                execs.setdefault(rank_delta.rank, []).extend(rank_delta.execs)
-        rebuilt = b""
-        for rank in sorted(order):
-            for sid in order[rank]:
-                stored = latest[(rank, sid)]
-                rebuilt += serialize_segment(stored.segment, segment_id=sid)
-            for sid, start in execs[rank]:
-                rebuilt += serialize_exec_entry(sid, start)
-        assert rebuilt == want
+            rank, block = None, None
+            for line in serialize_delta(delta).decode().splitlines(keepends=True):
+                kind = line.split(" ", 1)[0]
+                if kind == "RANK":
+                    rank = int(line.split()[1])
+                elif kind == "SEG":
+                    sid = int(line.split()[1])
+                    if (rank, sid) not in latest:
+                        order.setdefault(rank, []).append(sid)
+                    block = latest[(rank, sid)] = [line]
+                elif kind == "EV":
+                    block.append(line)
+                elif kind == "EXEC":
+                    execs.setdefault(rank, []).append(line)
+        rebuilt = "".join(
+            "".join("".join(latest[(rank, sid)]) for sid in order[rank]) + "".join(execs[rank])
+            for rank in sorted(order)
+        )
+        assert rebuilt.encode() == want
 
 
 class TestDeltaWriter:

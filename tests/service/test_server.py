@@ -112,7 +112,7 @@ class TestMultiTenantEviction:
         assert stats.evicted_to_checkpoint > 0
         assert stats.restored_from_checkpoint > 0
         per_session = max(
-            sum(len(rank.stored) for rank in result.reduced.ranks)
+            sum(rank.n_stored for rank in result.reduced.ranks)
             for result in results
         )
         assert stats.peak_resident_representatives <= 24 + per_session

@@ -148,11 +148,11 @@ class TestInterleavingAndFlushes:
         for delta in deltas:
             for rank_delta in delta.ranks:
                 stored.setdefault(rank_delta.rank, []).extend(rank_delta.new)
-                execs.setdefault(rank_delta.rank, []).extend(rank_delta.execs)
+                execs.setdefault(rank_delta.rank, []).extend(
+                    zip(rank_delta.exec_ids.tolist(), rank_delta.exec_starts.tolist())
+                )
         for rank_trace in result.reduced.ranks:
-            assert [s.segment_id for s in stored[rank_trace.rank]] == [
-                s.segment_id for s in rank_trace.stored
-            ]
+            assert stored[rank_trace.rank] == list(range(rank_trace.n_stored))
             assert execs[rank_trace.rank] == rank_trace.execs
 
     def test_updated_representatives_are_flagged(self, trace):
@@ -172,14 +172,14 @@ class TestInterleavingAndFlushes:
         assert first.n_new > 0
         assert second.n_updated > 0  # iterations repeat, so later halves match
         first_ids = {
-            (rank_delta.rank, stored.segment_id)
+            (rank_delta.rank, segment_id)
             for rank_delta in first.ranks
-            for stored in rank_delta.new
+            for segment_id in rank_delta.new
         }
         for rank_delta in second.ranks:
-            for stored in rank_delta.updated:
-                assert (rank_delta.rank, stored.segment_id) in first_ids
-                assert stored.count > 1
+            for segment_id, count in zip(rank_delta.updated.tolist(), rank_delta.counts.tolist()):
+                assert (rank_delta.rank, segment_id) in first_ids
+                assert count > 1
 
     def test_empty_append_and_empty_flush(self, trace):
         session = ReductionSession("t", SessionConfig("relDiff"))

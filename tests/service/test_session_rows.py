@@ -1,10 +1,11 @@
-"""A session's representatives stay rows of their chunk frame until someone reads them.
+"""A session's representatives stop pinning their chunk frames at the next flush or checkpoint.
 
-A dense session books a new representative as ``(chunk frame, row)``.  A
-delta lists it and writes its ``SEG`` block from the frame's columns; a
-checkpoint is what builds the ``Segment`` (it pickles objects), with the
-same object as the result the scalar reference stores.  Reading drops the
-origin, so a checkpointed chunk's frame lives no longer than that.
+A session books a new representative as a row of the chunk frame it came
+from.  A flush and a checkpoint read those rows (a delta writes its ``SEG``
+blocks, a checkpoint pickles them) and give the reduced rank rows of its own
+(``ReducedRankTrace.own``), so the chunk frames — and through their row
+views the rank's whole decoded frame — are released then, not when the
+session is dropped.  The result is still the scalar reference's.
 """
 
 import gc
@@ -15,9 +16,12 @@ import pytest
 from repro.benchmarks_ats import late_sender
 from repro.core.frames import RankFrame
 from repro.core.metrics import create_metric
+from repro.core.reduced import ReducedTrace
 from repro.core.reducer import TraceReducer
 from repro.service import ReductionSession, SessionConfig, save_checkpoint, session_state
-from repro.trace.io import serialize_delta
+from repro.trace.io import serialize_delta, serialize_reduced_trace
+
+from tests.conftest import stored_view
 
 
 @pytest.fixture(scope="module")
@@ -25,14 +29,13 @@ def segments():
     return late_sender(nprocs=2, iterations=8, seed=3).run().segmented().ranks[1].segments
 
 
-def fed(segments, cut):
-    """A euclidean session fed two chunks; the frames its representatives are rows of."""
-    session = ReductionSession("t", SessionConfig("euclidean", 0.001))
+def fed(segments, cut, method="euclidean", threshold=0.001):
+    """A session fed two chunks; weak references to the frames its representatives are rows of."""
+    session = ReductionSession("t", SessionConfig(method, threshold))
     session.append(RankFrame.from_segments(1, segments[:cut]))
     session.append(RankFrame.from_segments(1, segments[cut:]))
-    stored = session.result().ranks[0].stored
-    assert stored and all(representative.origin is not None for representative in stored)
-    frames = {id(r.origin[0]): weakref.ref(r.origin[0]) for r in stored}
+    chunks = session.result().ranks[0].chunks
+    frames = {id(frame): weakref.ref(frame) for frame, _ in chunks}
     assert len(frames) == 2  # both chunks stored something
     return session, list(frames.values())
 
@@ -42,29 +45,44 @@ def alive(frames) -> int:
     return sum(frame() is not None for frame in frames)
 
 
+def reference(segments, method="euclidean", threshold=0.001):
+    return TraceReducer(create_metric(method, threshold)).reduce_segments(segments, rank=1)
+
+
 @pytest.mark.parametrize(
     "read",
     [
+        lambda session, tmp_path: serialize_delta(session.flush()),
         lambda session, tmp_path: session_state(session),
         lambda session, tmp_path: save_checkpoint(session, tmp_path / "session.ckpt"),
     ],
-    ids=["session_state", "save_checkpoint"],
+    ids=["flush", "session_state", "save_checkpoint"],
 )
 def test_chunk_frames_die_once_their_representatives_are_read(segments, tmp_path, read):
     session, frames = fed(segments, cut=5)
     assert alive(frames) == 2
     read(session, tmp_path)
     assert alive(frames) == 0
-    stored = session.result().ranks[0].stored
-    assert all(representative.origin is None for representative in stored)
-    reference = TraceReducer(create_metric("euclidean", 0.001)).reduce_segments(segments, rank=1)
-    assert stored == reference.stored
+    result = session.result().ranks[0]
+    assert stored_view(result) == stored_view(reference(segments))
 
 
 def test_a_delta_and_its_bytes_build_nothing(segments):
-    """The delta lists the representatives and is written from their rows."""
-    session, frames = fed(segments, cut=5)
+    """The delta lists ids and is written from the rows."""
+    session, _ = fed(segments, cut=5)
     delta = session.flush()
     serialize_delta(delta)
-    assert alive(frames) == 2
-    assert all(r.origin is not None for rank in delta.ranks for r in rank.new)
+    rank = session.result().ranks[0]
+    assert sum(frame.materialized for frame, _ in rank.chunks) == 0
+    assert list(delta.ranks[0].new) == list(range(rank.n_stored))
+
+
+def test_iter_avg_means_survive_flushes_between_chunks(segments):
+    """``iter_avg`` writes its means into rows the rank owns, flushed or not."""
+    session = ReductionSession("t", SessionConfig("iter_avg"))
+    for lo, hi in ((0, 3), (3, 7), (7, None)):
+        session.append(RankFrame.from_segments(1, segments[lo:hi]))
+        serialize_delta(session.flush())
+    result = session.finish().reduced
+    expected = ReducedTrace("t", "iter_avg", None, [reference(segments, "iter_avg", None)])
+    assert serialize_reduced_trace(result) == serialize_reduced_trace(expected)

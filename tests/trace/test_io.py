@@ -5,6 +5,8 @@ import os
 import pytest
 
 from repro.benchmarks_ats import late_sender
+from repro.core.metrics import create_metric
+from repro.core.reducer import TraceReducer
 from repro.trace.events import MpiCallInfo
 from repro.trace.io import (
     atomic_output,
@@ -12,7 +14,6 @@ from repro.trace.io import (
     iter_reduced_rank_chunks,
     parse_record,
     read_trace,
-    reduced_trace_size_bytes,
     segmented_trace_size_bytes,
     serialize_exec_entry,
     serialize_records,
@@ -149,9 +150,8 @@ class TestSizes:
     def test_reduced_size_smaller_than_full(self, paper_segments):
         segments = list(paper_segments.values())
         full = sum(len(serialize_segment_as_records(s)) for s in segments)
-        reduced = reduced_trace_size_bytes(
-            [(0, segments[0])], [(0, 0.0), (0, 60.0), (0, 120.0)]
-        )
+        repeats = [segments[0].shifted(60.0 * i) for i in range(3)]
+        reduced = TraceReducer(create_metric("iter_avg")).reduce_segments(repeats).size_bytes()
         assert reduced < full
 
     def test_trace_size_consistent_with_segmented_size(self):

@@ -1,7 +1,10 @@
 """Tests for merging reduced representatives across ranks."""
 
+import numpy as np
+
+from repro.core.frames import RankFrame
 from repro.core.metrics import create_metric
-from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
+from repro.core.reduced import ReducedRankTrace, ReducedTrace
 from repro.core.reducer import TraceReducer
 from repro.trace.merge import merge_reduced_trace
 
@@ -9,12 +12,16 @@ from tests.conftest import make_segment
 
 
 def _rank(rank, segments, execs):
-    reduced = ReducedRankTrace(rank=rank)
-    for sid, segment in enumerate(segments):
-        reduced.stored.append(StoredSegment(segment_id=sid, segment=segment))
-    reduced.execs = execs
-    reduced.n_segments = len(execs)
-    return reduced
+    ids, starts = zip(*execs)
+    return ReducedRankTrace(
+        rank=rank,
+        chunks=[(RankFrame.from_segments(rank, segments), np.arange(len(segments)))],
+        counts=np.ones(len(segments), dtype=np.int64),
+        exec_chunks=[(np.array(ids), np.array(starts), np.zeros(len(execs), dtype=bool))],
+        n_segments=len(execs),
+    )
+
+
 
 
 def _seg(context="main.1", duration=2.0):
@@ -26,7 +33,7 @@ class TestMergeReducedTrace:
         merged = merge_reduced_trace(ReducedTrace(name="e", method="relDiff", threshold=0.8))
         assert merged.n_stored == 0
         assert merged.n_duplicates == 0
-        assert merged.rank_execs == []
+        assert merged.table.execs == []
         assert merged.size_bytes() == 0
 
     def test_single_rank_is_identity(self):
@@ -35,7 +42,7 @@ class TestMergeReducedTrace:
         merged = merge_reduced_trace(reduced)
         assert merged.n_stored == 1
         assert merged.n_duplicates == 0
-        assert merged.rank_execs == [(0, [(0, 0.0), (0, 5.0)])]
+        assert merged.table.execs == [(0, 0.0), (0, 5.0)]
         assert merged.size_bytes() == reduced.size_bytes()
 
     def test_identical_representatives_deduped(self):
@@ -45,7 +52,7 @@ class TestMergeReducedTrace:
         assert merged.n_rank_stored == 3
         assert merged.n_stored == 1
         assert merged.n_duplicates == 2
-        assert merged.stored[0].count == 3
+        assert merged.table.counts.tolist() == [3]
         assert merged.size_bytes() < reduced.size_bytes()
 
     def test_disjoint_structures_not_merged(self):
@@ -59,7 +66,7 @@ class TestMergeReducedTrace:
         assert merged.n_stored == 2
         assert merged.n_duplicates == 0
         # Global ids are assigned in first-seen order and execs remapped.
-        assert merged.rank_execs == [(0, [(0, 0.0)]), (1, [(1, 0.0)])]
+        assert merged.table.execs == [(0, 0.0), (1, 0.0)]
 
     def test_dedup_uses_serialized_precision(self):
         # Timestamps that differ below the 2-decimal serialization precision
@@ -89,17 +96,15 @@ class TestMergeReducedTrace:
         ranks = [_rank(r, [_seg()], [(0, 0.0)]) for r in range(2)]
         reduced = ReducedTrace(name="t", method="relDiff", threshold=0.8, ranks=ranks)
         merge_reduced_trace(reduced)
-        assert all(r.stored[0].segment_id == 0 for r in reduced.ranks)
-        assert all(r.stored[0].count == 1 for r in reduced.ranks)
+        assert all(r.counts.tolist() == [1] for r in reduced.ranks)
+        assert all(r.exec_columns()[0].tolist() == [0] for r in reduced.ranks)
 
     def test_real_reduction_round_trip(self, small_late_sender_trace):
         reduced = TraceReducer(create_metric("iter_avg")).reduce(small_late_sender_trace)
         merged = merge_reduced_trace(reduced)
         assert merged.n_stored + merged.n_duplicates == reduced.n_stored
         # Every exec entry survives with a valid global id.
-        valid_ids = {s.segment_id for s in merged.stored}
-        total_execs = 0
-        for _, execs in merged.rank_execs:
-            total_execs += len(execs)
-            assert all(sid in valid_ids for sid, _ in execs)
-        assert total_execs == sum(len(r.execs) for r in reduced.ranks)
+        execs = merged.table.execs
+        assert all(0 <= sid < merged.n_stored for sid, _ in execs)
+        assert len(execs) == sum(len(r.execs) for r in reduced.ranks)
+        assert merged.table.counts.sum() == sum(r.counts.sum() for r in reduced.ranks)

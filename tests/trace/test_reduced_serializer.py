@@ -1,10 +1,11 @@
 """The columnar reduced-trace serializer against the per-object one.
 
-``iter_reduced_rank_chunks`` writes a representative that is still a frame
-row from the frame's relative columns, through one ``str.format`` template
-per structure; ``serialize_segment`` over the materialized object — the loop
-it replaced for those rows — is the reference it must equal byte for byte,
-whatever the names, MPI parameters and timestamps are.
+``iter_reduced_rank_chunks`` writes every representative — a row of the
+frame it was booked from, or of a frame of its own — from the frame's
+relative columns, through one ``str.format`` template per structure;
+``serialize_segment`` over the materialized object — the loop it replaced —
+is the reference it must equal byte for byte, whatever the names, MPI
+parameters and timestamps are.
 """
 
 import math
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from repro.benchmarks_ats import late_sender
 from repro.core.frames import RankFrame
 from repro.core.metrics import METRIC_NAMES, create_metric
-from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
+from repro.core.reduced import ReducedRankTrace, ReducedTrace
 from repro.core.reducer import TraceReducer
 from repro.pipeline.engine import PipelineConfig, ReductionPipeline
 from repro.trace import binio
@@ -117,39 +118,52 @@ def chunks(rank: ReducedRankTrace) -> bytes:
     return b"".join(iter_reduced_rank_chunks(rank))
 
 
+def booked(rank: int, *pieces, execs=()) -> ReducedRankTrace:
+    """A reduced rank of ``(frame, rows)`` chunks, each representative counted once."""
+    ids, starts = (list(column) for column in zip(*execs)) if execs else ([], [])
+    return ReducedRankTrace(
+        rank=rank,
+        chunks=[(frame, np.asarray(rows, dtype=np.int64)) for frame, rows in pieces],
+        counts=np.ones(sum(len(rows) for _, rows in pieces), dtype=np.int64),
+        exec_chunks=[(np.array(ids, dtype=np.int64), np.array(starts), np.zeros(len(ids), bool))],
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(frames(), st.integers(min_value=0, max_value=10**6))
 def test_every_row_is_written_as_its_object_is(frame, first_id):
     textio._SEGMENT_TEMPLATES.clear()
-    rows = ReducedRankTrace(
-        rank=0,
-        stored=[StoredSegment(first_id + i, origin=(frame, i)) for i in range(frame.n_segments)],
-    )
-    assert chunks(rows) == b"".join(
+    rows = np.arange(frame.n_segments)
+    texts = textio._stored_texts([(frame, rows, first_id + rows)])
+    assert "".join(texts).encode() == b"".join(
         serialize_segment(frame.segment(i), segment_id=first_id + i)
         for i in range(frame.n_segments)
     )
-    assert all(stored.origin is not None for stored in rows.stored)
-    assert rows.size_bytes() == len(chunks(rows))
+    rank = booked(0, (frame, rows))
+    assert chunks(rank) == b"".join(
+        serialize_segment(frame.segment(i), segment_id=i) for i in range(frame.n_segments)
+    )
+    assert rank.size_bytes() == len(chunks(rank))
 
 
 @settings(max_examples=200, deadline=None)
 @given(frames(min_segments=2), frames(), st.lists(st.tuples(st.integers(0, 99), times), max_size=5))
 def test_a_mixed_run_is_the_per_object_concatenation(first, second, execs):
-    """What a session holds mid-way: representatives already read as objects, then
-    rows of the first chunk's frame, an object again, then rows of the next frame."""
-    plan = [(first, 0, True), *((first, i, False) for i in range(1, first.n_segments))]
-    plan += [(second, 0, True), *((second, i, False) for i in range(second.n_segments))]
-    stored = [StoredSegment(sid, origin=(frame, row)) for sid, (frame, row, _) in enumerate(plan)]
-    for representative, (_, _, as_object) in zip(stored, plan):
-        if as_object:
-            assert representative.segment is not None and representative.origin is None
-    expected = [
-        serialize_segment(frame.segment(row), segment_id=sid)
-        for sid, (frame, row, _) in enumerate(plan)
+    """What a session holds mid-way: a chunk it owns already (a flush gave its rows
+    a frame of their own), then rows of the next chunk's frame, in any order."""
+    rows = np.arange(second.n_segments)[::-1]
+    rank = booked(0, (first, np.arange(first.n_segments)), execs=execs)
+    rank.own()
+    assert rank.chunks[0][0] is not first
+    rank.chunks.append((second, rows))
+    rank.counts = np.ones(first.n_segments + second.n_segments, dtype=np.int64)
+    expected = [serialize_segment(first.segment(i), segment_id=i) for i in range(first.n_segments)]
+    expected += [
+        serialize_segment(second.segment(row), segment_id=first.n_segments + j)
+        for j, row in enumerate(rows.tolist())
     ]
     expected += [serialize_exec_entry(sid, start) for sid, start in execs]
-    assert chunks(ReducedRankTrace(rank=0, stored=stored, execs=execs)) == b"".join(expected)
+    assert chunks(rank) == b"".join(expected)
 
 
 @pytest.mark.parametrize("method", METRIC_NAMES)
@@ -203,10 +217,7 @@ def test_the_template_memo_is_bounded(monkeypatch):
     segments = late_sender(nprocs=2, iterations=3, seed=1).run().segmented().ranks[1].segments
     frame = RankFrame.from_segments(1, segments)
     assert len(set(frame.structural_keys())) > 2
-    rows = ReducedRankTrace(
-        rank=1, stored=[StoredSegment(i, origin=(frame, i)) for i in range(frame.n_segments)]
-    )
-    data = chunks(rows)
+    data = chunks(booked(1, (frame, np.arange(frame.n_segments))))
     assert len(textio._SEGMENT_TEMPLATES) <= 2
     assert data == b"".join(
         serialize_segment(frame.segment(i), segment_id=i) for i in range(frame.n_segments)

@@ -3,8 +3,8 @@
 A sweep sizes all of its configs at once, measuring each shared text once
 and adding each config's id digits in bulk.  Its numbers must be the length
 of ``serialize_reduced_trace`` for every config: all nine methods
-(``iter_avg``'s means are objects, not frame rows), every input kind (text
-and ``.rpb`` files, in memory, and objects a process pool shipped back), ids
+(``iter_avg``'s means are rows of frames of its own), every input kind (text
+and ``.rpb`` files, in memory, and rows a process pool shipped back), ids
 that cross a digit (9 -> 10, 99 -> 100, 999 -> 1000) and exec starts whose
 two-decimal text gains a digit as it rounds up (9.996 -> ``10.00``).
 """
@@ -91,7 +91,7 @@ def _assert_sizes_are_the_bytes(result):
 def test_every_config_of_every_source(sources, source):
     traces = _assert_sizes_are_the_bytes(sweep_pipeline(sources[source], PLAN))
     # The input reaches the cases the sizer must get right.
-    deepest = max(len(rank.stored) for trace in traces for rank in trace.ranks)
+    deepest = max(rank.n_stored for trace in traces for rank in trace.ranks)
     assert deepest > 1000
     starts = {"{:.2f}".format(start) for _, start in traces[0].ranks[1].execs}
     assert {"10.00", "100.00", "1000.00", "10000.00"} <= starts
@@ -99,10 +99,11 @@ def test_every_config_of_every_source(sources, source):
     assert {"9.99", "99.99", "999.99"} & starts
 
 
-def test_objects_a_pool_shipped_back(sources):
+def test_rows_a_pool_shipped_back(sources):
+    """A pooled result's representatives are rows of frames of their own, one set per config."""
     result = sweep_pipeline(sources["rpb"], PLAN, PipelineConfig(executor="process", workers=2))
     traces = _assert_sizes_are_the_bytes(result)
-    assert all(stored.origin is None for trace in traces for rank in trace for stored in rank.stored)
+    assert all(rank.owned == len(rank.chunks) for trace in traces for rank in trace)
 
 
 def test_one_trace_alone_and_in_a_grid(sources):
