@@ -1,21 +1,24 @@
-"""Where representatives are stored: the per-key buckets and the one store.
+"""Where representatives are looked up: the per-key buckets and the one store.
 
 The matching algorithm compares every incoming segment against all stored
 representatives that share its structural key, in insertion order, returning
 the first match (Section 3.1 of the paper).  The candidates of each key are
 kept in a :class:`CandidateList`: an ordered sequence of representative ids
 (the scalar reference's :class:`~repro.core.reduced.StoredSegment` objects)
-that, for a dense reduction, also holds a contiguous 2-D matrix with one
+that, for a distance metric, also holds a contiguous 2-D matrix with one
 feature-vector row per representative, which the batch step's kernel calls
 compare against in one NumPy broadcast.
 
-A representative is stored once: the batch step hands
-:meth:`RepresentativeStore.extend` a key's new representatives' ids together
-with a distance metric's feature rows (and the metric's ``row_scale`` of
-each, which the leader rounds already hold), and the bucket writes them at
-that moment.  Nothing is built later, so a bucket holds no metric, and a row
-per entry or no rows at all (a method that decides on counts compares no
-rows, and the scalar reference fills its buckets through
+A bucket is an index of the reduced rank, not a second home of its
+representatives: their rows live in the rank's
+:class:`~repro.core.reduced.ReducedRankTrace`, and the one writer,
+:func:`repro.core.reducer.keep`, enters each representative's id (and a
+distance metric's feature row of it) once the frame that stored it is booked.
+Only a rank that continues (an online session, a restored checkpoint) is
+kept; a rank reduced in one frame leaves its store empty.  A bucket holds no
+metric and no per-row scale (the kernel's caller derives the scales from the
+matrix), and a row per entry or no rows at all (a method that decides on
+counts compares no rows, and the scalar reference fills its buckets through
 :meth:`RepresentativeStore.add`).
 
 Because every candidate under one structural key has the same structure, all
@@ -96,7 +99,7 @@ class CandidateList:
     matrix is the row of entry ``i``, written at append time.
     """
 
-    __slots__ = ("_entries", "_matrix", "_scales")
+    __slots__ = ("_entries", "_matrix")
 
     #: Minimum row capacity allocated for a new matrix.
     MIN_CAPACITY = 4
@@ -104,7 +107,6 @@ class CandidateList:
     def __init__(self) -> None:
         self._entries: list = []
         self._matrix: Optional[np.ndarray] = None  # first len(_entries) rows are live
-        self._scales: Optional[np.ndarray] = None  # per-row scale, when the metric has one
 
     # -- sequence protocol (what the scan sees) --------------------------------
 
@@ -126,18 +128,17 @@ class CandidateList:
 
     # -- mutation --------------------------------------------------------------
 
-    def extend(self, entries: Sequence, rows=None, scales=None) -> None:
+    def extend(self, entries: Sequence, rows=None) -> None:
         """Register new representatives in order, each with its row of ``rows``
-        (and of ``scales``) when they have rows.
+        when they have rows.
 
-        A row is the probe vector that just failed to match — it *is* the
-        representative's matrix row — and its scale the metric's
-        ``row_scale`` of it (no ``scales`` for a metric without the hook).
-        The buffers are allocated on the first rows and double as they fill.
-        A bucket holds a row per entry or none: mixing the two would leave the
-        kernel comparing against a row that was never written.
+        A row is the representative's feature vector, as the metric's
+        ``frame_vectors`` gives it.  The matrix is allocated on the first rows
+        and doubles as it fills.  A bucket holds a row per entry or none:
+        mixing the two would leave the kernel comparing against a row that
+        was never written.
         """
-        index, matrix, old_scales = len(self._entries), self._matrix, self._scales
+        index, matrix = len(self._entries), self._matrix
         if index and (rows is None) != (matrix is None):
             raise ValueError("a bucket's representatives all carry a feature row, or none does")
         if rows is not None:
@@ -147,50 +148,14 @@ class CandidateList:
                 capacity *= 2
             if matrix is None or capacity > len(matrix):
                 self._matrix = np.zeros((capacity, rows[0].size), dtype=float)
-                self._scales = None if scales is None else np.zeros(capacity, dtype=float)
                 if index:
                     self._matrix[:index] = matrix[:index]
-                    if scales is not None:
-                        self._scales[:index] = old_scales[:index]
             self._matrix[index:end] = rows
-            if self._scales is not None:
-                self._scales[index:end] = scales
         self._entries.extend(entries)
 
-    # -- pickling --------------------------------------------------------------
-
-    def __getstate__(self):
-        """Checkpointable state: entries plus their matrix and scale rows.
-
-        The columns are trimmed to their live rows (spare growth capacity is
-        not worth shipping) and kept **intact** through the round trip, so a
-        restored bucket probes exactly as the original would.
-        """
-        n, matrix, scales = len(self._entries), self._matrix, self._scales
-        return {
-            "entries": self._entries,
-            "matrix": None if matrix is None else matrix[:n].copy(),
-            "scales": None if scales is None else scales[:n].copy(),
-        }
-
-    def __setstate__(self, state):
-        self._entries = state["entries"]
-        self._matrix = state["matrix"]
-        self._scales = state["scales"]
-
-    # -- the matrix ------------------------------------------------------------
-
-    def matrix_and_scales(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """The feature rows of this bucket's entries and their cached scales.
-
-        Metrics whose match limit scales with each candidate's largest
-        measurement magnitude (Minkowski, wavelet) declare a ``row_scale``
-        hook; its value is stored next to the row, so the kernel doesn't
-        recompute ``abs(matrix).max(axis=1)`` on every incoming segment.
-        Metrics without the hook get None.
-        """
-        n, scales = len(self._entries), self._scales
-        return self._matrix[:n], None if scales is None else scales[:n]
+    def matrix(self) -> np.ndarray:
+        """The feature rows of this bucket's entries, row ``i`` entry ``i``'s."""
+        return self._matrix[: len(self._entries)]
 
 
 _EMPTY: tuple = ()
@@ -221,25 +186,16 @@ class RepresentativeStore:
         counters.misses += 1
         return _EMPTY
 
-    def add(
-        self,
-        key: Hashable,
-        stored,
-        row: Optional[np.ndarray] = None,
-        scale: Optional[float] = None,
-    ) -> None:
-        """Store a representative under ``key`` (see :meth:`CandidateList.extend`)."""
-        rows, scales = None if row is None else [row], None if scale is None else [scale]
-        self.extend(key, [stored], rows, scales)
+    def add(self, key: Hashable, stored) -> None:
+        """Store one representative under ``key``, with no row (the scalar reference)."""
+        self.extend(key, [stored])
 
-    def extend(
-        self, key: Hashable, entries: Sequence, rows=None, scales=None
-    ) -> None:
+    def extend(self, key: Hashable, entries: Sequence, rows=None) -> None:
         """Store ``entries`` under ``key`` in order (see :meth:`CandidateList.extend`)."""
         bucket = self._by_key.get(key)
         if bucket is None:
             bucket = self._by_key[key] = CandidateList()
-        bucket.extend(entries, rows, scales)
+        bucket.extend(entries, rows)
         self._size += len(entries)
 
     def bucket(self, key: Hashable) -> Optional[CandidateList]:
@@ -256,19 +212,3 @@ class RepresentativeStore:
     def __len__(self) -> int:
         """Number of representatives stored."""
         return self._size
-
-    def __getstate__(self):
-        """Explicit checkpoint state: buckets and counters.
-
-        Spelled out (rather than relying on the default protocol) so
-        the session checkpoint format is stable against refactors of the
-        class layout; bucket keys are rehashed on restore by dict
-        reconstruction, which is what makes checkpoints portable across
-        processes with different string-hash salts.
-        """
-        return {"by_key": self._by_key, "size": self._size, "counters": self.counters}
-
-    def __setstate__(self, state):
-        self.counters = state["counters"]
-        self._by_key = state["by_key"]
-        self._size = state["size"]

@@ -17,12 +17,12 @@ frame driver.  A frame is resolved key by key over the rows of its metric's
 :meth:`~repro.core.metrics.base.SimilarityMetric.frame_vectors`, and booked
 as arrays (:meth:`ReductionState.book`): the frame's new representatives as
 one ``(frame, rows)`` chunk of the :class:`~repro.core.reduced.ReducedRankTrace`,
-counts and execution columns appended, and the store's buckets given the
-new ids — reducing builds no :class:`~repro.trace.segments.Segment` and no
-per-representative object.  A distance metric resolves a key
-in leader rounds (:meth:`ReductionState.lead_key`), the rest of it all pairs
-at once when its rounds stop matching; any other method decides on each
-row's place among its key's executions
+counts and execution columns appended — reducing builds no
+:class:`~repro.trace.segments.Segment` and no per-representative object.  A
+distance metric resolves a key in leader rounds
+(:meth:`ReductionState.lead_key`), the rest of it all pairs at once when its
+rounds stop matching; any other method decides on each row's place among its
+key's executions
 (:meth:`~repro.core.metrics.base.SimilarityMetric.new_rows`), and every row
 it does not make a new representative matches its key's latest.
 ``iter_avg``'s running mean rewrites representatives' timestamps: its
@@ -53,7 +53,14 @@ the core to its bytes; it shares no loop and no kernel with the core.
 
 Representatives are looked up through a
 :class:`~repro.core.candidates.RepresentativeStore`, one per (rank, config),
-which keeps every one of them: the core's buckets hold ids, the reference's
+which keeps every one of them.  The core's store is an index of the reduced
+rank — each key's ids and, for a distance metric, their feature rows — with
+one writer, :func:`keep`, which enters what a frame booked once the frame is
+stepped.  Only a rank that continues is kept: :meth:`TraceReducer.reduce_frame`
+keeps the store its caller passes (the online session's), and a restored
+checkpoint rebuilds its stores from the ranks it carries; a rank reduced in
+one frame (the pipeline's, a sweep's) leaves its store empty, since a step
+reads only earlier frames' buckets.  The reference's buckets hold its
 :class:`~repro.core.reduced.StoredSegment` objects.
 """
 
@@ -80,6 +87,7 @@ __all__ = [
     "ReductionState",
     "KeyBatches",
     "step_families",
+    "keep",
     "reduce_trace",
 ]
 
@@ -299,18 +307,14 @@ class _Leads:
 
     ``ids`` holds the representative id of each row that matched an existing
     representative, ``leader`` (until ids exist) the row of the new one each
-    other row resolves to; ``scale_of`` each leader's ``row_scale`` (None
-    without the hook); ``fresh`` each key's leader rows, first appearance
-    first; ``misses`` the keys whose bucket was empty.
+    other row resolves to; ``misses`` the keys whose bucket was empty.
     """
 
-    __slots__ = ("ids", "leader", "scale_of", "fresh", "misses")
+    __slots__ = ("ids", "leader", "misses")
 
-    def __init__(self, n: int, scaled: bool) -> None:
+    def __init__(self, n: int) -> None:
         self.ids = np.empty(n, dtype=np.int64)
         self.leader = np.full(n, -1, dtype=np.int64)
-        self.scale_of = np.empty(n) if scaled else None
-        self.fresh: list = []
         self.misses = 0
 
 
@@ -321,9 +325,10 @@ class ReductionState:
     representative store and the continuing :class:`ReducedRankTrace` — and
     is stepped over a frame by :func:`step_families`: :meth:`lead_key` (a
     distance metric) or :meth:`_lead_by_count` (any other) decides each key,
-    then :meth:`book` books the frame.  The online session continues the
-    same store and output across frames; a sweep steps one state per config
-    over one shared frame.
+    reading the store's buckets, then :meth:`book` books the frame into the
+    output.  The online session continues the same store and output across
+    frames, and :func:`keep` enters each frame's new representatives in the
+    store after it; a sweep steps one state per config over one shared frame.
     """
 
     __slots__ = ("metric", "reduced", "store", "counters")
@@ -340,23 +345,16 @@ class ReductionState:
         self.store = store
         self.counters = counters
 
-    def leads(self, n: int) -> _Leads:
-        """Empty decisions for a frame of ``n`` rows."""
-        return _Leads(n, getattr(self.metric, "row_scale", None) is not None)
-
     def book(self, batches: KeyBatches, leads: _Leads) -> None:
-        """Book a frame's decisions into the output and the store, as arrays.
+        """Book a frame's decisions into the output, as arrays.
 
         New representatives take the ids the reference gives them, in
         segment order across keys: the frame's chunk of the output is those
         rows, its counts the rows each id took, and its execution columns
-        every row's id, start and whether it matched.  Each key's new ids
-        enter its bucket at once (:meth:`RepresentativeStore.extend`), a
-        distance metric's with their probe rows and the scales their leader
-        rounds computed.
+        every row's id, start and whether it matched.  The store only counts
+        the frame's lookups; its buckets are written by :func:`keep`.
         """
-        frame, vectors = batches.frame, batches.vectors
-        metric, store, reduced = self.metric, self.store, self.reduced
+        frame, reduced = batches.frame, self.reduced
         ids, leader, misses = leads.ids, leads.leader, leads.misses
         n = frame.n_segments
         first_id = reduced.n_stored
@@ -367,24 +365,16 @@ class ReductionState:
         reduced.exec_chunks.append((ids, frame.starts, ~is_new))
         reduced.n_matches += n - len(new_rows)
         reduced.n_possible_matches += n - misses
-        store.count_lookups(n - misses, misses)
+        self.store.count_lookups(n - misses, misses)
         counts = np.bincount(ids, minlength=first_id)
         counts[:first_id] += reduced.counts
         reduced.counts = counts
         if len(new_rows):
             reduced.chunks.append((frame, new_rows))
-        if metric.averages:
+        if self.metric.averages:
             reduced.own()
             if len(new_rows) < n:
-                _fold_means(reduced, ids, np.flatnonzero(~is_new), vectors)
-        distance, scale_of = isinstance(metric, DistanceMetric), leads.scale_of
-        for key, heads in leads.fresh:
-            entries = ids[heads].tolist()
-            if distance:
-                scales = None if scale_of is None else scale_of[heads]
-                store.extend(key, entries, [vectors[row] for row in heads], scales)
-            else:
-                store.extend(key, entries)
+                _fold_means(reduced, ids, np.flatnonzero(~is_new), batches.vectors)
 
     def _lead_by_count(self, batches: KeyBatches, leads: _Leads) -> None:
         """Resolve a frame for a method that decides on execution counts alone.
@@ -404,13 +394,10 @@ class ReductionState:
             prior = int(counts[list(bucket)].sum()) if bucket else 0
             seen[rows] = np.arange(prior, prior + len(rows))
         is_new = self.metric.new_rows(seen)
-        for (key, rows, _), bucket in zip(groups, buckets):
-            new = is_new[rows]
-            latest = leader[rows] = np.maximum.accumulate(np.where(new, rows, -1))
+        for (_, rows, _), bucket in zip(groups, buckets):
+            latest = leader[rows] = np.maximum.accumulate(np.where(is_new[rows], rows, -1))
             if bucket:
                 ids[rows[latest < 0]] = bucket[-1]
-            if new.any():
-                leads.fresh.append((key, rows[new].tolist()))
         leads.misses += sum(not bucket for bucket in buckets)
 
     def lead_key(self, key, source: LeaderRows, leads: _Leads) -> None:
@@ -422,7 +409,7 @@ class ReductionState:
            takes one broadcast kernel call, blocked over the probes, that
            gives every probe its first matching *existing* representative —
            representatives created later sit behind those, so they cannot
-           change it;
+           change it; the bucket's ``row_scale`` is taken of its matrix here;
         2. the residue is resolved by *leader rounds*: the earliest unresolved
            probe has failed every representative that precedes it, so it is a
            new representative; its kernel row (``source``'s, computed by one
@@ -442,11 +429,12 @@ class ReductionState:
         one that kept the rows makes none.  The decisions are the same
         whether the rows are kept or not.
         """
-        counters, threshold = self.counters, self.metric.threshold
-        key_rows, probes = source.rows, source.probes
+        metric, counters = self.metric, self.counters
+        threshold, key_rows, probes = metric.threshold, source.rows, source.probes
         bucket = self.store.bucket(key)
         if bucket:
-            matrix, scales = bucket.matrix_and_scales()
+            matrix = bucket.matrix()
+            scales = None if metric.row_scale is None else metric.row_scale(matrix)
             block = max(1, _BLOCK_ELEMENTS // matrix.size)
             first = np.empty(len(key_rows), dtype=np.intp)
             for lo in range(0, len(key_rows), block):
@@ -460,16 +448,13 @@ class ReductionState:
         else:
             leads.misses += 1
             at = source.places
-        if leads.scale_of is not None:
-            leads.scale_of[key_rows[at]] = source.scales[at]
         leader, shared = leads.leader, source.shared
         filled = source.filled if shared else None
-        heads, empty = [], 0  # rounds in a row that took nothing, counting only calls
+        empty = 0  # rounds in a row that took nothing, counting only calls
         while at.size:
             i = int(at[0])
             lead = int(key_rows[i])
             leader[lead] = lead
-            heads.append(lead)
             at = at[1:]
             if not at.size:
                 break
@@ -487,10 +472,7 @@ class ReductionState:
             if at.size > 2 and empty >= -(-at.size // block):
                 owner = source.resolve(at, threshold, counters)
                 leader[key_rows[at]] = key_rows[at[owner]]
-                heads += key_rows[at[owner == np.arange(len(owner))]].tolist()
                 break
-        if heads:
-            leads.fresh.append((key, heads))
 
 
 def step_families(frame: RankFrame, families: Sequence[Sequence[ReductionState]]) -> None:
@@ -527,7 +509,7 @@ def step_families(frame: RankFrame, families: Sequence[Sequence[ReductionState]]
         for state in states:
             metric = state.metric
             kernel = type(metric) if isinstance(metric, DistanceMetric) else state
-            groups.setdefault(kernel, []).append((state, state.leads(n)))
+            groups.setdefault(kernel, []).append((state, _Leads(n)))
         for group in groups.values():
             metric = group[0][0].metric
             if isinstance(metric, DistanceMetric):
@@ -543,6 +525,36 @@ def step_families(frame: RankFrame, families: Sequence[Sequence[ReductionState]]
                 state._lead_by_count(batches, leads)
             for state, leads in group:
                 state.book(batches, leads)
+
+
+def keep(store: RepresentativeStore, reduced: ReducedRankTrace, metric: SimilarityMetric) -> None:
+    """Enter in ``store`` the representatives ``reduced`` booked since it last kept any.
+
+    The store's buckets are an index of the reduced rank, and this is their
+    one writer: ids ``len(store)`` on, in id order, each under its chunk
+    frame's structural key and, for a distance metric, with its row of the
+    metric's ``frame_vectors`` of that frame — the probe row it was stepped
+    with, bit for bit, whether the chunk is the booked frame or rows of its
+    own (:meth:`ReducedRankTrace.own`).  A new key's bucket is made at its
+    first id, so the store's keys come in the order a step meets them.  Only
+    the trailing chunks that hold those ids are read.
+    """
+    first, hi = len(store), reduced.n_stored
+    tail = []
+    for frame, rows in reversed(reduced.chunks):
+        if hi <= first:
+            break
+        hi -= len(rows)
+        tail.append((frame, rows[max(first - hi, 0) :], max(first, hi)))
+    distance = isinstance(metric, DistanceMetric)
+    for frame, rows, lo in reversed(tail):
+        keys, by_key = frame.structural_keys(), {}
+        for sid, row in enumerate(rows.tolist(), lo):
+            by_key.setdefault(keys[row], []).append((sid, row))
+        vectors = metric.frame_vectors(frame) if distance else None
+        for key, entries in by_key.items():
+            ids = [sid for sid, _ in entries]
+            store.extend(key, ids, [vectors[row] for _, row in entries] if distance else None)
 
 
 def _reference_frame(rank: int, segments: list[Segment]) -> RankFrame:
@@ -684,7 +696,10 @@ class TraceReducer:
         ``into`` continues an existing :class:`ReducedRankTrace` with the
         same ``store``: the incremental form the online reduction service
         (:mod:`repro.service`) uses to feed appended chunks through this
-        path, byte-identically to one call over the concatenated frames.
+        path, byte-identically to one call over the concatenated frames.  A
+        ``store`` passed in is kept (:func:`keep`) once the frame is booked,
+        so the next frame finds its representatives; without one the rank
+        writes no store.
         """
         reduced = ReducedRankTrace(rank=frame.rank) if into is None else into
         state = ReductionState(
@@ -693,6 +708,8 @@ class TraceReducer:
         step_families(frame, [[state]])
         # Counted once the frame is taken: a refused one leaves ``into`` as it was.
         reduced.n_segments += frame.n_segments
+        if store is not None:
+            keep(store, reduced, self.metric)
         return reduced
 
     # -- whole-trace reduction --------------------------------------------------

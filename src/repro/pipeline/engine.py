@@ -19,8 +19,9 @@ Executors
     plus the representative store.  The default: it has no start-up cost, so
     it wins on inputs that reduce in under ~0.2 s (an in-memory 32-rank Sweep3D)
     and on most forward-only sources, whose frames a pool must pickle (the
-    measured exception is a strict distance method on a text file: 2.9 MB at
-    euclidean 0.001, ``write()`` 1.10 s serial → 0.85 s on two workers).
+    measured exception is a strict distance method on a text file: the
+    7.4 MB ``s3d32_long.txt`` at euclidean 0.001, file → file 0.71 s serial
+    → 0.58 s on two workers, medians of ten alternating pairs on a 2-core box).
 ``thread``
     A :class:`~concurrent.futures.ThreadPoolExecutor`.  The match kernels
     are NumPy, but the per-rank bookkeeping around them holds the

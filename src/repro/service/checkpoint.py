@@ -1,8 +1,7 @@
 """Freeze and resume reduction sessions.
 
 A checkpoint is one pickle payload holding the session's complete state:
-config, metric, per-rank representative stores (with their candidate-matrix
-columns), partially reduced outputs (arrays), open segmenters, per-rank
+config, metric, partially reduced outputs (arrays), open segmenters, per-rank
 digests (chained per row over frame columns,
 :func:`~repro.service.cache.chain_frame`) and flush watermarks.  A session
 restored from it — in the same process or a fresh one — continues
@@ -11,15 +10,17 @@ finish equal those of an uninterrupted run.
 
 Two properties make that work:
 
-* Representatives are shared by id: a store's bucket holds ids, and their
-  rows, counts and ``iter_avg`` means live only in the rank's reduced output
-  (pickled as rows of its own, :meth:`~repro.core.reduced.ReducedRankTrace.own`),
-  so a restored store and output agree with no object shared between them.
+* A checkpoint carries no representative store.  A store is an index of its
+  rank's reduced output — each key's representative ids and, for a distance
+  metric, their feature rows — whose rows, counts and ``iter_avg`` means
+  live only in the output (pickled as rows of its own,
+  :meth:`~repro.core.reduced.ReducedRankTrace.own`).  A restore rebuilds
+  every store from the output with the one writer of buckets,
+  :func:`~repro.core.reducer.keep`, recomputing the rows from the
+  representatives' columns bit for bit.
 * Keys rehash on restore (:class:`~repro.core.frames.InternedKey` re-derives
-  its cached hash; the stores' bucket dictionaries are rebuilt from their
-  items), so checkpoints are portable across processes with different
-  string-hash salts.  Candidate matrices come back as the trimmed copies of
-  their live rows and keep doubling from there.
+  its cached hash), so checkpoints are portable across processes with
+  different string-hash salts.
 
 The reducer itself is *not* pickled — it is stateless given the metric — and
 is rebuilt from the metric, so checkpoints stay small and stable across
@@ -34,7 +35,7 @@ import tempfile
 from pathlib import Path
 
 from repro import obs
-from repro.core.reducer import TraceReducer
+from repro.core.reducer import TraceReducer, keep
 from repro.service.session import ReductionSession
 
 __all__ = [
@@ -51,8 +52,9 @@ __all__ = [
 #: the rank digests chain frame rows (a version-3 digest chained segments, so
 #: a resumed session would never digest to its source again).  Version 5: the
 #: stores and the session config carry no capacity.  Version 6: a reduced rank
-#: is columns and the stores' buckets hold representative ids.
-STATE_VERSION = 6
+#: is columns and the stores' buckets hold representative ids.  Version 7: no
+#: store is carried; a restore rebuilds them from the reduced ranks.
+STATE_VERSION = 7
 
 
 def session_state(session: ReductionSession) -> bytes:
@@ -92,6 +94,8 @@ def restore_state(data: bytes) -> ReductionSession:
         session.stats = payload["stats"]
         session._ranks = payload["ranks"]
         session._finished = payload["finished"]
+        for state in session._ranks.values():
+            keep(state.store, state.reduced, session.metric)
     return session
 
 

@@ -21,9 +21,11 @@ content digest over the columns of every row it ingests
 digest of the trace it saw — the key the service's result cache is indexed
 by.
 
-All state (stores with their candidate-matrix columns, partially-open
+All state but the stores (reduced ranks as arrays, partially-open
 segmenters, digests, stats) is picklable; :mod:`repro.service.checkpoint`
-relies on that to freeze and resume sessions bit-identically.
+relies on that to freeze and resume sessions bit-identically.  A rank's store
+is an index of its reduced output (:func:`~repro.core.reducer.keep`), so a
+pickled rank leaves it behind and a restore rebuilds it from the rows.
 """
 
 from __future__ import annotations
@@ -158,7 +160,12 @@ class SessionResult:
 
 
 class _RankState:
-    """Per-rank incremental state: store, output, segmenter, digest, flush window."""
+    """Per-rank incremental state: store, output, segmenter, digest, flush window.
+
+    Pickled without its store, which :func:`~repro.service.checkpoint.restore_state`
+    rebuilds from ``reduced`` (:func:`~repro.core.reducer.keep`): a restored
+    rank starts from an empty one.
+    """
 
     __slots__ = ("rank", "store", "reduced", "segmenter", "stored_mark", "window", "digest")
 
@@ -175,6 +182,14 @@ class _RankState:
         self.window: list = []
         #: Chained content digest of every row ingested so far.
         self.digest = b""
+
+    def __getstate__(self):
+        return {name: getattr(self, name) for name in self.__slots__ if name != "store"}
+
+    def __setstate__(self, state):
+        self.store = RepresentativeStore()
+        for name, value in state.items():
+            setattr(self, name, value)
 
 
 class ReductionSession:
@@ -214,7 +229,7 @@ class ReductionSession:
     def live_representatives(self) -> int:
         """Representatives currently held as match candidates (memory cost):
         the number the service's per-tenant budget meters."""
-        return sum(len(st.store) for st in self._ranks.values())
+        return sum(st.reduced.n_stored for st in self._ranks.values())
 
     def trace_digest(self) -> str:
         """Content digest of everything ingested so far (hex).

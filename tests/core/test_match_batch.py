@@ -1,5 +1,5 @@
-"""Tests for the batched matching engine: candidate matrices written at
-store time, the per-family dense kernels, the metric-kernel bugfixes
+"""Tests for the batched matching engine: candidate matrices written when a
+store is kept, the per-family dense kernels, the metric-kernel bugfixes
 (zero-clamped match limits), and the reducer's key-batched step (its
 kernels' broadcast forms, its counts, its exactness)."""
 
@@ -37,9 +37,8 @@ def _stored(segment, sid=0):
 
 
 def _append(bucket, metric, stored):
-    """Store ``stored`` with its feature row and scale, as a dense state does."""
-    row = metric.build_vector(stored.segment)
-    bucket.extend([stored], [row], None if metric.row_scale is None else [metric.row_scale(row)])
+    """Store ``stored`` with its feature row, as a kept distance metric's store does."""
+    bucket.extend([stored], [metric.build_vector(stored.segment)])
 
 
 def _bucket(metric, entries):
@@ -52,7 +51,8 @@ def _bucket(metric, entries):
 def _dense(metric, candidate, bucket):
     """The kernel's first match as the core takes it: the segment's feature row
     against the bucket's matrix, the first row within the threshold."""
-    matrix, scales = bucket.matrix_and_scales()
+    matrix = bucket.matrix()
+    scales = None if metric.row_scale is None else metric.row_scale(matrix)
     stat, base = metric.match_stats(metric.build_vector(candidate), matrix, scales)
     mask = stat <= (metric.threshold if base is None else metric.threshold * base)
     return bucket[int(mask.argmax())] if mask.any() else None
@@ -82,8 +82,7 @@ class TestCandidateList:
     def test_matrix_rows_follow_insertion_order(self):
         deltas = [0.0, 3.0, 7.0]
         bucket = _bucket(AbsDiff(1.0), [_stored(_jittered(d), sid=i) for i, d in enumerate(deltas)])
-        matrix, scales = bucket.matrix_and_scales()
-        assert scales is None
+        matrix = bucket.matrix()
         assert matrix.shape == (3, 5)
         for row, delta in zip(matrix, deltas):
             np.testing.assert_allclose(
@@ -95,7 +94,7 @@ class TestCandidateList:
         bucket = CandidateList()
         for i in range(CandidateList.MIN_CAPACITY + 3):
             _append(bucket, metric, _stored(_jittered(float(i)), sid=i))
-            matrix, _ = bucket.matrix_and_scales()
+            matrix = bucket.matrix()
             assert matrix.shape[0] == i + 1
             # The backing buffer only ever doubles.
             assert bucket._matrix.shape[0] in (4, 8, 16)
@@ -239,14 +238,12 @@ def _chunked(metric, segments, cuts, store):
 
 def _reference_store(metric, segments):
     """The store the scalar reference leaves, each representative entered as its
-    id, with its feature row and scale, as the core enters a distance metric's."""
+    id, with its feature row, as the core keeps a distance metric's."""
     scanned_store = RepresentativeStore()
     scanned = _scan(metric, segments, scanned_store)
     store = RepresentativeStore()
     for sid, segment in enumerate(scanned.segments()):
-        row = metric.build_vector(segment)
-        scale = None if metric.row_scale is None else metric.row_scale(row)
-        store.add(InternedKey(segment.structure()), sid, row, scale)
+        store.extend(InternedKey(segment.structure()), [sid], [metric.build_vector(segment)])
     store.counters = scanned_store.counters
     return store
 
@@ -254,11 +251,7 @@ def _reference_store(metric, segments):
 def _store_state(store):
     """A store's counters and buckets in order: each key, its ids and its rows' bytes."""
     return store.counters, [
-        (
-            key,
-            list(bucket),
-            *(None if part is None else part.tobytes() for part in bucket.matrix_and_scales()),
-        )
+        (key, list(bucket), None if bucket._matrix is None else bucket.matrix().tobytes())
         for key, bucket in store._by_key.items()
     ]
 
@@ -396,16 +389,13 @@ class TestFrameRowsAreTheOnlyProbe:
         assert sum(len(bucket) for bucket in buckets) == len(store) > 0
         for bucket in buckets:
             if name not in DISTANCE_NAMES:
-                assert bucket._matrix is None and bucket._scales is None
+                assert bucket._matrix is None
                 continue
-            matrix, scales = bucket.matrix_and_scales()
+            matrix = bucket.matrix()
             assert len(matrix) == len(bucket) > 0
-            assert (scales is None) == (getattr(metric, "row_scale", None) is None)
             for i, entry in enumerate(bucket):
                 row = metric.build_vector(representatives[entry])
                 assert matrix[i].tobytes() == row.tobytes(), (name, cuts, i)
-                if scales is not None:
-                    assert scales[i] == metric.row_scale(row)
 
 
 class TestBatchExactness:
@@ -433,7 +423,7 @@ class TestBatchExactness:
         # ceil(probes / block) calls against the bucket the head left.
         expected_calls = 0
         for key, rows, _ in KeyBatches(tail, metric.frame_vectors(tail)).groups:
-            block = max(1, budget // store.bucket(key).matrix_and_scales()[0].size)
+            block = max(1, budget // store.bucket(key).matrix().size)
             expected_calls += -(-len(rows) // block)
         reduced = reducer.reduce_frame(tail, store=store, into=head, match_counters=counters)
         assert _bytes(metric, [reduced]) == _bytes(metric, [_scan(Euclidean(0.001), segments)])
@@ -486,7 +476,7 @@ class TestBatchExactness:
     @given(segments=interleaved_segments(min_segments=2))
     @settings(max_examples=12, deadline=None)
     def test_store_is_the_one_the_reference_leaves(self, name, segments):
-        # Bucket order, matrix rows, cached scales and counters, byte for byte.
+        # Bucket order, matrix rows and counters, byte for byte.
         threshold = DEFAULT_THRESHOLDS[name] / 50
         cuts = (len(segments) // 2,)
         batch_store = RepresentativeStore()
@@ -592,7 +582,7 @@ class TestAllPairsResolve:
             expected = _scan(create_metric(name, threshold), segments)
             assert _bytes(metric, [reduced]) == _bytes(metric, [expected]), (name, kind, events)
             assert resolves and resolves[-1] == len(segments) - 1, (name, kind, events)
-            # Bucket order, matrix rows and scales as the reference leaves them.
+            # Bucket order and matrix rows as the reference leaves them.
             expected_store = _reference_store(create_metric(name, threshold), segments)
             assert _store_state(store) == _store_state(expected_store), (name, kind, events)
 

@@ -68,4 +68,6 @@ def test_a_session_state_pickles_no_object(trace, method):
         session.append(RankFrame.from_segments(rank.rank, rank.segments[7:]))
     classes = {name for _, name in named_classes(session_state(session))}
     assert not classes & OBJECTS, classes
-    assert {"ReducedRankTrace", "RankFrame", "CandidateList"} <= classes
+    assert {"ReducedRankTrace", "RankFrame"} <= classes
+    # A store is an index of the rank's rows: a restore rebuilds it.
+    assert not classes & {"CandidateList", "RepresentativeStore"}, classes

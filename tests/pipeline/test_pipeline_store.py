@@ -1,12 +1,13 @@
-"""Tests for the representative store, and the name the benchmark builds it by."""
+"""Tests for the representative store, the name the benchmark builds it by,
+and that a rank reduced in one frame writes none."""
 
-import pickle
-
-import numpy as np
 import pytest
 
 from repro.core.candidates import CandidateList, RepresentativeStore, StoreCounters
+from repro.core.metrics import DEFAULT_THRESHOLDS, METRIC_NAMES, create_metric
 from repro.core.reduced import StoredSegment
+from repro.experiments.config import build_workload
+from repro.pipeline.engine import PipelineConfig, reduce_pipeline, sweep_pipeline
 from repro.pipeline.store import create_store
 
 from tests.conftest import make_segment
@@ -16,10 +17,6 @@ def _stored(sid, context="main.1"):
     return StoredSegment(
         segment_id=sid, segment=make_segment(context, [("f", 0.0, 1.0)], end=2.0)
     )
-
-
-def _row(sid):
-    return np.array([0.0, 1.0, 2.0 + sid])
 
 
 class TestStore:
@@ -83,20 +80,42 @@ class TestCreateStore:
             create_store(8)
 
 
-class TestPickling:
-    def test_round_trip_keeps_buckets_rows_order_and_counters(self):
-        store = RepresentativeStore()
-        for sid, key in enumerate(("a", "b", "a", "c")):
-            store.add(key, _stored(sid), _row(sid), 2.0 + sid)
-        store.candidates("a")
-        store.candidates("missing")
-        clone = pickle.loads(pickle.dumps(store))
-        assert len(clone) == len(store) == 4
-        assert clone.counters == store.counters
-        assert list(clone._by_key) == list(store._by_key) == ["a", "b", "c"]
-        bucket = clone.bucket("a")
-        assert isinstance(bucket, CandidateList)
-        assert [s.segment_id for s in bucket] == [0, 2]
-        matrix, scales = bucket.matrix_and_scales()
-        assert matrix.tolist() == [_row(0).tolist(), _row(2).tolist()]
-        assert scales.tolist() == [2.0, 4.0]
+class TestARankReducedInOneFrameWritesNoStore:
+    """Only a later frame reads a bucket, so the pipeline and a sweep, which
+    step each rank's one frame, enter nothing in a store."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return build_workload("sweep3d_32p", "smoke").run()
+
+    @pytest.fixture
+    def extends(self, monkeypatch):
+        calls = []
+        extend = CandidateList.extend
+
+        def counted(bucket, entries, rows=None):
+            calls.append(len(entries))
+            return extend(bucket, entries, rows)
+
+        monkeypatch.setattr(CandidateList, "extend", counted)
+        return calls
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_pipeline(self, trace, extends, executor):
+        config = PipelineConfig(executor=executor, workers=2)
+        for method in ("euclidean", "iter_avg"):
+            result = reduce_pipeline(trace, create_metric(method), config)
+            assert result.reduced.n_stored > 0
+        assert extends == []
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_sweep(self, trace, extends, executor):
+        # Every method at its default, and each distance method at default / 50.
+        plan = list(METRIC_NAMES) + [
+            (method, DEFAULT_THRESHOLDS[method] / 50)
+            for method in METRIC_NAMES
+            if not method.startswith("iter_")
+        ]
+        result = sweep_pipeline(trace, plan, PipelineConfig(executor=executor, workers=2))
+        assert all(outcome.reduced.n_stored > 0 for outcome in result)
+        assert extends == []

@@ -1,22 +1,20 @@
 """Checkpoint/restore: a resumed session continues bit-identically.
 
-Covers the pickle satellites (stores and candidate lists round-trip with
-their matrix and scale columns intact) and the end-to-end guarantee:
-checkpoint mid-trace, restore — in this process or a freshly spawned one —
-finish, and the reduced bytes, digest, and stats equal an uninterrupted
-run's.
+Covers the stores a restore rebuilds from the reduced ranks (a checkpoint
+carries none: each must equal the live one, key order, ids and row bytes)
+and the end-to-end guarantee: checkpoint mid-trace, restore — in this process
+or a freshly spawned one — finish, and the reduced bytes, digest, and stats
+equal an uninterrupted run's.
 """
 
 import multiprocessing
 import pickle
 
-import numpy as np
 import pytest
 
 from repro.benchmarks_ats import late_sender
-from repro.core.candidates import CandidateList, RepresentativeStore
 from repro.core.frames import RankFrame
-from repro.core.metrics import METRIC_NAMES, create_metric
+from repro.core.metrics import DEFAULT_THRESHOLDS, METRIC_NAMES
 from repro.pipeline.stream import rank_segment_streams
 from repro.service import (
     ReductionSession,
@@ -59,58 +57,31 @@ def _run_straight(config, streams):
     return session.finish()
 
 
-class TestStorePickles:
-    """Satellite: stores round-trip with the candidate-matrix columns intact."""
+def _store_state(store):
+    """A store's buckets in key order: each key's value, its ids and its rows' bytes."""
+    return [
+        (key.value, list(bucket), None if bucket._matrix is None else bucket.matrix().tobytes())
+        for key, bucket in store._by_key.items()
+    ]
 
-    def _populate(self, store, segments, first_id=0):
-        # ``segments`` share one structure (the fixture's iteration bodies);
-        # each enters as its id, as the reducer's core enters it.
-        metric = create_metric("euclidean")
-        for i, segment in enumerate(segments, first_id):
-            row = metric.build_vector(segment.relative_to_start())
-            store.add("k", i, row, metric.row_scale(row))
 
-    def test_round_trip_preserves_columns_and_counters(self, streams):
-        store = RepresentativeStore()
-        self._populate(store, streams[0][1:7])
-        store.candidates("k")
-        store.candidates("missing")
-        clone = pickle.loads(pickle.dumps(store))
-        assert len(clone) == len(store)
-        assert clone.counters.lookups == store.counters.lookups
-        assert clone.counters.misses == store.counters.misses
-        bucket, bucket_clone = store.candidates("k"), clone.candidates("k")
-        assert list(bucket_clone) == list(bucket) == list(range(6))
-        # The candidate-matrix columns survive, trimmed to their live rows.
-        assert isinstance(bucket_clone, CandidateList)
-        np.testing.assert_array_equal(bucket_clone._matrix, bucket._matrix[:6])
-        np.testing.assert_array_equal(bucket_clone._scales, bucket._scales[:6])
-
-    def test_restored_bucket_keeps_growing(self, streams):
-        # The growth rule doubles the matrix row count; a restored bucket
-        # must grow cleanly from its trimmed copy.
-        store = RepresentativeStore()
-        self._populate(store, streams[0][1:4])
-        clone = pickle.loads(pickle.dumps(store))
-        self._populate(clone, streams[0][4:9], first_id=100)
-        bucket = clone.candidates("k")
-        assert len(bucket) == 8
-        matrix, scales = bucket.matrix_and_scales()
-        assert len(matrix) == len(scales) == 8
-
-    def test_empty_candidate_list_round_trip(self):
-        bucket = CandidateList()
-        clone = pickle.loads(pickle.dumps(bucket))
-        assert len(clone) == 0
-        assert clone._matrix is None
-
-    def test_bucket_order_survives(self, streams):
-        store = RepresentativeStore()
-        for i, key in enumerate(("b", "c", "a")):
-            store.add(key, i)
-        store.candidates("b")  # a lookup reorders nothing
-        clone = pickle.loads(pickle.dumps(store))
-        assert list(clone._by_key) == list(store._by_key) == ["b", "c", "a"]
+@pytest.mark.parametrize("metric_name", METRIC_NAMES)
+def test_a_restored_store_is_the_live_one(streams, metric_name):
+    """A checkpoint carries no store: the one ``keep`` rebuilds from the
+    restored rank's rows equals the one the live session kept frame by frame."""
+    # A distance method at default / 50: most rows lead, so buckets run deep.
+    strict = None if metric_name.startswith("iter_") else DEFAULT_THRESHOLDS[metric_name] / 50
+    session = ReductionSession("t", SessionConfig(metric_name, strict))
+    for rank, segments in streams.items():
+        for lo in range(0, len(segments), 5):
+            session.append(RankFrame.from_segments(rank, segments[lo : lo + 5]))
+        session.flush()
+    restored = restore_state(session_state(session))
+    for rank, live in session._ranks.items():
+        kept = restored._ranks[rank].store
+        assert len(kept) == len(live.store) == live.reduced.n_stored > 0
+        assert _store_state(kept) == _store_state(live.store), rank
+    assert restored.live_representatives == session.live_representatives
 
 
 @pytest.mark.parametrize("metric_name", METRIC_NAMES)
@@ -207,15 +178,16 @@ def test_failed_write_leaves_previous_checkpoint_intact(streams, tmp_path, monke
     assert load_checkpoint(path).finish().reduced.n_segments == 4 * len(streams)
 
 
-@pytest.mark.parametrize("version", [999, 2, 3, 4, 5])
+@pytest.mark.parametrize("version", [999, 2, 3, 4, 5, 6])
 def test_restore_rejects_unknown_version(streams, version):
     # Version 2: buckets pickled their owner metric and a built-row count.
     # Version 3: rank digests chained segments, not frame rows, so a resumed
     # session would never digest to its source again.  Version 4: stores and
     # the session config carried a capacity bound.  Version 5: reduced ranks
-    # held representative objects, and buckets held the same objects.  All
-    # must be refused, not resumed from a misread state.
-    assert STATE_VERSION == 6
+    # held representative objects, and buckets held the same objects.
+    # Version 6: checkpoints carried the stores.  All must be refused, not
+    # resumed from a misread state.
+    assert STATE_VERSION == 7
     session = ReductionSession("t", SessionConfig("relDiff"))
     payload = pickle.loads(session_state(session))
     payload["version"] = version
